@@ -17,7 +17,8 @@ from nclayer.kernels import (
     matmul_numpy,
     rref_numpy,
 )
-from nclayer.spt import _pmf_rows
+from nclayer.spt import PDR_BINS, _pmf_rows, enumerate_strategies
+from oracles import expected_layers_reference
 
 
 def _scalar_matmul(coeffs, data):
@@ -102,14 +103,32 @@ def test_expected_layers_backends_agree():
 
 def test_expected_layers_backends_agree_at_table_scale():
     # class counts up to the full budget stress the deficit walk's slice
-    # clamping, which only matters when a count exceeds the state space
-    from nclayer.spt import enumerate_strategies
-
+    # clamping, which only matters when a count exceeds the state space; the
+    # numpy kernel must match the per-strategy reference bit for bit in every
+    # bin, so no table argmax can move with the kernel
     strategies = np.asarray(enumerate_strategies(64, 4, 4), dtype=np.int64)
-    rows = _pmf_rows(64, 0.7)
-    got = expected_layers_batch(strategies, rows, 8)
-    ref = expected_layers_batch_numpy(strategies, rows, 8)
-    assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+    for p in PDR_BINS:
+        rows = _pmf_rows(64, float(p))
+        ref = expected_layers_reference(strategies, rows, 8)
+        assert np.array_equal(expected_layers_batch_numpy(strategies, rows, 8), ref), p
+        got = expected_layers_batch(strategies, rows, 8)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12), p
+
+
+def test_expected_layers_numpy_matches_reference_on_random_shapes():
+    # counts up to three times the L*P+1 deficit states cover every clamped
+    # slice; p = 0 and p = 1 give rows whose weights are mostly exact zeros
+    rng = np.random.default_rng(6)
+    for trial in range(60):
+        layers = int(rng.integers(1, 6))
+        per_layer = int(rng.integers(1, 5))
+        top = 3 * (layers * per_layer + 1)
+        strategies = rng.integers(0, top + 1, (int(rng.integers(1, 12)), layers))
+        p = (0.0, 1.0, float(rng.random()))[trial % 3]
+        rows = _pmf_rows(int(strategies.max()), p)
+        ref = expected_layers_reference(strategies, rows, per_layer)
+        got = expected_layers_batch_numpy(strategies, rows, per_layer)
+        assert np.array_equal(got, ref), (trial, strategies.tolist(), p, per_layer)
 
 
 def test_env_flag_forces_numpy_backend():

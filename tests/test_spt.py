@@ -108,6 +108,22 @@ def test_table_best_at_extremes(default_table):
     assert default_table.values[top, 19] == 4.0
 
 
+# argmax of every bin of the standard table (B=64, L=4, P=8, g=4), pinned so
+# that a change in the expected-depth arithmetic cannot silently move one
+STANDARD_BEST = (
+    (64, 0, 0, 0), (64, 0, 0, 0), (64, 0, 0, 0), (64, 0, 0, 0),
+    (28, 36, 0, 0), (20, 44, 0, 0), (16, 48, 0, 0), (16, 24, 24, 0),
+    (12, 20, 32, 0), (12, 16, 36, 0), (12, 12, 20, 20), (8, 16, 16, 24),
+    (8, 12, 16, 28), (8, 12, 12, 32), (8, 8, 16, 32), (8, 8, 12, 36),
+    (8, 8, 8, 40), (4, 0, 0, 60), (16, 8, 4, 36), (40, 8, 8, 8),
+)
+
+
+def test_standard_table_best_strategies_are_pinned(default_table):
+    got = tuple(default_table.best_strategy(b) for b in range(len(PDR_BINS)))
+    assert got == STANDARD_BEST
+
+
 def test_tie_break_prefers_shallow_heavy_vector(default_table):
     # every strategy with the full trailing windows scores 4.0 at p = 1;
     # the winner must be the lexicographically largest of them
