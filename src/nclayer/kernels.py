@@ -74,68 +74,90 @@ def _expected_layers_batch_numpy(strategies, pmf_rows, per_layer):
     when the deficit walk G_i = max(G_{i-1} - r_i + per_layer, 0) sits at zero,
     so the decoded depth is the walk's last zero. A forward occupancy pass and
     a backward zero-avoidance pass give the depth distribution exactly.
+
+    All strategies advance together: each pass holds one (n_strategies,
+    L*P+1) array, and outcome r updates the rows whose class count reaches r,
+    each weighted from its strategy's own binomial row. Every element sees
+    the floating-point operations of a strategy-at-a-time walk that skips
+    zero weights, in the same order: multiply, then accumulate in ascending
+    r, where a zero weight the walk skips adds an exact zero here. So the
+    values are bit-identical to that walk whatever the batch holds.
     """
     n_strategies, n_layers = strategies.shape
     n_states = n_layers * per_layer + 1
-    out = np.zeros(n_strategies)
-    for s in range(n_strategies):
-        counts = strategies[s]
-        zero_occupancy = np.zeros(n_layers + 1)
-        f = np.zeros(n_states)
-        f[0] = 1.0
-        for i in range(1, n_layers + 1):
-            f = _forward_step_numpy(f, pmf_rows[counts[i - 1]][: counts[i - 1] + 1], per_layer)
-            zero_occupancy[i] = f[0]
-        value = n_layers * zero_occupancy[n_layers]
-        bq = np.ones(n_states)
-        for i in range(n_layers - 1, 0, -1):
-            bq = _backward_step_numpy(bq, pmf_rows[counts[i]][: counts[i] + 1], per_layer)
-            value += i * zero_occupancy[i] * bq[0]
-        out[s] = value
+    zero_occupancy = np.zeros((n_strategies, n_layers + 1))
+    f = np.zeros((n_strategies, n_states))
+    f[:, 0] = 1.0
+    for i in range(1, n_layers + 1):
+        f = _forward_step_numpy(f, strategies[:, i - 1], pmf_rows, per_layer)
+        zero_occupancy[:, i] = f[:, 0]
+    value = n_layers * zero_occupancy[:, n_layers]
+    bq = np.ones((n_strategies, n_states))
+    for i in range(n_layers - 1, 0, -1):
+        bq = _backward_step_numpy(bq, strategies[:, i], pmf_rows, per_layer)
+        value += i * zero_occupancy[:, i] * bq[:, 0]
+    return value
+
+
+def _by_count(counts):
+    """Row order by descending class count, and for each r the number of
+    leading rows in that order whose count reaches r.
+
+    Strategies that cannot receive r packets of the class form the tail, so
+    each outcome r updates a prefix slice only; the rows it skips are the
+    ones whose weight for r is zero, which add nothing in a per-strategy walk.
+    """
+    order = np.argsort(-counts, kind="stable")
+    ordered = counts[order]
+    reach = np.searchsorted(-ordered, -np.arange(ordered[0] + 1), side="right")
+    return order, ordered, reach
+
+
+def _forward_step_numpy(f, counts, pmf_rows, per_layer):
+    n_states = f.shape[1]
+    order, counts, reach = _by_count(counts)
+    f = f[order]
+    new = np.zeros_like(f)
+    spill = np.zeros(f.shape[0])
+    for r, k in enumerate(reach):
+        w = pmf_rows[counts[:k], r]
+        shift = per_layer - r
+        if shift > 0:
+            new[:k, shift:] += w[:, None] * f[:k, : n_states - shift]
+        elif shift == 0:
+            new[:k] += w[:, None] * f[:k]
+        else:
+            drop = -shift
+            spill[:k] += w * f[:k, : drop + 1].sum(axis=1)
+            if drop + 1 < n_states:
+                new[:k, 1 : n_states - drop] += w[:, None] * f[:k, drop + 1 :]
+    new[:, 0] += spill
+    out = np.empty_like(new)
+    out[order] = new
     return out
 
 
-def _forward_step_numpy(f, pmf, per_layer):
-    n_states = f.size
-    new = np.zeros(n_states)
-    spill = 0.0
-    for r in range(pmf.size):
-        pr = pmf[r]
-        if pr == 0.0:
-            continue
-        shift = per_layer - r
-        if shift > 0:
-            new[shift:] += pr * f[: n_states - shift]
-        elif shift == 0:
-            new += pr * f
-        else:
-            drop = -shift
-            spill += pr * float(f[: drop + 1].sum())
-            if drop + 1 < n_states:
-                new[1 : n_states - drop] += pr * f[drop + 1 :]
-    new[0] += spill
-    return new
-
-
-def _backward_step_numpy(bq, pmf, per_layer):
+def _backward_step_numpy(bq, counts, pmf_rows, per_layer):
     # States above the reachable deficit bound never feed position zero, so
-    # transitions past the top of the array can be dropped without error.
-    n_states = bq.size
-    new = np.zeros(n_states)
-    for r in range(pmf.size):
-        pr = pmf[r]
-        if pr == 0.0:
-            continue
+    # transitions past the top of the array can be dropped without error;
+    # from r = per_layer + n_states - 1 on, every transition lands there.
+    n_states = bq.shape[1]
+    order, counts, reach = _by_count(counts)
+    bq = bq[order]
+    new = np.zeros_like(bq)
+    for r, k in enumerate(reach[: per_layer + n_states - 1]):
+        w = pmf_rows[counts[:k], r][:, None]
         shift = per_layer - r
         if shift > 0:
-            new[: n_states - shift] += pr * bq[shift:]
+            new[:k, : n_states - shift] += w * bq[:k, shift:]
         elif shift == 0:
-            new[1:] += pr * bq[1:]
+            new[:k, 1:] += w * bq[:k, 1:]
         else:
             drop = -shift
-            if drop + 1 < n_states:
-                new[drop + 1 :] += pr * bq[1 : n_states - drop]
-    return new
+            new[:k, drop + 1 :] += w * bq[:k, 1 : n_states - drop]
+    out = np.empty_like(new)
+    out[order] = new
+    return out
 
 
 BACKEND = "numpy"
@@ -279,7 +301,7 @@ else:
 
 
 def expected_layers_batch_numpy(strategies, pmf_rows, per_layer):
-    """Fallback-path entry point kept importable for benchmarks and tests."""
+    """Fallback-path entry point, importable whichever backend is active."""
     return _expected_layers_batch_numpy(
         np.asarray(strategies, dtype=np.int64), pmf_rows, per_layer
     )

@@ -163,6 +163,19 @@ def _segments(config: ChainConfig) -> tuple[range, dict[int, range]]:
     return sender_segment, relay_segments
 
 
+def _check_table_matches(table: StrategyTable, config: ChainConfig) -> None:
+    """A table built for other media or coding parameters would pick
+    allocations for the wrong budget, so refuse it rather than run."""
+    fields = ("budget", "layer_count", "packets_per_layer", "granularity")
+    wrong = [
+        f"{name}={getattr(table, name)} (config has {getattr(config, name)})"
+        for name in fields
+        if getattr(table, name) != getattr(config, name)
+    ]
+    if wrong:
+        raise ValueError(f"strategy table does not match the config: {', '.join(wrong)}")
+
+
 def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetrics:
     """Simulates gop_count GOPs over the configured chain."""
     hops = config.hop_count
@@ -174,6 +187,8 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     sender_child = children[hops + n_relays]
     grid_seed = int(children[hops + n_relays + 1].generate_state(1)[0])
 
+    if table is not None:
+        _check_table_matches(table, config)
     needs_table = config.selection == "spt" or MODE_NC in config.relay_modes
     build_seconds = 0.0
     if needs_table and table is None:

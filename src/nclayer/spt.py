@@ -9,7 +9,7 @@ look strategies up here instead of solving anything online.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -170,6 +170,21 @@ class StrategyTable:
     strategies: list[tuple[int, ...]]
     values: np.ndarray
     best_index: np.ndarray
+    # restricted_index[b, d]: best strategy of bin b among those that leave
+    # every class deeper than d empty, -1 where none does
+    restricted_index: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        matrix = np.asarray(self.strategies, dtype=np.int64)
+        self.restricted_index = np.full(
+            (self.values.shape[1], self.layer_count + 1), -1, dtype=np.int64
+        )
+        for depth in range(self.layer_count + 1):
+            allowed = np.flatnonzero(~matrix[:, depth:].any(axis=1))
+            if allowed.size:
+                self.restricted_index[:, depth] = allowed[
+                    _argmax_lex_largest(self.values[allowed])
+                ]
 
     @property
     def pdr_bins(self) -> tuple[float, ...]:
@@ -179,18 +194,15 @@ class StrategyTable:
         return self.strategies[int(self.best_index[bin_index])]
 
 
-def _argmax_lex_largest(values: np.ndarray) -> int:
-    """Index of the maximum; among exact ties the later entry wins.
+def _argmax_lex_largest(values: np.ndarray):
+    """Index of the maximum along axis 0; among exact ties the later entry wins.
 
     Strategies are stored in ascending lexicographic order, so the later
     entry is the lexicographically larger one (more replicas on shallow
-    classes), which is the cheaper choice to decode.
+    classes), which is the cheaper choice to decode. A 2-D input gives one
+    index per column.
     """
-    best = 0
-    for i in range(1, values.shape[0]):
-        if values[i] >= values[best]:
-            best = i
-    return best
+    return values.shape[0] - 1 - np.argmax(values[::-1], axis=0)
 
 
 def build_table(
@@ -222,7 +234,7 @@ def build_table(
                     trials=trials,
                     seed=int(np.random.SeedSequence([seed, s, b]).generate_state(1)[0]),
                 )
-    best = np.asarray([_argmax_lex_largest(values[:, b]) for b in range(len(PDR_BINS))])
+    best = _argmax_lex_largest(values)
     return StrategyTable(
         budget=budget,
         layer_count=layer_count,
@@ -255,13 +267,10 @@ def best_restricted(
     table: StrategyTable, bin_index: int, max_depth: int
 ) -> Optional[tuple[int, ...]]:
     """Best table strategy that leaves classes deeper than max_depth empty."""
-    best: Optional[int] = None
-    for i, strat in enumerate(table.strategies):
-        if any(strat[j] for j in range(max_depth, table.layer_count)):
-            continue
-        if best is None or table.values[i, bin_index] >= table.values[best, bin_index]:
-            best = i
-    return None if best is None else table.strategies[best]
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
+    i = int(table.restricted_index[bin_index, min(max_depth, table.layer_count)])
+    return None if i < 0 else table.strategies[i]
 
 
 def save_table(table: StrategyTable, path) -> None:

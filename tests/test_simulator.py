@@ -105,6 +105,21 @@ def test_chain_shape_validation():
         ChainConfig(link_pdrs=(1.0, 1.0), link_delays=(0.001,))
 
 
+def test_run_rejects_table_built_for_other_parameters(default_table):
+    base = ChainConfig(link_pdrs=(0.9,), gop_count=2)
+    for field, value in (
+        ("budget", 32),
+        ("layer_count", 3),
+        ("packets_per_layer", 4),
+        ("granularity", 8),
+    ):
+        with pytest.raises(ValueError, match=f"{field}="):
+            run(replace(base, **{field: value}), table=default_table)
+    # the heuristic selector never reads the table, but a mismatch still fails
+    with pytest.raises(ValueError, match="budget"):
+        run(replace(base, budget=32, selection="heuristic"), table=default_table)
+
+
 def test_delay_affinity_in_nc_relays(default_table):
     def per_gop(modes):
         config = ChainConfig(link_pdrs=(1.0,) * 3, relay_modes=modes, gop_count=1)

@@ -5,6 +5,7 @@ import pytest
 
 from nclayer.spt import (
     PDR_BINS,
+    _argmax_lex_largest,
     best_restricted,
     build_table,
     enumerate_strategies,
@@ -141,6 +142,39 @@ def test_best_restricted_depth_limits(default_table):
     two = best_restricted(default_table, 10, 2)
     assert two[2] == 0 and two[3] == 0
     assert sum(two) == 64
+
+
+def _scan_restricted(table, bin_index, max_depth):
+    # the linear scan best_restricted replaced: last index holding the max
+    best = None
+    for i, strat in enumerate(table.strategies):
+        if any(strat[j] for j in range(max_depth, table.layer_count)):
+            continue
+        if best is None or table.values[i, bin_index] >= table.values[best, bin_index]:
+            best = i
+    return None if best is None else table.strategies[best]
+
+
+def test_best_restricted_lookup_matches_scan(default_table, tmp_path):
+    path = tmp_path / "table.txt"
+    save_table(default_table, path)
+    small = build_table(budget=8, layer_count=3, packets_per_layer=2, granularity=2)
+    for table in (default_table, load_table(path), small):
+        for b in range(len(PDR_BINS)):
+            for depth in range(table.layer_count + 1):
+                assert best_restricted(table, b, depth) == _scan_restricted(
+                    table, b, depth
+                ), (table.budget, b, depth)
+    assert best_restricted(default_table, 10, 0) is None
+    assert best_restricted(default_table, 10, 9) == default_table.best_strategy(10)
+    with pytest.raises(ValueError):
+        best_restricted(default_table, 10, -1)
+
+
+def test_argmax_prefers_the_last_of_exact_ties():
+    values = np.array([[1.0, 3.0], [2.0, 3.0], [2.0, 1.0], [0.5, 3.0]])
+    assert _argmax_lex_largest(values[:, 0]) == 2
+    assert _argmax_lex_largest(values).tolist() == [2, 3]
 
 
 def test_save_load_round_trip(default_table, tmp_path):
