@@ -140,3 +140,22 @@ def _backward_step(bq, pmf, per_layer):
             if drop + 1 < n_states:
                 new[drop + 1 :] += pr * bq[1 : n_states - drop]
     return new
+
+
+def probe_walk_pdr(links, n_probes):
+    """End-to-end probe estimate, one probe at a time.
+
+    Each probe crosses the links in order until its first loss, drawing one
+    scalar uniform from each link it reaches. A vectorised estimator must
+    return the same fraction and leave every link's generator and draw
+    counter exactly where this walk leaves them.
+    """
+    survived = 0
+    for _ in range(n_probes):
+        for link in links:
+            link.draws += 1
+            if not link._rng.random() < link.delivery_prob:
+                break
+        else:
+            survived += 1
+    return survived / n_probes

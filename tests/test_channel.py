@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from nclayer.channel import LinkModel, chain_e2e_pdr
+from oracles import probe_walk_pdr
 
 
 def test_extreme_probabilities():
@@ -62,3 +64,20 @@ def test_validation_errors():
         LinkModel(0.5).estimate_pdr(0)
     with pytest.raises(ValueError):
         chain_e2e_pdr([], 10)
+
+
+def test_chain_probe_matches_probe_walk():
+    rng = np.random.default_rng(2013)
+    for trial in range(60):
+        hops = int(rng.integers(1, 5))
+        pdrs = [float(rng.choice([0.0, 1.0, rng.random()])) for _ in range(hops)]
+        seeds = [int(s) for s in rng.integers(0, 2**32, size=hops)]
+        fast = [LinkModel(p, seed=s) for p, s in zip(pdrs, seeds)]
+        walk = [LinkModel(p, seed=s) for p, s in zip(pdrs, seeds)]
+        for n_probes in (1, int(rng.integers(2, 50)), 100):
+            assert chain_e2e_pdr(fast, n_probes) == probe_walk_pdr(walk, n_probes), (
+                trial, pdrs, n_probes,
+            )
+            for a, b in zip(fast, walk):
+                assert a.draws == b.draws
+                assert a._rng.bit_generator.state == b._rng.bit_generator.state

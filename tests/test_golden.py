@@ -1,0 +1,96 @@
+"""Seeded outputs pinned as literals.
+
+Every value here is what the simulator produced for a fixed seed. A change
+to how packets are held, sent or scored must leave the random streams and
+the scoring untouched, so these stay bit-identical; a change that means to
+alter a stream has to update them and say so.
+"""
+
+import pytest
+
+from nclayer.simulator import CSV_HEADER, ChainConfig, format_row, run, sweep
+
+GOLDEN_RUNS = {
+    "forward-rlc": (
+        ChainConfig(
+            link_pdrs=(0.7, 0.7, 0.7),
+            relay_modes=("forward", "forward"),
+            gop_count=24,
+            seed=101,
+            pdr_schedule=((12, 1, 0.5),),
+        ),
+        434,
+        1536,
+        [2, 2, 2, 0, 2, 0, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 0, 1, 1, 2, 0, 2, 2, 1],
+        3.4880000000000004,
+    ),
+    "recode-rlc": (
+        ChainConfig(
+            link_pdrs=(0.7, 0.7, 0.7),
+            relay_modes=("nc", "nc"),
+            gop_count=24,
+            seed=102,
+            update_period=2,
+        ),
+        1074,
+        1536,
+        [4] * 24,
+        2944.848000000001,
+    ),
+    "xor-chain": (
+        ChainConfig(
+            link_pdrs=(0.8, 0.8, 0.8),
+            relay_modes=("nc", "forward"),
+            scheme="xor",
+            gop_count=24,
+            seed=103,
+        ),
+        238,
+        1536,
+        [0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0],
+        1502.4660000000001,
+    ),
+    "verified-rlc": (
+        ChainConfig(
+            link_pdrs=(0.7, 0.8),
+            relay_modes=("forward",),
+            gop_count=24,
+            seed=104,
+            verify_payloads=True,
+        ),
+        864,
+        1536,
+        [4, 0, 4, 4, 4, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 3, 4, 4, 4, 4, 4, 4, 4],
+        2.7120000000000015,
+    ),
+}
+
+GOLDEN_SWEEP_CSV = (
+    CSV_HEADER + "\n"
+    "NoNC3,3,0.6000,0.208333,160,0.000000,1.620000,16823399\n"
+    "NC3-HBH,3,0.6000,0.570312,438,3.250000,1502.360000,3598628658\n"
+    "heuristic-3,3,0.6000,0.246094,189,1.000000,1.652000,2134324977\n"
+    "NoNC3,3,0.9000,0.725260,557,0.916667,2.193000,3796490668\n"
+    "NC3-HBH,3,0.9000,0.916667,704,4.000000,1502.424000,3269189123\n"
+    "heuristic-3,3,0.9000,0.729167,560,3.000000,2.183000,4078058680\n"
+)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_seeded_run_outputs_are_pinned(name, default_table):
+    config, npr, sent_total, per_gop_decoded, total_delay = GOLDEN_RUNS[name]
+    metrics = run(config, table=default_table)
+    assert metrics.npr == npr
+    assert metrics.sent_total == sent_total
+    assert metrics.per_gop_decoded == per_gop_decoded
+    assert metrics.total_delay == total_delay
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_seeded_sweep_csv_is_pinned(jobs):
+    base = ChainConfig(
+        link_pdrs=(0.8, 0.8, 0.8), relay_modes=("forward", "forward"), gop_count=12, seed=5
+    )
+    rows = sweep(base, (0.6, 0.9), ("NoNC3", "NC3-HBH", "heuristic-3"), jobs=jobs)
+    text = CSV_HEADER + "\n" + "".join(format_row(r) + "\n" for r in rows)
+    assert text == GOLDEN_SWEEP_CSV
