@@ -5,7 +5,7 @@ from .channel import LinkModel, chain_e2e_pdr
 from .codec import (
     SCHEME_RLC,
     SCHEME_XOR,
-    CodedPacket,
+    PacketBatch,
     decodable_layers,
     decode_gop,
     encode_gop,
@@ -14,7 +14,7 @@ from .config import ConfigError, apply_overrides, load_config, parse_config_text
 from .gf256 import gf256_inv, gf256_mul
 from .heuristic import ThresholdPolicy, builtin_policy, select_strategy
 from .kernels import BACKEND
-from .media import LayerGrid, StrategyVector, grid_from_bytes, grid_to_bytes, make_synthetic_gop
+from .media import LayerGrid, make_synthetic_gop
 from .nodes import (
     FeedbackReport,
     ReceiverState,
@@ -50,12 +50,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND",
     "ChainConfig",
-    "CodedPacket",
     "ConfigError",
     "FeedbackReport",
     "LayerGrid",
     "LinkModel",
     "PDR_BINS",
+    "PacketBatch",
     "ReceiverState",
     "RelayState",
     "RunMetrics",
@@ -63,7 +63,6 @@ __all__ = [
     "SCHEME_XOR",
     "SenderState",
     "StrategyTable",
-    "StrategyVector",
     "ThresholdPolicy",
     "apply_overrides",
     "build_table",
@@ -76,8 +75,6 @@ __all__ = [
     "expected_decoded_layers",
     "gf256_inv",
     "gf256_mul",
-    "grid_from_bytes",
-    "grid_to_bytes",
     "load_config",
     "load_table",
     "make_synthetic_gop",

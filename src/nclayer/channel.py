@@ -20,39 +20,33 @@ class LinkModel:
         self.draws = 0
         self._rng = np.random.default_rng(seed)
 
-    def transmit(self, packets: Sequence) -> list:
-        """Delivered subsequence; consumes exactly one draw per packet."""
-        if not packets:
-            return []
-        uniforms = self._rng.random(len(packets))
-        self.draws += len(packets)
-        return [pkt for pkt, u in zip(packets, uniforms) if u < self.delivery_prob]
+    def _delivered(self, n: int) -> np.ndarray:
+        """Survival mask of n packets sent in order; one uniform per packet."""
+        self.draws += n
+        return self._rng.random(n) < self.delivery_prob
 
-    def send_one(self) -> bool:
-        self.draws += 1
-        return bool(self._rng.random() < self.delivery_prob)
-
-    def estimate_pdr(self, n_probes: int = 100) -> float:
-        """Probe-based delivery estimate; probes ride outside any data budget."""
-        if n_probes < 1:
-            raise ValueError(f"n_probes must be positive, got {n_probes}")
-        uniforms = self._rng.random(n_probes)
-        self.draws += n_probes
-        return float(np.count_nonzero(uniforms < self.delivery_prob)) / n_probes
+    def transmit(self, batch):
+        """Delivered rows, in order, of a packet batch or any array indexable
+        by a boolean mask; consumes exactly one draw per packet."""
+        if not len(batch):
+            return batch
+        return batch[self._delivered(len(batch))]
 
 
 def chain_e2e_pdr(links: Sequence[LinkModel], n_probes: int = 100) -> float:
-    """Walks each probe across the links until lost; the survivor fraction
-    estimates the product of the per-link delivery probabilities."""
+    """Survivor fraction of n_probes probes sent across the links, which
+    estimates the product of the per-link delivery probabilities.
+
+    Each link draws once for every probe that reached it, in probe order, the
+    same per-link stream as walking the probes across the chain one by one.
+    """
     if not links:
         raise ValueError("need at least one link to probe")
     if n_probes < 1:
         raise ValueError(f"n_probes must be positive, got {n_probes}")
-    survived = 0
-    for _ in range(n_probes):
-        for link in links:
-            if not link.send_one():
-                break
-        else:
-            survived += 1
-    return survived / n_probes
+    alive = n_probes
+    for link in links:
+        if alive == 0:
+            break
+        alive = int(np.count_nonzero(link._delivered(alive)))
+    return alive / n_probes

@@ -27,21 +27,86 @@ SCHEME_RLC = "rlc"
 SCHEMES = (SCHEME_XOR, SCHEME_RLC)
 
 
-@dataclass
-class CodedPacket:
+@dataclass(eq=False)
+class PacketBatch:
+    """One GOP's coded packets as parallel arrays, one row per packet.
+
+    depth[i] is packet i's class and payload[i] its bytes. RLC packets carry
+    their coefficients in coeffs, zero-padded to layer_count *
+    packets_per_layer columns; XOR packets carry their grid column instead.
+    The batch is checked once, on construction. Indexing with a boolean
+    mask, a slice or an index array selects rows and skips the check, since
+    rows of a valid batch form a valid batch.
+    """
+
     gop_id: int
-    class_depth: int
-    replica_index: int
     scheme: str
+    depth: np.ndarray
     payload: np.ndarray
-    column: Optional[int] = None
-    coefficients: Optional[np.ndarray] = None
+    coeffs: Optional[np.ndarray] = None
+    column: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if self.class_depth < 1:
-            raise ValueError(f"class_depth must be >= 1, got {self.class_depth}")
+        self.depth = np.asarray(self.depth, dtype=np.int8)
+        self.payload = np.asarray(self.payload, dtype=np.uint8)
+        n = self.depth.shape[0] if self.depth.ndim == 1 else -1
+        if n < 0 or self.payload.ndim != 2 or self.payload.shape[0] != n:
+            raise ValueError(
+                f"need one depth and one payload row per packet, got shapes "
+                f"{self.depth.shape} and {self.payload.shape}"
+            )
+        if n and self.depth.min() < 1:
+            raise ValueError(f"class depth must be >= 1, got {self.depth.min()}")
+        if self.scheme == SCHEME_RLC:
+            if self.coeffs is None or self.column is not None:
+                raise ValueError("rlc packets carry coefficients and no column")
+            self.coeffs = np.asarray(self.coeffs, dtype=np.uint8)
+            if self.coeffs.ndim != 2 or self.coeffs.shape[0] != n:
+                raise ValueError(f"need {n} coefficient rows, got shape {self.coeffs.shape}")
+        else:
+            if self.column is None or self.coeffs is not None:
+                raise ValueError("xor packets carry a column and no coefficients")
+            self.column = np.asarray(self.column, dtype=np.intp)
+            if self.column.shape != (n,):
+                raise ValueError(f"need {n} columns, got shape {self.column.shape}")
+
+    def __len__(self) -> int:
+        return self.depth.shape[0]
+
+    def __getitem__(self, index) -> "PacketBatch":
+        if isinstance(index, (int, np.integer)):
+            raise TypeError("select packets with a mask, a slice or an index array")
+        out = object.__new__(PacketBatch)
+        out.__dict__.update(
+            gop_id=self.gop_id,
+            scheme=self.scheme,
+            depth=self.depth[index],
+            payload=self.payload[index],
+            coeffs=None if self.coeffs is None else self.coeffs[index],
+            column=None if self.column is None else self.column[index],
+        )
+        return out
+
+    @staticmethod
+    def concat(batches: Sequence["PacketBatch"]) -> "PacketBatch":
+        """The rows of several batches of one GOP and scheme, in order."""
+        gids = {b.gop_id for b in batches}
+        schemes = {b.scheme for b in batches}
+        if len(gids) > 1:
+            raise ValueError(f"packets span several GOPs: {sorted(gids)}")
+        if len(schemes) > 1:
+            raise ValueError(f"packets mix schemes: {sorted(schemes)}")
+
+        def stack(name):
+            parts = [getattr(b, name) for b in batches]
+            return None if parts[0] is None else np.concatenate(parts)
+
+        return PacketBatch(
+            batches[0].gop_id, batches[0].scheme, stack("depth"), stack("payload"),
+            stack("coeffs"), stack("column"),
+        )
 
 
 def decodable_layers(counts: Sequence[int], packets_per_layer: int) -> int:
@@ -86,55 +151,41 @@ def encode_gop(
     strategy: Sequence[int],
     scheme: str = SCHEME_RLC,
     seed: int = 0,
-) -> list[CodedPacket]:
+) -> PacketBatch:
     """Produces strategy[i-1] packets of class i, shallow classes first."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     counts = _check_strategy(strategy, grid.layer_count)
-    per_layer = grid.packets_per_layer
-    packets: list[CodedPacket] = []
+    per_layer, size = grid.packets_per_layer, grid.payload_size
+    depth = np.repeat(np.arange(1, grid.layer_count + 1, dtype=np.int8), counts)
 
     if scheme == SCHEME_XOR:
-        for depth in range(1, grid.layer_count + 1):
-            for t in range(counts[depth - 1]):
-                col = t % per_layer
-                payload = np.bitwise_xor.reduce(grid.cells[:depth, col], axis=0)
-                packets.append(
-                    CodedPacket(
-                        gop_id=grid.gop_id,
-                        class_depth=depth,
-                        replica_index=t,
-                        scheme=scheme,
-                        payload=payload,
-                        column=col,
-                    )
-                )
-        return packets
+        # replica t of a class takes column t mod P; its payload is the XOR of
+        # that column over layers 1..depth
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        column = (np.arange(depth.size) - first) % per_layer
+        prefix = np.bitwise_xor.accumulate(grid.cells, axis=0)
+        return PacketBatch(grid.gop_id, scheme, depth, prefix[depth - 1, column], column=column)
 
     rng = np.random.default_rng(seed)
-    for depth in range(1, grid.layer_count + 1):
-        n = counts[depth - 1]
+    n_unknowns = grid.layer_count * per_layer
+    data = grid.cells.reshape(n_unknowns, size)
+    coeffs = np.zeros((depth.size, n_unknowns), dtype=np.uint8)
+    payload = np.empty((depth.size, size), dtype=np.uint8)
+    row = 0
+    for d, n in enumerate(counts, start=1):
         if n == 0:
             continue
-        coeffs = rng.integers(0, 256, size=(n, depth * per_layer), dtype=np.uint8)
-        data = grid.cells[:depth].reshape(depth * per_layer, grid.payload_size)
-        payloads = gf_matmul(coeffs, data)
-        for t in range(n):
-            packets.append(
-                CodedPacket(
-                    gop_id=grid.gop_id,
-                    class_depth=depth,
-                    replica_index=t,
-                    scheme=scheme,
-                    payload=payloads[t],
-                    coefficients=coeffs[t],
-                )
-            )
-    return packets
+        width = d * per_layer
+        block = rng.integers(0, 256, size=(n, width), dtype=np.uint8)
+        coeffs[row : row + n, :width] = block
+        payload[row : row + n] = gf_matmul(block, data[:width])
+        row += n
+    return PacketBatch(grid.gop_id, scheme, depth, payload, coeffs=coeffs)
 
 
 def decode_gop(
-    packets: Sequence[CodedPacket],
+    packets: PacketBatch,
     layer_count: int,
     packets_per_layer: int,
     payload_size: int,
@@ -145,94 +196,66 @@ def decode_gop(
     Returns (recovered_layer_count, grid); grid cells past the recovered
     prefix are zero. With no packets the result is an all-zero grid.
     """
-    if packets:
-        gids = {p.gop_id for p in packets}
-        schemes = {p.scheme for p in packets}
-        if len(gids) > 1:
-            raise ValueError(f"packets span several GOPs: {sorted(gids)}")
-        if len(schemes) > 1:
-            raise ValueError(f"packets mix schemes: {sorted(schemes)}")
-        if gop_id is None:
-            gop_id = packets[0].gop_id
-        elif gop_id != packets[0].gop_id:
-            raise ValueError(f"packets carry gop_id {packets[0].gop_id}, expected {gop_id}")
-        bad_depth = [p.class_depth for p in packets if p.class_depth > layer_count]
-        if bad_depth:
-            raise ValueError(
-                f"packet class depth {max(bad_depth)} exceeds layer_count {layer_count}"
-            )
     cells = np.zeros((layer_count, packets_per_layer, payload_size), dtype=np.uint8)
-    if not packets:
+    if not len(packets):
         return 0, LayerGrid(0 if gop_id is None else gop_id, cells)
-
-    scheme = packets[0].scheme
-    if scheme == SCHEME_XOR:
+    if gop_id is None:
+        gop_id = packets.gop_id
+    elif gop_id != packets.gop_id:
+        raise ValueError(f"packets carry gop_id {packets.gop_id}, expected {gop_id}")
+    deepest = int(packets.depth.max())
+    if deepest > layer_count:
+        raise ValueError(f"packet class depth {deepest} exceeds layer_count {layer_count}")
+    if packets.payload.shape[1] != payload_size:
+        raise ValueError(
+            f"payload must hold {payload_size} bytes, got {packets.payload.shape[1]}"
+        )
+    if packets.scheme == SCHEME_XOR:
         recovered = _decode_xor(packets, layer_count, packets_per_layer, cells)
     else:
-        recovered = _decode_rlc(packets, layer_count, packets_per_layer, payload_size, cells)
+        recovered = _decode_rlc(packets, layer_count, packets_per_layer, cells)
     return recovered, LayerGrid(gop_id, cells)
 
 
 def _decode_xor(packets, layer_count, packets_per_layer, cells) -> int:
-    by_column: list[dict[int, np.ndarray]] = [{} for _ in range(packets_per_layer)]
-    for p in packets:
-        if p.column is None or not 0 <= p.column < packets_per_layer:
-            raise ValueError(f"xor packet carries invalid column {p.column}")
-        by_column[p.column].setdefault(p.class_depth, p.payload)
-
-    depth = layer_count
-    for col_map in by_column:
-        run = 0
-        while run < depth and (run + 1) in col_map:
-            run += 1
-        depth = min(depth, run)
-        if depth == 0:
-            return 0
-
-    for col, col_map in enumerate(by_column):
-        prev = None
-        for j in range(1, depth + 1):
-            cur = col_map[j]
-            cells[j - 1, col] = cur if prev is None else cur ^ prev
-            prev = cur
+    column = packets.column
+    if column.min() < 0 or column.max() >= packets_per_layer:
+        raise ValueError(
+            f"xor packet columns must lie in 0..{packets_per_layer - 1}, "
+            f"got {column.min()}..{column.max()}"
+        )
+    # the first packet of each (column, depth) cell supplies that cell
+    keys, first = np.unique(column * (layer_count + 1) + packets.depth, return_index=True)
+    have = np.zeros((packets_per_layer, layer_count + 1), dtype=bool)
+    have.flat[keys] = True
+    # deepest run of depths 1, 2, ... present in every column
+    depth = int(np.cumprod(have[:, 1:], axis=1).sum(axis=1).min())
+    if depth == 0:
+        return 0
+    sums = np.zeros((packets_per_layer * (layer_count + 1), cells.shape[2]), dtype=np.uint8)
+    sums[keys] = packets.payload[first]
+    sums = sums.reshape(packets_per_layer, layer_count + 1, -1)[:, 1 : depth + 1].swapaxes(0, 1)
+    # layer j of a column is the XOR of its depth j and depth j-1 sums
+    cells[:depth] = sums
+    cells[1:depth] ^= sums[:-1]
     return depth
 
 
-def _decode_rlc(packets, layer_count, packets_per_layer, payload_size, cells) -> int:
+def _decode_rlc(packets, layer_count, packets_per_layer, cells) -> int:
     n_unknowns = layer_count * packets_per_layer
-    aug = np.zeros((len(packets), n_unknowns + payload_size), dtype=np.uint8)
-    for r, p in enumerate(packets):
-        if p.coefficients is None:
-            raise ValueError("rlc packet is missing its coefficient vector")
-        width = p.class_depth * packets_per_layer
-        if p.coefficients.shape != (width,):
-            raise ValueError(
-                f"class {p.class_depth} packet needs {width} coefficients, "
-                f"got shape {p.coefficients.shape}"
-            )
-        if p.payload.shape != (payload_size,):
-            raise ValueError(
-                f"payload must hold {payload_size} bytes, got shape {p.payload.shape}"
-            )
-        aug[r, :width] = p.coefficients
-        aug[r, n_unknowns : n_unknowns + payload_size] = p.payload
-
+    coeffs = packets.coeffs
+    if coeffs.shape[1] != n_unknowns:
+        raise ValueError(f"rlc packets need {n_unknowns} coefficients, got {coeffs.shape[1]}")
+    outside = np.arange(n_unknowns) >= packets.depth.astype(np.intp)[:, None] * packets_per_layer
+    if coeffs[outside].any():
+        raise ValueError("a packet carries coefficients for layers deeper than its class")
+    aug = np.hstack([coeffs, packets.payload])
     owner = gf_rref(aug, n_unknowns)
 
-    coeff_part = aug[:, :n_unknowns]
-    recovered = 0
-    for depth in range(1, layer_count + 1):
-        ok = True
-        for c in range((depth - 1) * packets_per_layer, depth * packets_per_layer):
-            row = owner[c]
-            if row < 0 or np.count_nonzero(coeff_part[row]) != 1:
-                ok = False
-                break
-        if not ok:
-            break
-        recovered = depth
-
-    for c in range(recovered * packets_per_layer):
-        layer, col = divmod(c, packets_per_layer)
-        cells[layer, col] = aug[owner[c], n_unknowns:]
+    # an unknown is solved when its pivot row holds no other coefficient
+    nonzero = np.count_nonzero(aug[:, :n_unknowns], axis=1)
+    solved = (owner >= 0) & (nonzero[owner] == 1)
+    recovered = int(np.cumprod(solved.reshape(layer_count, packets_per_layer).all(axis=1)).sum())
+    solved_rows = owner[: recovered * packets_per_layer]
+    cells[:recovered] = aug[solved_rows, n_unknowns:].reshape(cells[:recovered].shape)
     return recovered

@@ -8,7 +8,6 @@ breakpoint belongs to the upper interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,3 @@ def select_strategy(policy: ThresholdPolicy, pdr_estimate: float) -> tuple[int, 
         idx += 1
     return policy.strategies[idx]
 
-
-def policy_from_lists(
-    breakpoints: Sequence[float], strategies: Sequence[Sequence[int]]
-) -> ThresholdPolicy:
-    return ThresholdPolicy(tuple(breakpoints), tuple(tuple(s) for s in strategies))

@@ -21,14 +21,25 @@ try:
 except ImportError:  # pragma: no cover - exercised via NCLAYER_BACKEND instead
     HAS_NUMBA = False
 
+_MUL_FLAT = MUL_TABLE.reshape(-1)
+
 
 def matmul_numpy(coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """GF(2^8) product of (n, k) coefficients with (k, s) payload rows."""
-    n = coeffs.shape[0]
-    if coeffs.shape[1] == 0:
-        return np.zeros((n, data.shape[1]), dtype=np.uint8)
-    prods = MUL_TABLE[coeffs[:, :, None], data[None, :, :]]
-    return np.bitwise_xor.reduce(prods, axis=1)
+    """GF(2^8) product of (n, k) coefficients with (k, s) payload rows.
+
+    Each product is one lookup in the flat product table at (c << 8) | d.
+    The products are laid out k-major, so the XOR over k runs down the
+    leading axis, eight bytes at a time when n * s is a multiple of 8.
+    """
+    n, k = coeffs.shape
+    s = data.shape[1]
+    if k == 0:
+        return np.zeros((n, s), dtype=np.uint8)
+    index = (coeffs.T.astype(np.uint16) << 8)[:, :, None] | data[:, None, :]
+    prods = _MUL_FLAT.take(index).reshape(k, n * s)
+    if n * s % 8 == 0:
+        prods = prods.view(np.uint64)
+    return np.bitwise_xor.reduce(prods, axis=0).view(np.uint8).reshape(n, s)
 
 
 def rref_numpy(aug: np.ndarray, n_unknowns: int) -> np.ndarray:

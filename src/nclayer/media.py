@@ -9,7 +9,6 @@ below it is available as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -45,29 +44,6 @@ class LayerGrid:
         return self.cells.shape[2]
 
 
-@dataclass(frozen=True)
-class StrategyVector:
-    """Per-class replica counts; entry i is how many class i+1 packets to send."""
-
-    counts: tuple[int, ...]
-    budget: int
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if any(c < 0 for c in counts):
-            raise ValueError(f"replica counts must be non-negative, got {counts}")
-        if sum(counts) != self.budget:
-            raise ValueError(
-                f"replica counts sum to {sum(counts)}, expected budget {self.budget}"
-            )
-
-    @classmethod
-    def from_counts(cls, counts: Sequence[int]) -> "StrategyVector":
-        counts = tuple(int(c) for c in counts)
-        return cls(counts, sum(counts))
-
-
 def make_synthetic_gop(
     gop_id: int,
     layer_count: int,
@@ -93,26 +69,3 @@ def make_synthetic_gop(
     )
     return LayerGrid(gop_id, cells)
 
-
-def grid_from_bytes(
-    data: bytes,
-    gop_id: int,
-    layer_count: int,
-    packets_per_layer: int,
-    payload_size: int,
-) -> LayerGrid:
-    """Rebuilds a grid from layer-major bytes as produced by grid_to_bytes."""
-    expected = layer_count * packets_per_layer * payload_size
-    if len(data) != expected:
-        raise ValueError(
-            f"need exactly {expected} bytes for a "
-            f"{layer_count}x{packets_per_layer}x{payload_size} grid, got {len(data)}"
-        )
-    cells = np.frombuffer(data, dtype=np.uint8).reshape(
-        layer_count, packets_per_layer, payload_size
-    )
-    return LayerGrid(gop_id, cells)
-
-
-def grid_to_bytes(grid: LayerGrid) -> bytes:
-    return grid.cells.tobytes()

@@ -5,16 +5,17 @@ and encodes each GOP. An intermediate either forwards whatever arrives, or
 decodes what it can and re-encodes the recovered prefix at full budget with
 a strategy restricted to the depths it actually holds. The receiver counts
 arrivals per class and scores the GOP by the count-based decode rule.
+Packets travel as one PacketBatch per GOP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .codec import CodedPacket, decodable_layers, decode_gop, encode_gop
+from .codec import PacketBatch, decodable_layers, decode_gop, encode_gop
 from .heuristic import ThresholdPolicy, select_strategy
 from .media import LayerGrid
 from .spt import StrategyTable, best_restricted, nearest_bin, select_best
@@ -45,7 +46,6 @@ def _fresh_seed(rng: np.random.Generator) -> int:
 
 @dataclass
 class SenderState:
-    budget: int
     scheme: str
     table: Optional[StrategyTable] = None
     policy: Optional[ThresholdPolicy] = None
@@ -64,7 +64,7 @@ class SenderState:
 
 def sender_epoch(
     state: SenderState, grid: LayerGrid, feedback: Optional[FeedbackReport] = None
-) -> list[CodedPacket]:
+) -> PacketBatch:
     """Encodes one GOP; the strategy refreshes only on period boundaries."""
     if feedback is not None:
         state.pdr_estimate = feedback.ratio
@@ -80,7 +80,6 @@ def sender_epoch(
 @dataclass
 class RelayState:
     mode: str
-    budget: int
     scheme: str
     layer_count: int
     packets_per_layer: int
@@ -99,24 +98,25 @@ class RelayState:
             raise ValueError("a re-encoding relay needs a strategy table")
 
 
-def relay_step(state: RelayState, packets: Sequence[CodedPacket]) -> list[CodedPacket]:
+def relay_step(state: RelayState, packets: PacketBatch) -> PacketBatch:
     """Forward mode passes packets through untouched. Re-encode mode decodes
     the deepest available prefix and spends the full budget on it, never
-    emitting a class deeper than what it decoded."""
+    emitting a class deeper than what it decoded; with nothing decoded it
+    emits an empty batch."""
     if state.mode == MODE_FORWARD:
-        return list(packets)
-    if not packets:
+        return packets
+    if not len(packets):
         state.last_decoded = 0
-        return []
+        return packets
     decoded, grid = decode_gop(
         packets, state.layer_count, state.packets_per_layer, state.payload_size
     )
     state.last_decoded = decoded
     if decoded == 0:
-        return []
+        return packets[:0]
     strategy = best_restricted(state.table, nearest_bin(state.pdr_estimate), decoded)
     if strategy is None:
-        return []
+        return packets[:0]
     return encode_gop(grid, strategy, state.scheme, _fresh_seed(state.rng))
 
 
@@ -136,14 +136,19 @@ class ReceiverState:
         self.counts = np.zeros(self.layer_count, dtype=np.int64)
 
 
-def receiver_ingest(state: ReceiverState, packet: CodedPacket) -> None:
-    if not 1 <= packet.class_depth <= state.layer_count:
+def receiver_ingest(state: ReceiverState, packets: PacketBatch) -> None:
+    """Adds a batch's arrivals to the per-class counts of the current GOP."""
+    if not len(packets):
+        return
+    depth = packets.depth
+    if depth.min() < 1 or depth.max() > state.layer_count:
         raise ValueError(
-            f"packet class depth {packet.class_depth} outside 1..{state.layer_count}"
+            f"packet class depths {depth.min()}..{depth.max()} "
+            f"outside 1..{state.layer_count}"
         )
-    state.counts[packet.class_depth - 1] += 1
+    state.counts += np.bincount(depth, minlength=state.layer_count + 1)[1:]
     if state.verify_payloads:
-        state.buffer.append(packet)
+        state.buffer.append(packets)
 
 
 def receiver_finalize_gop(
@@ -158,7 +163,10 @@ def receiver_finalize_gop(
     predicted = decodable_layers(state.counts.tolist(), state.packets_per_layer)
     if state.verify_payloads and state.buffer:
         actual, grid = decode_gop(
-            state.buffer, state.layer_count, state.packets_per_layer, state.payload_size
+            PacketBatch.concat(state.buffer),
+            state.layer_count,
+            state.packets_per_layer,
+            state.payload_size,
         )
         if actual < predicted:
             state.prediction_gaps += 1

@@ -139,6 +139,10 @@ class RunMetrics:
     per_gop_delay: list[float] = field(repr=False, default_factory=list)
     table_build_seconds: float = 0.0
     seed: int = 0
+    # With verify_payloads: GOPs whose real decode fell short of the count
+    # score, and GOPs whose decoded bytes differ from the source.
+    prediction_gaps: int = 0
+    payload_errors: int = 0
 
 
 def _policy_for(config: ChainConfig) -> ThresholdPolicy:
@@ -209,7 +213,6 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         for p, child, d in zip(config.link_pdrs, link_children, delays)
     ]
     sender = SenderState(
-        budget=config.budget,
         scheme=config.scheme,
         table=table if config.selection == "spt" else None,
         policy=None if config.selection == "spt" else _policy_for(config),
@@ -219,7 +222,6 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     relays = [
         RelayState(
             mode=mode,
-            budget=config.budget,
             scheme=config.scheme,
             layer_count=config.layer_count,
             packets_per_layer=config.packets_per_layer,
@@ -286,8 +288,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                 if relay.mode == MODE_NC:
                     gop_delay += relay.recode_delay
                 current = relay_step(relay, current)
-        for packet in current:
-            receiver_ingest(receiver, packet)
+        receiver_ingest(receiver, current)
         npr += len(current)
         decoded = receiver_finalize_gop(
             receiver, reference=grid if config.verify_payloads else None
@@ -315,6 +316,8 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         per_gop_delay=per_gop_delay,
         table_build_seconds=build_seconds,
         seed=config.seed,
+        prediction_gaps=receiver.prediction_gaps,
+        payload_errors=receiver.payload_errors,
     )
 
 
@@ -332,14 +335,10 @@ def no_nc_baseline(config: ChainConfig) -> RunMetrics:
         for p, child, d in zip(config.link_pdrs, link_children, delays)
     ]
 
+    # packets are source indices layer * P + column, each sent `copies` times
     n_source = config.layer_count * config.packets_per_layer
     copies = math.ceil(config.budget / n_source)
-    source = [
-        (layer, col)
-        for layer in range(config.layer_count)
-        for col in range(config.packets_per_layer)
-        for _ in range(copies)
-    ]
+    source = np.repeat(np.arange(n_source), copies)
 
     schedule: dict[int, list[tuple[int, float]]] = {}
     for gop_index, link_index, new_pdr in config.pdr_schedule:
@@ -352,7 +351,7 @@ def no_nc_baseline(config: ChainConfig) -> RunMetrics:
     for gop_index in range(config.gop_count):
         for link_index, new_pdr in schedule.get(gop_index, ()):
             links[link_index].delivery_prob = new_pdr
-        current: Sequence = list(source)
+        current = source
         sent_total += len(current)
         gop_delay = 0.0
         for hop in range(hops):
@@ -361,15 +360,10 @@ def no_nc_baseline(config: ChainConfig) -> RunMetrics:
             if hop < hops - 1:
                 gop_delay += config.forward_delay
         npr += len(current)
-        seen = np.zeros((config.layer_count, config.packets_per_layer), dtype=bool)
-        for layer, col in current:
-            seen[layer, col] = True
-        decoded = 0
-        for layer in range(config.layer_count):
-            if not seen[layer].all():
-                break
-            decoded = layer + 1
-        per_gop_decoded.append(decoded)
+        seen = np.zeros(n_source, dtype=bool)
+        seen[current] = True
+        complete = seen.reshape(config.layer_count, config.packets_per_layer).all(axis=1)
+        per_gop_decoded.append(int(np.cumprod(complete).sum()))
         per_gop_delay.append(gop_delay)
 
     audl = float(np.mean(per_gop_decoded)) if per_gop_decoded else 0.0

@@ -110,10 +110,8 @@ def test_c05_codec_round_trip():
     full_predicted = 0
     full_recovered = 0
     for _ in range(1000):
-        kept = [p for p in rlc_packets if rng.random() < 0.95]
-        counts = [0, 0, 0, 0]
-        for p in kept:
-            counts[p.class_depth - 1] += 1
+        kept = rlc_packets[rng.random(len(rlc_packets)) < 0.95]
+        counts = np.bincount(kept.depth, minlength=5)[1:]
         if decodable_layers(counts, 8) < 4:
             continue
         full_predicted += 1
@@ -127,8 +125,8 @@ def test_c05_codec_round_trip():
     xor_packets = encode_gop(grid, (16, 16, 16, 16), SCHEME_XOR, seed=7)
     covered = 0
     for _ in range(1000):
-        kept = [p for p in xor_packets if rng.random() < 0.9]
-        cells = {(p.class_depth, p.column) for p in kept}
+        kept = xor_packets[rng.random(len(xor_packets)) < 0.9]
+        cells = set(zip(kept.depth.tolist(), kept.column.tolist()))
         if not all(
             (d, c) in cells for d in range(1, 5) for c in range(8)
         ):

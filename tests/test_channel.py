@@ -8,38 +8,38 @@ from oracles import probe_walk_pdr
 def test_extreme_probabilities():
     perfect = LinkModel(1.0, seed=0)
     dead = LinkModel(0.0, seed=0)
-    packets = list(range(10))
-    assert perfect.transmit(packets) == packets
-    assert dead.transmit(packets) == []
+    packets = np.arange(10)
+    assert np.array_equal(perfect.transmit(packets), packets)
+    assert len(dead.transmit(packets)) == 0
 
 
 def test_same_seed_same_outcome():
     a = LinkModel(0.5, seed=7)
     b = LinkModel(0.5, seed=7)
     c = LinkModel(0.5, seed=8)
-    packets = list(range(200))
+    packets = np.arange(200)
     survivors_a = a.transmit(packets)
-    assert survivors_a == b.transmit(packets)
-    assert survivors_a != c.transmit(packets)
+    assert np.array_equal(survivors_a, b.transmit(packets))
+    assert not np.array_equal(survivors_a, c.transmit(packets))
 
 
 def test_delivery_order_preserved():
     link = LinkModel(0.4, seed=1)
-    out = link.transmit(list(range(100)))
-    assert out == sorted(out)
+    out = link.transmit(np.arange(100))
+    assert (np.diff(out) > 0).all()
 
 
 def test_draw_counter_tracks_consumption():
     link = LinkModel(0.5, seed=0)
-    link.transmit(list(range(10)))
-    link.send_one()
-    link.estimate_pdr(25)
+    link.transmit(np.arange(10))
+    link.transmit(np.arange(0))
+    chain_e2e_pdr([link], 26)
     assert link.draws == 36
 
 
 def test_estimate_pdr_is_sane():
     link = LinkModel(0.7, seed=3)
-    estimate = link.estimate_pdr(10_000)
+    estimate = chain_e2e_pdr([link], 10_000)
     assert 0.65 < estimate < 0.75
 
 
@@ -61,7 +61,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         LinkModel(0.5, transmit_delay=-1.0)
     with pytest.raises(ValueError):
-        LinkModel(0.5).estimate_pdr(0)
+        chain_e2e_pdr([LinkModel(0.5)], 0)
     with pytest.raises(ValueError):
         chain_e2e_pdr([], 10)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from nclayer.codec import (
     SCHEME_RLC,
     SCHEME_XOR,
-    CodedPacket,
+    PacketBatch,
     decodable_layers,
     decode_gop,
     encode_gop,
@@ -58,31 +58,32 @@ def test_encode_counts_and_classes():
     strategy = (3, 0, 2, 1)
     packets = encode_gop(grid, strategy, SCHEME_RLC, seed=1)
     assert len(packets) == 6
-    by_class = [0] * 4
-    for pkt in packets:
-        assert pkt.gop_id == 0
-        assert pkt.scheme == SCHEME_RLC
-        by_class[pkt.class_depth - 1] += 1
-    assert tuple(by_class) == strategy
-    # shallow classes come first and replica indices count within a class
-    assert [p.class_depth for p in packets] == [1, 1, 1, 3, 3, 4]
-    assert [p.replica_index for p in packets] == [0, 1, 2, 0, 1, 0]
+    assert packets.gop_id == 0
+    assert packets.scheme == SCHEME_RLC
+    assert tuple(np.bincount(packets.depth, minlength=5)[1:]) == strategy
+    # shallow classes come first
+    assert packets.depth.tolist() == [1, 1, 1, 3, 3, 4]
+    # a class-d packet mixes the first d layers only; the rest is zero padding
+    assert packets.coeffs.shape == (6, 4 * 8)
+    widths = [np.flatnonzero(row).max() + 1 for row in packets.coeffs]
+    assert all(w <= 8 * d for w, d in zip(widths, packets.depth))
+    assert packets.payload.shape == (6, 16)
 
 
 def test_xor_packets_cycle_columns():
     grid = make_synthetic_gop(0, 2, 3, 4)
     packets = encode_gop(grid, (5, 0), SCHEME_XOR, seed=0)
-    assert [p.column for p in packets] == [0, 1, 2, 0, 1]
+    assert packets.column.tolist() == [0, 1, 2, 0, 1]
+    assert packets.coeffs is None
     # class-1 xor packets are the raw base-layer cells
-    for pkt in packets:
-        assert np.array_equal(pkt.payload, grid.cells[0, pkt.column])
+    assert np.array_equal(packets.payload, grid.cells[0, packets.column])
 
 
 def test_xor_payload_is_column_xor():
     grid = make_synthetic_gop(1, 3, 2, 8)
     packets = encode_gop(grid, (0, 0, 2), SCHEME_XOR, seed=0)
     want = grid.cells[0, 0] ^ grid.cells[1, 0] ^ grid.cells[2, 0]
-    assert np.array_equal(packets[0].payload, want)
+    assert np.array_equal(packets.payload[0], want)
 
 
 def test_xor_round_trip_full_coverage():
@@ -118,10 +119,8 @@ def test_rlc_decode_never_exceeds_count_prediction():
     hits = 0
     trials = 60
     for _ in range(trials):
-        kept = [p for p in packets if rng.random() < 0.7]
-        counts = [0, 0, 0]
-        for p in kept:
-            counts[p.class_depth - 1] += 1
+        kept = packets[rng.random(len(packets)) < 0.7]
+        counts = np.bincount(kept.depth, minlength=4)[1:]
         predicted = decodable_layers(counts, 2)
         decoded, recovered = decode_gop(kept, 3, 2, 8)
         assert decoded <= predicted
@@ -141,11 +140,12 @@ def test_decode_empty_input():
 def test_decode_rejects_mixed_gops():
     grid_a = make_synthetic_gop(0, 2, 2, 4)
     grid_b = make_synthetic_gop(1, 2, 2, 4)
-    packets = encode_gop(grid_a, (2, 2), SCHEME_RLC, seed=0) + encode_gop(
-        grid_b, (2, 2), SCHEME_RLC, seed=0
-    )
-    with pytest.raises(ValueError):
-        decode_gop(packets, 2, 2, 4)
+    packets_a = encode_gop(grid_a, (2, 2), SCHEME_RLC, seed=0)
+    packets_b = encode_gop(grid_b, (2, 2), SCHEME_RLC, seed=0)
+    with pytest.raises(ValueError, match="several GOPs"):
+        decode_gop(PacketBatch.concat([packets_a, packets_b]), 2, 2, 4)
+    with pytest.raises(ValueError, match="gop_id"):
+        decode_gop(packets_a, 2, 2, 4, gop_id=1)
 
 
 def test_decode_rejects_overdeep_class():
@@ -170,13 +170,9 @@ def test_encode_is_deterministic_per_seed():
     a = encode_gop(grid, (2, 2, 2), SCHEME_RLC, seed=5)
     b = encode_gop(grid, (2, 2, 2), SCHEME_RLC, seed=5)
     c = encode_gop(grid, (2, 2, 2), SCHEME_RLC, seed=6)
-    assert all(np.array_equal(x.payload, y.payload) for x, y in zip(a, b))
-    assert all(
-        np.array_equal(x.coefficients, y.coefficients) for x, y in zip(a, b)
-    )
-    assert any(
-        not np.array_equal(x.coefficients, y.coefficients) for x, y in zip(a, c)
-    )
+    assert np.array_equal(a.payload, b.payload)
+    assert np.array_equal(a.coeffs, b.coeffs)
+    assert not np.array_equal(a.coeffs, c.coeffs)
 
 
 def test_reencoded_packets_decode():
@@ -189,3 +185,70 @@ def test_reencoded_packets_decode():
     redecoded, recovered = decode_gop(second, 4, 2, 8)
     assert redecoded == 3
     assert np.array_equal(recovered.cells[:3], grid.cells[:3])
+
+
+def test_batch_indexing_selects_rows():
+    grid = make_synthetic_gop(0, 3, 2, 8)
+    packets = encode_gop(grid, (2, 2, 2), SCHEME_RLC, seed=1)
+    halves = packets[::2]
+    assert len(halves) == 3
+    assert halves.depth.tolist() == [1, 2, 3]
+    assert np.array_equal(halves.coeffs, packets.coeffs[::2])
+    mask = np.array([True, False, False, True, True, False])
+    picked = packets[mask]
+    assert np.array_equal(picked.payload, packets.payload[mask])
+    assert picked.gop_id == packets.gop_id and picked.scheme == packets.scheme
+    assert len(packets[:0]) == 0
+    with pytest.raises(TypeError):
+        packets[0]
+    again = PacketBatch.concat([packets[:2], packets[2:]])
+    assert np.array_equal(again.coeffs, packets.coeffs)
+    assert np.array_equal(again.payload, packets.payload)
+
+
+def test_batch_validates_once_on_construction():
+    payload = np.zeros((2, 4), dtype=np.uint8)
+    coeffs = np.zeros((2, 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match="scheme"):
+        PacketBatch(0, "fountain", [1, 1], payload, coeffs=coeffs)
+    with pytest.raises(ValueError, match="depth"):
+        PacketBatch(0, SCHEME_RLC, [1, 0], payload, coeffs=coeffs)
+    with pytest.raises(ValueError, match="payload row"):
+        PacketBatch(0, SCHEME_RLC, [1, 1, 1], payload, coeffs=coeffs)
+    with pytest.raises(ValueError, match="coefficients"):
+        PacketBatch(0, SCHEME_RLC, [1, 1], payload, column=[0, 1])
+    with pytest.raises(ValueError, match="coefficient rows"):
+        PacketBatch(0, SCHEME_RLC, [1, 1], payload, coeffs=coeffs[:1])
+    with pytest.raises(ValueError, match="column"):
+        PacketBatch(0, SCHEME_XOR, [1, 1], payload)
+    with pytest.raises(ValueError, match="columns"):
+        PacketBatch(0, SCHEME_XOR, [1, 1], payload, column=[0])
+
+
+def test_decode_rejects_inconsistent_batches():
+    grid = make_synthetic_gop(0, 2, 2, 4)
+    rlc = encode_gop(grid, (2, 2), SCHEME_RLC, seed=0)
+    with pytest.raises(ValueError, match="payload"):
+        decode_gop(rlc, 2, 2, 8)
+    with pytest.raises(ValueError, match="coefficients"):
+        decode_gop(rlc, 2, 3, 4)
+    # a class-1 packet whose coefficients reach into layer 2
+    leaky = PacketBatch(0, SCHEME_RLC, rlc.depth, rlc.payload, coeffs=rlc.coeffs | 1)
+    with pytest.raises(ValueError, match="deeper than its class"):
+        decode_gop(leaky, 2, 2, 4)
+    xor = encode_gop(grid, (2, 2), SCHEME_XOR)
+    bad = PacketBatch(0, SCHEME_XOR, xor.depth, xor.payload, column=xor.column + 1)
+    with pytest.raises(ValueError, match="column"):
+        decode_gop(bad, 2, 2, 4)
+
+
+def test_xor_decode_uses_first_copy_of_each_cell():
+    grid = make_synthetic_gop(4, 2, 2, 8)
+    packets = encode_gop(grid, (4, 2), SCHEME_XOR)
+    # corrupt the second copies of the class-1 cells: the first copies win
+    payload = packets.payload.copy()
+    payload[2:4] ^= 0xFF
+    tampered = PacketBatch(4, SCHEME_XOR, packets.depth, payload, column=packets.column)
+    decoded, recovered = decode_gop(tampered, 2, 2, 8)
+    assert decoded == 2
+    assert np.array_equal(recovered.cells, grid.cells)

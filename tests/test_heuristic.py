@@ -4,7 +4,6 @@ from nclayer.heuristic import (
     BUILTIN_SET_IDS,
     ThresholdPolicy,
     builtin_policy,
-    policy_from_lists,
     select_strategy,
 )
 
@@ -92,6 +91,6 @@ def test_policy_validation():
 
 
 def test_policy_from_lists():
-    policy = policy_from_lists([0.4], [[6, 2], [2, 6]])
+    policy = ThresholdPolicy([0.4], [[6, 2], [2, 6]])
     assert select_strategy(policy, 0.4) == (2, 6)
     assert policy.budget == 8

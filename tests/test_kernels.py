@@ -36,11 +36,14 @@ def _scalar_matmul(coeffs, data):
 
 def test_matmul_matches_scalar_reference():
     rng = np.random.default_rng(1)
-    coeffs = rng.integers(0, 256, (5, 4), dtype=np.uint8)
-    data = rng.integers(0, 256, (4, 7), dtype=np.uint8)
-    want = _scalar_matmul(coeffs, data)
-    assert np.array_equal(gf_matmul(coeffs, data), want)
-    assert np.array_equal(matmul_numpy(coeffs, data), want)
+    # n * s a multiple of 8 or not (the numpy kernel XORs 8 bytes at a time
+    # when it is), s itself not a multiple of 8, and no rows at all
+    for n, k, s in ((5, 4, 7), (8, 3, 16), (4, 5, 6), (3, 2, 3), (0, 3, 8)):
+        coeffs = rng.integers(0, 256, (n, k), dtype=np.uint8)
+        data = rng.integers(0, 256, (k, s), dtype=np.uint8)
+        want = _scalar_matmul(coeffs, data)
+        assert np.array_equal(gf_matmul(coeffs, data), want), (n, k, s)
+        assert np.array_equal(matmul_numpy(coeffs, data), want), (n, k, s)
 
 
 def test_matmul_backends_agree_exactly():

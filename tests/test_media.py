@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from nclayer.media import (
-    LayerGrid,
-    StrategyVector,
-    grid_from_bytes,
-    grid_to_bytes,
-    make_synthetic_gop,
-)
+from nclayer.media import LayerGrid, make_synthetic_gop
 
 
 def test_grid_shape_and_properties():
@@ -40,19 +34,6 @@ def test_synthetic_gop_is_deterministic():
     assert not np.array_equal(a.cells, c.cells)
 
 
-def test_grid_bytes_round_trip():
-    grid = make_synthetic_gop(1, 3, 2, 8, seed=9)
-    blob = grid_to_bytes(grid)
-    assert len(blob) == 3 * 2 * 8
-    back = grid_from_bytes(blob, gop_id=1, layer_count=3, packets_per_layer=2, payload_size=8)
-    assert np.array_equal(back.cells, grid.cells)
-
-
-def test_grid_from_bytes_rejects_wrong_length():
-    with pytest.raises(ValueError, match="48"):
-        grid_from_bytes(b"\x00" * 10, gop_id=0, layer_count=3, packets_per_layer=2, payload_size=8)
-
-
 @pytest.mark.parametrize(
     "shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
 )
@@ -65,14 +46,3 @@ def test_grid_rejects_negative_gop():
     with pytest.raises(ValueError):
         LayerGrid(gop_id=-1, cells=np.zeros((1, 1, 1), dtype=np.uint8))
 
-
-def test_strategy_vector_validates_sum():
-    v = StrategyVector(counts=(40, 8, 8, 8), budget=64)
-    assert sum(v.counts) == v.budget
-    with pytest.raises(ValueError):
-        StrategyVector(counts=(1, 2), budget=64)
-
-
-def test_strategy_vector_from_counts():
-    v = StrategyVector.from_counts((8, 0))
-    assert v.budget == 8

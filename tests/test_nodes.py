@@ -28,16 +28,16 @@ def _grid():
 
 def test_sender_needs_exactly_one_selector(small_table):
     with pytest.raises(ValueError):
-        SenderState(budget=8, scheme=SCHEME_RLC)
+        SenderState(scheme=SCHEME_RLC)
     with pytest.raises(ValueError):
         SenderState(
-            budget=8, scheme=SCHEME_RLC, table=small_table, policy=builtin_policy(1)
+            scheme=SCHEME_RLC, table=small_table, policy=builtin_policy(1)
         )
 
 
 def test_sender_emits_full_budget(small_table):
     sender = SenderState(
-        budget=8, scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0)
+        scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0)
     )
     packets = sender_epoch(sender, _grid(), FeedbackReport("s", 100, 100))
     assert len(packets) == 8
@@ -47,7 +47,6 @@ def test_sender_emits_full_budget(small_table):
 
 def test_sender_strategy_refreshes_on_period(small_table):
     sender = SenderState(
-        budget=8,
         scheme=SCHEME_RLC,
         table=small_table,
         update_period=3,
@@ -67,7 +66,7 @@ def test_sender_strategy_refreshes_on_period(small_table):
 
 def test_sender_with_policy():
     sender = SenderState(
-        budget=64, scheme=SCHEME_RLC, policy=builtin_policy(3),
+        scheme=SCHEME_RLC, policy=builtin_policy(3),
         rng=np.random.default_rng(0),
     )
     grid = make_synthetic_gop(0, 4, 8, 16, seed=0)
@@ -77,25 +76,25 @@ def test_sender_with_policy():
 
 def test_forward_relay_is_transparent():
     relay = RelayState(
-        mode="forward", budget=8, scheme=SCHEME_RLC,
+        mode="forward", scheme=SCHEME_RLC,
         layer_count=3, packets_per_layer=2, payload_size=8,
     )
     packets = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
     out = relay_step(relay, packets)
-    assert out == packets
+    assert out is packets
 
 
 def test_nc_relay_requires_table():
     with pytest.raises(ValueError):
         RelayState(
-            mode="nc", budget=8, scheme=SCHEME_RLC,
+            mode="nc", scheme=SCHEME_RLC,
             layer_count=3, packets_per_layer=2, payload_size=8,
         )
 
 
 def test_nc_relay_reencodes_full_budget(small_table):
     relay = RelayState(
-        mode="nc", budget=8, scheme=SCHEME_RLC,
+        mode="nc", scheme=SCHEME_RLC,
         layer_count=3, packets_per_layer=2, payload_size=8,
         table=small_table, pdr_estimate=1.0, rng=np.random.default_rng(0),
     )
@@ -103,12 +102,12 @@ def test_nc_relay_reencodes_full_budget(small_table):
     out = relay_step(relay, packets)
     assert relay.last_decoded == 3
     assert len(out) == 8
-    assert all(p.gop_id == 0 for p in out)
+    assert out.gop_id == 0
 
 
 def test_nc_relay_never_encodes_past_decoded_depth(small_table):
     relay = RelayState(
-        mode="nc", budget=8, scheme=SCHEME_RLC,
+        mode="nc", scheme=SCHEME_RLC,
         layer_count=3, packets_per_layer=2, payload_size=8,
         table=small_table, pdr_estimate=1.0, rng=np.random.default_rng(0),
     )
@@ -117,23 +116,26 @@ def test_nc_relay_never_encodes_past_decoded_depth(small_table):
     out = relay_step(relay, packets)
     assert relay.last_decoded == 1
     assert len(out) == 8
-    assert all(p.class_depth == 1 for p in out)
+    assert (out.depth == 1).all()
 
 
 def test_nc_relay_empty_input(small_table):
     relay = RelayState(
-        mode="nc", budget=8, scheme=SCHEME_RLC,
+        mode="nc", scheme=SCHEME_RLC,
         layer_count=3, packets_per_layer=2, payload_size=8,
         table=small_table,
     )
     assert relay_step(relay, []) == []
     assert relay.last_decoded == 0
+    empty = encode_gop(_grid(), (0, 0, 0), SCHEME_RLC)
+    assert len(relay_step(relay, empty)) == 0
 
 
 def test_receiver_counts_and_reset():
     receiver = ReceiverState(layer_count=3, packets_per_layer=2, payload_size=8)
-    for pkt in encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0):
-        receiver_ingest(receiver, pkt)
+    packets = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
+    receiver_ingest(receiver, packets[:3])
+    receiver_ingest(receiver, packets[3:])
     assert receiver.counts.tolist() == [4, 2, 2]
     decoded = receiver_finalize_gop(receiver)
     assert decoded == 3
@@ -145,7 +147,7 @@ def test_receiver_rejects_overdeep_packet():
     receiver = ReceiverState(layer_count=2, packets_per_layer=2, payload_size=8)
     packets = encode_gop(_grid(), (0, 0, 2), SCHEME_RLC, seed=0)
     with pytest.raises(ValueError):
-        receiver_ingest(receiver, packets[0])
+        receiver_ingest(receiver, packets[:1])
 
 
 def test_receiver_verification_clean_path():
@@ -153,8 +155,9 @@ def test_receiver_verification_clean_path():
     receiver = ReceiverState(
         layer_count=3, packets_per_layer=2, payload_size=8, verify_payloads=True
     )
-    for pkt in encode_gop(grid, (4, 2, 2), SCHEME_RLC, seed=3):
-        receiver_ingest(receiver, pkt)
+    packets = encode_gop(grid, (4, 2, 2), SCHEME_RLC, seed=3)
+    receiver_ingest(receiver, packets[:5])
+    receiver_ingest(receiver, packets[5:])
     decoded = receiver_finalize_gop(receiver, reference=grid)
     assert decoded == 3
     assert receiver.prediction_gaps == 0

@@ -248,3 +248,19 @@ def test_metrics_row_schema(default_table):
     assert row["hop_count"] == 2
     assert row["link_pdr"] == pytest.approx(0.85)
     assert set(row) == {"mode", "hop_count", "link_pdr", "measured_pdr", "npr", "audl", "delay", "seed"}
+
+
+def test_verified_runs_report_decoder_counters(default_table):
+    base = ChainConfig(link_pdrs=(0.7,), gop_count=100, seed=1, verify_payloads=True)
+    rlc = run(base, table=default_table)
+    assert rlc.payload_errors == 0
+    # a random GF(2^8) system is singular with probability of order 1/256
+    assert rlc.prediction_gaps <= 2
+    # count scoring ignores which column an XOR packet covers, so it
+    # overstates what the XOR decoder recovers
+    xor = run(replace(base, scheme="xor"), table=default_table)
+    assert xor.prediction_gaps > 0
+    assert xor.payload_errors == 0
+    unverified = run(replace(base, scheme="xor", verify_payloads=False), table=default_table)
+    assert (unverified.prediction_gaps, unverified.payload_errors) == (0, 0)
+    assert unverified.per_gop_decoded == xor.per_gop_decoded
