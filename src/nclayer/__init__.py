@@ -3,6 +3,7 @@ inter-layer coding, precomputed strategy tables, and a chain simulator."""
 
 from .channel import LinkModel, chain_e2e_pdr
 from .codec import (
+    SCHEME_REPEAT,
     SCHEME_RLC,
     SCHEME_XOR,
     PacketBatch,
@@ -13,7 +14,6 @@ from .codec import (
 from .config import ConfigError, apply_overrides, load_config, parse_config_text
 from .gf256 import gf256_inv, gf256_mul
 from .heuristic import ThresholdPolicy, builtin_policy, select_strategy
-from .kernels import BACKEND
 from .media import LayerGrid, make_synthetic_gop
 from .nodes import (
     FeedbackReport,
@@ -28,7 +28,6 @@ from .nodes import (
 from .simulator import (
     ChainConfig,
     RunMetrics,
-    no_nc_baseline,
     resolve_mode,
     run,
     sweep,
@@ -48,7 +47,6 @@ from .spt import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ChainConfig",
     "ConfigError",
     "FeedbackReport",
@@ -59,6 +57,7 @@ __all__ = [
     "ReceiverState",
     "RelayState",
     "RunMetrics",
+    "SCHEME_REPEAT",
     "SCHEME_RLC",
     "SCHEME_XOR",
     "SenderState",
@@ -79,7 +78,6 @@ __all__ = [
     "load_table",
     "make_synthetic_gop",
     "nearest_bin",
-    "no_nc_baseline",
     "parse_config_text",
     "receiver_finalize_gop",
     "receiver_ingest",

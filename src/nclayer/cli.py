@@ -25,7 +25,7 @@ from .simulator import (
     sweep,
     write_rows,
 )
-from .spt import PDR_BINS, build_table, save_table
+from .spt import PDR_BINS, TABLE_METHODS, build_table, save_table
 
 log = logging.getLogger("nclayer")
 
@@ -144,9 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int, default=4)
     p.add_argument("--packets", type=int, default=8)
     p.add_argument("--gran", type=int, default=4)
-    p.add_argument(
-        "--method", default="exact", choices=("exact", "monte-carlo", "brute-force")
-    )
+    p.add_argument("--method", default="exact", choices=TABLE_METHODS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="spt_table.txt")
     p.set_defaults(func=cmd_spt_build)

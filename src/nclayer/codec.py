@@ -6,10 +6,11 @@ while class L packets blend everything. Receivers that can decode depth i
 get value out of every packet of class <= i, which is what makes unequal
 replica allocation across classes worthwhile on lossy links.
 
-Two mixing schemes share this layout. "xor" combines one grid column per
+Three schemes share this layout. "xor" combines one grid column per
 packet, so layer j of a column peels out of consecutive depths. "rlc" draws
 seeded random GF(2^8) coefficients over all cells of the first i layers and
-decodes by Gaussian elimination.
+decodes by Gaussian elimination. "repeat" is the uncoded baseline: a class i
+packet is one raw cell of layer i, sent as often as the allocation allows.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import numpy as np
 from .kernels import gf_matmul, gf_rref
 from .media import LayerGrid
 
-SCHEME_XOR = "xor"
 SCHEME_RLC = "rlc"
-SCHEMES = (SCHEME_XOR, SCHEME_RLC)
+SCHEME_XOR = "xor"
+SCHEME_REPEAT = "repeat"
+SCHEMES = (SCHEME_RLC, SCHEME_XOR, SCHEME_REPEAT)
 
 
 @dataclass(eq=False)
@@ -33,7 +35,8 @@ class PacketBatch:
 
     depth[i] is packet i's class and payload[i] its bytes. RLC packets carry
     their coefficients in coeffs, zero-padded to layer_count *
-    packets_per_layer columns; XOR packets carry their grid column instead.
+    packets_per_layer columns; XOR and repeat packets carry their grid
+    column instead.
     The batch is checked once, on construction. Indexing with a boolean
     mask, a slice or an index array selects rows and skips the check, since
     rows of a valid batch form a valid batch.
@@ -67,7 +70,7 @@ class PacketBatch:
                 raise ValueError(f"need {n} coefficient rows, got shape {self.coeffs.shape}")
         else:
             if self.column is None or self.coeffs is not None:
-                raise ValueError("xor packets carry a column and no coefficients")
+                raise ValueError(f"{self.scheme} packets carry a column and no coefficients")
             self.column = np.asarray(self.column, dtype=np.intp)
             if self.column.shape != (n,):
                 raise ValueError(f"need {n} columns, got shape {self.column.shape}")
@@ -159,13 +162,18 @@ def encode_gop(
     per_layer, size = grid.packets_per_layer, grid.payload_size
     depth = np.repeat(np.arange(1, grid.layer_count + 1, dtype=np.int8), counts)
 
-    if scheme == SCHEME_XOR:
-        # replica t of a class takes column t mod P; its payload is the XOR of
-        # that column over layers 1..depth
-        first = np.repeat(np.cumsum(counts) - counts, counts)
-        column = (np.arange(depth.size) - first) % per_layer
-        prefix = np.bitwise_xor.accumulate(grid.cells, axis=0)
-        return PacketBatch(grid.gop_id, scheme, depth, prefix[depth - 1, column], column=column)
+    if scheme != SCHEME_RLC:
+        # replica t of a class of n packets takes column t mod P under xor,
+        # whose payload XORs that column over layers 1..depth, and column
+        # t * P // n under repeat, so each raw cell goes out in a run of copies
+        t = np.arange(depth.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        if scheme == SCHEME_XOR:
+            column = t % per_layer
+            cells = np.bitwise_xor.accumulate(grid.cells, axis=0)
+        else:
+            column = t * per_layer // np.repeat(counts, counts)
+            cells = grid.cells
+        return PacketBatch(grid.gop_id, scheme, depth, cells[depth - 1, column], column=column)
 
     rng = np.random.default_rng(seed)
     n_unknowns = grid.layer_count * per_layer
@@ -210,34 +218,44 @@ def decode_gop(
         raise ValueError(
             f"payload must hold {payload_size} bytes, got {packets.payload.shape[1]}"
         )
-    if packets.scheme == SCHEME_XOR:
-        recovered = _decode_xor(packets, layer_count, packets_per_layer, cells)
-    else:
+    if packets.scheme == SCHEME_RLC:
         recovered = _decode_rlc(packets, layer_count, packets_per_layer, cells)
+    else:
+        recovered = _decode_columns(packets, packets_per_layer, cells)
     return recovered, LayerGrid(gop_id, cells)
 
 
-def _decode_xor(packets, layer_count, packets_per_layer, cells) -> int:
-    column = packets.column
+def check_columns(column: np.ndarray, packets_per_layer: int) -> None:
     if column.min() < 0 or column.max() >= packets_per_layer:
         raise ValueError(
-            f"xor packet columns must lie in 0..{packets_per_layer - 1}, "
+            f"packet columns must lie in 0..{packets_per_layer - 1}, "
             f"got {column.min()}..{column.max()}"
         )
-    # the first packet of each (column, depth) cell supplies that cell
-    keys, first = np.unique(column * (layer_count + 1) + packets.depth, return_index=True)
-    have = np.zeros((packets_per_layer, layer_count + 1), dtype=bool)
-    have.flat[keys] = True
-    # deepest run of depths 1, 2, ... present in every column
-    depth = int(np.cumprod(have[:, 1:], axis=1).sum(axis=1).min())
-    if depth == 0:
-        return 0
-    sums = np.zeros((packets_per_layer * (layer_count + 1), cells.shape[2]), dtype=np.uint8)
+
+
+def covered_depth(seen: np.ndarray) -> int:
+    """Decoded depth of a column scheme from its (layer_count,
+    packets_per_layer) mask of received (depth, column) cells: the deepest
+    run of depths 1, 2, ... that every column holds. Exact for repeat, and
+    for xor, where layer j of a column needs its depth j and j-1 sums."""
+    return int(np.cumprod(seen.all(axis=1)).sum())
+
+
+def _decode_columns(packets, packets_per_layer, cells) -> int:
+    check_columns(packets.column, packets_per_layer)
+    # the first packet of each (depth, column) cell supplies that cell
+    key = (packets.depth.astype(np.intp) - 1) * packets_per_layer + packets.column
+    keys, first = np.unique(key, return_index=True)
+    sums = np.zeros((cells.shape[0] * packets_per_layer, cells.shape[2]), dtype=np.uint8)
     sums[keys] = packets.payload[first]
-    sums = sums.reshape(packets_per_layer, layer_count + 1, -1)[:, 1 : depth + 1].swapaxes(0, 1)
-    # layer j of a column is the XOR of its depth j and depth j-1 sums
+    seen = np.zeros(sums.shape[0], dtype=bool)
+    seen[keys] = True
+    depth = covered_depth(seen.reshape(cells.shape[:2]))
+    sums = sums.reshape(cells.shape)[:depth]
     cells[:depth] = sums
-    cells[1:depth] ^= sums[:-1]
+    if packets.scheme == SCHEME_XOR:
+        # layer j of a column is the XOR of its depth j and depth j-1 sums
+        cells[1:depth] ^= sums[:-1]
     return depth
 
 

@@ -73,83 +73,73 @@ KEY_REGISTRY: dict[str, tuple[str, Callable]] = {
 _SCHEDULE_PREFIX = "schedule."
 
 
-def parse_config_text(text: str) -> dict:
-    """Returns ChainConfig keyword arguments. Raises ConfigError with the
-    offending line number on unknown keys or malformed values."""
+def _parse_entries(
+    entries: Iterable[tuple[str, str]], reject_duplicates: bool
+) -> tuple[dict, tuple[tuple[int, int, float], ...]]:
+    """ChainConfig keyword arguments from (where, "key = value") entries, plus
+    the schedule entries sorted by their key suffix. Every error names the
+    entry's `where`."""
     kwargs: dict = {}
     schedule: list[tuple[int, tuple[int, int, float]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key.startswith(_SCHEDULE_PREFIX):
-            suffix = key[len(_SCHEDULE_PREFIX) :]
-            try:
-                order = int(suffix)
-                schedule.append((order, _parse_schedule_entry(value)))
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from exc
-            continue
-        if key not in KEY_REGISTRY:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        field_name, convert = KEY_REGISTRY[key]
-        if field_name in kwargs:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+    for where, text in entries:
+        key, equals, value = text.partition("=")
+        if not equals:
+            raise ConfigError(f"{where}: expected key=value, got {text!r}")
+        key, value = key.strip(), value.strip()
+        is_schedule = key.startswith(_SCHEDULE_PREFIX)
+        if not is_schedule and key not in KEY_REGISTRY:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if reject_duplicates and not is_schedule and KEY_REGISTRY[key][0] in kwargs:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
         try:
-            kwargs[field_name] = convert(value)
+            if is_schedule:
+                order = int(key[len(_SCHEDULE_PREFIX) :])
+                schedule.append((order, _parse_schedule_entry(value)))
+            else:
+                field_name, convert = KEY_REGISTRY[key]
+                kwargs[field_name] = convert(value)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    if schedule:
-        orders = [o for o, _ in schedule]
-        if len(set(orders)) != len(orders):
-            raise ConfigError("duplicate schedule indices")
-        kwargs["pdr_schedule"] = tuple(e for _, e in sorted(schedule))
-    return kwargs
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+    orders = [o for o, _ in schedule]
+    if reject_duplicates and len(set(orders)) != len(orders):
+        raise ConfigError("duplicate schedule indices")
+    return kwargs, tuple(e for _, e in sorted(schedule))
 
 
-def load_config(path) -> ChainConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    kwargs = parse_config_text(text)
+def _chain_config(kwargs: dict) -> ChainConfig:
     try:
         return ChainConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def apply_overrides(config: ChainConfig, pairs: Iterable[str]) -> ChainConfig:
-    """Applies command-line `key=value` overrides on top of a parsed config."""
-    kwargs: dict = {}
-    schedule: list[tuple[int, tuple[int, int, float]]] = []
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override {pair!r}: expected key=value")
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key.startswith(_SCHEDULE_PREFIX):
-            try:
-                schedule.append((int(key[len(_SCHEDULE_PREFIX) :]), _parse_schedule_entry(value)))
-            except ValueError as exc:
-                raise ConfigError(f"override {pair!r}: {exc}") from exc
-            continue
-        if key not in KEY_REGISTRY:
-            raise ConfigError(f"override {pair!r}: unknown key {key!r}")
-        field_name, convert = KEY_REGISTRY[key]
-        try:
-            kwargs[field_name] = convert(value)
-        except ValueError as exc:
-            raise ConfigError(f"override {pair!r}: {exc}") from exc
+def parse_config_text(text: str) -> dict:
+    """Returns ChainConfig keyword arguments. Raises ConfigError with the
+    offending line number on unknown keys or malformed values."""
+    lines = (
+        (f"line {lineno}", raw.split("#", 1)[0].strip())
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+    )
+    kwargs, schedule = _parse_entries(((w, t) for w, t in lines if t), reject_duplicates=True)
     if schedule:
-        kwargs["pdr_schedule"] = config.pdr_schedule + tuple(e for _, e in sorted(schedule))
+        kwargs["pdr_schedule"] = schedule
+    return kwargs
+
+
+def load_config(path) -> ChainConfig:
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return _chain_config(parse_config_text(text))
+
+
+def apply_overrides(config: ChainConfig, pairs: Iterable[str]) -> ChainConfig:
+    """Applies command-line `key=value` overrides on top of a parsed config;
+    a repeated key takes its last value and schedule entries append."""
+    kwargs, schedule = _parse_entries(
+        ((f"override {pair!r}", pair) for pair in pairs), reject_duplicates=False
+    )
+    if schedule:
+        kwargs["pdr_schedule"] = config.pdr_schedule + schedule
     current = {f.name: getattr(config, f.name) for f in fields(ChainConfig)}
     current.update(kwargs)
-    try:
-        return ChainConfig(**current)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _chain_config(current)

@@ -1,30 +1,18 @@
-"""Bulk numeric kernels behind the codec and the strategy table builder.
-
-Two interchangeable backends implement the same table-driven arithmetic: a
-numba nopython path and a pure-numpy path. Set NCLAYER_BACKEND=numpy to force
-the fallback; otherwise numba is used whenever it imports cleanly. The choice
-is made once at import time and only affects speed, never results.
+"""Bulk numeric kernels behind the codec and the strategy table builder:
+GF(2^8) matrix product and row reduction, and the expected-depth dynamic
+program, all in numpy.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .gf256 import INV_TABLE, MUL_TABLE
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via NCLAYER_BACKEND instead
-    HAS_NUMBA = False
-
 _MUL_FLAT = MUL_TABLE.reshape(-1)
 
 
-def matmul_numpy(coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
+def gf_matmul(coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
     """GF(2^8) product of (n, k) coefficients with (k, s) payload rows.
 
     Each product is one lookup in the flat product table at (c << 8) | d.
@@ -42,7 +30,7 @@ def matmul_numpy(coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(prods, axis=0).view(np.uint8).reshape(n, s)
 
 
-def rref_numpy(aug: np.ndarray, n_unknowns: int) -> np.ndarray:
+def gf_rref(aug: np.ndarray, n_unknowns: int) -> np.ndarray:
     """Reduced row echelon form of ``aug`` in place, over GF(2^8).
 
     Pivots are searched only in the first ``n_unknowns`` columns; the rest of
@@ -78,7 +66,7 @@ def rref_numpy(aug: np.ndarray, n_unknowns: int) -> np.ndarray:
     return owner
 
 
-def _expected_layers_batch_numpy(strategies, pmf_rows, per_layer):
+def expected_layers_batch(strategies, pmf_rows, per_layer):
     """Mean decodable depth for each replica allocation, exact arithmetic.
 
     Reception of class i is a binomial count r_i; depth i is decodable exactly
@@ -94,18 +82,19 @@ def _expected_layers_batch_numpy(strategies, pmf_rows, per_layer):
     r, where a zero weight the walk skips adds an exact zero here. So the
     values are bit-identical to that walk whatever the batch holds.
     """
+    strategies = np.asarray(strategies, dtype=np.int64)
     n_strategies, n_layers = strategies.shape
     n_states = n_layers * per_layer + 1
     zero_occupancy = np.zeros((n_strategies, n_layers + 1))
     f = np.zeros((n_strategies, n_states))
     f[:, 0] = 1.0
     for i in range(1, n_layers + 1):
-        f = _forward_step_numpy(f, strategies[:, i - 1], pmf_rows, per_layer)
+        f = _forward_step(f, strategies[:, i - 1], pmf_rows, per_layer)
         zero_occupancy[:, i] = f[:, 0]
     value = n_layers * zero_occupancy[:, n_layers]
     bq = np.ones((n_strategies, n_states))
     for i in range(n_layers - 1, 0, -1):
-        bq = _backward_step_numpy(bq, strategies[:, i], pmf_rows, per_layer)
+        bq = _backward_step(bq, strategies[:, i], pmf_rows, per_layer)
         value += i * zero_occupancy[:, i] * bq[:, 0]
     return value
 
@@ -124,7 +113,7 @@ def _by_count(counts):
     return order, ordered, reach
 
 
-def _forward_step_numpy(f, counts, pmf_rows, per_layer):
+def _forward_step(f, counts, pmf_rows, per_layer):
     n_states = f.shape[1]
     order, counts, reach = _by_count(counts)
     f = f[order]
@@ -148,7 +137,7 @@ def _forward_step_numpy(f, counts, pmf_rows, per_layer):
     return out
 
 
-def _backward_step_numpy(bq, counts, pmf_rows, per_layer):
+def _backward_step(bq, counts, pmf_rows, per_layer):
     # States above the reachable deficit bound never feed position zero, so
     # transitions past the top of the array can be dropped without error;
     # from r = per_layer + n_states - 1 on, every transition lands there.
@@ -169,150 +158,3 @@ def _backward_step_numpy(bq, counts, pmf_rows, per_layer):
     out = np.empty_like(new)
     out[order] = new
     return out
-
-
-BACKEND = "numpy"
-if HAS_NUMBA and os.environ.get("NCLAYER_BACKEND", "").strip().lower() != "numpy":
-    BACKEND = "numba"
-
-
-if BACKEND == "numba":
-
-    @njit(cache=True)
-    def _matmul_jit(coeffs, data, mul):
-        n, k = coeffs.shape
-        s = data.shape[1]
-        out = np.zeros((n, s), dtype=np.uint8)
-        for i in range(n):
-            for j in range(k):
-                c = coeffs[i, j]
-                if c == 0:
-                    continue
-                row = mul[c]
-                for t in range(s):
-                    out[i, t] ^= row[data[j, t]]
-        return out
-
-    @njit(cache=True)
-    def _rref_jit(aug, n_unknowns, mul, inv):
-        n_rows, n_cols = aug.shape
-        owner = np.full(n_unknowns, -1, dtype=np.int32)
-        rank = 0
-        for col in range(n_unknowns):
-            if rank == n_rows:
-                break
-            pivot = -1
-            for r in range(rank, n_rows):
-                if aug[r, col] != 0:
-                    pivot = r
-                    break
-            if pivot < 0:
-                continue
-            if pivot != rank:
-                for t in range(n_cols):
-                    tmp = aug[pivot, t]
-                    aug[pivot, t] = aug[rank, t]
-                    aug[rank, t] = tmp
-            scale = inv[aug[rank, col]]
-            if scale != 1:
-                srow = mul[scale]
-                for t in range(n_cols):
-                    aug[rank, t] = srow[aug[rank, t]]
-            for r in range(n_rows):
-                if r == rank:
-                    continue
-                factor = aug[r, col]
-                if factor == 0:
-                    continue
-                frow = mul[factor]
-                for t in range(n_cols):
-                    aug[r, t] ^= frow[aug[rank, t]]
-            owner[col] = rank
-            rank += 1
-        return owner
-
-    @njit(cache=True)
-    def _expected_layers_batch_jit(strategies, pmf_rows, per_layer):
-        n_strategies, n_layers = strategies.shape
-        n_states = n_layers * per_layer + 1
-        out = np.zeros(n_strategies)
-        f = np.zeros(n_states)
-        nf = np.zeros(n_states)
-        bq = np.zeros(n_states)
-        nbq = np.zeros(n_states)
-        zero_occupancy = np.zeros(n_layers + 1)
-        for s in range(n_strategies):
-            for g in range(n_states):
-                f[g] = 0.0
-            f[0] = 1.0
-            for i in range(1, n_layers + 1):
-                x = strategies[s, i - 1]
-                for g in range(n_states):
-                    nf[g] = 0.0
-                for g in range(n_states):
-                    mass = f[g]
-                    if mass == 0.0:
-                        continue
-                    for r in range(x + 1):
-                        g2 = g - r + per_layer
-                        if g2 < 0:
-                            g2 = 0
-                        nf[g2] += mass * pmf_rows[x, r]
-                for g in range(n_states):
-                    f[g] = nf[g]
-                zero_occupancy[i] = f[0]
-            value = n_layers * zero_occupancy[n_layers]
-            for g in range(n_states):
-                bq[g] = 1.0
-            for i in range(n_layers - 1, 0, -1):
-                x = strategies[s, i]
-                for g in range(n_states):
-                    acc = 0.0
-                    for r in range(x + 1):
-                        g2 = g - r + per_layer
-                        if g2 <= 0:
-                            continue
-                        if g2 >= n_states:
-                            continue
-                        acc += pmf_rows[x, r] * bq[g2]
-                    nbq[g] = acc
-                for g in range(n_states):
-                    bq[g] = nbq[g]
-                value += i * zero_occupancy[i] * bq[0]
-            out[s] = value
-        return out
-
-    def gf_matmul(coeffs, data):
-        return _matmul_jit(
-            np.ascontiguousarray(coeffs), np.ascontiguousarray(data), MUL_TABLE
-        )
-
-    def gf_rref(aug, n_unknowns):
-        return _rref_jit(aug, n_unknowns, MUL_TABLE, INV_TABLE)
-
-    def expected_layers_batch(strategies, pmf_rows, per_layer):
-        return _expected_layers_batch_jit(
-            np.ascontiguousarray(strategies, dtype=np.int64),
-            np.ascontiguousarray(pmf_rows),
-            per_layer,
-        )
-
-else:
-
-    def gf_matmul(coeffs, data):
-        return matmul_numpy(coeffs, data)
-
-    def gf_rref(aug, n_unknowns):
-        return rref_numpy(aug, n_unknowns)
-
-    def expected_layers_batch(strategies, pmf_rows, per_layer):
-        return _expected_layers_batch_numpy(
-            np.asarray(strategies, dtype=np.int64), pmf_rows, per_layer
-        )
-
-
-def expected_layers_batch_numpy(strategies, pmf_rows, per_layer):
-    """Fallback-path entry point, importable whichever backend is active."""
-    return _expected_layers_batch_numpy(
-        np.asarray(strategies, dtype=np.int64), pmf_rows, per_layer
-    )

@@ -3,9 +3,10 @@
 The sender picks a replica allocation from its table (or threshold policy)
 and encodes each GOP. An intermediate either forwards whatever arrives, or
 decodes what it can and re-encodes the recovered prefix at full budget with
-a strategy restricted to the depths it actually holds. The receiver counts
-arrivals per class and scores the GOP by the count-based decode rule.
-Packets travel as one PacketBatch per GOP.
+a strategy restricted to the depths it actually holds. The receiver scores
+each GOP by what its scheme's decoder recovers: RLC by the count-based
+decode rule on per-class arrivals, XOR and repeat by which (depth, column)
+cells arrived. Packets travel as one PacketBatch per GOP.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import PacketBatch, decodable_layers, decode_gop, encode_gop
+from .codec import (
+    SCHEME_RLC,
+    PacketBatch,
+    check_columns,
+    covered_depth,
+    decodable_layers,
+    decode_gop,
+    encode_gop,
+)
 from .heuristic import ThresholdPolicy, select_strategy
 from .media import LayerGrid
 from .spt import StrategyTable, best_restricted, nearest_bin, select_best
@@ -46,6 +55,9 @@ def _fresh_seed(rng: np.random.Generator) -> int:
 
 @dataclass
 class SenderState:
+    """Picks each GOP's strategy from a table or a threshold policy; with
+    neither, it sends every GOP under the fixed strategy it was given."""
+
     scheme: str
     table: Optional[StrategyTable] = None
     policy: Optional[ThresholdPolicy] = None
@@ -56,8 +68,10 @@ class SenderState:
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def __post_init__(self):
-        if (self.table is None) == (self.policy is None):
+        if self.table is not None and self.policy is not None:
             raise ValueError("sender needs exactly one of table or policy")
+        if self.table is None and self.policy is None and self.strategy is None:
+            raise ValueError("sender needs a table, a policy or a fixed strategy")
         if self.update_period < 1:
             raise ValueError(f"update_period must be positive, got {self.update_period}")
 
@@ -71,7 +85,7 @@ def sender_epoch(
     if state.strategy is None or state.gop_counter % state.update_period == 0:
         if state.table is not None:
             state.strategy = select_best(state.table, state.pdr_estimate)
-        else:
+        elif state.policy is not None:
             state.strategy = select_strategy(state.policy, state.pdr_estimate)
     state.gop_counter += 1
     return encode_gop(grid, state.strategy, state.scheme, _fresh_seed(state.rng))
@@ -125,8 +139,10 @@ class ReceiverState:
     layer_count: int
     packets_per_layer: int
     payload_size: int
+    scheme: str = SCHEME_RLC
     verify_payloads: bool = False
     counts: np.ndarray = field(init=False)
+    seen: np.ndarray = field(init=False)
     buffer: list = field(init=False, default_factory=list)
     history: list = field(init=False, default_factory=list)
     prediction_gaps: int = 0
@@ -134,19 +150,27 @@ class ReceiverState:
 
     def __post_init__(self):
         self.counts = np.zeros(self.layer_count, dtype=np.int64)
+        self.seen = np.zeros((self.layer_count, self.packets_per_layer), dtype=bool)
 
 
 def receiver_ingest(state: ReceiverState, packets: PacketBatch) -> None:
-    """Adds a batch's arrivals to the per-class counts of the current GOP."""
+    """Adds a batch's arrivals to the current GOP: per-class counts for RLC,
+    the (depth, column) cells covered for the column schemes."""
     if not len(packets):
         return
+    if packets.scheme != state.scheme:
+        raise ValueError(f"receiver expects {state.scheme} packets, got {packets.scheme}")
     depth = packets.depth
     if depth.min() < 1 or depth.max() > state.layer_count:
         raise ValueError(
             f"packet class depths {depth.min()}..{depth.max()} "
             f"outside 1..{state.layer_count}"
         )
-    state.counts += np.bincount(depth, minlength=state.layer_count + 1)[1:]
+    if packets.column is None:
+        state.counts += np.bincount(depth, minlength=state.layer_count + 1)[1:]
+    else:
+        check_columns(packets.column, state.packets_per_layer)
+        state.seen[depth - 1, packets.column] = True
     if state.verify_payloads:
         state.buffer.append(packets)
 
@@ -154,13 +178,18 @@ def receiver_ingest(state: ReceiverState, packets: PacketBatch) -> None:
 def receiver_finalize_gop(
     state: ReceiverState, reference: Optional[LayerGrid] = None
 ) -> int:
-    """Scores the finished GOP from the per-class counts and resets state.
+    """Scores the finished GOP and resets state.
 
-    In payload-verification mode the buffered packets are actually decoded:
-    a decode shallower than the count-based score bumps prediction_gaps, and
+    RLC is scored by the count rule, which a singular random system can
+    miss; XOR and repeat by column coverage, which is exactly their decoded
+    depth. In payload-verification mode the buffered packets are actually
+    decoded: a decode shallower than the score bumps prediction_gaps, and
     recovered bytes differing from the reference bump payload_errors.
     """
-    predicted = decodable_layers(state.counts.tolist(), state.packets_per_layer)
+    if state.scheme == SCHEME_RLC:
+        predicted = decodable_layers(state.counts.tolist(), state.packets_per_layer)
+    else:
+        predicted = covered_depth(state.seen)
     if state.verify_payloads and state.buffer:
         actual, grid = decode_gop(
             PacketBatch.concat(state.buffer),
@@ -175,5 +204,6 @@ def receiver_finalize_gop(
                 state.payload_errors += 1
     state.history.append(predicted)
     state.counts[:] = 0
+    state.seen[:] = False
     state.buffer = []
     return predicted

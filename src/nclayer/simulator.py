@@ -3,10 +3,13 @@
 Strategy owners re-estimate delivery odds by probing the stretch of links
 between themselves and the next re-encoding node (or the receiver), so a
 chain of forwarders behaves like one long lossy pipe while each re-encoding
-relay starts a fresh segment. Delay is modelled per GOP as transmission time
-per packet put on a link, a store-and-forward charge per relay, and a
-recode charge on top for re-encoding relays; building a strategy table is
-charged once per run or once per re-encoding node, depending on policy.
+relay starts a fresh segment. The uncoded baseline is the "repeat" scheme
+in the same loop: its sender repeats every source packet to fill the
+budget, so it selects nothing, builds no table and sends no probes. Delay
+is modelled per GOP as transmission time per packet put on a link, a
+store-and-forward charge per relay, and a recode charge on top for
+re-encoding relays; building a strategy table is charged once per run or
+once per re-encoding node, depending on policy.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import LinkModel, chain_e2e_pdr
+from .codec import SCHEME_REPEAT, SCHEMES
 from .heuristic import ThresholdPolicy, builtin_policy
 from .media import make_synthetic_gop
 from .nodes import (
@@ -95,6 +99,10 @@ class ChainConfig:
                     f"{len(self.link_pdrs)} links need {len(self.link_pdrs)} delays, "
                     f"got {len(self.link_delays)}"
                 )
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if self.scheme == SCHEME_REPEAT and MODE_NC in self.relay_modes:
+            raise ValueError("repeat packets are uncoded, so no relay can re-encode them")
         if self.selection not in SELECTIONS:
             raise ValueError(f"selection must be one of {SELECTIONS}, got {self.selection!r}")
         if self.table_charging not in CHARGING_POLICIES:
@@ -193,7 +201,8 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
 
     if table is not None:
         _check_table_matches(table, config)
-    needs_table = config.selection == "spt" or MODE_NC in config.relay_modes
+    repeat = config.scheme == SCHEME_REPEAT
+    needs_table = MODE_NC in config.relay_modes or (config.selection == "spt" and not repeat)
     build_seconds = 0.0
     if needs_table and table is None:
         start = time.perf_counter()
@@ -212,12 +221,18 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         LinkModel(p, seed=child, transmit_delay=d)
         for p, child, d in zip(config.link_pdrs, link_children, delays)
     ]
+    if repeat:
+        copies = math.ceil(config.budget / (config.layer_count * config.packets_per_layer))
+        selector = {"strategy": (copies * config.packets_per_layer,) * config.layer_count}
+    elif config.selection == "spt":
+        selector = {"table": table}
+    else:
+        selector = {"policy": _policy_for(config)}
     sender = SenderState(
         scheme=config.scheme,
-        table=table if config.selection == "spt" else None,
-        policy=None if config.selection == "spt" else _policy_for(config),
         update_period=config.update_period,
         rng=np.random.default_rng(sender_child),
+        **selector,
     )
     relays = [
         RelayState(
@@ -237,6 +252,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         layer_count=config.layer_count,
         packets_per_layer=config.packets_per_layer,
         payload_size=config.payload_size,
+        scheme=config.scheme,
         verify_payloads=config.verify_payloads,
     )
     sender_segment, relay_segments = _segments(config)
@@ -255,7 +271,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         for link_index, new_pdr in schedule.get(gop_index, ()):
             links[link_index].delivery_prob = new_pdr
 
-        if gop_index % config.update_period == 0:
+        if not repeat and gop_index % config.update_period == 0:
             estimate = chain_e2e_pdr(
                 [links[i] for i in sender_segment], config.probe_count
             )
@@ -303,8 +319,9 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         build_charge = config.table_build_charge * multiplier
 
     audl = float(np.mean(per_gop_decoded)) if per_gop_decoded else 0.0
+    default_label = "uncoded" if repeat else f"{config.selection}-{config.scheme}"
     return RunMetrics(
-        label=config.label or f"{config.selection}-{config.scheme}-{hops}hop",
+        label=config.label or f"{default_label}-{hops}hop",
         hop_count=hops,
         link_pdrs=config.link_pdrs,
         npr=npr,
@@ -318,68 +335,6 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         seed=config.seed,
         prediction_gaps=receiver.prediction_gaps,
         payload_errors=receiver.payload_errors,
-    )
-
-
-def no_nc_baseline(config: ChainConfig) -> RunMetrics:
-    """Uncoded reference: every source packet is repeated ceil(B/N) times and
-    a layer counts as decoded only when it and every layer below arrived
-    complete. Relays always forward."""
-    hops = config.hop_count
-    seed_seq = np.random.SeedSequence(config.seed)
-    children = seed_seq.spawn(hops + (hops - 1) + 2)
-    link_children = children[:hops]
-    delays = config.link_delays or (config.transmit_delay,) * hops
-    links = [
-        LinkModel(p, seed=child, transmit_delay=d)
-        for p, child, d in zip(config.link_pdrs, link_children, delays)
-    ]
-
-    # packets are source indices layer * P + column, each sent `copies` times
-    n_source = config.layer_count * config.packets_per_layer
-    copies = math.ceil(config.budget / n_source)
-    source = np.repeat(np.arange(n_source), copies)
-
-    schedule: dict[int, list[tuple[int, float]]] = {}
-    for gop_index, link_index, new_pdr in config.pdr_schedule:
-        schedule.setdefault(int(gop_index), []).append((int(link_index), float(new_pdr)))
-
-    sent_total = 0
-    npr = 0
-    per_gop_decoded: list[int] = []
-    per_gop_delay: list[float] = []
-    for gop_index in range(config.gop_count):
-        for link_index, new_pdr in schedule.get(gop_index, ()):
-            links[link_index].delivery_prob = new_pdr
-        current = source
-        sent_total += len(current)
-        gop_delay = 0.0
-        for hop in range(hops):
-            gop_delay += len(current) * links[hop].transmit_delay
-            current = links[hop].transmit(current)
-            if hop < hops - 1:
-                gop_delay += config.forward_delay
-        npr += len(current)
-        seen = np.zeros(n_source, dtype=bool)
-        seen[current] = True
-        complete = seen.reshape(config.layer_count, config.packets_per_layer).all(axis=1)
-        per_gop_decoded.append(int(np.cumprod(complete).sum()))
-        per_gop_delay.append(gop_delay)
-
-    audl = float(np.mean(per_gop_decoded)) if per_gop_decoded else 0.0
-    return RunMetrics(
-        label=config.label or f"uncoded-{hops}hop",
-        hop_count=hops,
-        link_pdrs=config.link_pdrs,
-        npr=npr,
-        sent_total=sent_total,
-        measured_pdr=npr / sent_total if sent_total else 0.0,
-        audl=audl,
-        total_delay=sum(per_gop_delay),
-        per_gop_decoded=per_gop_decoded,
-        per_gop_delay=per_gop_delay,
-        table_build_seconds=0.0,
-        seed=config.seed,
     )
 
 
@@ -398,13 +353,13 @@ class ResolvedMode:
     relay_modes: tuple[str, ...]
     selection: str
     heuristic_set: int
-    uncoded: bool
+    scheme: str
 
 
 def resolve_mode(mode: str, base: ChainConfig) -> ResolvedMode:
     """Maps a sweep mode label onto chain shape and selection scheme.
 
-    NoNC<k>    uncoded baseline over k hops
+    NoNC<k>    uncoded baseline (the repeat scheme) over k hops
     NC<k>      table-driven sender over k hops, relays forward (same as -E2E)
     NC<k>-HBH  every relay re-encodes; -HBH<m> limits that to the first m
     heuristic-<s>  threshold set s on the base chain shape
@@ -416,7 +371,10 @@ def resolve_mode(mode: str, base: ChainConfig) -> ResolvedMode:
         hops = int(m.group(1))
         if hops < 1:
             raise ValueError(f"mode {mode!r} needs at least one hop")
-        return ResolvedMode(mode.strip(), hops, (MODE_FORWARD,) * (hops - 1), "spt", base.heuristic_set, True)
+        return ResolvedMode(
+            mode.strip(), hops, (MODE_FORWARD,) * (hops - 1), "spt", base.heuristic_set,
+            SCHEME_REPEAT,
+        )
     m = _MODE_PATTERNS[1].match(text)
     if m:
         hops = int(m.group(1))
@@ -436,7 +394,7 @@ def resolve_mode(mode: str, base: ChainConfig) -> ResolvedMode:
             )
         else:
             modes = (MODE_FORWARD,) * (hops - 1)
-        return ResolvedMode(mode.strip(), hops, modes, "spt", base.heuristic_set, False)
+        return ResolvedMode(mode.strip(), hops, modes, "spt", base.heuristic_set, base.scheme)
     m = _MODE_PATTERNS[2].match(text)
     if m:
         return ResolvedMode(
@@ -445,11 +403,12 @@ def resolve_mode(mode: str, base: ChainConfig) -> ResolvedMode:
             base.relay_modes,
             "heuristic",
             int(m.group(1)),
-            False,
+            base.scheme,
         )
     if _MODE_PATTERNS[3].match(text):
         return ResolvedMode(
-            mode.strip(), base.hop_count, base.relay_modes, "spt", base.heuristic_set, False
+            mode.strip(), base.hop_count, base.relay_modes, "spt", base.heuristic_set,
+            base.scheme,
         )
     raise ValueError(
         f"unknown sweep mode {mode!r}; expected NoNC<k>, NC<k>[-E2E|-HBH[<m>]], "
@@ -483,7 +442,7 @@ def sweep(
 
     resolved = [resolve_mode(m, base) for m in modes]
     shared_table: Optional[StrategyTable] = None
-    if any(not r.uncoded for r in resolved):
+    if any(r.scheme != SCHEME_REPEAT for r in resolved):
         shared_table = build_table(
             budget=base.budget,
             layer_count=base.layer_count,
@@ -504,24 +463,14 @@ def sweep(
                     link_delays=(),
                     selection=rm.selection,
                     heuristic_set=rm.heuristic_set,
+                    scheme=rm.scheme,
                     seed=_task_seed(base.seed, grid_index, mode_index, rep),
                     label=rm.label,
                 )
-                tasks.append((float(p), rm, cfg))
+                tasks.append(cfg)
 
-    def _execute(task):
-        p, rm, cfg = task
-        metrics = no_nc_baseline(cfg) if rm.uncoded else run(cfg, table=shared_table)
-        return {
-            "mode": rm.label,
-            "hop_count": rm.hop_count,
-            "link_pdr": p,
-            "measured_pdr": metrics.measured_pdr,
-            "npr": metrics.npr,
-            "audl": metrics.audl,
-            "delay": metrics.total_delay,
-            "seed": cfg.seed,
-        }
+    def _execute(cfg):
+        return metrics_row(run(cfg, table=shared_table))
 
     if jobs == 1:
         return [_execute(t) for t in tasks]
@@ -558,11 +507,13 @@ def append_row(row: dict, path) -> None:
 
 def metrics_row(metrics: RunMetrics) -> dict:
     """Flattens run metrics into the sweep row schema. The link_pdr column
-    carries the mean per-link delivery probability."""
+    carries the mean per-link delivery probability; a chain whose links all
+    share one value reports that value exactly, as a sweep grid gave it."""
+    pdrs = metrics.link_pdrs
     return {
         "mode": metrics.label,
         "hop_count": metrics.hop_count,
-        "link_pdr": float(np.mean(metrics.link_pdrs)),
+        "link_pdr": pdrs[0] if len(set(pdrs)) == 1 else float(np.mean(pdrs)),
         "measured_pdr": metrics.measured_pdr,
         "npr": metrics.npr,
         "audl": metrics.audl,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclayer.codec import (
+    SCHEME_REPEAT,
     SCHEME_RLC,
     SCHEME_XOR,
     PacketBatch,
@@ -12,6 +13,7 @@ from nclayer.codec import (
     encode_gop,
 )
 from nclayer.media import make_synthetic_gop
+from nclayer.spt import decodable_layers_batch
 from oracles import count_vectors, rank_decodable_layers
 
 
@@ -51,6 +53,22 @@ def test_decodable_layers_monotone_in_counts(counts, bump, per_layer, data):
     bumped = list(counts)
     bumped[index] += bump
     assert decodable_layers(bumped, per_layer) >= decodable_layers(counts, per_layer)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=5).flatmap(
+        lambda layers: st.lists(
+            st.lists(st.integers(min_value=0, max_value=20), min_size=layers, max_size=layers),
+            min_size=1,
+            max_size=8,
+        )
+    ),
+    per_layer=st.integers(min_value=1, max_value=4),
+)
+def test_decodable_layers_matches_batch_rule(rows, per_layer):
+    want = [decodable_layers(row, per_layer) for row in rows]
+    assert decodable_layers_batch(np.array(rows), per_layer).tolist() == want
 
 
 def test_encode_counts_and_classes():
@@ -102,6 +120,25 @@ def test_xor_partial_prefix():
     assert decoded == 2
     assert np.array_equal(recovered.cells[:2], grid.cells[:2])
     assert not recovered.cells[2:].any()
+
+
+def test_repeat_sends_runs_of_raw_cells():
+    grid = make_synthetic_gop(5, 3, 4, 8)
+    # 2 copies of each of the 12 cells: the uncoded sender's fixed allocation
+    packets = encode_gop(grid, (8, 8, 8), SCHEME_REPEAT)
+    source = (packets.depth.astype(int) - 1) * 4 + packets.column
+    assert source.tolist() == np.repeat(np.arange(12), 2).tolist()
+    assert packets.coeffs is None
+    assert np.array_equal(packets.payload, grid.cells[packets.depth - 1, packets.column])
+    decoded, recovered = decode_gop(packets[1::2], 3, 4, 8)
+    assert decoded == 3
+    assert np.array_equal(recovered.cells, grid.cells)
+    # a lost cell of layer 2 stops the prefix there, with no peeling
+    lost = packets[~np.isin(source, [5])]
+    decoded, recovered = decode_gop(lost, 3, 4, 8)
+    assert decoded == 1
+    assert np.array_equal(recovered.cells[0], grid.cells[0])
+    assert not recovered.cells[1:].any()
 
 
 def test_rlc_round_trip_full_budget():

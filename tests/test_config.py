@@ -111,6 +111,19 @@ def test_load_config_wraps_validation_errors(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_bad_scheme(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("coding.scheme = xr\n")
+    with pytest.raises(ConfigError, match="scheme"):
+        load_config(path)
+    # uncoded packets cannot be decoded and re-encoded at a relay
+    path.write_text("chain.links = 0.9, 0.9\nchain.relays = nc\ncoding.scheme = repeat\n")
+    with pytest.raises(ConfigError, match="re-encode"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="scheme"):
+        apply_overrides(ChainConfig(), ["coding.scheme=xr"])
+
+
 def test_overrides_win():
     base = ChainConfig(gop_count=10, seed=1)
     updated = apply_overrides(base, ["run.gops=99", "run.seed=7"])

@@ -47,7 +47,7 @@ GOLDEN_RUNS = {
         ),
         238,
         1536,
-        [0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0],
         1502.4660000000001,
     ),
     "verified-rlc": (

@@ -1,22 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
-from nclayer import kernels
-from nclayer.gf256 import gf256_mul
-from nclayer.kernels import (
-    BACKEND,
-    HAS_NUMBA,
-    expected_layers_batch,
-    expected_layers_batch_numpy,
-    gf_matmul,
-    gf_rref,
-    matmul_numpy,
-    rref_numpy,
-)
+from nclayer.gf256 import MUL_TABLE, gf256_mul
+from nclayer.kernels import expected_layers_batch, gf_matmul, gf_rref
 from nclayer.spt import PDR_BINS, _pmf_rows, enumerate_strategies
 from oracles import expected_layers_reference
 
@@ -43,14 +28,16 @@ def test_matmul_matches_scalar_reference():
         data = rng.integers(0, 256, (k, s), dtype=np.uint8)
         want = _scalar_matmul(coeffs, data)
         assert np.array_equal(gf_matmul(coeffs, data), want), (n, k, s)
-        assert np.array_equal(matmul_numpy(coeffs, data), want), (n, k, s)
 
 
 def test_matmul_backends_agree_exactly():
+    # at a codec-sized shape, against one MUL_TABLE row lookup per product
+    # XOR-reduced over k, rather than the flat-index lookup the kernel uses
     rng = np.random.default_rng(2)
     coeffs = rng.integers(0, 256, (40, 32), dtype=np.uint8)
     data = rng.integers(0, 256, (32, 64), dtype=np.uint8)
-    assert np.array_equal(gf_matmul(coeffs, data), matmul_numpy(coeffs, data))
+    want = np.bitwise_xor.reduce(MUL_TABLE[coeffs[:, :, None], data[None, :, :]], axis=1)
+    assert np.array_equal(gf_matmul(coeffs, data), want)
 
 
 def test_matmul_empty_inner_dimension():
@@ -60,15 +47,26 @@ def test_matmul_empty_inner_dimension():
 
 
 def test_rref_backends_agree():
+    # the reduced row echelon form of a consistent system is unique, so any
+    # row order of the same (sometimes rank-deficient) system must reduce to
+    # the same pivots and rows, with every pivot column a unit vector
     rng = np.random.default_rng(3)
     for trial in range(10):
-        n, u, extra = rng.integers(2, 12), rng.integers(2, 10), rng.integers(1, 8)
-        aug = rng.integers(0, 256, (int(n), int(u + extra)), dtype=np.uint8)
-        a, b = aug.copy(), aug.copy()
-        owner_jit = gf_rref(a, int(u))
-        owner_np = rref_numpy(b, int(u))
-        assert np.array_equal(owner_jit, owner_np), trial
+        n, u, extra = (int(rng.integers(lo, hi)) for lo, hi in ((2, 12), (2, 10), (1, 8)))
+        coeffs = rng.integers(0, 256, (n, u), dtype=np.uint8)
+        coeffs[:, rng.random(u) < 0.2] = 0
+        unknowns = rng.integers(0, 256, (u, extra), dtype=np.uint8)
+        aug = np.hstack([coeffs, gf_matmul(coeffs, unknowns)])
+        a, b = aug.copy(), aug[rng.permutation(n)]
+        owner = gf_rref(a, u)
+        assert np.array_equal(owner, gf_rref(b, u)), trial
         assert np.array_equal(a, b), trial
+        rank = int(np.count_nonzero(owner >= 0))
+        assert np.array_equal(np.sort(owner[owner >= 0]), np.arange(rank)), trial
+        for col in np.flatnonzero(owner >= 0):
+            assert np.array_equal(np.flatnonzero(a[:, col]), [owner[col]]), trial
+            assert a[owner[col], col] == 1, trial
+        assert not a[rank:].any(), trial
 
 
 def test_rref_recovers_known_solution():
@@ -81,10 +79,10 @@ def test_rref_recovers_known_solution():
         if i == j:
             continue
         factor = int(rng.integers(1, 256))
-        coeffs[i] ^= matmul_numpy(
+        coeffs[i] ^= gf_matmul(
             np.array([[factor]], dtype=np.uint8), coeffs[j][None, :]
         )[0]
-    rhs = matmul_numpy(coeffs, unknowns)
+    rhs = gf_matmul(coeffs, unknowns)
     aug = np.concatenate([coeffs, rhs], axis=1).astype(np.uint8)
     owner = gf_rref(aug, 6)
     assert (owner >= 0).all()
@@ -92,16 +90,6 @@ def test_rref_recovers_known_solution():
     for col in range(6):
         solved[col] = aug[owner[col], 6:]
     assert np.array_equal(solved, unknowns)
-
-
-def test_expected_layers_backends_agree():
-    rng = np.random.default_rng(5)
-    strategies = rng.integers(0, 9, (25, 3)).astype(np.int64)
-    for p in (0.25, 0.6, 0.95):
-        rows = _pmf_rows(8, p)
-        got = expected_layers_batch(strategies, rows, 2)
-        ref = expected_layers_batch_numpy(strategies, rows, 2)
-        assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
 
 
 def test_expected_layers_backends_agree_at_table_scale():
@@ -113,9 +101,7 @@ def test_expected_layers_backends_agree_at_table_scale():
     for p in PDR_BINS:
         rows = _pmf_rows(64, float(p))
         ref = expected_layers_reference(strategies, rows, 8)
-        assert np.array_equal(expected_layers_batch_numpy(strategies, rows, 8), ref), p
-        got = expected_layers_batch(strategies, rows, 8)
-        assert np.allclose(got, ref, rtol=0.0, atol=1e-12), p
+        assert np.array_equal(expected_layers_batch(strategies, rows, 8), ref), p
 
 
 def test_expected_layers_numpy_matches_reference_on_random_shapes():
@@ -130,36 +116,5 @@ def test_expected_layers_numpy_matches_reference_on_random_shapes():
         p = (0.0, 1.0, float(rng.random()))[trial % 3]
         rows = _pmf_rows(int(strategies.max()), p)
         ref = expected_layers_reference(strategies, rows, per_layer)
-        got = expected_layers_batch_numpy(strategies, rows, per_layer)
+        got = expected_layers_batch(strategies, rows, per_layer)
         assert np.array_equal(got, ref), (trial, strategies.tolist(), p, per_layer)
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, NCLAYER_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "from nclayer.kernels import BACKEND; print(BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_default_backend_is_numba_when_available():
-    env = {k: v for k, v in os.environ.items() if k != "NCLAYER_BACKEND"}
-    out = subprocess.run(
-        [sys.executable, "-c", "from nclayer.kernels import BACKEND; print(BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numba"
-
-
-def test_backend_constant_consistent():
-    assert BACKEND in ("numba", "numpy")
-    if BACKEND == "numba":
-        assert kernels.HAS_NUMBA

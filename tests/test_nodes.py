@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nclayer.codec import SCHEME_RLC, encode_gop
+from nclayer.codec import SCHEME_REPEAT, SCHEME_RLC, SCHEME_XOR, decode_gop, encode_gop
 from nclayer.heuristic import builtin_policy
 from nclayer.media import make_synthetic_gop
 from nclayer.nodes import (
@@ -33,6 +35,14 @@ def test_sender_needs_exactly_one_selector(small_table):
         SenderState(
             scheme=SCHEME_RLC, table=small_table, policy=builtin_policy(1)
         )
+
+
+def test_sender_with_fixed_strategy_never_selects():
+    sender = SenderState(scheme=SCHEME_REPEAT, strategy=(2, 2, 2), update_period=1)
+    for _ in range(3):
+        packets = sender_epoch(sender, _grid(), FeedbackReport("s", 5, 100))
+        assert sender.strategy == (2, 2, 2)
+        assert packets.scheme == SCHEME_REPEAT and len(packets) == 6
 
 
 def test_sender_emits_full_budget(small_table):
@@ -163,3 +173,34 @@ def test_receiver_verification_clean_path():
     assert receiver.prediction_gaps == 0
     assert receiver.payload_errors == 0
     assert receiver.buffer == []
+
+
+def test_receiver_rejects_foreign_scheme():
+    receiver = ReceiverState(layer_count=3, packets_per_layer=2, payload_size=8)
+    with pytest.raises(ValueError, match="xor"):
+        receiver_ingest(receiver, encode_gop(_grid(), (2, 2, 2), SCHEME_XOR))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scheme=st.sampled_from([SCHEME_RLC, SCHEME_XOR, SCHEME_REPEAT]),
+    strategy=st.lists(st.integers(min_value=0, max_value=6), min_size=3, max_size=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_receiver_score_against_real_decoding(scheme, strategy, seed, data):
+    # column schemes are scored by coverage, which is exactly the decoded
+    # depth; the RLC count rule can only overstate it (a singular system)
+    grid = _grid()
+    packets = encode_gop(grid, strategy, scheme, seed=seed)
+    mask = data.draw(st.lists(st.booleans(), min_size=len(packets), max_size=len(packets)))
+    survivors = packets[np.array(mask, dtype=bool)]
+    receiver = ReceiverState(layer_count=3, packets_per_layer=2, payload_size=8, scheme=scheme)
+    receiver_ingest(receiver, survivors)
+    score = receiver_finalize_gop(receiver)
+    depth, recovered = decode_gop(survivors, 3, 2, 8, gop_id=grid.gop_id)
+    if scheme == SCHEME_RLC:
+        assert score >= depth
+    else:
+        assert score == depth
+    assert np.array_equal(recovered.cells[:depth], grid.cells[:depth])

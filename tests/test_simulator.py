@@ -11,7 +11,6 @@ from nclayer.simulator import (
     append_row,
     format_row,
     metrics_row,
-    no_nc_baseline,
     resolve_mode,
     run,
     sweep,
@@ -65,13 +64,13 @@ def test_uncoded_baseline_matches_closed_form():
     # layer survives with ((1 - 0.01))^8 and depth is the surviving prefix
     q = 0.99**8
     want = sum(q**i for i in range(1, 5))
-    metrics = no_nc_baseline(ChainConfig(link_pdrs=(0.9,), gop_count=4000))
+    metrics = run(replace(ChainConfig(link_pdrs=(0.9,), gop_count=4000), scheme="repeat"))
     assert abs(metrics.audl - want) < 0.1
     assert metrics.sent_total == 4000 * 64
 
 
 def test_uncoded_baseline_lossless():
-    metrics = no_nc_baseline(ChainConfig(link_pdrs=(1.0,), gop_count=5))
+    metrics = run(replace(ChainConfig(link_pdrs=(1.0,), gop_count=5), scheme="repeat"))
     assert metrics.audl == 4.0
     assert metrics.measured_pdr == 1.0
 
@@ -152,11 +151,11 @@ def test_table_build_charging_policies(default_table):
 def test_resolve_mode_grammar():
     base = ChainConfig(link_pdrs=(0.9, 0.9), relay_modes=("nc",), heuristic_set=2)
     nonc = resolve_mode("NoNC2", base)
-    assert nonc.uncoded and nonc.hop_count == 2
+    assert nonc.scheme == "repeat" and nonc.hop_count == 2
     assert nonc.relay_modes == ("forward",)
 
     nc = resolve_mode("NC3", base)
-    assert not nc.uncoded and nc.hop_count == 3
+    assert nc.scheme == base.scheme and nc.hop_count == 3
     assert nc.relay_modes == ("forward", "forward")
     assert resolve_mode("NC3-E2E", base).relay_modes == ("forward", "forward")
 
@@ -256,10 +255,10 @@ def test_verified_runs_report_decoder_counters(default_table):
     assert rlc.payload_errors == 0
     # a random GF(2^8) system is singular with probability of order 1/256
     assert rlc.prediction_gaps <= 2
-    # count scoring ignores which column an XOR packet covers, so it
-    # overstates what the XOR decoder recovers
+    # XOR is scored by the (depth, column) cells that arrived, which is
+    # exactly what its decoder recovers
     xor = run(replace(base, scheme="xor"), table=default_table)
-    assert xor.prediction_gaps > 0
+    assert xor.prediction_gaps == 0
     assert xor.payload_errors == 0
     unverified = run(replace(base, scheme="xor", verify_payloads=False), table=default_table)
     assert (unverified.prediction_gaps, unverified.payload_errors) == (0, 0)
