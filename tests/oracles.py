@@ -5,6 +5,7 @@ oracle recomputes its answer by a structurally different method so that
 agreement is evidence rather than tautology.
 """
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -34,6 +35,62 @@ def reference_gf_mul(a, b, exp, log):
     if a == 0 or b == 0:
         return 0
     return exp[(log[a] + log[b]) % 255]
+
+
+@lru_cache(maxsize=None)
+def reference_gf_arrays():
+    """(256, 256) product table and length-256 inverse table as uint8 arrays,
+    filled from the doubling construction above."""
+    exp, log = reference_gf_tables()
+    mul = np.array(
+        [[reference_gf_mul(a, b, exp, log) for b in range(256)] for a in range(256)],
+        dtype=np.uint8,
+    )
+    inv = np.zeros(256, dtype=np.uint8)
+    for a in range(1, 256):
+        inv[a] = exp[(255 - log[a]) % 255]
+    mul.flags.writeable = False
+    inv.flags.writeable = False
+    return mul, inv
+
+
+def rref_reference(aug, n_unknowns):
+    """Gauss-Jordan elimination over GF(2^8), in place, one row at a time.
+
+    This is the row reduction as first written: the first nonzero entry at or
+    below the rank row is the pivot, the pivot row is scaled to a unit pivot,
+    then every other row holding the column has it cleared across the whole
+    row. The kernel must leave ``aug`` and return ``owner`` byte for byte as
+    this does, so that no seeded decode can move with the kernel.
+    """
+    MUL_TABLE, INV_TABLE = reference_gf_arrays()
+    n_rows = aug.shape[0]
+    owner = np.full(n_unknowns, -1, dtype=np.int32)
+    rank = 0
+    for col in range(n_unknowns):
+        if rank == n_rows:
+            break
+        pivot = -1
+        for r in range(rank, n_rows):
+            if aug[r, col]:
+                pivot = r
+                break
+        if pivot < 0:
+            continue
+        if pivot != rank:
+            aug[[pivot, rank]] = aug[[rank, pivot]]
+        row = aug[rank]
+        scale = INV_TABLE[row[col]]
+        if scale != 1:
+            row[:] = MUL_TABLE[scale, row]
+        mask = aug[:, col] != 0
+        mask[rank] = False
+        if mask.any():
+            factors = aug[mask, col]
+            aug[mask] ^= MUL_TABLE[factors[:, None], row[None, :]]
+        owner[col] = rank
+        rank += 1
+    return owner
 
 
 def max_cover(counts, per_layer, shallowest):

@@ -1,9 +1,11 @@
 import numpy as np
 
-from nclayer.gf256 import MUL_TABLE, gf256_mul
+from nclayer.codec import encode_gop
+from nclayer.gf256 import INV_TABLE, MUL_TABLE, gf256_mul
 from nclayer.kernels import expected_layers_batch, gf_matmul, gf_rref
+from nclayer.media import make_synthetic_gop
 from nclayer.spt import PDR_BINS, _pmf_rows, enumerate_strategies
-from oracles import expected_layers_reference
+from oracles import expected_layers_reference, reference_gf_arrays, rref_reference
 
 
 def _scalar_matmul(coeffs, data):
@@ -30,7 +32,7 @@ def test_matmul_matches_scalar_reference():
         assert np.array_equal(gf_matmul(coeffs, data), want), (n, k, s)
 
 
-def test_matmul_backends_agree_exactly():
+def test_matmul_matches_row_lookup_reduction():
     # at a codec-sized shape, against one MUL_TABLE row lookup per product
     # XOR-reduced over k, rather than the flat-index lookup the kernel uses
     rng = np.random.default_rng(2)
@@ -46,7 +48,7 @@ def test_matmul_empty_inner_dimension():
     assert np.array_equal(gf_matmul(coeffs, data), np.zeros((3, 5), dtype=np.uint8))
 
 
-def test_rref_backends_agree():
+def test_rref_form_is_unique_under_row_permutation():
     # the reduced row echelon form of a consistent system is unique, so any
     # row order of the same (sometimes rank-deficient) system must reduce to
     # the same pivots and rows, with every pivot column a unit vector
@@ -67,6 +69,61 @@ def test_rref_backends_agree():
             assert np.array_equal(np.flatnonzero(a[:, col]), [owner[col]]), trial
             assert a[owner[col], col] == 1, trial
         assert not a[rank:].any(), trial
+
+
+def _rref_cases():
+    rng = np.random.default_rng(7)
+    # relay-shaped: a standard GOP's RLC batch under a table strategy, thinned
+    # by random erasures, as a re-encoding relay hands it to the decoder
+    strategies = enumerate_strategies(64, 4, 4)
+    for gop in range(40):
+        strategy = strategies[int(rng.integers(len(strategies)))]
+        batch = encode_gop(make_synthetic_gop(gop, 4, 8, 64), strategy, "rlc", seed=gop)
+        kept = batch[rng.random(len(batch)) < rng.uniform(0.3, 1.0)]
+        yield f"relay {gop}", np.hstack([kept.coeffs, kept.payload]), 32
+    for trial in range(60):
+        n, u, extra = int(rng.integers(1, 20)), int(rng.integers(1, 16)), int(rng.integers(0, 10))
+        aug = rng.integers(0, 256, (n, u + extra), dtype=np.uint8)
+        kind = trial % 4
+        if kind == 1:
+            aug[rng.random(aug.shape) < 0.5] = 0
+        elif kind == 2:
+            # rank-deficient: every row mixes a few base rows
+            base = rng.integers(0, 256, (max(1, min(n, u) // 2), u + extra), dtype=np.uint8)
+            mix = rng.integers(0, 256, (n, base.shape[0]), dtype=np.uint8)
+            aug = gf_matmul(mix, base)
+        elif kind == 3 and n > 1:
+            # inconsistent: a coefficient row repeated with a different payload
+            aug[-1, :u] = aug[0, :u]
+        yield f"random {trial} kind {kind}", aug, u
+    yield "zero rows", np.zeros((0, 9), dtype=np.uint8), 4
+    yield "zero unknowns", rng.integers(0, 256, (5, 6), dtype=np.uint8), 0
+    yield "more unknowns than rows", rng.integers(0, 256, (3, 12), dtype=np.uint8), 8
+    zero_cols = rng.integers(0, 256, (8, 14), dtype=np.uint8)
+    zero_cols[:, [0, 3, 4]] = 0
+    yield "all-zero columns", zero_cols, 6
+    swap = rng.integers(1, 256, (6, 10), dtype=np.uint8)
+    swap[0, 0] = 0
+    swap[1, 1] = 0
+    swap[[0, 1, 2], 2] = 0
+    yield "zero in the rank row", swap, 5
+
+
+def test_rref_matches_reference_byte_for_byte():
+    for name, aug, n_unknowns in _rref_cases():
+        want = aug.copy()
+        want_owner = rref_reference(want, n_unknowns)
+        got = aug.copy()
+        owner = gf_rref(got, n_unknowns)
+        assert owner.dtype == np.int32, name
+        assert np.array_equal(owner, want_owner), name
+        assert np.array_equal(got, want), name
+
+
+def test_reference_gf_arrays_match_package_tables():
+    mul, inv = reference_gf_arrays()
+    assert np.array_equal(mul, MUL_TABLE)
+    assert np.array_equal(inv, INV_TABLE)
 
 
 def test_rref_recovers_known_solution():
