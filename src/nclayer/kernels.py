@@ -36,6 +36,11 @@ def gf_rref(aug: np.ndarray, n_unknowns: int) -> np.ndarray:
     Pivots are searched only in the first ``n_unknowns`` columns; the rest of
     each row rides along as augmented payload. Returns an int32 array mapping
     every unknown column to the row holding its pivot, -1 where none exists.
+
+    The pivot is the first nonzero entry at or below the rank row. Every
+    column left of the pivot column is zero in the pivot row, so scaling and
+    clearing touch only the window from the pivot column on, each as one
+    lookup in the flat product table at (c << 8) | d.
     """
     n_rows = aug.shape[0]
     owner = np.full(n_unknowns, -1, dtype=np.int32)
@@ -43,24 +48,18 @@ def gf_rref(aug: np.ndarray, n_unknowns: int) -> np.ndarray:
     for col in range(n_unknowns):
         if rank == n_rows:
             break
-        pivot = -1
-        for r in range(rank, n_rows):
-            if aug[r, col]:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        if pivot != rank:
+        if not aug[rank, col]:
+            below = aug[rank:, col].nonzero()[0]
+            if not below.size:
+                continue
+            pivot = rank + int(below[0])
             aug[[pivot, rank]] = aug[[rank, pivot]]
-        row = aug[rank]
-        scale = INV_TABLE[row[col]]
-        if scale != 1:
-            row[:] = MUL_TABLE[scale, row]
-        mask = aug[:, col] != 0
-        mask[rank] = False
-        if mask.any():
-            factors = aug[mask, col]
-            aug[mask] ^= MUL_TABLE[factors[:, None], row[None, :]]
+        window = aug[:, col:]
+        row = window[rank]
+        row[:] = _MUL_FLAT.take((int(INV_TABLE[row[0]]) << 8) | row.astype(np.uint16))
+        factors = window[:, 0].astype(np.uint16) << 8
+        factors[rank] = 0
+        window ^= _MUL_FLAT.take(factors[:, None] | row)
         owner[col] = rank
         rank += 1
     return owner
