@@ -62,12 +62,27 @@ def enumerate_strategies(
 
 
 @lru_cache(maxsize=None)
+def _comb_rows(max_count: int) -> np.ndarray:
+    """comb(n, r) at [n, r] as floats, zero for r > n."""
+    size = max_count + 1
+    rows = np.array([[float(math.comb(n, r)) for r in range(size)] for n in range(size)])
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=None)
 def _pmf_rows(max_count: int, p: float) -> np.ndarray:
-    """Row n holds the Binomial(n, p) pmf, zero-padded to a square array."""
-    rows = np.zeros((max_count + 1, max_count + 1))
-    for n in range(max_count + 1):
-        for r in range(n + 1):
-            rows[n, r] = math.comb(n, r) * p**r * (1.0 - p) ** (n - r)
+    """Row n holds the Binomial(n, p) pmf, zero-padded to a square array.
+
+    Each entry is comb(n, r) * p**r * (1 - p)**(n - r), multiplied in that
+    order with the powers taken by Python's ``**``, so it is bit-identical
+    to evaluating that expression cell by cell.
+    """
+    size = max_count + 1
+    hits = np.array([p**r for r in range(size)])
+    misses = np.array([(1.0 - p) ** k for k in range(size)])
+    n = np.arange(size)
+    rows = _comb_rows(max_count) * hits * misses[np.maximum(n[:, None] - n, 0)]
     rows.flags.writeable = False
     return rows
 
@@ -316,10 +331,10 @@ def load_table(path) -> StrategyTable:
     layer_count = int(header["L"])
     per_layer = int(header["P"])
     granularity = int(header["g"])
-    strategies: list[tuple[int, ...]] = []
-    cells_per_bin: dict[float, list[float]] = {}
+    strategies = enumerate_strategies(budget, layer_count, granularity)
+    index_of = {strat: i for i, strat in enumerate(strategies)}
+    rows_per_bin: dict[float, list[tuple[tuple[int, ...], float]]] = {}
     best_rows: list[tuple[float, tuple[int, ...], float]] = []
-    index_of: dict[tuple[int, ...], int] = {}
 
     for line in raw[body_start:]:
         parts = line.split(",")
@@ -327,21 +342,22 @@ def load_table(path) -> StrategyTable:
             strat = tuple(int(x) for x in parts[2 : 2 + layer_count])
             best_rows.append((float(parts[1]), strat, float(parts[-1])))
             continue
-        p = float(parts[0])
         strat = tuple(int(x) for x in parts[1 : 1 + layer_count])
-        if strat not in index_of:
-            index_of[strat] = len(strategies)
-            strategies.append(strat)
-        cells_per_bin.setdefault(p, []).append(float(parts[-1]))
+        rows_per_bin.setdefault(float(parts[0]), []).append((strat, float(parts[-1])))
 
-    if sorted(cells_per_bin) != [round(b, 2) for b in PDR_BINS]:
+    if sorted(rows_per_bin) != [round(b, 2) for b in PDR_BINS]:
         raise ValueError("table file does not cover the expected pdr bins")
     values = np.zeros((len(strategies), len(PDR_BINS)))
     for b, p in enumerate(PDR_BINS):
-        col = cells_per_bin[round(p, 2)]
-        if len(col) != len(strategies):
-            raise ValueError(f"bin {p:.2f} lists {len(col)} strategies, expected {len(strategies)}")
-        values[:, b] = col
+        rows = rows_per_bin[round(p, 2)]
+        # the header fixes the strategy set, so a body written for another
+        # budget, or with an edited or reordered row, cannot load
+        if [strat for strat, _ in rows] != strategies:
+            raise ValueError(
+                f"bin {p:.2f} does not list the {len(strategies)} strategies of "
+                f"B={budget}, L={layer_count}, g={granularity} in order"
+            )
+        values[:, b] = [value for _, value in rows]
     if len(best_rows) != len(PDR_BINS):
         raise ValueError(f"expected {len(PDR_BINS)} best rows, found {len(best_rows)}")
     best = np.zeros(len(PDR_BINS), dtype=np.int64)

@@ -219,6 +219,38 @@ def test_load_rejects_inconsistent_best_row(default_table, tmp_path):
         load_table(path)
 
 
+def test_load_rejects_body_of_another_budget(default_table, tmp_path):
+    # a B=64 body under a B=32 header would let a budget-32 run send 64
+    # packets per GOP
+    path = tmp_path / "table.txt"
+    save_table(default_table, path)
+    path.write_text(path.read_text().replace("B=64\n", "B=32\n", 1))
+    with pytest.raises(ValueError, match="B=32"):
+        load_table(path)
+
+
+def test_load_rejects_edited_strategy_row(default_table, tmp_path):
+    # edited in every bin, so each bin still lists 969 strategies
+    path = tmp_path / "table.txt"
+    save_table(default_table, path)
+    path.write_text(path.read_text().replace(",0,0,0,64,", ",0,0,0,60,"))
+    with pytest.raises(ValueError, match="in order"):
+        load_table(path)
+
+
+def test_load_rejects_reordered_bin(tmp_path):
+    # swapping two rows of one bin would otherwise hand each strategy the
+    # other's value
+    path = tmp_path / "table.txt"
+    save_table(build_table(budget=8, layer_count=2, packets_per_layer=2, granularity=2), path)
+    lines = path.read_text().splitlines()
+    i = lines.index(next(l for l in lines if l.startswith("0.50,")))
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="bin 0.50"):
+        load_table(path)
+
+
 def test_small_monte_carlo_table_agrees_coarsely():
     exact = build_table(budget=8, layer_count=2, packets_per_layer=2, granularity=4)
     mc = build_table(
