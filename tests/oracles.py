@@ -5,6 +5,7 @@ oracle recomputes its answer by a structurally different method so that
 agreement is evidence rather than tautology.
 """
 
+import math
 from functools import lru_cache
 from itertools import product
 
@@ -197,6 +198,16 @@ def _backward_step(bq, pmf, per_layer):
             if drop + 1 < n_states:
                 new[drop + 1 :] += pr * bq[1 : n_states - drop]
     return new
+
+
+def pmf_rows_reference(max_count, p):
+    """Binomial(n, p) pmf rows filled one cell at a time, zero-padded to a
+    square array; the vectorised rows must equal it bit for bit."""
+    rows = np.zeros((max_count + 1, max_count + 1))
+    for n in range(max_count + 1):
+        for r in range(n + 1):
+            rows[n, r] = math.comb(n, r) * p**r * (1.0 - p) ** (n - r)
+    return rows
 
 
 def probe_walk_pdr(links, n_probes):

@@ -5,7 +5,12 @@ from nclayer.gf256 import INV_TABLE, MUL_TABLE, gf256_mul
 from nclayer.kernels import expected_layers_batch, gf_matmul, gf_rref
 from nclayer.media import make_synthetic_gop
 from nclayer.spt import PDR_BINS, _pmf_rows, enumerate_strategies
-from oracles import expected_layers_reference, reference_gf_arrays, rref_reference
+from oracles import (
+    expected_layers_reference,
+    pmf_rows_reference,
+    reference_gf_arrays,
+    rref_reference,
+)
 
 
 def _scalar_matmul(coeffs, data):
@@ -175,3 +180,17 @@ def test_expected_layers_numpy_matches_reference_on_random_shapes():
         ref = expected_layers_reference(strategies, rows, per_layer)
         got = expected_layers_batch(strategies, rows, per_layer)
         assert np.array_equal(got, ref), (trial, strategies.tolist(), p, per_layer)
+
+
+def test_pmf_rows_match_cell_by_cell_reference():
+    # every bin of the standard table, the degenerate p = 0 and p = 1, and
+    # other sizes, so no DP weight can move with the vectorised fill
+    for p in (*(float(b) for b in PDR_BINS), 0.0, 1.0):
+        assert np.array_equal(_pmf_rows(64, p), pmf_rows_reference(64, p)), p
+    rng = np.random.default_rng(8)
+    for trial in range(20):
+        max_count, p = int(rng.integers(0, 90)), float(rng.random())
+        assert np.array_equal(_pmf_rows(max_count, p), pmf_rows_reference(max_count, p)), (
+            max_count,
+            p,
+        )
