@@ -358,8 +358,8 @@ def load_table(path) -> StrategyTable:
                 f"B={budget}, L={layer_count}, g={granularity} in order"
             )
         values[:, b] = [value for _, value in rows]
-    if len(best_rows) != len(PDR_BINS):
-        raise ValueError(f"expected {len(PDR_BINS)} best rows, found {len(best_rows)}")
+    if sorted(p for p, _, _ in best_rows) != [round(b, 2) for b in PDR_BINS]:
+        raise ValueError(f"table file must hold one best row per pdr bin, {len(PDR_BINS)} in all")
     best = np.zeros(len(PDR_BINS), dtype=np.int64)
     for p, strat, value in best_rows:
         b = nearest_bin(p)

@@ -39,7 +39,7 @@ def reference_gf_mul(a, b, exp, log):
 
 
 @lru_cache(maxsize=None)
-def reference_gf_arrays():
+def _reference_gf_arrays():
     """(256, 256) product table and length-256 inverse table as uint8 arrays,
     filled from the doubling construction above."""
     exp, log = reference_gf_tables()
@@ -64,7 +64,7 @@ def rref_reference(aug, n_unknowns):
     row. The kernel must leave ``aug`` and return ``owner`` byte for byte as
     this does, so that no seeded decode can move with the kernel.
     """
-    MUL_TABLE, INV_TABLE = reference_gf_arrays()
+    MUL_TABLE, INV_TABLE = _reference_gf_arrays()
     n_rows = aug.shape[0]
     owner = np.full(n_unknowns, -1, dtype=np.int32)
     rank = 0

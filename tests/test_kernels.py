@@ -1,16 +1,11 @@
 import numpy as np
 
 from nclayer.codec import encode_gop
-from nclayer.gf256 import INV_TABLE, MUL_TABLE, gf256_mul
+from nclayer.gf256 import MUL_TABLE, gf256_mul
 from nclayer.kernels import expected_layers_batch, gf_matmul, gf_rref
 from nclayer.media import make_synthetic_gop
 from nclayer.spt import PDR_BINS, _pmf_rows, enumerate_strategies
-from oracles import (
-    expected_layers_reference,
-    pmf_rows_reference,
-    reference_gf_arrays,
-    rref_reference,
-)
+from oracles import expected_layers_reference, pmf_rows_reference, rref_reference
 
 
 def _scalar_matmul(coeffs, data):
@@ -123,12 +118,6 @@ def test_rref_matches_reference_byte_for_byte():
         assert owner.dtype == np.int32, name
         assert np.array_equal(owner, want_owner), name
         assert np.array_equal(got, want), name
-
-
-def test_reference_gf_arrays_match_package_tables():
-    mul, inv = reference_gf_arrays()
-    assert np.array_equal(mul, MUL_TABLE)
-    assert np.array_equal(inv, INV_TABLE)
 
 
 def test_rref_recovers_known_solution():

@@ -251,6 +251,19 @@ def test_load_rejects_reordered_bin(tmp_path):
         load_table(path)
 
 
+def test_load_rejects_repeated_best_row(tmp_path):
+    # twenty best rows, but bin 0.55 lost its own: its argmax would default
+    # to the first strategy
+    path = tmp_path / "table.txt"
+    save_table(build_table(budget=8, layer_count=2, packets_per_layer=2, granularity=2), path)
+    lines = path.read_text().splitlines()
+    i = lines.index(next(l for l in lines if l.startswith("best,0.55,")))
+    lines[i] = next(l for l in lines if l.startswith("best,0.50,"))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="one best row"):
+        load_table(path)
+
+
 def test_small_monte_carlo_table_agrees_coarsely():
     exact = build_table(budget=8, layer_count=2, packets_per_layer=2, granularity=4)
     mc = build_table(
