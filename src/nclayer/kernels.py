@@ -21,7 +21,7 @@ def gf_matmul(coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
     """
     n, k = coeffs.shape
     s = data.shape[1]
-    if k == 0:
+    if k == 0 or s == 0:
         return np.zeros((n, s), dtype=np.uint8)
     index = (coeffs.T.astype(np.uint16) << 8)[:, :, None] | data[:, None, :]
     prods = _MUL_FLAT.take(index).reshape(k, n * s)

@@ -3,7 +3,9 @@
 A group of pictures (GOP) is a dense byte grid of shape (layer_count,
 packets_per_layer, payload_size): row 0 is the base layer, each later row
 refines the ones before it, and a layer is only useful when every layer
-below it is available as well.
+below it is available as well. A payload size of 0 gives a grid with its
+layers and packets but no bytes, which is all a run that never checks the
+decoded bytes needs.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ class LayerGrid:
         cells = np.ascontiguousarray(self.cells, dtype=np.uint8).copy()
         if cells.ndim != 3:
             raise ValueError(f"cells must have 3 axes, got shape {cells.shape}")
-        if min(cells.shape) < 1:
-            raise ValueError(f"all grid axes must be positive, got shape {cells.shape}")
+        if min(cells.shape[:2]) < 1:
+            raise ValueError(f"layer and packet axes must be positive, got shape {cells.shape}")
         if self.gop_id < 0:
             raise ValueError(f"gop_id must be non-negative, got {self.gop_id}")
         cells.flags.writeable = False
@@ -51,16 +53,17 @@ def make_synthetic_gop(
     payload_size: int,
     seed: int = 0,
 ) -> LayerGrid:
-    """Deterministic pseudo-random grid; a pure function of its arguments."""
+    """Deterministic pseudo-random grid; a pure function of its arguments.
+    A payload size of 0 gives the empty grid and draws nothing."""
     if gop_id < 0 or seed < 0:
         raise ValueError("gop_id and seed must be non-negative")
-    for name, value in (
-        ("layer_count", layer_count),
-        ("packets_per_layer", packets_per_layer),
-        ("payload_size", payload_size),
-    ):
+    for name, value in (("layer_count", layer_count), ("packets_per_layer", packets_per_layer)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
+    if payload_size < 0:
+        raise ValueError(f"payload_size must be non-negative, got {payload_size}")
+    if payload_size == 0:
+        return LayerGrid(gop_id, np.empty((layer_count, packets_per_layer, 0), dtype=np.uint8))
     rng = np.random.default_rng(
         [seed, gop_id, layer_count, packets_per_layer, payload_size]
     )

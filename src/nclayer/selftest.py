@@ -7,7 +7,7 @@ so a silent table or kernel corruption shows up as a named failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -15,7 +15,8 @@ import numpy as np
 from .codec import SCHEME_RLC, SCHEME_XOR, decode_gop, encode_gop
 from .gf256 import INV_TABLE, MUL_TABLE, _mul_slow
 from .media import make_synthetic_gop
-from .spt import enumerate_strategies, expected_decoded_layers
+from .simulator import ChainConfig, run
+from .spt import build_table, enumerate_strategies, expected_decoded_layers
 
 # domain of the exact-vs-enumeration equivalence sweep
 ORACLE_MAX_BUDGET = 8
@@ -119,6 +120,46 @@ def check_codec_roundtrip() -> CheckResult:
     return CheckResult("codec-roundtrip", True, "xor and rlc recover 3/3 layers")
 
 
+def check_payload_free_twin() -> CheckResult:
+    """A run without verify_payloads carries zero-width payloads; its scores
+    must equal those of the same run carrying and checking real bytes."""
+    config = ChainConfig(
+        link_pdrs=(0.6, 0.5),
+        relay_modes=("nc",),
+        layer_count=3,
+        packets_per_layer=4,
+        payload_size=16,
+        budget=24,
+        granularity=2,
+        gop_count=40,
+        seed=3,
+    )
+    table = build_table(
+        budget=config.budget,
+        layer_count=config.layer_count,
+        packets_per_layer=config.packets_per_layer,
+        granularity=config.granularity,
+    )
+    bare = run(config, table=table)
+    verified = run(replace(config, verify_payloads=True), table=table)
+    fields = ("npr", "sent_total", "per_gop_decoded", "total_delay")
+    differing = [f for f in fields if getattr(bare, f) != getattr(verified, f)]
+    if differing:
+        return CheckResult(
+            "payload-free-twin", False, f"unverified run differs in {', '.join(differing)}"
+        )
+    if verified.payload_errors:
+        return CheckResult(
+            "payload-free-twin", False, f"{verified.payload_errors} GOPs decoded wrong bytes"
+        )
+    return CheckResult(
+        "payload-free-twin",
+        True,
+        f"{config.gop_count} GOPs over a re-encoding relay, audl {bare.audl:.3f} "
+        f"with and without payload bytes",
+    )
+
+
 def run_selftest(inject_gf_fault: bool = False) -> list[CheckResult]:
     """Runs every check; ``inject_gf_fault`` corrupts a copy of the product
     table first, to prove the gf checks can actually fail."""
@@ -132,4 +173,5 @@ def run_selftest(inject_gf_fault: bool = False) -> list[CheckResult]:
         check_strategy_enumeration(),
         check_oracle_equivalence(),
         check_codec_roundtrip(),
+        check_payload_free_twin(),
     ]

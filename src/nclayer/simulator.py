@@ -109,6 +109,9 @@ class ChainConfig:
             raise ValueError(
                 f"table_charging must be one of {CHARGING_POLICIES}, got {self.table_charging!r}"
             )
+        for name in ("layer_count", "packets_per_layer", "payload_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.gop_count < 1:
             raise ValueError(f"gop_count must be positive, got {self.gop_count}")
         if self.probe_count < 1:
@@ -202,6 +205,9 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     if table is not None:
         _check_table_matches(table, config)
     repeat = config.scheme == SCHEME_REPEAT
+    # Decoded depth depends only on coefficients (RLC) or on the cells that
+    # arrived (xor, repeat), so payload bytes travel only when checked.
+    width = config.payload_size if config.verify_payloads else 0
     needs_table = MODE_NC in config.relay_modes or (config.selection == "spt" and not repeat)
     build_seconds = 0.0
     if needs_table and table is None:
@@ -240,7 +246,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             scheme=config.scheme,
             layer_count=config.layer_count,
             packets_per_layer=config.packets_per_layer,
-            payload_size=config.payload_size,
+            payload_size=width,
             table=table if mode == MODE_NC else None,
             forward_delay=config.forward_delay,
             recode_delay=config.recode_delay,
@@ -251,7 +257,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     receiver = ReceiverState(
         layer_count=config.layer_count,
         packets_per_layer=config.packets_per_layer,
-        payload_size=config.payload_size,
+        payload_size=width,
         scheme=config.scheme,
         verify_payloads=config.verify_payloads,
     )
@@ -289,7 +295,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             gop_index,
             config.layer_count,
             config.packets_per_layer,
-            config.payload_size,
+            width,
             grid_seed,
         )
         current = sender_epoch(sender, grid, feedback)

@@ -199,6 +199,26 @@ def test_c08_diminishing_relay_returns(default_table):
           f"({(first_gain - second_gain) / sigma:.0f} sigma apart, {elapsed:.0f} s)")
 
 
+def test_verified_recode_chain_decodes_source_bytes(default_table):
+    # every relay decodes and re-encodes real bytes, so the receiver's
+    # recovered layers must equal the source grid's, GOP after GOP
+    start = time.perf_counter()
+    config = ChainConfig(
+        link_pdrs=(0.7, 0.7, 0.7),
+        relay_modes=("nc", "nc"),
+        gop_count=200,
+        seed=91,
+        verify_payloads=True,
+    )
+    metrics = run(config, table=default_table)
+    assert metrics.payload_errors == 0
+    assert metrics.audl > 1.0
+    elapsed = time.perf_counter() - start
+    print(f"verified recode chain: {config.gop_count} GOPs, audl {metrics.audl:.3f}, "
+          f"{metrics.payload_errors} payload errors, {metrics.prediction_gaps} "
+          f"prediction gaps ({elapsed:.1f} s)")
+
+
 def test_c09_delay_model_ordering(default_table):
     start = time.perf_counter()
 

@@ -124,6 +124,16 @@ def test_load_config_rejects_bad_scheme(tmp_path):
         apply_overrides(ChainConfig(), ["coding.scheme=xr"])
 
 
+def test_load_config_rejects_empty_media(tmp_path):
+    # a zero size used to fail only at the first GOP's grid; unverified runs
+    # build no payload, so the config itself has to refuse it
+    path = tmp_path / "run.cfg"
+    for key in ("media.payload", "media.layers", "media.packets"):
+        path.write_text(f"{key} = 0\n")
+        with pytest.raises(ConfigError, match="must be positive"):
+            load_config(path)
+
+
 def test_overrides_win():
     base = ChainConfig(gop_count=10, seed=1)
     updated = apply_overrides(base, ["run.gops=99", "run.seed=7"])

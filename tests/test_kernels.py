@@ -48,6 +48,15 @@ def test_matmul_empty_inner_dimension():
     assert np.array_equal(gf_matmul(coeffs, data), np.zeros((3, 5), dtype=np.uint8))
 
 
+def test_matmul_zero_width_payload():
+    # runs that carry no payload bytes still multiply coefficients through
+    rng = np.random.default_rng(9)
+    coeffs = rng.integers(0, 256, (5, 4), dtype=np.uint8)
+    data = rng.integers(0, 256, (4, 6), dtype=np.uint8)
+    out = gf_matmul(coeffs, data[:, :0])
+    assert out.shape == (5, 0) and out.dtype == np.uint8
+
+
 def test_rref_form_is_unique_under_row_permutation():
     # the reduced row echelon form of a consistent system is unique, so any
     # row order of the same (sometimes rank-deficient) system must reduce to
@@ -118,6 +127,21 @@ def test_rref_matches_reference_byte_for_byte():
         assert owner.dtype == np.int32, name
         assert np.array_equal(owner, want_owner), name
         assert np.array_equal(got, want), name
+
+
+def test_rref_of_coefficients_alone_matches_full_rows():
+    # pivots and row operations are chosen from the coefficient columns only,
+    # so eliminating a relay's coefficients without their payload gives the
+    # same owners and the same coefficient block: a run that carries no
+    # payload bytes decodes exactly as deep as one that does
+    relay_cases = [case for case in _rref_cases() if case[0].startswith("relay")]
+    assert len(relay_cases) == 40
+    for name, aug, n_unknowns in relay_cases:
+        full = aug.copy()
+        owner = gf_rref(full, n_unknowns)
+        coeffs = aug[:, :n_unknowns].copy()
+        assert np.array_equal(gf_rref(coeffs, n_unknowns), owner), name
+        assert np.array_equal(coeffs, full[:, :n_unknowns]), name
 
 
 def test_rref_recovers_known_solution():

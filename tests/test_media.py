@@ -35,11 +35,25 @@ def test_synthetic_gop_is_deterministic():
 
 
 @pytest.mark.parametrize(
-    "shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
+    "shape", [(0, 2, 2), (2, 0, 2)]
 )
 def test_grid_rejects_empty_axes(shape):
     with pytest.raises(ValueError):
         LayerGrid(gop_id=0, cells=np.zeros(shape, dtype=np.uint8))
+
+
+def test_grid_accepts_empty_payload_axis():
+    # a run that never checks decoded bytes carries grids with no payload
+    grid = LayerGrid(gop_id=0, cells=np.zeros((2, 2, 0), dtype=np.uint8))
+    assert grid.payload_size == 0
+    empty = make_synthetic_gop(3, 4, 8, 0)
+    assert empty.cells.shape == (4, 8, 0)
+    assert (empty.layer_count, empty.packets_per_layer, empty.gop_id) == (4, 8, 3)
+    with pytest.raises(ValueError):
+        make_synthetic_gop(0, 4, 8, -1)
+    for layers, packets in ((0, 8), (4, 0)):
+        with pytest.raises(ValueError):
+            make_synthetic_gop(0, layers, packets, 0)
 
 
 def test_grid_rejects_negative_gop():

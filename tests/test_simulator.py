@@ -263,3 +263,50 @@ def test_verified_runs_report_decoder_counters(default_table):
     unverified = run(replace(base, scheme="xor", verify_payloads=False), table=default_table)
     assert (unverified.prediction_gaps, unverified.payload_errors) == (0, 0)
     assert unverified.per_gop_decoded == xor.per_gop_decoded
+
+
+TWIN_CONFIGS = {
+    "rlc-forward": ChainConfig(
+        link_pdrs=(0.7, 0.7, 0.7), relay_modes=("forward", "forward"), gop_count=30, seed=11
+    ),
+    "rlc-recode": ChainConfig(
+        link_pdrs=(0.7, 0.7, 0.7), relay_modes=("nc", "nc"), gop_count=30, seed=12
+    ),
+    "rlc-heuristic-mixed": ChainConfig(
+        link_pdrs=(0.8, 0.6, 0.9),
+        relay_modes=("nc", "forward"),
+        selection="heuristic",
+        gop_count=30,
+        seed=13,
+    ),
+    "rlc-schedule": ChainConfig(
+        link_pdrs=(0.9, 0.8),
+        relay_modes=("nc",),
+        gop_count=30,
+        seed=14,
+        update_period=3,
+        pdr_schedule=((10, 1, 0.4), (20, 0, 1.0)),
+    ),
+    "xor-recode": ChainConfig(
+        link_pdrs=(0.8, 0.8, 0.8), relay_modes=("nc", "forward"), scheme="xor", gop_count=30, seed=15
+    ),
+    "xor-heuristic": ChainConfig(
+        link_pdrs=(0.9,), scheme="xor", selection="heuristic", gop_count=30, seed=16
+    ),
+    "repeat-forward": ChainConfig(
+        link_pdrs=(0.9, 0.9), relay_modes=("forward",), scheme="repeat", gop_count=30, seed=17
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_CONFIGS))
+def test_unverified_run_matches_verified_twin(name, default_table):
+    # an unverified run carries zero-width payloads; decoded depth depends
+    # only on coefficients or on which cells arrived, and every encode draws
+    # from its own seed, so the scores must equal those of the byte path
+    config = TWIN_CONFIGS[name]
+    bare = run(config, table=default_table)
+    verified = run(replace(config, verify_payloads=True), table=default_table)
+    for attr in ("npr", "sent_total", "per_gop_decoded", "total_delay"):
+        assert getattr(bare, attr) == getattr(verified, attr), attr
+    assert verified.payload_errors == 0
