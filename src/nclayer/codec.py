@@ -11,6 +11,11 @@ packet, so layer j of a column peels out of consecutive depths. "rlc" draws
 seeded random GF(2^8) coefficients over all cells of the first i layers and
 decodes by Gaussian elimination. "repeat" is the uncoded baseline: a class i
 packet is one raw cell of layer i, sent as often as the allocation allows.
+
+RLC coefficients are zero-padded to layer_count * packets_per_layer columns,
+or carried as zero columns when no decoder reads them: a receiver that
+scores by class counts needs only each packet's class, so an encoder with
+no decoder downstream draws nothing.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ class PacketBatch:
 
     depth[i] is packet i's class and payload[i] its bytes. RLC packets carry
     their coefficients in coeffs, zero-padded to layer_count *
-    packets_per_layer columns; XOR and repeat packets carry their grid
-    column instead.
+    packets_per_layer columns, or with zero columns (and a zero-width
+    payload) when no decoder reads them; XOR and repeat packets carry their
+    grid column instead.
     The batch is checked once, on construction. Indexing with a boolean
     mask, a slice or an index array selects rows and skips the check, since
     rows of a valid batch form a valid batch.
@@ -154,12 +160,23 @@ def encode_gop(
     strategy: Sequence[int],
     scheme: str = SCHEME_RLC,
     seed: int = 0,
+    coeff_width: Optional[int] = None,
 ) -> PacketBatch:
-    """Produces strategy[i-1] packets of class i, shallow classes first."""
+    """Produces strategy[i-1] packets of class i, shallow classes first.
+
+    coeff_width is the RLC coefficient columns per packet: layer_count *
+    packets_per_layer (the default) for packets some decoder reads, or 0 for
+    packets only counted, which draw nothing and carry no payload bytes.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     counts = _check_strategy(strategy, grid.layer_count)
     per_layer, size = grid.packets_per_layer, grid.payload_size
+    n_unknowns = grid.layer_count * per_layer
+    if coeff_width is None:
+        coeff_width = n_unknowns
+    if coeff_width not in (0, n_unknowns):
+        raise ValueError(f"coeff_width must be 0 or {n_unknowns}, got {coeff_width}")
     depth = np.repeat(np.arange(1, grid.layer_count + 1, dtype=np.int8), counts)
 
     if scheme != SCHEME_RLC:
@@ -175,8 +192,13 @@ def encode_gop(
             cells = grid.cells
         return PacketBatch(grid.gop_id, scheme, depth, cells[depth - 1, column], column=column)
 
+    if coeff_width == 0:
+        if size:
+            raise ValueError("packets without coefficients cannot carry payload bytes")
+        empty = np.empty((depth.size, 0), dtype=np.uint8)
+        return PacketBatch(grid.gop_id, scheme, depth, empty, coeffs=empty)
+
     rng = np.random.default_rng(seed)
-    n_unknowns = grid.layer_count * per_layer
     data = grid.cells.reshape(n_unknowns, size)
     coeffs = np.zeros((depth.size, n_unknowns), dtype=np.uint8)
     payload = np.empty((depth.size, size), dtype=np.uint8)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import Callable, Iterable
 
+from .nodes import MODE_FORWARD
 from .simulator import ChainConfig
 
 
@@ -134,12 +135,16 @@ def load_config(path) -> ChainConfig:
 
 def apply_overrides(config: ChainConfig, pairs: Iterable[str]) -> ChainConfig:
     """Applies command-line `key=value` overrides on top of a parsed config;
-    a repeated key takes its last value and schedule entries append."""
+    a repeated key takes its last value and schedule entries append. Relay
+    modes that are all forwarding, the default for a config that names
+    none, follow an overridden link count."""
     kwargs, schedule = _parse_entries(
         ((f"override {pair!r}", pair) for pair in pairs), reject_duplicates=False
     )
     if schedule:
         kwargs["pdr_schedule"] = config.pdr_schedule + schedule
     current = {f.name: getattr(config, f.name) for f in fields(ChainConfig)}
+    if set(config.relay_modes) <= {MODE_FORWARD}:
+        current["relay_modes"] = ()
     current.update(kwargs)
     return _chain_config(current)

@@ -6,7 +6,9 @@ decodes what it can and re-encodes the recovered prefix at full budget with
 a strategy restricted to the depths it actually holds. The receiver scores
 each GOP by what its scheme's decoder recovers: RLC by the count-based
 decode rule on per-class arrivals, XOR and repeat by which (depth, column)
-cells arrived. Packets travel as one PacketBatch per GOP.
+cells arrived. Packets travel as one PacketBatch per GOP. An RLC encoder
+with no decoder downstream sends coefficient-free packets, since the count
+rule reads only their classes.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ class SenderState:
     pdr_estimate: float = 1.0
     strategy: Optional[tuple[int, ...]] = None
     gop_counter: int = 0
+    coeff_width: Optional[int] = None
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def __post_init__(self):
@@ -88,7 +91,9 @@ def sender_epoch(
         elif state.policy is not None:
             state.strategy = select_strategy(state.policy, state.pdr_estimate)
     state.gop_counter += 1
-    return encode_gop(grid, state.strategy, state.scheme, _fresh_seed(state.rng))
+    return encode_gop(
+        grid, state.strategy, state.scheme, _fresh_seed(state.rng), state.coeff_width
+    )
 
 
 @dataclass
@@ -103,6 +108,7 @@ class RelayState:
     forward_delay: float = 0.005
     recode_delay: float = 60.0
     last_decoded: int = 0
+    coeff_width: Optional[int] = None
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def __post_init__(self):
@@ -131,7 +137,9 @@ def relay_step(state: RelayState, packets: PacketBatch) -> PacketBatch:
     strategy = best_restricted(state.table, nearest_bin(state.pdr_estimate), decoded)
     if strategy is None:
         return packets[:0]
-    return encode_gop(grid, strategy, state.scheme, _fresh_seed(state.rng))
+    return encode_gop(
+        grid, strategy, state.scheme, _fresh_seed(state.rng), state.coeff_width
+    )
 
 
 @dataclass

@@ -121,8 +121,10 @@ def check_codec_roundtrip() -> CheckResult:
 
 
 def check_payload_free_twin() -> CheckResult:
-    """A run without verify_payloads carries zero-width payloads; its scores
-    must equal those of the same run carrying and checking real bytes."""
+    """A run without verify_payloads carries zero-width payloads, and
+    zero-width coefficients past the last decoder (here the relay's
+    re-encode); its scores must equal those of the same run carrying and
+    checking real bytes and coefficients."""
     config = ChainConfig(
         link_pdrs=(0.6, 0.5),
         relay_modes=("nc",),

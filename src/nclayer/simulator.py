@@ -208,6 +208,16 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     # Decoded depth depends only on coefficients (RLC) or on the cells that
     # arrived (xor, repeat), so payload bytes travel only when checked.
     width = config.payload_size if config.verify_payloads else 0
+    # RLC coefficients are read only by a later re-encoding relay or a
+    # verifying receiver (position n_relays), so encoders past the last
+    # decoder send none; the sender is position -1.
+    sender_segment, relay_segments = _segments(config)
+    last_decoder = n_relays if config.verify_payloads else max(relay_segments, default=-1)
+    full = config.layer_count * config.packets_per_layer
+
+    def coeff_width(position: int) -> int:
+        return full if position < last_decoder else 0
+
     needs_table = MODE_NC in config.relay_modes or (config.selection == "spt" and not repeat)
     build_seconds = 0.0
     if needs_table and table is None:
@@ -237,6 +247,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     sender = SenderState(
         scheme=config.scheme,
         update_period=config.update_period,
+        coeff_width=coeff_width(-1),
         rng=np.random.default_rng(sender_child),
         **selector,
     )
@@ -250,9 +261,10 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             table=table if mode == MODE_NC else None,
             forward_delay=config.forward_delay,
             recode_delay=config.recode_delay,
+            coeff_width=coeff_width(position),
             rng=np.random.default_rng(child),
         )
-        for mode, child in zip(config.relay_modes, relay_children)
+        for position, (mode, child) in enumerate(zip(config.relay_modes, relay_children))
     ]
     receiver = ReceiverState(
         layer_count=config.layer_count,
@@ -261,7 +273,6 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         scheme=config.scheme,
         verify_payloads=config.verify_payloads,
     )
-    sender_segment, relay_segments = _segments(config)
 
     schedule: dict[int, list[tuple[int, float]]] = {}
     for gop_index, link_index, new_pdr in config.pdr_schedule:

@@ -57,6 +57,13 @@ def test_simulate_same_config_appends_identical_rows(tmp_path):
     assert lines[1] == lines[2]
 
 
+def test_simulate_link_override_drops_unnamed_relays(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("chain.links = 0.7, 0.7, 0.7\nrun.gops = 5\n")
+    assert main(["simulate", "--config", str(path), "--set", "chain.links=0.7"]) == 0
+    assert "hops: 1\n" in capsys.readouterr().out
+
+
 def test_simulate_reads_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("run.gops = 4\nrun.label = filecase\n")

@@ -202,6 +202,29 @@ def test_encode_rejects_bad_strategy():
         encode_gop(grid, (1, 1), "fountain")
 
 
+def test_coefficient_free_rlc_draws_nothing():
+    # packets no decoder reads keep their classes and carry zero columns
+    grid = make_synthetic_gop(0, 3, 2, 0)
+    full = encode_gop(grid, (3, 0, 2), SCHEME_RLC, seed=5)
+    bare = encode_gop(grid, (3, 0, 2), SCHEME_RLC, 5, 0)
+    other_seed = encode_gop(grid, (3, 0, 2), SCHEME_RLC, 6, 0)
+    assert full.coeffs.shape == (5, 6)
+    assert bare.coeffs.shape == bare.payload.shape == (5, 0)
+    assert bare.depth.tolist() == full.depth.tolist() == other_seed.depth.tolist()
+    assert np.array_equal(
+        encode_gop(grid, (3, 0, 2), SCHEME_RLC, 5, 6).coeffs, full.coeffs
+    )
+    with pytest.raises(ValueError, match="coefficients"):
+        decode_gop(bare, 3, 2, 0)
+
+
+def test_encode_rejects_bad_coefficient_width():
+    with pytest.raises(ValueError, match="coeff_width"):
+        encode_gop(make_synthetic_gop(0, 3, 2, 0), (2, 2, 2), SCHEME_RLC, 0, 3)
+    with pytest.raises(ValueError, match="payload bytes"):
+        encode_gop(make_synthetic_gop(0, 3, 2, 8), (2, 2, 2), SCHEME_RLC, 0, 0)
+
+
 def test_encode_is_deterministic_per_seed():
     grid = make_synthetic_gop(0, 3, 2, 8)
     a = encode_gop(grid, (2, 2, 2), SCHEME_RLC, seed=5)

@@ -153,3 +153,15 @@ def test_override_appends_schedule():
     base = ChainConfig(pdr_schedule=((1, 0, 0.5),))
     updated = apply_overrides(base, ["schedule.0=3,0,0.9"])
     assert updated.pdr_schedule == ((1, 0, 0.5), (3, 0, 0.9))
+
+
+def test_link_override_resizes_unnamed_relays(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("chain.links = 0.7, 0.7, 0.7\n")
+    config = apply_overrides(load_config(path), ["chain.links=0.7"])
+    assert config.link_pdrs == (0.7,)
+    assert config.relay_modes == ()
+    # relay modes the file names must still match the links
+    path.write_text("chain.links = 0.7, 0.7, 0.7\nchain.relays = nc, nc\n")
+    with pytest.raises(ConfigError, match="relay"):
+        apply_overrides(load_config(path), ["chain.links=0.7"])

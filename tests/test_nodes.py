@@ -141,6 +141,23 @@ def test_nc_relay_empty_input(small_table):
     assert len(relay_step(relay, empty)) == 0
 
 
+def test_decoders_reject_coefficient_free_batches(small_table):
+    # a batch built for a counting receiver must fail loudly at a decoder
+    bare = encode_gop(make_synthetic_gop(0, 3, 2, 0), (4, 2, 2), SCHEME_RLC, 0, 0)
+    relay = RelayState(
+        mode="nc", scheme=SCHEME_RLC,
+        layer_count=3, packets_per_layer=2, payload_size=0, table=small_table,
+    )
+    with pytest.raises(ValueError, match="coefficients"):
+        relay_step(relay, bare)
+    receiver = ReceiverState(
+        layer_count=3, packets_per_layer=2, payload_size=0, verify_payloads=True
+    )
+    receiver_ingest(receiver, bare)
+    with pytest.raises(ValueError, match="coefficients"):
+        receiver_finalize_gop(receiver)
+
+
 def test_receiver_counts_and_reset():
     receiver = ReceiverState(layer_count=3, packets_per_layer=2, payload_size=8)
     packets = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)

@@ -1,10 +1,12 @@
 import csv
 import io
+import itertools
 import math
 from dataclasses import replace
 
 import pytest
 
+import nclayer.simulator as simulator
 from nclayer.simulator import (
     CSV_HEADER,
     ChainConfig,
@@ -265,12 +267,76 @@ def test_verified_runs_report_decoder_counters(default_table):
     assert unverified.per_gop_decoded == xor.per_gop_decoded
 
 
+def test_verified_forward_chain_gap_rate_is_of_order_one_over_q(default_table):
+    # The count rule overstates a GOP only when its random GF(2^8) system is
+    # singular. A k x k system is singular with probability below 1/(q - 1),
+    # so a union bound over the L depths a GOP can score bounds the gaps.
+    config = ChainConfig(
+        link_pdrs=(0.7, 0.7, 0.7), gop_count=1000, seed=21, verify_payloads=True
+    )
+    metrics = run(config, table=default_table)
+    assert metrics.payload_errors == 0
+    assert metrics.prediction_gaps <= config.gop_count * config.layer_count / 255
+    assert metrics.audl > 0
+
+
+@pytest.mark.parametrize(
+    "relay_modes, verify, decoders",
+    [
+        (("forward", "forward"), False, ()),
+        (("nc", "forward"), False, (0,)),
+        (("nc", "nc"), False, (0, 1)),
+        (("forward", "nc"), True, (1, 2)),
+    ],
+)
+def test_coefficients_reach_every_decoder_and_no_further(
+    relay_modes, verify, decoders, default_table, monkeypatch
+):
+    # decoders names the positions that read coefficients: relay i at i, the
+    # verifying receiver at 2; each encoder sends them only if one is later
+    config = ChainConfig(
+        link_pdrs=(0.9,) * 3, relay_modes=relay_modes, gop_count=10, seed=4,
+        verify_payloads=verify,
+    )
+    widths: dict[int, set] = {}
+
+    def record(position, batch):
+        if len(batch):
+            widths.setdefault(position, set()).add(batch.coeffs.shape[1])
+        return batch
+
+    # run() steps relay 0, then relay 1, once each per GOP
+    positions = itertools.cycle(range(len(relay_modes)))
+    sender_epoch, relay_step = simulator.sender_epoch, simulator.relay_step
+    monkeypatch.setattr(
+        simulator, "sender_epoch", lambda *args: record(-1, sender_epoch(*args))
+    )
+
+    def recording_relay_step(state, packets):
+        position = next(positions)
+        out = relay_step(state, packets)
+        return record(position, out) if state.mode == "nc" else out
+
+    monkeypatch.setattr(simulator, "relay_step", recording_relay_step)
+    metrics = run(config, table=default_table)
+    assert metrics.payload_errors == 0
+    full = config.layer_count * config.packets_per_layer
+    encoders = [-1] + [i for i, m in enumerate(relay_modes) if m == "nc"]
+    assert sorted(widths) == encoders
+    for position in encoders:
+        wanted = full if any(d > position for d in decoders) else 0
+        assert widths[position] == {wanted}, position
+
+
 TWIN_CONFIGS = {
     "rlc-forward": ChainConfig(
         link_pdrs=(0.7, 0.7, 0.7), relay_modes=("forward", "forward"), gop_count=30, seed=11
     ),
     "rlc-recode": ChainConfig(
         link_pdrs=(0.7, 0.7, 0.7), relay_modes=("nc", "nc"), gop_count=30, seed=12
+    ),
+    "rlc-recode-then-forward": ChainConfig(
+        link_pdrs=(0.7, 0.7, 0.7), relay_modes=("nc", "forward"), gop_count=30, seed=18
     ),
     "rlc-heuristic-mixed": ChainConfig(
         link_pdrs=(0.8, 0.6, 0.9),
@@ -301,7 +367,8 @@ TWIN_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(TWIN_CONFIGS))
 def test_unverified_run_matches_verified_twin(name, default_table):
-    # an unverified run carries zero-width payloads; decoded depth depends
+    # an unverified run carries zero-width payloads, and zero-width
+    # coefficients past the last re-encoding relay; decoded depth depends
     # only on coefficients or on which cells arrived, and every encode draws
     # from its own seed, so the scores must equal those of the byte path
     config = TWIN_CONFIGS[name]
