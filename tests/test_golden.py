@@ -63,6 +63,26 @@ GOLDEN_RUNS = {
         [4, 0, 4, 4, 4, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 3, 4, 4, 4, 4, 4, 4, 4],
         2.7120000000000015,
     ),
+    # a forwarding relay inside the first re-encoding relay's segment, a
+    # schedule that changes a link in each relay's segment, and enough GOPs
+    # to span several blocks of any loop that groups them, with a ragged tail
+    "verified-mixed-schedule": (
+        ChainConfig(
+            link_pdrs=(0.8, 0.7, 0.8, 0.75),
+            relay_modes=("nc", "forward", "nc"),
+            gop_count=75,
+            seed=105,
+            update_period=3,
+            verify_payloads=True,
+            pdr_schedule=((17, 1, 0.5), (40, 3, 0.9)),
+        ),
+        3247,
+        4800,
+        [3, 3, 3, 4, 4, 4, 4, 0, 0, 3, 3, 3, 3, 3, 3, 0, 4, 0, 3, 0, 0, 3, 3, 3, 2]
+        + [2, 2, 3, 3, 3, 2, 2, 2, 3, 0, 3, 3, 3, 2, 3, 3, 0, 3, 3, 3, 2, 2, 2, 3, 3]
+        + [3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 0, 0, 0, 1, 3, 0, 3, 3, 0, 3, 2, 2, 2],
+        9077.286999999998,
+    ),
 }
 
 GOLDEN_SWEEP_CSV = (
