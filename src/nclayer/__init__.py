@@ -8,6 +8,7 @@ from .codec import (
     SCHEME_XOR,
     PacketBatch,
     decodable_layers,
+    decode_block,
     decode_gop,
     encode_gop,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "builtin_policy",
     "chain_e2e_pdr",
     "decodable_layers",
+    "decode_block",
     "decode_gop",
     "encode_gop",
     "enumerate_strategies",

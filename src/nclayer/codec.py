@@ -224,15 +224,59 @@ def decode_gop(
     """Recovers the deepest layer prefix the received packets pin down.
 
     Returns (recovered_layer_count, grid); grid cells past the recovered
-    prefix are zero. With no packets the result is an all-zero grid.
+    prefix are zero. With no packets the result is an all-zero grid. This is
+    the one-GOP case of decode_block.
     """
-    cells = np.zeros((layer_count, packets_per_layer, payload_size), dtype=np.uint8)
-    if not len(packets):
-        return 0, LayerGrid(0 if gop_id is None else gop_id, cells)
-    if gop_id is None:
-        gop_id = packets.gop_id
-    elif gop_id != packets.gop_id:
+    if gop_id is not None and len(packets) and gop_id != packets.gop_id:
         raise ValueError(f"packets carry gop_id {packets.gop_id}, expected {gop_id}")
+    ((recovered, grid),) = decode_block([packets], layer_count, packets_per_layer, payload_size)
+    if gop_id is not None and not len(packets):
+        grid = LayerGrid(gop_id, grid.cells)
+    return recovered, grid
+
+
+def decode_block(
+    batches: Sequence[PacketBatch],
+    layer_count: int,
+    packets_per_layer: int,
+    payload_size: int,
+) -> list[tuple[int, LayerGrid]]:
+    """Decodes a block of GOPs, one batch each, as decode_gop decodes each
+    batch alone: (recovered_layer_count, grid) per batch, in order.
+
+    Every batch is checked before anything is decoded, so a bad batch
+    raises wherever it sits in the block. The RLC systems of all non-empty
+    batches are reduced in one zero-padded gf_rref stack, which reduces each
+    system exactly as on its own. An empty batch gives depth 0 and an
+    all-zero grid with gop_id 0.
+    """
+    for packets in batches:
+        _check_batch(packets, layer_count, packets_per_layer, payload_size)
+    cells = np.zeros(
+        (len(batches), layer_count, packets_per_layer, payload_size), dtype=np.uint8
+    )
+    recovered = np.zeros(len(batches), dtype=np.intp)
+    rlc = []
+    for g, packets in enumerate(batches):
+        if not len(packets):
+            continue
+        if packets.scheme == SCHEME_RLC:
+            rlc.append(g)
+        else:
+            recovered[g] = _decode_columns(packets, packets_per_layer, cells[g])
+    if rlc:
+        recovered[rlc], cells[rlc] = _decode_rlc(
+            [batches[g] for g in rlc], layer_count, packets_per_layer, payload_size
+        )
+    return [
+        (int(depth), LayerGrid(packets.gop_id if len(packets) else 0, grid))
+        for depth, grid, packets in zip(recovered, cells, batches)
+    ]
+
+
+def _check_batch(packets, layer_count, packets_per_layer, payload_size) -> None:
+    if not len(packets):
+        return
     deepest = int(packets.depth.max())
     if deepest > layer_count:
         raise ValueError(f"packet class depth {deepest} exceeds layer_count {layer_count}")
@@ -240,11 +284,16 @@ def decode_gop(
         raise ValueError(
             f"payload must hold {payload_size} bytes, got {packets.payload.shape[1]}"
         )
-    if packets.scheme == SCHEME_RLC:
-        recovered = _decode_rlc(packets, layer_count, packets_per_layer, cells)
-    else:
-        recovered = _decode_columns(packets, packets_per_layer, cells)
-    return recovered, LayerGrid(gop_id, cells)
+    if packets.scheme != SCHEME_RLC:
+        check_columns(packets.column, packets_per_layer)
+        return
+    n_unknowns = layer_count * packets_per_layer
+    coeffs = packets.coeffs
+    if coeffs.shape[1] != n_unknowns:
+        raise ValueError(f"rlc packets need {n_unknowns} coefficients, got {coeffs.shape[1]}")
+    outside = np.arange(n_unknowns) >= packets.depth.astype(np.intp)[:, None] * packets_per_layer
+    if coeffs[outside].any():
+        raise ValueError("a packet carries coefficients for layers deeper than its class")
 
 
 def check_columns(column: np.ndarray, packets_per_layer: int) -> None:
@@ -264,7 +313,6 @@ def covered_depth(seen: np.ndarray) -> int:
 
 
 def _decode_columns(packets, packets_per_layer, cells) -> int:
-    check_columns(packets.column, packets_per_layer)
     # the first packet of each (depth, column) cell supplies that cell
     key = (packets.depth.astype(np.intp) - 1) * packets_per_layer + packets.column
     keys, first = np.unique(key, return_index=True)
@@ -281,21 +329,26 @@ def _decode_columns(packets, packets_per_layer, cells) -> int:
     return depth
 
 
-def _decode_rlc(packets, layer_count, packets_per_layer, cells) -> int:
+def _decode_rlc(batches, layer_count, packets_per_layer, payload_size):
+    """Recovered depth (G,) and cells (G, L, P, s) of G checked, non-empty
+    RLC batches, eliminated together in one zero-padded stack."""
     n_unknowns = layer_count * packets_per_layer
-    coeffs = packets.coeffs
-    if coeffs.shape[1] != n_unknowns:
-        raise ValueError(f"rlc packets need {n_unknowns} coefficients, got {coeffs.shape[1]}")
-    outside = np.arange(n_unknowns) >= packets.depth.astype(np.intp)[:, None] * packets_per_layer
-    if coeffs[outside].any():
-        raise ValueError("a packet carries coefficients for layers deeper than its class")
-    aug = np.hstack([coeffs, packets.payload])
+    n_rows = max(len(packets) for packets in batches)
+    aug = np.zeros((len(batches), n_rows, n_unknowns + payload_size), dtype=np.uint8)
+    for system, packets in zip(aug, batches):
+        system[: len(packets), :n_unknowns] = packets.coeffs
+        system[: len(packets), n_unknowns:] = packets.payload
     owner = gf_rref(aug, n_unknowns)
 
-    # an unknown is solved when its pivot row holds no other coefficient
-    nonzero = np.count_nonzero(aug[:, :n_unknowns], axis=1)
-    solved = (owner >= 0) & (nonzero[owner] == 1)
-    recovered = int(np.cumprod(solved.reshape(layer_count, packets_per_layer).all(axis=1)).sum())
-    solved_rows = owner[: recovered * packets_per_layer]
-    cells[:recovered] = aug[solved_rows, n_unknowns:].reshape(cells[:recovered].shape)
-    return recovered
+    # an unknown is solved when its pivot row holds no other coefficient;
+    # where there is no pivot (owner -1) the lookup is masked out
+    systems = np.arange(len(batches))[:, None]
+    nonzero = np.count_nonzero(aug[:, :, :n_unknowns], axis=2)
+    solved = (owner >= 0) & (nonzero[systems, owner] == 1)
+    layers_solved = solved.reshape(len(batches), layer_count, packets_per_layer).all(axis=2)
+    recovered = np.cumprod(layers_solved, axis=1).sum(axis=1)
+    solution = aug[systems, owner, n_unknowns:].reshape(
+        len(batches), layer_count, packets_per_layer, payload_size
+    )
+    solution[np.arange(layer_count) >= recovered[:, None]] = 0
+    return recovered, solution

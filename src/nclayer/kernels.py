@@ -10,6 +10,8 @@ import numpy as np
 from .gf256 import INV_TABLE, MUL_TABLE
 
 _MUL_FLAT = MUL_TABLE.reshape(-1)
+# each inverse shifted to the row index of its products in _MUL_FLAT
+_INV_ROW = INV_TABLE.astype(np.uint16) << 8
 
 
 def gf_matmul(coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -31,38 +33,79 @@ def gf_matmul(coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
 
 
 def gf_rref(aug: np.ndarray, n_unknowns: int) -> np.ndarray:
-    """Reduced row echelon form of ``aug`` in place, over GF(2^8).
+    """Reduced row echelon form, in place over GF(2^8), of every system in a
+    zero-padded (G, n, w) stack; a 2-D array is a stack of one.
 
     Pivots are searched only in the first ``n_unknowns`` columns; the rest of
-    each row rides along as augmented payload. Returns an int32 array mapping
-    every unknown column to the row holding its pivot, -1 where none exists.
+    each row rides along as augmented payload. Returns an int32 array of
+    shape (G, n_unknowns), or (n_unknowns,) for a 2-D ``aug``, mapping every
+    unknown column of a system to the row holding its pivot, -1 where none
+    exists.
 
-    The pivot is the first nonzero entry at or below the rank row. Every
+    Each system goes through the operations of an elimination on its own:
+    the pivot is the first nonzero entry at or below its rank row, and every
     column left of the pivot column is zero in the pivot row, so scaling and
     clearing touch only the window from the pivot column on, each as one
-    lookup in the flat product table at (c << 8) | d.
+    lookup in the flat product table at (c << 8) | d. A system with no pivot
+    in a column is cleared with zero factors, which leaves it as it was, and
+    its zero padding rows never hold a pivot, so they stay zero. While every
+    system has the same rank, its pivot rows are one plain slice of the
+    stack (a stack of one always is); once a column gives some systems a
+    pivot and others none, ranks differ and pivot rows are gathered per
+    system.
     """
-    n_rows = aug.shape[0]
-    owner = np.full(n_unknowns, -1, dtype=np.int32)
-    rank = 0
+    stack = aug if aug.ndim == 3 else aug[None]
+    n_sys, n_rows = stack.shape[:2]
+    owner = np.full((n_sys, n_unknowns), -1, dtype=np.int32)
+    systems = np.arange(n_sys)
+    rows_at = np.arange(n_rows)
+    rank = np.zeros(n_sys, dtype=np.intp)
+    same = 0  # the rank every system has, or -1 once they differ
     for col in range(n_unknowns):
-        if rank == n_rows:
+        if same == n_rows:
             break
-        if not aug[rank, col]:
-            below = aug[rank:, col].nonzero()[0]
-            if not below.size:
+        window = stack[:, :, col:]
+        if same >= 0 and np.count_nonzero(window[:, same, 0]) < n_sys:
+            # bring each system's pivot, the first nonzero entry at or below
+            # the rank row, up to that row
+            below = window[:, same:, 0] != 0
+            if not np.count_nonzero(below):
                 continue
-            pivot = rank + int(below[0])
-            aug[[pivot, rank]] = aug[[rank, pivot]]
-        window = aug[:, col:]
-        row = window[rank]
-        row[:] = _MUL_FLAT.take((int(INV_TABLE[row[0]]) << 8) | row.astype(np.uint16))
-        factors = window[:, 0].astype(np.uint16) << 8
-        factors[rank] = 0
-        window ^= _MUL_FLAT.take(factors[:, None] | row)
-        owner[col] = rank
-        rank += 1
-    return owner
+            found = np.logical_or.reduce(below, axis=1)
+            pivot = same + below.argmax(axis=1)
+            if np.count_nonzero(found) == n_sys:
+                low = stack[:, same].copy()
+                stack[:, same] = stack[systems, pivot]
+                stack[systems, pivot] = low
+            else:
+                rank[:] = same
+                same = -1
+        if same >= 0:
+            row = window[:, same]
+            row[:] = _MUL_FLAT.take(_INV_ROW.take(row[:, 0])[:, None] | row)
+            factors = window[:, :, 0].astype(np.uint16) << 8
+            factors[:, same] = 0
+            window ^= _MUL_FLAT.take(factors[:, :, None] | row[:, None, :])
+            owner[:, col] = same
+            same += 1
+            continue
+        below = (window[:, :, 0] != 0) & (rows_at >= rank[:, None])
+        if not np.count_nonzero(below):
+            continue
+        found = np.logical_or.reduce(below, axis=1)
+        at = systems[found]
+        top = rank[found]
+        pivot = below[found].argmax(axis=1)
+        stack[at, top], stack[at, pivot] = stack[at, pivot], stack[at, top]
+        row = window[at, top]
+        row = _MUL_FLAT.take(_INV_ROW.take(row[:, 0])[:, None] | row)
+        window[at, top] = row
+        factors = window[at, :, 0].astype(np.uint16) << 8
+        factors[np.arange(at.size), top] = 0
+        window[at] ^= _MUL_FLAT.take(factors[:, :, None] | row[:, None, :])
+        owner[at, col] = top
+        rank[at] += 1
+    return owner if aug.ndim == 3 else owner[0]
 
 
 def expected_layers_batch(strategies, pmf_rows, per_layer):

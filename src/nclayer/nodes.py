@@ -8,13 +8,15 @@ each GOP by what its scheme's decoder recovers: RLC by the count-based
 decode rule on per-class arrivals, XOR and repeat by which (depth, column)
 cells arrived. Packets travel as one PacketBatch per GOP. An RLC encoder
 with no decoder downstream sends coefficient-free packets, since the count
-rule reads only their classes.
+rule reads only their classes. A re-encoding relay and a verifying receiver
+can decode a block of GOPs in one call (``decode_arrivals``) and hand each
+GOP's decode to the per-GOP step; without one, a step decodes its GOP alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .codec import (
     check_columns,
     covered_depth,
     decodable_layers,
-    decode_gop,
+    decode_block,
     encode_gop,
 )
 from .heuristic import ThresholdPolicy, select_strategy
@@ -118,23 +120,37 @@ class RelayState:
             raise ValueError("a re-encoding relay needs a strategy table")
 
 
-def relay_step(state: RelayState, packets: PacketBatch) -> PacketBatch:
+def decode_arrivals(state, batches: Sequence[PacketBatch]) -> list[tuple[int, LayerGrid]]:
+    """What a re-encoding relay or a verifying receiver (``state``) recovers
+    from each GOP of a block, one batch per GOP: (depth, grid) per batch,
+    decoded in one ``decode_block`` call, so RLC systems share one stacked
+    elimination."""
+    return decode_block(batches, state.layer_count, state.packets_per_layer, state.payload_size)
+
+
+def relay_step(
+    state: RelayState,
+    packets: PacketBatch,
+    decoded: Optional[tuple[int, LayerGrid]] = None,
+) -> PacketBatch:
     """Forward mode passes packets through untouched. Re-encode mode decodes
     the deepest available prefix and spends the full budget on it, never
     emitting a class deeper than what it decoded; with nothing decoded it
-    emits an empty batch."""
+    emits an empty batch. ``decoded`` is this GOP's entry of
+    ``decode_arrivals`` when the caller decoded a block at once; without it
+    the relay decodes the GOP alone."""
     if state.mode == MODE_FORWARD:
         return packets
     if not len(packets):
         state.last_decoded = 0
         return packets
-    decoded, grid = decode_gop(
-        packets, state.layer_count, state.packets_per_layer, state.payload_size
-    )
-    state.last_decoded = decoded
-    if decoded == 0:
+    if decoded is None:
+        (decoded,) = decode_arrivals(state, [packets])
+    depth, grid = decoded
+    state.last_decoded = depth
+    if depth == 0:
         return packets[:0]
-    strategy = best_restricted(state.table, nearest_bin(state.pdr_estimate), decoded)
+    strategy = best_restricted(state.table, nearest_bin(state.pdr_estimate), depth)
     if strategy is None:
         return packets[:0]
     return encode_gop(
@@ -184,7 +200,9 @@ def receiver_ingest(state: ReceiverState, packets: PacketBatch) -> None:
 
 
 def receiver_finalize_gop(
-    state: ReceiverState, reference: Optional[LayerGrid] = None
+    state: ReceiverState,
+    reference: Optional[LayerGrid] = None,
+    decoded: Optional[tuple[int, LayerGrid]] = None,
 ) -> int:
     """Scores the finished GOP and resets state.
 
@@ -193,18 +211,18 @@ def receiver_finalize_gop(
     depth. In payload-verification mode the buffered packets are actually
     decoded: a decode shallower than the score bumps prediction_gaps, and
     recovered bytes differing from the reference bump payload_errors.
+    ``decoded`` is the ``decode_arrivals`` entry of the GOP's one ingested
+    batch when the caller decoded a block at once; without it the buffered
+    packets are decoded here.
     """
     if state.scheme == SCHEME_RLC:
         predicted = decodable_layers(state.counts.tolist(), state.packets_per_layer)
     else:
         predicted = covered_depth(state.seen)
     if state.verify_payloads and state.buffer:
-        actual, grid = decode_gop(
-            PacketBatch.concat(state.buffer),
-            state.layer_count,
-            state.packets_per_layer,
-            state.payload_size,
-        )
+        if decoded is None:
+            (decoded,) = decode_arrivals(state, [PacketBatch.concat(state.buffer)])
+        actual, grid = decoded
         if actual < predicted:
             state.prediction_gaps += 1
         if reference is not None and actual > 0:

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import SCHEME_RLC, SCHEME_XOR, decode_gop, encode_gop
+from .codec import SCHEME_RLC, SCHEME_XOR, decode_block, decode_gop, encode_gop
 from .gf256 import INV_TABLE, MUL_TABLE, _mul_slow
 from .media import make_synthetic_gop
 from .simulator import ChainConfig, run
@@ -120,6 +120,39 @@ def check_codec_roundtrip() -> CheckResult:
     return CheckResult("codec-roundtrip", True, "xor and rlc recover 3/3 layers")
 
 
+def check_stacked_decode() -> CheckResult:
+    """One decode_block call over a block of erased RLC GOPs, one of them
+    empty and one rank-deficient, against each GOP's one-GOP decode and
+    its source bytes."""
+    rng = np.random.default_rng(11)
+    grids = [make_synthetic_gop(g, 3, 4, 16, seed=11) for g in range(8)]
+    batches = []
+    for grid in grids:
+        packets = encode_gop(grid, (6, 5, 5), SCHEME_RLC, seed=int(rng.integers(2**31)))
+        batches.append(packets[rng.random(len(packets)) < 0.8])
+    batches[2] = batches[2][:0]
+    # five class-1 packets, all copies of two: rank 2 of the 4 base unknowns
+    base = batches[5][batches[5].depth == 1]
+    batches[5] = base[np.array([0, 1, 0, 1, 1])]
+    block = decode_block(batches, 3, 4, 16)
+    for g, (packets, grid, (depth, recovered)) in enumerate(zip(batches, grids, block)):
+        alone_depth, alone = decode_gop(packets, 3, 4, 16)
+        if depth != alone_depth or not np.array_equal(recovered.cells, alone.cells):
+            return CheckResult(
+                "stacked-decode", False, f"GOP {g}: block decode differs from its one-GOP decode"
+            )
+        if not np.array_equal(recovered.cells[:depth], grid.cells[:depth]):
+            return CheckResult("stacked-decode", False, f"GOP {g}: recovered bytes differ")
+    depths = [depth for depth, _ in block]
+    if depths[2] != 0 or depths[5] != 0:
+        return CheckResult(
+            "stacked-decode", False, f"empty or rank-deficient GOP decoded: depths {depths}"
+        )
+    return CheckResult(
+        "stacked-decode", True, f"{len(batches)} GOPs in one call, depths {depths}"
+    )
+
+
 def check_payload_free_twin() -> CheckResult:
     """A run without verify_payloads carries zero-width payloads, and
     zero-width coefficients past the last decoder (here the relay's
@@ -175,5 +208,6 @@ def run_selftest(inject_gf_fault: bool = False) -> list[CheckResult]:
         check_strategy_enumeration(),
         check_oracle_equivalence(),
         check_codec_roundtrip(),
+        check_stacked_decode(),
         check_payload_free_twin(),
     ]

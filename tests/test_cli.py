@@ -110,8 +110,9 @@ def test_sweep_rejects_bad_grid(capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "6/6 checks passed" in out
+    assert "7/7 checks passed" in out
     assert "PASS payload-free-twin" in out
+    assert "PASS stacked-decode" in out
     assert "PASS oracle-equivalence" in out
 
 

@@ -9,6 +9,7 @@ from nclayer.codec import (
     SCHEME_XOR,
     PacketBatch,
     decodable_layers,
+    decode_block,
     decode_gop,
     encode_gop,
 )
@@ -312,3 +313,61 @@ def test_xor_decode_uses_first_copy_of_each_cell():
     decoded, recovered = decode_gop(tampered, 2, 2, 8)
     assert decoded == 2
     assert np.array_equal(recovered.cells, grid.cells)
+
+
+def _block(scheme, seed):
+    """Erased batches of several GOPs: some full, some rank-deficient, one
+    empty, at payload width 8 with L=4, P=4."""
+    rng = np.random.default_rng(seed)
+    batches = []
+    for gop in range(9):
+        grid = make_synthetic_gop(gop, 4, 4, 8, seed=seed)
+        strategy = rng.integers(0, 10, 4)
+        packets = encode_gop(grid, strategy, scheme, seed=gop)
+        batches.append(packets[rng.random(len(packets)) < rng.uniform(0.2, 1.0)])
+    batches[3] = batches[3][:0]
+    return batches
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_RLC, SCHEME_XOR, SCHEME_REPEAT, "mixed"])
+def test_block_decode_equals_one_gop_decodes(scheme):
+    if scheme == "mixed":
+        batches = _block(SCHEME_RLC, 1)[::2] + _block(SCHEME_XOR, 1)[1::2]
+    else:
+        batches = _block(scheme, 1)
+    block = decode_block(batches, 4, 4, 8)
+    assert len(block) == len(batches)
+    depths = []
+    for packets, (depth, grid) in zip(batches, block):
+        want_depth, want = decode_gop(packets, 4, 4, 8)
+        assert depth == want_depth
+        assert grid.gop_id == want.gop_id
+        assert np.array_equal(grid.cells, want.cells)
+        depths.append(depth)
+    assert 0 in depths and len(set(depths)) > 1
+
+
+def test_block_decode_rejects_a_bad_batch_wherever_it_sits():
+    grid = make_synthetic_gop(0, 4, 4, 8)
+    good = _block(SCHEME_RLC, 2)
+    rlc = encode_gop(grid, (4, 4, 4, 4), SCHEME_RLC, seed=0)
+    bad_batches = {
+        "exceeds layer_count": encode_gop(
+            make_synthetic_gop(0, 5, 4, 8), (0, 0, 0, 0, 4), SCHEME_RLC, seed=0
+        ),
+        "payload": PacketBatch(
+            0, SCHEME_RLC, rlc.depth, rlc.payload[:, :4], coeffs=rlc.coeffs
+        ),
+        "16 coefficients": PacketBatch(
+            0, SCHEME_RLC, rlc.depth, rlc.payload, coeffs=rlc.coeffs[:, :0]
+        ),
+        "deeper than its class": PacketBatch(
+            0, SCHEME_RLC, rlc.depth, rlc.payload, coeffs=rlc.coeffs | 1
+        ),
+    }
+    for match, bad in bad_batches.items():
+        with pytest.raises(ValueError, match=match):
+            decode_gop(bad, 4, 4, 8)
+        for at in (0, len(good) // 2, len(good)):
+            with pytest.raises(ValueError, match=match):
+                decode_block(good[:at] + [bad] + good[at:], 4, 4, 8)

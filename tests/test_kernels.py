@@ -129,6 +129,48 @@ def test_rref_matches_reference_byte_for_byte():
         assert np.array_equal(got, want), name
 
 
+def _stacked_cases():
+    """Zero-padded stacks built from _rref_cases: the relay-shaped systems in
+    stacks of differing row counts, and every other case stacked with
+    systems of its width that have no rows, a prefix of its rows (rank
+    equal to the row count when they are independent), more rows than rank,
+    and a repeated coefficient row carrying another payload."""
+    rng = np.random.default_rng(10)
+    relay, other = [], []
+    for case in _rref_cases():
+        (relay if case[0].startswith("relay") else other).append(case)
+    for start in range(0, len(relay), 7):
+        chunk = relay[start : start + 7]
+        yield f"relay stack {start}", [aug for _, aug, _ in chunk], 32
+    for name, aug, n_unknowns in other:
+        n, width = aug.shape
+        mix = rng.integers(0, 256, (n + 2, n), dtype=np.uint8)
+        systems = [aug, aug[:0], aug[: max(1, n // 2)], gf_matmul(mix, aug)]
+        if n and width > n_unknowns:
+            repeat = aug[:1].copy()
+            repeat[0, n_unknowns:] ^= rng.integers(1, 256, width - n_unknowns, dtype=np.uint8)
+            systems.append(np.vstack([aug, repeat]))
+        order = rng.permutation(len(systems))
+        yield f"{name} stack", [systems[i] for i in order], n_unknowns
+
+
+def test_stacked_rref_reduces_each_system_as_alone():
+    for name, systems, n_unknowns in _stacked_cases():
+        rows = max(len(system) for system in systems)
+        stack = np.zeros((len(systems), rows, systems[0].shape[1]), dtype=np.uint8)
+        for padded, system in zip(stack, systems):
+            padded[: len(system)] = system
+        owner = gf_rref(stack, n_unknowns)
+        assert owner.dtype == np.int32, name
+        assert owner.shape == (len(systems), n_unknowns), name
+        for g, system in enumerate(systems):
+            want = system.copy()
+            want_owner = rref_reference(want, n_unknowns)
+            assert np.array_equal(owner[g], want_owner), (name, g)
+            assert np.array_equal(stack[g, : len(system)], want), (name, g)
+            assert not stack[g, len(system) :].any(), (name, g)
+
+
 def test_rref_of_coefficients_alone_matches_full_rows():
     # pivots and row operations are chosen from the coefficient columns only,
     # so eliminating a relay's coefficients without their payload gives the

@@ -1,8 +1,7 @@
 import csv
 import io
-import itertools
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -305,17 +304,26 @@ def test_coefficients_reach_every_decoder_and_no_further(
             widths.setdefault(position, set()).add(batch.coeffs.shape[1])
         return batch
 
-    # run() steps relay 0, then relay 1, once each per GOP
-    positions = itertools.cycle(range(len(relay_modes)))
+    # run() builds relay i as the i-th RelayState; each relay_step call is
+    # matched to its position through the state it steps, whatever order
+    # the loop steps the relays in
+    positions: dict[int, int] = {}
+    relay_state = simulator.RelayState
+
+    def numbered_relay_state(*args, **kwargs):
+        state = relay_state(*args, **kwargs)
+        positions[id(state)] = len(positions)
+        return state
+
+    monkeypatch.setattr(simulator, "RelayState", numbered_relay_state)
     sender_epoch, relay_step = simulator.sender_epoch, simulator.relay_step
     monkeypatch.setattr(
         simulator, "sender_epoch", lambda *args: record(-1, sender_epoch(*args))
     )
 
-    def recording_relay_step(state, packets):
-        position = next(positions)
-        out = relay_step(state, packets)
-        return record(position, out) if state.mode == "nc" else out
+    def recording_relay_step(state, packets, *decoded):
+        out = relay_step(state, packets, *decoded)
+        return record(positions[id(state)], out) if state.mode == "nc" else out
 
     monkeypatch.setattr(simulator, "relay_step", recording_relay_step)
     metrics = run(config, table=default_table)
@@ -377,3 +385,43 @@ def test_unverified_run_matches_verified_twin(name, default_table):
     for attr in ("npr", "sent_total", "per_gop_decoded", "total_delay"):
         assert getattr(bare, attr) == getattr(verified, attr), attr
     assert verified.payload_errors == 0
+
+
+BLOCK_CONFIGS = {
+    "rlc-recode": ChainConfig(
+        link_pdrs=(0.7, 0.7, 0.7), relay_modes=("nc", "nc"), gop_count=40, seed=31,
+        update_period=2,
+    ),
+    "xor-recode": ChainConfig(
+        link_pdrs=(0.9, 0.9, 0.9), relay_modes=("forward", "nc"), scheme="xor",
+        gop_count=40, seed=32,
+    ),
+    "rlc-verified": ChainConfig(
+        link_pdrs=(0.8, 0.7, 0.8), relay_modes=("nc", "forward"), gop_count=40, seed=33,
+        verify_payloads=True,
+    ),
+    "heuristic-schedule": ChainConfig(
+        link_pdrs=(0.9, 0.8, 0.7),
+        relay_modes=("forward", "nc"),
+        selection="heuristic",
+        gop_count=40,
+        seed=34,
+        update_period=3,
+        pdr_schedule=((5, 0, 0.5), (23, 2, 0.95), (23, 1, 0.6)),
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
+def test_block_size_leaves_every_metric_unchanged(name, block, default_table, monkeypatch):
+    # run() carries GOPs through the chain in blocks, segment by segment;
+    # every random stream is drawn in the same order whatever the block, so
+    # a block of one GOP (the GOP-by-GOP loop) and a ragged block of 7 must
+    # give the default block's metrics field for field
+    config = BLOCK_CONFIGS[name]
+    default = run(config, table=default_table)
+    monkeypatch.setattr(simulator, "GOP_BLOCK", block)
+    blocked = run(config, table=default_table)
+    assert asdict(blocked) == asdict(default)
+    assert len(default.per_gop_delay) == config.gop_count
