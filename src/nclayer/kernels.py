@@ -60,7 +60,7 @@ def gf_rref(aug: np.ndarray, n_unknowns: int) -> np.ndarray:
     systems = np.arange(n_sys)
     rows_at = np.arange(n_rows)
     rank = np.zeros(n_sys, dtype=np.intp)
-    same = 0  # the rank every system has, or -1 once they differ
+    same = 0  # the rank every system has; -1 once they differ, then rank holds each
     for col in range(n_unknowns):
         if same == n_rows:
             break

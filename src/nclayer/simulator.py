@@ -323,24 +323,20 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                 for link_index, new_pdr in schedule.get(gop_index, ()):
                     if link_index in segment:
                         links[link_index].delivery_prob = new_pdr
-                probe = not repeat and gop_index % config.update_period == 0
-                if encoder is None:
-                    if probe:
-                        estimate = chain_e2e_pdr(
-                            [links[i] for i in segment], config.probe_count
-                        )
+                if not repeat and gop_index % config.update_period == 0:
+                    estimate = chain_e2e_pdr([links[i] for i in segment], config.probe_count)
+                    if encoder is None:
                         feedback = FeedbackReport(
                             "sender",
                             delivered=round(estimate * config.probe_count),
                             probes=config.probe_count,
                         )
+                    else:
+                        encoder.pdr_estimate = estimate
+                if encoder is None:
                     current = sender_epoch(sender, grids[k], feedback)
                     sent_total += len(current)
                 else:
-                    if probe:
-                        encoder.pdr_estimate = chain_e2e_pdr(
-                            [links[i] for i in segment], config.probe_count
-                        )
                     current = relay_step(encoder, batches[k], decodes[k])
                 for hop in segment:
                     delays[k] += len(current) * links[hop].transmit_delay
