@@ -6,6 +6,9 @@ the scoring untouched, so these stay bit-identical; a change that means to
 alter a stream has to update them and say so.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from nclayer.simulator import CSV_HEADER, ChainConfig, format_row, run, sweep
@@ -85,6 +88,15 @@ GOLDEN_RUNS = {
     ),
 }
 
+# sha256 of the standard B=64, L=4, P=8, g=4 table: every value in every bin
+# as float64 bytes, the per-bin argmax and the (bin, depth) restricted argmax
+# as int64 bytes; a kernel change that moves any value by one bit fails here
+GOLDEN_TABLE_SHA256 = {
+    "values": "c7c5f8df3dac272dce672ab6d40041b355785309722e0b1a3391733d4588a066",
+    "best_index": "8dd11c097cf94d304c7a3a88a4f6441a351f0c4be06b0f762feda6d9c25f9ee2",
+    "restricted_index": "30d7572190cb576eb7319948b6c1e7ca27483bd38972fa19c0ab01446c733071",
+}
+
 GOLDEN_SWEEP_CSV = (
     CSV_HEADER + "\n"
     "NoNC3,3,0.6000,0.208333,160,0.000000,1.620000,16823399\n"
@@ -104,6 +116,19 @@ def test_seeded_run_outputs_are_pinned(name, default_table):
     assert metrics.sent_total == sent_total
     assert metrics.per_gop_decoded == per_gop_decoded
     assert metrics.total_delay == total_delay
+
+
+def test_standard_table_is_pinned(default_table):
+    arrays = {
+        "values": default_table.values.astype("<f8"),
+        "best_index": default_table.best_index.astype("<i8"),
+        "restricted_index": default_table.restricted_index.astype("<i8"),
+    }
+    digests = {
+        name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+        for name, a in arrays.items()
+    }
+    assert digests == GOLDEN_TABLE_SHA256
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
