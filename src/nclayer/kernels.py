@@ -116,9 +116,15 @@ def expected_layers_batch(strategies, pmf_rows, per_layer):
     so the decoded depth is the walk's last zero. A forward occupancy pass and
     a backward zero-avoidance pass give the depth distribution exactly.
 
-    All strategies advance together: each pass holds one (n_strategies,
-    L*P+1) array, and outcome r updates the rows whose class count reaches r,
-    each weighted from its strategy's own binomial row. Every element sees
+    The forward occupancy after class i depends only on a strategy's first i
+    counts, and the backward vector from class i on only on its later counts,
+    so each pass advances one (rows, L*P+1) array holding one row per
+    distinct count prefix (or suffix), each step starting from its parent
+    prefix's row. Distinct prefixes come from one integer key per strategy,
+    extended a column at a time, so no row order is assumed. The value reads
+    only state zero of each pass's last step, so that step computes state
+    zero alone. Within a step, outcome r updates the rows whose class count
+    reaches r, each weighted from its own binomial row. Every element sees
     the floating-point operations of a strategy-at-a-time walk that skips
     zero weights, in the same order: multiply, then accumulate in ascending
     r, where a zero weight the walk skips adds an exact zero here. So the
@@ -127,18 +133,36 @@ def expected_layers_batch(strategies, pmf_rows, per_layer):
     strategies = np.asarray(strategies, dtype=np.int64)
     n_strategies, n_layers = strategies.shape
     n_states = n_layers * per_layer + 1
+    radix = int(strategies.max()) + 1
     zero_occupancy = np.zeros((n_strategies, n_layers + 1))
-    f = np.zeros((n_strategies, n_states))
-    f[:, 0] = 1.0
+    f = np.zeros((1, n_states))
+    f[0, 0] = 1.0
+    node = np.zeros(n_strategies, dtype=np.int64)
     for i in range(1, n_layers + 1):
-        f = _forward_step(f, strategies[:, i - 1], pmf_rows, per_layer)
-        zero_occupancy[:, i] = f[:, 0]
+        parent, counts, node = _extend(node, strategies[:, i - 1], radix)
+        width = n_states if i < n_layers else 1
+        f = _forward_step(f[parent], counts, pmf_rows, per_layer, width)
+        zero_occupancy[:, i] = f[node, 0]
     value = n_layers * zero_occupancy[:, n_layers]
-    bq = np.ones((n_strategies, n_states))
+    bq = np.ones((1, n_states))
+    node = np.zeros(n_strategies, dtype=np.int64)
     for i in range(n_layers - 1, 0, -1):
-        bq = _backward_step(bq, strategies[:, i], pmf_rows, per_layer)
-        value += i * zero_occupancy[:, i] * bq[:, 0]
+        parent, counts, node = _extend(node, strategies[:, i], radix)
+        width = n_states if i > 1 else 1
+        bq = _backward_step(bq[parent], counts, pmf_rows, per_layer, width)
+        value += i * zero_occupancy[:, i] * bq[node, 0]
     return value
+
+
+def _extend(node, counts, radix):
+    """Distinct (row, count) pairs of a pass's next step.
+
+    ``node`` holds each strategy's row in the current step; the key
+    ``node * radix + count`` names its row in the next one. Returns each new
+    row's parent row and class count, and each strategy's new row.
+    """
+    keys, node = np.unique(node * radix + counts, return_inverse=True)
+    return keys // radix, keys % radix, node
 
 
 def _by_count(counts):
@@ -155,48 +179,50 @@ def _by_count(counts):
     return order, ordered, reach
 
 
-def _forward_step(f, counts, pmf_rows, per_layer):
+def _forward_step(f, counts, pmf_rows, per_layer, width):
+    # outcome r moves state j to j + shift, shift = per_layer - r, and every
+    # state that would fall below zero spills into state zero; only the
+    # first ``width`` states of the result are computed
     n_states = f.shape[1]
     order, counts, reach = _by_count(counts)
     f = f[order]
-    new = np.zeros_like(f)
+    new = np.zeros((f.shape[0], width))
     spill = np.zeros(f.shape[0])
     for r, k in enumerate(reach):
-        w = pmf_rows[counts[:k], r]
         shift = per_layer - r
-        if shift > 0:
-            new[:k, shift:] += w[:, None] * f[:k, : n_states - shift]
-        elif shift == 0:
-            new[:k] += w[:, None] * f[:k]
-        else:
-            drop = -shift
-            spill[:k] += w * f[:k, : drop + 1].sum(axis=1)
-            if drop + 1 < n_states:
-                new[:k, 1 : n_states - drop] += w[:, None] * f[:k, drop + 1 :]
+        if shift >= width:
+            continue
+        w = pmf_rows[counts[:k], r]
+        if shift >= 0:
+            new[:k, shift:] += w[:, None] * f[:k, : width - shift]
+            continue
+        spill[:k] += w * f[:k, : 1 - shift].sum(axis=1)
+        hi = min(width, n_states + shift)
+        if hi > 1:
+            new[:k, 1:hi] += w[:, None] * f[:k, 1 - shift : hi - shift]
     new[:, 0] += spill
     out = np.empty_like(new)
     out[order] = new
     return out
 
 
-def _backward_step(bq, counts, pmf_rows, per_layer):
-    # States above the reachable deficit bound never feed position zero, so
-    # transitions past the top of the array can be dropped without error;
-    # from r = per_layer + n_states - 1 on, every transition lands there.
+def _backward_step(bq, counts, pmf_rows, per_layer, width):
+    # state j reads state j + shift after outcome r, and state zero is never
+    # read from, as the walk has already decoded there; states above the
+    # reachable deficit bound never feed state zero, so transitions past the
+    # top of the array are dropped without error. Only the first ``width``
+    # states of the result are computed, so outcomes from
+    # r = per_layer + width - 1 on reach none of them.
     n_states = bq.shape[1]
     order, counts, reach = _by_count(counts)
     bq = bq[order]
-    new = np.zeros_like(bq)
-    for r, k in enumerate(reach[: per_layer + n_states - 1]):
-        w = pmf_rows[counts[:k], r][:, None]
+    new = np.zeros((bq.shape[0], width))
+    for r, k in enumerate(reach[: per_layer + width - 1]):
         shift = per_layer - r
-        if shift > 0:
-            new[:k, : n_states - shift] += w * bq[:k, shift:]
-        elif shift == 0:
-            new[:k, 1:] += w * bq[:k, 1:]
-        else:
-            drop = -shift
-            new[:k, drop + 1 :] += w * bq[:k, 1 : n_states - drop]
+        lo = max(0, 1 - shift)
+        hi = min(width, n_states - max(shift, 0))
+        w = pmf_rows[counts[:k], r][:, None]
+        new[:k, lo:hi] += w * bq[:k, lo + shift : hi + shift]
     out = np.empty_like(new)
     out[order] = new
     return out

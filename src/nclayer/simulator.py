@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -527,6 +526,10 @@ def sweep(
 
     if jobs == 1:
         return [_execute(t) for t in tasks]
+    # imported here: the thread pool module costs every interpreter that
+    # imports nclayer 10-20 ms of CPU, and only a pooled sweep uses it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_execute, tasks))
 

@@ -1,5 +1,6 @@
 import numpy as np
 
+from nclayer import kernels
 from nclayer.codec import encode_gop
 from nclayer.gf256 import MUL_TABLE, gf256_mul
 from nclayer.kernels import expected_layers_batch, gf_matmul, gf_rref
@@ -235,6 +236,68 @@ def test_expected_layers_numpy_matches_reference_on_random_shapes():
         ref = expected_layers_reference(strategies, rows, per_layer)
         got = expected_layers_batch(strategies, rows, per_layer)
         assert np.array_equal(got, ref), (trial, strategies.tolist(), p, per_layer)
+
+
+def _shared_prefix_sets():
+    """Strategy sets whose rows share many count prefixes and suffixes, in
+    shuffled order with repeated rows, with counts above the L*P+1 deficit
+    states, each with its per-layer count."""
+    rng = np.random.default_rng(11)
+    for budget, layers, gran, per_layer in ((24, 3, 2, 2), (20, 5, 4, 1)):
+        rows = np.asarray(enumerate_strategies(budget, layers, gran), dtype=np.int64)
+        rows = np.vstack([rows, rows[rng.integers(len(rows), size=len(rows) // 3)]])
+        yield f"B={budget} L={layers} g={gran}", rows[rng.permutation(len(rows))], per_layer
+    single = np.arange(31, dtype=np.int64)[:, None]
+    yield "L=1", np.vstack([single, single[::3]])[rng.permutation(42)], 4
+
+
+def test_expected_layers_shared_prefixes_match_reference_in_any_order():
+    # the kernel runs each pass once per distinct count prefix or suffix, so
+    # sets that share most of them, in any row order and with duplicates,
+    # must still match the per-strategy walk bit for bit, and permuting the
+    # rows must permute the values exactly
+    rng = np.random.default_rng(12)
+    for name, strategies, per_layer in _shared_prefix_sets():
+        for p in (0.0, 1.0, 0.37):
+            rows = _pmf_rows(int(strategies.max()), p)
+            got = expected_layers_batch(strategies, rows, per_layer)
+            ref = expected_layers_reference(strategies, rows, per_layer)
+            assert np.array_equal(got, ref), (name, p)
+            perm = rng.permutation(len(strategies))
+            assert np.array_equal(expected_layers_batch(strategies[perm], rows, per_layer), got[perm]), (
+                name,
+                p,
+            )
+
+
+def test_expected_layers_runs_once_per_shared_prefix_and_suffix(monkeypatch):
+    # one standard bin: the forward pass steps over the 17 distinct first
+    # counts, the 153 distinct first two and the 969 first three, and the
+    # backward pass over the 17 and 153 distinct last counts; each pass's
+    # last step returns state zero alone
+    steps = []
+
+    def recording(name, step):
+        def wrapped(f, counts, pmf_rows, per_layer, width):
+            out = step(f, counts, pmf_rows, per_layer, width)
+            steps.append((name, f.shape[0], out.shape[1]))
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(kernels, "_forward_step", recording("forward", kernels._forward_step))
+    monkeypatch.setattr(kernels, "_backward_step", recording("backward", kernels._backward_step))
+    strategies = np.asarray(enumerate_strategies(64, 4, 4), dtype=np.int64)
+    expected_layers_batch(strategies, _pmf_rows(64, 0.7), 8)
+    assert steps == [
+        ("forward", 17, 33),
+        ("forward", 153, 33),
+        ("forward", 969, 33),
+        ("forward", 969, 1),
+        ("backward", 17, 33),
+        ("backward", 153, 33),
+        ("backward", 969, 1),
+    ]
 
 
 def test_pmf_rows_match_cell_by_cell_reference():

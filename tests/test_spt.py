@@ -6,6 +6,7 @@ import pytest
 from nclayer.spt import (
     PDR_BINS,
     _argmax_lex_largest,
+    _pmf_rows,
     best_restricted,
     build_table,
     enumerate_strategies,
@@ -80,6 +81,21 @@ def test_expected_layers_monotone_in_p():
 def test_degenerate_probabilities():
     assert expected_decoded_layers((40, 8, 8, 8), 1.0, 8) == 4.0
     assert expected_decoded_layers((40, 8, 8, 8), 0.0, 8) == 0.0
+
+
+def test_pmf_cache_stays_bounded_and_keeps_a_table_of_bins():
+    # one exact value per distinct delivery probability must not keep every
+    # pmf array for the life of the process, yet a table build must still
+    # find all of its bins cached from the build before
+    bound = _pmf_rows.cache_info().maxsize
+    assert len(PDR_BINS) <= bound < 1000
+    for p in np.linspace(0.001, 0.999, 1000):
+        expected_decoded_layers((3, 2), float(p), 1)
+    assert _pmf_rows.cache_info().currsize == bound
+    build_table(budget=8, layer_count=2, packets_per_layer=2, granularity=4)
+    hits = _pmf_rows.cache_info().hits
+    build_table(budget=8, layer_count=2, packets_per_layer=2, granularity=4)
+    assert _pmf_rows.cache_info().hits == hits + len(PDR_BINS)
 
 
 def test_bins_cover_nominal_grid():
