@@ -159,36 +159,37 @@ def _extend(node, counts, radix):
 
     ``node`` holds each strategy's row in the current step; the key
     ``node * radix + count`` names its row in the next one. Returns each new
-    row's parent row and class count, and each strategy's new row.
+    row's parent row and class count, and each strategy's new row, with the
+    new rows in descending order of count.
     """
     keys, node = np.unique(node * radix + counts, return_inverse=True)
-    return keys // radix, keys % radix, node
+    order = np.argsort(-(keys % radix), kind="stable")
+    row_of = np.empty_like(order)
+    row_of[order] = np.arange(order.size)
+    keys = keys[order]
+    return keys // radix, keys % radix, row_of[node]
 
 
-def _by_count(counts):
-    """Row order by descending class count, and for each r the number of
-    leading rows in that order whose count reaches r.
+def _reach(counts):
+    """For each r, the number of leading rows whose count, in descending
+    order, reaches r.
 
-    Strategies that cannot receive r packets of the class form the tail, so
-    each outcome r updates a prefix slice only; the rows it skips are the
-    ones whose weight for r is zero, which add nothing in a per-strategy walk.
+    Rows that cannot receive r packets of the class form the tail, so each
+    outcome r updates a prefix slice only; the rows it skips are the ones
+    whose weight for r is zero, which add nothing in a per-strategy walk.
     """
-    order = np.argsort(-counts, kind="stable")
-    ordered = counts[order]
-    reach = np.searchsorted(-ordered, -np.arange(ordered[0] + 1), side="right")
-    return order, ordered, reach
+    return np.searchsorted(-counts, -np.arange(counts[0] + 1), side="right")
 
 
 def _forward_step(f, counts, pmf_rows, per_layer, width):
-    # outcome r moves state j to j + shift, shift = per_layer - r, and every
-    # state that would fall below zero spills into state zero; only the
-    # first ``width`` states of the result are computed
+    # rows come in descending order of count. Outcome r moves state j to
+    # j + shift, shift = per_layer - r, and every state that would fall below
+    # zero spills into state zero; only the first ``width`` states of the
+    # result are computed
     n_states = f.shape[1]
-    order, counts, reach = _by_count(counts)
-    f = f[order]
     new = np.zeros((f.shape[0], width))
     spill = np.zeros(f.shape[0])
-    for r, k in enumerate(reach):
+    for r, k in enumerate(_reach(counts)):
         shift = per_layer - r
         if shift >= width:
             continue
@@ -201,28 +202,23 @@ def _forward_step(f, counts, pmf_rows, per_layer, width):
         if hi > 1:
             new[:k, 1:hi] += w[:, None] * f[:k, 1 - shift : hi - shift]
     new[:, 0] += spill
-    out = np.empty_like(new)
-    out[order] = new
-    return out
+    return new
 
 
 def _backward_step(bq, counts, pmf_rows, per_layer, width):
-    # state j reads state j + shift after outcome r, and state zero is never
-    # read from, as the walk has already decoded there; states above the
-    # reachable deficit bound never feed state zero, so transitions past the
-    # top of the array are dropped without error. Only the first ``width``
-    # states of the result are computed, so outcomes from
-    # r = per_layer + width - 1 on reach none of them.
+    # rows come in descending order of count. After outcome r, state j reads
+    # state j + shift, shift = per_layer - r; a walk that lands on zero does
+    # not avoid it, so state zero is never read. States above the reachable
+    # deficit bound never feed state zero, so transitions past the top of the
+    # array are dropped without error. Only the first ``width`` states of
+    # the result are computed, so outcomes from r = per_layer + width - 1 on
+    # reach none of them.
     n_states = bq.shape[1]
-    order, counts, reach = _by_count(counts)
-    bq = bq[order]
     new = np.zeros((bq.shape[0], width))
-    for r, k in enumerate(reach[: per_layer + width - 1]):
+    for r, k in enumerate(_reach(counts)[: per_layer + width - 1]):
         shift = per_layer - r
         lo = max(0, 1 - shift)
         hi = min(width, n_states - max(shift, 0))
         w = pmf_rows[counts[:k], r][:, None]
         new[:k, lo:hi] += w * bq[:k, lo + shift : hi + shift]
-    out = np.empty_like(new)
-    out[order] = new
-    return out
+    return new

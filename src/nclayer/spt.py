@@ -70,12 +70,10 @@ def _comb_rows(max_count: int) -> np.ndarray:
     return rows
 
 
-# every bin of one table plus a few other probabilities; a bound, since each
-# distinct p passed to expected_decoded_layers would otherwise stay cached
-_PMF_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=_PMF_CACHE_SIZE)
+# room for every bin of a table plus a few other probabilities; bounded, as
+# each distinct p passed to expected_decoded_layers would otherwise stay
+# cached for the life of the process
+@lru_cache(maxsize=32)
 def _pmf_rows(max_count: int, p: float) -> np.ndarray:
     """Row n holds the Binomial(n, p) pmf, zero-padded to a square array.
 
