@@ -264,10 +264,8 @@ def test_expected_layers_shared_prefixes_match_reference_in_any_order():
             ref = expected_layers_reference(strategies, rows, per_layer)
             assert np.array_equal(got, ref), (name, p)
             perm = rng.permutation(len(strategies))
-            assert np.array_equal(expected_layers_batch(strategies[perm], rows, per_layer), got[perm]), (
-                name,
-                p,
-            )
+            permuted = expected_layers_batch(strategies[perm], rows, per_layer)
+            assert np.array_equal(permuted, got[perm]), (name, p)
 
 
 def test_expected_layers_runs_once_per_shared_prefix_and_suffix(monkeypatch):
