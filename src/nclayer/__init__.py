@@ -1,15 +1,17 @@
 """Layered-video delivery over lossy multi-hop chains, with nested
 inter-layer coding, precomputed strategy tables, and a chain simulator."""
 
-from .channel import LinkModel, chain_e2e_pdr
+from .channel import LinkModel, send_block
 from .codec import (
     SCHEME_REPEAT,
     SCHEME_RLC,
     SCHEME_XOR,
     PacketBatch,
+    PacketBlock,
     decodable_layers,
     decode_block,
     decode_gop,
+    encode_block,
     encode_gop,
 )
 from .config import ConfigError, apply_overrides, load_config, parse_config_text
@@ -17,14 +19,12 @@ from .gf256 import gf256_inv, gf256_mul
 from .heuristic import ThresholdPolicy, builtin_policy, select_strategy
 from .media import LayerGrid, make_synthetic_gop
 from .nodes import (
-    FeedbackReport,
     ReceiverState,
     RelayState,
     SenderState,
-    receiver_finalize_gop,
-    receiver_ingest,
-    relay_step,
-    sender_epoch,
+    receiver_block,
+    relay_block,
+    sender_block,
 )
 from .simulator import (
     ChainConfig,
@@ -50,11 +50,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainConfig",
     "ConfigError",
-    "FeedbackReport",
     "LayerGrid",
     "LinkModel",
     "PDR_BINS",
     "PacketBatch",
+    "PacketBlock",
     "ReceiverState",
     "RelayState",
     "RunMetrics",
@@ -67,10 +67,10 @@ __all__ = [
     "apply_overrides",
     "build_table",
     "builtin_policy",
-    "chain_e2e_pdr",
     "decodable_layers",
     "decode_block",
     "decode_gop",
+    "encode_block",
     "encode_gop",
     "enumerate_strategies",
     "expected_decoded_layers",
@@ -81,15 +81,15 @@ __all__ = [
     "make_synthetic_gop",
     "nearest_bin",
     "parse_config_text",
-    "receiver_finalize_gop",
-    "receiver_ingest",
-    "relay_step",
+    "receiver_block",
+    "relay_block",
     "resolve_mode",
     "run",
     "save_table",
     "select_best",
     "select_strategy",
-    "sender_epoch",
+    "send_block",
+    "sender_block",
     "sweep",
     "__version__",
 ]

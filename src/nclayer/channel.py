@@ -20,33 +20,46 @@ class LinkModel:
         self.draws = 0
         self._rng = np.random.default_rng(seed)
 
-    def _delivered(self, n: int) -> np.ndarray:
-        """Survival mask of n packets sent in order; one uniform per packet."""
-        self.draws += n
-        return self._rng.random(n) < self.delivery_prob
 
-    def transmit(self, batch):
-        """Delivered rows, in order, of a packet batch or any array indexable
-        by a boolean mask; consumes exactly one draw per packet."""
-        if not len(batch):
-            return batch
-        return batch[self._delivered(len(batch))]
+def send_block(
+    links: Sequence[LinkModel],
+    probes,
+    packets,
+    pdrs: np.ndarray,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Carries a block of GOPs across the links in order.
 
+    GOP k sends probes[k] probes and then packets[k] packets. Each link draws
+    one uniform for every probe and packet that reached it, GOP by GOP and
+    probes before packets, in one call for the block: the same per-link
+    stream as sending each GOP's probes and then its packets across the
+    chain one at a time. pdrs[j, k] is link j's delivery probability during
+    GOP k.
 
-def chain_e2e_pdr(links: Sequence[LinkModel], n_probes: int = 100) -> float:
-    """Survivor fraction of n_probes probes sent across the links, which
-    estimates the product of the per-link delivery probabilities.
-
-    Each link draws once for every probe that reached it, in probe order, the
-    same per-link stream as walking the probes across the chain one by one.
+    Returns the probes of each GOP that crossed every link, and per link the
+    survival mask of the packets that reached it, in GOP order.
     """
     if not links:
-        raise ValueError("need at least one link to probe")
-    if n_probes < 1:
-        raise ValueError(f"n_probes must be positive, got {n_probes}")
-    alive = n_probes
-    for link in links:
-        if alive == 0:
-            break
-        alive = int(np.count_nonzero(link._delivered(alive)))
-    return alive / n_probes
+        raise ValueError("need at least one link to send across")
+    probes = np.asarray(probes, dtype=np.int64)
+    packets = np.asarray(packets, dtype=np.int64)
+    if (probes < 0).any() or (packets < 0).any():
+        raise ValueError("probe and packet counts must be non-negative")
+    # draws alternate a GOP's probes and its packets, GOP by GOP
+    is_packet = np.tile(np.array([False, True]), probes.size)
+    masks = []
+    for link, link_pdrs in zip(links, pdrs):
+        counts = np.stack([probes, packets], axis=1).ravel()
+        ends = np.cumsum(counts)
+        draws = int(ends[-1])
+        link.draws += draws
+        alive = link._rng.random(draws) < np.repeat(np.repeat(link_pdrs, 2), counts)
+        masks.append(alive[np.repeat(is_packet, counts)])
+        # survivors per run of draws; the trailing zero lets a run that
+        # starts at the end sum to zero, and empty runs are zeroed
+        summed = np.zeros(draws + 1, dtype=np.int64)
+        summed[:draws] = alive
+        survivors = np.add.reduceat(summed, ends - counts)
+        survivors[counts == 0] = 0
+        probes, packets = survivors[0::2], survivors[1::2]
+    return probes, masks

@@ -12,6 +12,10 @@ seeded random GF(2^8) coefficients over all cells of the first i layers and
 decodes by Gaussian elimination. "repeat" is the uncoded baseline: a class i
 packet is one raw cell of layer i, sent as often as the allocation allows.
 
+A PacketBlock holds the packets of a block of GOPs as one set of rows, and
+encode_block encodes a block at once; encode_gop is its one-GOP case, as
+decode_gop is of decode_block.
+
 RLC coefficients are zero-padded to layer_count * packets_per_layer columns,
 or carried as zero columns when no decoder reads them: a receiver that
 scores by class counts needs only each packet's class, so an encoder with
@@ -87,34 +91,119 @@ class PacketBatch:
     def __getitem__(self, index) -> "PacketBatch":
         if isinstance(index, (int, np.integer)):
             raise TypeError("select packets with a mask, a slice or an index array")
-        out = object.__new__(PacketBatch)
-        out.__dict__.update(
-            gop_id=self.gop_id,
-            scheme=self.scheme,
-            depth=self.depth[index],
-            payload=self.payload[index],
-            coeffs=None if self.coeffs is None else self.coeffs[index],
-            column=None if self.column is None else self.column[index],
-        )
-        return out
+        return _rows(PacketBatch, self, index, gop_id=self.gop_id)
 
     @staticmethod
     def concat(batches: Sequence["PacketBatch"]) -> "PacketBatch":
         """The rows of several batches of one GOP and scheme, in order."""
         gids = {b.gop_id for b in batches}
-        schemes = {b.scheme for b in batches}
         if len(gids) > 1:
             raise ValueError(f"packets span several GOPs: {sorted(gids)}")
-        if len(schemes) > 1:
-            raise ValueError(f"packets mix schemes: {sorted(schemes)}")
+        return PacketBatch(batches[0].gop_id, **_stacked(batches))
 
-        def stack(name):
-            parts = [getattr(b, name) for b in batches]
-            return None if parts[0] is None else np.concatenate(parts)
 
-        return PacketBatch(
-            batches[0].gop_id, batches[0].scheme, stack("depth"), stack("payload"),
-            stack("coeffs"), stack("column"),
+def _stacked(batches: Sequence[PacketBatch]) -> dict:
+    """The scheme and row arrays of batches of one scheme, rows in order."""
+    schemes = {b.scheme for b in batches}
+    if len(schemes) > 1:
+        raise ValueError(f"packets mix schemes: {sorted(schemes)}")
+
+    def stack(name):
+        parts = [getattr(b, name) for b in batches]
+        return None if parts[0] is None else np.concatenate(parts)
+
+    return dict(
+        scheme=batches[0].scheme, depth=stack("depth"), payload=stack("payload"),
+        coeffs=stack("coeffs"), column=stack("column"),
+    )
+
+
+def _rows(cls, source, index, **extra):
+    """A cls of the rows ``index`` selects from a checked batch or block,
+    unchecked, since rows of valid packets are valid packets."""
+    out = object.__new__(cls)
+    out.__dict__.update(
+        extra,
+        scheme=source.scheme,
+        depth=source.depth[index],
+        payload=source.payload[index],
+        coeffs=None if source.coeffs is None else source.coeffs[index],
+        column=None if source.column is None else source.column[index],
+    )
+    return out
+
+
+@dataclass(eq=False)
+class PacketBlock:
+    """The packets of a block of GOPs as one set of row arrays.
+
+    GOP k of the block, numbered gop_ids[k], owns rows offsets[k] to
+    offsets[k + 1], laid out as its own PacketBatch would hold them; a GOP
+    can own no rows. Selecting rows keeps every GOP and its order, so a
+    block crosses a lossy link in one mask.
+    """
+
+    scheme: str
+    gop_ids: np.ndarray
+    offsets: np.ndarray
+    depth: np.ndarray
+    payload: np.ndarray
+    coeffs: Optional[np.ndarray] = None
+    column: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.gop_ids = np.asarray(self.gop_ids, dtype=np.int64)
+        self.offsets = np.asarray(self.offsets, dtype=np.intp)
+        rows = PacketBatch(0, self.scheme, self.depth, self.payload, self.coeffs, self.column)
+        self.depth, self.payload = rows.depth, rows.payload
+        self.coeffs, self.column = rows.coeffs, rows.column
+        if (
+            self.gop_ids.ndim != 1
+            or self.offsets.shape != (self.gop_ids.size + 1,)
+            or self.offsets[0] != 0
+            or self.offsets[-1] != len(rows)
+            or (np.diff(self.offsets) < 0).any()
+        ):
+            raise ValueError(
+                f"offsets {self.offsets.tolist()} do not split {len(rows)} rows "
+                f"into {self.gop_ids.size} GOPs"
+            )
+
+    def __len__(self) -> int:
+        """Packets in the block, over all of its GOPs."""
+        return self.depth.shape[0]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Packets of each GOP."""
+        return np.diff(self.offsets)
+
+    def select(self, rows: np.ndarray) -> "PacketBlock":
+        """The block of the rows a boolean mask or an ascending index array
+        picks, every GOP kept."""
+        if rows.dtype == bool:
+            rows = np.flatnonzero(rows)
+        return _rows(
+            PacketBlock, self, rows,
+            gop_ids=self.gop_ids, offsets=np.searchsorted(rows, self.offsets),
+        )
+
+    def gop(self, k: int) -> PacketBatch:
+        return _rows(
+            PacketBatch, self, slice(self.offsets[k], self.offsets[k + 1]),
+            gop_id=int(self.gop_ids[k]),
+        )
+
+    def batches(self) -> list[PacketBatch]:
+        """One batch per GOP, in order."""
+        return [self.gop(k) for k in range(self.gop_ids.size)]
+
+    @staticmethod
+    def concat(batches: Sequence[PacketBatch]) -> "PacketBlock":
+        """A block of one batch per GOP, all of one scheme."""
+        offsets = np.concatenate([[0], np.cumsum([len(b) for b in batches])])
+        return PacketBlock(
+            gop_ids=[b.gop_id for b in batches], offsets=offsets, **_stacked(batches)
         )
 
 
@@ -144,17 +233,6 @@ def decodable_layers(counts: Sequence[int], packets_per_layer: int) -> int:
     return 0
 
 
-def _check_strategy(strategy: Sequence[int], layer_count: int) -> list[int]:
-    counts = [int(x) for x in strategy]
-    if len(counts) != layer_count:
-        raise ValueError(
-            f"strategy has {len(counts)} classes, grid has {layer_count} layers"
-        )
-    if any(x < 0 for x in counts):
-        raise ValueError(f"replica counts must be non-negative, got {counts}")
-    return counts
-
-
 def encode_gop(
     grid: LayerGrid,
     strategy: Sequence[int],
@@ -167,51 +245,104 @@ def encode_gop(
     coeff_width is the RLC coefficient columns per packet: layer_count *
     packets_per_layer (the default) for packets some decoder reads, or 0 for
     packets only counted, which draw nothing and carry no payload bytes.
+    This is the one-GOP case of encode_block.
     """
+    cells, strategies = grid.cells[None], [strategy]
+    return encode_block(cells, [grid.gop_id], strategies, scheme, [seed], coeff_width).gop(0)
+
+
+def encode_block(
+    cells: np.ndarray,
+    gop_ids: Sequence[int],
+    strategies,
+    scheme: str,
+    seeds: Sequence[int],
+    coeff_width: Optional[int] = None,
+) -> PacketBlock:
+    """Encodes GOP gop_ids[k] of a block from its source cells[k] (a
+    (G, layer_count, packets_per_layer, payload_size) stack) under the
+    replica counts strategies[k] (one row per GOP, one column per class),
+    as encode_gop encodes each GOP alone. RLC coefficients of GOP k come
+    from seeds[k]; the other schemes and coefficient-free packets read no
+    seed."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    counts = _check_strategy(strategy, grid.layer_count)
-    per_layer, size = grid.packets_per_layer, grid.payload_size
-    n_unknowns = grid.layer_count * per_layer
+    n_gops, layer_count, per_layer, size = cells.shape
+    counts = np.asarray(strategies, dtype=np.int64)
+    if counts.shape != (n_gops, layer_count):
+        raise ValueError(
+            f"need one strategy of {layer_count} classes per grid, got shape {counts.shape}"
+        )
+    if (counts < 0).any():
+        raise ValueError(f"replica counts must be non-negative, got {counts.tolist()}")
+    n_unknowns = layer_count * per_layer
     if coeff_width is None:
         coeff_width = n_unknowns
     if coeff_width not in (0, n_unknowns):
         raise ValueError(f"coeff_width must be 0 or {n_unknowns}, got {coeff_width}")
-    depth = np.repeat(np.arange(1, grid.layer_count + 1, dtype=np.int8), counts)
+    sizes = counts.sum(axis=1)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    runs = counts.ravel()
+    classes = np.tile(np.arange(1, layer_count + 1, dtype=np.int8), n_gops)
+    depth = np.repeat(classes, runs)
+    rows = depth.size
 
     if scheme != SCHEME_RLC:
         # replica t of a class of n packets takes column t mod P under xor,
         # whose payload XORs that column over layers 1..depth, and column
         # t * P // n under repeat, so each raw cell goes out in a run of copies
-        t = np.arange(depth.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        t = np.arange(rows) - np.repeat(np.cumsum(runs) - runs, runs)
         if scheme == SCHEME_XOR:
             column = t % per_layer
-            cells = np.bitwise_xor.accumulate(grid.cells, axis=0)
         else:
-            column = t * per_layer // np.repeat(counts, counts)
-            cells = grid.cells
-        return PacketBatch(grid.gop_id, scheme, depth, cells[depth - 1, column], column=column)
+            column = t * per_layer // np.repeat(runs, runs)
+        payload = np.empty((rows, 0), dtype=np.uint8)
+        if size:
+            if scheme == SCHEME_XOR:
+                cells = np.bitwise_xor.accumulate(cells, axis=1)
+            gop = np.repeat(np.arange(n_gops), sizes)
+            payload = cells[gop, depth - 1, column]
+        return PacketBlock(scheme, gop_ids, offsets, depth, payload, column=column)
 
     if coeff_width == 0:
         if size:
             raise ValueError("packets without coefficients cannot carry payload bytes")
-        empty = np.empty((depth.size, 0), dtype=np.uint8)
-        return PacketBatch(grid.gop_id, scheme, depth, empty, coeffs=empty)
+        empty = np.empty((rows, 0), dtype=np.uint8)
+        return PacketBlock(scheme, gop_ids, offsets, depth, empty, coeffs=empty)
 
-    rng = np.random.default_rng(seed)
-    data = grid.cells.reshape(n_unknowns, size)
-    coeffs = np.zeros((depth.size, n_unknowns), dtype=np.uint8)
-    payload = np.empty((depth.size, size), dtype=np.uint8)
-    row = 0
-    for d, n in enumerate(counts, start=1):
+    coeffs = np.zeros((rows, n_unknowns), dtype=np.uint8)
+    payload = np.empty((rows, size), dtype=np.uint8)
+    for k in np.flatnonzero(sizes):
+        _rlc_rows(
+            cells[k].reshape(n_unknowns, size), counts[k], per_layer, int(seeds[k]),
+            coeffs[offsets[k] : offsets[k + 1]], payload[offsets[k] : offsets[k + 1]],
+        )
+    return PacketBlock(scheme, gop_ids, offsets, depth, payload, coeffs=coeffs)
+
+
+def _rlc_rows(data, counts, per_layer, seed, coeffs, payload) -> None:
+    """Fills one GOP's coefficient and payload rows, class by class.
+
+    Coefficients are the bytes default_rng(seed).integers(0, 256, (n, d * P),
+    uint8) gives for each non-empty class d of n packets in turn, read from
+    one raw draw: numpy fills uint8 arrays from 32-bit words, low byte
+    first, starting each call on a fresh word, and PCG64 hands out the low
+    then the high half of each 64-bit output.
+    """
+    nbytes = [int(n) * d * per_layer for d, n in enumerate(counts, start=1)]
+    words = [-(-b // 4) for b in nbytes]
+    raw = np.random.PCG64(seed).random_raw(-(-sum(words) // 2))
+    stream = raw.astype("<u8", copy=False).view(np.uint8)
+    row = start = 0
+    for d, (n, b, w) in enumerate(zip(counts, nbytes, words), start=1):
         if n == 0:
             continue
         width = d * per_layer
-        block = rng.integers(0, 256, size=(n, width), dtype=np.uint8)
+        block = stream[start : start + b].reshape(n, width)
         coeffs[row : row + n, :width] = block
         payload[row : row + n] = gf_matmul(block, data[:width])
         row += n
-    return PacketBatch(grid.gop_id, scheme, depth, payload, coeffs=coeffs)
+        start += 4 * w
 
 
 def decode_gop(
@@ -304,12 +435,13 @@ def check_columns(column: np.ndarray, packets_per_layer: int) -> None:
         )
 
 
-def covered_depth(seen: np.ndarray) -> int:
+def covered_depth(seen: np.ndarray):
     """Decoded depth of a column scheme from its (layer_count,
     packets_per_layer) mask of received (depth, column) cells: the deepest
     run of depths 1, 2, ... that every column holds. Exact for repeat, and
-    for xor, where layer j of a column needs its depth j and j-1 sums."""
-    return int(np.cumprod(seen.all(axis=1)).sum())
+    for xor, where layer j of a column needs its depth j and j-1 sums. A
+    (G, layer_count, packets_per_layer) stack of masks gives G depths."""
+    return np.cumprod(seen.all(axis=-1), axis=-1).sum(axis=-1)
 
 
 def _decode_columns(packets, packets_per_layer, cells) -> int:
@@ -320,7 +452,7 @@ def _decode_columns(packets, packets_per_layer, cells) -> int:
     sums[keys] = packets.payload[first]
     seen = np.zeros(sums.shape[0], dtype=bool)
     seen[keys] = True
-    depth = covered_depth(seen.reshape(cells.shape[:2]))
+    depth = int(covered_depth(seen.reshape(cells.shape[:2])))
     sums = sums.reshape(cells.shape)[:depth]
     cells[:depth] = sums
     if packets.scheme == SCHEME_XOR:

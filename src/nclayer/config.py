@@ -108,10 +108,14 @@ def _parse_entries(
 
 
 def _chain_config(kwargs: dict) -> ChainConfig:
+    """The config of these arguments; a refusal that starts with a field's
+    name is reported under that field's key."""
     try:
         return ChainConfig(**kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        message = str(exc)
+        keys = [key for key, (name, _) in KEY_REGISTRY.items() if message.startswith(name + " ")]
+        raise ConfigError(f"{keys[0]}: {message}" if keys else message) from exc
 
 
 def parse_config_text(text: str) -> dict:

@@ -54,21 +54,32 @@ def make_synthetic_gop(
     seed: int = 0,
 ) -> LayerGrid:
     """Deterministic pseudo-random grid; a pure function of its arguments.
-    A payload size of 0 gives the empty grid and draws nothing."""
-    if gop_id < 0 or seed < 0:
+    A payload size of 0 gives the empty grid and draws nothing. This is the
+    one-GOP case of make_synthetic_cells."""
+    cells = make_synthetic_cells([gop_id], layer_count, packets_per_layer, payload_size, seed)
+    return LayerGrid(gop_id, cells[0])
+
+
+def make_synthetic_cells(
+    gop_ids,
+    layer_count: int,
+    packets_per_layer: int,
+    payload_size: int,
+    seed: int = 0,
+) -> np.ndarray:
+    """The cells of make_synthetic_gop for each GOP id, stacked into one
+    (G, layer_count, packets_per_layer, payload_size) array."""
+    if seed < 0 or (np.asarray(gop_ids) < 0).any():
         raise ValueError("gop_id and seed must be non-negative")
     for name, value in (("layer_count", layer_count), ("packets_per_layer", packets_per_layer)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
     if payload_size < 0:
         raise ValueError(f"payload_size must be non-negative, got {payload_size}")
-    if payload_size == 0:
-        return LayerGrid(gop_id, np.empty((layer_count, packets_per_layer, 0), dtype=np.uint8))
-    rng = np.random.default_rng(
-        [seed, gop_id, layer_count, packets_per_layer, payload_size]
-    )
-    cells = rng.integers(
-        0, 256, size=(layer_count, packets_per_layer, payload_size), dtype=np.uint8
-    )
-    return LayerGrid(gop_id, cells)
-
+    shape = (layer_count, packets_per_layer, payload_size)
+    cells = np.empty((len(gop_ids),) + shape, dtype=np.uint8)
+    if payload_size:
+        for out, gop_id in zip(cells, gop_ids):
+            rng = np.random.default_rng([seed, int(gop_id)] + list(shape))
+            out[...] = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    return cells

@@ -1,4 +1,4 @@
-"""Per-node behaviour along the delivery chain.
+"""Per-node behaviour along the delivery chain, a block of GOPs at a time.
 
 The sender picks a replica allocation from its table (or threshold policy)
 and encodes each GOP. An intermediate either forwards whatever arrives, or
@@ -6,11 +6,10 @@ decodes what it can and re-encodes the recovered prefix at full budget with
 a strategy restricted to the depths it actually holds. The receiver scores
 each GOP by what its scheme's decoder recovers: RLC by the count-based
 decode rule on per-class arrivals, XOR and repeat by which (depth, column)
-cells arrived. Packets travel as one PacketBatch per GOP. An RLC encoder
-with no decoder downstream sends coefficient-free packets, since the count
-rule reads only their classes. A re-encoding relay and a verifying receiver
-can decode a block of GOPs in one call (``decode_arrivals``) and hand each
-GOP's decode to the per-GOP step; without one, a step decodes its GOP alone.
+cells arrived. Each step takes a block of GOPs, and the packets of a block
+travel as one PacketBlock; a block of one GOP is the GOP-by-GOP case. An
+RLC encoder with no decoder downstream sends coefficient-free packets,
+since the count rule reads only their classes.
 """
 
 from __future__ import annotations
@@ -22,39 +21,32 @@ import numpy as np
 
 from .codec import (
     SCHEME_RLC,
-    PacketBatch,
+    PacketBlock,
     check_columns,
     covered_depth,
-    decodable_layers,
     decode_block,
-    encode_gop,
+    encode_block,
+    encode_gop,  # noqa: F401  (perfbench's tracer wraps the one-GOP encode here)
 )
-from .heuristic import ThresholdPolicy, select_strategy
+from .heuristic import ThresholdPolicy
 from .media import LayerGrid
-from .spt import StrategyTable, best_restricted, nearest_bin, select_best
+from .spt import StrategyTable, decodable_layers_batch, nearest_bin
 
 MODE_FORWARD = "forward"
 MODE_NC = "nc"
 RELAY_MODES = (MODE_FORWARD, MODE_NC)
 
 
-@dataclass
-class FeedbackReport:
-    """Outcome of one probe round, reported back to the strategy owner."""
-
-    node_id: str
-    delivered: int
-    probes: int
-
-    @property
-    def ratio(self) -> float:
-        if self.probes < 1:
-            raise ValueError(f"probe count must be positive, got {self.probes}")
-        return self.delivered / self.probes
+def _fresh_seeds(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n encode seeds; the same values as n draws of one seed each."""
+    return rng.integers(0, 2**63, size=n)
 
 
-def _fresh_seed(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 2**63))
+def _check_estimates(estimates) -> np.ndarray:
+    estimates = np.asarray(estimates, dtype=float)
+    if not ((estimates >= 0.0) & (estimates <= 1.0)).all():
+        raise ValueError(f"pdr estimates must lie in [0, 1], got {estimates.tolist()}")
+    return estimates
 
 
 @dataclass
@@ -80,22 +72,49 @@ class SenderState:
         if self.update_period < 1:
             raise ValueError(f"update_period must be positive, got {self.update_period}")
 
+    @property
+    def spend(self) -> int:
+        """Packets sent per GOP: every table or policy strategy spends one
+        budget, and a fixed strategy spends its own sum."""
+        if self.table is not None:
+            return self.table.budget
+        if self.policy is not None:
+            return self.policy.budget
+        return sum(self.strategy)
 
-def sender_epoch(
-    state: SenderState, grid: LayerGrid, feedback: Optional[FeedbackReport] = None
-) -> PacketBatch:
-    """Encodes one GOP; the strategy refreshes only on period boundaries."""
-    if feedback is not None:
-        state.pdr_estimate = feedback.ratio
-    if state.strategy is None or state.gop_counter % state.update_period == 0:
-        if state.table is not None:
-            state.strategy = select_best(state.table, state.pdr_estimate)
-        elif state.policy is not None:
-            state.strategy = select_strategy(state.policy, state.pdr_estimate)
-    state.gop_counter += 1
-    return encode_gop(
-        grid, state.strategy, state.scheme, _fresh_seed(state.rng), state.coeff_width
-    )
+
+def _select(state: SenderState, estimates: np.ndarray) -> np.ndarray:
+    """The strategy, as a row, that each estimate selects."""
+    if state.table is not None:
+        return state.table.matrix[state.table.best_index[nearest_bin(estimates)]]
+    # an estimate on a breakpoint belongs to the upper interval
+    index = np.searchsorted(state.policy.breakpoints, estimates, side="right")
+    return np.asarray(state.policy.strategies, dtype=np.int64)[index]
+
+
+def sender_block(
+    state: SenderState, cells: np.ndarray, gop_ids: Sequence[int], estimates
+) -> PacketBlock:
+    """Encodes a block of GOPs, GOP gop_ids[k] from its source cells[k].
+    estimates[k] is the delivery estimate in force at GOP k (the latest
+    feedback); the strategy refreshes from it only on period boundaries of
+    the sender's GOP counter."""
+    k = len(gop_ids)
+    estimates = _check_estimates(estimates)
+    if state.table is None and state.policy is None:
+        strategies = np.tile(np.asarray(state.strategy, dtype=np.int64), (k, 1))
+    else:
+        refresh = (state.gop_counter + np.arange(k)) % state.update_period == 0
+        refresh[0] |= state.strategy is None
+        # row 0 is the strategy in force before the block's first refresh
+        current = state.strategy or (0,) * cells.shape[1]
+        choices = np.vstack([current, _select(state, estimates[refresh])])
+        strategies = choices[np.cumsum(refresh)]
+    state.strategy = tuple(int(x) for x in strategies[-1])
+    state.gop_counter += k
+    state.pdr_estimate = float(estimates[-1])
+    seeds = _fresh_seeds(state.rng, k)
+    return encode_block(cells, gop_ids, strategies, state.scheme, seeds, state.coeff_width)
 
 
 @dataclass
@@ -109,7 +128,6 @@ class RelayState:
     pdr_estimate: float = 1.0
     forward_delay: float = 0.005
     recode_delay: float = 60.0
-    last_decoded: int = 0
     coeff_width: Optional[int] = None
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
@@ -120,41 +138,46 @@ class RelayState:
             raise ValueError("a re-encoding relay needs a strategy table")
 
 
-def decode_arrivals(state, batches: Sequence[PacketBatch]) -> list[tuple[int, LayerGrid]]:
+def decode_arrivals(state, block: PacketBlock) -> list[tuple[int, LayerGrid]]:
     """What a re-encoding relay or a verifying receiver (``state``) recovers
-    from each GOP of a block, one batch per GOP: (depth, grid) per batch,
-    decoded in one ``decode_block`` call, so RLC systems share one stacked
-    elimination."""
-    return decode_block(batches, state.layer_count, state.packets_per_layer, state.payload_size)
+    from each GOP of a block: (depth, grid) per GOP, decoded in one
+    ``decode_block`` call, so RLC systems share one stacked elimination."""
+    return decode_block(
+        block.batches(), state.layer_count, state.packets_per_layer, state.payload_size
+    )
 
 
-def relay_step(
+def relay_block(
     state: RelayState,
-    packets: PacketBatch,
-    decoded: Optional[tuple[int, LayerGrid]] = None,
-) -> PacketBatch:
-    """Forward mode passes packets through untouched. Re-encode mode decodes
-    the deepest available prefix and spends the full budget on it, never
-    emitting a class deeper than what it decoded; with nothing decoded it
-    emits an empty batch. ``decoded`` is this GOP's entry of
-    ``decode_arrivals`` when the caller decoded a block at once; without it
-    the relay decodes the GOP alone."""
+    block: PacketBlock,
+    estimates,
+    decoded: Optional[list[tuple[int, LayerGrid]]] = None,
+) -> PacketBlock:
+    """Forward mode passes the block through untouched. Re-encode mode
+    decodes the deepest available prefix of each GOP and spends the full
+    budget on it, never emitting a class deeper than what it decoded; a GOP
+    with nothing decoded gets no packets. estimates[k] is the delivery
+    estimate in force at GOP k; ``decoded`` is ``decode_arrivals`` of the
+    block when the caller has it already."""
     if state.mode == MODE_FORWARD:
-        return packets
-    if not len(packets):
-        state.last_decoded = 0
-        return packets
+        return block
+    k = block.gop_ids.size
+    estimates = _check_estimates(estimates)
     if decoded is None:
-        (decoded,) = decode_arrivals(state, [packets])
-    depth, grid = decoded
-    state.last_decoded = depth
-    if depth == 0:
-        return packets[:0]
-    strategy = best_restricted(state.table, nearest_bin(state.pdr_estimate), depth)
-    if strategy is None:
-        return packets[:0]
-    return encode_gop(
-        grid, strategy, state.scheme, _fresh_seed(state.rng), state.coeff_width
+        decoded = decode_arrivals(state, block)
+    depths = np.array([depth for depth, _ in decoded], dtype=np.intp)
+    table = state.table
+    index = table.restricted_index[
+        nearest_bin(estimates), np.minimum(depths, table.layer_count)
+    ]
+    encoding = (depths > 0) & (index >= 0)
+    strategies = np.where(encoding[:, None], table.matrix[index], 0)
+    seeds = np.zeros(k, dtype=np.int64)
+    seeds[encoding] = _fresh_seeds(state.rng, int(np.count_nonzero(encoding)))
+    state.pdr_estimate = float(estimates[-1])
+    cells = np.stack([grid.cells for _, grid in decoded])
+    return encode_block(
+        cells, block.gop_ids, strategies, state.scheme, seeds, state.coeff_width
     )
 
 
@@ -165,71 +188,54 @@ class ReceiverState:
     payload_size: int
     scheme: str = SCHEME_RLC
     verify_payloads: bool = False
-    counts: np.ndarray = field(init=False)
-    seen: np.ndarray = field(init=False)
-    buffer: list = field(init=False, default_factory=list)
-    history: list = field(init=False, default_factory=list)
+    history: list = field(default_factory=list)
     prediction_gaps: int = 0
     payload_errors: int = 0
 
-    def __post_init__(self):
-        self.counts = np.zeros(self.layer_count, dtype=np.int64)
-        self.seen = np.zeros((self.layer_count, self.packets_per_layer), dtype=bool)
 
-
-def receiver_ingest(state: ReceiverState, packets: PacketBatch) -> None:
-    """Adds a batch's arrivals to the current GOP: per-class counts for RLC,
-    the (depth, column) cells covered for the column schemes."""
-    if not len(packets):
-        return
-    if packets.scheme != state.scheme:
-        raise ValueError(f"receiver expects {state.scheme} packets, got {packets.scheme}")
-    depth = packets.depth
-    if depth.min() < 1 or depth.max() > state.layer_count:
-        raise ValueError(
-            f"packet class depths {depth.min()}..{depth.max()} "
-            f"outside 1..{state.layer_count}"
-        )
-    if packets.column is None:
-        state.counts += np.bincount(depth, minlength=state.layer_count + 1)[1:]
-    else:
-        check_columns(packets.column, state.packets_per_layer)
-        state.seen[depth - 1, packets.column] = True
-    if state.verify_payloads:
-        state.buffer.append(packets)
-
-
-def receiver_finalize_gop(
+def receiver_block(
     state: ReceiverState,
-    reference: Optional[LayerGrid] = None,
-    decoded: Optional[tuple[int, LayerGrid]] = None,
-) -> int:
-    """Scores the finished GOP and resets state.
+    block: PacketBlock,
+    references: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Scores each GOP of a block and returns the scores.
 
     RLC is scored by the count rule, which a singular random system can
     miss; XOR and repeat by column coverage, which is exactly their decoded
-    depth. In payload-verification mode the buffered packets are actually
-    decoded: a decode shallower than the score bumps prediction_gaps, and
-    recovered bytes differing from the reference bump payload_errors.
-    ``decoded`` is the ``decode_arrivals`` entry of the GOP's one ingested
-    batch when the caller decoded a block at once; without it the buffered
-    packets are decoded here.
+    depth. In payload-verification mode each GOP that got packets is
+    actually decoded: a decode shallower than the score bumps
+    prediction_gaps, and recovered bytes differing from the source cells
+    references[k] bump payload_errors.
     """
-    if state.scheme == SCHEME_RLC:
-        predicted = decodable_layers(state.counts.tolist(), state.packets_per_layer)
+    if len(block):
+        if block.scheme != state.scheme:
+            raise ValueError(f"receiver expects {state.scheme} packets, got {block.scheme}")
+        depth = block.depth
+        if depth.min() < 1 or depth.max() > state.layer_count:
+            raise ValueError(
+                f"packet class depths {depth.min()}..{depth.max()} "
+                f"outside 1..{state.layer_count}"
+            )
+    shape = (block.gop_ids.size, state.layer_count)
+    gop = np.repeat(np.arange(shape[0]), block.sizes)
+    if block.column is None:
+        cell = gop * state.layer_count + block.depth - 1
+        counts = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
+        scores = decodable_layers_batch(counts, state.packets_per_layer)
     else:
-        predicted = covered_depth(state.seen)
-    if state.verify_payloads and state.buffer:
-        if decoded is None:
-            (decoded,) = decode_arrivals(state, [PacketBatch.concat(state.buffer)])
-        actual, grid = decoded
-        if actual < predicted:
-            state.prediction_gaps += 1
-        if reference is not None and actual > 0:
-            if not np.array_equal(grid.cells[:actual], reference.cells[:actual]):
-                state.payload_errors += 1
-    state.history.append(predicted)
-    state.counts[:] = 0
-    state.seen[:] = False
-    state.buffer = []
-    return predicted
+        if len(block):
+            check_columns(block.column, state.packets_per_layer)
+        seen = np.zeros(shape + (state.packets_per_layer,), dtype=bool)
+        seen[gop, block.depth.astype(np.intp) - 1, block.column] = True
+        scores = covered_depth(seen)
+    if state.verify_payloads:
+        decoded = decode_arrivals(state, block)
+        for k in np.flatnonzero(block.sizes):
+            actual, grid = decoded[k]
+            if actual < scores[k]:
+                state.prediction_gaps += 1
+            if references is not None and actual > 0:
+                if not np.array_equal(grid.cells[:actual], references[k][:actual]):
+                    state.payload_errors += 1
+    state.history.extend(scores.tolist())
+    return scores

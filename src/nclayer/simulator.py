@@ -13,15 +13,20 @@ once per re-encoding node, depending on policy.
 
 run() carries GOPs through the chain in blocks of GOP_BLOCK, segment by
 segment: the sender's segment for every GOP of the block, then each
-re-encoding relay's in hop order. Within a segment each GOP still goes
-probe, then select and encode, then transmit over the segment's links. A
-re-encoding relay, and a verifying receiver, decode all of a block's GOPs
-in one call, which stacks their RLC systems into one elimination. Seeded
-results are those of a GOP-by-GOP loop whatever the block size: every link
-belongs to one segment, so each link's stream still sees its probe and
-transmit draws of GOP g before those of g+1; the sender and each relay
-draw one encode seed per GOP in GOP order; decoding draws nothing; and
-each GOP's delay is summed in hop order.
+re-encoding relay's in hop order. A segment's pass handles the whole block
+as arrays. Each encoder's packet count per GOP is known before any draw (a
+table or policy spends one budget; a re-encoding relay spends it on every
+GOP its block decode recovered a layer of), so each link of the segment
+makes one draw for the block, covering each GOP's probes and then its
+packets, GOP by GOP. The probe estimates, strategy selection, encoding,
+per-hop delays and receiver scoring then run on the block, whose packets
+travel as one PacketBlock. A re-encoding relay, and a verifying receiver,
+decode all of a block's GOPs in one call, which stacks their RLC systems
+into one elimination. Seeded results are those of a GOP-by-GOP loop
+whatever the block size: every link belongs to one segment and draws its
+probes and packets of GOP g before those of g+1; the sender and each relay
+draw one encode seed per GOP they encode, in GOP order; decoding draws
+nothing; and each GOP's delay is summed in hop order.
 """
 
 from __future__ import annotations
@@ -34,23 +39,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import LinkModel, chain_e2e_pdr
+from .channel import LinkModel, send_block
 from .codec import SCHEME_REPEAT, SCHEMES
 from .heuristic import ThresholdPolicy, builtin_policy
-from .media import make_synthetic_gop
+from .media import make_synthetic_cells
 from .nodes import (
     MODE_FORWARD,
     MODE_NC,
     RELAY_MODES,
-    FeedbackReport,
     ReceiverState,
     RelayState,
     SenderState,
     decode_arrivals,
-    receiver_finalize_gop,
-    receiver_ingest,
-    relay_step,
-    sender_epoch,
+    receiver_block,
+    relay_block,
+    sender_block,
 )
 from .spt import StrategyTable, build_table
 
@@ -126,9 +129,22 @@ class ChainConfig:
             raise ValueError(
                 f"table_charging must be one of {CHARGING_POLICIES}, got {self.table_charging!r}"
             )
-        for name in ("layer_count", "packets_per_layer", "payload_size"):
+        for name in ("layer_count", "packets_per_layer", "payload_size", "budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("transmit_delay", "forward_delay", "recode_delay", "table_build_charge"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not all(d >= 0.0 for d in self.link_delays):
+            raise ValueError(f"link_delays must be non-negative, got {self.link_delays}")
+        if self.selection == "heuristic" and self.scheme != SCHEME_REPEAT:
+            # every GOP spends the budget, so a policy must spend exactly it
+            policy = _policy_for(self)
+            if policy.budget != self.budget:
+                raise ValueError(
+                    f"budget {self.budget} differs from the {policy.budget} packets "
+                    f"per GOP the threshold policy spends"
+                )
         if self.gop_count < 1:
             raise ValueError(f"gop_count must be positive, got {self.gop_count}")
         if self.probe_count < 1:
@@ -195,6 +211,20 @@ def _segments(config: ChainConfig) -> tuple[range, dict[int, range]]:
     return sender_segment, relay_segments
 
 
+def _block_pdrs(segment_links, segment, gops, schedule) -> np.ndarray:
+    """Delivery probability of each segment link during each GOP of a block,
+    with the schedule's changes applied in order; each link ends the block
+    at its last GOP's value."""
+    pdrs = np.array([[link.delivery_prob] * gops.size for link in segment_links])
+    for k, gop_index in enumerate(gops):
+        for link_index, new_pdr in schedule.get(int(gop_index), ()):
+            if link_index in segment:
+                pdrs[segment.index(link_index), k:] = new_pdr
+    for link, link_pdrs in zip(segment_links, pdrs):
+        link.delivery_prob = float(link_pdrs[-1])
+    return pdrs
+
+
 def _check_table_matches(table: StrategyTable, config: ChainConfig) -> None:
     """A table built for other media or coding parameters would pick
     allocations for the wrong budget, so refuse it rather than run."""
@@ -209,7 +239,14 @@ def _check_table_matches(table: StrategyTable, config: ChainConfig) -> None:
 
 
 def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetrics:
-    """Simulates gop_count GOPs over the configured chain."""
+    """Simulates gop_count GOPs over the configured chain.
+
+    GOPs go through in blocks of GOP_BLOCK, one pass per segment: each link
+    draws once per block, for every GOP's probes and then its packets, and
+    the estimates, strategies, encodes, delays and scores of the block are
+    array operations. The metrics are those of carrying the GOPs one at a
+    time, for any block size.
+    """
     hops = config.hop_count
     n_relays = hops - 1
     seed_seq = np.random.SeedSequence(config.seed)
@@ -297,72 +334,67 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
 
     # each encoder with the links it probes and sends over: the sender's
     # segment, then each re-encoding relay's, in hop order
-    segments = [(None, sender_segment)] + [
+    segments = [(sender, sender_segment)] + [
         (relays[pos], segment) for pos, segment in relay_segments.items()
     ]
     sent_total = 0
     npr = 0
     per_gop_decoded: list[int] = []
     per_gop_delay: list[float] = []
-    feedback: Optional[FeedbackReport] = None
 
     for first in range(0, config.gop_count, GOP_BLOCK):
-        gops = range(first, min(first + GOP_BLOCK, config.gop_count))
-        grids = [
-            make_synthetic_gop(
-                gop_index, config.layer_count, config.packets_per_layer, width, grid_seed
-            )
-            for gop_index in gops
-        ]
-        batches: list = [None] * len(gops)
-        delays = [0.0] * len(gops)
+        gops = np.arange(first, min(first + GOP_BLOCK, config.gop_count))
+        cells = make_synthetic_cells(
+            gops, config.layer_count, config.packets_per_layer, width, grid_seed
+        )
+        probes = np.where(gops % config.update_period == 0, config.probe_count, 0)
+        if repeat:
+            probes[:] = 0
+        # the GOP of each GOP's latest probe round, -1 before the block's first
+        latest = np.maximum.accumulate(np.where(probes > 0, np.arange(gops.size), -1))
+        delays = np.zeros(gops.size)
+        block = None
         for encoder, segment in segments:
-            decodes = None if encoder is None else decode_arrivals(encoder, batches)
-            for k, gop_index in enumerate(gops):
-                for link_index, new_pdr in schedule.get(gop_index, ()):
-                    if link_index in segment:
-                        links[link_index].delivery_prob = new_pdr
-                if not repeat and gop_index % config.update_period == 0:
-                    estimate = chain_e2e_pdr([links[i] for i in segment], config.probe_count)
-                    if encoder is None:
-                        feedback = FeedbackReport(
-                            "sender",
-                            delivered=round(estimate * config.probe_count),
-                            probes=config.probe_count,
-                        )
-                    else:
-                        encoder.pdr_estimate = estimate
-                if encoder is None:
-                    current = sender_epoch(sender, grids[k], feedback)
-                    sent_total += len(current)
-                else:
-                    current = relay_step(encoder, batches[k], decodes[k])
-                for hop in segment:
-                    delays[k] += len(current) * links[hop].transmit_delay
-                    current = links[hop].transmit(current)
-                    if hop < n_relays:
-                        relay = relays[hop]
-                        delays[k] += relay.forward_delay
-                        if relay.mode == MODE_NC:
-                            # re-encodes at the head of the next segment
-                            delays[k] += relay.recode_delay
-                        else:
-                            current = relay_step(relay, current)
-                batches[k] = current
-
-        decodes = [None] * len(gops)
-        if config.verify_payloads:
-            decodes = decode_arrivals(receiver, batches)
-        for k, current in enumerate(batches):
-            receiver_ingest(receiver, current)
-            npr += len(current)
-            decoded = receiver_finalize_gop(
-                receiver,
-                reference=grids[k] if config.verify_payloads else None,
-                decoded=decodes[k],
+            segment_links = [links[i] for i in segment]
+            pdrs = _block_pdrs(segment_links, segment, gops, schedule)
+            if encoder is sender:
+                sending = np.full(gops.size, sender.spend)
+            else:
+                decoded = decode_arrivals(encoder, block)
+                # a re-encoding relay spends its budget on every GOP it
+                # decoded a layer of, and sends nothing for the others
+                depths = np.array([depth for depth, _ in decoded])
+                sending = np.where(depths > 0, config.budget, 0)
+            # one draw per link for the block: probes and packets, GOP by GOP
+            alive, masks = send_block(segment_links, probes, sending, pdrs)
+            # the sender's feedback, round(share * probes) / probes, is the
+            # surviving share itself
+            estimates = np.where(
+                latest >= 0, alive[latest] / config.probe_count, encoder.pdr_estimate
             )
-            per_gop_decoded.append(decoded)
-            per_gop_delay.append(delays[k])
+            if encoder is sender:
+                block = sender_block(sender, cells, gops, estimates)
+                sent_total += len(block)
+            else:
+                block = relay_block(encoder, block, estimates, decoded)
+            if not np.array_equal(block.sizes, sending):
+                raise RuntimeError(
+                    f"an encoder sent {block.sizes.tolist()} packets per GOP, "
+                    f"its links drew for {sending.tolist()}"
+                )
+            for hop, mask in zip(segment, masks):
+                delays += block.sizes * links[hop].transmit_delay
+                block = block.select(mask)
+                if hop < n_relays:
+                    delays += relays[hop].forward_delay
+                    if relays[hop].mode == MODE_NC:
+                        # re-encodes at the head of the next segment
+                        delays += relays[hop].recode_delay
+
+        scores = receiver_block(receiver, block, references=cells)
+        npr += len(block)
+        per_gop_decoded.extend(scores.tolist())
+        per_gop_delay.extend(delays.tolist())
 
     n_nc = sum(1 for m in config.relay_modes if m == MODE_NC)
     build_charge = 0.0

@@ -194,9 +194,11 @@ class StrategyTable:
     # restricted_index[b, d]: best strategy of bin b among those that leave
     # every class deeper than d empty, -1 where none does
     restricted_index: np.ndarray = field(init=False, repr=False, compare=False)
+    # the strategies as rows of an array, for lookups of many at once
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        matrix = np.asarray(self.strategies, dtype=np.int64)
+        self.matrix = matrix = np.asarray(self.strategies, dtype=np.int64)
         self.restricted_index = np.full(
             (self.values.shape[1], self.layer_count + 1), -1, dtype=np.int64
         )
@@ -269,15 +271,17 @@ def build_table(
     )
 
 
-def nearest_bin(estimate: float) -> int:
-    """0-based index of the bin closest to the estimate; ties round down."""
-    if not 0.0 <= estimate <= 1.0:
+def nearest_bin(estimate):
+    """0-based index of the bin closest to the estimate; ties round down.
+    An array of estimates gives an array of indices."""
+    scaled = np.asarray(estimate, dtype=float)
+    if not ((scaled >= 0.0) & (scaled <= 1.0)).all():
         raise ValueError(f"pdr estimate must lie in [0, 1], got {estimate}")
-    scaled = estimate * 20.0
-    k = int(math.floor(scaled))
-    if scaled - k > 0.5 + _BIN_EPS:
-        k += 1
-    return min(max(k, 1), 20) - 1
+    scaled = scaled * 20.0
+    k = np.floor(scaled)
+    k += scaled - k > 0.5 + _BIN_EPS
+    bins = np.clip(k, 1, 20).astype(np.intp) - 1
+    return int(bins) if bins.ndim == 0 else bins
 
 
 def select_best(table: StrategyTable, pdr_estimate: float) -> tuple[int, ...]:

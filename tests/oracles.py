@@ -1,8 +1,11 @@
 """Independent reference implementations used by the test suite.
 
-Nothing here imports from the package's arithmetic or decode logic; each
-oracle recomputes its answer by a structurally different method so that
-agreement is evidence rather than tautology.
+Except for reference_run, nothing here imports from the package's
+arithmetic or decode logic; each oracle recomputes its answer by a
+structurally different method so that agreement is evidence rather than
+tautology. reference_run drives the package's one-GOP codec and table
+lookups through the GOP-by-GOP loop, so it checks how run() carries GOPs,
+not the codec.
 """
 
 import math
@@ -227,3 +230,185 @@ def probe_walk_pdr(links, n_probes):
         else:
             survived += 1
     return survived / n_probes
+
+
+def nearest_bin_reference(estimate):
+    """Delivery bin of one estimate, in scalar arithmetic: the closest of
+    0.05, 0.10, ..., 1.00, exact midpoints rounding down, as a 0-based
+    index. The array form must give this for every estimate."""
+    if not 0.0 <= estimate <= 1.0:
+        raise ValueError(f"pdr estimate must lie in [0, 1], got {estimate}")
+    scaled = estimate * 20.0
+    k = int(math.floor(scaled))
+    if scaled - k > 0.5 + 1e-9:
+        k += 1
+    return min(max(k, 1), 20) - 1
+
+
+def reference_run(config, table=None):
+    """The chain simulation one GOP at a time, as run() first carried it.
+
+    Each GOP goes through the sender's segment and then each re-encoding
+    relay's, in hop order: probe the segment's links, select and encode,
+    then send the packets across the segment link by link. A link draws once
+    per GOP for the probes that reach it and once for the packets, each
+    encoder draws one encode seed per GOP it encodes, and relays decode and
+    the receiver scores GOP by GOP. The block pass of run() must return the
+    same metrics and leave every link's generator in the same state; the
+    links are returned with the metrics for that check.
+    """
+    from nclayer.codec import (
+        SCHEME_REPEAT,
+        SCHEME_RLC,
+        covered_depth,
+        decodable_layers,
+        decode_gop,
+        encode_gop,
+    )
+    from nclayer.channel import LinkModel
+    from nclayer.heuristic import builtin_policy, select_strategy
+    from nclayer.media import make_synthetic_gop
+    from nclayer.simulator import RunMetrics
+    from nclayer.spt import best_restricted, build_table, select_best
+
+    hops = config.hop_count
+    n_relays = hops - 1
+    children = np.random.SeedSequence(config.seed).spawn(hops + n_relays + 2)
+    link_children = children[:hops]
+    relay_children = children[hops : hops + n_relays]
+    sender_rng = np.random.default_rng(children[hops + n_relays])
+    grid_seed = int(children[hops + n_relays + 1].generate_state(1)[0])
+    relay_rngs = [np.random.default_rng(child) for child in relay_children]
+
+    repeat = config.scheme == SCHEME_REPEAT
+    width = config.payload_size if config.verify_payloads else 0
+    L, P = config.layer_count, config.packets_per_layer
+    nc = [i for i, m in enumerate(config.relay_modes) if m == "nc"]
+    bounds = [0] + [i + 1 for i in nc] + [hops]
+    segments = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    encoders = [-1] + nc
+    last_decoder = n_relays if config.verify_payloads else max(nc, default=-1)
+
+    def coeff_width(position):
+        return L * P if position < last_decoder else 0
+
+    if table is None and (nc or (config.selection == "spt" and not repeat)):
+        table = build_table(
+            budget=config.budget, layer_count=L, packets_per_layer=P,
+            granularity=config.granularity, method="exact", seed=config.seed,
+        )
+    delays = config.link_delays or (config.transmit_delay,) * hops
+    links = [
+        LinkModel(p, seed=child, transmit_delay=d)
+        for p, child, d in zip(config.link_pdrs, link_children, delays)
+    ]
+    policy = config.custom_policy or builtin_policy(config.heuristic_set)
+
+    def draw(link, n):
+        link.draws += n
+        return link._rng.random(n) < link.delivery_prob
+
+    def probe(segment_links):
+        alive = config.probe_count
+        for link in segment_links:
+            if alive == 0:
+                break
+            alive = int(np.count_nonzero(draw(link, alive)))
+        return alive / config.probe_count
+
+    schedule = {}
+    for gop_index, link_index, new_pdr in config.pdr_schedule:
+        schedule.setdefault(gop_index, []).append((link_index, new_pdr))
+
+    sender_estimate = 1.0
+    sender_strategy = None
+    relay_estimates = {i: 1.0 for i in nc}
+    sent_total = npr = gaps = errors = 0
+    per_gop_decoded, per_gop_delay = [], []
+    for gop_index in range(config.gop_count):
+        grid = make_synthetic_gop(gop_index, L, P, width, grid_seed)
+        current = None
+        delay = 0.0
+        for position, segment in zip(encoders, segments):
+            for link_index, new_pdr in schedule.get(gop_index, ()):
+                if link_index in segment:
+                    links[link_index].delivery_prob = new_pdr
+            if not repeat and gop_index % config.update_period == 0:
+                estimate = probe([links[i] for i in segment])
+                if position < 0:
+                    delivered = round(estimate * config.probe_count)
+                    sender_estimate = delivered / config.probe_count
+                else:
+                    relay_estimates[position] = estimate
+            if position < 0:
+                if repeat:
+                    copies = math.ceil(config.budget / (L * P))
+                    sender_strategy = (copies * P,) * L
+                elif sender_strategy is None or gop_index % config.update_period == 0:
+                    if config.selection == "spt":
+                        sender_strategy = select_best(table, sender_estimate)
+                    else:
+                        sender_strategy = select_strategy(policy, sender_estimate)
+                seed = int(sender_rng.integers(0, 2**63))
+                current = encode_gop(
+                    grid, sender_strategy, config.scheme, seed, coeff_width(-1)
+                )
+                sent_total += len(current)
+            elif len(current):
+                depth, decoded = decode_gop(current, L, P, width)
+                strategy = None
+                if depth:
+                    bin_index = nearest_bin_reference(relay_estimates[position])
+                    strategy = best_restricted(table, bin_index, depth)
+                if strategy is None:
+                    current = current[:0]
+                else:
+                    seed = int(relay_rngs[position].integers(0, 2**63))
+                    current = encode_gop(
+                        decoded, strategy, config.scheme, seed, coeff_width(position)
+                    )
+            for hop in segment:
+                delay += len(current) * links[hop].transmit_delay
+                if len(current):
+                    current = current[draw(links[hop], len(current))]
+                if hop < n_relays:
+                    delay += config.forward_delay
+                    if config.relay_modes[hop] == "nc":
+                        delay += config.recode_delay
+        npr += len(current)
+        if config.scheme == SCHEME_RLC:
+            counts = np.bincount(current.depth, minlength=L + 1)[1:]
+            score = decodable_layers(counts.tolist(), P)
+        else:
+            seen = np.zeros((L, P), dtype=bool)
+            seen[current.depth.astype(np.intp) - 1, current.column] = True
+            score = int(covered_depth(seen))
+        if config.verify_payloads and len(current):
+            actual, decoded = decode_gop(current, L, P, width)
+            gaps += actual < score
+            if actual and not np.array_equal(decoded.cells[:actual], grid.cells[:actual]):
+                errors += 1
+        per_gop_decoded.append(score)
+        per_gop_delay.append(delay)
+
+    build_charge = 0.0
+    if nc:
+        multiplier = len(nc) if config.table_charging == "per-node" else 1
+        build_charge = config.table_build_charge * multiplier
+    default_label = "uncoded" if repeat else f"{config.selection}-{config.scheme}"
+    metrics = RunMetrics(
+        label=config.label or f"{default_label}-{hops}hop",
+        hop_count=hops,
+        link_pdrs=config.link_pdrs,
+        npr=npr,
+        sent_total=sent_total,
+        measured_pdr=npr / sent_total if sent_total else 0.0,
+        audl=float(np.mean(per_gop_decoded)) if per_gop_decoded else 0.0,
+        total_delay=sum(per_gop_delay) + build_charge,
+        per_gop_decoded=per_gop_decoded,
+        per_gop_delay=per_gop_delay,
+        seed=config.seed,
+        prediction_gaps=gaps,
+        payload_errors=errors,
+    )
+    return metrics, links

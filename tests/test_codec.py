@@ -8,9 +8,11 @@ from nclayer.codec import (
     SCHEME_RLC,
     SCHEME_XOR,
     PacketBatch,
+    PacketBlock,
     decodable_layers,
     decode_block,
     decode_gop,
+    encode_block,
     encode_gop,
 )
 from nclayer.media import make_synthetic_gop
@@ -371,3 +373,53 @@ def test_block_decode_rejects_a_bad_batch_wherever_it_sits():
         for at in (0, len(good) // 2, len(good)):
             with pytest.raises(ValueError, match=match):
                 decode_block(good[:at] + [bad] + good[at:], 4, 4, 8)
+
+
+@pytest.mark.parametrize("per_layer", [3, 5, 7, 8])
+def test_rlc_coefficients_are_the_per_class_integer_draws(per_layer):
+    # one raw draw per encode must give the bytes of one uint8 integers()
+    # call per non-empty class, each starting on a fresh 32-bit word
+    allocations = ((3, 0, 2), (1, 1, 1), (0, 0, 5), (7, 3, 0), (2, 0, 0))
+    for seed in (0, 1, 7, 2**31 + 3, 2**63 - 1):
+        for strategy in allocations:
+            grid = make_synthetic_gop(0, 3, per_layer, 5, seed=2)
+            packets = encode_gop(grid, strategy, SCHEME_RLC, seed=seed)
+            rng = np.random.default_rng(seed)
+            rows = []
+            for d, n in enumerate(strategy, start=1):
+                if n:
+                    block = rng.integers(0, 256, size=(n, d * per_layer), dtype=np.uint8)
+                    rows.append(np.pad(block, ((0, 0), (0, (3 - d) * per_layer))))
+            assert np.array_equal(packets.coeffs, np.concatenate(rows)), (seed, strategy)
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_RLC, SCHEME_XOR, SCHEME_REPEAT])
+@pytest.mark.parametrize("size", [0, 6])
+def test_block_encode_equals_one_gop_encodes(scheme, size):
+    # each GOP of a block, with its own strategy and seed, is encoded as it
+    # would be alone, and a mask over the block keeps every GOP's rows apart
+    grids = [make_synthetic_gop(g, 3, 2, size, seed=4) for g in (5, 6, 7, 8)]
+    strategies = [(3, 0, 2), (0, 0, 0), (1, 4, 1), (2, 2, 2)]
+    seeds = [11, 12, 13, 14]
+    width = None if size or scheme != SCHEME_RLC else 0
+    cells = np.stack([g.cells for g in grids])
+    block = encode_block(cells, [5, 6, 7, 8], strategies, scheme, seeds, width)
+    alone = [
+        encode_gop(g, s, scheme, seed, width) for g, s, seed in zip(grids, strategies, seeds)
+    ]
+    mask = np.arange(len(block)) % 3 != 1
+    picked = block.select(mask)
+    start = 0
+    for k, packets in enumerate(alone):
+        assert block.gop(k).gop_id == packets.gop_id
+        for name in ("depth", "payload", "coeffs", "column"):
+            got, want = getattr(block.gop(k), name), getattr(packets, name)
+            assert (got is None) == (want is None) and np.array_equal(got, want), name
+        kept = packets[mask[start : start + len(packets)]]
+        assert np.array_equal(picked.gop(k).depth, kept.depth)
+        assert np.array_equal(picked.gop(k).payload, kept.payload)
+        start += len(packets)
+    assert picked.sizes.tolist() == [len(picked.gop(k)) for k in range(4)]
+    again = PacketBlock.concat(alone)
+    assert again.offsets.tolist() == block.offsets.tolist()
+    assert np.array_equal(again.depth, block.depth)

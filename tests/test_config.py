@@ -165,3 +165,22 @@ def test_link_override_resizes_unnamed_relays(tmp_path):
     path.write_text("chain.links = 0.7, 0.7, 0.7\nchain.relays = nc, nc\n")
     with pytest.raises(ConfigError, match="relay"):
         apply_overrides(load_config(path), ["chain.links=0.7"])
+
+
+def test_load_config_names_the_key_of_a_refused_value(tmp_path):
+    path = tmp_path / "run.cfg"
+    for text, key in (
+        ("delay.forward = -3\n", "delay.forward"),
+        ("delay.recode = -60\n", "delay.recode"),
+        ("delay.transmit = -0.001\n", "delay.transmit"),
+        ("delay.table_build = -1\n", "delay.table_build"),
+        ("chain.links = 0.9, 0.9\nchain.link_delays = 0.001, -0.001\n", "chain.link_delays"),
+        ("coding.budget = -5\n", "coding.budget"),
+        # every builtin threshold set spends 64 packets per GOP
+        ("coding.budget = 32\nselect.method = heuristic\n", "coding.budget"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+    path.write_text("coding.budget = 32\ncoding.granularity = 4\n")
+    assert load_config(path).budget == 32

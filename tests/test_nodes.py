@@ -3,18 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclayer.codec import SCHEME_REPEAT, SCHEME_RLC, SCHEME_XOR, decode_gop, encode_gop
+from nclayer.codec import (
+    SCHEME_REPEAT,
+    SCHEME_RLC,
+    SCHEME_XOR,
+    PacketBatch,
+    PacketBlock,
+    decode_gop,
+    encode_gop,
+)
 from nclayer.heuristic import builtin_policy
 from nclayer.media import make_synthetic_gop
 from nclayer.nodes import (
-    FeedbackReport,
     ReceiverState,
     RelayState,
     SenderState,
-    receiver_finalize_gop,
-    receiver_ingest,
-    relay_step,
-    sender_epoch,
+    decode_arrivals,
+    receiver_block,
+    relay_block,
+    sender_block,
 )
 from nclayer.spt import build_table
 
@@ -26,6 +33,17 @@ def small_table():
 
 def _grid():
     return make_synthetic_gop(0, 3, 2, 8, seed=1)
+
+
+def _block(*batches):
+    """A block of one GOP per batch."""
+    return PacketBlock.concat(batches)
+
+
+def _send(sender, grids, estimates):
+    """A block of the grids, sent at the given per-GOP estimates."""
+    cells = np.stack([grid.cells for grid in grids])
+    return sender_block(sender, cells, [grid.gop_id for grid in grids], estimates)
 
 
 def test_sender_needs_exactly_one_selector(small_table):
@@ -40,7 +58,7 @@ def test_sender_needs_exactly_one_selector(small_table):
 def test_sender_with_fixed_strategy_never_selects():
     sender = SenderState(scheme=SCHEME_REPEAT, strategy=(2, 2, 2), update_period=1)
     for _ in range(3):
-        packets = sender_epoch(sender, _grid(), FeedbackReport("s", 5, 100))
+        packets = _send(sender, [_grid()], [0.05])
         assert sender.strategy == (2, 2, 2)
         assert packets.scheme == SCHEME_REPEAT and len(packets) == 6
 
@@ -49,7 +67,7 @@ def test_sender_emits_full_budget(small_table):
     sender = SenderState(
         scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0)
     )
-    packets = sender_epoch(sender, _grid(), FeedbackReport("s", 100, 100))
+    packets = _send(sender, [_grid()], [1.0])
     assert len(packets) == 8
     assert sender.strategy is not None
     assert sum(sender.strategy) == 8
@@ -63,15 +81,25 @@ def test_sender_strategy_refreshes_on_period(small_table):
         rng=np.random.default_rng(0),
     )
     grid = _grid()
-    sender_epoch(sender, grid, FeedbackReport("s", 100, 100))
+    _send(sender, [grid], [1.0])
     lossless = sender.strategy
     # mid-epoch feedback is recorded but must not change the strategy yet
-    sender_epoch(sender, grid, FeedbackReport("s", 5, 100))
+    _send(sender, [grid], [0.05])
     assert sender.strategy == lossless
-    sender_epoch(sender, grid, FeedbackReport("s", 5, 100))
+    _send(sender, [grid], [0.05])
     assert sender.strategy == lossless
-    sender_epoch(sender, grid, FeedbackReport("s", 5, 100))
+    _send(sender, [grid], [0.05])
     assert sender.strategy != lossless
+    # one block of the same GOPs selects the same strategy for each
+    again = SenderState(
+        scheme=SCHEME_RLC, table=small_table, update_period=3,
+        rng=np.random.default_rng(0),
+    )
+    block = _send(again, [grid] * 4, [1.0, 0.05, 0.05, 0.05])
+    classes = [tuple(np.bincount(b.depth, minlength=4)[1:].tolist()) for b in block.batches()]
+    assert classes[:3] == [lossless] * 3
+    assert classes[3] == sender.strategy != lossless
+    assert again.strategy == sender.strategy and again.gop_counter == 4
 
 
 def test_sender_with_policy():
@@ -80,7 +108,7 @@ def test_sender_with_policy():
         rng=np.random.default_rng(0),
     )
     grid = make_synthetic_gop(0, 4, 8, 16, seed=0)
-    sender_epoch(sender, grid, FeedbackReport("s", 100, 100))
+    _send(sender, [grid], [1.0])
     assert sender.strategy == (40, 8, 8, 8)
 
 
@@ -89,8 +117,8 @@ def test_forward_relay_is_transparent():
         mode="forward", scheme=SCHEME_RLC,
         layer_count=3, packets_per_layer=2, payload_size=8,
     )
-    packets = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
-    out = relay_step(relay, packets)
+    packets = _block(encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0))
+    out = relay_block(relay, packets, [1.0])
     assert out is packets
 
 
@@ -108,11 +136,11 @@ def test_nc_relay_reencodes_full_budget(small_table):
         layer_count=3, packets_per_layer=2, payload_size=8,
         table=small_table, pdr_estimate=1.0, rng=np.random.default_rng(0),
     )
-    packets = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
-    out = relay_step(relay, packets)
-    assert relay.last_decoded == 3
+    packets = _block(encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0))
+    out = relay_block(relay, packets, [1.0])
+    assert decode_arrivals(relay, packets)[0][0] == 3
     assert len(out) == 8
-    assert out.gop_id == 0
+    assert out.gop_ids.tolist() == [0]
 
 
 def test_nc_relay_never_encodes_past_decoded_depth(small_table):
@@ -122,9 +150,9 @@ def test_nc_relay_never_encodes_past_decoded_depth(small_table):
         table=small_table, pdr_estimate=1.0, rng=np.random.default_rng(0),
     )
     # only class-1 packets arrive: the relay can recover just layer 1
-    packets = encode_gop(_grid(), (4, 0, 0), SCHEME_RLC, seed=0)[:3]
-    out = relay_step(relay, packets)
-    assert relay.last_decoded == 1
+    packets = _block(encode_gop(_grid(), (4, 0, 0), SCHEME_RLC, seed=0)[:3])
+    out = relay_block(relay, packets, [1.0])
+    assert decode_arrivals(relay, packets)[0][0] == 1
     assert len(out) == 8
     assert (out.depth == 1).all()
 
@@ -135,10 +163,14 @@ def test_nc_relay_empty_input(small_table):
         layer_count=3, packets_per_layer=2, payload_size=8,
         table=small_table,
     )
-    assert relay_step(relay, []) == []
-    assert relay.last_decoded == 0
-    empty = encode_gop(_grid(), (0, 0, 0), SCHEME_RLC)
-    assert len(relay_step(relay, empty)) == 0
+    empty = _block(encode_gop(_grid(), (0, 0, 0), SCHEME_RLC))
+    assert decode_arrivals(relay, empty)[0][0] == 0
+    out = relay_block(relay, empty, [1.0])
+    assert len(out) == 0 and out.sizes.tolist() == [0]
+    # a GOP that lost everything sends nothing and leaves its neighbours be
+    full = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
+    out = relay_block(relay, _block(full, full[:0], full), [1.0] * 3)
+    assert out.sizes.tolist() == [8, 0, 8]
 
 
 def test_decoders_reject_coefficient_free_batches(small_table):
@@ -149,32 +181,31 @@ def test_decoders_reject_coefficient_free_batches(small_table):
         layer_count=3, packets_per_layer=2, payload_size=0, table=small_table,
     )
     with pytest.raises(ValueError, match="coefficients"):
-        relay_step(relay, bare)
+        relay_block(relay, _block(bare), [1.0])
     receiver = ReceiverState(
         layer_count=3, packets_per_layer=2, payload_size=0, verify_payloads=True
     )
-    receiver_ingest(receiver, bare)
     with pytest.raises(ValueError, match="coefficients"):
-        receiver_finalize_gop(receiver)
+        receiver_block(receiver, _block(bare))
 
 
 def test_receiver_counts_and_reset():
     receiver = ReceiverState(layer_count=3, packets_per_layer=2, payload_size=8)
     packets = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
-    receiver_ingest(receiver, packets[:3])
-    receiver_ingest(receiver, packets[3:])
-    assert receiver.counts.tolist() == [4, 2, 2]
-    decoded = receiver_finalize_gop(receiver)
-    assert decoded == 3
-    assert receiver.counts.tolist() == [0, 0, 0]
-    assert receiver.history == [3]
+    first = PacketBatch.concat([packets[:3], packets[3:]])
+    assert np.bincount(first.depth, minlength=4)[1:].tolist() == [4, 2, 2]
+    # the second GOP gets only the deeper classes, [0, 2, 2]; nothing of the
+    # first GOP's counts may carry over into its score
+    decoded = receiver_block(receiver, _block(first, packets[4:]))
+    assert decoded.tolist() == [3, 0]
+    assert receiver.history == [3, 0]
 
 
 def test_receiver_rejects_overdeep_packet():
     receiver = ReceiverState(layer_count=2, packets_per_layer=2, payload_size=8)
     packets = encode_gop(_grid(), (0, 0, 2), SCHEME_RLC, seed=0)
     with pytest.raises(ValueError):
-        receiver_ingest(receiver, packets[:1])
+        receiver_block(receiver, _block(packets[:1]))
 
 
 def test_receiver_verification_clean_path():
@@ -183,19 +214,18 @@ def test_receiver_verification_clean_path():
         layer_count=3, packets_per_layer=2, payload_size=8, verify_payloads=True
     )
     packets = encode_gop(grid, (4, 2, 2), SCHEME_RLC, seed=3)
-    receiver_ingest(receiver, packets[:5])
-    receiver_ingest(receiver, packets[5:])
-    decoded = receiver_finalize_gop(receiver, reference=grid)
-    assert decoded == 3
+    both = PacketBatch.concat([packets[:5], packets[5:]])
+    decoded = receiver_block(receiver, _block(both), references=grid.cells[None])
+    assert decoded.tolist() == [3]
     assert receiver.prediction_gaps == 0
     assert receiver.payload_errors == 0
-    assert receiver.buffer == []
+    assert receiver.history == [3]
 
 
 def test_receiver_rejects_foreign_scheme():
     receiver = ReceiverState(layer_count=3, packets_per_layer=2, payload_size=8)
     with pytest.raises(ValueError, match="xor"):
-        receiver_ingest(receiver, encode_gop(_grid(), (2, 2, 2), SCHEME_XOR))
+        receiver_block(receiver, _block(encode_gop(_grid(), (2, 2, 2), SCHEME_XOR)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -213,8 +243,7 @@ def test_receiver_score_against_real_decoding(scheme, strategy, seed, data):
     mask = data.draw(st.lists(st.booleans(), min_size=len(packets), max_size=len(packets)))
     survivors = packets[np.array(mask, dtype=bool)]
     receiver = ReceiverState(layer_count=3, packets_per_layer=2, payload_size=8, scheme=scheme)
-    receiver_ingest(receiver, survivors)
-    score = receiver_finalize_gop(receiver)
+    (score,) = receiver_block(receiver, _block(survivors))
     depth, recovered = decode_gop(survivors, 3, 2, 8, gop_id=grid.gop_id)
     if scheme == SCHEME_RLC:
         assert score >= depth

@@ -3,9 +3,11 @@ import io
 import math
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 import nclayer.simulator as simulator
+from nclayer.heuristic import ThresholdPolicy
 from nclayer.simulator import (
     CSV_HEADER,
     ChainConfig,
@@ -17,6 +19,7 @@ from nclayer.simulator import (
     sweep,
     write_rows,
 )
+from oracles import reference_run
 
 
 def test_lossless_one_hop_hits_ceiling(default_table):
@@ -304,7 +307,7 @@ def test_coefficients_reach_every_decoder_and_no_further(
             widths.setdefault(position, set()).add(batch.coeffs.shape[1])
         return batch
 
-    # run() builds relay i as the i-th RelayState; each relay_step call is
+    # run() builds relay i as the i-th RelayState; each relay step is
     # matched to its position through the state it steps, whatever order
     # the loop steps the relays in
     positions: dict[int, int] = {}
@@ -316,16 +319,23 @@ def test_coefficients_reach_every_decoder_and_no_further(
         return state
 
     monkeypatch.setattr(simulator, "RelayState", numbered_relay_state)
-    sender_epoch, relay_step = simulator.sender_epoch, simulator.relay_step
+    # the encoder steps run() calls: once per block of GOPs, or once per GOP
+    # in a loop that carries GOPs one at a time
+    sender_name, relay_name = (
+        ("sender_block", "relay_block")
+        if hasattr(simulator, "sender_block")
+        else ("sender_epoch", "relay_step")
+    )
+    sender_step, relay_step = getattr(simulator, sender_name), getattr(simulator, relay_name)
     monkeypatch.setattr(
-        simulator, "sender_epoch", lambda *args: record(-1, sender_epoch(*args))
+        simulator, sender_name, lambda *args: record(-1, sender_step(*args))
     )
 
     def recording_relay_step(state, packets, *decoded):
         out = relay_step(state, packets, *decoded)
         return record(positions[id(state)], out) if state.mode == "nc" else out
 
-    monkeypatch.setattr(simulator, "relay_step", recording_relay_step)
+    monkeypatch.setattr(simulator, relay_name, recording_relay_step)
     metrics = run(config, table=default_table)
     assert metrics.payload_errors == 0
     full = config.layer_count * config.packets_per_layer
@@ -425,3 +435,86 @@ def test_block_size_leaves_every_metric_unchanged(name, block, default_table, mo
     blocked = run(config, table=default_table)
     assert asdict(blocked) == asdict(default)
     assert len(default.per_gop_delay) == config.gop_count
+
+
+def _random_config(rng, index):
+    scheme = str(rng.choice(["rlc", "xor", "repeat"]))
+    hops = int(rng.integers(1, 5))
+    if scheme == "repeat":
+        relay_modes = ("forward",) * (hops - 1)
+    else:
+        relay_modes = tuple(str(m) for m in rng.choice(["forward", "nc"], size=hops - 1))
+    schedule = tuple(
+        (int(rng.integers(0, 70)), int(rng.integers(0, hops)), float(rng.choice([0.0, 0.4, 0.95])))
+        for _ in range(int(rng.integers(0, 4)))
+    )
+    return ChainConfig(
+        link_pdrs=tuple(float(p) for p in rng.choice([0.5, 0.7, 0.9, 1.0], size=hops)),
+        relay_modes=relay_modes,
+        link_delays=tuple(float(d) for d in rng.choice([0.001, 0.002], size=hops)),
+        payload_size=16,
+        scheme=scheme,
+        selection=str(rng.choice(["spt", "heuristic"])),
+        heuristic_set=int(rng.integers(1, 4)),
+        gop_count=int(rng.choice([1, 31, 33, 45, 70])),
+        probe_count=int(rng.choice([20, 100])),
+        update_period=int(rng.integers(1, 4)),
+        verify_payloads=bool(rng.integers(0, 2)),
+        pdr_schedule=schedule,
+        seed=1000 + index,
+    )
+
+
+def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch):
+    # run() draws once per link per block and encodes, selects and scores a
+    # block at a time; the GOP-by-GOP loop in oracles.py is the reference
+    # for every metric and for where each link's generator ends
+    rng = np.random.default_rng(2013)
+    made = []
+    link_model = simulator.LinkModel
+
+    def recorded_link(*args, **kwargs):
+        made.append(link_model(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(simulator, "LinkModel", recorded_link)
+    seen = set()
+    for index in range(30):
+        config = _random_config(rng, index)
+        seen.add((config.scheme, config.selection, config.verify_payloads))
+        made.clear()
+        got = run(config, table=default_table)
+        want, links = reference_run(config, default_table)
+        assert asdict(got) == asdict(want), config
+        assert [link.draws for link in made] == [link.draws for link in links]
+        for a, b in zip(made, links):
+            assert a._rng.bit_generator.state == b._rng.bit_generator.state, config
+    assert len(seen) >= 8
+
+
+@pytest.mark.parametrize("budget", [32, 0, -5])
+def test_heuristic_run_spends_the_configured_budget(budget):
+    # every builtin threshold set spends 64 packets per GOP, so any other
+    # budget is refused rather than silently sending 64
+    with pytest.raises(ValueError, match="budget"):
+        ChainConfig(
+            link_pdrs=(0.9,), budget=budget, selection="heuristic", heuristic_set=3,
+            gop_count=10,
+        )
+    custom = ThresholdPolicy((0.5,), ((16, 0, 0, 0), (8, 4, 4, 0)))
+    config = ChainConfig(
+        link_pdrs=(0.9,), budget=16, granularity=4, selection="heuristic",
+        custom_policy=custom, gop_count=10,
+    )
+    assert run(config).sent_total == 160
+    with pytest.raises(ValueError, match="budget"):
+        replace(config, budget=64)
+
+
+def test_negative_delays_are_refused():
+    for name in ("transmit_delay", "forward_delay", "recode_delay", "table_build_charge"):
+        with pytest.raises(ValueError, match=name):
+            ChainConfig(**{name: -1.0})
+    with pytest.raises(ValueError, match="link_delays"):
+        ChainConfig(link_pdrs=(0.9, 0.9), link_delays=(0.001, -0.002))
+    assert ChainConfig(forward_delay=0.0, recode_delay=0.0).forward_delay == 0.0

@@ -16,6 +16,7 @@ from nclayer.spt import (
     save_table,
     select_best,
 )
+from oracles import nearest_bin_reference
 
 
 def test_standard_enumeration_count_and_members():
@@ -288,3 +289,25 @@ def test_small_monte_carlo_table_agrees_coarsely():
     )
     assert mc.strategies == exact.strategies
     assert np.allclose(mc.values, exact.values, atol=0.05)
+
+
+def test_nearest_bin_array_form_matches_scalar_form():
+    # every fraction k/q with q <= 1000, which covers each probe estimate of
+    # up to 1000 probes, and each bin edge and midpoint one ulp either side
+    fractions = np.unique(
+        np.concatenate([np.arange(q + 1) / q for q in range(1, 1001)])
+    )
+    edges = np.array(
+        [(k + 0.5 + eps) / 20.0 for k in range(20) for eps in (0.0, 1e-9)]
+        + [k / 20.0 for k in range(21)]
+    )
+    edges = np.concatenate(
+        [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]
+    )
+    estimates = np.concatenate([fractions, np.clip(edges, 0.0, 1.0)])
+    got = nearest_bin(estimates)
+    want = [nearest_bin_reference(float(e)) for e in estimates]
+    assert got.tolist() == want
+    assert [nearest_bin(float(e)) for e in estimates[-edges.size :]] == want[-edges.size :]
+    with pytest.raises(ValueError):
+        nearest_bin(np.array([0.5, 1.2]))
