@@ -97,6 +97,46 @@ def rref_reference(aug, n_unknowns):
     return owner
 
 
+def decode_gop_reference(
+    scheme, depth, payload, layer_count, per_layer, payload_size, coeffs=None, column=None
+):
+    """(decoded depth, (L, P, s) cells) of one GOP's packet rows, one GOP
+    and one packet at a time.
+
+    RLC rows form one augmented system, reduced by rref_reference; an
+    unknown is solved when its pivot row holds no other coefficient, and the
+    depth is the longest run of layers whose unknowns are all solved. Under
+    xor and repeat the first copy of each (depth, column) cell supplies it;
+    the depth is the longest run of depths whose every column arrived, and
+    xor peels layer d of a column as its depth d sum XOR its depth d-1 sum.
+    Cells past the depth are zero.
+    """
+    n_unknowns = layer_count * per_layer
+    cells = np.zeros((layer_count, per_layer, payload_size), dtype=np.uint8)
+    solved = {}
+    if scheme == "rlc":
+        if len(depth):
+            aug = np.zeros((len(depth), n_unknowns + payload_size), dtype=np.uint8)
+            aug[:, :n_unknowns] = coeffs
+            aug[:, n_unknowns:] = payload
+            owner = rref_reference(aug, n_unknowns)
+            for unknown, row in enumerate(owner):
+                if row >= 0 and np.count_nonzero(aug[row, :n_unknowns]) == 1:
+                    solved[divmod(unknown, per_layer)] = aug[row, n_unknowns:]
+    else:
+        for d, c, row in zip(depth.tolist(), column.tolist(), payload):
+            solved.setdefault((d - 1, c), row)
+    decoded = 0
+    while decoded < layer_count and all((decoded, c) in solved for c in range(per_layer)):
+        decoded += 1
+    for layer in range(decoded):
+        for c in range(per_layer):
+            cells[layer, c] = solved[layer, c]
+            if scheme == "xor" and layer:
+                cells[layer, c] ^= solved[layer - 1, c]
+    return decoded, cells
+
+
 def max_cover(counts, per_layer, shallowest):
     """Generic rank of the mixing matrix restricted to the unknowns of
     layers >= shallowest, via greedy matching.

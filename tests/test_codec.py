@@ -7,6 +7,7 @@ from nclayer.codec import (
     SCHEME_REPEAT,
     SCHEME_RLC,
     SCHEME_XOR,
+    SCHEMES,
     PacketBatch,
     PacketBlock,
     decodable_layers,
@@ -15,9 +16,9 @@ from nclayer.codec import (
     encode_block,
     encode_gop,
 )
-from nclayer.media import make_synthetic_gop
+from nclayer.media import make_synthetic_cells, make_synthetic_gop
 from nclayer.spt import decodable_layers_batch
-from oracles import count_vectors, rank_decodable_layers
+from oracles import count_vectors, decode_gop_reference, rank_decodable_layers
 
 
 def test_worked_example_three_classes():
@@ -423,3 +424,63 @@ def test_block_encode_equals_one_gop_encodes(scheme, size):
     again = PacketBlock.concat(alone)
     assert again.offsets.tolist() == block.offsets.tolist()
     assert np.array_equal(again.depth, block.depth)
+
+
+def _decode(block, layer_count, packets_per_layer, payload_size):
+    """decode_block of a block as (depths, cells) arrays."""
+    decoded = decode_block(block.batches(), layer_count, packets_per_layer, payload_size)
+    return np.array([d for d, _ in decoded]), np.stack([g.cells for _, g in decoded])
+
+
+def _random_block(rng):
+    """An erased block of 1-6 GOPs under a random scheme, L 1-4, P 1-5 and
+    s 0, 3 or 8: some GOPs are empty, some survivors arrive twice, and under
+    xor and repeat every later copy of a cell carries other bytes, so only
+    first copies decode right."""
+    scheme = str(rng.choice(SCHEMES))
+    L, P = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    s = int(rng.choice([0, 3, 8]))
+    G = int(rng.integers(1, 7))
+    cells = make_synthetic_cells(range(G), L, P, s, seed=int(rng.integers(1000)))
+    strategies = rng.integers(0, 3 * P, size=(G, L))
+    strategies[rng.random(G) < 0.2] = 0
+    seeds = rng.integers(0, 2**63, size=G)
+    block = encode_block(cells, range(G), strategies, scheme, seeds)
+    odds = np.repeat(rng.uniform(0.2, 1.0, G), block.sizes)
+    copies = (rng.random(len(block)) < odds) * (1 + (rng.random(len(block)) < 0.3))
+    block = block.select(np.repeat(np.arange(len(block)), copies))
+    if block.column is not None:
+        gop = np.repeat(np.arange(G), block.sizes)
+        key = (gop * L + block.depth - 1) * P + block.column
+        later = np.ones(len(block), dtype=bool)
+        later[np.unique(key, return_index=True)[1]] = False
+        block.payload[later] ^= 0xFF
+    return block, L, P, s
+
+
+def test_block_decode_equals_the_reference_decoder():
+    rng = np.random.default_rng(2013)
+    seen = set()
+    for _ in range(400):
+        block, L, P, s = _random_block(rng)
+        depths, cells = _decode(block, L, P, s)
+        assert depths.shape == (block.gop_ids.size,)
+        assert cells.shape == (block.gop_ids.size, L, P, s)
+        for k, (start, end) in enumerate(zip(block.offsets[:-1], block.offsets[1:])):
+            rows = slice(start, end)
+            want_depth, want = decode_gop_reference(
+                block.scheme, block.depth[rows], block.payload[rows], L, P, s,
+                coeffs=None if block.coeffs is None else block.coeffs[rows],
+                column=None if block.column is None else block.column[rows],
+            )
+            assert depths[k] == want_depth and np.array_equal(cells[k], want)
+            counts = np.bincount(block.depth[rows], minlength=L + 1)[1:]
+            if end == start:
+                seen.add("empty")
+            elif block.scheme == SCHEME_RLC and want_depth < decodable_layers(counts, P):
+                seen.add("rank-deficient")
+            elif 0 < want_depth < L:
+                seen.add(f"partial {block.scheme} s={min(s, 1)}")
+    assert seen >= {"empty", "rank-deficient"} | {
+        f"partial {scheme} s={w}" for scheme in SCHEMES for w in (0, 1)
+    }
