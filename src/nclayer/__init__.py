@@ -6,7 +6,6 @@ from .codec import (
     SCHEME_REPEAT,
     SCHEME_RLC,
     SCHEME_XOR,
-    PacketBatch,
     PacketBlock,
     decodable_layers,
     decode_block,
@@ -16,7 +15,7 @@ from .codec import (
 )
 from .config import ConfigError, apply_overrides, load_config, parse_config_text
 from .gf256 import gf256_inv, gf256_mul
-from .heuristic import ThresholdPolicy, builtin_policy, select_strategy
+from .heuristic import ThresholdPolicy, builtin_policy
 from .media import LayerGrid, make_synthetic_gop
 from .nodes import (
     ReceiverState,
@@ -42,7 +41,6 @@ from .spt import (
     load_table,
     nearest_bin,
     save_table,
-    select_best,
 )
 
 __version__ = "0.1.0"
@@ -53,7 +51,6 @@ __all__ = [
     "LayerGrid",
     "LinkModel",
     "PDR_BINS",
-    "PacketBatch",
     "PacketBlock",
     "ReceiverState",
     "RelayState",
@@ -86,8 +83,6 @@ __all__ = [
     "resolve_mode",
     "run",
     "save_table",
-    "select_best",
-    "select_strategy",
     "send_block",
     "sender_block",
     "sweep",

@@ -12,9 +12,10 @@ seeded random GF(2^8) coefficients over all cells of the first i layers and
 decodes by Gaussian elimination. "repeat" is the uncoded baseline: a class i
 packet is one raw cell of layer i, sent as often as the allocation allows.
 
-A PacketBlock holds the packets of a block of GOPs as one set of rows, and
-encode_block encodes a block at once; encode_gop is its one-GOP case, as
-decode_gop is of decode_block.
+A PacketBlock, the one packet container, holds the packets of a block of
+GOPs as one set of rows; a single GOP travels as a block of one.
+encode_block and decode_block work on a whole block as arrays, and
+encode_gop and decode_gop are their one-GOP cases.
 
 RLC coefficients are zero-padded to layer_count * packets_per_layer columns,
 or carried as zero columns when no decoder reads them: a receiver that
@@ -39,21 +40,25 @@ SCHEMES = (SCHEME_RLC, SCHEME_XOR, SCHEME_REPEAT)
 
 
 @dataclass(eq=False)
-class PacketBatch:
-    """One GOP's coded packets as parallel arrays, one row per packet.
+class PacketBlock:
+    """The coded packets of a block of GOPs as parallel arrays, one row per
+    packet.
 
-    depth[i] is packet i's class and payload[i] its bytes. RLC packets carry
-    their coefficients in coeffs, zero-padded to layer_count *
-    packets_per_layer columns, or with zero columns (and a zero-width
-    payload) when no decoder reads them; XOR and repeat packets carry their
-    grid column instead.
-    The batch is checked once, on construction. Indexing with a boolean
-    mask, a slice or an index array selects rows and skips the check, since
-    rows of a valid batch form a valid batch.
+    GOP k of the block, numbered gop_ids[k], owns rows offsets[k] to
+    offsets[k + 1], shallow classes first; a GOP can own no rows, and a
+    one-GOP block is how a single GOP travels. depth[i] is packet i's class
+    and payload[i] its bytes. RLC packets carry their coefficients in
+    coeffs, zero-padded to layer_count * packets_per_layer columns, or with
+    zero columns (and a zero-width payload) when no decoder reads them; XOR
+    and repeat packets carry their grid column instead.
+    The block is checked once, on construction. Selecting rows keeps every
+    GOP and its order and skips the check, since rows of valid packets are
+    valid packets, so a block crosses a lossy link in one mask.
     """
 
-    gop_id: int
     scheme: str
+    gop_ids: np.ndarray
+    offsets: np.ndarray
     depth: np.ndarray
     payload: np.ndarray
     coeffs: Optional[np.ndarray] = None
@@ -62,6 +67,8 @@ class PacketBatch:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        self.gop_ids = np.asarray(self.gop_ids, dtype=np.int64)
+        self.offsets = np.asarray(self.offsets, dtype=np.intp)
         self.depth = np.asarray(self.depth, dtype=np.int8)
         self.payload = np.asarray(self.payload, dtype=np.uint8)
         n = self.depth.shape[0] if self.depth.ndim == 1 else -1
@@ -84,88 +91,15 @@ class PacketBatch:
             self.column = np.asarray(self.column, dtype=np.intp)
             if self.column.shape != (n,):
                 raise ValueError(f"need {n} columns, got shape {self.column.shape}")
-
-    def __len__(self) -> int:
-        return self.depth.shape[0]
-
-    def __getitem__(self, index) -> "PacketBatch":
-        if isinstance(index, (int, np.integer)):
-            raise TypeError("select packets with a mask, a slice or an index array")
-        return _rows(PacketBatch, self, index, gop_id=self.gop_id)
-
-    @staticmethod
-    def concat(batches: Sequence["PacketBatch"]) -> "PacketBatch":
-        """The rows of several batches of one GOP and scheme, in order."""
-        gids = {b.gop_id for b in batches}
-        if len(gids) > 1:
-            raise ValueError(f"packets span several GOPs: {sorted(gids)}")
-        return PacketBatch(batches[0].gop_id, **_stacked(batches))
-
-
-def _stacked(batches: Sequence[PacketBatch]) -> dict:
-    """The scheme and row arrays of batches of one scheme, rows in order."""
-    schemes = {b.scheme for b in batches}
-    if len(schemes) > 1:
-        raise ValueError(f"packets mix schemes: {sorted(schemes)}")
-
-    def stack(name):
-        parts = [getattr(b, name) for b in batches]
-        return None if parts[0] is None else np.concatenate(parts)
-
-    return dict(
-        scheme=batches[0].scheme, depth=stack("depth"), payload=stack("payload"),
-        coeffs=stack("coeffs"), column=stack("column"),
-    )
-
-
-def _rows(cls, source, index, **extra):
-    """A cls of the rows ``index`` selects from a checked batch or block,
-    unchecked, since rows of valid packets are valid packets."""
-    out = object.__new__(cls)
-    out.__dict__.update(
-        extra,
-        scheme=source.scheme,
-        depth=source.depth[index],
-        payload=source.payload[index],
-        coeffs=None if source.coeffs is None else source.coeffs[index],
-        column=None if source.column is None else source.column[index],
-    )
-    return out
-
-
-@dataclass(eq=False)
-class PacketBlock:
-    """The packets of a block of GOPs as one set of row arrays.
-
-    GOP k of the block, numbered gop_ids[k], owns rows offsets[k] to
-    offsets[k + 1], laid out as its own PacketBatch would hold them; a GOP
-    can own no rows. Selecting rows keeps every GOP and its order, so a
-    block crosses a lossy link in one mask.
-    """
-
-    scheme: str
-    gop_ids: np.ndarray
-    offsets: np.ndarray
-    depth: np.ndarray
-    payload: np.ndarray
-    coeffs: Optional[np.ndarray] = None
-    column: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.gop_ids = np.asarray(self.gop_ids, dtype=np.int64)
-        self.offsets = np.asarray(self.offsets, dtype=np.intp)
-        rows = PacketBatch(0, self.scheme, self.depth, self.payload, self.coeffs, self.column)
-        self.depth, self.payload = rows.depth, rows.payload
-        self.coeffs, self.column = rows.coeffs, rows.column
         if (
             self.gop_ids.ndim != 1
             or self.offsets.shape != (self.gop_ids.size + 1,)
             or self.offsets[0] != 0
-            or self.offsets[-1] != len(rows)
+            or self.offsets[-1] != n
             or (np.diff(self.offsets) < 0).any()
         ):
             raise ValueError(
-                f"offsets {self.offsets.tolist()} do not split {len(rows)} rows "
+                f"offsets {self.offsets.tolist()} do not split {n} rows "
                 f"into {self.gop_ids.size} GOPs"
             )
 
@@ -179,32 +113,22 @@ class PacketBlock:
         return np.diff(self.offsets)
 
     def select(self, rows: np.ndarray) -> "PacketBlock":
-        """The block of the rows a boolean mask or an ascending index array
-        picks, every GOP kept."""
+        """The block of the rows a boolean mask or a non-decreasing index
+        array picks, every GOP kept; a repeated index delivers its row
+        twice."""
         if rows.dtype == bool:
             rows = np.flatnonzero(rows)
-        return _rows(
-            PacketBlock, self, rows,
-            gop_ids=self.gop_ids, offsets=np.searchsorted(rows, self.offsets),
+        out = object.__new__(PacketBlock)
+        out.__dict__.update(
+            scheme=self.scheme,
+            gop_ids=self.gop_ids,
+            offsets=np.searchsorted(rows, self.offsets),
+            depth=self.depth[rows],
+            payload=self.payload[rows],
+            coeffs=None if self.coeffs is None else self.coeffs[rows],
+            column=None if self.column is None else self.column[rows],
         )
-
-    def gop(self, k: int) -> PacketBatch:
-        return _rows(
-            PacketBatch, self, slice(self.offsets[k], self.offsets[k + 1]),
-            gop_id=int(self.gop_ids[k]),
-        )
-
-    def batches(self) -> list[PacketBatch]:
-        """One batch per GOP, in order."""
-        return [self.gop(k) for k in range(self.gop_ids.size)]
-
-    @staticmethod
-    def concat(batches: Sequence[PacketBatch]) -> "PacketBlock":
-        """A block of one batch per GOP, all of one scheme."""
-        offsets = np.concatenate([[0], np.cumsum([len(b) for b in batches])])
-        return PacketBlock(
-            gop_ids=[b.gop_id for b in batches], offsets=offsets, **_stacked(batches)
-        )
+        return out
 
 
 def decodable_layers(counts: Sequence[int], packets_per_layer: int) -> int:
@@ -239,16 +163,18 @@ def encode_gop(
     scheme: str = SCHEME_RLC,
     seed: int = 0,
     coeff_width: Optional[int] = None,
-) -> PacketBatch:
-    """Produces strategy[i-1] packets of class i, shallow classes first.
+) -> PacketBlock:
+    """The one-GOP block of strategy[i-1] packets of class i, shallow
+    classes first.
 
     coeff_width is the RLC coefficient columns per packet: layer_count *
     packets_per_layer (the default) for packets some decoder reads, or 0 for
     packets only counted, which draw nothing and carry no payload bytes.
     This is the one-GOP case of encode_block.
     """
-    cells, strategies = grid.cells[None], [strategy]
-    return encode_block(cells, [grid.gop_id], strategies, scheme, [seed], coeff_width).gop(0)
+    return encode_block(
+        grid.cells[None], [grid.gop_id], [strategy], scheme, [seed], coeff_width
+    )
 
 
 def encode_block(
@@ -327,7 +253,8 @@ def _rlc_rows(data, counts, per_layer, seed, coeffs, payload) -> None:
     uint8) gives for each non-empty class d of n packets in turn, read from
     one raw draw: numpy fills uint8 arrays from 32-bit words, low byte
     first, starting each call on a fresh word, and PCG64 hands out the low
-    then the high half of each 64-bit output.
+    then the high half of each 64-bit output. A zero-width payload needs no
+    product.
     """
     nbytes = [int(n) * d * per_layer for d, n in enumerate(counts, start=1)]
     words = [-(-b // 4) for b in nbytes]
@@ -340,89 +267,68 @@ def _rlc_rows(data, counts, per_layer, seed, coeffs, payload) -> None:
         width = d * per_layer
         block = stream[start : start + b].reshape(n, width)
         coeffs[row : row + n, :width] = block
-        payload[row : row + n] = gf_matmul(block, data[:width])
+        if data.shape[1]:
+            payload[row : row + n] = gf_matmul(block, data[:width])
         row += n
         start += 4 * w
 
 
 def decode_gop(
-    packets: PacketBatch,
+    packets: PacketBlock,
     layer_count: int,
     packets_per_layer: int,
     payload_size: int,
-    gop_id: Optional[int] = None,
 ) -> tuple[int, LayerGrid]:
-    """Recovers the deepest layer prefix the received packets pin down.
-
-    Returns (recovered_layer_count, grid); grid cells past the recovered
-    prefix are zero. With no packets the result is an all-zero grid. This is
+    """Recovers the deepest layer prefix the packets of a one-GOP block pin
+    down: (recovered_layer_count, grid), with grid cells past the recovered
+    prefix zero. With no packets the result is an all-zero grid. This is
     the one-GOP case of decode_block.
     """
-    if gop_id is not None and len(packets) and gop_id != packets.gop_id:
-        raise ValueError(f"packets carry gop_id {packets.gop_id}, expected {gop_id}")
-    ((recovered, grid),) = decode_block([packets], layer_count, packets_per_layer, payload_size)
-    if gop_id is not None and not len(packets):
-        grid = LayerGrid(gop_id, grid.cells)
-    return recovered, grid
+    if packets.gop_ids.size != 1:
+        raise ValueError(f"decode_gop decodes one GOP, got a block of {packets.gop_ids.size}")
+    depths, cells = decode_block(packets, layer_count, packets_per_layer, payload_size)
+    return int(depths[0]), LayerGrid(int(packets.gop_ids[0]), cells[0])
 
 
 def decode_block(
-    batches: Sequence[PacketBatch],
+    block: PacketBlock,
     layer_count: int,
     packets_per_layer: int,
     payload_size: int,
-) -> list[tuple[int, LayerGrid]]:
-    """Decodes a block of GOPs, one batch each, as decode_gop decodes each
-    batch alone: (recovered_layer_count, grid) per batch, in order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decodes every GOP of a block: (depths, cells), where depths[k] is the
+    number of leading layers GOP k recovered and cells[k] its
+    (layer_count, packets_per_layer, payload_size) grid, zero past that
+    depth. A GOP with no packets recovers nothing.
 
-    Every batch is checked before anything is decoded, so a bad batch
-    raises wherever it sits in the block. The RLC systems of all non-empty
-    batches are reduced in one zero-padded gf_rref stack, which reduces each
-    system exactly as on its own. An empty batch gives depth 0 and an
-    all-zero grid with gop_id 0.
+    All of the block's rows are checked before anything is decoded. The
+    RLC systems of the non-empty GOPs are reduced in one zero-padded
+    gf_rref stack, which reduces each system exactly as on its own; xor and
+    repeat take the first copy of each (GOP, depth, column) cell.
     """
-    for packets in batches:
-        _check_batch(packets, layer_count, packets_per_layer, payload_size)
-    cells = np.zeros(
-        (len(batches), layer_count, packets_per_layer, payload_size), dtype=np.uint8
-    )
-    recovered = np.zeros(len(batches), dtype=np.intp)
-    rlc = []
-    for g, packets in enumerate(batches):
-        if not len(packets):
-            continue
-        if packets.scheme == SCHEME_RLC:
-            rlc.append(g)
-        else:
-            recovered[g] = _decode_columns(packets, packets_per_layer, cells[g])
-    if rlc:
-        recovered[rlc], cells[rlc] = _decode_rlc(
-            [batches[g] for g in rlc], layer_count, packets_per_layer, payload_size
-        )
-    return [
-        (int(depth), LayerGrid(packets.gop_id if len(packets) else 0, grid))
-        for depth, grid, packets in zip(recovered, cells, batches)
-    ]
+    _check_rows(block, layer_count, packets_per_layer, payload_size)
+    decode = _decode_rlc if block.scheme == SCHEME_RLC else _decode_columns
+    return decode(block, layer_count, packets_per_layer, payload_size)
 
 
-def _check_batch(packets, layer_count, packets_per_layer, payload_size) -> None:
-    if not len(packets):
+def _check_rows(block, layer_count, packets_per_layer, payload_size) -> None:
+    if not len(block):
         return
-    deepest = int(packets.depth.max())
+    deepest = int(block.depth.max())
     if deepest > layer_count:
         raise ValueError(f"packet class depth {deepest} exceeds layer_count {layer_count}")
-    if packets.payload.shape[1] != payload_size:
+    if block.payload.shape[1] != payload_size:
         raise ValueError(
-            f"payload must hold {payload_size} bytes, got {packets.payload.shape[1]}"
+            f"payload must hold {payload_size} bytes, got {block.payload.shape[1]}"
         )
-    if packets.scheme != SCHEME_RLC:
-        check_columns(packets.column, packets_per_layer)
+    if block.scheme != SCHEME_RLC:
+        check_columns(block.column, packets_per_layer)
         return
     n_unknowns = layer_count * packets_per_layer
-    coeffs = packets.coeffs
+    coeffs = block.coeffs
     if coeffs.shape[1] != n_unknowns:
         raise ValueError(f"rlc packets need {n_unknowns} coefficients, got {coeffs.shape[1]}")
-    outside = np.arange(n_unknowns) >= packets.depth.astype(np.intp)[:, None] * packets_per_layer
+    outside = np.arange(n_unknowns) >= block.depth.astype(np.intp)[:, None] * packets_per_layer
     if coeffs[outside].any():
         raise ValueError("a packet carries coefficients for layers deeper than its class")
 
@@ -436,51 +342,67 @@ def check_columns(column: np.ndarray, packets_per_layer: int) -> None:
 
 
 def covered_depth(seen: np.ndarray):
-    """Decoded depth of a column scheme from its (layer_count,
-    packets_per_layer) mask of received (depth, column) cells: the deepest
-    run of depths 1, 2, ... that every column holds. Exact for repeat, and
-    for xor, where layer j of a column needs its depth j and j-1 sums. A
-    (G, layer_count, packets_per_layer) stack of masks gives G depths."""
+    """Decoded depth from a (layer_count, packets_per_layer) mask of the
+    (depth, column) cells a decoder holds: the deepest run of depths 1, 2,
+    ... that every column holds. Exact for repeat, and for xor, where layer
+    j of a column needs its depth j and j-1 sums. A (G, layer_count,
+    packets_per_layer) stack of masks gives G depths."""
     return np.cumprod(seen.all(axis=-1), axis=-1).sum(axis=-1)
 
 
-def _decode_columns(packets, packets_per_layer, cells) -> int:
-    # the first packet of each (depth, column) cell supplies that cell
-    key = (packets.depth.astype(np.intp) - 1) * packets_per_layer + packets.column
+def _decode_columns(block, layer_count, packets_per_layer, payload_size):
+    """Depths (G,) and cells (G, L, P, s) of a checked xor or repeat block."""
+    shape = (block.gop_ids.size, layer_count, packets_per_layer)
+    gop = np.repeat(np.arange(shape[0]), block.sizes)
+    # the first packet of each (GOP, depth, column) cell supplies that cell
+    key = (gop * layer_count + block.depth - 1) * packets_per_layer + block.column
     keys, first = np.unique(key, return_index=True)
-    sums = np.zeros((cells.shape[0] * packets_per_layer, cells.shape[2]), dtype=np.uint8)
-    sums[keys] = packets.payload[first]
+    sums = np.zeros((np.prod(shape), payload_size), dtype=np.uint8)
+    sums[keys] = block.payload[first]
     seen = np.zeros(sums.shape[0], dtype=bool)
     seen[keys] = True
-    depth = int(covered_depth(seen.reshape(cells.shape[:2])))
-    sums = sums.reshape(cells.shape)[:depth]
-    cells[:depth] = sums
-    if packets.scheme == SCHEME_XOR:
+    depths = covered_depth(seen.reshape(shape))
+    cells = sums.reshape(shape + (payload_size,))
+    if block.scheme == SCHEME_XOR:
         # layer j of a column is the XOR of its depth j and depth j-1 sums
-        cells[1:depth] ^= sums[:-1]
-    return depth
+        cells[:, 1:] ^= cells[:, :-1].copy()
+    cells[np.arange(layer_count) >= depths[:, None]] = 0
+    return depths, cells
 
 
-def _decode_rlc(batches, layer_count, packets_per_layer, payload_size):
-    """Recovered depth (G,) and cells (G, L, P, s) of G checked, non-empty
-    RLC batches, eliminated together in one zero-padded stack."""
+def _decode_rlc(block, layer_count, packets_per_layer, payload_size):
+    """Depths (G,) and cells (G, L, P, s) of a checked RLC block, its
+    non-empty GOPs eliminated together in one zero-padded stack."""
+    n_gops = block.gop_ids.size
+    depths = np.zeros(n_gops, dtype=np.intp)
+    cells = np.zeros((n_gops, layer_count, packets_per_layer, payload_size), dtype=np.uint8)
+    sizes = block.sizes
+    full = np.flatnonzero(sizes)
+    if not full.size:
+        return depths, cells
     n_unknowns = layer_count * packets_per_layer
-    n_rows = max(len(packets) for packets in batches)
-    aug = np.zeros((len(batches), n_rows, n_unknowns + payload_size), dtype=np.uint8)
-    for system, packets in zip(aug, batches):
-        system[: len(packets), :n_unknowns] = packets.coeffs
-        system[: len(packets), n_unknowns:] = packets.payload
+    n_systems, n_rows = full.size, int(sizes.max())
+    # row i of the block, of the j-th non-empty GOP k, is row i - offsets[k]
+    # of system j
+    at = np.arange(len(block)) + np.repeat(
+        np.arange(n_systems) * n_rows - block.offsets[full], sizes[full]
+    )
+    aug = np.zeros((n_systems * n_rows, n_unknowns + payload_size), dtype=np.uint8)
+    aug[at, :n_unknowns] = block.coeffs
+    aug[at, n_unknowns:] = block.payload
+    aug = aug.reshape(n_systems, n_rows, -1)
     owner = gf_rref(aug, n_unknowns)
 
     # an unknown is solved when its pivot row holds no other coefficient;
     # where there is no pivot (owner -1) the lookup is masked out
-    systems = np.arange(len(batches))[:, None]
+    systems = np.arange(n_systems)[:, None]
     nonzero = np.count_nonzero(aug[:, :, :n_unknowns], axis=2)
     solved = (owner >= 0) & (nonzero[systems, owner] == 1)
-    layers_solved = solved.reshape(len(batches), layer_count, packets_per_layer).all(axis=2)
-    recovered = np.cumprod(layers_solved, axis=1).sum(axis=1)
+    recovered = covered_depth(solved.reshape(n_systems, layer_count, packets_per_layer))
     solution = aug[systems, owner, n_unknowns:].reshape(
-        len(batches), layer_count, packets_per_layer, payload_size
+        n_systems, layer_count, packets_per_layer, payload_size
     )
     solution[np.arange(layer_count) >= recovered[:, None]] = 0
-    return recovered, solution
+    depths[full] = recovered
+    cells[full] = solution
+    return depths, cells

@@ -65,16 +65,3 @@ def builtin_policy(set_id: int) -> ThresholdPolicy:
     if set_id not in _BUILTIN:
         raise ValueError(f"unknown policy set {set_id}, expected one of {BUILTIN_SET_IDS}")
     return _BUILTIN[set_id]
-
-
-def select_strategy(policy: ThresholdPolicy, pdr_estimate: float) -> tuple[int, ...]:
-    """Interval lookup; runs at most len(policy.breakpoints) comparisons."""
-    if not 0.0 <= pdr_estimate <= 1.0:
-        raise ValueError(f"pdr estimate must lie in [0, 1], got {pdr_estimate}")
-    idx = 0
-    for bp in policy.breakpoints:
-        if pdr_estimate < bp:
-            break
-        idx += 1
-    return policy.strategies[idx]
-

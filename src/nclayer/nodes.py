@@ -7,9 +7,11 @@ a strategy restricted to the depths it actually holds. The receiver scores
 each GOP by what its scheme's decoder recovers: RLC by the count-based
 decode rule on per-class arrivals, XOR and repeat by which (depth, column)
 cells arrived. Each step takes a block of GOPs, and the packets of a block
-travel as one PacketBlock; a block of one GOP is the GOP-by-GOP case. An
-RLC encoder with no decoder downstream sends coefficient-free packets,
-since the count rule reads only their classes.
+travel as one PacketBlock; a block of one GOP is the GOP-by-GOP case. A
+re-encoding relay re-encodes from its decode_block of the block, which the
+caller makes once and also reads for the relay's packet count. An RLC
+encoder with no decoder downstream sends coefficient-free packets, since
+the count rule reads only their classes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .codec import (
     encode_gop,  # noqa: F401  (perfbench's tracer wraps the one-GOP encode here)
 )
 from .heuristic import ThresholdPolicy
-from .media import LayerGrid
 from .spt import StrategyTable, decodable_layers_batch, nearest_bin
 
 MODE_FORWARD = "forward"
@@ -138,44 +139,31 @@ class RelayState:
             raise ValueError("a re-encoding relay needs a strategy table")
 
 
-def decode_arrivals(state, block: PacketBlock) -> list[tuple[int, LayerGrid]]:
-    """What a re-encoding relay or a verifying receiver (``state``) recovers
-    from each GOP of a block: (depth, grid) per GOP, decoded in one
-    ``decode_block`` call, so RLC systems share one stacked elimination."""
-    return decode_block(
-        block.batches(), state.layer_count, state.packets_per_layer, state.payload_size
-    )
-
-
 def relay_block(
     state: RelayState,
     block: PacketBlock,
     estimates,
-    decoded: Optional[list[tuple[int, LayerGrid]]] = None,
+    decoded: tuple[np.ndarray, np.ndarray],
 ) -> PacketBlock:
     """Forward mode passes the block through untouched. Re-encode mode
-    decodes the deepest available prefix of each GOP and spends the full
-    budget on it, never emitting a class deeper than what it decoded; a GOP
-    with nothing decoded gets no packets. estimates[k] is the delivery
-    estimate in force at GOP k; ``decoded`` is ``decode_arrivals`` of the
-    block when the caller has it already."""
+    spends the full budget on the deepest prefix it decoded of each GOP,
+    never emitting a class deeper than that prefix; a GOP with nothing
+    decoded gets no packets. estimates[k] is the delivery estimate in force
+    at GOP k, and decoded is the (depths, cells) decode_block of the
+    block."""
     if state.mode == MODE_FORWARD:
         return block
-    k = block.gop_ids.size
+    depths, cells = decoded
     estimates = _check_estimates(estimates)
-    if decoded is None:
-        decoded = decode_arrivals(state, block)
-    depths = np.array([depth for depth, _ in decoded], dtype=np.intp)
     table = state.table
     index = table.restricted_index[
         nearest_bin(estimates), np.minimum(depths, table.layer_count)
     ]
     encoding = (depths > 0) & (index >= 0)
     strategies = np.where(encoding[:, None], table.matrix[index], 0)
-    seeds = np.zeros(k, dtype=np.int64)
+    seeds = np.zeros(depths.size, dtype=np.int64)
     seeds[encoding] = _fresh_seeds(state.rng, int(np.count_nonzero(encoding)))
     state.pdr_estimate = float(estimates[-1])
-    cells = np.stack([grid.cells for _, grid in decoded])
     return encode_block(
         cells, block.gop_ids, strategies, state.scheme, seeds, state.coeff_width
     )
@@ -229,13 +217,14 @@ def receiver_block(
         seen[gop, block.depth.astype(np.intp) - 1, block.column] = True
         scores = covered_depth(seen)
     if state.verify_payloads:
-        decoded = decode_arrivals(state, block)
-        for k in np.flatnonzero(block.sizes):
-            actual, grid = decoded[k]
-            if actual < scores[k]:
-                state.prediction_gaps += 1
-            if references is not None and actual > 0:
-                if not np.array_equal(grid.cells[:actual], references[k][:actual]):
-                    state.payload_errors += 1
+        depths, cells = decode_block(
+            block, state.layer_count, state.packets_per_layer, state.payload_size
+        )
+        state.prediction_gaps += int(np.count_nonzero(depths < scores))
+        if references is not None:
+            # a GOP decoded wrong when a cell of its recovered prefix differs
+            decoded = np.arange(state.layer_count) < depths[:, None]
+            wrong = (cells != references).any(axis=(2, 3)) & decoded
+            state.payload_errors += int(np.count_nonzero(wrong.any(axis=1)))
     state.history.extend(scores.tolist())
     return scores

@@ -21,17 +21,18 @@ makes one draw for the block, covering each GOP's probes and then its
 packets, GOP by GOP. The probe estimates, strategy selection, encoding,
 per-hop delays and receiver scoring then run on the block, whose packets
 travel as one PacketBlock. A re-encoding relay, and a verifying receiver,
-decode all of a block's GOPs in one call, which stacks their RLC systems
-into one elimination. Seeded results are those of a GOP-by-GOP loop
-whatever the block size: every link belongs to one segment and draws its
-probes and packets of GOP g before those of g+1; the sender and each relay
-draw one encode seed per GOP they encode, in GOP order; decoding draws
-nothing; and each GOP's delay is summed in hop order.
+decode all of a block's GOPs in one decode_block call, which stacks their
+RLC systems into one elimination; the relay's decode gives both its packet
+count per GOP and the cells it re-encodes. Seeded results are those of a
+GOP-by-GOP loop whatever the block size: every link belongs to one
+segment and draws its probes and packets of GOP g before those of g+1;
+the sender and each relay draw one encode seed per GOP they encode, in
+GOP order; decoding draws nothing; and each GOP's delay is summed in hop
+order.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import time
 from dataclasses import dataclass, field, replace
@@ -40,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import LinkModel, send_block
-from .codec import SCHEME_REPEAT, SCHEMES
+from .codec import SCHEME_REPEAT, SCHEMES, decode_block
 from .heuristic import ThresholdPolicy, builtin_policy
 from .media import make_synthetic_cells
 from .nodes import (
@@ -50,7 +51,6 @@ from .nodes import (
     ReceiverState,
     RelayState,
     SenderState,
-    decode_arrivals,
     receiver_block,
     relay_block,
     sender_block,
@@ -132,6 +132,17 @@ class ChainConfig:
         for name in ("layer_count", "packets_per_layer", "payload_size", "budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        source = self.layer_count * self.packets_per_layer
+        if self.scheme == SCHEME_REPEAT and self.budget % source:
+            raise ValueError(
+                f"budget {self.budget} must be a multiple of the {source} source "
+                f"packets the uncoded sender repeats"
+            )
+        if self.needs_table and (self.granularity < 1 or self.budget % self.granularity):
+            raise ValueError(
+                f"granularity {self.granularity} must be positive and divide "
+                f"the budget {self.budget}"
+            )
         for name in ("transmit_delay", "forward_delay", "recode_delay", "table_build_charge"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
@@ -167,6 +178,14 @@ class ChainConfig:
     @property
     def hop_count(self) -> int:
         return len(self.link_pdrs)
+
+    @property
+    def needs_table(self) -> bool:
+        """Whether a run selects from a strategy table: a re-encoding relay
+        always does, and so does a coded sender under spt selection."""
+        return MODE_NC in self.relay_modes or (
+            self.selection == "spt" and self.scheme != SCHEME_REPEAT
+        )
 
 
 @dataclass
@@ -272,9 +291,8 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     def coeff_width(position: int) -> int:
         return full if position < last_decoder else 0
 
-    needs_table = MODE_NC in config.relay_modes or (config.selection == "spt" and not repeat)
     build_seconds = 0.0
-    if needs_table and table is None:
+    if config.needs_table and table is None:
         start = time.perf_counter()
         table = build_table(
             budget=config.budget,
@@ -292,8 +310,8 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         for p, child, d in zip(config.link_pdrs, link_children, delays)
     ]
     if repeat:
-        copies = math.ceil(config.budget / (config.layer_count * config.packets_per_layer))
-        selector = {"strategy": (copies * config.packets_per_layer,) * config.layer_count}
+        # every source packet, budget // (layer_count * packets_per_layer) times
+        selector = {"strategy": (config.budget // config.layer_count,) * config.layer_count}
     elif config.selection == "spt":
         selector = {"table": table}
     else:
@@ -360,11 +378,12 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             if encoder is sender:
                 sending = np.full(gops.size, sender.spend)
             else:
-                decoded = decode_arrivals(encoder, block)
+                decoded = decode_block(
+                    block, encoder.layer_count, encoder.packets_per_layer, encoder.payload_size
+                )
                 # a re-encoding relay spends its budget on every GOP it
                 # decoded a layer of, and sends nothing for the others
-                depths = np.array([depth for depth, _ in decoded])
-                sending = np.where(depths > 0, config.budget, 0)
+                sending = np.where(decoded[0] > 0, config.budget, 0)
             # one draw per link for the block: probes and packets, GOP by GOP
             alive, masks = send_block(segment_links, probes, sending, pdrs)
             # the sender's feedback, round(share * probes) / probes, is the
@@ -515,11 +534,11 @@ def sweep(
 ) -> list[dict]:
     """Runs every (pdr, mode, repetition) combination and returns one row per
     run, in task order regardless of how many workers execute them."""
-    if not pdr_grid:
+    if not len(pdr_grid):
         raise ValueError("pdr grid is empty")
     if any(not 0.0 <= p <= 1.0 for p in pdr_grid):
         raise ValueError(f"pdr grid values must lie in [0, 1], got {tuple(pdr_grid)}")
-    if not modes:
+    if not len(modes):
         raise ValueError("mode list is empty")
     if reps < 1 or jobs < 1:
         raise ValueError(f"reps and jobs must be positive, got {reps}, {jobs}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -282,20 +282,6 @@ def nearest_bin(estimate):
     k += scaled - k > 0.5 + _BIN_EPS
     bins = np.clip(k, 1, 20).astype(np.intp) - 1
     return int(bins) if bins.ndim == 0 else bins
-
-
-def select_best(table: StrategyTable, pdr_estimate: float) -> tuple[int, ...]:
-    return table.best_strategy(nearest_bin(pdr_estimate))
-
-
-def best_restricted(
-    table: StrategyTable, bin_index: int, max_depth: int
-) -> Optional[tuple[int, ...]]:
-    """Best table strategy that leaves classes deeper than max_depth empty."""
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    i = int(table.restricted_index[bin_index, min(max_depth, table.layer_count)])
-    return None if i < 0 else table.strategies[i]
 
 
 def save_table(table: StrategyTable, path) -> None:

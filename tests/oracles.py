@@ -285,6 +285,43 @@ def nearest_bin_reference(estimate):
     return min(max(k, 1), 20) - 1
 
 
+def select_best(table, pdr_estimate):
+    """The table's best strategy for a delivery estimate, one estimate at a
+    time: the best_index entry of the bin nearest_bin_reference finds."""
+    return table.strategies[int(table.best_index[nearest_bin_reference(pdr_estimate)])]
+
+
+def best_restricted(table, bin_index, max_depth):
+    """Best strategy of bin bin_index among those that leave every class
+    deeper than max_depth empty, by a scan over the table: the last strategy
+    holding the maximum value wins exact ties. None when no strategy
+    qualifies."""
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
+    values = table.values[:, bin_index].tolist()
+    best = None
+    for i, strategy in enumerate(table.strategies):
+        if any(strategy[max_depth:]):
+            continue
+        if best is None or values[i] >= values[best]:
+            best = i
+    return None if best is None else table.strategies[best]
+
+
+def select_strategy(policy, pdr_estimate):
+    """A threshold policy's strategy for an estimate, by walking its
+    breakpoints in order; an estimate on a breakpoint takes the upper
+    interval."""
+    if not 0.0 <= pdr_estimate <= 1.0:
+        raise ValueError(f"pdr estimate must lie in [0, 1], got {pdr_estimate}")
+    index = 0
+    for breakpoint in policy.breakpoints:
+        if pdr_estimate < breakpoint:
+            break
+        index += 1
+    return policy.strategies[index]
+
+
 def reference_run(config, table=None):
     """The chain simulation one GOP at a time, as run() first carried it.
 
@@ -306,10 +343,10 @@ def reference_run(config, table=None):
         encode_gop,
     )
     from nclayer.channel import LinkModel
-    from nclayer.heuristic import builtin_policy, select_strategy
+    from nclayer.heuristic import builtin_policy
     from nclayer.media import make_synthetic_gop
     from nclayer.simulator import RunMetrics
-    from nclayer.spt import best_restricted, build_table, select_best
+    from nclayer.spt import build_table
 
     hops = config.hop_count
     n_relays = hops - 1
@@ -382,8 +419,7 @@ def reference_run(config, table=None):
                     relay_estimates[position] = estimate
             if position < 0:
                 if repeat:
-                    copies = math.ceil(config.budget / (L * P))
-                    sender_strategy = (copies * P,) * L
+                    sender_strategy = (config.budget // L,) * L
                 elif sender_strategy is None or gop_index % config.update_period == 0:
                     if config.selection == "spt":
                         sender_strategy = select_best(table, sender_estimate)
@@ -401,7 +437,7 @@ def reference_run(config, table=None):
                     bin_index = nearest_bin_reference(relay_estimates[position])
                     strategy = best_restricted(table, bin_index, depth)
                 if strategy is None:
-                    current = current[:0]
+                    current = current.select(np.arange(0))
                 else:
                     seed = int(relay_rngs[position].integers(0, 2**63))
                     current = encode_gop(
@@ -410,7 +446,7 @@ def reference_run(config, table=None):
             for hop in segment:
                 delay += len(current) * links[hop].transmit_delay
                 if len(current):
-                    current = current[draw(links[hop], len(current))]
+                    current = current.select(draw(links[hop], len(current)))
                 if hop < n_relays:
                     delay += config.forward_delay
                     if config.relay_modes[hop] == "nc":

@@ -15,16 +15,15 @@ from nclayer.codec import (
     decode_gop,
     encode_gop,
 )
-from nclayer.heuristic import builtin_policy, select_strategy
+from nclayer.heuristic import builtin_policy
 from nclayer.media import make_synthetic_gop
 from nclayer.simulator import ChainConfig, format_row, run, sweep, write_rows
 from nclayer.spt import (
     build_table,
     enumerate_strategies,
     expected_decoded_layers,
-    select_best,
 )
-from oracles import count_vectors, rank_decodable_layers
+from oracles import count_vectors, rank_decodable_layers, select_best, select_strategy
 
 
 def _chain_audl(table, hops, relay_modes, p, gops, seed):
@@ -110,7 +109,7 @@ def test_c05_codec_round_trip():
     full_predicted = 0
     full_recovered = 0
     for _ in range(1000):
-        kept = rlc_packets[rng.random(len(rlc_packets)) < 0.95]
+        kept = rlc_packets.select(rng.random(len(rlc_packets)) < 0.95)
         counts = np.bincount(kept.depth, minlength=5)[1:]
         if decodable_layers(counts, 8) < 4:
             continue
@@ -125,7 +124,7 @@ def test_c05_codec_round_trip():
     xor_packets = encode_gop(grid, (16, 16, 16, 16), SCHEME_XOR, seed=7)
     covered = 0
     for _ in range(1000):
-        kept = xor_packets[rng.random(len(xor_packets)) < 0.9]
+        kept = xor_packets.select(rng.random(len(xor_packets)) < 0.9)
         cells = set(zip(kept.depth.tolist(), kept.column.tolist()))
         if not all(
             (d, c) in cells for d in range(1, 5) for c in range(8)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from nclayer.codec import (
     SCHEME_RLC,
     SCHEME_XOR,
     SCHEMES,
-    PacketBatch,
     PacketBlock,
     decodable_layers,
     decode_block,
@@ -80,7 +81,7 @@ def test_encode_counts_and_classes():
     strategy = (3, 0, 2, 1)
     packets = encode_gop(grid, strategy, SCHEME_RLC, seed=1)
     assert len(packets) == 6
-    assert packets.gop_id == 0
+    assert packets.gop_ids.tolist() == [0] and packets.offsets.tolist() == [0, 6]
     assert packets.scheme == SCHEME_RLC
     assert tuple(np.bincount(packets.depth, minlength=5)[1:]) == strategy
     # shallow classes come first
@@ -134,11 +135,11 @@ def test_repeat_sends_runs_of_raw_cells():
     assert source.tolist() == np.repeat(np.arange(12), 2).tolist()
     assert packets.coeffs is None
     assert np.array_equal(packets.payload, grid.cells[packets.depth - 1, packets.column])
-    decoded, recovered = decode_gop(packets[1::2], 3, 4, 8)
+    decoded, recovered = decode_gop(packets.select(np.arange(1, len(packets), 2)), 3, 4, 8)
     assert decoded == 3
     assert np.array_equal(recovered.cells, grid.cells)
     # a lost cell of layer 2 stops the prefix there, with no peeling
-    lost = packets[~np.isin(source, [5])]
+    lost = packets.select(~np.isin(source, [5]))
     decoded, recovered = decode_gop(lost, 3, 4, 8)
     assert decoded == 1
     assert np.array_equal(recovered.cells[0], grid.cells[0])
@@ -160,7 +161,7 @@ def test_rlc_decode_never_exceeds_count_prediction():
     hits = 0
     trials = 60
     for _ in range(trials):
-        kept = packets[rng.random(len(packets)) < 0.7]
+        kept = packets.select(rng.random(len(packets)) < 0.7)
         counts = np.bincount(kept.depth, minlength=4)[1:]
         predicted = decodable_layers(counts, 2)
         decoded, recovered = decode_gop(kept, 3, 2, 8)
@@ -173,20 +174,18 @@ def test_rlc_decode_never_exceeds_count_prediction():
 
 
 def test_decode_empty_input():
-    decoded, recovered = decode_gop([], 3, 2, 8)
+    packets = encode_gop(make_synthetic_gop(3, 3, 2, 8), (2, 2, 2), SCHEME_RLC, seed=0)
+    decoded, recovered = decode_gop(packets.select(np.zeros(len(packets), bool)), 3, 2, 8)
     assert decoded == 0
+    assert recovered.gop_id == 3
     assert not recovered.cells.any()
 
 
 def test_decode_rejects_mixed_gops():
-    grid_a = make_synthetic_gop(0, 2, 2, 4)
-    grid_b = make_synthetic_gop(1, 2, 2, 4)
-    packets_a = encode_gop(grid_a, (2, 2), SCHEME_RLC, seed=0)
-    packets_b = encode_gop(grid_b, (2, 2), SCHEME_RLC, seed=0)
-    with pytest.raises(ValueError, match="several GOPs"):
-        decode_gop(PacketBatch.concat([packets_a, packets_b]), 2, 2, 4)
-    with pytest.raises(ValueError, match="gop_id"):
-        decode_gop(packets_a, 2, 2, 4, gop_id=1)
+    cells = make_synthetic_cells([0, 1], 2, 2, 4)
+    both = encode_block(cells, [0, 1], [(2, 2), (2, 2)], SCHEME_RLC, [0, 0])
+    with pytest.raises(ValueError, match="one GOP"):
+        decode_gop(both, 2, 2, 4)
 
 
 def test_decode_rejects_overdeep_class():
@@ -254,39 +253,44 @@ def test_reencoded_packets_decode():
 def test_batch_indexing_selects_rows():
     grid = make_synthetic_gop(0, 3, 2, 8)
     packets = encode_gop(grid, (2, 2, 2), SCHEME_RLC, seed=1)
-    halves = packets[::2]
-    assert len(halves) == 3
+    halves = packets.select(np.arange(0, 6, 2))
+    assert len(halves) == 3 and halves.offsets.tolist() == [0, 3]
     assert halves.depth.tolist() == [1, 2, 3]
     assert np.array_equal(halves.coeffs, packets.coeffs[::2])
     mask = np.array([True, False, False, True, True, False])
-    picked = packets[mask]
+    picked = packets.select(mask)
     assert np.array_equal(picked.payload, packets.payload[mask])
-    assert picked.gop_id == packets.gop_id and picked.scheme == packets.scheme
-    assert len(packets[:0]) == 0
-    with pytest.raises(TypeError):
-        packets[0]
-    again = PacketBatch.concat([packets[:2], packets[2:]])
-    assert np.array_equal(again.coeffs, packets.coeffs)
-    assert np.array_equal(again.payload, packets.payload)
+    assert picked.gop_ids.tolist() == [0] and picked.scheme == packets.scheme
+    assert len(packets.select(np.zeros(6, bool))) == 0
+    # an index may repeat: the row arrives twice
+    twice = packets.select(np.array([0, 0, 5]))
+    assert twice.depth.tolist() == [1, 1, 3] and twice.sizes.tolist() == [3]
 
 
 def test_batch_validates_once_on_construction():
     payload = np.zeros((2, 4), dtype=np.uint8)
     coeffs = np.zeros((2, 4), dtype=np.uint8)
+
+    def block(scheme, depth, payload=payload, offsets=(0, 2), **rows):
+        return PacketBlock(scheme, [0], offsets, depth, payload, **rows)
+
     with pytest.raises(ValueError, match="scheme"):
-        PacketBatch(0, "fountain", [1, 1], payload, coeffs=coeffs)
+        block("fountain", [1, 1], coeffs=coeffs)
     with pytest.raises(ValueError, match="depth"):
-        PacketBatch(0, SCHEME_RLC, [1, 0], payload, coeffs=coeffs)
+        block(SCHEME_RLC, [1, 0], coeffs=coeffs)
     with pytest.raises(ValueError, match="payload row"):
-        PacketBatch(0, SCHEME_RLC, [1, 1, 1], payload, coeffs=coeffs)
+        block(SCHEME_RLC, [1, 1, 1], coeffs=coeffs)
     with pytest.raises(ValueError, match="coefficients"):
-        PacketBatch(0, SCHEME_RLC, [1, 1], payload, column=[0, 1])
+        block(SCHEME_RLC, [1, 1], column=[0, 1])
     with pytest.raises(ValueError, match="coefficient rows"):
-        PacketBatch(0, SCHEME_RLC, [1, 1], payload, coeffs=coeffs[:1])
+        block(SCHEME_RLC, [1, 1], coeffs=coeffs[:1])
     with pytest.raises(ValueError, match="column"):
-        PacketBatch(0, SCHEME_XOR, [1, 1], payload)
+        block(SCHEME_XOR, [1, 1])
     with pytest.raises(ValueError, match="columns"):
-        PacketBatch(0, SCHEME_XOR, [1, 1], payload, column=[0])
+        block(SCHEME_XOR, [1, 1], column=[0])
+    for offsets in ((0, 1), (1, 2), (0, 1, 2)):
+        with pytest.raises(ValueError, match="offsets"):
+            block(SCHEME_RLC, [1, 1], offsets=offsets, coeffs=coeffs)
 
 
 def test_decode_rejects_inconsistent_batches():
@@ -297,11 +301,11 @@ def test_decode_rejects_inconsistent_batches():
     with pytest.raises(ValueError, match="coefficients"):
         decode_gop(rlc, 2, 3, 4)
     # a class-1 packet whose coefficients reach into layer 2
-    leaky = PacketBatch(0, SCHEME_RLC, rlc.depth, rlc.payload, coeffs=rlc.coeffs | 1)
+    leaky = replace(rlc, coeffs=rlc.coeffs | 1)
     with pytest.raises(ValueError, match="deeper than its class"):
         decode_gop(leaky, 2, 2, 4)
     xor = encode_gop(grid, (2, 2), SCHEME_XOR)
-    bad = PacketBatch(0, SCHEME_XOR, xor.depth, xor.payload, column=xor.column + 1)
+    bad = replace(xor, column=xor.column + 1)
     with pytest.raises(ValueError, match="column"):
         decode_gop(bad, 2, 2, 4)
 
@@ -312,68 +316,70 @@ def test_xor_decode_uses_first_copy_of_each_cell():
     # corrupt the second copies of the class-1 cells: the first copies win
     payload = packets.payload.copy()
     payload[2:4] ^= 0xFF
-    tampered = PacketBatch(4, SCHEME_XOR, packets.depth, payload, column=packets.column)
+    tampered = replace(packets, payload=payload)
     decoded, recovered = decode_gop(tampered, 2, 2, 8)
     assert decoded == 2
     assert np.array_equal(recovered.cells, grid.cells)
 
 
-def _block(scheme, seed):
-    """Erased batches of several GOPs: some full, some rank-deficient, one
-    empty, at payload width 8 with L=4, P=4."""
+def _rows(block, k, name):
+    """GOP k's rows of one of a block's row arrays; None stays None."""
+    rows = getattr(block, name)
+    return None if rows is None else rows[block.offsets[k] : block.offsets[k + 1]]
+
+
+def _erased(scheme, seed):
+    """An erased block of GOPs 0-8 of make_synthetic_cells(seed) at L=4,
+    P=4, s=8: some full, some rank-deficient, GOP 3 empty. Also returns each
+    GOP's strategy and its surviving rows, numbered within its own encode."""
     rng = np.random.default_rng(seed)
-    batches = []
-    for gop in range(9):
-        grid = make_synthetic_gop(gop, 4, 4, 8, seed=seed)
-        strategy = rng.integers(0, 10, 4)
-        packets = encode_gop(grid, strategy, scheme, seed=gop)
-        batches.append(packets[rng.random(len(packets)) < rng.uniform(0.2, 1.0)])
-    batches[3] = batches[3][:0]
-    return batches
+    strategies = rng.integers(0, 10, (9, 4))
+    cells = make_synthetic_cells(range(9), 4, 4, 8, seed)
+    block = encode_block(cells, range(9), strategies, scheme, range(9))
+    kept = [np.flatnonzero(rng.random(n) < rng.uniform(0.2, 1.0)) for n in block.sizes]
+    kept[3] = kept[3][:0]
+    rows = np.concatenate([start + k for start, k in zip(block.offsets, kept)])
+    return block.select(rows), strategies, kept
 
 
-@pytest.mark.parametrize("scheme", [SCHEME_RLC, SCHEME_XOR, SCHEME_REPEAT, "mixed"])
+@pytest.mark.parametrize("scheme", [SCHEME_RLC, SCHEME_XOR, SCHEME_REPEAT])
 def test_block_decode_equals_one_gop_decodes(scheme):
-    if scheme == "mixed":
-        batches = _block(SCHEME_RLC, 1)[::2] + _block(SCHEME_XOR, 1)[1::2]
-    else:
-        batches = _block(scheme, 1)
-    block = decode_block(batches, 4, 4, 8)
-    assert len(block) == len(batches)
-    depths = []
-    for packets, (depth, grid) in zip(batches, block):
-        want_depth, want = decode_gop(packets, 4, 4, 8)
-        assert depth == want_depth
-        assert grid.gop_id == want.gop_id
-        assert np.array_equal(grid.cells, want.cells)
-        depths.append(depth)
-    assert 0 in depths and len(set(depths)) > 1
+    block, strategies, kept = _erased(scheme, 1)
+    depths, cells = decode_block(block, 4, 4, 8)
+    assert depths.shape == (9,) and cells.shape == (9, 4, 4, 8)
+    for k, (strategy, rows) in enumerate(zip(strategies, kept)):
+        grid = make_synthetic_gop(k, 4, 4, 8, seed=1)
+        alone = encode_gop(grid, strategy, scheme, seed=k).select(rows)
+        want_depth, want = decode_gop(alone, 4, 4, 8)
+        assert depths[k] == want_depth
+        assert want.gop_id == k
+        assert np.array_equal(cells[k], want.cells)
+    assert 0 in depths and len(set(depths.tolist())) > 1
 
 
 def test_block_decode_rejects_a_bad_batch_wherever_it_sits():
-    grid = make_synthetic_gop(0, 4, 4, 8)
-    good = _block(SCHEME_RLC, 2)
-    rlc = encode_gop(grid, (4, 4, 4, 4), SCHEME_RLC, seed=0)
-    bad_batches = {
-        "exceeds layer_count": encode_gop(
-            make_synthetic_gop(0, 5, 4, 8), (0, 0, 0, 0, 4), SCHEME_RLC, seed=0
-        ),
-        "payload": PacketBatch(
-            0, SCHEME_RLC, rlc.depth, rlc.payload[:, :4], coeffs=rlc.coeffs
-        ),
-        "16 coefficients": PacketBatch(
-            0, SCHEME_RLC, rlc.depth, rlc.payload, coeffs=rlc.coeffs[:, :0]
-        ),
-        "deeper than its class": PacketBatch(
-            0, SCHEME_RLC, rlc.depth, rlc.payload, coeffs=rlc.coeffs | 1
-        ),
-    }
-    for match, bad in bad_batches.items():
-        with pytest.raises(ValueError, match=match):
-            decode_gop(bad, 4, 4, 8)
-        for at in (0, len(good) // 2, len(good)):
-            with pytest.raises(ValueError, match=match):
-                decode_block(good[:at] + [bad] + good[at:], 4, 4, 8)
+    for scheme in (SCHEME_RLC, SCHEME_XOR):
+        good, _, _ = _erased(scheme, 2)
+        with pytest.raises(ValueError, match="payload"):
+            decode_block(good, 4, 4, 4)
+        if scheme == SCHEME_RLC:
+            with pytest.raises(ValueError, match="16 coefficients"):
+                decode_block(replace(good, coeffs=good.coeffs[:, :8]), 4, 4, 8)
+        full = np.flatnonzero(good.sizes)
+        for k in full[[0, full.size // 2, -1]]:
+            # one GOP's rows go bad, wherever it sits in the block
+            at = slice(good.offsets[k], good.offsets[k + 1])
+            bad = {"exceeds layer_count": dict(depth=good.depth.copy())}
+            bad["exceeds layer_count"]["depth"][at] = 5
+            if scheme == SCHEME_RLC:
+                bad["deeper than its class"] = dict(coeffs=good.coeffs.copy())
+                bad["deeper than its class"]["coeffs"][at] |= 1
+            else:
+                bad["column"] = dict(column=good.column.copy())
+                bad["column"]["column"][at] = 4
+            for match, rows in bad.items():
+                with pytest.raises(ValueError, match=match):
+                    decode_block(replace(good, **rows), 4, 4, 8)
 
 
 @pytest.mark.parametrize("per_layer", [3, 5, 7, 8])
@@ -410,27 +416,19 @@ def test_block_encode_equals_one_gop_encodes(scheme, size):
     ]
     mask = np.arange(len(block)) % 3 != 1
     picked = block.select(mask)
-    start = 0
+    assert block.gop_ids.tolist() == [5, 6, 7, 8]
+    assert block.offsets.tolist() == [0] + np.cumsum([len(a) for a in alone]).tolist()
     for k, packets in enumerate(alone):
-        assert block.gop(k).gop_id == packets.gop_id
+        assert packets.gop_ids.tolist() == [5 + k]
         for name in ("depth", "payload", "coeffs", "column"):
-            got, want = getattr(block.gop(k), name), getattr(packets, name)
+            got, want = _rows(block, k, name), getattr(packets, name)
             assert (got is None) == (want is None) and np.array_equal(got, want), name
-        kept = packets[mask[start : start + len(packets)]]
-        assert np.array_equal(picked.gop(k).depth, kept.depth)
-        assert np.array_equal(picked.gop(k).payload, kept.payload)
-        start += len(packets)
-    assert picked.sizes.tolist() == [len(picked.gop(k)) for k in range(4)]
-    again = PacketBlock.concat(alone)
-    assert again.offsets.tolist() == block.offsets.tolist()
-    assert np.array_equal(again.depth, block.depth)
-
-
-def _decode(block, layer_count, packets_per_layer, payload_size):
-    """decode_block of a block as (depths, cells) arrays."""
-    decoded = decode_block(block.batches(), layer_count, packets_per_layer, payload_size)
-    return np.array([d for d, _ in decoded]), np.stack([g.cells for _, g in decoded])
-
+        kept = packets.select(mask[block.offsets[k] : block.offsets[k + 1]])
+        assert np.array_equal(_rows(picked, k, "depth"), kept.depth)
+        assert np.array_equal(_rows(picked, k, "payload"), kept.payload)
+    assert picked.sizes.tolist() == [
+        int(np.count_nonzero(mask[a:b])) for a, b in zip(block.offsets, block.offsets[1:])
+    ]
 
 def _random_block(rng):
     """An erased block of 1-6 GOPs under a random scheme, L 1-4, P 1-5 and
@@ -463,7 +461,7 @@ def test_block_decode_equals_the_reference_decoder():
     seen = set()
     for _ in range(400):
         block, L, P, s = _random_block(rng)
-        depths, cells = _decode(block, L, P, s)
+        depths, cells = decode_block(block, L, P, s)
         assert depths.shape == (block.gop_ids.size,)
         assert cells.shape == (block.gop_ids.size, L, P, s)
         for k, (start, end) in enumerate(zip(block.offsets[:-1], block.offsets[1:])):

@@ -178,6 +178,10 @@ def test_load_config_names_the_key_of_a_refused_value(tmp_path):
         ("coding.budget = -5\n", "coding.budget"),
         # every builtin threshold set spends 64 packets per GOP
         ("coding.budget = 32\nselect.method = heuristic\n", "coding.budget"),
+        # the uncoded sender repeats all 32 source packets a whole number of times
+        ("coding.budget = 40\ncoding.scheme = repeat\n", "coding.budget"),
+        ("coding.granularity = 5\n", "coding.granularity"),
+        ("coding.granularity = 0\n", "coding.granularity"),
     ):
         path.write_text(text)
         with pytest.raises(ConfigError, match=key):

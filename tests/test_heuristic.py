@@ -1,25 +1,22 @@
+import numpy as np
 import pytest
 
 from nclayer.heuristic import (
     BUILTIN_SET_IDS,
     ThresholdPolicy,
     builtin_policy,
-    select_strategy,
 )
+from nclayer.nodes import SenderState, _select, sender_block
+from oracles import select_strategy
 
 
-class CountingFloat(float):
-    """Float that records how many ordering comparisons touch it."""
-
-    comparisons = 0
-
-    def __lt__(self, other):
-        CountingFloat.comparisons += 1
-        return float.__lt__(self, other)
-
-    def __ge__(self, other):
-        CountingFloat.comparisons += 1
-        return float.__ge__(self, other)
+def _picks(policy, estimates):
+    """The strategy a sender under the policy selects for each estimate,
+    checked against the oracle's interval walk."""
+    rows = _select(SenderState(scheme="rlc", policy=policy), np.asarray(estimates, dtype=float))
+    picks = [tuple(row) for row in rows.tolist()]
+    assert picks == [select_strategy(policy, e) for e in estimates]
+    return picks
 
 
 def test_builtin_sets_are_pinned():
@@ -47,32 +44,31 @@ def test_unknown_set_rejected():
 
 
 def test_interval_selection_set_three():
-    policy = builtin_policy(3)
-    assert select_strategy(policy, 0.0) == (64, 0, 0, 0)
-    assert select_strategy(policy, 0.29) == (64, 0, 0, 0)
-    assert select_strategy(policy, 0.4) == (48, 16, 0, 0)
-    assert select_strategy(policy, 0.7) == (24, 20, 20, 0)
-    assert select_strategy(policy, 1.0) == (40, 8, 8, 8)
+    assert _picks(builtin_policy(3), [0.0, 0.29, 0.4, 0.7, 1.0]) == [
+        (64, 0, 0, 0), (64, 0, 0, 0), (48, 16, 0, 0), (24, 20, 20, 0), (40, 8, 8, 8),
+    ]
 
 
 def test_boundary_estimate_takes_upper_interval():
-    policy = builtin_policy(3)
-    assert select_strategy(policy, 0.3) == (48, 16, 0, 0)
-    assert select_strategy(policy, 0.5) == (24, 20, 20, 0)
-    assert select_strategy(policy, 0.8) == (40, 8, 8, 8)
-    assert select_strategy(builtin_policy(1), 0.5) == (24, 20, 20, 0)
-
-
-def test_selection_runs_constant_few_comparisons():
-    policy = builtin_policy(3)
-    for estimate in (0.1, 0.45, 0.99):
-        CountingFloat.comparisons = 0
-        select_strategy(policy, CountingFloat(estimate))
-        # two range-validation comparisons plus at most three interval probes
-        assert CountingFloat.comparisons <= 2 + len(policy.breakpoints)
+    assert _picks(builtin_policy(3), [0.3, 0.5, 0.8]) == [
+        (48, 16, 0, 0), (24, 20, 20, 0), (40, 8, 8, 8),
+    ]
+    assert _picks(builtin_policy(1), [0.5]) == [(24, 20, 20, 0)]
+    # every breakpoint of every set, its float neighbours, and a fine grid
+    grid = np.linspace(0.0, 1.0, 201).tolist()
+    for set_id in BUILTIN_SET_IDS:
+        policy = builtin_policy(set_id)
+        points = np.array(policy.breakpoints)
+        edges = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+        _picks(policy, edges.tolist() + grid)
 
 
 def test_estimate_out_of_range_rejected():
+    sender = SenderState(scheme="rlc", policy=builtin_policy(1))
+    cells = np.zeros((1, 4, 8, 0), dtype=np.uint8)
+    for estimate in (1.5, -0.1):
+        with pytest.raises(ValueError, match="estimates"):
+            sender_block(sender, cells, [0], [estimate])
     with pytest.raises(ValueError):
         select_strategy(builtin_policy(1), 1.5)
 
@@ -92,5 +88,5 @@ def test_policy_validation():
 
 def test_policy_from_lists():
     policy = ThresholdPolicy([0.4], [[6, 2], [2, 6]])
-    assert select_strategy(policy, 0.4) == (2, 6)
+    assert _picks(policy, [0.4]) == [(2, 6)]
     assert policy.budget == 8

@@ -83,13 +83,13 @@ def test_rref_form_is_unique_under_row_permutation():
 
 def _rref_cases():
     rng = np.random.default_rng(7)
-    # relay-shaped: a standard GOP's RLC batch under a table strategy, thinned
-    # by random erasures, as a re-encoding relay hands it to the decoder
+    # relay-shaped: a standard GOP's RLC packets under a table strategy,
+    # thinned by random erasures, as a re-encoding relay hands them to the decoder
     strategies = enumerate_strategies(64, 4, 4)
     for gop in range(40):
         strategy = strategies[int(rng.integers(len(strategies)))]
-        batch = encode_gop(make_synthetic_gop(gop, 4, 8, 64), strategy, "rlc", seed=gop)
-        kept = batch[rng.random(len(batch)) < rng.uniform(0.3, 1.0)]
+        packets = encode_gop(make_synthetic_gop(gop, 4, 8, 64), strategy, "rlc", seed=gop)
+        kept = packets.select(rng.random(len(packets)) < rng.uniform(0.3, 1.0))
         yield f"relay {gop}", np.hstack([kept.coeffs, kept.payload]), 32
     for trial in range(60):
         n, u, extra = int(rng.integers(1, 20)), int(rng.integers(1, 16)), int(rng.integers(0, 10))

@@ -7,9 +7,9 @@ from nclayer.codec import (
     SCHEME_REPEAT,
     SCHEME_RLC,
     SCHEME_XOR,
-    PacketBatch,
-    PacketBlock,
+    decode_block,
     decode_gop,
+    encode_block,
     encode_gop,
 )
 from nclayer.heuristic import builtin_policy
@@ -18,7 +18,6 @@ from nclayer.nodes import (
     ReceiverState,
     RelayState,
     SenderState,
-    decode_arrivals,
     receiver_block,
     relay_block,
     sender_block,
@@ -33,11 +32,6 @@ def small_table():
 
 def _grid():
     return make_synthetic_gop(0, 3, 2, 8, seed=1)
-
-
-def _block(*batches):
-    """A block of one GOP per batch."""
-    return PacketBlock.concat(batches)
 
 
 def _send(sender, grids, estimates):
@@ -96,7 +90,10 @@ def test_sender_strategy_refreshes_on_period(small_table):
         rng=np.random.default_rng(0),
     )
     block = _send(again, [grid] * 4, [1.0, 0.05, 0.05, 0.05])
-    classes = [tuple(np.bincount(b.depth, minlength=4)[1:].tolist()) for b in block.batches()]
+    classes = [
+        tuple(np.bincount(block.depth[a:b], minlength=4)[1:].tolist())
+        for a, b in zip(block.offsets, block.offsets[1:])
+    ]
     assert classes[:3] == [lossless] * 3
     assert classes[3] == sender.strategy != lossless
     assert again.strategy == sender.strategy and again.gop_counter == 4
@@ -117,8 +114,8 @@ def test_forward_relay_is_transparent():
         mode="forward", scheme=SCHEME_RLC,
         layer_count=3, packets_per_layer=2, payload_size=8,
     )
-    packets = _block(encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0))
-    out = relay_block(relay, packets, [1.0])
+    packets = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
+    out = relay_block(relay, packets, [1.0], decode_block(packets, 3, 2, 8))
     assert out is packets
 
 
@@ -136,9 +133,10 @@ def test_nc_relay_reencodes_full_budget(small_table):
         layer_count=3, packets_per_layer=2, payload_size=8,
         table=small_table, pdr_estimate=1.0, rng=np.random.default_rng(0),
     )
-    packets = _block(encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0))
-    out = relay_block(relay, packets, [1.0])
-    assert decode_arrivals(relay, packets)[0][0] == 3
+    packets = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
+    decoded = decode_block(packets, 3, 2, 8)
+    assert decoded[0].tolist() == [3]
+    out = relay_block(relay, packets, [1.0], decoded)
     assert len(out) == 8
     assert out.gop_ids.tolist() == [0]
 
@@ -150,9 +148,10 @@ def test_nc_relay_never_encodes_past_decoded_depth(small_table):
         table=small_table, pdr_estimate=1.0, rng=np.random.default_rng(0),
     )
     # only class-1 packets arrive: the relay can recover just layer 1
-    packets = _block(encode_gop(_grid(), (4, 0, 0), SCHEME_RLC, seed=0)[:3])
-    out = relay_block(relay, packets, [1.0])
-    assert decode_arrivals(relay, packets)[0][0] == 1
+    packets = encode_gop(_grid(), (4, 0, 0), SCHEME_RLC, seed=0).select(np.arange(3))
+    decoded = decode_block(packets, 3, 2, 8)
+    assert decoded[0].tolist() == [1]
+    out = relay_block(relay, packets, [1.0], decoded)
     assert len(out) == 8
     assert (out.depth == 1).all()
 
@@ -163,13 +162,15 @@ def test_nc_relay_empty_input(small_table):
         layer_count=3, packets_per_layer=2, payload_size=8,
         table=small_table,
     )
-    empty = _block(encode_gop(_grid(), (0, 0, 0), SCHEME_RLC))
-    assert decode_arrivals(relay, empty)[0][0] == 0
-    out = relay_block(relay, empty, [1.0])
+    empty = encode_gop(_grid(), (0, 0, 0), SCHEME_RLC)
+    decoded = decode_block(empty, 3, 2, 8)
+    assert decoded[0].tolist() == [0]
+    out = relay_block(relay, empty, [1.0], decoded)
     assert len(out) == 0 and out.sizes.tolist() == [0]
     # a GOP that lost everything sends nothing and leaves its neighbours be
-    full = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
-    out = relay_block(relay, _block(full, full[:0], full), [1.0] * 3)
+    cells = np.stack([_grid().cells] * 3)
+    block = encode_block(cells, [0, 1, 2], [(4, 2, 2), (0, 0, 0), (4, 2, 2)], SCHEME_RLC, [0] * 3)
+    out = relay_block(relay, block, [1.0] * 3, decode_block(block, 3, 2, 8))
     assert out.sizes.tolist() == [8, 0, 8]
 
 
@@ -181,22 +182,23 @@ def test_decoders_reject_coefficient_free_batches(small_table):
         layer_count=3, packets_per_layer=2, payload_size=0, table=small_table,
     )
     with pytest.raises(ValueError, match="coefficients"):
-        relay_block(relay, _block(bare), [1.0])
+        decode_block(bare, relay.layer_count, relay.packets_per_layer, relay.payload_size)
     receiver = ReceiverState(
         layer_count=3, packets_per_layer=2, payload_size=0, verify_payloads=True
     )
     with pytest.raises(ValueError, match="coefficients"):
-        receiver_block(receiver, _block(bare))
+        receiver_block(receiver, bare)
 
 
 def test_receiver_counts_and_reset():
     receiver = ReceiverState(layer_count=3, packets_per_layer=2, payload_size=8)
-    packets = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
-    first = PacketBatch.concat([packets[:3], packets[3:]])
-    assert np.bincount(first.depth, minlength=4)[1:].tolist() == [4, 2, 2]
+    cells = np.stack([_grid().cells] * 2)
+    packets = encode_block(cells, [0, 1], [(4, 2, 2)] * 2, SCHEME_RLC, [0, 0])
     # the second GOP gets only the deeper classes, [0, 2, 2]; nothing of the
     # first GOP's counts may carry over into its score
-    decoded = receiver_block(receiver, _block(first, packets[4:]))
+    arrived = packets.select(np.r_[0:8, 12:16])
+    assert arrived.sizes.tolist() == [8, 4]
+    decoded = receiver_block(receiver, arrived)
     assert decoded.tolist() == [3, 0]
     assert receiver.history == [3, 0]
 
@@ -205,7 +207,7 @@ def test_receiver_rejects_overdeep_packet():
     receiver = ReceiverState(layer_count=2, packets_per_layer=2, payload_size=8)
     packets = encode_gop(_grid(), (0, 0, 2), SCHEME_RLC, seed=0)
     with pytest.raises(ValueError):
-        receiver_block(receiver, _block(packets[:1]))
+        receiver_block(receiver, packets.select(np.arange(1)))
 
 
 def test_receiver_verification_clean_path():
@@ -214,8 +216,7 @@ def test_receiver_verification_clean_path():
         layer_count=3, packets_per_layer=2, payload_size=8, verify_payloads=True
     )
     packets = encode_gop(grid, (4, 2, 2), SCHEME_RLC, seed=3)
-    both = PacketBatch.concat([packets[:5], packets[5:]])
-    decoded = receiver_block(receiver, _block(both), references=grid.cells[None])
+    decoded = receiver_block(receiver, packets, references=grid.cells[None])
     assert decoded.tolist() == [3]
     assert receiver.prediction_gaps == 0
     assert receiver.payload_errors == 0
@@ -225,7 +226,7 @@ def test_receiver_verification_clean_path():
 def test_receiver_rejects_foreign_scheme():
     receiver = ReceiverState(layer_count=3, packets_per_layer=2, payload_size=8)
     with pytest.raises(ValueError, match="xor"):
-        receiver_block(receiver, _block(encode_gop(_grid(), (2, 2, 2), SCHEME_XOR)))
+        receiver_block(receiver, encode_gop(_grid(), (2, 2, 2), SCHEME_XOR))
 
 
 @settings(max_examples=150, deadline=None)
@@ -241,10 +242,11 @@ def test_receiver_score_against_real_decoding(scheme, strategy, seed, data):
     grid = _grid()
     packets = encode_gop(grid, strategy, scheme, seed=seed)
     mask = data.draw(st.lists(st.booleans(), min_size=len(packets), max_size=len(packets)))
-    survivors = packets[np.array(mask, dtype=bool)]
+    survivors = packets.select(np.array(mask, dtype=bool))
     receiver = ReceiverState(layer_count=3, packets_per_layer=2, payload_size=8, scheme=scheme)
-    (score,) = receiver_block(receiver, _block(survivors))
-    depth, recovered = decode_gop(survivors, 3, 2, 8, gop_id=grid.gop_id)
+    (score,) = receiver_block(receiver, survivors)
+    depth, recovered = decode_gop(survivors, 3, 2, 8)
+    assert recovered.gop_id == grid.gop_id
     if scheme == SCHEME_RLC:
         assert score >= depth
     else:

@@ -73,6 +73,31 @@ def test_uncoded_baseline_matches_closed_form():
     assert metrics.sent_total == 4000 * 64
 
 
+def test_uncoded_sender_spends_exactly_the_budget():
+    # the uncoded sender repeats all L*P source packets a whole number of
+    # times, so a budget that is not a multiple of L*P is refused rather
+    # than rounded up (40 would send 64 packets per GOP)
+    with pytest.raises(ValueError, match="^budget 40 "):
+        ChainConfig(scheme="repeat", budget=40, gop_count=3)
+    metrics = run(ChainConfig(scheme="repeat", budget=96, gop_count=3))
+    assert metrics.sent_total == 3 * 96
+    # a coded sender may spend any budget its table or policy allows
+    assert ChainConfig(budget=40, granularity=4).budget == 40
+
+
+def test_granularity_is_checked_wherever_a_table_is_built():
+    for kwargs in (
+        dict(granularity=0),
+        dict(granularity=5),
+        dict(granularity=0, selection="heuristic", link_pdrs=(0.9, 0.9), relay_modes=("nc",)),
+    ):
+        with pytest.raises(ValueError, match="^granularity "):
+            ChainConfig(**kwargs)
+    # runs that select without a table never read the granularity
+    for kwargs in (dict(selection="heuristic"), dict(scheme="repeat")):
+        assert ChainConfig(granularity=0, **kwargs).granularity == 0
+
+
 def test_uncoded_baseline_lossless():
     metrics = run(replace(ChainConfig(link_pdrs=(1.0,), gop_count=5), scheme="repeat"))
     assert metrics.audl == 4.0
@@ -206,6 +231,16 @@ def test_sweep_validation():
         sweep(base, (1.5,), ["spt"])
     with pytest.raises(ValueError):
         sweep(base, (0.5,), ["spt"], reps=0)
+    with pytest.raises(ValueError, match="empty"):
+        sweep(base, np.array([]), ["spt"])
+
+
+def test_sweep_takes_an_array_grid():
+    base = ChainConfig(gop_count=4)
+    rows = sweep(base, np.array([0.5, 0.7]), np.array(["NC1"]))
+    assert [format_row(r) for r in rows] == [
+        format_row(r) for r in sweep(base, (0.5, 0.7), ["NC1"])
+    ]
 
 
 def test_lossless_modes_all_reach_ceiling():

@@ -7,16 +7,33 @@ from nclayer.spt import (
     PDR_BINS,
     _argmax_lex_largest,
     _pmf_rows,
-    best_restricted,
     build_table,
     enumerate_strategies,
     expected_decoded_layers,
     load_table,
     nearest_bin,
     save_table,
-    select_best,
 )
-from oracles import nearest_bin_reference
+from nclayer.nodes import SenderState, _select
+from oracles import best_restricted, nearest_bin_reference, select_best
+
+
+def _picks(table, estimates):
+    """The strategy a table-driven sender selects for each estimate,
+    checked against the oracle's scan of the table."""
+    rows = _select(SenderState(scheme="rlc", table=table), np.asarray(estimates, dtype=float))
+    picks = [tuple(row) for row in rows.tolist()]
+    assert picks == [select_best(table, e) for e in estimates]
+    return picks
+
+
+def _restricted(table, bin_index, max_depth):
+    """The relay's restricted_index lookup, checked against the oracle's
+    scan; None where no strategy qualifies."""
+    i = int(table.restricted_index[bin_index, min(max_depth, table.layer_count)])
+    got = None if i < 0 else table.strategies[i]
+    assert got == best_restricted(table, bin_index, max_depth), (bin_index, max_depth)
+    return got
 
 
 def test_standard_enumeration_count_and_members():
@@ -120,8 +137,7 @@ def test_nearest_bin_rounding():
 
 
 def test_table_best_at_extremes(default_table):
-    assert select_best(default_table, 1.0) == (40, 8, 8, 8)
-    assert select_best(default_table, 0.05) == (64, 0, 0, 0)
+    assert _picks(default_table, [1.0, 0.05]) == [(40, 8, 8, 8), (64, 0, 0, 0)]
     top = int(default_table.best_index[19])
     assert default_table.values[top, 19] == 4.0
 
@@ -148,42 +164,36 @@ def test_tie_break_prefers_shallow_heavy_vector(default_table):
     values = default_table.values[:, 19]
     ties = [s for s, v in zip(default_table.strategies, values) if v == 4.0]
     assert len(ties) > 1
-    assert select_best(default_table, 1.0) == max(ties)
+    assert _picks(default_table, [1.0]) == [max(ties)]
 
 
 def test_best_restricted_depth_limits(default_table):
-    shallow = best_restricted(default_table, 10, 1)
+    shallow = _restricted(default_table, 10, 1)
     assert shallow == (64, 0, 0, 0)
-    full = best_restricted(default_table, 10, 4)
+    full = _restricted(default_table, 10, 4)
     assert full == default_table.best_strategy(10)
-    two = best_restricted(default_table, 10, 2)
+    two = _restricted(default_table, 10, 2)
     assert two[2] == 0 and two[3] == 0
     assert sum(two) == 64
-
-
-def _scan_restricted(table, bin_index, max_depth):
-    # the linear scan best_restricted replaced: last index holding the max
-    best = None
-    for i, strat in enumerate(table.strategies):
-        if any(strat[j] for j in range(max_depth, table.layer_count)):
-            continue
-        if best is None or table.values[i, bin_index] >= table.values[best, bin_index]:
-            best = i
-    return None if best is None else table.strategies[best]
 
 
 def test_best_restricted_lookup_matches_scan(default_table, tmp_path):
     path = tmp_path / "table.txt"
     save_table(default_table, path)
     small = build_table(budget=8, layer_count=3, packets_per_layer=2, granularity=2)
+    # every bin's centre and both float neighbours of each midpoint between bins
+    centres = np.array(PDR_BINS)
+    midpoints = (centres[:-1] + centres[1:]) / 2
+    estimates = np.concatenate(
+        [centres, np.nextafter(midpoints, 0.0), np.nextafter(midpoints, 1.0), [0.0]]
+    )
     for table in (default_table, load_table(path), small):
+        _picks(table, estimates.tolist())
         for b in range(len(PDR_BINS)):
-            for depth in range(table.layer_count + 1):
-                assert best_restricted(table, b, depth) == _scan_restricted(
-                    table, b, depth
-                ), (table.budget, b, depth)
-    assert best_restricted(default_table, 10, 0) is None
-    assert best_restricted(default_table, 10, 9) == default_table.best_strategy(10)
+            for depth in range(table.layer_count + 2):
+                _restricted(table, b, depth)
+    assert _restricted(default_table, 10, 0) is None
+    assert _restricted(default_table, 10, 9) == default_table.best_strategy(10)
     with pytest.raises(ValueError):
         best_restricted(default_table, 10, -1)
 
