@@ -45,8 +45,8 @@ class PacketBlock:
     packet.
 
     GOP k of the block, numbered gop_ids[k], owns rows offsets[k] to
-    offsets[k + 1], shallow classes first; a GOP can own no rows, and a
-    one-GOP block is how a single GOP travels. depth[i] is packet i's class
+    offsets[k + 1]; a GOP can own no rows, and a one-GOP block is how a
+    single GOP travels. depth[i] is packet i's class
     and payload[i] its bytes. RLC packets carry their coefficients in
     coeffs, zero-padded to layer_count * packets_per_layer columns, or with
     zero columns (and a zero-width payload) when no decoder reads them; XOR

@@ -3,9 +3,9 @@
 Except for reference_run, nothing here imports from the package's
 arithmetic or decode logic; each oracle recomputes its answer by a
 structurally different method so that agreement is evidence rather than
-tautology. reference_run drives the package's one-GOP codec and table
-lookups through the GOP-by-GOP loop, so it checks how run() carries GOPs,
-not the codec.
+tautology. reference_run drives the package's one-GOP codec, with the
+scalar table and policy lookups below, through the GOP-by-GOP loop, so it
+checks how run() carries GOPs, not the codec.
 """
 
 import math

@@ -20,7 +20,7 @@ from oracles import best_restricted, nearest_bin_reference, select_best
 
 def _picks(table, estimates):
     """The strategy a table-driven sender selects for each estimate,
-    checked against the oracle's scan of the table."""
+    checked against the oracle's one-estimate lookup."""
     rows = _select(SenderState(scheme="rlc", table=table), np.asarray(estimates, dtype=float))
     picks = [tuple(row) for row in rows.tolist()]
     assert picks == [select_best(table, e) for e in estimates]
