@@ -43,69 +43,101 @@ def gf_rref(aug: np.ndarray, n_unknowns: int) -> np.ndarray:
     exists.
 
     Each system goes through the operations of an elimination on its own:
-    the pivot is the first nonzero entry at or below its rank row, and every
-    column left of the pivot column is zero in the pivot row, so scaling and
-    clearing touch only the window from the pivot column on, each as one
-    lookup in the flat product table at (c << 8) | d. A system with no pivot
-    in a column is cleared with zero factors, which leaves it as it was, and
-    its zero padding rows never hold a pivot, so they stay zero. While every
-    system has the same rank, its pivot rows are one plain slice of the
-    stack (a stack of one always is); once a column gives some systems a
-    pivot and others none, ranks differ and pivot rows are gathered per
+    the pivot is the first nonzero entry at or below its rank row, it is
+    swapped up and scaled to 1, and the column is cleared from every other
+    row, each product one lookup in the flat product table at (c << 8) | d.
+    The work runs on a column-major copy t[j, g, r] of the stack, taken once
+    and written back once, so that a column of every system's rows is one
+    contiguous run of G * n bytes: the lead column, its factors and each
+    cleared column are plain runs, and a pivot column clears the contiguous
+    block of columns it reaches in one lookup.
+
+    Rows at or below the rank row are zero left of the pivot column, so a
+    swap and the scaling move only the columns from the pivot column on.
+    Among the unknowns, clearing stops after the last column that any
+    system's pivot row reaches: a product with 0 is 0, so the columns past it
+    would not change (classes nest, so a layer-l pivot row is usually zero
+    past column l * P). Payload columns are always cleared. A system with no
+    pivot in a column is cleared against a zero pivot row, which leaves it as
+    it was, and its zero padding rows never hold a pivot, so they stay zero.
+    While every system has the same rank, its pivot rows are one plain slice
+    of the copy (a stack of one always is); once a column gives some systems
+    a pivot and others none, ranks differ and pivot rows are gathered per
     system.
     """
     stack = aug if aug.ndim == 3 else aug[None]
-    n_sys, n_rows = stack.shape[:2]
+    n_sys, n_rows, width = stack.shape
     owner = np.full((n_sys, n_unknowns), -1, dtype=np.int32)
-    systems = np.arange(n_sys)
+    if not n_sys or not n_rows:
+        return owner if aug.ndim == 3 else owner[0]
+    t = np.ascontiguousarray(stack.transpose(2, 0, 1))
+    # flat[j, g * n_rows + r] is t[j, g, r]
+    flat = t.reshape(width, n_sys * n_rows)
+    base = np.arange(n_sys) * n_rows
     rows_at = np.arange(n_rows)
     rank = np.zeros(n_sys, dtype=np.intp)
     same = 0  # the rank every system has; -1 once they differ, then rank holds each
     for col in range(n_unknowns):
         if same == n_rows:
             break
-        window = stack[:, :, col:]
-        if same >= 0 and np.count_nonzero(window[:, same, 0]) < n_sys:
+        lead = t[col]
+        if same >= 0 and np.count_nonzero(lead[:, same]) < n_sys:
             # bring each system's pivot, the first nonzero entry at or below
             # the rank row, up to that row
-            below = window[:, same:, 0] != 0
+            below = lead[:, same:] != 0
             if not np.count_nonzero(below):
                 continue
-            found = np.logical_or.reduce(below, axis=1)
-            pivot = same + below.argmax(axis=1)
-            if np.count_nonzero(found) == n_sys:
-                low = stack[:, same].copy()
-                stack[:, same] = stack[systems, pivot]
-                stack[systems, pivot] = low
+            if np.count_nonzero(np.logical_or.reduce(below, axis=1)) == n_sys:
+                top = base + same
+                _swap_columns(flat[col:], top, top + below.argmax(axis=1))
             else:
                 rank[:] = same
                 same = -1
         if same >= 0:
-            row = window[:, same]
-            row[:] = _MUL_FLAT.take(_INV_ROW.take(row[:, 0])[:, None] | row)
-            factors = window[:, :, 0].astype(np.uint16) << 8
+            row = t[col:, :, same]
+            row = _MUL_FLAT.take(_INV_ROW.take(row[0]) | row)
+            t[col:, :, same] = row
+            factors = np.left_shift(lead, 8, dtype=np.uint16)
             factors[:, same] = 0
-            window ^= _MUL_FLAT.take(factors[:, :, None] | row[:, None, :])
+            pivots = row.astype(np.uint16)
             owner[:, col] = same
             same += 1
-            continue
-        below = (window[:, :, 0] != 0) & (rows_at >= rank[:, None])
-        if not np.count_nonzero(below):
-            continue
-        found = np.logical_or.reduce(below, axis=1)
-        at = systems[found]
-        top = rank[found]
-        pivot = below[found].argmax(axis=1)
-        stack[at, top], stack[at, pivot] = stack[at, pivot], stack[at, top]
-        row = window[at, top]
-        row = _MUL_FLAT.take(_INV_ROW.take(row[:, 0])[:, None] | row)
-        window[at, top] = row
-        factors = window[at, :, 0].astype(np.uint16) << 8
-        factors[np.arange(at.size), top] = 0
-        window[at] ^= _MUL_FLAT.take(factors[:, :, None] | row[:, None, :])
-        owner[at, col] = top
-        rank[at] += 1
+        else:
+            below = (lead != 0) & (rows_at >= rank[:, None])
+            if not np.count_nonzero(below):
+                continue
+            at = np.flatnonzero(np.logical_or.reduce(below, axis=1))
+            top = base[at] + rank[at]
+            _swap_columns(flat[col:], top, base[at] + below[at].argmax(axis=1))
+            row = flat[col:, top]
+            row = _MUL_FLAT.take(_INV_ROW.take(row[0]) | row)
+            flat[col:, top] = row
+            factors = np.left_shift(lead, 8, dtype=np.uint16)
+            factors.reshape(-1)[top] = 0
+            pivots = np.zeros((width - col, n_sys), dtype=np.uint16)
+            pivots[:, at] = row
+            owner[at, col] = rank[at]
+            rank[at] += 1
+        # stop after the last unknown column that a pivot row reaches; the
+        # scaled pivot entry in column col is 1, so some row is nonzero
+        span = n_unknowns - col
+        stop = col + span - (pivots[span - 1 :: -1] != 0).argmax() // n_sys
+        if stop < n_unknowns:
+            pivots = np.concatenate((pivots[: stop - col], pivots[span:]))
+        index = np.repeat(pivots, n_rows, axis=1)
+        index |= factors.reshape(-1)
+        prods = _MUL_FLAT.take(index)
+        flat[col:stop] ^= prods[: stop - col]
+        flat[n_unknowns:] ^= prods[stop - col :]
+    stack[...] = t.transpose(1, 2, 0)
     return owner if aug.ndim == 3 else owner[0]
+
+
+def _swap_columns(block, a, b):
+    """Swaps columns a and b of a 2-D block, pairwise."""
+    low = block[:, a]
+    block[:, a] = block[:, b]
+    block[:, b] = low
 
 
 def expected_layers_batch(strategies, pmf_rows, per_layer):

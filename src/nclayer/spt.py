@@ -285,6 +285,8 @@ def nearest_bin(estimate):
 
 
 def save_table(table: StrategyTable, path) -> None:
+    # values are written with repr, the shortest decimal that reads back as
+    # the same float, so a loaded table picks exactly what the saved one did
     lines = [
         f"B={table.budget}",
         f"L={table.layer_count}",
@@ -296,11 +298,11 @@ def save_table(table: StrategyTable, path) -> None:
     for b, p in enumerate(PDR_BINS):
         for s, strat in enumerate(table.strategies):
             cells = ",".join(str(x) for x in strat)
-            lines.append(f"{p:.2f},{cells},{table.values[s, b]:.6f}")
+            lines.append(f"{p:.2f},{cells},{float(table.values[s, b])!r}")
     for b, p in enumerate(PDR_BINS):
         i = int(table.best_index[b])
         cells = ",".join(str(x) for x in table.strategies[i])
-        lines.append(f"best,{p:.2f},{cells},{table.values[i, b]:.6f}")
+        lines.append(f"best,{p:.2f},{cells},{float(table.values[i, b])!r}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,10 +1,11 @@
 import numpy as np
 
-from nclayer import kernels
+from nclayer import codec, kernels
 from nclayer.codec import encode_gop
 from nclayer.gf256 import MUL_TABLE, gf256_mul
 from nclayer.kernels import expected_layers_batch, gf_matmul, gf_rref
 from nclayer.media import make_synthetic_gop
+from nclayer.simulator import ChainConfig, run
 from nclayer.spt import PDR_BINS, _pmf_rows, enumerate_strategies
 from oracles import expected_layers_reference, pmf_rows_reference, rref_reference
 
@@ -130,12 +131,52 @@ def test_rref_matches_reference_byte_for_byte():
         assert np.array_equal(got, want), name
 
 
+def _nested_system(rng, counts, per_layer, payload, zero_columns=()):
+    """Rows of packets in class order, counts[c] of class c + 1, each with
+    random coefficients over the unknowns of layers 1..c+1 and none past
+    them (the columns in zero_columns zero in every row), then payload
+    bytes."""
+    n_unknowns = len(counts) * per_layer
+    depth = np.repeat(np.arange(1, len(counts) + 1), counts)
+    aug = rng.integers(0, 256, (depth.size, n_unknowns + payload), dtype=np.uint8)
+    aug[:, :n_unknowns][np.arange(n_unknowns) >= depth[:, None] * per_layer] = 0
+    aug[:, list(zero_columns)] = 0
+    return aug
+
+
+def _nested_stacks():
+    """Stacks of nested class systems whose pivot rows reach unevenly, so
+    the clearing window ends at different columns from step to step."""
+    rng = np.random.default_rng(13)
+    # fewer than P class-1 rows, so layer-1 pivots come from deeper classes,
+    # beside systems with a full layer of each class
+    yield "starved shallow classes", [
+        _nested_system(rng, counts, 4, 6)
+        for counts in ((1, 5, 3, 6), (4, 4, 4, 4), (0, 2, 8, 6), (6, 4, 4, 2), (3, 0, 0, 9))
+    ], 16
+    # ranks that diverge partway through a layer: one system runs out of
+    # rows in layer 2, one has no pivot in column 5 and resumes after it
+    yield "ranks diverge mid-layer", [
+        _nested_system(rng, (4, 4, 4), 4, 5),
+        _nested_system(rng, (4, 2, 0), 4, 5),
+        _nested_system(rng, (4, 4, 4), 4, 5, zero_columns=(5,)),
+        _nested_system(rng, (5, 5, 5), 4, 5),
+    ], 12
+    # payload columns behind a narrow pivot reach: class-1 rows only reach
+    # column P, while every payload column must still be cleared
+    yield "payload behind a narrow reach", [
+        _nested_system(rng, counts, 4, 24) for counts in ((6, 0, 0), (3, 0, 0), (2, 3, 0))
+    ], 12
+    yield "class-1 rows only", [_nested_system(rng, (n, 0, 0), 4, 16) for n in (4, 7, 2)], 12
+
+
 def _stacked_cases():
     """Zero-padded stacks built from _rref_cases: the relay-shaped systems in
     stacks of differing row counts, and every other case stacked with
     systems of its width that have no rows, a prefix of its rows (rank
     equal to the row count when they are independent), more rows than rank,
-    and a repeated coefficient row carrying another payload."""
+    and a repeated coefficient row carrying another payload; then the
+    nested class stacks."""
     rng = np.random.default_rng(10)
     relay, other = [], []
     for case in _rref_cases():
@@ -153,23 +194,62 @@ def _stacked_cases():
             systems.append(np.vstack([aug, repeat]))
         order = rng.permutation(len(systems))
         yield f"{name} stack", [systems[i] for i in order], n_unknowns
+    yield from _nested_stacks()
 
 
 def test_stacked_rref_reduces_each_system_as_alone():
+    # each stack is reduced twice: as a contiguous array, and as a column
+    # slice of a wider array, which must be changed in place with the
+    # columns around it untouched
     for name, systems, n_unknowns in _stacked_cases():
         rows = max(len(system) for system in systems)
-        stack = np.zeros((len(systems), rows, systems[0].shape[1]), dtype=np.uint8)
+        width = systems[0].shape[1]
+        wide = np.full((len(systems), rows, width + 5), 7, dtype=np.uint8)
+        wide[:, :, 2 : 2 + width] = 0
+        stack = wide[:, :, 2 : 2 + width]
         for padded, system in zip(stack, systems):
             padded[: len(system)] = system
-        owner = gf_rref(stack, n_unknowns)
+        dense = stack.copy()
+        owner = gf_rref(dense, n_unknowns)
         assert owner.dtype == np.int32, name
         assert owner.shape == (len(systems), n_unknowns), name
+        assert np.array_equal(gf_rref(stack, n_unknowns), owner), name
+        assert np.array_equal(stack, dense), name
+        assert (wide[:, :, :2] == 7).all() and (wide[:, :, 2 + width :] == 7).all(), name
         for g, system in enumerate(systems):
             want = system.copy()
             want_owner = rref_reference(want, n_unknowns)
             assert np.array_equal(owner[g], want_owner), (name, g)
-            assert np.array_equal(stack[g, : len(system)], want), (name, g)
-            assert not stack[g, len(system) :].any(), (name, g)
+            assert np.array_equal(dense[g, : len(system)], want), (name, g)
+            assert not dense[g, len(system) :].any(), (name, g)
+
+
+def test_rref_of_stacks_captured_from_run(default_table, monkeypatch):
+    # the stacks a 3-hop re-encoding chain at 0.7 hands the kernel, with
+    # payloads (relays and the receiver decode) and without (relays only),
+    # reduced system by system as the reference does
+    captured = []
+
+    def capturing(aug, n_unknowns):
+        before = aug.copy()
+        owner = gf_rref(aug, n_unknowns)
+        captured.append((before, aug.copy(), owner, n_unknowns))
+        return owner
+
+    monkeypatch.setattr(codec, "gf_rref", capturing)
+    for verify in (False, True):
+        config = ChainConfig(
+            link_pdrs=(0.7, 0.7, 0.7), relay_modes=("nc", "nc"), probe_count=100,
+            gop_count=20, seed=5, verify_payloads=verify,
+        )
+        run(config, table=default_table)
+    widths = [before.shape[2] for before, *_ in captured]
+    assert widths == [32, 32, 96, 96, 96], widths
+    for k, (before, after, owner, n_unknowns) in enumerate(captured):
+        for g in range(before.shape[0]):
+            want = before[g].copy()
+            assert np.array_equal(owner[g], rref_reference(want, n_unknowns)), (k, g)
+            assert np.array_equal(after[g], want), (k, g)
 
 
 def test_rref_of_coefficients_alone_matches_full_rows():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from nclayer.spt import (
     nearest_bin,
     save_table,
 )
-from nclayer.nodes import SenderState, _select
+from nclayer import simulator
+from nclayer.nodes import SenderState, _select, relay_block
+from nclayer.simulator import ChainConfig, run
 from oracles import best_restricted, nearest_bin_reference, select_best
 
 
@@ -213,8 +216,58 @@ def test_save_load_round_trip(default_table, tmp_path):
     assert loaded.packets_per_layer == default_table.packets_per_layer
     assert loaded.granularity == default_table.granularity
     assert loaded.strategies == default_table.strategies
+    assert np.array_equal(loaded.values, default_table.values)
     assert np.array_equal(loaded.best_index, default_table.best_index)
-    assert np.allclose(loaded.values, default_table.values, rtol=0.0, atol=1e-6)
+    assert np.array_equal(loaded.restricted_index, default_table.restricted_index)
+
+
+def test_run_with_a_loaded_table_equals_run_building_its_own(
+    default_table, tmp_path, monkeypatch
+):
+    # at 0.9 the values of competing strategies agree to many decimals, so a
+    # table read back from rounded values has relays that decoded every
+    # layer re-encode with other allocations than the built table; the
+    # packet classes each relay sends are recorded, since the metrics alone
+    # rarely move with a near-tie
+    path = tmp_path / "table.txt"
+    save_table(default_table, path)
+    sent = []
+
+    def recording(*args):
+        block = relay_block(*args)
+        sent[-1].append(block.depth.tolist())
+        return block
+
+    monkeypatch.setattr(simulator, "relay_block", recording)
+    config = ChainConfig(
+        link_pdrs=(0.9, 0.9, 0.9), relay_modes=("nc", "nc"), gop_count=60, seed=3
+    )
+    metrics = []
+    for table in (load_table(path), None):
+        sent.append([])
+        metrics.append(asdict(run(config, table=table)))
+    loaded, built = metrics
+    # only the run that builds its table spends time building it
+    assert loaded.pop("table_build_seconds") == 0.0
+    built.pop("table_build_seconds")
+    assert loaded == built
+    assert sent[0] == sent[1]
+
+
+def test_load_reads_six_decimal_files(default_table, tmp_path):
+    # files written before values were saved at full precision still load,
+    # with their values as rounded
+    path = tmp_path / "table.txt"
+    save_table(default_table, path)
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if "," in line:
+            head, value = line.rsplit(",", 1)
+            lines[i] = f"{head},{float(value):.6f}"
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_table(path)
+    assert np.array_equal(loaded.values, np.round(default_table.values, 6))
+    assert np.array_equal(loaded.best_index, default_table.best_index)
 
 
 def test_save_is_reproducible(default_table, tmp_path):
