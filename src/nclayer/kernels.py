@@ -10,6 +10,8 @@ import numpy as np
 from .gf256 import INV_TABLE, MUL_TABLE
 
 _MUL_FLAT = MUL_TABLE.reshape(-1)
+# each product shifted to the row index of its own products in _MUL_FLAT
+_MUL_HIGH = _MUL_FLAT.astype(np.uint16) << 8
 # each inverse shifted to the row index of its products in _MUL_FLAT
 _INV_ROW = INV_TABLE.astype(np.uint16) << 8
 
@@ -42,15 +44,18 @@ def gf_rref(aug: np.ndarray, n_unknowns: int) -> np.ndarray:
     unknown column of a system to the row holding its pivot, -1 where none
     exists.
 
-    Each system goes through the operations of an elimination on its own:
-    the pivot is the first nonzero entry at or below its rank row, it is
-    swapped up and scaled to 1, and the column is cleared from every other
-    row, each product one lookup in the flat product table at (c << 8) | d.
-    The work runs on a column-major copy t[j, g, r] of the stack, taken once
-    and written back once, so that a column of every system's rows is one
-    contiguous run of G * n bytes: the lead column, its factors and each
+    Each system ends as an elimination of its own leaves it: the pivot is
+    the first nonzero entry at or below its rank row, it is swapped up and
+    scaled to 1, and the column is cleared from every other row, each
+    product one lookup in the flat product table at (c << 8) | d. The work
+    runs on a column-major copy t[j, g, r] of the stack, taken once and
+    written back once, so that a column of every system's rows is one
+    contiguous run of G * n bytes: the lead column, the factors and each
     cleared column are plain runs, and a pivot column clears the contiguous
-    block of columns it reaches in one lookup.
+    block of columns it reaches in one lookup. The lead column itself holds
+    the factors: the pivot row is cleared too, by its own lead times the
+    scaled row, which is the row itself, and the scaled row then takes its
+    place.
 
     Rows at or below the rank row are zero left of the pivot column, so a
     swap and the scaling move only the columns from the pivot column on.
@@ -77,6 +82,7 @@ def gf_rref(aug: np.ndarray, n_unknowns: int) -> np.ndarray:
     rows_at = np.arange(n_rows)
     rank = np.zeros(n_sys, dtype=np.intp)
     same = 0  # the rank every system has; -1 once they differ, then rank holds each
+    shared = []  # the pivot columns of the rows 0, 1, ... of every system
     for col in range(n_unknowns):
         if same == n_rows:
             break
@@ -95,12 +101,10 @@ def gf_rref(aug: np.ndarray, n_unknowns: int) -> np.ndarray:
                 same = -1
         if same >= 0:
             row = t[col:, :, same]
-            row = _MUL_FLAT.take(_INV_ROW.take(row[0]) | row)
-            t[col:, :, same] = row
-            factors = np.left_shift(lead, 8, dtype=np.uint16)
-            factors[:, same] = 0
-            pivots = row.astype(np.uint16)
-            owner[:, col] = same
+            index = _INV_ROW.take(row[0]) | row
+            scaled = _MUL_FLAT.take(index)
+            pivots = _MUL_HIGH.take(index)
+            shared.append(col)
             same += 1
         else:
             below = (lead != 0) & (rows_at >= rank[:, None])
@@ -110,25 +114,36 @@ def gf_rref(aug: np.ndarray, n_unknowns: int) -> np.ndarray:
             top = base[at] + rank[at]
             _swap_columns(flat[col:], top, base[at] + below[at].argmax(axis=1))
             row = flat[col:, top]
-            row = _MUL_FLAT.take(_INV_ROW.take(row[0]) | row)
-            flat[col:, top] = row
-            factors = np.left_shift(lead, 8, dtype=np.uint16)
-            factors.reshape(-1)[top] = 0
+            index = _INV_ROW.take(row[0]) | row
+            scaled = _MUL_FLAT.take(index)
             pivots = np.zeros((width - col, n_sys), dtype=np.uint16)
-            pivots[:, at] = row
+            pivots[:, at] = _MUL_HIGH.take(index)
             owner[at, col] = rank[at]
             rank[at] += 1
         # stop after the last unknown column that a pivot row reaches; the
         # scaled pivot entry in column col is 1, so some row is nonzero
         span = n_unknowns - col
-        stop = col + span - (pivots[span - 1 :: -1] != 0).argmax() // n_sys
-        if stop < n_unknowns:
-            pivots = np.concatenate((pivots[: stop - col], pivots[span:]))
+        reach = span - (pivots[span - 1 :: -1] != 0).argmax() // n_sys
+        split = reach < span and width > n_unknowns
+        if split:
+            pivots = np.concatenate((pivots[:reach], pivots[span:]))
+        elif reach < span:
+            pivots = pivots[:reach]
+        # every row, the pivot rows too, is cleared with its entry in column
+        # col as the factor, which turns each pivot row to zero
         index = np.repeat(pivots, n_rows, axis=1)
-        index |= factors.reshape(-1)
+        index |= lead.reshape(-1)
         prods = _MUL_FLAT.take(index)
-        flat[col:stop] ^= prods[: stop - col]
-        flat[n_unknowns:] ^= prods[stop - col :]
+        if split:
+            flat[col : col + reach] ^= prods[:reach]
+            flat[n_unknowns:] ^= prods[reach:]
+        else:
+            flat[col : col + len(prods)] ^= prods
+        if same >= 0:
+            t[col:, :, same - 1] = scaled
+        else:
+            flat[col:, top] = scaled
+    owner[:, shared] = np.arange(len(shared))
     stack[...] = t.transpose(1, 2, 0)
     return owner if aug.ndim == 3 else owner[0]
 
