@@ -63,10 +63,10 @@ CHARGING_POLICIES = ("amortized", "per-node")
 CSV_HEADER = "mode,hop_count,link_pdr,measured_pdr,npr,audl,delay,seed"
 
 # GOPs run() carries through the chain together. On a re-encoding chain (3
-# hops at 0.7, 640-GOP runs, median CPU ms per GOP of 11 interleaved runs on
-# a 2-core x86-64 VM), 16 took about 35% more time than 32 and 64 about 5%
-# less, at twice the traced peak memory (1.1 against 0.6 MB): the larger the
-# block, the more decoder memory it holds at once.
+# hops at 0.7, 640-GOP runs, median CPU ms per GOP of 11 interleaved runs, two
+# sets, on a 2-core x86-64 VM), 16 took 37-45% more time than 32 and 64 took
+# 10-19% less, at twice the traced peak memory (1.1 against 0.6 MB): the
+# larger the block, the more decoder memory it holds at once.
 GOP_BLOCK = 32
 
 

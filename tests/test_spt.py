@@ -255,8 +255,8 @@ def test_run_with_a_loaded_table_equals_run_building_its_own(
 
 
 def test_load_reads_six_decimal_files(default_table, tmp_path):
-    # files written before values were saved at full precision still load,
-    # with their values as rounded
+    # a file holding values at six decimals, as older versions wrote them,
+    # still loads, with its values as rounded
     path = tmp_path / "table.txt"
     save_table(default_table, path)
     lines = path.read_text().splitlines()
