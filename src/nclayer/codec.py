@@ -38,6 +38,14 @@ SCHEME_XOR = "xor"
 SCHEME_REPEAT = "repeat"
 SCHEMES = (SCHEME_RLC, SCHEME_XOR, SCHEME_REPEAT)
 
+# Most bytes of one zero-padded gf_rref stack, n_rows x (L * P + payload) per
+# system, that decode_block reduces at once; a stack holds at least one
+# system. gf_rref's temporaries run to about 11 bytes per stack byte, so
+# this bounds a decoder's memory whatever the size of the block. At L=4,
+# P=8 and delivery 0.7 it is about 70 unverified relay systems (up to about
+# 56 rows x 32) or 24 verified ones (x 96).
+DECODE_STACK_BYTES = 128 * 1024
+
 
 @dataclass(eq=False)
 class PacketBlock:
@@ -302,9 +310,11 @@ def decode_block(
     depth. A GOP with no packets recovers nothing.
 
     All of the block's rows are checked before anything is decoded. The
-    RLC systems of the non-empty GOPs are reduced in one zero-padded
-    gf_rref stack, which reduces each system exactly as on its own; xor and
-    repeat take the first copy of each (GOP, depth, column) cell.
+    RLC systems of the non-empty GOPs are reduced in zero-padded gf_rref
+    stacks of at most DECODE_STACK_BYTES each, and gf_rref reduces each
+    system of a stack exactly as on its own, so the split changes no
+    result; xor and repeat take the first copy of each (GOP, depth, column)
+    cell.
     """
     _check_rows(block, layer_count, packets_per_layer, payload_size)
     decode = _decode_rlc if block.scheme == SCHEME_RLC else _decode_columns
@@ -372,7 +382,8 @@ def _decode_columns(block, layer_count, packets_per_layer, payload_size):
 
 def _decode_rlc(block, layer_count, packets_per_layer, payload_size):
     """Depths (G,) and cells (G, L, P, s) of a checked RLC block, its
-    non-empty GOPs eliminated together in one zero-padded stack."""
+    non-empty GOPs eliminated in zero-padded stacks of DECODE_STACK_BYTES
+    at most, in GOP order."""
     n_gops = block.gop_ids.size
     depths = np.zeros(n_gops, dtype=np.intp)
     cells = np.zeros((n_gops, layer_count, packets_per_layer, payload_size), dtype=np.uint8)
@@ -381,15 +392,31 @@ def _decode_rlc(block, layer_count, packets_per_layer, payload_size):
     if not full.size:
         return depths, cells
     n_unknowns = layer_count * packets_per_layer
-    n_systems, n_rows = full.size, int(sizes.max())
-    # row i of the block, of the j-th non-empty GOP k, is row i - offsets[k]
-    # of system j
-    at = np.arange(len(block)) + np.repeat(
-        np.arange(n_systems) * n_rows - block.offsets[full], sizes[full]
+    n_rows = int(sizes.max())
+    per_stack = max(1, DECODE_STACK_BYTES // (n_rows * (n_unknowns + payload_size)))
+    for start in range(0, full.size, per_stack):
+        part = full[start : start + per_stack]
+        depths[part], cells[part] = _reduce_stack(
+            block, part, n_rows, layer_count, packets_per_layer, payload_size
+        )
+    return depths, cells
+
+
+def _reduce_stack(block, part, n_rows, layer_count, packets_per_layer, payload_size):
+    """Depths and cells of the GOPs part, a run of a block's non-empty GOPs,
+    from one gf_rref stack of n_rows rows per system."""
+    n_unknowns = layer_count * packets_per_layer
+    n_systems = part.size
+    first, last = block.offsets[part[0]], block.offsets[part[-1] + 1]
+    # the GOPs between part's are empty, so its rows are the block's rows
+    # first to last; row i of the block, of the j-th GOP k of part, is row
+    # i - offsets[k] of system j
+    at = np.arange(first, last) + np.repeat(
+        np.arange(n_systems) * n_rows - block.offsets[part], block.sizes[part]
     )
     aug = np.zeros((n_systems * n_rows, n_unknowns + payload_size), dtype=np.uint8)
-    aug[at, :n_unknowns] = block.coeffs
-    aug[at, n_unknowns:] = block.payload
+    aug[at, :n_unknowns] = block.coeffs[first:last]
+    aug[at, n_unknowns:] = block.payload[first:last]
     aug = aug.reshape(n_systems, n_rows, -1)
     owner = gf_rref(aug, n_unknowns)
 
@@ -403,6 +430,4 @@ def _decode_rlc(block, layer_count, packets_per_layer, payload_size):
         n_systems, layer_count, packets_per_layer, payload_size
     )
     solution[np.arange(layer_count) >= recovered[:, None]] = 0
-    depths[full] = recovered
-    cells[full] = solution
-    return depths, cells
+    return recovered, solution

@@ -176,7 +176,6 @@ class ReceiverState:
     payload_size: int
     scheme: str = SCHEME_RLC
     verify_payloads: bool = False
-    history: list = field(default_factory=list)
     prediction_gaps: int = 0
     payload_errors: int = 0
 
@@ -226,5 +225,4 @@ def receiver_block(
             decoded = np.arange(state.layer_count) < depths[:, None]
             wrong = (cells != references).any(axis=(2, 3)) & decoded
             state.payload_errors += int(np.count_nonzero(wrong.any(axis=1)))
-    state.history.extend(scores.tolist())
     return scores

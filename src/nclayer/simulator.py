@@ -21,9 +21,11 @@ makes one draw for the block, covering each GOP's probes and then its
 packets, GOP by GOP. The probe estimates, strategy selection, encoding,
 per-hop delays and receiver scoring then run on the block, whose packets
 travel as one PacketBlock. A re-encoding relay, and a verifying receiver,
-decode all of a block's GOPs in one decode_block call, which stacks their
-RLC systems into one elimination; the relay's decode gives both its packet
-count per GOP and the cells it re-encodes. Seeded results are those of a
+decode all of a block's GOPs in one decode_block call, which reduces their
+RLC systems in gf_rref stacks of at most codec.DECODE_STACK_BYTES, so the
+block size sets how often each step runs and the stack bound alone sets the
+decoder's memory; the relay's decode gives both its packet count per GOP and
+the cells it re-encodes. Seeded results are those of a
 GOP-by-GOP loop whatever the block size: every link belongs to one
 segment and draws its probes and packets of GOP g before those of g+1;
 the sender and each relay draw one encode seed per GOP they encode, in
@@ -35,7 +37,9 @@ from __future__ import annotations
 
 import re
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,12 +66,17 @@ CHARGING_POLICIES = ("amortized", "per-node")
 
 CSV_HEADER = "mode,hop_count,link_pdr,measured_pdr,npr,audl,delay,seed"
 
-# GOPs run() carries through the chain together. On a re-encoding chain (3
-# hops at 0.7, 640-GOP runs, median CPU ms per GOP of 11 interleaved runs, two
-# sets, on a 2-core x86-64 VM), 16 took 37-45% more time than 32 and 64 took
-# 10-19% less, at twice the traced peak memory (1.1 against 0.6 MB): the
-# larger the block, the more decoder memory it holds at once.
-GOP_BLOCK = 32
+# GOPs run() carries through the chain together: each step of a block (probe
+# and link draws, selection, encoding, delays, scoring) is a fixed number of
+# numpy calls whatever its size, so a larger block cuts the calls per GOP,
+# and a 50-GOP forwarding run or a 100-GOP sweep run is a single block. It
+# does not bound decoder memory: decode_block splits each relay and
+# verifying decode into stacks of at most codec.DECODE_STACK_BYTES. Against
+# 32 (perfbench, 10-12 alternating pairs on a 2-core x86-64 VM): sweep-par
+# 0.179 -> 0.127 CPU ms per GOP, forward-chain 0.020 -> 0.013; recode-chain's
+# 20-GOP runs are one block either way. The block's own arrays grow with it:
+# a 1000-GOP verified re-encoding run traces a 4.8 MB peak against 2.5 MB.
+GOP_BLOCK = 256
 
 
 @dataclass
@@ -233,14 +242,19 @@ def _segments(config: ChainConfig) -> tuple[range, dict[int, range]]:
 
 
 def _block_pdrs(segment_links, segment, gops, schedule) -> np.ndarray:
-    """Delivery probability of each segment link during each GOP of a block,
-    with the schedule's changes applied in order; each link ends the block
-    at its last GOP's value."""
-    pdrs = np.array([[link.delivery_prob] * gops.size for link in segment_links])
-    for k, gop_index in enumerate(gops):
-        for link_index, new_pdr in schedule.get(int(gop_index), ()):
-            if link_index in segment:
-                pdrs[segment.index(link_index), k:] = new_pdr
+    """Delivery probability of each segment link during each GOP of a block
+    of consecutive GOPs. schedule holds (gop, link, pdr) changes in GOP
+    order; those that fall in the block apply in order, and each link ends
+    the block at its last GOP's value."""
+    first = int(gops[0])
+    pdrs = np.full(
+        (len(segment_links), gops.size), [[link.delivery_prob] for link in segment_links]
+    )
+    start = bisect_left(schedule, first, key=itemgetter(0))
+    end = bisect_left(schedule, first + gops.size, key=itemgetter(0))
+    for gop_index, link_index, new_pdr in schedule[start:end]:
+        if link_index in segment:
+            pdrs[segment.index(link_index), gop_index - first :] = new_pdr
     for link, link_pdrs in zip(segment_links, pdrs):
         link.delivery_prob = float(link_pdrs[-1])
     return pdrs
@@ -348,9 +362,8 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         verify_payloads=config.verify_payloads,
     )
 
-    schedule: dict[int, list[tuple[int, float]]] = {}
-    for gop_index, link_index, new_pdr in config.pdr_schedule:
-        schedule.setdefault(int(gop_index), []).append((int(link_index), float(new_pdr)))
+    # stable, so changes at one GOP keep their config order
+    schedule = sorted(config.pdr_schedule, key=itemgetter(0))
 
     # each encoder with the links it probes and sends over: the sender's
     # segment, then each re-encoding relay's, in hop order

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nclayer import codec
 from nclayer.codec import (
     SCHEME_REPEAT,
     SCHEME_RLC,
@@ -17,6 +19,7 @@ from nclayer.codec import (
     encode_block,
     encode_gop,
 )
+from nclayer.kernels import gf_rref
 from nclayer.media import make_synthetic_cells, make_synthetic_gop
 from nclayer.spt import decodable_layers_batch
 from oracles import count_vectors, decode_gop_reference, rank_decodable_layers
@@ -482,3 +485,59 @@ def test_block_decode_equals_the_reference_decoder():
     assert seen >= {"empty", "rank-deficient"} | {
         f"partial {scheme} s={w}" for scheme in SCHEMES for w in (0, 1)
     }
+
+
+@pytest.mark.parametrize("size", [0, 8])
+def test_decode_stacks_split_at_the_byte_bound(size, monkeypatch):
+    # decode_block reduces a block's RLC systems in stacks of at most
+    # DECODE_STACK_BYTES, at least one system each; stacks of one system and
+    # of seven must give the one-stack result, with empty GOPs at the ends
+    # and between stacks
+    rng = np.random.default_rng(size + 5)
+    cells = make_synthetic_cells(range(24), 4, 4, size, seed=3)
+    strategies = rng.integers(0, 6, (24, 4))
+    block = encode_block(cells, range(24), strategies, SCHEME_RLC, range(24))
+    kept = rng.random(len(block)) < 0.7
+    empty = [0, 7, 8, 23]
+    kept[np.isin(np.repeat(np.arange(24), block.sizes), empty)] = False
+    block = block.select(kept)
+    n_systems, n_rows = int(np.count_nonzero(block.sizes)), int(block.sizes.max())
+    stacks = []
+
+    def recorded(aug, n_unknowns):
+        stacks.append(aug.shape[0])
+        return gf_rref(aug, n_unknowns)
+
+    monkeypatch.setattr(codec, "gf_rref", recorded)
+    depths, cells = decode_block(block, 4, 4, size)
+    assert stacks == [n_systems]
+    assert depths[empty].tolist() == [0] * 4 and len(set(depths.tolist())) > 2
+    for per_stack in (1, 7):
+        monkeypatch.setattr(codec, "DECODE_STACK_BYTES", per_stack * n_rows * (16 + size))
+        stacks.clear()
+        split_depths, split_cells = decode_block(block, 4, 4, size)
+        full, rest = divmod(n_systems, per_stack)
+        assert stacks == [per_stack] * full + [rest] * (rest > 0)
+        assert np.array_equal(split_depths, depths)
+        assert np.array_equal(split_cells, cells)
+
+
+def test_decode_memory_is_bounded_by_one_stack():
+    # a verified block of four stacks' GOPs is reduced a stack at a time, so
+    # its traced peak stays near that of a block of one stack
+    strategy = (8, 8, 16, 32)
+    per_stack = codec.DECODE_STACK_BYTES // (sum(strategy) * (32 + 64))
+
+    def peak(n_gops):
+        cells = make_synthetic_cells(range(n_gops), 4, 8, 64, seed=1)
+        block = encode_block(cells, range(n_gops), [strategy] * n_gops, SCHEME_RLC, range(n_gops))
+        tracemalloc.start()
+        try:
+            depths, _ = decode_block(block, 4, 8, 64)
+            assert (depths == 4).all()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert per_stack > 1
+    assert peak(4 * per_stack) <= 1.5 * peak(per_stack)

@@ -200,7 +200,6 @@ def test_receiver_counts_and_reset():
     assert arrived.sizes.tolist() == [8, 4]
     decoded = receiver_block(receiver, arrived)
     assert decoded.tolist() == [3, 0]
-    assert receiver.history == [3, 0]
 
 
 def test_receiver_rejects_overdeep_packet():
@@ -220,7 +219,6 @@ def test_receiver_verification_clean_path():
     assert decoded.tolist() == [3]
     assert receiver.prediction_gaps == 0
     assert receiver.payload_errors == 0
-    assert receiver.history == [3]
 
 
 def test_receiver_rejects_foreign_scheme():

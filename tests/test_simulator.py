@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+import nclayer.codec as codec
 import nclayer.simulator as simulator
 from nclayer.heuristic import ThresholdPolicy
 from nclayer.simulator import (
@@ -454,19 +455,29 @@ BLOCK_CONFIGS = {
         update_period=3,
         pdr_schedule=((5, 0, 0.5), (23, 2, 0.95), (23, 1, 0.6)),
     ),
+    # longer than one default block, so runs cross block boundaries too
+    "rlc-recode-long": ChainConfig(
+        link_pdrs=(0.7, 0.8, 0.7), relay_modes=("nc", "nc"), gop_count=300, seed=35,
+        pdr_schedule=((255, 1, 0.6), (256, 2, 0.9)),
+    ),
 }
 
 
-@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("block", [1, 7, pytest.param(None, id="small-stacks")])
 @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
 def test_block_size_leaves_every_metric_unchanged(name, block, default_table, monkeypatch):
     # run() carries GOPs through the chain in blocks, segment by segment;
     # every random stream is drawn in the same order whatever the block, so
     # a block of one GOP (the GOP-by-GOP loop) and a ragged block of 7 must
-    # give the default block's metrics field for field
+    # give the default block's metrics field for field. So must the default
+    # block with each relay and verifying decode split into stacks of a few
+    # systems (about 6 unverified, 2 verified)
     config = BLOCK_CONFIGS[name]
     default = run(config, table=default_table)
-    monkeypatch.setattr(simulator, "GOP_BLOCK", block)
+    if block is None:
+        monkeypatch.setattr(codec, "DECODE_STACK_BYTES", 12 * 1024)
+    else:
+        monkeypatch.setattr(simulator, "GOP_BLOCK", block)
     blocked = run(config, table=default_table)
     assert asdict(blocked) == asdict(default)
     assert len(default.per_gop_delay) == config.gop_count
