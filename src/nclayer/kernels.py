@@ -1,6 +1,7 @@
 """Bulk numeric kernels behind the codec and the strategy table builder:
-GF(2^8) matrix product and row reduction, and the expected-depth dynamic
-program, all in numpy.
+GF(2^8) matrix product and row reduction over stacks of systems, and the
+expected-depth dynamic program over every strategy of a stack of delivery
+bins, all in numpy.
 """
 
 from __future__ import annotations
@@ -155,8 +156,15 @@ def _swap_columns(block, a, b):
     block[:, b] = low
 
 
-def expected_layers_batch(strategies, pmf_rows, per_layer):
-    """Mean decodable depth for each replica allocation, exact arithmetic.
+def expected_layers_batch(strategies, pmf_rows, per_layer, steps=None):
+    """Mean decodable depth for each replica allocation in each delivery bin,
+    exact arithmetic.
+
+    ``pmf_rows`` is one bin's square Binomial pmf rows (n, n), giving values
+    of shape (strategies,), or a (bins, n, n) stack of them, giving
+    (strategies, bins). ``steps`` is ``count_steps(strategies)``, for a
+    caller that reduces the same strategies over several stacks of bins;
+    it is computed here when not given.
 
     Reception of class i is a binomial count r_i; depth i is decodable exactly
     when the deficit walk G_i = max(G_{i-1} - r_i + per_layer, 0) sits at zero,
@@ -165,40 +173,66 @@ def expected_layers_batch(strategies, pmf_rows, per_layer):
 
     The forward occupancy after class i depends only on a strategy's first i
     counts, and the backward vector from class i on only on its later counts,
-    so each pass advances one (rows, L*P+1) array holding one row per
-    distinct count prefix (or suffix), each step starting from its parent
-    prefix's row. Distinct prefixes come from one integer key per strategy,
-    extended a column at a time, so no row order is assumed. The value reads
-    only state zero of each pass's last step, so that step computes state
-    zero alone. Within a step, outcome r updates the rows whose class count
-    reaches r, each weighted from its own binomial row. Every element sees
-    the floating-point operations of a strategy-at-a-time walk that skips
-    zero weights, in the same order: multiply, then accumulate in ascending
-    r, where a zero weight the walk skips adds an exact zero here. So the
-    values are bit-identical to that walk whatever the batch holds.
+    so each pass advances one (rows, bins, L*P+1) array holding one row per
+    distinct count prefix (or suffix) and one plane per bin, each step
+    starting from its parent prefix's row. The value reads only state zero
+    of each pass's last step, so that step computes state zero alone, and
+    the deficit after class i is at most i * per_layer, so each forward
+    step multiplies and adds only the states that can be nonzero and each
+    backward step computes only the states the next one reads. Within a
+    step, outcome r updates the rows whose class count reaches r, each
+    weighted from its own binomial row in every bin. Every element sees the
+    floating-point operations of a strategy-at-a-time walk in one bin that
+    skips zero weights, in the same order: multiply, then accumulate in
+    ascending r, where a zero weight the walk skips, or a state the trimmed
+    step skips, adds an exact zero. A spill into state zero sums the full
+    zero-padded run of states it covers, as the walk does, since a pairwise
+    sum of another length can round differently. So the values are
+    bit-identical to that walk whatever the batch and the stack hold.
     """
     strategies = np.asarray(strategies, dtype=np.int64)
     n_strategies, n_layers = strategies.shape
+    forward, backward = count_steps(strategies) if steps is None else steps
+    stack = pmf_rows if pmf_rows.ndim == 3 else pmf_rows[None]
+    # weights[n, r] holds the Binomial(n, p) pmf at r of every bin
+    weights = np.moveaxis(stack, 0, -1)
+    n_bins = stack.shape[0]
     n_states = n_layers * per_layer + 1
-    radix = int(strategies.max()) + 1
-    zero_occupancy = np.zeros((n_strategies, n_layers + 1))
-    f = np.zeros((1, n_states))
-    f[0, 0] = 1.0
-    node = np.zeros(n_strategies, dtype=np.int64)
-    for i in range(1, n_layers + 1):
-        parent, counts, node = _extend(node, strategies[:, i - 1], radix)
+    zero_occupancy = np.zeros((n_layers + 1, n_strategies, n_bins))
+    f = np.zeros((1, n_bins, n_states))
+    f[:, :, 0] = 1.0
+    for i, (parent, counts, node) in enumerate(forward, 1):
         width = n_states if i < n_layers else 1
-        f = _forward_step(f[parent], counts, pmf_rows, per_layer, width)
-        zero_occupancy[:, i] = f[node, 0]
-    value = n_layers * zero_occupancy[:, n_layers]
-    bq = np.ones((1, n_states))
-    node = np.zeros(n_strategies, dtype=np.int64)
-    for i in range(n_layers - 1, 0, -1):
-        parent, counts, node = _extend(node, strategies[:, i], radix)
-        width = n_states if i > 1 else 1
-        bq = _backward_step(bq[parent], counts, pmf_rows, per_layer, width)
-        value += i * zero_occupancy[:, i] * bq[node, 0]
-    return value
+        f = _forward_step(f[parent], counts, weights, per_layer, width, (i - 1) * per_layer)
+        zero_occupancy[i] = f[node, :, 0]
+    value = n_layers * zero_occupancy[n_layers]
+    bq = np.ones((1, n_bins, n_states))
+    for i, (parent, counts, node) in zip(range(n_layers - 1, 0, -1), backward):
+        bq = _backward_step(bq[parent], counts, weights, per_layer, (i - 1) * per_layer + 1)
+        value += i * zero_occupancy[i] * bq[node, :, 0]
+    return value if pmf_rows.ndim == 3 else value[:, 0]
+
+
+def count_steps(strategies):
+    """The rows of every step of both passes of expected_layers_batch.
+
+    Returns the forward steps, over classes 1 to L, and the backward steps,
+    over classes L down to 2, each a list of ``_extend`` results: every
+    step row's parent row and class count, and each strategy's row. They
+    depend on the strategies alone, so one set serves every bin.
+    """
+    strategies = np.asarray(strategies, dtype=np.int64)
+    n_strategies, n_layers = strategies.shape
+    radix = int(strategies.max()) + 1
+    passes = []
+    for columns in (range(n_layers), range(n_layers - 1, 0, -1)):
+        node = np.zeros(n_strategies, dtype=np.int64)
+        steps = []
+        for column in columns:
+            parent, counts, node = _extend(node, strategies[:, column], radix)
+            steps.append((parent, counts, node))
+        passes.append(steps)
+    return passes
 
 
 def _extend(node, counts, radix):
@@ -228,44 +262,47 @@ def _reach(counts):
     return np.searchsorted(-counts, -np.arange(counts[0] + 1), side="right")
 
 
-def _forward_step(f, counts, pmf_rows, per_layer, width):
-    # rows come in descending order of count. Outcome r moves state j to
-    # j + shift, shift = per_layer - r, and every state that would fall below
-    # zero spills into state zero; only the first ``width`` states of the
-    # result are computed
-    n_states = f.shape[1]
-    new = np.zeros((f.shape[0], width))
-    spill = np.zeros(f.shape[0])
+def _forward_step(f, counts, weights, per_layer, width, top):
+    # f is (rows, bins, states), zero above state top, and its rows come in
+    # descending order of count. Outcome r moves state j to j + shift,
+    # shift = per_layer - r, and every state that would fall below zero
+    # spills into state zero; only states up to top are moved, and only the
+    # first ``width`` states of the result are computed
+    n_states = f.shape[2]
+    new = np.zeros(f.shape[:2] + (width,))
+    spill = np.zeros(f.shape[:2])
     for r, k in enumerate(_reach(counts)):
         shift = per_layer - r
         if shift >= width:
             continue
-        w = pmf_rows[counts[:k], r]
+        w = weights[counts[:k], r]
         if shift >= 0:
-            new[:k, shift:] += w[:, None] * f[:k, : width - shift]
+            m = min(width - shift, top + 1)
+            new[:k, :, shift : shift + m] += w[:, :, None] * f[:k, :, :m]
             continue
-        spill[:k] += w * f[:k, : 1 - shift].sum(axis=1)
-        hi = min(width, n_states + shift)
+        spill[:k] += w * f[:k, :, : 1 - shift].sum(axis=2)
+        hi = min(width, n_states + shift, top + 1 + shift)
         if hi > 1:
-            new[:k, 1:hi] += w[:, None] * f[:k, 1 - shift : hi - shift]
-    new[:, 0] += spill
+            new[:k, :, 1:hi] += w[:, :, None] * f[:k, :, 1 - shift : hi - shift]
+    new[:, :, 0] += spill
     return new
 
 
-def _backward_step(bq, counts, pmf_rows, per_layer, width):
-    # rows come in descending order of count. After outcome r, state j reads
-    # state j + shift, shift = per_layer - r; a walk that lands on zero does
-    # not avoid it, so state zero is never read. States above the reachable
-    # deficit bound never feed state zero, so transitions past the top of the
-    # array are dropped without error. Only the first ``width`` states of
-    # the result are computed, so outcomes from r = per_layer + width - 1 on
-    # reach none of them.
-    n_states = bq.shape[1]
-    new = np.zeros((bq.shape[0], width))
+def _backward_step(bq, counts, weights, per_layer, width):
+    # bq is (rows, bins, states) and its rows come in descending order of
+    # count. After outcome r, state j reads state j + shift, shift =
+    # per_layer - r; a walk that lands on zero does not avoid it, so state
+    # zero is never read. States above the reachable deficit bound never
+    # feed state zero, so transitions past the top of the array are dropped
+    # without error. Only the first ``width`` states of the result are
+    # computed, so outcomes from r = per_layer + width - 1 on reach none of
+    # them.
+    n_states = bq.shape[2]
+    new = np.zeros(bq.shape[:2] + (width,))
     for r, k in enumerate(_reach(counts)[: per_layer + width - 1]):
         shift = per_layer - r
         lo = max(0, 1 - shift)
         hi = min(width, n_states - max(shift, 0))
-        w = pmf_rows[counts[:k], r][:, None]
-        new[:k, lo:hi] += w * bq[:k, lo + shift : hi + shift]
+        w = weights[counts[:k], r][:, :, None]
+        new[:k, :, lo:hi] += w * bq[:k, :, lo + shift : hi + shift]
     return new

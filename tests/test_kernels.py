@@ -1,6 +1,6 @@
 import numpy as np
 
-from nclayer import codec, kernels
+from nclayer import codec, kernels, spt
 from nclayer.codec import encode_gop
 from nclayer.gf256 import MUL_TABLE, gf256_mul
 from nclayer.kernels import expected_layers_batch, gf_matmul, gf_rref
@@ -348,34 +348,97 @@ def test_expected_layers_shared_prefixes_match_reference_in_any_order():
             assert np.array_equal(permuted, got[perm]), (name, p)
 
 
+def _stacked_matches_per_bin(strategies, stack, per_layer):
+    """The (strategies, bins) values of a stack of bins, checked column by
+    column against one 2-D call per bin, bit for bit."""
+    got = expected_layers_batch(strategies, stack, per_layer)
+    assert got.shape == (len(strategies), len(stack))
+    for b, rows in enumerate(stack):
+        single = expected_layers_batch(strategies, rows, per_layer)
+        assert single.shape == (len(strategies),)
+        if not np.array_equal(got[:, b], single):
+            return False
+    return True
+
+
+def test_expected_layers_stack_of_bins_matches_per_bin_calls():
+    # a stack of bins steps every bin's plane with the same operations as a
+    # call on that bin alone, and skips the same unreachable states, so each
+    # column equals the 2-D call bit for bit: p = 0 and p = 1 planes, whose
+    # weights are mostly exact zeros, ride beside random ones, counts run
+    # past the L*P+1 deficit states, and L=1 has no backward pass
+    rng = np.random.default_rng(13)
+    for name, strategies, per_layer in _shared_prefix_sets():
+        top = int(strategies.max())
+        stack = np.stack([_pmf_rows(top, p) for p in (0.0, 0.37, 1.0, 0.81)])
+        assert _stacked_matches_per_bin(strategies, stack, per_layer), name
+    for trial in range(60):
+        layers = 1 if trial % 10 == 0 else int(rng.integers(1, 6))
+        per_layer = int(rng.integers(1, 5))
+        top = 3 * (layers * per_layer + 1)
+        strategies = rng.integers(0, top + 1, (int(rng.integers(1, 12)), layers))
+        kinds = rng.integers(0, 3, int(rng.integers(1, 6)))
+        ps = [(0.0, 1.0, float(rng.random()))[kind] for kind in kinds]
+        stack = np.stack([_pmf_rows(int(strategies.max()), p) for p in ps])
+        assert _stacked_matches_per_bin(strategies, stack, per_layer), (
+            trial,
+            strategies.tolist(),
+            ps,
+            per_layer,
+        )
+
+
 def test_expected_layers_runs_once_per_shared_prefix_and_suffix(monkeypatch):
-    # one standard bin: the forward pass steps over the 17 distinct first
-    # counts, the 153 distinct first two and the 969 first three, and the
-    # backward pass over the 17 and 153 distinct last counts; each pass's
-    # last step returns state zero alone
-    steps = []
+    # a standard build hands the kernel its 20 bins in stacks of
+    # TABLE_STACK_BYTES of step state, one call each, and finds the count
+    # steps once for all of them: 4 forward and 3 backward. Every call's
+    # forward pass steps over the 17 distinct first counts, the 153 distinct
+    # first two and the 969 first three, and its backward pass over the 17
+    # and 153 distinct last counts, computing only the 17 and 9 states the
+    # next step reads; each pass's last step returns state zero alone
+    steps, calls, extends = [], [], []
 
     def recording(name, step):
-        def wrapped(f, counts, pmf_rows, per_layer, width):
-            out = step(f, counts, pmf_rows, per_layer, width)
-            steps.append((name, f.shape[0], out.shape[1]))
+        def wrapped(f, *args):
+            out = step(f, *args)
+            steps.append((name, f.shape[0], f.shape[1], out.shape[2]))
             return out
 
         return wrapped
 
+    def counted(extend):
+        def wrapped(*args):
+            extends.append(len(args[0]))
+            return extend(*args)
+
+        return wrapped
+
+    def kernel(strategies, pmf_rows, *args):
+        calls.append(pmf_rows.shape[0])
+        return expected_layers_batch(strategies, pmf_rows, *args)
+
     monkeypatch.setattr(kernels, "_forward_step", recording("forward", kernels._forward_step))
     monkeypatch.setattr(kernels, "_backward_step", recording("backward", kernels._backward_step))
-    strategies = np.asarray(enumerate_strategies(64, 4, 4), dtype=np.int64)
-    expected_layers_batch(strategies, _pmf_rows(64, 0.7), 8)
-    assert steps == [
-        ("forward", 17, 33),
-        ("forward", 153, 33),
-        ("forward", 969, 33),
-        ("forward", 969, 1),
-        ("backward", 17, 33),
-        ("backward", 153, 33),
-        ("backward", 969, 1),
-    ]
+    monkeypatch.setattr(kernels, "_extend", counted(kernels._extend))
+    monkeypatch.setattr(spt, "expected_layers_batch", kernel)
+    spt.build_table(64, 4, 8, 4)
+    per_stack = spt.TABLE_STACK_BYTES // (969 * 33 * 8)
+    assert per_stack > 1
+    full, rest = divmod(len(PDR_BINS), per_stack)
+    assert calls == [per_stack] * full + [rest] * (rest > 0)
+    assert len(extends) == 7
+    expected = []
+    for bins in calls:
+        expected += [
+            ("forward", 17, bins, 33),
+            ("forward", 153, bins, 33),
+            ("forward", 969, bins, 33),
+            ("forward", 969, bins, 1),
+            ("backward", 17, bins, 17),
+            ("backward", 153, bins, 9),
+            ("backward", 969, bins, 1),
+        ]
+    assert steps == expected
 
 
 def test_pmf_rows_match_cell_by_cell_reference():
