@@ -25,7 +25,7 @@ from .simulator import (
     sweep,
     write_rows,
 )
-from .spt import PDR_BINS, TABLE_METHODS, build_table, save_table
+from .spt import PDR_BINS, build_table, save_table
 
 log = logging.getLogger("nclayer")
 
@@ -81,8 +81,6 @@ def cmd_spt_build(args) -> int:
         layer_count=args.layers,
         packets_per_layer=args.packets,
         granularity=args.gran,
-        method=args.method,
-        seed=args.seed if args.seed is not None else 0,
     )
     duration = time.perf_counter() - start
     print(f"built {len(table.strategies)}-strategy table in {duration:.2f} s")
@@ -144,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int, default=4)
     p.add_argument("--packets", type=int, default=8)
     p.add_argument("--gran", type=int, default=4)
-    p.add_argument("--method", default="exact", choices=TABLE_METHODS)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="spt_table.txt")
     p.set_defaults(func=cmd_spt_build)
 

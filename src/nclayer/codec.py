@@ -165,6 +165,25 @@ def decodable_layers(counts: Sequence[int], packets_per_layer: int) -> int:
     return 0
 
 
+def decodable_layers_batch(count_rows: np.ndarray, packets_per_layer: int) -> np.ndarray:
+    """Vectorized decodable depth for an array of reception-count rows.
+
+    The trailing-window checks collapse to a running-maximum test on the walk
+    W_i = sum(counts[:i]) - i * packets_per_layer: depth i qualifies exactly
+    when W_i touches the running maximum of W_0..W_i with W_0 = 0.
+    """
+    count_rows = np.asarray(count_rows, dtype=np.int64)
+    walk = np.cumsum(count_rows - packets_per_layer, axis=1)
+    prior = np.concatenate(
+        [np.zeros((walk.shape[0], 1), dtype=np.int64), walk[:, :-1]], axis=1
+    )
+    prior_max = np.maximum(np.maximum.accumulate(prior, axis=1), 0)
+    qualifies = walk >= prior_max
+    any_depth = qualifies.any(axis=1)
+    last = count_rows.shape[1] - np.argmax(qualifies[:, ::-1], axis=1)
+    return np.where(any_depth, last, 0)
+
+
 def encode_gop(
     grid: LayerGrid,
     strategy: Sequence[int],

@@ -26,12 +26,13 @@ from .codec import (
     PacketBlock,
     check_columns,
     covered_depth,
+    decodable_layers_batch,
     decode_block,
     encode_block,
     encode_gop,  # noqa: F401  (perfbench's tracer wraps the one-GOP encode here)
 )
 from .heuristic import ThresholdPolicy
-from .spt import StrategyTable, decodable_layers_batch, nearest_bin
+from .spt import StrategyTable, nearest_bin
 
 MODE_FORWARD = "forward"
 MODE_NC = "nc"

@@ -16,7 +16,7 @@ from .codec import SCHEME_RLC, SCHEME_XOR, decode_block, decode_gop, encode_bloc
 from .gf256 import INV_TABLE, MUL_TABLE, _mul_slow
 from .media import make_synthetic_gop
 from .simulator import ChainConfig, run
-from .spt import build_table, enumerate_strategies, expected_decoded_layers
+from .spt import brute_force_decoded_layers, build_table, enumerate_strategies, expected_decoded_layers
 
 # domain of the exact-vs-enumeration equivalence sweep
 ORACLE_MAX_BUDGET = 8
@@ -88,8 +88,8 @@ def check_oracle_equivalence() -> CheckResult:
     cases = 0
     for strategy in _oracle_domain():
         for p in ORACLE_PROBS:
-            exact = expected_decoded_layers(strategy, p, 1, method="exact")
-            brute = expected_decoded_layers(strategy, p, 1, method="brute-force")
+            exact = expected_decoded_layers(strategy, p, 1)
+            brute = brute_force_decoded_layers(strategy, p, 1)
             diff = abs(exact - brute)
             cases += 1
             if diff > ORACLE_TOLERANCE:

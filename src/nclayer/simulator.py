@@ -46,7 +46,7 @@ import numpy as np
 
 from .channel import LinkModel, send_block
 from .codec import SCHEME_REPEAT, SCHEMES, decode_block
-from .heuristic import ThresholdPolicy, builtin_policy
+from .heuristic import builtin_policy
 from .media import make_synthetic_cells
 from .nodes import (
     MODE_FORWARD,
@@ -92,7 +92,6 @@ class ChainConfig:
     scheme: str = "rlc"
     selection: str = "spt"
     heuristic_set: int = 3
-    custom_policy: Optional[ThresholdPolicy] = None
     gop_count: int = 100
     probe_count: int = 100
     update_period: int = 1
@@ -161,7 +160,7 @@ class ChainConfig:
             raise ValueError(f"link_delays must be non-negative, got {self.link_delays}")
         if self.selection == "heuristic" and self.scheme != SCHEME_REPEAT:
             # every GOP spends the budget, so a policy must spend exactly it
-            policy = _policy_for(self)
+            policy = builtin_policy(self.heuristic_set)
             if policy.budget != self.budget:
                 raise ValueError(
                     f"budget {self.budget} differs from the {policy.budget} packets "
@@ -217,12 +216,6 @@ class RunMetrics:
     # score, and GOPs whose decoded bytes differ from the source.
     prediction_gaps: int = 0
     payload_errors: int = 0
-
-
-def _policy_for(config: ChainConfig) -> ThresholdPolicy:
-    if config.custom_policy is not None:
-        return config.custom_policy
-    return builtin_policy(config.heuristic_set)
 
 
 def _segments(config: ChainConfig) -> tuple[range, dict[int, range]]:
@@ -315,8 +308,6 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             layer_count=config.layer_count,
             packets_per_layer=config.packets_per_layer,
             granularity=config.granularity,
-            method="exact",
-            seed=config.seed,
         )
         build_seconds = time.perf_counter() - start
 
@@ -331,7 +322,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     elif config.selection == "spt":
         selector = {"table": table}
     else:
-        selector = {"policy": _policy_for(config)}
+        selector = {"policy": builtin_policy(config.heuristic_set)}
     sender = SenderState(
         scheme=config.scheme,
         update_period=config.update_period,
@@ -566,8 +557,6 @@ def sweep(
             layer_count=base.layer_count,
             packets_per_layer=base.packets_per_layer,
             granularity=base.granularity,
-            method="exact",
-            seed=base.seed,
         )
 
     tasks = []

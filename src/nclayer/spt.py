@@ -3,7 +3,10 @@
 For each delivery-probability bin the table stores the expected number of
 consecutive layers a count-based receiver decodes under every admissible
 replica allocation, plus the argmax per bin. Senders and re-encoding relays
-look strategies up here instead of solving anything online.
+look strategies up here instead of solving anything online. Every value
+comes from the exact dynamic program in ``kernels.expected_layers_batch``;
+``brute_force_decoded_layers`` is the small-budget reference it is checked
+against.
 """
 
 from __future__ import annotations
@@ -29,11 +32,7 @@ TABLE_STACK_BYTES = 1 << 20
 
 _BIN_EPS = 1e-9
 _BRUTE_FORCE_CAP = 20
-
-METHODS = ("exact", "monte-carlo", "brute-force")
-# brute force enumerates 2**budget outcomes, so it checks single strategies
-# at small budgets and never builds a table
-TABLE_METHODS = ("exact", "monte-carlo")
+_HEADER_KEYS = ("B", "L", "P", "g")
 
 
 def enumerate_strategies(
@@ -112,59 +111,24 @@ def expected_decoded_layers(
     strategy: Sequence[int],
     delivery_prob: float,
     packets_per_layer: int,
-    method: str = "exact",
-    trials: int = 100_000,
-    seed: int = 0,
 ) -> float:
     """Mean decodable depth when each packet survives independently.
 
-    "exact" runs a dynamic program over the per-class reception deficits,
-    "monte-carlo" samples ``trials`` reception vectors, and "brute-force"
-    enumerates every delivery outcome (only viable for small budgets; it is
-    the reference the other methods are checked against).
+    The dynamic program build_table runs over the per-class reception
+    deficits, for one strategy.
     """
     counts = _check_inputs(strategy, delivery_prob, packets_per_layer)
-    if method == "exact":
-        rows = _pmf_rows(max(counts), float(delivery_prob))
-        batch = expected_layers_batch(
-            np.asarray([counts], dtype=np.int64), rows, packets_per_layer
-        )
-        return float(batch[0])
-    if method == "monte-carlo":
-        return _monte_carlo_value(counts, delivery_prob, packets_per_layer, trials, seed)
-    if method == "brute-force":
-        return _brute_force_value(counts, delivery_prob, packets_per_layer)
-    raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    rows = _pmf_rows(max(counts), float(delivery_prob))
+    batch = expected_layers_batch(np.asarray([counts], dtype=np.int64), rows, packets_per_layer)
+    return float(batch[0])
 
 
-def _monte_carlo_value(counts, p, per_layer, trials, seed) -> float:
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    rng = np.random.default_rng(seed)
-    draws = rng.binomial(np.asarray(counts), p, size=(trials, len(counts)))
-    return float(np.mean(decodable_layers_batch(draws, per_layer)))
-
-
-def decodable_layers_batch(count_rows: np.ndarray, packets_per_layer: int) -> np.ndarray:
-    """Vectorized decodable depth for an array of reception-count rows.
-
-    The trailing-window checks collapse to a running-maximum test on the walk
-    W_i = sum(counts[:i]) - i * packets_per_layer: depth i qualifies exactly
-    when W_i touches the running maximum of W_0..W_i with W_0 = 0.
-    """
-    count_rows = np.asarray(count_rows, dtype=np.int64)
-    walk = np.cumsum(count_rows - packets_per_layer, axis=1)
-    prior = np.concatenate(
-        [np.zeros((walk.shape[0], 1), dtype=np.int64), walk[:, :-1]], axis=1
-    )
-    prior_max = np.maximum(np.maximum.accumulate(prior, axis=1), 0)
-    qualifies = walk >= prior_max
-    any_depth = qualifies.any(axis=1)
-    last = count_rows.shape[1] - np.argmax(qualifies[:, ::-1], axis=1)
-    return np.where(any_depth, last, 0)
-
-
-def _brute_force_value(counts, p, per_layer) -> float:
+def brute_force_decoded_layers(
+    strategy: Sequence[int], delivery_prob: float, packets_per_layer: int
+) -> float:
+    """expected_decoded_layers by enumerating all 2**budget delivery outcomes
+    and scoring each with ``decodable_layers``; capped at small budgets."""
+    counts = _check_inputs(strategy, delivery_prob, packets_per_layer)
     total_packets = sum(counts)
     if total_packets > _BRUTE_FORCE_CAP:
         raise ValueError(
@@ -182,8 +146,8 @@ def _brute_force_value(counts, p, per_layer) -> float:
                 received[owner[b]] += 1
                 k += 1
             m >>= 1
-        weight = p**k * (1.0 - p) ** (total_packets - k)
-        total += weight * decodable_layers(received, per_layer)
+        weight = delivery_prob**k * (1.0 - delivery_prob) ** (total_packets - k)
+        total += weight * decodable_layers(received, packets_per_layer)
     return total
 
 
@@ -193,8 +157,6 @@ class StrategyTable:
     layer_count: int
     packets_per_layer: int
     granularity: int
-    method: str
-    seed: int
     strategies: list[tuple[int, ...]]
     values: np.ndarray
     best_index: np.ndarray
@@ -240,44 +202,27 @@ def build_table(
     layer_count: int = 4,
     packets_per_layer: int = 8,
     granularity: int = 4,
-    method: str = "exact",
-    seed: int = 0,
-    trials: int = 100_000,
 ) -> StrategyTable:
-    if method not in TABLE_METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {TABLE_METHODS}")
+    if packets_per_layer < 1:
+        raise ValueError(f"packets_per_layer must be positive, got {packets_per_layer}")
     strategies = enumerate_strategies(budget, layer_count, granularity)
     matrix = np.asarray(strategies, dtype=np.int64)
     values = np.zeros((len(strategies), len(PDR_BINS)))
-    if method == "exact":
-        steps = count_steps(matrix)
-        state_bytes = len(strategies) * (layer_count * packets_per_layer + 1) * 8
-        per_stack = max(1, TABLE_STACK_BYTES // state_bytes)
-        for lo in range(0, len(PDR_BINS), per_stack):
-            bins = PDR_BINS[lo : lo + per_stack]
-            rows = np.stack([_pmf_rows(budget, float(p)) for p in bins])
-            values[:, lo : lo + len(bins)] = expected_layers_batch(
-                matrix, rows, packets_per_layer, steps
-            )
-    else:
-        for b, p in enumerate(PDR_BINS):
-            for s, strat in enumerate(strategies):
-                values[s, b] = expected_decoded_layers(
-                    strat,
-                    p,
-                    packets_per_layer,
-                    method=method,
-                    trials=trials,
-                    seed=int(np.random.SeedSequence([seed, s, b]).generate_state(1)[0]),
-                )
+    steps = count_steps(matrix)
+    state_bytes = len(strategies) * (layer_count * packets_per_layer + 1) * 8
+    per_stack = max(1, TABLE_STACK_BYTES // state_bytes)
+    for lo in range(0, len(PDR_BINS), per_stack):
+        bins = PDR_BINS[lo : lo + per_stack]
+        rows = np.stack([_pmf_rows(budget, float(p)) for p in bins])
+        values[:, lo : lo + len(bins)] = expected_layers_batch(
+            matrix, rows, packets_per_layer, steps
+        )
     best = _argmax_lex_largest(values)
     return StrategyTable(
         budget=budget,
         layer_count=layer_count,
         packets_per_layer=packets_per_layer,
         granularity=granularity,
-        method=method,
-        seed=seed,
         strategies=strategies,
         values=values,
         best_index=best,
@@ -305,8 +250,6 @@ def save_table(table: StrategyTable, path) -> None:
         f"L={table.layer_count}",
         f"P={table.packets_per_layer}",
         f"g={table.granularity}",
-        f"method={table.method}",
-        f"seed={table.seed}",
     ]
     for b, p in enumerate(PDR_BINS):
         for s, strat in enumerate(table.strategies):
@@ -329,9 +272,14 @@ def load_table(path) -> StrategyTable:
         if "=" not in line or "," in line:
             break
         key, value = line.split("=", 1)
+        if key not in _HEADER_KEYS:
+            raise ValueError(
+                f"table file has an unknown header line {line!r}; the header holds "
+                f"B=, L=, P= and g= only: rebuild the file with nclayer spt-build"
+            )
         header[key] = value
         body_start += 1
-    for key in ("B", "L", "P", "g", "method", "seed"):
+    for key in _HEADER_KEYS:
         if key not in header:
             raise ValueError(f"table file is missing header line {key}=")
 
@@ -382,8 +330,6 @@ def load_table(path) -> StrategyTable:
         layer_count=layer_count,
         packets_per_layer=per_layer,
         granularity=granularity,
-        method=header["method"],
-        seed=int(header["seed"]),
         strategies=strategies,
         values=values,
         best_index=best,

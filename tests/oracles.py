@@ -372,14 +372,14 @@ def reference_run(config, table=None):
     if table is None and (nc or (config.selection == "spt" and not repeat)):
         table = build_table(
             budget=config.budget, layer_count=L, packets_per_layer=P,
-            granularity=config.granularity, method="exact", seed=config.seed,
+            granularity=config.granularity,
         )
     delays = config.link_delays or (config.transmit_delay,) * hops
     links = [
         LinkModel(p, seed=child, transmit_delay=d)
         for p, child, d in zip(config.link_pdrs, link_children, delays)
     ]
-    policy = config.custom_policy or builtin_policy(config.heuristic_set)
+    policy = builtin_policy(config.heuristic_set)
 
     def draw(link, n):
         link.draws += n

@@ -19,6 +19,7 @@ from nclayer.heuristic import builtin_policy
 from nclayer.media import make_synthetic_gop
 from nclayer.simulator import ChainConfig, format_row, run, sweep, write_rows
 from nclayer.spt import (
+    brute_force_decoded_layers,
     build_table,
     enumerate_strategies,
     expected_decoded_layers,
@@ -53,7 +54,7 @@ def test_c01_decode_condition_fidelity():
 
 def test_c02_expected_value_oracle_equivalence():
     start = time.perf_counter()
-    assert expected_decoded_layers((2, 1, 0, 0), 0.5, 1, method="exact") == 1.125
+    assert expected_decoded_layers((2, 1, 0, 0), 0.5, 1) == 1.125
     strategies = [
         s
         for layers in (1, 2, 3)
@@ -64,8 +65,8 @@ def test_c02_expected_value_oracle_equivalence():
     worst = 0.0
     for strategy in strategies:
         for p in (0.25, 0.5, 0.75):
-            exact = expected_decoded_layers(strategy, p, 1, method="exact")
-            brute = expected_decoded_layers(strategy, p, 1, method="brute-force")
+            exact = expected_decoded_layers(strategy, p, 1)
+            brute = brute_force_decoded_layers(strategy, p, 1)
             worst = max(worst, abs(exact - brute))
     assert worst <= 1e-12
     elapsed = time.perf_counter() - start

@@ -35,6 +35,22 @@ def test_spt_build_rejects_bad_granularity(tmp_path, capsys):
     assert "granularity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("packets", ["0", "-1"])
+def test_spt_build_rejects_nonpositive_packets(tmp_path, capsys, packets):
+    code = main(["spt-build", "--packets", packets, "--out", str(tmp_path / "t.txt")])
+    assert code == 1
+    assert "packets_per_layer" in capsys.readouterr().err
+    assert not (tmp_path / "t.txt").exists()
+
+
+@pytest.mark.parametrize("option", [["--method", "exact"], ["--seed", "1"]])
+def test_spt_build_has_no_method_or_seed(tmp_path, option):
+    # tables are exact and take no seed
+    with pytest.raises(SystemExit) as excinfo:
+        main(["spt-build", *option, "--out", str(tmp_path / "t.txt")])
+    assert excinfo.value.code == 1
+
+
 def test_simulate_lossless_summary(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code = main([

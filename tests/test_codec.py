@@ -14,6 +14,7 @@ from nclayer.codec import (
     SCHEMES,
     PacketBlock,
     decodable_layers,
+    decodable_layers_batch,
     decode_block,
     decode_gop,
     encode_block,
@@ -21,7 +22,6 @@ from nclayer.codec import (
 )
 from nclayer.kernels import gf_rref
 from nclayer.media import make_synthetic_cells, make_synthetic_gop
-from nclayer.spt import decodable_layers_batch
 from oracles import count_vectors, decode_gop_reference, rank_decodable_layers
 
 

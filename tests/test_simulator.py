@@ -8,7 +8,6 @@ import pytest
 
 import nclayer.codec as codec
 import nclayer.simulator as simulator
-from nclayer.heuristic import ThresholdPolicy
 from nclayer.simulator import (
     CSV_HEADER,
     ChainConfig,
@@ -547,14 +546,12 @@ def test_heuristic_run_spends_the_configured_budget(budget):
             link_pdrs=(0.9,), budget=budget, selection="heuristic", heuristic_set=3,
             gop_count=10,
         )
-    custom = ThresholdPolicy((0.5,), ((16, 0, 0, 0), (8, 4, 4, 0)))
     config = ChainConfig(
-        link_pdrs=(0.9,), budget=16, granularity=4, selection="heuristic",
-        custom_policy=custom, gop_count=10,
+        link_pdrs=(0.9,), budget=64, selection="heuristic", heuristic_set=3, gop_count=10,
     )
-    assert run(config).sent_total == 160
+    assert run(config).sent_total == 64 * config.gop_count
     with pytest.raises(ValueError, match="budget"):
-        replace(config, budget=64)
+        replace(config, budget=budget)
 
 
 def test_negative_delays_are_refused():

@@ -11,6 +11,7 @@ from nclayer.spt import (
     TABLE_STACK_BYTES,
     _argmax_lex_largest,
     _pmf_rows,
+    brute_force_decoded_layers,
     build_table,
     enumerate_strategies,
     expected_decoded_layers,
@@ -69,30 +70,43 @@ def test_enumeration_rejects_bad_granularity():
 def test_documented_expected_value():
     # two class-1 packets and one class-2 packet at p = 1/2, one packet per
     # layer: E = 2*(1/8) + 1*(5/8) + 0*(2/8) = 9/8
-    for method in ("exact", "brute-force"):
-        assert expected_decoded_layers((2, 1, 0, 0), 0.5, 1, method=method) == 1.125
+    assert expected_decoded_layers((2, 1, 0, 0), 0.5, 1) == 1.125
+    assert brute_force_decoded_layers((2, 1, 0, 0), 0.5, 1) == 1.125
 
 
 def test_exact_matches_brute_force_small_domain():
+    # the 216 strategies of at most 8 packets over at most 3 classes, at
+    # three delivery probabilities
+    cases = 0
     for layers in (1, 2, 3):
-        for budget in range(1, 7):
+        for budget in range(1, 9):
             for strategy in enumerate_strategies(budget, layers):
-                for p in (0.25, 0.75):
-                    exact = expected_decoded_layers(strategy, p, 1, method="exact")
-                    brute = expected_decoded_layers(strategy, p, 1, method="brute-force")
+                for p in (0.25, 0.5, 0.75):
+                    exact = expected_decoded_layers(strategy, p, 1)
+                    brute = brute_force_decoded_layers(strategy, p, 1)
                     assert abs(exact - brute) <= 1e-12, (strategy, p)
+                    cases += 1
+    assert cases == 216 * 3
 
 
 def test_exact_handles_multiple_packets_per_layer():
-    exact = expected_decoded_layers((4, 2), 0.5, 2, method="exact")
-    brute = expected_decoded_layers((4, 2), 0.5, 2, method="brute-force")
+    exact = expected_decoded_layers((4, 2), 0.5, 2)
+    brute = brute_force_decoded_layers((4, 2), 0.5, 2)
     assert abs(exact - brute) <= 1e-12
 
 
-def test_monte_carlo_approaches_exact():
-    exact = expected_decoded_layers((6, 2), 0.6, 2, method="exact")
-    mc = expected_decoded_layers((6, 2), 0.6, 2, method="monte-carlo", trials=200_000, seed=0)
-    assert abs(mc - exact) < 0.02
+def test_brute_force_checks_its_inputs_and_cap():
+    with pytest.raises(ValueError, match="packets_per_layer"):
+        brute_force_decoded_layers((2, 1), 0.5, 0)
+    with pytest.raises(ValueError, match="capped"):
+        brute_force_decoded_layers((21,), 0.5, 1)
+
+
+@pytest.mark.parametrize("per_layer", [0, -1])
+def test_build_table_rejects_nonpositive_packets_per_layer(per_layer):
+    # with no packets per layer every allocation would decode every layer
+    with pytest.raises(ValueError, match="packets_per_layer"):
+        build_table(budget=8, layer_count=2, packets_per_layer=per_layer, granularity=4)
 
 
 def test_expected_layers_monotone_in_p():
@@ -281,8 +295,7 @@ def test_run_with_a_loaded_table_equals_run_building_its_own(
 
 
 def test_load_reads_six_decimal_files(default_table, tmp_path):
-    # a file holding values at six decimals, as older versions wrote them,
-    # still loads, with its values as rounded
+    # values rounded to six decimals still parse, and load as rounded
     path = tmp_path / "table.txt"
     save_table(default_table, path)
     lines = path.read_text().splitlines()
@@ -309,6 +322,17 @@ def test_load_rejects_missing_header(default_table, tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(line for line in lines if not line.startswith("P=")) + "\n")
     with pytest.raises(ValueError, match="P="):
+        load_table(path)
+
+
+@pytest.mark.parametrize("extra", ["method=exact", "seed=0"])
+def test_load_rejects_unknown_header_line(default_table, tmp_path, extra):
+    # files written with method= and seed= lines are refused, not read as
+    # exact tables; rebuilding them is quick and byte-reproducible
+    path = tmp_path / "table.txt"
+    save_table(default_table, path)
+    path.write_text(path.read_text().replace("g=4\n", f"g=4\n{extra}\n", 1))
+    with pytest.raises(ValueError, match=f"'{extra}'.*spt-build"):
         load_table(path)
 
 
@@ -370,14 +394,6 @@ def test_load_rejects_repeated_best_row(tmp_path):
         load_table(path)
 
 
-def test_small_monte_carlo_table_agrees_coarsely():
-    exact = build_table(budget=8, layer_count=2, packets_per_layer=2, granularity=4)
-    mc = build_table(
-        budget=8, layer_count=2, packets_per_layer=2, granularity=4,
-        method="monte-carlo", trials=20_000,
-    )
-    assert mc.strategies == exact.strategies
-    assert np.allclose(mc.values, exact.values, atol=0.05)
 
 
 def test_nearest_bin_array_form_matches_scalar_form():
