@@ -17,14 +17,7 @@ from .config import ConfigError, apply_overrides, load_config, parse_config_text
 from .gf256 import gf256_inv, gf256_mul
 from .heuristic import ThresholdPolicy, builtin_policy
 from .media import LayerGrid, make_synthetic_gop
-from .nodes import (
-    ReceiverState,
-    RelayState,
-    SenderState,
-    receiver_block,
-    relay_block,
-    sender_block,
-)
+from .nodes import Encoder, ReceiverState, encoder_block, receiver_block
 from .simulator import (
     ChainConfig,
     RunMetrics,
@@ -48,17 +41,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainConfig",
     "ConfigError",
+    "Encoder",
     "LayerGrid",
     "LinkModel",
     "PDR_BINS",
     "PacketBlock",
     "ReceiverState",
-    "RelayState",
     "RunMetrics",
     "SCHEME_REPEAT",
     "SCHEME_RLC",
     "SCHEME_XOR",
-    "SenderState",
     "StrategyTable",
     "ThresholdPolicy",
     "apply_overrides",
@@ -69,6 +61,7 @@ __all__ = [
     "decode_gop",
     "encode_block",
     "encode_gop",
+    "encoder_block",
     "enumerate_strategies",
     "expected_decoded_layers",
     "gf256_inv",
@@ -79,12 +72,10 @@ __all__ = [
     "nearest_bin",
     "parse_config_text",
     "receiver_block",
-    "relay_block",
     "resolve_mode",
     "run",
     "save_table",
     "send_block",
-    "sender_block",
     "sweep",
     "__version__",
 ]

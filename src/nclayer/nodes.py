@@ -1,17 +1,18 @@
 """Per-node behaviour along the delivery chain, a block of GOPs at a time.
 
-The sender picks a replica allocation from its table (or threshold policy)
-and encodes each GOP. An intermediate either forwards whatever arrives, or
-decodes what it can and re-encodes the recovered prefix at full budget with
-a strategy restricted to the depths it actually holds. The receiver scores
-each GOP by what its scheme's decoder recovers: RLC by the count-based
-decode rule on per-class arrivals, XOR and repeat by which (depth, column)
-cells arrived. Each step takes a block of GOPs, and the packets of a block
-travel as one PacketBlock; a block of one GOP is the GOP-by-GOP case. A
-re-encoding relay re-encodes from its decode_block of the block, which the
-caller makes once and also reads for the relay's packet count. An RLC
-encoder with no decoder downstream sends coefficient-free packets, since
-the count rule reads only their classes.
+The sender and every re-encoding relay are one kind of node, an Encoder: it
+holds a prefix of each GOP's layers, picks a replica allocation for that
+prefix from its delivery estimate, and encodes. The sender holds all of
+them; a re-encoding relay holds what its decode_block of the block
+recovered, which the caller makes once and also reads for the relay's
+packet count, and sends nothing for a GOP it recovered no layer of. A
+forwarding relay passes whatever arrives, so it has no state. The receiver
+scores each GOP by what its scheme's decoder recovers: RLC by the
+count-based decode rule on per-class arrivals, XOR and repeat by which
+(depth, column) cells arrived. Each step takes a block of GOPs, and the
+packets of a block travel as one PacketBlock; a block of one GOP is the
+GOP-by-GOP case. An RLC encoder with no decoder downstream sends
+coefficient-free packets, since the count rule reads only their classes.
 """
 
 from __future__ import annotations
@@ -52,122 +53,58 @@ def _check_estimates(estimates) -> np.ndarray:
 
 
 @dataclass
-class SenderState:
-    """Picks each GOP's strategy from a table or a threshold policy; with
-    neither, it sends every GOP under the fixed strategy it was given."""
+class Encoder:
+    """The sender or a re-encoding relay: it picks each GOP's replica
+    allocation from a strategy table or a threshold policy and encodes."""
 
     scheme: str
     table: Optional[StrategyTable] = None
     policy: Optional[ThresholdPolicy] = None
-    update_period: int = 1
     pdr_estimate: float = 1.0
-    strategy: Optional[tuple[int, ...]] = None
-    gop_counter: int = 0
     coeff_width: Optional[int] = None
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def __post_init__(self):
-        if self.table is not None and self.policy is not None:
-            raise ValueError("sender needs exactly one of table or policy")
-        if self.table is None and self.policy is None and self.strategy is None:
-            raise ValueError("sender needs a table, a policy or a fixed strategy")
-        if self.update_period < 1:
-            raise ValueError(f"update_period must be positive, got {self.update_period}")
+        if (self.table is None) == (self.policy is None):
+            raise ValueError("an encoder needs exactly one of table or policy")
 
     @property
     def spend(self) -> int:
-        """Packets sent per GOP: every table or policy strategy spends one
-        budget, and a fixed strategy spends its own sum."""
-        if self.table is not None:
-            return self.table.budget
-        if self.policy is not None:
-            return self.policy.budget
-        return sum(self.strategy)
+        """Packets sent per GOP that holds a layer: every strategy of a
+        table or policy spends one budget."""
+        return self.policy.budget if self.table is None else self.table.budget
 
 
-def _select(state: SenderState, estimates: np.ndarray) -> np.ndarray:
-    """The strategy, as a row, that each estimate selects."""
+def encoder_block(
+    state: Encoder, cells: np.ndarray, gop_ids: Sequence[int], estimates, depths
+) -> PacketBlock:
+    """Encodes a block of GOPs, GOP gop_ids[k] from the first depths[k]
+    layers of its cells[k], under the strategy that estimates[k], the
+    delivery estimate in force at GOP k, selects.
+
+    A table encoder takes the bin's best strategy among those that leave
+    every class deeper than depths[k] empty; at full depth that is the
+    bin's best. A policy encoder picks by interval, so it must hold every
+    layer. A GOP of depth 0 gets no packets and draws no encode seed.
+    """
+    estimates = _check_estimates(estimates)
+    depths = np.asarray(depths)
     if state.table is not None:
-        return state.table.matrix[state.table.best_index[nearest_bin(estimates)]]
-    # an estimate on a breakpoint belongs to the upper interval
-    index = np.searchsorted(state.policy.breakpoints, estimates, side="right")
-    return np.asarray(state.policy.strategies, dtype=np.int64)[index]
-
-
-def sender_block(
-    state: SenderState, cells: np.ndarray, gop_ids: Sequence[int], estimates
-) -> PacketBlock:
-    """Encodes a block of GOPs, GOP gop_ids[k] from its source cells[k].
-    estimates[k] is the delivery estimate in force at GOP k (the latest
-    feedback); the strategy refreshes from it only on period boundaries of
-    the sender's GOP counter."""
-    k = len(gop_ids)
-    estimates = _check_estimates(estimates)
-    if state.table is None and state.policy is None:
-        strategies = np.tile(np.asarray(state.strategy, dtype=np.int64), (k, 1))
+        table = state.table
+        index = table.restricted_index[
+            nearest_bin(estimates), np.minimum(depths, table.layer_count)
+        ]
+        strategies = table.matrix[index]
     else:
-        refresh = (state.gop_counter + np.arange(k)) % state.update_period == 0
-        refresh[0] |= state.strategy is None
-        # row 0 is the strategy in force before the block's first refresh
-        current = state.strategy or (0,) * cells.shape[1]
-        choices = np.vstack([current, _select(state, estimates[refresh])])
-        strategies = choices[np.cumsum(refresh)]
-    state.strategy = tuple(int(x) for x in strategies[-1])
-    state.gop_counter += k
-    state.pdr_estimate = float(estimates[-1])
-    seeds = _fresh_seeds(state.rng, k)
-    return encode_block(cells, gop_ids, strategies, state.scheme, seeds, state.coeff_width)
-
-
-@dataclass
-class RelayState:
-    mode: str
-    scheme: str
-    layer_count: int
-    packets_per_layer: int
-    payload_size: int
-    table: Optional[StrategyTable] = None
-    pdr_estimate: float = 1.0
-    forward_delay: float = 0.005
-    recode_delay: float = 60.0
-    coeff_width: Optional[int] = None
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
-
-    def __post_init__(self):
-        if self.mode not in RELAY_MODES:
-            raise ValueError(f"unknown relay mode {self.mode!r}, expected one of {RELAY_MODES}")
-        if self.mode == MODE_NC and self.table is None:
-            raise ValueError("a re-encoding relay needs a strategy table")
-
-
-def relay_block(
-    state: RelayState,
-    block: PacketBlock,
-    estimates,
-    decoded: tuple[np.ndarray, np.ndarray],
-) -> PacketBlock:
-    """Forward mode passes the block through untouched. Re-encode mode
-    spends the full budget on the deepest prefix it decoded of each GOP,
-    never emitting a class deeper than that prefix; a GOP with nothing
-    decoded gets no packets. estimates[k] is the delivery estimate in force
-    at GOP k, and decoded is the (depths, cells) decode_block of the
-    block."""
-    if state.mode == MODE_FORWARD:
-        return block
-    depths, cells = decoded
-    estimates = _check_estimates(estimates)
-    table = state.table
-    index = table.restricted_index[
-        nearest_bin(estimates), np.minimum(depths, table.layer_count)
-    ]
-    encoding = (depths > 0) & (index >= 0)
-    strategies = np.where(encoding[:, None], table.matrix[index], 0)
+        # an estimate on a breakpoint belongs to the upper interval
+        index = np.searchsorted(state.policy.breakpoints, estimates, side="right")
+        strategies = np.asarray(state.policy.strategies, dtype=np.int64)[index]
+    encoding = depths > 0
+    strategies = np.where(encoding[:, None], strategies, 0)
     seeds = np.zeros(depths.size, dtype=np.int64)
     seeds[encoding] = _fresh_seeds(state.rng, int(np.count_nonzero(encoding)))
     state.pdr_estimate = float(estimates[-1])
-    return encode_block(
-        cells, block.gop_ids, strategies, state.scheme, seeds, state.coeff_width
-    )
+    return encode_block(cells, gop_ids, strategies, state.scheme, seeds, state.coeff_width)
 
 
 @dataclass

@@ -46,18 +46,16 @@ import numpy as np
 
 from .channel import LinkModel, send_block
 from .codec import SCHEME_REPEAT, SCHEMES, decode_block
-from .heuristic import builtin_policy
+from .heuristic import ThresholdPolicy, builtin_policy
 from .media import make_synthetic_cells
 from .nodes import (
     MODE_FORWARD,
     MODE_NC,
     RELAY_MODES,
+    Encoder,
     ReceiverState,
-    RelayState,
-    SenderState,
+    encoder_block,
     receiver_block,
-    relay_block,
-    sender_block,
 )
 from .spt import StrategyTable, build_table
 
@@ -318,33 +316,18 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     ]
     if repeat:
         # every source packet, budget // (layer_count * packets_per_layer) times
-        selector = {"strategy": (config.budget // config.layer_count,) * config.layer_count}
+        copies = (config.budget // config.layer_count,) * config.layer_count
+        selector = {"policy": ThresholdPolicy((), (copies,))}
     elif config.selection == "spt":
         selector = {"table": table}
     else:
         selector = {"policy": builtin_policy(config.heuristic_set)}
-    sender = SenderState(
+    sender = Encoder(
         scheme=config.scheme,
-        update_period=config.update_period,
         coeff_width=coeff_width(-1),
         rng=np.random.default_rng(sender_child),
         **selector,
     )
-    relays = [
-        RelayState(
-            mode=mode,
-            scheme=config.scheme,
-            layer_count=config.layer_count,
-            packets_per_layer=config.packets_per_layer,
-            payload_size=width,
-            table=table if mode == MODE_NC else None,
-            forward_delay=config.forward_delay,
-            recode_delay=config.recode_delay,
-            coeff_width=coeff_width(position),
-            rng=np.random.default_rng(child),
-        )
-        for position, (mode, child) in enumerate(zip(config.relay_modes, relay_children))
-    ]
     receiver = ReceiverState(
         layer_count=config.layer_count,
         packets_per_layer=config.packets_per_layer,
@@ -359,9 +342,17 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     # each encoder with the links it probes and sends over: the sender's
     # segment, then each re-encoding relay's, in hop order
     segments = [(sender, sender_segment)] + [
-        (relays[pos], segment) for pos, segment in relay_segments.items()
+        (
+            Encoder(
+                scheme=config.scheme,
+                table=table,
+                coeff_width=coeff_width(position),
+                rng=np.random.default_rng(relay_children[position]),
+            ),
+            segment,
+        )
+        for position, segment in relay_segments.items()
     ]
-    sent_total = 0
     npr = 0
     per_gop_decoded: list[int] = []
     per_gop_delay: list[float] = []
@@ -382,14 +373,15 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             segment_links = [links[i] for i in segment]
             pdrs = _block_pdrs(segment_links, segment, gops, schedule)
             if encoder is sender:
-                sending = np.full(gops.size, sender.spend)
+                held = np.full(gops.size, config.layer_count)
+                source = cells
             else:
-                decoded = decode_block(
-                    block, encoder.layer_count, encoder.packets_per_layer, encoder.payload_size
+                held, source = decode_block(
+                    block, config.layer_count, config.packets_per_layer, width
                 )
-                # a re-encoding relay spends its budget on every GOP it
-                # decoded a layer of, and sends nothing for the others
-                sending = np.where(decoded[0] > 0, config.budget, 0)
+            # an encoder spends its budget on every GOP it holds a layer of,
+            # and sends nothing for the others
+            sending = np.where(held > 0, encoder.spend, 0)
             # one draw per link for the block: probes and packets, GOP by GOP
             alive, masks = send_block(segment_links, probes, sending, pdrs)
             # the sender's feedback, round(share * probes) / probes, is the
@@ -397,11 +389,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             estimates = np.where(
                 latest >= 0, alive[latest] / config.probe_count, encoder.pdr_estimate
             )
-            if encoder is sender:
-                block = sender_block(sender, cells, gops, estimates)
-                sent_total += len(block)
-            else:
-                block = relay_block(encoder, block, estimates, decoded)
+            block = encoder_block(encoder, source, gops, estimates, held)
             if not np.array_equal(block.sizes, sending):
                 raise RuntimeError(
                     f"an encoder sent {block.sizes.tolist()} packets per GOP, "
@@ -411,10 +399,10 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                 delays += block.sizes * links[hop].transmit_delay
                 block = block.select(mask)
                 if hop < n_relays:
-                    delays += relays[hop].forward_delay
-                    if relays[hop].mode == MODE_NC:
+                    delays += config.forward_delay
+                    if config.relay_modes[hop] == MODE_NC:
                         # re-encodes at the head of the next segment
-                        delays += relays[hop].recode_delay
+                        delays += config.recode_delay
 
         scores = receiver_block(receiver, block, references=cells)
         npr += len(block)
@@ -427,6 +415,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         multiplier = n_nc if config.table_charging == "per-node" else 1
         build_charge = config.table_build_charge * multiplier
 
+    sent_total = sender.spend * config.gop_count
     audl = float(np.mean(per_gop_decoded)) if per_gop_decoded else 0.0
     default_label = "uncoded" if repeat else f"{config.selection}-{config.scheme}"
     return RunMetrics(

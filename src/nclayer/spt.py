@@ -161,7 +161,8 @@ class StrategyTable:
     values: np.ndarray
     best_index: np.ndarray
     # restricted_index[b, d]: best strategy of bin b among those that leave
-    # every class deeper than d empty, -1 where none does
+    # every class deeper than d empty, -1 where none does; at d = L, where
+    # every strategy qualifies, it is best_index, the sender's pick
     restricted_index: np.ndarray = field(init=False, repr=False, compare=False)
     # the strategies as rows of an array, for lookups of many at once
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
@@ -171,12 +172,13 @@ class StrategyTable:
         self.restricted_index = np.full(
             (self.values.shape[1], self.layer_count + 1), -1, dtype=np.int64
         )
-        for depth in range(self.layer_count + 1):
+        for depth in range(self.layer_count):
             allowed = np.flatnonzero(~matrix[:, depth:].any(axis=1))
             if allowed.size:
                 self.restricted_index[:, depth] = allowed[
                     _argmax_lex_largest(self.values[allowed])
                 ]
+        self.restricted_index[:, self.layer_count] = self.best_index
 
     @property
     def pdr_bins(self) -> tuple[float, ...]:
@@ -287,6 +289,8 @@ def load_table(path) -> StrategyTable:
     layer_count = int(header["L"])
     per_layer = int(header["P"])
     granularity = int(header["g"])
+    if per_layer < 1:
+        raise ValueError(f"packets_per_layer must be positive, got {per_layer}")
     strategies = enumerate_strategies(budget, layer_count, granularity)
     index_of = {strat: i for i, strat in enumerate(strategies)}
     rows_per_bin: dict[float, list[tuple[tuple[int, ...], float]]] = {}

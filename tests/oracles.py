@@ -180,24 +180,42 @@ def expected_layers_reference(strategies, pmf_rows, per_layer):
     occupancy pass and a backward zero-avoidance pass per strategy, each
     binomial outcome r skipped when its weight is zero and accumulated in
     ascending r. The batched kernel must reproduce it bit for bit, so the
-    order of every floating-point operation here is the contract.
+    order of every floating-point operation here is the contract. A forward
+    state depends only on the counts before it and a backward state only on
+    those after it, so each is stepped once per count prefix or suffix and
+    looked up by it after that; the steps and the sums are those of
+    walking every strategy afresh.
     """
     n_strategies, n_layers = strategies.shape
     n_states = n_layers * per_layer + 1
+    start = np.zeros(n_states)
+    start[0] = 1.0
+    forward = {(): start}
+    backward = {(): np.ones(n_states)}
+
+    def forward_state(prefix):
+        if prefix not in forward:
+            c = prefix[-1]
+            forward[prefix] = _forward_step(
+                forward_state(prefix[:-1]), pmf_rows[c][: c + 1], per_layer
+            )
+        return forward[prefix]
+
+    def backward_state(suffix):
+        if suffix not in backward:
+            c = suffix[0]
+            backward[suffix] = _backward_step(
+                backward_state(suffix[1:]), pmf_rows[c][: c + 1], per_layer
+            )
+        return backward[suffix]
+
     out = np.zeros(n_strategies)
     for s in range(n_strategies):
-        counts = [int(x) for x in strategies[s]]
-        zero_occupancy = np.zeros(n_layers + 1)
-        f = np.zeros(n_states)
-        f[0] = 1.0
-        for i in range(1, n_layers + 1):
-            f = _forward_step(f, pmf_rows[counts[i - 1]][: counts[i - 1] + 1], per_layer)
-            zero_occupancy[i] = f[0]
+        counts = tuple(int(x) for x in strategies[s])
+        zero_occupancy = [forward_state(counts[:i])[0] for i in range(n_layers + 1)]
         value = n_layers * zero_occupancy[n_layers]
-        bq = np.ones(n_states)
         for i in range(n_layers - 1, 0, -1):
-            bq = _backward_step(bq, pmf_rows[counts[i]][: counts[i] + 1], per_layer)
-            value += i * zero_occupancy[i] * bq[0]
+            value += i * zero_occupancy[i] * backward_state(counts[i:])[0]
         out[s] = value
     return out
 
@@ -306,6 +324,15 @@ def best_restricted(table, bin_index, max_depth):
         if best is None or values[i] >= values[best]:
             best = i
     return None if best is None else table.strategies[best]
+
+
+def sent_strategies(block, layer_count):
+    """The replica counts each GOP of a block went out under, read back
+    from its packets' classes one GOP at a time."""
+    return [
+        tuple(np.bincount(block.depth[a:b], minlength=layer_count + 1)[1:].tolist())
+        for a, b in zip(block.offsets, block.offsets[1:])
+    ]
 
 
 def select_strategy(policy, pdr_estimate):
@@ -433,7 +460,10 @@ def reference_run(config, table=None):
             elif len(current):
                 depth, decoded = decode_gop(current, L, P, width)
                 strategy = None
-                if depth:
+                if depth == L:
+                    # a relay holding every layer picks as the sender does
+                    strategy = select_best(table, relay_estimates[position])
+                elif depth:
                     bin_index = nearest_bin_reference(relay_estimates[position])
                     strategy = best_restricted(table, bin_index, depth)
                 if strategy is None:

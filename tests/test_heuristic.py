@@ -6,15 +6,18 @@ from nclayer.heuristic import (
     ThresholdPolicy,
     builtin_policy,
 )
-from nclayer.nodes import SenderState, _select, sender_block
-from oracles import select_strategy
+from nclayer.nodes import Encoder, encoder_block
+from oracles import select_strategy, sent_strategies
 
 
 def _picks(policy, estimates):
-    """The strategy a sender under the policy selects for each estimate,
+    """The strategy a sender under the policy sends at each estimate,
     checked against the oracle's interval walk."""
-    rows = _select(SenderState(scheme="rlc", policy=policy), np.asarray(estimates, dtype=float))
-    picks = [tuple(row) for row in rows.tolist()]
+    n, width = len(estimates), len(policy.strategies[0])
+    cells = np.zeros((n, width, 1, 0), dtype=np.uint8)
+    sender = Encoder(scheme="rlc", policy=policy, coeff_width=0)
+    block = encoder_block(sender, cells, range(n), estimates, [width] * n)
+    picks = sent_strategies(block, width)
     assert picks == [select_strategy(policy, e) for e in estimates]
     return picks
 
@@ -64,11 +67,11 @@ def test_boundary_estimate_takes_upper_interval():
 
 
 def test_estimate_out_of_range_rejected():
-    sender = SenderState(scheme="rlc", policy=builtin_policy(1))
+    sender = Encoder(scheme="rlc", policy=builtin_policy(1))
     cells = np.zeros((1, 4, 8, 0), dtype=np.uint8)
     for estimate in (1.5, -0.1):
         with pytest.raises(ValueError, match="estimates"):
-            sender_block(sender, cells, [0], [estimate])
+            encoder_block(sender, cells, [0], [estimate], [4])
     with pytest.raises(ValueError):
         select_strategy(builtin_policy(1), 1.5)
 

@@ -342,39 +342,27 @@ def test_coefficients_reach_every_decoder_and_no_further(
             widths.setdefault(position, set()).add(batch.coeffs.shape[1])
         return batch
 
-    # run() builds relay i as the i-th RelayState; each relay step is
-    # matched to its position through the state it steps, whatever order
-    # the loop steps the relays in
+    # run() builds the sender's Encoder first, then each re-encoding
+    # relay's in hop order; each encoder step is matched to its position
+    # through the state it steps, whatever order the loop steps them in
     positions: dict[int, int] = {}
-    relay_state = simulator.RelayState
+    encoders = [-1] + [i for i, m in enumerate(relay_modes) if m == "nc"]
+    encoder_type, encoder_step = simulator.Encoder, simulator.encoder_block
 
-    def numbered_relay_state(*args, **kwargs):
-        state = relay_state(*args, **kwargs)
-        positions[id(state)] = len(positions)
+    def numbered_encoder(*args, **kwargs):
+        state = encoder_type(*args, **kwargs)
+        positions[id(state)] = encoders[len(positions)]
         return state
 
-    monkeypatch.setattr(simulator, "RelayState", numbered_relay_state)
-    # the encoder steps run() calls: once per block of GOPs, or once per GOP
-    # in a loop that carries GOPs one at a time
-    sender_name, relay_name = (
-        ("sender_block", "relay_block")
-        if hasattr(simulator, "sender_block")
-        else ("sender_epoch", "relay_step")
-    )
-    sender_step, relay_step = getattr(simulator, sender_name), getattr(simulator, relay_name)
+    monkeypatch.setattr(simulator, "Encoder", numbered_encoder)
     monkeypatch.setattr(
-        simulator, sender_name, lambda *args: record(-1, sender_step(*args))
+        simulator,
+        "encoder_block",
+        lambda state, *args: record(positions[id(state)], encoder_step(state, *args)),
     )
-
-    def recording_relay_step(state, packets, *decoded):
-        out = relay_step(state, packets, *decoded)
-        return record(positions[id(state)], out) if state.mode == "nc" else out
-
-    monkeypatch.setattr(simulator, relay_name, recording_relay_step)
     metrics = run(config, table=default_table)
     assert metrics.payload_errors == 0
     full = config.layer_count * config.packets_per_layer
-    encoders = [-1] + [i for i, m in enumerate(relay_modes) if m == "nc"]
     assert sorted(widths) == encoders
     for position in encoders:
         wanted = full if any(d > position for d in decoders) else 0

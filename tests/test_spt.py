@@ -20,16 +20,19 @@ from nclayer.spt import (
     save_table,
 )
 from nclayer import simulator
-from nclayer.nodes import SenderState, _select, relay_block
+from nclayer.nodes import Encoder, encoder_block
 from nclayer.simulator import ChainConfig, run
-from oracles import best_restricted, nearest_bin_reference, select_best
+from oracles import best_restricted, nearest_bin_reference, select_best, sent_strategies
 
 
 def _picks(table, estimates):
-    """The strategy a table-driven sender selects for each estimate,
-    checked against the oracle's one-estimate lookup."""
-    rows = _select(SenderState(scheme="rlc", table=table), np.asarray(estimates, dtype=float))
-    picks = [tuple(row) for row in rows.tolist()]
+    """The strategy a table-driven sender sends at each estimate, checked
+    against the oracle's one-estimate lookup."""
+    n, layers = len(estimates), table.layer_count
+    cells = np.zeros((n, layers, table.packets_per_layer, 0), dtype=np.uint8)
+    sender = Encoder(scheme="rlc", table=table, coeff_width=0)
+    block = encoder_block(sender, cells, range(n), estimates, [layers] * n)
+    picks = sent_strategies(block, layers)
     assert picks == [select_best(table, e) for e in estimates]
     return picks
 
@@ -267,18 +270,18 @@ def test_run_with_a_loaded_table_equals_run_building_its_own(
     # at 0.9 the values of competing strategies agree to many decimals, so a
     # table read back from rounded values has relays that decoded every
     # layer re-encode with other allocations than the built table; the
-    # packet classes each relay sends are recorded, since the metrics alone
-    # rarely move with a near-tie
+    # packet classes each encoder sends are recorded, since the metrics
+    # alone rarely move with a near-tie
     path = tmp_path / "table.txt"
     save_table(default_table, path)
     sent = []
 
     def recording(*args):
-        block = relay_block(*args)
+        block = encoder_block(*args)
         sent[-1].append(block.depth.tolist())
         return block
 
-    monkeypatch.setattr(simulator, "relay_block", recording)
+    monkeypatch.setattr(simulator, "encoder_block", recording)
     config = ChainConfig(
         link_pdrs=(0.9, 0.9, 0.9), relay_modes=("nc", "nc"), gop_count=60, seed=3
     )
@@ -322,6 +325,18 @@ def test_load_rejects_missing_header(default_table, tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(line for line in lines if not line.startswith("P=")) + "\n")
     with pytest.raises(ValueError, match="P="):
+        load_table(path)
+
+
+@pytest.mark.parametrize("per_layer", [0, -1])
+def test_load_rejects_nonpositive_packets_per_layer(default_table, tmp_path, per_layer):
+    # the header is all that says P, so a file edited to a P that
+    # build_table refuses is refused with build_table's message
+    path = tmp_path / "table.txt"
+    save_table(default_table, path)
+    text = path.read_text().replace("\nP=8\n", f"\nP={per_layer}\n", 1)
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^packets_per_layer must be positive, got {per_layer}$"):
         load_table(path)
 
 
