@@ -1,7 +1,7 @@
 """Layered-video delivery over lossy multi-hop chains, with nested
 inter-layer coding, precomputed strategy tables, and a chain simulator."""
 
-from .channel import LinkModel, send_block
+from .channel import send_block
 from .codec import (
     SCHEME_REPEAT,
     SCHEME_RLC,
@@ -12,12 +12,13 @@ from .codec import (
     decode_gop,
     encode_block,
     encode_gop,
+    score_block,
 )
 from .config import ConfigError, apply_overrides, load_config, parse_config_text
 from .gf256 import gf256_inv, gf256_mul
 from .heuristic import ThresholdPolicy, builtin_policy
 from .media import LayerGrid, make_synthetic_gop
-from .nodes import Encoder, ReceiverState, encoder_block, receiver_block
+from .nodes import Encoder, encoder_block
 from .simulator import (
     ChainConfig,
     RunMetrics,
@@ -43,10 +44,8 @@ __all__ = [
     "ConfigError",
     "Encoder",
     "LayerGrid",
-    "LinkModel",
     "PDR_BINS",
     "PacketBlock",
-    "ReceiverState",
     "RunMetrics",
     "SCHEME_REPEAT",
     "SCHEME_RLC",
@@ -71,10 +70,10 @@ __all__ = [
     "make_synthetic_gop",
     "nearest_bin",
     "parse_config_text",
-    "receiver_block",
     "resolve_mode",
     "run",
     "save_table",
+    "score_block",
     "send_block",
     "sweep",
     "__version__",

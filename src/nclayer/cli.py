@@ -1,17 +1,13 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 validation/config error, 2 self-test failure.
-Set NCLAYER_LOG=debug|info|warning|error to control log verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 import time
-from dataclasses import replace
 
 from .config import ConfigError, apply_overrides, load_config
 from .selftest import run_selftest
@@ -27,26 +23,6 @@ from .simulator import (
 )
 from .spt import PDR_BINS, build_table, save_table
 
-log = logging.getLogger("nclayer")
-
-_LOG_LEVELS = {
-    "debug": logging.DEBUG,
-    "info": logging.INFO,
-    "warning": logging.WARNING,
-    "error": logging.ERROR,
-}
-
-
-def _configure_logging() -> None:
-    name = os.environ.get("NCLAYER_LOG", "warning").strip().lower()
-    logging.basicConfig(
-        level=_LOG_LEVELS.get(name, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    if name and name not in _LOG_LEVELS:
-        log.warning("unknown NCLAYER_LOG value %r, using warning", name)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; this artifact reserves 2 for
     self-test failures, so usage errors are remapped to 1."""
@@ -58,11 +34,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_base_config(args) -> ChainConfig:
     config = load_config(args.config) if args.config else ChainConfig()
-    if getattr(args, "set", None):
-        config = apply_overrides(config, args.set)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
+    # --seed goes last, so it wins over run.seed, and is refused as run.seed
+    pairs = (args.set or []) + ([] if args.seed is None else [f"run.seed={args.seed}"])
+    return apply_overrides(config, pairs)
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -104,7 +78,6 @@ def cmd_simulate(args) -> int:
     print(f"delay: {metrics.total_delay:.6f}")
     if args.out:
         append_row(metrics_row(metrics), args.out)
-        log.info("appended row to %s", args.out)
     return 0
 
 
@@ -184,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

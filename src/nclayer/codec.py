@@ -14,8 +14,9 @@ packet is one raw cell of layer i, sent as often as the allocation allows.
 
 A PacketBlock, the one packet container, holds the packets of a block of
 GOPs as one set of rows; a single GOP travels as a block of one.
-encode_block and decode_block work on a whole block as arrays, and
-encode_gop and decode_gop are their one-GOP cases.
+encode_block, decode_block and score_block work on a whole block as
+arrays, and encode_gop and decode_gop are the one-GOP cases of the first
+two.
 
 RLC coefficients are zero-padded to layer_count * packets_per_layer columns,
 or carried as zero columns when no decoder reads them: a receiver that
@@ -343,15 +344,12 @@ def decode_block(
 def _check_rows(block, layer_count, packets_per_layer, payload_size) -> None:
     if not len(block):
         return
-    deepest = int(block.depth.max())
-    if deepest > layer_count:
-        raise ValueError(f"packet class depth {deepest} exceeds layer_count {layer_count}")
+    _check_cells(block, layer_count, packets_per_layer)
     if block.payload.shape[1] != payload_size:
         raise ValueError(
             f"payload must hold {payload_size} bytes, got {block.payload.shape[1]}"
         )
     if block.scheme != SCHEME_RLC:
-        check_columns(block.column, packets_per_layer)
         return
     n_unknowns = layer_count * packets_per_layer
     coeffs = block.coeffs
@@ -362,12 +360,38 @@ def _check_rows(block, layer_count, packets_per_layer, payload_size) -> None:
         raise ValueError("a packet carries coefficients for layers deeper than its class")
 
 
-def check_columns(column: np.ndarray, packets_per_layer: int) -> None:
-    if column.min() < 0 or column.max() >= packets_per_layer:
+def _check_cells(block, layer_count, packets_per_layer) -> None:
+    """Every packet of a non-empty block is of a class in 1..layer_count
+    and, under xor and repeat, names a column in 0..packets_per_layer-1."""
+    deepest = int(block.depth.max())
+    if deepest > layer_count:
+        raise ValueError(f"packet class depth {deepest} exceeds layer_count {layer_count}")
+    column = block.column
+    if column is not None and (column.min() < 0 or column.max() >= packets_per_layer):
         raise ValueError(
             f"packet columns must lie in 0..{packets_per_layer - 1}, "
             f"got {column.min()}..{column.max()}"
         )
+
+
+def score_block(block: PacketBlock, layer_count: int, packets_per_layer: int) -> np.ndarray:
+    """The decoded depth each GOP of a block is scored at, from the classes
+    (RLC) or the cells (xor, repeat) of the packets that arrived.
+
+    RLC is scored by the count rule on each GOP's per-class arrivals, which
+    a singular random system can miss; xor and repeat by which (depth,
+    column) cells arrived, which is exactly their decoded depth. No
+    coefficient or payload byte is read, so coefficient-free packets score
+    as any others.
+    """
+    if len(block):
+        _check_cells(block, layer_count, packets_per_layer)
+    if block.scheme != SCHEME_RLC:
+        return _cell_cover(block, layer_count, packets_per_layer)[1]
+    n_gops = block.gop_ids.size
+    gop = np.repeat(np.arange(n_gops), block.sizes)
+    counts = np.bincount(gop * layer_count + block.depth - 1, minlength=n_gops * layer_count)
+    return decodable_layers_batch(counts.reshape(n_gops, layer_count), packets_per_layer)
 
 
 def covered_depth(seen: np.ndarray):
@@ -379,18 +403,25 @@ def covered_depth(seen: np.ndarray):
     return np.cumprod(seen.all(axis=-1), axis=-1).sum(axis=-1)
 
 
+def _cell_cover(block, layer_count, packets_per_layer):
+    """The flat (GOP, depth, column) cell of each packet of a checked xor
+    or repeat block, and the depth the cells that arrived cover, per GOP."""
+    shape = (block.gop_ids.size, layer_count, packets_per_layer)
+    gop = np.repeat(np.arange(shape[0]), block.sizes)
+    key = (gop * layer_count + block.depth - 1) * packets_per_layer + block.column
+    seen = np.zeros(np.prod(shape), dtype=bool)
+    seen[key] = True
+    return key, covered_depth(seen.reshape(shape))
+
+
 def _decode_columns(block, layer_count, packets_per_layer, payload_size):
     """Depths (G,) and cells (G, L, P, s) of a checked xor or repeat block."""
     shape = (block.gop_ids.size, layer_count, packets_per_layer)
-    gop = np.repeat(np.arange(shape[0]), block.sizes)
+    key, depths = _cell_cover(block, layer_count, packets_per_layer)
     # the first packet of each (GOP, depth, column) cell supplies that cell
-    key = (gop * layer_count + block.depth - 1) * packets_per_layer + block.column
     keys, first = np.unique(key, return_index=True)
     sums = np.zeros((np.prod(shape), payload_size), dtype=np.uint8)
     sums[keys] = block.payload[first]
-    seen = np.zeros(sums.shape[0], dtype=bool)
-    seen[keys] = True
-    depths = covered_depth(seen.reshape(shape))
     cells = sums.reshape(shape + (payload_size,))
     if block.scheme == SCHEME_XOR:
         # layer j of a column is the XOR of its depth j and depth j-1 sums

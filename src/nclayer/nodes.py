@@ -2,17 +2,17 @@
 
 The sender and every re-encoding relay are one kind of node, an Encoder: it
 holds a prefix of each GOP's layers, picks a replica allocation for that
-prefix from its delivery estimate, and encodes. The sender holds all of
+prefix from the delivery estimate in force, and encodes. The sender holds all of
 them; a re-encoding relay holds what its decode_block of the block
 recovered, which the caller makes once and also reads for the relay's
-packet count, and sends nothing for a GOP it recovered no layer of. A
-forwarding relay passes whatever arrives, so it has no state. The receiver
-scores each GOP by what its scheme's decoder recovers: RLC by the
-count-based decode rule on per-class arrivals, XOR and repeat by which
-(depth, column) cells arrived. Each step takes a block of GOPs, and the
-packets of a block travel as one PacketBlock; a block of one GOP is the
-GOP-by-GOP case. An RLC encoder with no decoder downstream sends
-coefficient-free packets, since the count rule reads only their classes.
+packet count, and sends nothing for a GOP it recovered no layer of. An
+encoder keeps no delivery estimate: the caller hands it the estimate in
+force at each GOP. A forwarding relay passes whatever arrives, and the
+receiver scores what reaches it with codec.score_block, so neither has a
+state or a step here. Each step takes a block of GOPs, and the packets of
+a block travel as one PacketBlock; a block of one GOP is the GOP-by-GOP
+case. An RLC encoder with no decoder downstream sends coefficient-free
+packets, since the count rule reads only their classes.
 """
 
 from __future__ import annotations
@@ -23,14 +23,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .codec import (
-    SCHEME_RLC,
     PacketBlock,
-    check_columns,
-    covered_depth,
-    decodable_layers_batch,
-    decode_block,
     encode_block,
-    encode_gop,  # noqa: F401  (perfbench's tracer wraps the one-GOP encode here)
+    # perfbench's tracer wraps the one-GOP encode here, and
+    # perfbench/test_perfbench.py imports it from here
+    encode_gop,  # noqa: F401
 )
 from .heuristic import ThresholdPolicy
 from .spt import StrategyTable, nearest_bin
@@ -60,7 +57,6 @@ class Encoder:
     scheme: str
     table: Optional[StrategyTable] = None
     policy: Optional[ThresholdPolicy] = None
-    pdr_estimate: float = 1.0
     coeff_width: Optional[int] = None
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
@@ -103,64 +99,4 @@ def encoder_block(
     strategies = np.where(encoding[:, None], strategies, 0)
     seeds = np.zeros(depths.size, dtype=np.int64)
     seeds[encoding] = _fresh_seeds(state.rng, int(np.count_nonzero(encoding)))
-    state.pdr_estimate = float(estimates[-1])
     return encode_block(cells, gop_ids, strategies, state.scheme, seeds, state.coeff_width)
-
-
-@dataclass
-class ReceiverState:
-    layer_count: int
-    packets_per_layer: int
-    payload_size: int
-    scheme: str = SCHEME_RLC
-    verify_payloads: bool = False
-    prediction_gaps: int = 0
-    payload_errors: int = 0
-
-
-def receiver_block(
-    state: ReceiverState,
-    block: PacketBlock,
-    references: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Scores each GOP of a block and returns the scores.
-
-    RLC is scored by the count rule, which a singular random system can
-    miss; XOR and repeat by column coverage, which is exactly their decoded
-    depth. In payload-verification mode each GOP that got packets is
-    actually decoded: a decode shallower than the score bumps
-    prediction_gaps, and recovered bytes differing from the source cells
-    references[k] bump payload_errors.
-    """
-    if len(block):
-        if block.scheme != state.scheme:
-            raise ValueError(f"receiver expects {state.scheme} packets, got {block.scheme}")
-        depth = block.depth
-        if depth.min() < 1 or depth.max() > state.layer_count:
-            raise ValueError(
-                f"packet class depths {depth.min()}..{depth.max()} "
-                f"outside 1..{state.layer_count}"
-            )
-    shape = (block.gop_ids.size, state.layer_count)
-    gop = np.repeat(np.arange(shape[0]), block.sizes)
-    if block.column is None:
-        cell = gop * state.layer_count + block.depth - 1
-        counts = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
-        scores = decodable_layers_batch(counts, state.packets_per_layer)
-    else:
-        if len(block):
-            check_columns(block.column, state.packets_per_layer)
-        seen = np.zeros(shape + (state.packets_per_layer,), dtype=bool)
-        seen[gop, block.depth.astype(np.intp) - 1, block.column] = True
-        scores = covered_depth(seen)
-    if state.verify_payloads:
-        depths, cells = decode_block(
-            block, state.layer_count, state.packets_per_layer, state.payload_size
-        )
-        state.prediction_gaps += int(np.count_nonzero(depths < scores))
-        if references is not None:
-            # a GOP decoded wrong when a cell of its recovered prefix differs
-            decoded = np.arange(state.layer_count) < depths[:, None]
-            wrong = (cells != references).any(axis=(2, 3)) & decoded
-            state.payload_errors += int(np.count_nonzero(wrong.any(axis=1)))
-    return scores

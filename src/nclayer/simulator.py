@@ -25,7 +25,10 @@ decode all of a block's GOPs in one decode_block call, which reduces their
 RLC systems in gf_rref stacks of at most codec.DECODE_STACK_BYTES, so the
 block size sets how often each step runs and the stack bound alone sets the
 decoder's memory; the relay's decode gives both its packet count per GOP and
-the cells it re-encodes. Seeded results are those of a
+the cells it re-encodes. run() keeps the loop's state in its own locals:
+each link's generator, the delivery probability in force on each link,
+each encoder's latest estimate and the verifying receiver's counts; the
+nodes hold no run state. Seeded results are those of a
 GOP-by-GOP loop whatever the block size: every link belongs to one
 segment and draws its probes and packets of GOP g before those of g+1;
 the sender and each relay draw one encode seed per GOP they encode, in
@@ -44,19 +47,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import LinkModel, send_block
-from .codec import SCHEME_REPEAT, SCHEMES, decode_block
+from .channel import send_block
+from .codec import SCHEME_REPEAT, SCHEMES, decode_block, score_block
 from .heuristic import ThresholdPolicy, builtin_policy
 from .media import make_synthetic_cells
-from .nodes import (
-    MODE_FORWARD,
-    MODE_NC,
-    RELAY_MODES,
-    Encoder,
-    ReceiverState,
-    encoder_block,
-    receiver_block,
-)
+from .nodes import MODE_FORWARD, MODE_NC, RELAY_MODES, Encoder, encoder_block
 from .spt import StrategyTable, build_table
 
 SELECTIONS = ("spt", "heuristic")
@@ -170,6 +165,11 @@ class ChainConfig:
             raise ValueError(f"probe_count must be positive, got {self.probe_count}")
         if self.update_period < 1:
             raise ValueError(f"update_period must be positive, got {self.update_period}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # a label is the first field of a CSV row
+        if any(c in self.label for c in ",\r\n"):
+            raise ValueError(f"label must not hold a comma or a line break, got {self.label!r}")
         self.pdr_schedule = tuple(
             (int(g), int(i), float(p)) for g, i, p in self.pdr_schedule
         )
@@ -232,22 +232,20 @@ def _segments(config: ChainConfig) -> tuple[range, dict[int, range]]:
     return sender_segment, relay_segments
 
 
-def _block_pdrs(segment_links, segment, gops, schedule) -> np.ndarray:
+def _block_pdrs(pdr_now, segment, gops, schedule) -> np.ndarray:
     """Delivery probability of each segment link during each GOP of a block
-    of consecutive GOPs. schedule holds (gop, link, pdr) changes in GOP
-    order; those that fall in the block apply in order, and each link ends
-    the block at its last GOP's value."""
+    of consecutive GOPs, starting from pdr_now, every link's probability
+    before the block. schedule holds (gop, link, pdr) changes in GOP order;
+    those that fall in the block apply in order, and pdr_now ends the block
+    at each link's value in its last GOP."""
     first = int(gops[0])
-    pdrs = np.full(
-        (len(segment_links), gops.size), [[link.delivery_prob] for link in segment_links]
-    )
+    pdrs = np.repeat(pdr_now[segment, None], gops.size, axis=1)
     start = bisect_left(schedule, first, key=itemgetter(0))
     end = bisect_left(schedule, first + gops.size, key=itemgetter(0))
     for gop_index, link_index, new_pdr in schedule[start:end]:
         if link_index in segment:
             pdrs[segment.index(link_index), gop_index - first :] = new_pdr
-    for link, link_pdrs in zip(segment_links, pdrs):
-        link.delivery_prob = float(link_pdrs[-1])
+    pdr_now[segment] = pdrs[:, -1]
     return pdrs
 
 
@@ -309,11 +307,11 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         )
         build_seconds = time.perf_counter() - start
 
-    delays = config.link_delays or (config.transmit_delay,) * hops
-    links = [
-        LinkModel(p, seed=child, transmit_delay=d)
-        for p, child, d in zip(config.link_pdrs, link_children, delays)
-    ]
+    # each link is its own generator; the delivery probability in force on
+    # each link, which the schedule changes, is run()'s to keep
+    link_rngs = [np.random.default_rng(child) for child in link_children]
+    pdr_now = np.array(config.link_pdrs)
+    link_delays = config.link_delays or (config.transmit_delay,) * hops
     if repeat:
         # every source packet, budget // (layer_count * packets_per_layer) times
         copies = (config.budget // config.layer_count,) * config.layer_count
@@ -327,13 +325,6 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         coeff_width=coeff_width(-1),
         rng=np.random.default_rng(sender_child),
         **selector,
-    )
-    receiver = ReceiverState(
-        layer_count=config.layer_count,
-        packets_per_layer=config.packets_per_layer,
-        payload_size=width,
-        scheme=config.scheme,
-        verify_payloads=config.verify_payloads,
     )
 
     # stable, so changes at one GOP keep their config order
@@ -353,7 +344,9 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         )
         for position, segment in relay_segments.items()
     ]
-    npr = 0
+    # each encoder's delivery estimate, held from its latest probe round
+    held_estimates = [1.0] * len(segments)
+    npr = prediction_gaps = payload_errors = 0
     per_gop_decoded: list[int] = []
     per_gop_delay: list[float] = []
 
@@ -369,9 +362,8 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         latest = np.maximum.accumulate(np.where(probes > 0, np.arange(gops.size), -1))
         delays = np.zeros(gops.size)
         block = None
-        for encoder, segment in segments:
-            segment_links = [links[i] for i in segment]
-            pdrs = _block_pdrs(segment_links, segment, gops, schedule)
+        for index, (encoder, segment) in enumerate(segments):
+            pdrs = _block_pdrs(pdr_now, segment, gops, schedule)
             if encoder is sender:
                 held = np.full(gops.size, config.layer_count)
                 source = cells
@@ -383,12 +375,13 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             # and sends nothing for the others
             sending = np.where(held > 0, encoder.spend, 0)
             # one draw per link for the block: probes and packets, GOP by GOP
-            alive, masks = send_block(segment_links, probes, sending, pdrs)
+            alive, masks = send_block([link_rngs[i] for i in segment], probes, sending, pdrs)
             # the sender's feedback, round(share * probes) / probes, is the
             # surviving share itself
             estimates = np.where(
-                latest >= 0, alive[latest] / config.probe_count, encoder.pdr_estimate
+                latest >= 0, alive[latest] / config.probe_count, held_estimates[index]
             )
+            held_estimates[index] = float(estimates[-1])
             block = encoder_block(encoder, source, gops, estimates, held)
             if not np.array_equal(block.sizes, sending):
                 raise RuntimeError(
@@ -396,7 +389,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                     f"its links drew for {sending.tolist()}"
                 )
             for hop, mask in zip(segment, masks):
-                delays += block.sizes * links[hop].transmit_delay
+                delays += block.sizes * link_delays[hop]
                 block = block.select(mask)
                 if hop < n_relays:
                     delays += config.forward_delay
@@ -404,7 +397,17 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                         # re-encodes at the head of the next segment
                         delays += config.recode_delay
 
-        scores = receiver_block(receiver, block, references=cells)
+        scores = score_block(block, config.layer_count, config.packets_per_layer)
+        if config.verify_payloads:
+            depths, decoded = decode_block(
+                block, config.layer_count, config.packets_per_layer, width
+            )
+            prediction_gaps += int(np.count_nonzero(depths < scores))
+            # a GOP decoded wrong when a cell of its recovered prefix differs
+            wrong = (decoded != cells).any(axis=(2, 3)) & (
+                np.arange(config.layer_count) < depths[:, None]
+            )
+            payload_errors += int(np.count_nonzero(wrong.any(axis=1)))
         npr += len(block)
         per_gop_decoded.extend(scores.tolist())
         per_gop_delay.extend(delays.tolist())
@@ -431,8 +434,8 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         per_gop_delay=per_gop_delay,
         table_build_seconds=build_seconds,
         seed=config.seed,
-        prediction_gaps=receiver.prediction_gaps,
-        payload_errors=receiver.payload_errors,
+        prediction_gaps=prediction_gaps,
+        payload_errors=payload_errors,
     )
 
 

@@ -33,6 +33,9 @@ TABLE_STACK_BYTES = 1 << 20
 _BIN_EPS = 1e-9
 _BRUTE_FORCE_CAP = 20
 _HEADER_KEYS = ("B", "L", "P", "g")
+# how far a loaded value may stray outside [0, L]: a value L can be stored a
+# few ulps above L
+_VALUE_SLACK = 1e-12
 
 
 def enumerate_strategies(
@@ -267,10 +270,14 @@ def save_table(table: StrategyTable, path) -> None:
 
 def load_table(path) -> StrategyTable:
     with open(path, "r", encoding="ascii") as fh:
-        raw = [line.rstrip("\n") for line in fh if line.strip()]
+        raw = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
+
+    def at(n, line):
+        return f"table file line {n} {line!r}"
+
     header: dict[str, str] = {}
     body_start = 0
-    for line in raw:
+    for n, line in raw:
         if "=" not in line or "," in line:
             break
         key, value = line.split("=", 1)
@@ -279,6 +286,8 @@ def load_table(path) -> StrategyTable:
                 f"table file has an unknown header line {line!r}; the header holds "
                 f"B=, L=, P= and g= only: rebuild the file with nclayer spt-build"
             )
+        if key in header:
+            raise ValueError(f"{at(n, line)}: repeats header line {key}=")
         header[key] = value
         body_start += 1
     for key in _HEADER_KEYS:
@@ -294,16 +303,29 @@ def load_table(path) -> StrategyTable:
     strategies = enumerate_strategies(budget, layer_count, granularity)
     index_of = {strat: i for i, strat in enumerate(strategies)}
     rows_per_bin: dict[float, list[tuple[tuple[int, ...], float]]] = {}
-    best_rows: list[tuple[float, tuple[int, ...], float]] = []
+    best_rows: list[tuple[str, float, tuple[int, ...], float]] = []
 
-    for line in raw[body_start:]:
+    for n, line in raw[body_start:]:
+        # pdr, the layer_count counts and the value, after "best" on a best row
         parts = line.split(",")
-        if parts[0] == "best":
-            strat = tuple(int(x) for x in parts[2 : 2 + layer_count])
-            best_rows.append((float(parts[1]), strat, float(parts[-1])))
-            continue
-        strat = tuple(int(x) for x in parts[1 : 1 + layer_count])
-        rows_per_bin.setdefault(float(parts[0]), []).append((strat, float(parts[-1])))
+        is_best = parts[0] == "best"
+        if len(parts) != is_best + layer_count + 2:
+            raise ValueError(
+                f"{at(n, line)}: expected {is_best + layer_count + 2} fields, got {len(parts)}"
+            )
+        try:
+            p = float(parts[is_best])
+            strat = tuple(int(x) for x in parts[is_best + 1 : -1])
+            value = float(parts[-1])
+        except ValueError as exc:
+            raise ValueError(f"{at(n, line)}: {exc}") from None
+        # a NaN fails both comparisons
+        if not -_VALUE_SLACK <= value <= layer_count + _VALUE_SLACK:
+            raise ValueError(f"{at(n, line)}: value {value!r} lies outside [0, {layer_count}]")
+        if is_best:
+            best_rows.append((at(n, line), p, strat, value))
+        else:
+            rows_per_bin.setdefault(p, []).append((strat, value))
 
     if sorted(rows_per_bin) != [round(b, 2) for b in PDR_BINS]:
         raise ValueError("table file does not cover the expected pdr bins")
@@ -318,16 +340,21 @@ def load_table(path) -> StrategyTable:
                 f"B={budget}, L={layer_count}, g={granularity} in order"
             )
         values[:, b] = [value for _, value in rows]
-    if sorted(p for p, _, _ in best_rows) != [round(b, 2) for b in PDR_BINS]:
+    if sorted(p for _, p, _, _ in best_rows) != [round(b, 2) for b in PDR_BINS]:
         raise ValueError(f"table file must hold one best row per pdr bin, {len(PDR_BINS)} in all")
     best = np.zeros(len(PDR_BINS), dtype=np.int64)
-    for p, strat, value in best_rows:
+    for where, p, strat, value in best_rows:
         b = nearest_bin(p)
         if strat not in index_of:
             raise ValueError(f"best row for bin {p:.2f} names an unlisted strategy {strat}")
         i = index_of[strat]
         if values[i, b] < values[:, b].max():
             raise ValueError(f"best row for bin {p:.2f} is not an argmax of that bin")
+        if value != values[i, b]:
+            raise ValueError(
+                f"{where}: value differs from the {values[i, b]!r} that bin {p:.2f} "
+                f"lists for {strat}"
+            )
         best[b] = i
     return StrategyTable(
         budget=budget,

@@ -271,19 +271,19 @@ def pmf_rows_reference(max_count, p):
     return rows
 
 
-def probe_walk_pdr(links, n_probes):
+def probe_walk_pdr(rngs, pdrs, n_probes):
     """End-to-end probe estimate, one probe at a time.
 
     Each probe crosses the links in order until its first loss, drawing one
-    scalar uniform from each link it reaches. A vectorised estimator must
-    return the same fraction and leave every link's generator and draw
-    counter exactly where this walk leaves them.
+    scalar uniform from the generator of each link it reaches, which
+    delivers it with that link's probability in pdrs. A vectorised
+    estimator must return the same fraction and leave every link's
+    generator exactly where this walk leaves it.
     """
     survived = 0
     for _ in range(n_probes):
-        for link in links:
-            link.draws += 1
-            if not link._rng.random() < link.delivery_prob:
+        for rng, pdr in zip(rngs, pdrs):
+            if not rng.random() < pdr:
                 break
         else:
             survived += 1
@@ -359,7 +359,7 @@ def reference_run(config, table=None):
     encoder draws one encode seed per GOP it encodes, and relays decode and
     the receiver scores GOP by GOP. The block pass of run() must return the
     same metrics and leave every link's generator in the same state; the
-    links are returned with the metrics for that check.
+    link generators are returned with the metrics for that check.
     """
     from nclayer.codec import (
         SCHEME_REPEAT,
@@ -369,7 +369,6 @@ def reference_run(config, table=None):
         decode_gop,
         encode_gop,
     )
-    from nclayer.channel import LinkModel
     from nclayer.heuristic import builtin_policy
     from nclayer.media import make_synthetic_gop
     from nclayer.simulator import RunMetrics
@@ -402,19 +401,16 @@ def reference_run(config, table=None):
             granularity=config.granularity,
         )
     delays = config.link_delays or (config.transmit_delay,) * hops
-    links = [
-        LinkModel(p, seed=child, transmit_delay=d)
-        for p, child, d in zip(config.link_pdrs, link_children, delays)
-    ]
+    rngs = [np.random.default_rng(child) for child in link_children]
+    pdrs = list(config.link_pdrs)
     policy = builtin_policy(config.heuristic_set)
 
     def draw(link, n):
-        link.draws += n
-        return link._rng.random(n) < link.delivery_prob
+        return rngs[link].random(n) < pdrs[link]
 
-    def probe(segment_links):
+    def probe(segment):
         alive = config.probe_count
-        for link in segment_links:
+        for link in segment:
             if alive == 0:
                 break
             alive = int(np.count_nonzero(draw(link, alive)))
@@ -436,9 +432,9 @@ def reference_run(config, table=None):
         for position, segment in zip(encoders, segments):
             for link_index, new_pdr in schedule.get(gop_index, ()):
                 if link_index in segment:
-                    links[link_index].delivery_prob = new_pdr
+                    pdrs[link_index] = new_pdr
             if not repeat and gop_index % config.update_period == 0:
-                estimate = probe([links[i] for i in segment])
+                estimate = probe(segment)
                 if position < 0:
                     delivered = round(estimate * config.probe_count)
                     sender_estimate = delivered / config.probe_count
@@ -474,9 +470,9 @@ def reference_run(config, table=None):
                         decoded, strategy, config.scheme, seed, coeff_width(position)
                     )
             for hop in segment:
-                delay += len(current) * links[hop].transmit_delay
+                delay += len(current) * delays[hop]
                 if len(current):
-                    current = current.select(draw(links[hop], len(current)))
+                    current = current.select(draw(hop, len(current)))
                 if hop < n_relays:
                     delay += config.forward_delay
                     if config.relay_modes[hop] == "nc":
@@ -517,4 +513,4 @@ def reference_run(config, table=None):
         prediction_gaps=gaps,
         payload_errors=errors,
     )
-    return metrics, links
+    return metrics, rngs

@@ -1,79 +1,77 @@
 import numpy as np
 import pytest
 
-from nclayer.channel import LinkModel, send_block
+from nclayer.channel import send_block
 from oracles import probe_walk_pdr
 
 
-def _transmit(link, packets):
+def _transmit(rng, pdr, packets):
     """The packets of one GOP that cross one link."""
-    _, (mask,) = send_block([link], [0], [len(packets)], [[link.delivery_prob]])
+    _, (mask,) = send_block([rng], [0], [len(packets)], [[pdr]])
     return packets[mask]
 
 
-def _probe(links, n_probes):
+def _probe(rngs, pdrs, n_probes):
     """Survivor share of one GOP's probes across the links."""
-    alive, _ = send_block(links, [n_probes], [0], [[link.delivery_prob] for link in links])
+    alive, _ = send_block(rngs, [n_probes], [0], [[p] for p in pdrs])
     return alive[0] / n_probes
 
 
+def _after(seed, draws):
+    """The state of a link's generator after that many uniforms."""
+    rng = np.random.default_rng(seed)
+    rng.random(draws)
+    return rng.bit_generator.state
+
+
 def test_extreme_probabilities():
-    perfect = LinkModel(1.0, seed=0)
-    dead = LinkModel(0.0, seed=0)
     packets = np.arange(10)
-    assert np.array_equal(_transmit(perfect, packets), packets)
-    assert len(_transmit(dead, packets)) == 0
+    assert np.array_equal(_transmit(np.random.default_rng(0), 1.0, packets), packets)
+    assert len(_transmit(np.random.default_rng(0), 0.0, packets)) == 0
 
 
 def test_same_seed_same_outcome():
-    a = LinkModel(0.5, seed=7)
-    b = LinkModel(0.5, seed=7)
-    c = LinkModel(0.5, seed=8)
     packets = np.arange(200)
-    survivors_a = _transmit(a, packets)
-    assert np.array_equal(survivors_a, _transmit(b, packets))
-    assert not np.array_equal(survivors_a, _transmit(c, packets))
+    survivors_a = _transmit(np.random.default_rng(7), 0.5, packets)
+    assert np.array_equal(survivors_a, _transmit(np.random.default_rng(7), 0.5, packets))
+    assert not np.array_equal(survivors_a, _transmit(np.random.default_rng(8), 0.5, packets))
 
 
 def test_delivery_order_preserved():
-    link = LinkModel(0.4, seed=1)
-    out = _transmit(link, np.arange(100))
+    out = _transmit(np.random.default_rng(1), 0.4, np.arange(100))
     assert (np.diff(out) > 0).all()
 
 
 def test_draw_counter_tracks_consumption():
-    link = LinkModel(0.5, seed=0)
-    _transmit(link, np.arange(10))
-    _transmit(link, np.arange(0))
-    _probe([link], 26)
-    assert link.draws == 36
+    # a link draws one uniform per probe and packet that reaches it, and
+    # nothing else
+    rng = np.random.default_rng(0)
+    _transmit(rng, 0.5, np.arange(10))
+    _transmit(rng, 0.5, np.arange(0))
+    _probe([rng], [0.5], 26)
+    assert rng.bit_generator.state == _after(0, 36)
 
 
 def test_estimate_pdr_is_sane():
-    link = LinkModel(0.7, seed=3)
-    estimate = _probe([link], 10_000)
+    estimate = _probe([np.random.default_rng(3)], [0.7], 10_000)
     assert 0.65 < estimate < 0.75
 
 
 def test_chain_e2e_pdr_matches_product():
-    links = [LinkModel(0.9, seed=i) for i in range(3)]
-    estimate = _probe(links, 20_000)
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    estimate = _probe(rngs, [0.9] * 3, 20_000)
     assert abs(estimate - 0.9**3) < 0.02
 
 
 def test_single_link_chain_probe():
-    link = LinkModel(1.0, seed=0)
-    assert _probe([link], 10) == 1.0
-    assert link.draws == 10
+    rng = np.random.default_rng(0)
+    assert _probe([rng], [1.0], 10) == 1.0
+    assert rng.bit_generator.state == _after(0, 10)
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        LinkModel(1.5)
-    with pytest.raises(ValueError):
-        LinkModel(0.5, transmit_delay=-1.0)
-    with pytest.raises(ValueError):
-        send_block([LinkModel(0.5)], [-1], [0], [[0.5]])
+        send_block([np.random.default_rng(0)], [-1], [0], [[0.5]])
     with pytest.raises(ValueError):
         send_block([], [10], [0], [])
 
@@ -84,15 +82,14 @@ def test_chain_probe_matches_probe_walk():
         hops = int(rng.integers(1, 5))
         pdrs = [float(rng.choice([0.0, 1.0, rng.random()])) for _ in range(hops)]
         seeds = [int(s) for s in rng.integers(0, 2**32, size=hops)]
-        fast = [LinkModel(p, seed=s) for p, s in zip(pdrs, seeds)]
-        walk = [LinkModel(p, seed=s) for p, s in zip(pdrs, seeds)]
+        fast = [np.random.default_rng(s) for s in seeds]
+        walk = [np.random.default_rng(s) for s in seeds]
         for n_probes in (1, int(rng.integers(2, 50)), 100):
-            assert _probe(fast, n_probes) == probe_walk_pdr(walk, n_probes), (
+            assert _probe(fast, pdrs, n_probes) == probe_walk_pdr(walk, pdrs, n_probes), (
                 trial, pdrs, n_probes,
             )
             for a, b in zip(fast, walk):
-                assert a.draws == b.draws
-                assert a._rng.bit_generator.state == b._rng.bit_generator.state
+                assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_block_draws_as_gops_sent_one_by_one():
@@ -106,9 +103,9 @@ def test_block_draws_as_gops_sent_one_by_one():
         pdrs = rng.choice([0.0, 0.3, 0.7, 1.0], size=(hops, gops))
         probes = rng.choice([0, 5, 100], size=gops)
         packets = rng.integers(0, 70, size=gops)
-        block = [LinkModel(0.5, seed=s) for s in seeds]
+        block = [np.random.default_rng(s) for s in seeds]
         alive, masks = send_block(block, probes, packets, pdrs)
-        single = [LinkModel(0.5, seed=s) for s in seeds]
+        single = [np.random.default_rng(s) for s in seeds]
         per_gop = []
         for k in range(gops):
             one_alive, one_masks = send_block(single, [probes[k]], [packets[k]], pdrs[:, [k]])
@@ -117,5 +114,4 @@ def test_block_draws_as_gops_sent_one_by_one():
         for j in range(hops):
             assert np.array_equal(masks[j], np.concatenate([m[j] for m in per_gop]))
         for a, b in zip(block, single):
-            assert a.draws == b.draws
-            assert a._rng.bit_generator.state == b._rng.bit_generator.state
+            assert a.bit_generator.state == b.bit_generator.state

@@ -94,6 +94,31 @@ def test_simulate_unknown_config_key(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_negative_seed_under_its_key(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--seed", "-1", "--out", str(out)]) == 1
+    assert "run.seed: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sweep", "--seed", "-1", "--pdr-grid", "0.5"]) == 1
+    assert "run.seed" in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_label_that_splits_the_row(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    code = main(["simulate", "--set", "run.gops=2", "--set", "run.label=a,b", "--out", str(out)])
+    assert code == 1
+    assert "run.label: label must not hold a comma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_flag_wins_over_a_seed_override(capsys):
+    args = ["simulate", "--set", "run.gops=5", "--set", "chain.links=0.7"]
+    assert main(args + ["--set", "run.seed=9", "--seed", "3"]) == 0
+    flagged = capsys.readouterr().out
+    assert main(args + ["--seed", "3"]) == 0
+    assert capsys.readouterr().out == flagged
+
+
 def test_sweep_stdout_and_file_agree(tmp_path, capsys):
     args = ["sweep", "--set", "run.gops=5", "--pdr-grid", "0.6,1.0",
             "--modes", "NC1,NoNC1", "--reps", "1"]

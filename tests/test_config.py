@@ -188,3 +188,26 @@ def test_load_config_names_the_key_of_a_refused_value(tmp_path):
             load_config(path)
     path.write_text("coding.budget = 32\ncoding.granularity = 4\n")
     assert load_config(path).budget == 32
+
+
+def test_negative_seed_is_refused_under_its_key(tmp_path):
+    # numpy refuses a negative seed only once run() spawns its streams, in a
+    # message that names no key
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        ChainConfig(seed=-1)
+    path = tmp_path / "run.cfg"
+    path.write_text("run.seed = -1\n")
+    with pytest.raises(ConfigError, match="^run.seed: seed must be non-negative"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="^run.seed: "):
+        apply_overrides(ChainConfig(), ["run.seed=-4"])
+    assert ChainConfig(seed=0).seed == 0
+
+
+def test_label_that_would_split_a_csv_row_is_refused():
+    # the label is the first field of a result row, whose header names 8
+    for label in ("a,b", "a\nb", "a\r", ","):
+        with pytest.raises(ValueError, match="^label must not hold a comma or a line break"):
+            ChainConfig(label=label)
+    with pytest.raises(ConfigError, match="^run.label: "):
+        apply_overrides(ChainConfig(), ["run.label=a,b"])

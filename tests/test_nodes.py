@@ -12,10 +12,11 @@ from nclayer.codec import (
     decode_gop,
     encode_block,
     encode_gop,
+    score_block,
 )
 from nclayer.heuristic import ThresholdPolicy, builtin_policy
 from nclayer.media import make_synthetic_gop
-from nclayer.nodes import Encoder, ReceiverState, encoder_block, receiver_block
+from nclayer.nodes import Encoder, encoder_block
 from nclayer.simulator import ChainConfig, run
 from nclayer.spt import build_table, load_table, nearest_bin, save_table
 from oracles import max_cover, rref_reference, sent_strategies
@@ -82,25 +83,24 @@ def test_encoder_picks_each_gop_from_the_estimate_in_force(small_table):
     block = _send(again, [grid] * 4, estimates)
     assert sent_strategies(block, 3) == [lossless] * 3 + [lossy]
     assert np.array_equal(block.coeffs, np.concatenate([b.coeffs for b in one_by_one]))
-    assert again.pdr_estimate == alone.pdr_estimate == 0.05
 
 
 def test_forward_relay_is_transparent(default_table, monkeypatch):
     # a forwarding relay has no state and no step: over lossless links the
     # receiver gets exactly the packets the sender encoded
     sent, received = [], []
-    encoder_step, receiver_step = simulator.encoder_block, simulator.receiver_block
+    encoder_step, score_step = simulator.encoder_block, simulator.score_block
 
     def encoding(*args):
         sent.append(encoder_step(*args))
         return sent[-1]
 
-    def receiving(state, block, **kwargs):
+    def receiving(block, *args):
         received.append(block)
-        return receiver_step(state, block, **kwargs)
+        return score_step(block, *args)
 
     monkeypatch.setattr(simulator, "encoder_block", encoding)
-    monkeypatch.setattr(simulator, "receiver_block", receiving)
+    monkeypatch.setattr(simulator, "score_block", receiving)
     config = ChainConfig(link_pdrs=(1.0,) * 3, gop_count=5, verify_payloads=True)
     run(config, table=default_table)
     ((a,), (b,)) = sent, received
@@ -203,52 +203,42 @@ def test_full_depth_relay_sends_what_the_sender_sends_under_a_tied_best_row(
 
 
 def test_decoders_reject_coefficient_free_batches():
-    # a batch built for a counting receiver must fail loudly at a decoder
+    # a batch built for a counting receiver must fail loudly at a decoder,
+    # and the count rule scores it from its classes alone
     bare = encode_gop(make_synthetic_gop(0, 3, 2, 0), (4, 2, 2), SCHEME_RLC, 0, 0)
     with pytest.raises(ValueError, match="coefficients"):
         decode_block(bare, 3, 2, 0)
-    receiver = ReceiverState(
-        layer_count=3, packets_per_layer=2, payload_size=0, verify_payloads=True
-    )
-    with pytest.raises(ValueError, match="coefficients"):
-        receiver_block(receiver, bare)
+    assert score_block(bare, 3, 2).tolist() == [3]
 
 
 def test_receiver_counts_and_reset():
-    receiver = ReceiverState(layer_count=3, packets_per_layer=2, payload_size=8)
     cells = np.stack([_grid().cells] * 2)
     packets = encode_block(cells, [0, 1], [(4, 2, 2)] * 2, SCHEME_RLC, [0, 0])
     # the second GOP gets only the deeper classes, [0, 2, 2]; nothing of the
     # first GOP's counts may carry over into its score
     arrived = packets.select(np.r_[0:8, 12:16])
     assert arrived.sizes.tolist() == [8, 4]
-    decoded = receiver_block(receiver, arrived)
-    assert decoded.tolist() == [3, 0]
+    assert score_block(arrived, 3, 2).tolist() == [3, 0]
 
 
 def test_receiver_rejects_overdeep_packet():
-    receiver = ReceiverState(layer_count=2, packets_per_layer=2, payload_size=8)
-    packets = encode_gop(_grid(), (0, 0, 2), SCHEME_RLC, seed=0)
-    with pytest.raises(ValueError):
-        receiver_block(receiver, packets.select(np.arange(1)))
+    for scheme in (SCHEME_RLC, SCHEME_XOR):
+        packets = encode_gop(_grid(), (0, 0, 2), scheme, seed=0)
+        with pytest.raises(ValueError, match="exceeds layer_count 2"):
+            score_block(packets.select(np.arange(1)), 2, 2)
 
 
 def test_receiver_verification_clean_path():
+    # a verifying run decodes what the receiver got: on a clean path the
+    # decode matches the score and the source bytes
     grid = _grid()
-    receiver = ReceiverState(
-        layer_count=3, packets_per_layer=2, payload_size=8, verify_payloads=True
-    )
     packets = encode_gop(grid, (4, 2, 2), SCHEME_RLC, seed=3)
-    decoded = receiver_block(receiver, packets, references=grid.cells[None])
-    assert decoded.tolist() == [3]
-    assert receiver.prediction_gaps == 0
-    assert receiver.payload_errors == 0
-
-
-def test_receiver_rejects_foreign_scheme():
-    receiver = ReceiverState(layer_count=3, packets_per_layer=2, payload_size=8)
-    with pytest.raises(ValueError, match="xor"):
-        receiver_block(receiver, encode_gop(_grid(), (2, 2, 2), SCHEME_XOR))
+    assert score_block(packets, 3, 2).tolist() == [3]
+    depths, cells = decode_block(packets, 3, 2, 8)
+    assert depths.tolist() == [3]
+    assert np.array_equal(cells[0], grid.cells)
+    metrics = run(ChainConfig(link_pdrs=(1.0,), gop_count=5, verify_payloads=True))
+    assert (metrics.prediction_gaps, metrics.payload_errors) == (0, 0)
 
 
 def _gf_rank(rows):
@@ -277,8 +267,7 @@ def test_receiver_score_against_real_decoding(scheme, strategy, seed, mask):
     grid = _grid()
     packets = encode_gop(grid, strategy, scheme, seed=seed)
     survivors = packets.select(np.array(mask[: len(packets)], dtype=bool))
-    receiver = ReceiverState(layer_count=3, packets_per_layer=2, payload_size=8, scheme=scheme)
-    (score,) = receiver_block(receiver, survivors)
+    (score,) = score_block(survivors, 3, 2)
     depth, recovered = decode_gop(survivors, 3, 2, 8)
     assert recovered.gop_id == grid.gop_id
     if scheme == SCHEME_RLC:

@@ -127,6 +127,8 @@ def test_chain_shape_validation():
         ChainConfig(link_pdrs=(1.0, 1.0), relay_modes=("forward", "forward"))
     with pytest.raises(ValueError, match="at least one link"):
         ChainConfig(link_pdrs=())
+    with pytest.raises(ValueError, match=r"link pdr values must lie in \[0, 1\]"):
+        ChainConfig(link_pdrs=(0.9, 1.5))
     with pytest.raises(ValueError, match="selection"):
         ChainConfig(selection="oracle")
     with pytest.raises(ValueError, match="delays"):
@@ -504,24 +506,26 @@ def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch)
     # for every metric and for where each link's generator ends
     rng = np.random.default_rng(2013)
     made = []
-    link_model = simulator.LinkModel
+    send = simulator.send_block
 
-    def recorded_link(*args, **kwargs):
-        made.append(link_model(*args, **kwargs))
-        return made[-1]
+    def recorded_send(rngs, *args):
+        # every link sends in each block, each segment's in hop order, so
+        # the generators are met in hop order
+        made.extend(r for r in rngs if all(r is not m for m in made))
+        return send(rngs, *args)
 
-    monkeypatch.setattr(simulator, "LinkModel", recorded_link)
+    monkeypatch.setattr(simulator, "send_block", recorded_send)
     seen = set()
     for index in range(30):
         config = _random_config(rng, index)
         seen.add((config.scheme, config.selection, config.verify_payloads))
         made.clear()
         got = run(config, table=default_table)
-        want, links = reference_run(config, default_table)
+        want, rngs = reference_run(config, default_table)
         assert asdict(got) == asdict(want), config
-        assert [link.draws for link in made] == [link.draws for link in links]
-        for a, b in zip(made, links):
-            assert a._rng.bit_generator.state == b._rng.bit_generator.state, config
+        assert len(made) == len(rngs) == config.hop_count
+        for a, b in zip(made, rngs):
+            assert a.bit_generator.state == b.bit_generator.state, config
     assert len(seen) >= 8
 
 
@@ -540,6 +544,28 @@ def test_heuristic_run_spends_the_configured_budget(budget):
     assert run(config).sent_total == 64 * config.gop_count
     with pytest.raises(ValueError, match="budget"):
         replace(config, budget=budget)
+
+
+def test_verified_run_counts_short_and_wrong_decodes(monkeypatch):
+    # a GOP whose receiver decode falls short of its score is a prediction
+    # gap, and one whose recovered bytes differ from the source a payload
+    # error
+    config = ChainConfig(link_pdrs=(1.0, 1.0), gop_count=5, verify_payloads=True)
+    decode = simulator.decode_block
+
+    def shallow(*args):
+        depths, cells = decode(*args)
+        return depths - 1, cells
+
+    def corrupt(*args):
+        depths, cells = decode(*args)
+        cells[:, 0, 0, 0] ^= 1
+        return depths, cells
+
+    for fault, want in ((shallow, (5, 0)), (corrupt, (0, 5))):
+        monkeypatch.setattr(simulator, "decode_block", fault)
+        metrics = run(config)
+        assert (metrics.prediction_gaps, metrics.payload_errors) == want
 
 
 def test_negative_delays_are_refused():

@@ -409,6 +409,70 @@ def test_load_rejects_repeated_best_row(tmp_path):
         load_table(path)
 
 
+def _edited_table(table, tmp_path, edit):
+    """The path of the table's file with edit applied to its list of lines."""
+    path = tmp_path / "table.txt"
+    save_table(table, path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _line_of(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+def test_load_rejects_a_line_without_its_value(default_table, tmp_path):
+    # the last count would otherwise be read as the value, and that
+    # strategy valued at 0
+    def drop_value(lines):
+        i = _line_of(lines, "0.50,64,0,0,0,")
+        lines[i] = "0.50,64,0,0,0"
+
+    message = r"line \d+ '0.50,64,0,0,0': expected 6 fields, got 5"
+    with pytest.raises(ValueError, match=message):
+        load_table(_edited_table(default_table, tmp_path, drop_value))
+
+
+def test_load_rejects_a_line_with_an_extra_field(default_table, tmp_path):
+    def add_field(lines):
+        i = _line_of(lines, "0.50,64,0,0,0,")
+        lines[i] = lines[i].replace("0.50,64,", "0.50,64,0,", 1)
+
+    message = r"line \d+ '0.50,64,0,0,0,0,.*expected 6 fields, got 7"
+    with pytest.raises(ValueError, match=message):
+        load_table(_edited_table(default_table, tmp_path, add_field))
+
+
+@pytest.mark.parametrize("value", ["nan", "-7.5", "4.000001"])
+def test_load_rejects_a_value_outside_zero_to_layer_count(default_table, tmp_path, value):
+    # a value is an expected decoded depth, so it lies in [0, L]; the
+    # standard table stores some a few ulps above L, and the round-trip
+    # test loads them
+    def set_value(lines):
+        i = _line_of(lines, "0.50,0,0,0,64,")
+        lines[i] = f"0.50,0,0,0,64,{value}"
+
+    message = rf"line \d+ '0.50,0,0,0,64,{value}': value .* outside \[0, 4\]"
+    with pytest.raises(ValueError, match=message):
+        load_table(_edited_table(default_table, tmp_path, set_value))
+
+
+def test_load_rejects_a_repeated_header_line(default_table, tmp_path):
+    with pytest.raises(ValueError, match=r"line 2 'B=64': repeats header line B="):
+        load_table(_edited_table(default_table, tmp_path, lambda lines: lines.insert(1, "B=64")))
+
+
+def test_load_rejects_a_best_row_whose_value_differs_from_its_bin(default_table, tmp_path):
+    def shade_best(lines):
+        i = _line_of(lines, "best,0.50,")
+        head, value = lines[i].rsplit(",", 1)
+        lines[i] = f"{head},{float(value) - 1e-3!r}"
+
+    message = r"line \d+ 'best,0.50,.*value differs from the .* bin 0.50"
+    with pytest.raises(ValueError, match=message):
+        load_table(_edited_table(default_table, tmp_path, shade_best))
 
 
 def test_nearest_bin_array_form_matches_scalar_form():
