@@ -21,7 +21,10 @@ two.
 RLC coefficients are zero-padded to layer_count * packets_per_layer columns,
 or carried as zero columns when no decoder reads them: a receiver that
 scores by class counts needs only each packet's class, so an encoder with
-no decoder downstream draws nothing.
+no decoder downstream draws nothing. A GOP's coefficients are the bytes
+numpy's default_rng(seed).integers draws for its classes in turn, and
+encode_block draws those of every GOP of a block in one
+kernels.pcg64_streams call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernels import gf_matmul, gf_rref
+from .kernels import gf_matmul, gf_rref, pcg64_streams
 from .media import LayerGrid
 
 SCHEME_RLC = "rlc"
@@ -216,9 +219,11 @@ def encode_block(
     """Encodes GOP gop_ids[k] of a block from its source cells[k] (a
     (G, layer_count, packets_per_layer, payload_size) stack) under the
     replica counts strategies[k] (one row per GOP, one column per class),
-    as encode_gop encodes each GOP alone. RLC coefficients of GOP k come
-    from seeds[k]; the other schemes and coefficient-free packets read no
-    seed."""
+    as encode_gop encodes each GOP alone. RLC coefficients of GOP k are
+    the uint8 integers() draws of default_rng(seeds[k]), one call per
+    non-empty class; the block's raw streams come from one
+    kernels.pcg64_streams call, which refuses a seed outside [0, 2**64).
+    The other schemes and coefficient-free packets read no seed."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     n_gops, layer_count, per_layer, size = cells.shape
@@ -264,41 +269,61 @@ def encode_block(
         empty = np.empty((rows, 0), dtype=np.uint8)
         return PacketBlock(scheme, gop_ids, offsets, depth, empty, coeffs=empty)
 
-    coeffs = np.zeros((rows, n_unknowns), dtype=np.uint8)
+    coeffs = _rlc_coefficients(counts, depth, per_layer, seeds)
     payload = np.empty((rows, size), dtype=np.uint8)
-    for k in np.flatnonzero(sizes):
-        _rlc_rows(
-            cells[k].reshape(n_unknowns, size), counts[k], per_layer, int(seeds[k]),
-            coeffs[offsets[k] : offsets[k + 1]], payload[offsets[k] : offsets[k + 1]],
-        )
+    if size:
+        data = cells.reshape(n_gops, n_unknowns, size)
+        ends = np.cumsum(runs)
+        for run in np.flatnonzero(runs):
+            k, d = divmod(int(run), layer_count)
+            width = (d + 1) * per_layer
+            at = slice(ends[run] - runs[run], ends[run])
+            payload[at] = gf_matmul(coeffs[at, :width], data[k, :width])
     return PacketBlock(scheme, gop_ids, offsets, depth, payload, coeffs=coeffs)
 
 
-def _rlc_rows(data, counts, per_layer, seed, coeffs, payload) -> None:
-    """Fills one GOP's coefficient and payload rows, class by class.
+def _rlc_coefficients(counts, depth, per_layer, seeds) -> np.ndarray:
+    """The (rows, layer_count * per_layer) coefficients of a block's packets
+    of classes depth, GOP k's rows under the replica counts counts[k] drawn
+    from seeds[k].
 
-    Coefficients are the bytes default_rng(seed).integers(0, 256, (n, d * P),
-    uint8) gives for each non-empty class d of n packets in turn, read from
-    one raw draw: numpy fills uint8 arrays from 32-bit words, low byte
+    A GOP's coefficients are the bytes default_rng(seed).integers(0, 256,
+    (n, d * P), uint8) gives for each non-empty class d of n packets in
+    turn, zero-padded: numpy fills uint8 arrays from 32-bit words, low byte
     first, starting each call on a fresh word, and PCG64 hands out the low
-    then the high half of each 64-bit output. A zero-width payload needs no
-    product.
+    then the high half of each 64-bit output. So the raw PCG64 streams of
+    every non-empty GOP are drawn at once, one gather reads each row's
+    window of layer_count * P bytes from where the row starts, and the
+    layers past its class are zeroed.
     """
-    nbytes = [int(n) * d * per_layer for d, n in enumerate(counts, start=1)]
-    words = [-(-b // 4) for b in nbytes]
-    raw = np.random.PCG64(seed).random_raw(-(-sum(words) // 2))
-    stream = raw.astype("<u8", copy=False).view(np.uint8)
-    row = start = 0
-    for d, (n, b, w) in enumerate(zip(counts, nbytes, words), start=1):
-        if n == 0:
-            continue
-        width = d * per_layer
-        block = stream[start : start + b].reshape(n, width)
-        coeffs[row : row + n, :width] = block
-        if data.shape[1]:
-            payload[row : row + n] = gf_matmul(block, data[:width])
-        row += n
-        start += 4 * w
+    n_gops, layer_count = counts.shape
+    n_unknowns = layer_count * per_layer
+    rows = depth.size
+    if not rows:
+        return np.zeros((0, n_unknowns), dtype=np.uint8)
+    widths = np.arange(1, layer_count + 1) * per_layer
+    # 32-bit words of each (GOP, class) run, and 64-bit outputs of each GOP
+    words = -(-(counts * widths) // 4)
+    outputs = -(-words.sum(axis=1) // 2)
+    full = np.flatnonzero(outputs)
+    lengths = outputs[full]
+    # the last stream runs n_unknowns bytes on, so that every row's window
+    # lies in the buffer; a stream's prefix does not depend on its length
+    lengths[-1] += -(-n_unknowns // 8)
+    stream = pcg64_streams([seeds[k] for k in full], lengths).astype("<u8", copy=False)
+    # windows[i] is the n_unknowns bytes from byte i of the stream on
+    n_windows = 8 * stream.size - n_unknowns + 1
+    windows = np.ndarray((n_windows, n_unknowns), np.uint8, stream, strides=(1, 1))
+    # a run starts on its GOP's stream, past the words of the runs before
+    # it, and row t of a run t row widths on
+    gop_start = 8 * (np.cumsum(outputs) - outputs)
+    run_start = gop_start[:, None] + 4 * (np.cumsum(words, axis=1) - words)
+    first_row = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+    row_start = np.repeat((run_start - first_row * widths).ravel(), counts.ravel())
+    row_start += np.arange(rows) * (depth.astype(np.intp) * per_layer)
+    coeffs = windows[row_start].reshape(rows, layer_count, per_layer)
+    coeffs *= (np.arange(1, layer_count + 1) <= depth[:, None])[:, :, None]
+    return coeffs.reshape(rows, n_unknowns)
 
 
 def decode_gop(

@@ -275,7 +275,7 @@ def load_table(path) -> StrategyTable:
     def at(n, line):
         return f"table file line {n} {line!r}"
 
-    header: dict[str, str] = {}
+    header: dict[str, int] = {}
     body_start = 0
     for n, line in raw:
         if "=" not in line or "," in line:
@@ -288,16 +288,16 @@ def load_table(path) -> StrategyTable:
             )
         if key in header:
             raise ValueError(f"{at(n, line)}: repeats header line {key}=")
-        header[key] = value
+        try:
+            header[key] = int(value)
+        except ValueError as exc:
+            raise ValueError(f"{at(n, line)}: {key}= {exc}") from None
         body_start += 1
     for key in _HEADER_KEYS:
         if key not in header:
             raise ValueError(f"table file is missing header line {key}=")
 
-    budget = int(header["B"])
-    layer_count = int(header["L"])
-    per_layer = int(header["P"])
-    granularity = int(header["g"])
+    budget, layer_count, per_layer, granularity = (header[key] for key in _HEADER_KEYS)
     if per_layer < 1:
         raise ValueError(f"packets_per_layer must be positive, got {per_layer}")
     strategies = enumerate_strategies(budget, layer_count, granularity)

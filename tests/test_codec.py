@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,7 @@ from nclayer.codec import (
     encode_block,
     encode_gop,
 )
-from nclayer.kernels import gf_rref
+from nclayer.kernels import gf_matmul, gf_rref
 from nclayer.media import make_synthetic_cells, make_synthetic_gop
 from oracles import count_vectors, decode_gop_reference, rank_decodable_layers
 
@@ -387,20 +389,55 @@ def test_block_decode_rejects_a_bad_batch_wherever_it_sits():
 
 @pytest.mark.parametrize("per_layer", [3, 5, 7, 8])
 def test_rlc_coefficients_are_the_per_class_integer_draws(per_layer):
-    # one raw draw per encode must give the bytes of one uint8 integers()
-    # call per non-empty class, each starting on a fresh 32-bit word
-    allocations = ((3, 0, 2), (1, 1, 1), (0, 0, 5), (7, 3, 0), (2, 0, 0))
-    for seed in (0, 1, 7, 2**31 + 3, 2**63 - 1):
-        for strategy in allocations:
-            grid = make_synthetic_gop(0, 3, per_layer, 5, seed=2)
-            packets = encode_gop(grid, strategy, SCHEME_RLC, seed=seed)
+    # GOP k of a block must carry the bytes of one uint8 integers() call of
+    # default_rng(seeds[k]) per non-empty class, each starting on a fresh
+    # 32-bit word: at P = 3, 5 and 7 some classes end mid-word. Empty GOPs
+    # sit between full ones, and the seeds lie on both sides of 2**32
+    allocations = [(3, 0, 2), (0, 0, 0), (1, 1, 1), (0, 0, 5), (0, 0, 0), (7, 3, 0), (2, 0, 0)]
+    seeds = [0, 2**32 + 9, 1, 2**32 - 1, 7, 2**32, 2**31 + 3, 2**63 - 1, 2**40 + 5]
+    grids = [make_synthetic_gop(g, 3, per_layer, 5, seed=2) for g in range(len(allocations))]
+    cells = np.stack([g.cells for g in grids])
+    for turn in range(len(seeds)):
+        block_seeds = (seeds[turn:] + seeds[:turn])[: len(allocations)]
+        block = encode_block(cells, range(len(grids)), allocations, SCHEME_RLC, block_seeds)
+        for k, (strategy, seed) in enumerate(zip(allocations, block_seeds)):
             rng = np.random.default_rng(seed)
-            rows = []
+            rows = [np.zeros((0, 3 * per_layer), dtype=np.uint8)]
             for d, n in enumerate(strategy, start=1):
                 if n:
-                    block = rng.integers(0, 256, size=(n, d * per_layer), dtype=np.uint8)
-                    rows.append(np.pad(block, ((0, 0), (0, (3 - d) * per_layer))))
-            assert np.array_equal(packets.coeffs, np.concatenate(rows)), (seed, strategy)
+                    draw = rng.integers(0, 256, size=(n, d * per_layer), dtype=np.uint8)
+                    rows.append(np.pad(draw, ((0, 0), (0, (3 - d) * per_layer))))
+            want = np.concatenate(rows)
+            assert np.array_equal(_rows(block, k, "coeffs"), want), (seed, strategy)
+            data = grids[k].cells.reshape(3 * per_layer, 5)
+            assert np.array_equal(_rows(block, k, "payload"), gf_matmul(want, data))
+            alone = encode_gop(grids[k], strategy, SCHEME_RLC, seed=seed)
+            assert np.array_equal(alone.coeffs, want), (seed, strategy)
+
+
+def test_block_encodes_on_two_threads_equal_serial_ones():
+    # sweep(jobs=2) encodes on two threads at once, so the coefficient
+    # streams may share no generator between calls
+    rng = np.random.default_rng(23)
+    jobs = []
+    for b in range(50):
+        n_gops = int(rng.integers(1, 33))
+        cells = make_synthetic_cells(range(n_gops), 4, 4, 8, seed=b)
+        strategies = rng.integers(0, 6, (n_gops, 4))
+        jobs.append((cells, range(n_gops), strategies, SCHEME_RLC, rng.integers(0, 2**63, n_gops)))
+    serial = [encode_block(*job) for job in jobs]
+    # hand the interpreter lock over often, so that the threads interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda job: encode_block(*job), jobs))
+    finally:
+        sys.setswitchinterval(interval)
+    for alone, together in zip(serial, threaded):
+        assert np.array_equal(alone.offsets, together.offsets)
+        assert np.array_equal(alone.coeffs, together.coeffs)
+        assert np.array_equal(alone.payload, together.payload)
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_RLC, SCHEME_XOR, SCHEME_REPEAT])

@@ -464,6 +464,17 @@ def test_load_rejects_a_repeated_header_line(default_table, tmp_path):
         load_table(_edited_table(default_table, tmp_path, lambda lines: lines.insert(1, "B=64")))
 
 
+@pytest.mark.parametrize("key", ["B", "L", "P", "g"])
+def test_load_rejects_a_header_value_that_is_not_an_integer(default_table, tmp_path, key):
+    def spell_out(lines):
+        i = _line_of(lines, f"{key}=")
+        lines[i] = f"{key}=four"
+
+    message = rf"line \d+ '{key}=four': {key}= invalid literal for int\(\) .* 'four'"
+    with pytest.raises(ValueError, match=message):
+        load_table(_edited_table(default_table, tmp_path, spell_out))
+
+
 def test_load_rejects_a_best_row_whose_value_differs_from_its_bin(default_table, tmp_path):
     def shade_best(lines):
         i = _line_of(lines, "best,0.50,")
