@@ -8,7 +8,7 @@ replica allocation across classes worthwhile on lossy links.
 
 Three schemes share this layout. "xor" combines one grid column per
 packet, so layer j of a column peels out of consecutive depths. "rlc" draws
-seeded random GF(2^8) coefficients over all cells of the first i layers and
+random GF(2^8) coefficients over all cells of the first i layers and
 decodes by Gaussian elimination. "repeat" is the uncoded baseline: a class i
 packet is one raw cell of layer i, sent as often as the allocation allows.
 
@@ -21,10 +21,9 @@ two.
 RLC coefficients are zero-padded to layer_count * packets_per_layer columns,
 or carried as zero columns when no decoder reads them: a receiver that
 scores by class counts needs only each packet's class, so an encoder with
-no decoder downstream draws nothing. A GOP's coefficients are the bytes
-numpy's default_rng(seed).integers draws for its classes in turn, and
-encode_block draws those of every GOP of a block in one
-kernels.pcg64_streams call.
+no decoder downstream draws nothing. Every coefficient-carrying row takes
+its bytes from the encoder's own generator, whole 64-bit outputs in row
+order, so a block draws exactly what its GOPs would draw one by one.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernels import gf_matmul, gf_rref, pcg64_streams
+from .kernels import gf_matmul, gf_rref
 from .media import LayerGrid
 
 SCHEME_RLC = "rlc"
@@ -127,9 +126,12 @@ class PacketBlock:
     def select(self, rows: np.ndarray) -> "PacketBlock":
         """The block of the rows a boolean mask or a non-decreasing index
         array picks, every GOP kept; a repeated index delivers its row
-        twice."""
+        twice. A decreasing index array would hand rows to the wrong GOP,
+        so it raises ValueError."""
         if rows.dtype == bool:
             rows = np.flatnonzero(rows)
+        elif (rows[1:] < rows[:-1]).any():
+            raise ValueError(f"index rows must be non-decreasing, got {rows.tolist()}")
         out = object.__new__(PacketBlock)
         out.__dict__.update(
             scheme=self.scheme,
@@ -192,20 +194,21 @@ def encode_gop(
     grid: LayerGrid,
     strategy: Sequence[int],
     scheme: str = SCHEME_RLC,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
     coeff_width: Optional[int] = None,
 ) -> PacketBlock:
     """The one-GOP block of strategy[i-1] packets of class i, shallow
     classes first.
 
-    coeff_width is the RLC coefficient columns per packet: layer_count *
-    packets_per_layer (the default) for packets some decoder reads, or 0 for
-    packets only counted, which draw nothing and carry no payload bytes.
-    This is the one-GOP case of encode_block.
+    seed is a seed or a Generator, which np.random.default_rng takes as it
+    is, so GOPs encoded one by one from one Generator draw what a block of
+    them does. coeff_width is the RLC coefficient columns per packet:
+    layer_count * packets_per_layer (the default) for packets some decoder
+    reads, or 0 for packets only counted, which draw nothing and carry no
+    payload bytes. This is the one-GOP case of encode_block.
     """
-    return encode_block(
-        grid.cells[None], [grid.gop_id], [strategy], scheme, [seed], coeff_width
-    )
+    rng = np.random.default_rng(seed)
+    return encode_block(grid.cells[None], [grid.gop_id], [strategy], scheme, rng, coeff_width)
 
 
 def encode_block(
@@ -213,17 +216,19 @@ def encode_block(
     gop_ids: Sequence[int],
     strategies,
     scheme: str,
-    seeds: Sequence[int],
+    rng: np.random.Generator,
     coeff_width: Optional[int] = None,
 ) -> PacketBlock:
     """Encodes GOP gop_ids[k] of a block from its source cells[k] (a
     (G, layer_count, packets_per_layer, payload_size) stack) under the
     replica counts strategies[k] (one row per GOP, one column per class),
-    as encode_gop encodes each GOP alone. RLC coefficients of GOP k are
-    the uint8 integers() draws of default_rng(seeds[k]), one call per
-    non-empty class; the block's raw streams come from one
-    kernels.pcg64_streams call, which refuses a seed outside [0, 2**64).
-    The other schemes and coefficient-free packets read no seed."""
+    as encode_gop encodes each GOP alone.
+
+    Each RLC row that carries coefficients takes ceil(layer_count *
+    packets_per_layer / 8) raw 64-bit outputs of rng's bit generator, in
+    row order, and keeps their first layer_count * packets_per_layer
+    little-endian bytes, zeroed past its class. The other schemes and
+    coefficient-free packets draw nothing."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     n_gops, layer_count, per_layer, size = cells.shape
@@ -242,8 +247,8 @@ def encode_block(
     sizes = counts.sum(axis=1)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     runs = counts.ravel()
-    classes = np.tile(np.arange(1, layer_count + 1, dtype=np.int8), n_gops)
-    depth = np.repeat(classes, runs)
+    classes = np.arange(1, layer_count + 1, dtype=np.int8)
+    depth = np.repeat(np.tile(classes, n_gops), runs)
     rows = depth.size
 
     if scheme != SCHEME_RLC:
@@ -269,7 +274,13 @@ def encode_block(
         empty = np.empty((rows, 0), dtype=np.uint8)
         return PacketBlock(scheme, gop_ids, offsets, depth, empty, coeffs=empty)
 
-    coeffs = _rlc_coefficients(counts, depth, per_layer, seeds)
+    # each row starts on a fresh output, so its bytes do not depend on the
+    # rows drawn before it in the same call
+    outputs = -(-n_unknowns // 8)
+    raw = rng.bit_generator.random_raw(rows * outputs).astype("<u8", copy=False)
+    coeffs = np.ascontiguousarray(raw.view(np.uint8).reshape(rows, 8 * outputs)[:, :n_unknowns])
+    layers = coeffs.reshape(rows, layer_count, per_layer)
+    layers *= (classes <= depth[:, None])[:, :, None]
     payload = np.empty((rows, size), dtype=np.uint8)
     if size:
         data = cells.reshape(n_gops, n_unknowns, size)
@@ -280,50 +291,6 @@ def encode_block(
             at = slice(ends[run] - runs[run], ends[run])
             payload[at] = gf_matmul(coeffs[at, :width], data[k, :width])
     return PacketBlock(scheme, gop_ids, offsets, depth, payload, coeffs=coeffs)
-
-
-def _rlc_coefficients(counts, depth, per_layer, seeds) -> np.ndarray:
-    """The (rows, layer_count * per_layer) coefficients of a block's packets
-    of classes depth, GOP k's rows under the replica counts counts[k] drawn
-    from seeds[k].
-
-    A GOP's coefficients are the bytes default_rng(seed).integers(0, 256,
-    (n, d * P), uint8) gives for each non-empty class d of n packets in
-    turn, zero-padded: numpy fills uint8 arrays from 32-bit words, low byte
-    first, starting each call on a fresh word, and PCG64 hands out the low
-    then the high half of each 64-bit output. So the raw PCG64 streams of
-    every non-empty GOP are drawn at once, one gather reads each row's
-    window of layer_count * P bytes from where the row starts, and the
-    layers past its class are zeroed.
-    """
-    n_gops, layer_count = counts.shape
-    n_unknowns = layer_count * per_layer
-    rows = depth.size
-    if not rows:
-        return np.zeros((0, n_unknowns), dtype=np.uint8)
-    widths = np.arange(1, layer_count + 1) * per_layer
-    # 32-bit words of each (GOP, class) run, and 64-bit outputs of each GOP
-    words = -(-(counts * widths) // 4)
-    outputs = -(-words.sum(axis=1) // 2)
-    full = np.flatnonzero(outputs)
-    lengths = outputs[full]
-    # the last stream runs n_unknowns bytes on, so that every row's window
-    # lies in the buffer; a stream's prefix does not depend on its length
-    lengths[-1] += -(-n_unknowns // 8)
-    stream = pcg64_streams([seeds[k] for k in full], lengths).astype("<u8", copy=False)
-    # windows[i] is the n_unknowns bytes from byte i of the stream on
-    n_windows = 8 * stream.size - n_unknowns + 1
-    windows = np.ndarray((n_windows, n_unknowns), np.uint8, stream, strides=(1, 1))
-    # a run starts on its GOP's stream, past the words of the runs before
-    # it, and row t of a run t row widths on
-    gop_start = 8 * (np.cumsum(outputs) - outputs)
-    run_start = gop_start[:, None] + 4 * (np.cumsum(words, axis=1) - words)
-    first_row = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
-    row_start = np.repeat((run_start - first_row * widths).ravel(), counts.ravel())
-    row_start += np.arange(rows) * (depth.astype(np.intp) * per_layer)
-    coeffs = windows[row_start].reshape(rows, layer_count, per_layer)
-    coeffs *= (np.arange(1, layer_count + 1) <= depth[:, None])[:, :, None]
-    return coeffs.reshape(rows, n_unknowns)
 
 
 def decode_gop(

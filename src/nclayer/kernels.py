@@ -1,12 +1,10 @@
 """Bulk numeric kernels behind the codec and the strategy table builder:
-GF(2^8) matrix product and row reduction over stacks of systems, the raw
-PCG64 streams of a block of seeds, and the expected-depth dynamic program
-over every strategy of a stack of delivery bins, all in numpy.
+GF(2^8) matrix product and row reduction over stacks of systems, and the
+expected-depth dynamic program over every strategy of a stack of delivery
+bins, all in numpy.
 """
 
 from __future__ import annotations
-
-import operator
 
 import numpy as np
 
@@ -156,125 +154,6 @@ def _swap_columns(block, a, b):
     low = block[:, a]
     block[:, a] = block[:, b]
     block[:, b] = low
-
-
-# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
-# 32-bit words, mixed with the hash constant sequence that starts at INIT_A,
-# and drawn out with the one that starts at INIT_B
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-# numpy scalars, which uint32 arithmetic takes faster than Python ints
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The (xor, multiplier) constants of count successive SeedSequence
-    hashes from hash constant init, as a (2, count, 1) uint32 array: hash i
-    XORs with the constant before its multiplication and multiplies by the
-    one after it."""
-    chain = [init]
-    for _ in range(count):
-        chain.append(chain[-1] * mult & 0xFFFFFFFF)
-    return np.array([chain[:-1], chain[1:]], dtype=np.uint32)[:, :, None]
-
-
-def _turn(src: int) -> list[int]:
-    """The pool words after word src, in its order turned to start there."""
-    return [(src + j) % _POOL_SIZE for j in range(1, _POOL_SIZE)]
-
-
-# the pool's 4 entropy hashes, then one per (source, destination) word
-# pair, sources in order and each source's destinations in order
-_MIX_HASH = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-# round src of the mix sees the pool turned to start at word src, so its
-# destinations are the words src+1, src+2, src+3 (mod 4) in rows 1 to 3;
-# its hash into word d is the (d - (d > src))-th of the round's three
-_ROUND_HASH = [
-    _MIX_HASH[:, [_POOL_SIZE + 3 * src + d - (d > src) for d in _turn(src)]]
-    for src in range(_POOL_SIZE)
-]
-# generate_state(4, uint64) draws 8 words, cycling twice over the pool
-_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE).reshape(2, 2, _POOL_SIZE, 1)
-
-
-def _hash(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of values under (xor, multiplier) constants."""
-    out = values ^ constants[0]
-    out *= constants[1]
-    out ^= out >> _XSHIFT
-    return out
-
-
-def _seed_sequence_states(seeds: np.ndarray) -> np.ndarray:
-    """SeedSequence(int(s)).generate_state(4, np.uint64) for every uint64
-    seed s, as an (n, 4) uint64 array, in uint32 arithmetic over all seeds
-    at once.
-
-    A seed's entropy is its low and high 32-bit words. A seed below 2**32
-    has one entropy word, and the pool hashes a missing word as 0, so its
-    zero high word changes nothing.
-    """
-    n = seeds.size
-    pool = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
-    pool[:2] = seeds.astype("<u8").view("<u4").reshape(n, 2).T
-    pool = _hash(pool, _MIX_HASH[:, :_POOL_SIZE])
-    for constants in _ROUND_HASH:
-        # row 0, the source, is mixed into rows 1 to 3, then the pool turns
-        # by one so that the next source is row 0; four turns restore it
-        hashed = _hash(pool[0], constants)
-        hashed *= _MIX_MULT_R
-        turned = np.empty_like(pool)
-        mixed = np.multiply(pool[1:], _MIX_MULT_L, out=turned[:-1])
-        mixed -= hashed
-        mixed ^= mixed >> _XSHIFT
-        turned[-1] = pool[0]
-        pool = turned
-    # words[h, i] is the state's word 4 * h + i
-    words = _hash(pool, _STATE_HASH)
-    return np.ascontiguousarray(words.transpose(2, 0, 1), dtype="<u4").view("<u8").reshape(n, 4)
-
-
-def pcg64_streams(seeds, lengths) -> np.ndarray:
-    """The first lengths[k] outputs of np.random.PCG64(int(seeds[k])).random_raw
-    for every k, concatenated into one uint64 array.
-
-    All seeds are hashed at once by _seed_sequence_states. Each hashed row
-    (s_hi, s_lo, i_hi, i_lo) seeds PCG64 as numpy does: inc = 2 * initseq + 1
-    and state = ((inc + initstate) * MULT + inc) mod 2**128, with initstate
-    = s_hi * 2**64 + s_lo and initseq = i_hi * 2**64 + i_lo. One generator,
-    made per call so that threads never share it, takes each state in turn
-    and draws its outputs. Seeds outside [0, 2**64) raise ValueError.
-    """
-    values = [operator.index(s) for s in seeds]
-    lengths = [operator.index(n) for n in lengths]
-    if len(lengths) != len(values):
-        raise ValueError(f"need one length per seed, got {len(lengths)} for {len(values)}")
-    outside = [s for s in values if not 0 <= s < 2**64]
-    if outside:
-        raise ValueError(f"seeds must lie in [0, 2**64), got {outside[0]}")
-    if not values:
-        return np.empty(0, dtype=np.uint64)
-    states = _seed_sequence_states(np.array(values, dtype=np.uint64)).tolist()
-    bit_gen = np.random.PCG64(0)
-    setting = bit_gen.state
-    out = np.empty(sum(lengths), dtype=np.uint64)
-    end = 0
-    for (s_hi, s_lo, i_hi, i_lo), n in zip(states, lengths):
-        inc = (((i_hi << 64 | i_lo) << 1) | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        setting["state"] = {"state": state, "inc": inc}
-        bit_gen.state = setting
-        out[end : end + n] = bit_gen.random_raw(n)
-        end += n
-    return out
 
 
 def expected_layers_batch(strategies, pmf_rows, per_layer, steps=None):

@@ -11,13 +11,15 @@ force at each GOP. A forwarding relay passes whatever arrives, and the
 receiver scores what reaches it with codec.score_block, so neither has a
 state or a step here. Each step takes a block of GOPs, and the packets of
 a block travel as one PacketBlock; a block of one GOP is the GOP-by-GOP
-case. An RLC encoder with no decoder downstream sends coefficient-free
-packets, since the count rule reads only their classes.
+case. An encoder draws its RLC coefficients from its own generator, which
+run() spawns from the run's seed. An RLC encoder with no decoder downstream
+sends coefficient-free packets, since the count rule reads only their
+classes, and draws nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,11 +39,6 @@ MODE_NC = "nc"
 RELAY_MODES = (MODE_FORWARD, MODE_NC)
 
 
-def _fresh_seeds(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n encode seeds; the same values as n draws of one seed each."""
-    return rng.integers(0, 2**63, size=n)
-
-
 def _check_estimates(estimates) -> np.ndarray:
     estimates = np.asarray(estimates, dtype=float)
     if not ((estimates >= 0.0) & (estimates <= 1.0)).all():
@@ -55,10 +52,10 @@ class Encoder:
     allocation from a strategy table or a threshold policy and encodes."""
 
     scheme: str
+    rng: np.random.Generator
     table: Optional[StrategyTable] = None
     policy: Optional[ThresholdPolicy] = None
     coeff_width: Optional[int] = None
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def __post_init__(self):
         if (self.table is None) == (self.policy is None):
@@ -81,7 +78,7 @@ def encoder_block(
     A table encoder takes the bin's best strategy among those that leave
     every class deeper than depths[k] empty; at full depth that is the
     bin's best. A policy encoder picks by interval, so it must hold every
-    layer. A GOP of depth 0 gets no packets and draws no encode seed.
+    layer. A GOP of depth 0 gets no packets, so it draws no coefficients.
     """
     estimates = _check_estimates(estimates)
     depths = np.asarray(depths)
@@ -95,8 +92,5 @@ def encoder_block(
         # an estimate on a breakpoint belongs to the upper interval
         index = np.searchsorted(state.policy.breakpoints, estimates, side="right")
         strategies = np.asarray(state.policy.strategies, dtype=np.int64)[index]
-    encoding = depths > 0
-    strategies = np.where(encoding[:, None], strategies, 0)
-    seeds = np.zeros(depths.size, dtype=np.int64)
-    seeds[encoding] = _fresh_seeds(state.rng, int(np.count_nonzero(encoding)))
-    return encode_block(cells, gop_ids, strategies, state.scheme, seeds, state.coeff_width)
+    strategies = np.where((depths > 0)[:, None], strategies, 0)
+    return encode_block(cells, gop_ids, strategies, state.scheme, state.rng, state.coeff_width)

@@ -122,25 +122,33 @@ def check_codec_roundtrip() -> CheckResult:
 
 def check_stacked_decode() -> CheckResult:
     """One decode_block call over a block of erased RLC GOPs, one of them
-    empty and one rank-deficient, against each GOP's one-GOP decode and
-    its source bytes."""
+    empty and one rank-deficient, encoded from one generator, against each
+    GOP's one-GOP decode, encoded one by one from a generator with the same
+    seed, and against its source bytes."""
     rng = np.random.default_rng(11)
     grids = [make_synthetic_gop(g, 3, 4, 16, seed=11) for g in range(8)]
     strategy = (6, 5, 5)
-    seeds = rng.integers(2**31, size=len(grids))
+    one_by_one = np.random.default_rng(12)
     alone, rows = [], []
-    for g, (grid, seed) in enumerate(zip(grids, seeds)):
+    for g, grid in enumerate(grids):
         kept = np.flatnonzero(rng.random(sum(strategy)) < 0.8)
         if g == 2:
             kept = kept[:0]
         if g == 5:
             # five class-1 packets, all copies of two: rank 2 of the 4 base unknowns
             kept = np.array([0, 0, 1, 1, 1])
-        alone.append(encode_gop(grid, strategy, SCHEME_RLC, int(seed)).select(kept))
+        alone.append(encode_gop(grid, strategy, SCHEME_RLC, one_by_one).select(kept))
         rows.append(g * sum(strategy) + kept)
     cells = np.stack([grid.cells for grid in grids])
-    block = encode_block(cells, range(len(grids)), [strategy] * len(grids), SCHEME_RLC, seeds)
-    depths, recovered = decode_block(block.select(np.concatenate(rows)), 3, 4, 16)
+    block = encode_block(
+        cells, range(len(grids)), [strategy] * len(grids), SCHEME_RLC, np.random.default_rng(12)
+    )
+    picked = block.select(np.concatenate(rows))
+    if not np.array_equal(picked.coeffs, np.concatenate([packets.coeffs for packets in alone])):
+        return CheckResult(
+            "stacked-decode", False, "block coefficients differ from the one-by-one draws"
+        )
+    depths, recovered = decode_block(picked, 3, 4, 16)
     for g, (packets, grid) in enumerate(zip(alone, grids)):
         alone_depth, alone_grid = decode_gop(packets, 3, 4, 16)
         if depths[g] != alone_depth or not np.array_equal(recovered[g], alone_grid.cells):

@@ -31,9 +31,9 @@ each encoder's latest estimate and the verifying receiver's counts; the
 nodes hold no run state. Seeded results are those of a
 GOP-by-GOP loop whatever the block size: every link belongs to one
 segment and draws its probes and packets of GOP g before those of g+1;
-the sender and each relay draw one encode seed per GOP they encode, in
-GOP order; decoding draws nothing; and each GOP's delay is summed in hop
-order.
+the sender and each re-encoding relay draw the coefficients of the rows
+they encode, in GOP order; decoding draws nothing; and each GOP's delay
+is summed in hop order.
 """
 
 from __future__ import annotations

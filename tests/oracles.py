@@ -5,7 +5,9 @@ arithmetic or decode logic; each oracle recomputes its answer by a
 structurally different method so that agreement is evidence rather than
 tautology. reference_run drives the package's one-GOP codec, with the
 scalar table and policy lookups below, through the GOP-by-GOP loop, so it
-checks how run() carries GOPs, not the codec.
+checks how run() carries GOPs, not the codec; each of its encoders hands
+its own generator to encode_gop GOP by GOP, so the block pass must draw
+the same coefficients in the same order.
 """
 
 import math
@@ -356,10 +358,13 @@ def reference_run(config, table=None):
     relay's, in hop order: probe the segment's links, select and encode,
     then send the packets across the segment link by link. A link draws once
     per GOP for the probes that reach it and once for the packets, each
-    encoder draws one encode seed per GOP it encodes, and relays decode and
-    the receiver scores GOP by GOP. The block pass of run() must return the
-    same metrics and leave every link's generator in the same state; the
-    link generators are returned with the metrics for that check.
+    encoder hands its own generator to encode_gop for every GOP it encodes,
+    and relays decode and the receiver scores GOP by GOP. The block pass of
+    run() must return the same metrics and leave every link's generator, and
+    the sender's and every re-encoding relay's, in the same state; for that
+    check the metrics come with the link generators, in hop order, and the
+    encoder generators, the sender's first and then the re-encoding relays'
+    in hop order.
     """
     from nclayer.codec import (
         SCHEME_REPEAT,
@@ -448,9 +453,8 @@ def reference_run(config, table=None):
                         sender_strategy = select_best(table, sender_estimate)
                     else:
                         sender_strategy = select_strategy(policy, sender_estimate)
-                seed = int(sender_rng.integers(0, 2**63))
                 current = encode_gop(
-                    grid, sender_strategy, config.scheme, seed, coeff_width(-1)
+                    grid, sender_strategy, config.scheme, sender_rng, coeff_width(-1)
                 )
                 sent_total += len(current)
             elif len(current):
@@ -465,9 +469,12 @@ def reference_run(config, table=None):
                 if strategy is None:
                     current = current.select(np.arange(0))
                 else:
-                    seed = int(relay_rngs[position].integers(0, 2**63))
                     current = encode_gop(
-                        decoded, strategy, config.scheme, seed, coeff_width(position)
+                        decoded,
+                        strategy,
+                        config.scheme,
+                        relay_rngs[position],
+                        coeff_width(position),
                     )
             for hop in segment:
                 delay += len(current) * delays[hop]
@@ -513,4 +520,4 @@ def reference_run(config, table=None):
         prediction_gaps=gaps,
         payload_errors=errors,
     )
-    return metrics, rngs
+    return metrics, rngs, [sender_rng] + [relay_rngs[i] for i in nc]

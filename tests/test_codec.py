@@ -153,7 +153,7 @@ def test_repeat_sends_runs_of_raw_cells():
 
 def test_rlc_round_trip_full_budget():
     grid = make_synthetic_gop(7, 4, 8, 64)
-    packets = encode_gop(grid, (40, 8, 8, 8), SCHEME_RLC, seed=11)
+    packets = encode_gop(grid, (40, 8, 8, 8), SCHEME_RLC, seed=1)
     decoded, recovered = decode_gop(packets, 4, 8, 64)
     assert decoded == 4
     assert np.array_equal(recovered.cells, grid.cells)
@@ -188,7 +188,7 @@ def test_decode_empty_input():
 
 def test_decode_rejects_mixed_gops():
     cells = make_synthetic_cells([0, 1], 2, 2, 4)
-    both = encode_block(cells, [0, 1], [(2, 2), (2, 2)], SCHEME_RLC, [0, 0])
+    both = encode_block(cells, [0, 1], [(2, 2), (2, 2)], SCHEME_RLC, np.random.default_rng(0))
     with pytest.raises(ValueError, match="one GOP"):
         decode_gop(both, 2, 2, 4)
 
@@ -272,6 +272,16 @@ def test_batch_indexing_selects_rows():
     assert twice.depth.tolist() == [1, 1, 3] and twice.sizes.tolist() == [3]
 
 
+def test_select_refuses_a_decreasing_index_array():
+    # rows [5, 0, 1] of two GOPs of 4 packets would split at offsets [0, 3,
+    # 3], scoring GOP 1's packet as GOP 0's
+    cells = make_synthetic_cells([0, 1], 2, 2, 4)
+    block = encode_block(cells, [0, 1], [(2, 2), (2, 2)], SCHEME_RLC, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="non-decreasing"):
+        block.select(np.array([5, 0, 1]))
+    assert block.select(np.array([0, 1, 5])).sizes.tolist() == [2, 1]
+
+
 def test_batch_validates_once_on_construction():
     payload = np.zeros((2, 4), dtype=np.uint8)
     coeffs = np.zeros((2, 4), dtype=np.uint8)
@@ -340,7 +350,7 @@ def _erased(scheme, seed):
     rng = np.random.default_rng(seed)
     strategies = rng.integers(0, 10, (9, 4))
     cells = make_synthetic_cells(range(9), 4, 4, 8, seed)
-    block = encode_block(cells, range(9), strategies, scheme, range(9))
+    block = encode_block(cells, range(9), strategies, scheme, np.random.default_rng(seed))
     kept = [np.flatnonzero(rng.random(n) < rng.uniform(0.2, 1.0)) for n in block.sizes]
     kept[3] = kept[3][:0]
     rows = np.concatenate([start + k for start, k in zip(block.offsets, kept)])
@@ -352,9 +362,10 @@ def test_block_decode_equals_one_gop_decodes(scheme):
     block, strategies, kept = _erased(scheme, 1)
     depths, cells = decode_block(block, 4, 4, 8)
     assert depths.shape == (9,) and cells.shape == (9, 4, 4, 8)
+    one_by_one = np.random.default_rng(1)
     for k, (strategy, rows) in enumerate(zip(strategies, kept)):
         grid = make_synthetic_gop(k, 4, 4, 8, seed=1)
-        alone = encode_gop(grid, strategy, scheme, seed=k).select(rows)
+        alone = encode_gop(grid, strategy, scheme, one_by_one).select(rows)
         want_depth, want = decode_gop(alone, 4, 4, 8)
         assert depths[k] == want_depth
         assert want.gop_id == k
@@ -388,50 +399,60 @@ def test_block_decode_rejects_a_bad_batch_wherever_it_sits():
 
 
 @pytest.mark.parametrize("per_layer", [3, 5, 7, 8])
-def test_rlc_coefficients_are_the_per_class_integer_draws(per_layer):
-    # GOP k of a block must carry the bytes of one uint8 integers() call of
-    # default_rng(seeds[k]) per non-empty class, each starting on a fresh
-    # 32-bit word: at P = 3, 5 and 7 some classes end mid-word. Empty GOPs
-    # sit between full ones, and the seeds lie on both sides of 2**32
+def test_rlc_rows_take_whole_raw_outputs_of_the_generator(per_layer):
+    # every coefficient row takes ceil(3 * P / 8) raw outputs of the
+    # generator, in row order, keeps their first 3 * P little-endian bytes
+    # and is zeroed past its class; at P = 3, 5 and 7 a row ends partway
+    # through an output. Empty GOPs and classes sit between full ones and
+    # draw nothing, so GOPs encoded one by one draw what the block draws
     allocations = [(3, 0, 2), (0, 0, 0), (1, 1, 1), (0, 0, 5), (0, 0, 0), (7, 3, 0), (2, 0, 0)]
-    seeds = [0, 2**32 + 9, 1, 2**32 - 1, 7, 2**32, 2**31 + 3, 2**63 - 1, 2**40 + 5]
     grids = [make_synthetic_gop(g, 3, per_layer, 5, seed=2) for g in range(len(allocations))]
     cells = np.stack([g.cells for g in grids])
-    for turn in range(len(seeds)):
-        block_seeds = (seeds[turn:] + seeds[:turn])[: len(allocations)]
-        block = encode_block(cells, range(len(grids)), allocations, SCHEME_RLC, block_seeds)
-        for k, (strategy, seed) in enumerate(zip(allocations, block_seeds)):
-            rng = np.random.default_rng(seed)
-            rows = [np.zeros((0, 3 * per_layer), dtype=np.uint8)]
-            for d, n in enumerate(strategy, start=1):
-                if n:
-                    draw = rng.integers(0, 256, size=(n, d * per_layer), dtype=np.uint8)
-                    rows.append(np.pad(draw, ((0, 0), (0, (3 - d) * per_layer))))
-            want = np.concatenate(rows)
-            assert np.array_equal(_rows(block, k, "coeffs"), want), (seed, strategy)
-            data = grids[k].cells.reshape(3 * per_layer, 5)
-            assert np.array_equal(_rows(block, k, "payload"), gf_matmul(want, data))
-            alone = encode_gop(grids[k], strategy, SCHEME_RLC, seed=seed)
-            assert np.array_equal(alone.coeffs, want), (seed, strategy)
+    n_unknowns, outputs = 3 * per_layer, -(-3 * per_layer // 8)
+    rng = np.random.default_rng(per_layer)
+    block = encode_block(cells, range(len(grids)), allocations, SCHEME_RLC, rng)
+    drawn = np.random.default_rng(per_layer)
+    raw = drawn.bit_generator.random_raw(len(block) * outputs).astype("<u8")
+    row_bytes = raw.view(np.uint8).reshape(len(block), 8 * outputs)[:, :n_unknowns]
+    past_class = np.arange(n_unknowns) >= block.depth.astype(int)[:, None] * per_layer
+    assert np.array_equal(block.coeffs, np.where(past_class, 0, row_bytes))
+    assert rng.bit_generator.state == drawn.bit_generator.state
+    one_by_one = np.random.default_rng(per_layer)
+    for k, (grid, strategy) in enumerate(zip(grids, allocations)):
+        alone = encode_gop(grid, strategy, SCHEME_RLC, one_by_one)
+        assert np.array_equal(alone.coeffs, _rows(block, k, "coeffs")), strategy
+        data = grid.cells.reshape(n_unknowns, 5)
+        assert np.array_equal(_rows(block, k, "payload"), gf_matmul(alone.coeffs, data))
+    assert one_by_one.bit_generator.state == drawn.bit_generator.state
+    # xor, repeat and coefficient-free packets draw nothing
+    drawless = ((SCHEME_XOR, 5, None), (SCHEME_REPEAT, 5, None), (SCHEME_RLC, 0, 0))
+    for scheme, size, width in drawless:
+        encode_block(cells[..., :size], range(len(grids)), allocations, scheme, rng, width)
+        assert rng.bit_generator.state == drawn.bit_generator.state, scheme
 
 
 def test_block_encodes_on_two_threads_equal_serial_ones():
-    # sweep(jobs=2) encodes on two threads at once, so the coefficient
-    # streams may share no generator between calls
+    # sweep(jobs=2) encodes on two threads at once, each block from its own
+    # generator, so the coefficient draws may share no state between calls
     rng = np.random.default_rng(23)
     jobs = []
     for b in range(50):
         n_gops = int(rng.integers(1, 33))
         cells = make_synthetic_cells(range(n_gops), 4, 4, 8, seed=b)
         strategies = rng.integers(0, 6, (n_gops, 4))
-        jobs.append((cells, range(n_gops), strategies, SCHEME_RLC, rng.integers(0, 2**63, n_gops)))
-    serial = [encode_block(*job) for job in jobs]
+        jobs.append((cells, range(n_gops), strategies, SCHEME_RLC, int(rng.integers(0, 2**63))))
+
+    def encode(job):
+        *args, seed = job
+        return encode_block(*args, np.random.default_rng(seed))
+
+    serial = [encode(job) for job in jobs]
     # hand the interpreter lock over often, so that the threads interleave
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = list(pool.map(lambda job: encode_block(*job), jobs))
+            threaded = list(pool.map(encode, jobs))
     finally:
         sys.setswitchinterval(interval)
     for alone, together in zip(serial, threaded):
@@ -443,17 +464,16 @@ def test_block_encodes_on_two_threads_equal_serial_ones():
 @pytest.mark.parametrize("scheme", [SCHEME_RLC, SCHEME_XOR, SCHEME_REPEAT])
 @pytest.mark.parametrize("size", [0, 6])
 def test_block_encode_equals_one_gop_encodes(scheme, size):
-    # each GOP of a block, with its own strategy and seed, is encoded as it
-    # would be alone, and a mask over the block keeps every GOP's rows apart
+    # each GOP of a block, with its own strategy, is encoded as it would be
+    # alone from the same generator, and a mask over the block keeps every
+    # GOP's rows apart
     grids = [make_synthetic_gop(g, 3, 2, size, seed=4) for g in (5, 6, 7, 8)]
     strategies = [(3, 0, 2), (0, 0, 0), (1, 4, 1), (2, 2, 2)]
-    seeds = [11, 12, 13, 14]
     width = None if size or scheme != SCHEME_RLC else 0
     cells = np.stack([g.cells for g in grids])
-    block = encode_block(cells, [5, 6, 7, 8], strategies, scheme, seeds, width)
-    alone = [
-        encode_gop(g, s, scheme, seed, width) for g, s, seed in zip(grids, strategies, seeds)
-    ]
+    block = encode_block(cells, [5, 6, 7, 8], strategies, scheme, np.random.default_rng(11), width)
+    one_by_one = np.random.default_rng(11)
+    alone = [encode_gop(g, s, scheme, one_by_one, width) for g, s in zip(grids, strategies)]
     mask = np.arange(len(block)) % 3 != 1
     picked = block.select(mask)
     assert block.gop_ids.tolist() == [5, 6, 7, 8]
@@ -482,8 +502,7 @@ def _random_block(rng):
     cells = make_synthetic_cells(range(G), L, P, s, seed=int(rng.integers(1000)))
     strategies = rng.integers(0, 3 * P, size=(G, L))
     strategies[rng.random(G) < 0.2] = 0
-    seeds = rng.integers(0, 2**63, size=G)
-    block = encode_block(cells, range(G), strategies, scheme, seeds)
+    block = encode_block(cells, range(G), strategies, scheme, rng)
     odds = np.repeat(rng.uniform(0.2, 1.0, G), block.sizes)
     copies = (rng.random(len(block)) < odds) * (1 + (rng.random(len(block)) < 0.3))
     block = block.select(np.repeat(np.arange(len(block)), copies))
@@ -533,7 +552,7 @@ def test_decode_stacks_split_at_the_byte_bound(size, monkeypatch):
     rng = np.random.default_rng(size + 5)
     cells = make_synthetic_cells(range(24), 4, 4, size, seed=3)
     strategies = rng.integers(0, 6, (24, 4))
-    block = encode_block(cells, range(24), strategies, SCHEME_RLC, range(24))
+    block = encode_block(cells, range(24), strategies, SCHEME_RLC, np.random.default_rng(3))
     kept = rng.random(len(block)) < 0.7
     empty = [0, 7, 8, 23]
     kept[np.isin(np.repeat(np.arange(24), block.sizes), empty)] = False
@@ -567,7 +586,8 @@ def test_decode_memory_is_bounded_by_one_stack():
 
     def peak(n_gops):
         cells = make_synthetic_cells(range(n_gops), 4, 8, 64, seed=1)
-        block = encode_block(cells, range(n_gops), [strategy] * n_gops, SCHEME_RLC, range(n_gops))
+        rng = np.random.default_rng(n_gops)
+        block = encode_block(cells, range(n_gops), [strategy] * n_gops, SCHEME_RLC, rng)
         tracemalloc.start()
         try:
             depths, _ = decode_block(block, 4, 8, 64)

@@ -15,7 +15,7 @@ def _picks(policy, estimates):
     checked against the oracle's interval walk."""
     n, width = len(estimates), len(policy.strategies[0])
     cells = np.zeros((n, width, 1, 0), dtype=np.uint8)
-    sender = Encoder(scheme="rlc", policy=policy, coeff_width=0)
+    sender = Encoder(scheme="rlc", policy=policy, coeff_width=0, rng=np.random.default_rng(0))
     block = encoder_block(sender, cells, range(n), estimates, [width] * n)
     picks = sent_strategies(block, width)
     assert picks == [select_strategy(policy, e) for e in estimates]
@@ -67,7 +67,7 @@ def test_boundary_estimate_takes_upper_interval():
 
 
 def test_estimate_out_of_range_rejected():
-    sender = Encoder(scheme="rlc", policy=builtin_policy(1))
+    sender = Encoder(scheme="rlc", policy=builtin_policy(1), rng=np.random.default_rng(0))
     cells = np.zeros((1, 4, 8, 0), dtype=np.uint8)
     for estimate in (1.5, -0.1):
         with pytest.raises(ValueError, match="estimates"):

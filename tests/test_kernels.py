@@ -4,7 +4,7 @@ import pytest
 from nclayer import codec, kernels, spt
 from nclayer.codec import encode_gop
 from nclayer.gf256 import MUL_TABLE, gf256_mul
-from nclayer.kernels import expected_layers_batch, gf_matmul, gf_rref, pcg64_streams
+from nclayer.kernels import expected_layers_batch, gf_matmul, gf_rref
 from nclayer.media import make_synthetic_gop
 from nclayer.simulator import ChainConfig, run
 from nclayer.spt import PDR_BINS, _pmf_rows, enumerate_strategies
@@ -289,34 +289,6 @@ def test_rref_recovers_known_solution():
     for col in range(6):
         solved[col] = aug[owner[col], 6:]
     assert np.array_equal(solved, unknowns)
-
-
-def test_pcg64_streams_are_numpy_pcg64_draws():
-    # the streams pin numpy's SeedSequence hash and PCG64 seeding: a change
-    # to either algorithm fails here. Seeds below 2**32 have one entropy
-    # word and the others two; the edge seeds sit on each side of 2**32 and
-    # at the ends of the range, and a length may be 0 or 1
-    rng = np.random.default_rng(19)
-    edges = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
-    seeds = (
-        edges
-        + rng.integers(0, 2**32, 100).tolist()
-        + rng.integers(2**32, 2**64, 100, dtype=np.uint64).tolist()
-    )
-    lengths = [0, 1, 2, 0, 1, 7] + rng.integers(0, 40, 200).tolist()
-    want = [np.random.PCG64(s).random_raw(n) for s, n in zip(seeds, lengths)]
-    got = pcg64_streams(seeds, lengths)
-    assert got.dtype == np.uint64
-    assert np.array_equal(got, np.concatenate(want))
-    # as a numpy seed array, one seed at a time, and with nothing to draw
-    at = np.cumsum([0] + lengths)
-    assert np.array_equal(pcg64_streams(np.array(seeds, dtype=np.uint64), lengths), got)
-    for k in (0, 3, 5, 150):
-        assert np.array_equal(pcg64_streams([seeds[k]], [lengths[k]]), got[at[k] : at[k + 1]])
-    assert pcg64_streams([], []).shape == (0,)
-    for bad in (-1, 2**64):
-        with pytest.raises(ValueError, match="seeds must lie in"):
-            pcg64_streams([5, bad], [1, 1])
 
 
 def test_expected_layers_backends_agree_at_table_scale():

@@ -41,17 +41,26 @@ def _send(encoder, grids, estimates):
 
 def test_sender_needs_exactly_one_selector(small_table):
     with pytest.raises(ValueError, match="exactly one"):
-        Encoder(scheme=SCHEME_RLC, table=small_table, policy=builtin_policy(1))
+        Encoder(
+            scheme=SCHEME_RLC,
+            table=small_table,
+            policy=builtin_policy(1),
+            rng=np.random.default_rng(0),
+        )
 
 
 def test_nc_relay_requires_table():
     with pytest.raises(ValueError, match="exactly one"):
-        Encoder(scheme=SCHEME_RLC)
+        Encoder(scheme=SCHEME_RLC, rng=np.random.default_rng(0))
 
 
 def test_sender_with_fixed_strategy_never_selects():
     # the uncoded sender's fixed strategy is a policy of one interval
-    sender = Encoder(scheme=SCHEME_REPEAT, policy=ThresholdPolicy((), ((2, 2, 2),)))
+    sender = Encoder(
+        scheme=SCHEME_REPEAT,
+        policy=ThresholdPolicy((), ((2, 2, 2),)),
+        rng=np.random.default_rng(0),
+    )
     assert sender.spend == 6
     for estimate in (0.05, 0.5, 1.0):
         packets = _send(sender, [_grid()], [estimate])
@@ -71,7 +80,7 @@ def test_encoder_picks_each_gop_from_the_estimate_in_force(small_table):
     # run() probes on period GOPs and holds each estimate until the next
     # probe, so a sender that picks every GOP from the estimate in force
     # keeps its strategy between probes; one block of GOPs picks and draws
-    # seeds as the GOPs do one at a time
+    # coefficients as the GOPs do one at a time
     estimates = [1.0, 1.0, 1.0, 0.05]
     grid = _grid()
     alone = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0))
@@ -157,16 +166,17 @@ def test_nc_relay_never_encodes_past_decoded_depth(small_table):
 
 
 def test_nc_relay_empty_input(small_table):
-    relay = Encoder(scheme=SCHEME_RLC, table=small_table)
+    relay = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0))
     empty = encode_gop(_grid(), (0, 0, 0), SCHEME_RLC)
     depths, cells = decode_block(empty, 3, 2, 8)
     assert depths.tolist() == [0]
     out = encoder_block(relay, cells, empty.gop_ids, [1.0], depths)
     assert len(out) == 0 and out.sizes.tolist() == [0]
-    # a GOP that lost everything sends nothing, draws no seed, and leaves
+    # a GOP that lost everything sends nothing, draws no coefficients, and leaves
     # its neighbours be
     cells = np.stack([_grid().cells] * 3)
-    block = encode_block(cells, [0, 1, 2], [(4, 2, 2), (0, 0, 0), (4, 2, 2)], SCHEME_RLC, [0] * 3)
+    strategies = [(4, 2, 2), (0, 0, 0), (4, 2, 2)]
+    block = encode_block(cells, [0, 1, 2], strategies, SCHEME_RLC, np.random.default_rng(0))
     depths, decoded = decode_block(block, 3, 2, 8)
     seeded = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(5))
     out = encoder_block(seeded, decoded, block.gop_ids, [1.0] * 3, depths)
@@ -195,8 +205,8 @@ def test_full_depth_relay_sends_what_the_sender_sends_under_a_tied_best_row(
     assert table.best_strategy(bin_index) == tied != default_table.best_strategy(bin_index)
     assert table.restricted_index[bin_index, 4] == table.best_index[bin_index]
     cells = np.zeros((1, 4, 8, 0), dtype=np.uint8)
-    sender = Encoder(scheme=SCHEME_RLC, table=table, coeff_width=0)
-    relay = Encoder(scheme=SCHEME_RLC, table=table, coeff_width=0)
+    sender = Encoder(scheme=SCHEME_RLC, table=table, coeff_width=0, rng=np.random.default_rng(0))
+    relay = Encoder(scheme=SCHEME_RLC, table=table, coeff_width=0, rng=np.random.default_rng(0))
     for encoder in (sender, relay):
         block = encoder_block(encoder, cells, [0], [0.9], [4])
         assert sent_strategies(block, 4) == [tied]
@@ -213,7 +223,7 @@ def test_decoders_reject_coefficient_free_batches():
 
 def test_receiver_counts_and_reset():
     cells = np.stack([_grid().cells] * 2)
-    packets = encode_block(cells, [0, 1], [(4, 2, 2)] * 2, SCHEME_RLC, [0, 0])
+    packets = encode_block(cells, [0, 1], [(4, 2, 2)] * 2, SCHEME_RLC, np.random.default_rng(0))
     # the second GOP gets only the deeper classes, [0, 2, 2]; nothing of the
     # first GOP's counts may carry over into its score
     arrived = packets.select(np.r_[0:8, 12:16])
@@ -241,6 +251,25 @@ def test_receiver_verification_clean_path():
     assert (metrics.prediction_gaps, metrics.payload_errors) == (0, 0)
 
 
+# the two surviving class-2 packets have a singular layer-2 block, so they
+# also give a second equation on layer 1: the count rule scores 0, while
+# the decoder recovers layer 1
+RLC_COUNTEREXAMPLE = dict(
+    scheme=SCHEME_RLC, strategy=[1, 3, 0], seed=57, mask=[True, True, False] + [True] * 15
+)
+
+
+def test_real_decoding_beats_the_count_rule_on_the_pinned_case():
+    # the pinned example exercises the score falling short of the decode
+    # only while its coefficients make that happen
+    case = RLC_COUNTEREXAMPLE
+    packets = encode_gop(_grid(), case["strategy"], case["scheme"], seed=case["seed"])
+    survivors = packets.select(np.array(case["mask"][: len(packets)]))
+    (score,) = score_block(survivors, 3, 2)
+    depth, _ = decode_gop(survivors, 3, 2, 8)
+    assert score < depth
+
+
 def _gf_rank(rows):
     return int(np.count_nonzero(rref_reference(rows.copy(), rows.shape[1]) >= 0))
 
@@ -252,12 +281,7 @@ def _gf_rank(rows):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     mask=st.lists(st.booleans(), min_size=18, max_size=18),
 )
-# the two surviving class-2 packets have a singular layer-2 block, so they
-# also give a second equation on layer 1: the count rule scores 0, while
-# the decoder recovers layer 1
-@example(
-    scheme=SCHEME_RLC, strategy=[1, 3, 0], seed=0, mask=[True, True, False] + [True] * 15
-)
+@example(**RLC_COUNTEREXAMPLE)
 def test_receiver_score_against_real_decoding(scheme, strategy, seed, mask):
     # column schemes are scored by coverage, which is exactly the decoded
     # depth. The RLC count rule is the rank criterion at the generic ranks

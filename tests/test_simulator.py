@@ -503,28 +503,40 @@ def _random_config(rng, index):
 def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch):
     # run() draws once per link per block and encodes, selects and scores a
     # block at a time; the GOP-by-GOP loop in oracles.py is the reference
-    # for every metric and for where each link's generator ends
+    # for every metric and for where each link's generator, and each
+    # encoder's, ends. An encoder that drew other coefficients, or drew
+    # them in another order, ends elsewhere
     rng = np.random.default_rng(2013)
-    made = []
-    send = simulator.send_block
+    links, encoders = [], []
+    send, encode = simulator.send_block, simulator.encoder_block
 
     def recorded_send(rngs, *args):
         # every link sends in each block, each segment's in hop order, so
         # the generators are met in hop order
-        made.extend(r for r in rngs if all(r is not m for m in made))
+        links.extend(r for r in rngs if all(r is not m for m in links))
         return send(rngs, *args)
 
+    def recorded_encode(encoder, *args):
+        # every encoder encodes in each block, the sender first and then
+        # the re-encoding relays in hop order
+        if all(encoder.rng is not m for m in encoders):
+            encoders.append(encoder.rng)
+        return encode(encoder, *args)
+
     monkeypatch.setattr(simulator, "send_block", recorded_send)
+    monkeypatch.setattr(simulator, "encoder_block", recorded_encode)
     seen = set()
     for index in range(30):
         config = _random_config(rng, index)
         seen.add((config.scheme, config.selection, config.verify_payloads))
-        made.clear()
+        links.clear()
+        encoders.clear()
         got = run(config, table=default_table)
-        want, rngs = reference_run(config, default_table)
+        want, link_rngs, encoder_rngs = reference_run(config, default_table)
         assert asdict(got) == asdict(want), config
-        assert len(made) == len(rngs) == config.hop_count
-        for a, b in zip(made, rngs):
+        assert len(links) == len(link_rngs) == config.hop_count
+        assert len(encoders) == len(encoder_rngs) == 1 + config.relay_modes.count("nc")
+        for a, b in zip(links + encoders, link_rngs + encoder_rngs):
             assert a.bit_generator.state == b.bit_generator.state, config
     assert len(seen) >= 8
 

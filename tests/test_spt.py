@@ -30,7 +30,7 @@ def _picks(table, estimates):
     against the oracle's one-estimate lookup."""
     n, layers = len(estimates), table.layer_count
     cells = np.zeros((n, layers, table.packets_per_layer, 0), dtype=np.uint8)
-    sender = Encoder(scheme="rlc", table=table, coeff_width=0)
+    sender = Encoder(scheme="rlc", table=table, coeff_width=0, rng=np.random.default_rng(0))
     block = encoder_block(sender, cells, range(n), estimates, [layers] * n)
     picks = sent_strategies(block, layers)
     assert picks == [select_best(table, e) for e in estimates]
