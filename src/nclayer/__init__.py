@@ -9,7 +9,6 @@ from .codec import (
     PacketBlock,
     decodable_layers,
     decode_block,
-    decode_gop,
     encode_block,
     encode_gop,
     score_block,
@@ -17,7 +16,7 @@ from .codec import (
 from .config import ConfigError, apply_overrides, load_config, parse_config_text
 from .gf256 import gf256_inv, gf256_mul
 from .heuristic import ThresholdPolicy, builtin_policy
-from .media import LayerGrid, make_synthetic_gop
+from .media import make_synthetic_gop
 from .nodes import Encoder, encoder_block
 from .simulator import (
     ChainConfig,
@@ -43,7 +42,6 @@ __all__ = [
     "ChainConfig",
     "ConfigError",
     "Encoder",
-    "LayerGrid",
     "PDR_BINS",
     "PacketBlock",
     "RunMetrics",
@@ -57,7 +55,6 @@ __all__ = [
     "builtin_policy",
     "decodable_layers",
     "decode_block",
-    "decode_gop",
     "encode_block",
     "encode_gop",
     "encoder_block",

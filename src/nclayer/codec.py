@@ -13,17 +13,18 @@ decodes by Gaussian elimination. "repeat" is the uncoded baseline: a class i
 packet is one raw cell of layer i, sent as often as the allocation allows.
 
 A PacketBlock, the one packet container, holds the packets of a block of
-GOPs as one set of rows; a single GOP travels as a block of one.
-encode_block, decode_block and score_block work on a whole block as
-arrays, and encode_gop and decode_gop are the one-GOP cases of the first
-two.
+GOPs as one set of rows; a single GOP travels as a block of one, and a
+GOP's number is its place in the block. encode_block, decode_block and
+score_block work on a whole block as arrays, and encode_gop is the
+one-GOP case of encode_block.
 
-RLC coefficients are zero-padded to layer_count * packets_per_layer columns,
-or carried as zero columns when no decoder reads them: a receiver that
-scores by class counts needs only each packet's class, so an encoder with
-no decoder downstream draws nothing. Every coefficient-carrying row takes
-its bytes from the encoder's own generator, whole 64-bit outputs in row
-order, so a block draws exactly what its GOPs would draw one by one.
+RLC coefficients are zero-padded to layer_count * packets_per_layer columns
+and drawn from the generator the encoder is given, whole 64-bit outputs in
+row order, so a block draws exactly what its GOPs would draw one by one.
+An encoder given no generator sends coefficient-free packets, with zero
+coefficient columns: a receiver that scores by class counts needs only
+each packet's class, so an encoder with no decoder downstream draws
+nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .kernels import gf_matmul, gf_rref
-from .media import LayerGrid
 
 SCHEME_RLC = "rlc"
 SCHEME_XOR = "xor"
@@ -55,20 +55,19 @@ class PacketBlock:
     """The coded packets of a block of GOPs as parallel arrays, one row per
     packet.
 
-    GOP k of the block, numbered gop_ids[k], owns rows offsets[k] to
-    offsets[k + 1]; a GOP can own no rows, and a one-GOP block is how a
-    single GOP travels. depth[i] is packet i's class
-    and payload[i] its bytes. RLC packets carry their coefficients in
-    coeffs, zero-padded to layer_count * packets_per_layer columns, or with
-    zero columns (and a zero-width payload) when no decoder reads them; XOR
-    and repeat packets carry their grid column instead.
+    GOP k of the block owns rows offsets[k] to offsets[k + 1], so the block
+    holds offsets.size - 1 GOPs; a GOP can own no rows, and a one-GOP block
+    is how a single GOP travels. depth[i] is packet i's class and
+    payload[i] its bytes. RLC packets carry their coefficients in coeffs,
+    zero-padded to layer_count * packets_per_layer columns, or with zero
+    columns (and a zero-width payload) when no decoder reads them; XOR and
+    repeat packets carry their grid column instead.
     The block is checked once, on construction. Selecting rows keeps every
     GOP and its order and skips the check, since rows of valid packets are
     valid packets, so a block crosses a lossy link in one mask.
     """
 
     scheme: str
-    gop_ids: np.ndarray
     offsets: np.ndarray
     depth: np.ndarray
     payload: np.ndarray
@@ -78,7 +77,6 @@ class PacketBlock:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        self.gop_ids = np.asarray(self.gop_ids, dtype=np.int64)
         self.offsets = np.asarray(self.offsets, dtype=np.intp)
         self.depth = np.asarray(self.depth, dtype=np.int8)
         self.payload = np.asarray(self.payload, dtype=np.uint8)
@@ -103,16 +101,13 @@ class PacketBlock:
             if self.column.shape != (n,):
                 raise ValueError(f"need {n} columns, got shape {self.column.shape}")
         if (
-            self.gop_ids.ndim != 1
-            or self.offsets.shape != (self.gop_ids.size + 1,)
+            self.offsets.ndim != 1
+            or not self.offsets.size
             or self.offsets[0] != 0
             or self.offsets[-1] != n
             or (np.diff(self.offsets) < 0).any()
         ):
-            raise ValueError(
-                f"offsets {self.offsets.tolist()} do not split {n} rows "
-                f"into {self.gop_ids.size} GOPs"
-            )
+            raise ValueError(f"offsets {self.offsets.tolist()} do not split {n} rows into GOPs")
 
     def __len__(self) -> int:
         """Packets in the block, over all of its GOPs."""
@@ -124,18 +119,23 @@ class PacketBlock:
         return np.diff(self.offsets)
 
     def select(self, rows: np.ndarray) -> "PacketBlock":
-        """The block of the rows a boolean mask or a non-decreasing index
-        array picks, every GOP kept; a repeated index delivers its row
-        twice. A decreasing index array would hand rows to the wrong GOP,
-        so it raises ValueError."""
+        """The block of the rows a boolean mask of one entry per row or a
+        non-decreasing index array picks, every GOP kept; a repeated index
+        delivers its row twice. A mask of another length, an index outside
+        the block or a decreasing index array would hand rows to the wrong
+        GOP or to none, so each raises ValueError."""
+        n = len(self)
         if rows.dtype == bool:
+            if rows.shape != (n,):
+                raise ValueError(f"a mask needs one entry per row, {n}, got shape {rows.shape}")
             rows = np.flatnonzero(rows)
         elif (rows[1:] < rows[:-1]).any():
             raise ValueError(f"index rows must be non-decreasing, got {rows.tolist()}")
+        elif rows.size and (rows[0] < 0 or rows[-1] >= n):
+            raise ValueError(f"index rows must lie in [0, {n}), got {rows[0]}..{rows[-1]}")
         out = object.__new__(PacketBlock)
         out.__dict__.update(
             scheme=self.scheme,
-            gop_ids=self.gop_ids,
             offsets=np.searchsorted(rows, self.offsets),
             depth=self.depth[rows],
             payload=self.payload[rows],
@@ -191,44 +191,39 @@ def decodable_layers_batch(count_rows: np.ndarray, packets_per_layer: int) -> np
 
 
 def encode_gop(
-    grid: LayerGrid,
+    cells: np.ndarray,
     strategy: Sequence[int],
     scheme: str = SCHEME_RLC,
     seed: int | np.random.Generator = 0,
-    coeff_width: Optional[int] = None,
 ) -> PacketBlock:
     """The one-GOP block of strategy[i-1] packets of class i, shallow
-    classes first.
+    classes first, from the GOP's (layer_count, packets_per_layer,
+    payload_size) grid cells.
 
     seed is a seed or a Generator, which np.random.default_rng takes as it
     is, so GOPs encoded one by one from one Generator draw what a block of
-    them does. coeff_width is the RLC coefficient columns per packet:
-    layer_count * packets_per_layer (the default) for packets some decoder
-    reads, or 0 for packets only counted, which draw nothing and carry no
-    payload bytes. This is the one-GOP case of encode_block.
+    them does. This is the one-GOP case of encode_block.
     """
-    rng = np.random.default_rng(seed)
-    return encode_block(grid.cells[None], [grid.gop_id], [strategy], scheme, rng, coeff_width)
+    return encode_block(cells[None], [strategy], scheme, np.random.default_rng(seed))
 
 
 def encode_block(
     cells: np.ndarray,
-    gop_ids: Sequence[int],
     strategies,
     scheme: str,
-    rng: np.random.Generator,
-    coeff_width: Optional[int] = None,
+    rng: Optional[np.random.Generator],
 ) -> PacketBlock:
-    """Encodes GOP gop_ids[k] of a block from its source cells[k] (a
-    (G, layer_count, packets_per_layer, payload_size) stack) under the
-    replica counts strategies[k] (one row per GOP, one column per class),
-    as encode_gop encodes each GOP alone.
+    """Encodes GOP k of a block from its source cells[k] (a (G,
+    layer_count, packets_per_layer, payload_size) stack) under the replica
+    counts strategies[k] (one row per GOP, one column per class), as
+    encode_gop encodes each GOP alone.
 
-    Each RLC row that carries coefficients takes ceil(layer_count *
-    packets_per_layer / 8) raw 64-bit outputs of rng's bit generator, in
-    row order, and keeps their first layer_count * packets_per_layer
-    little-endian bytes, zeroed past its class. The other schemes and
-    coefficient-free packets draw nothing."""
+    Each RLC row takes ceil(layer_count * packets_per_layer / 8) raw 64-bit
+    outputs of rng's bit generator, in row order, and keeps their first
+    layer_count * packets_per_layer little-endian bytes, zeroed past its
+    class. With no rng, RLC packets carry no coefficients, which a decoder
+    needs, so they may carry no payload bytes either. The other schemes
+    draw nothing."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     n_gops, layer_count, per_layer, size = cells.shape
@@ -239,11 +234,6 @@ def encode_block(
         )
     if (counts < 0).any():
         raise ValueError(f"replica counts must be non-negative, got {counts.tolist()}")
-    n_unknowns = layer_count * per_layer
-    if coeff_width is None:
-        coeff_width = n_unknowns
-    if coeff_width not in (0, n_unknowns):
-        raise ValueError(f"coeff_width must be 0 or {n_unknowns}, got {coeff_width}")
     sizes = counts.sum(axis=1)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     runs = counts.ravel()
@@ -266,16 +256,17 @@ def encode_block(
                 cells = np.bitwise_xor.accumulate(cells, axis=1)
             gop = np.repeat(np.arange(n_gops), sizes)
             payload = cells[gop, depth - 1, column]
-        return PacketBlock(scheme, gop_ids, offsets, depth, payload, column=column)
+        return PacketBlock(scheme, offsets, depth, payload, column=column)
 
-    if coeff_width == 0:
+    if rng is None:
         if size:
             raise ValueError("packets without coefficients cannot carry payload bytes")
         empty = np.empty((rows, 0), dtype=np.uint8)
-        return PacketBlock(scheme, gop_ids, offsets, depth, empty, coeffs=empty)
+        return PacketBlock(scheme, offsets, depth, empty, coeffs=empty)
 
     # each row starts on a fresh output, so its bytes do not depend on the
     # rows drawn before it in the same call
+    n_unknowns = layer_count * per_layer
     outputs = -(-n_unknowns // 8)
     raw = rng.bit_generator.random_raw(rows * outputs).astype("<u8", copy=False)
     coeffs = np.ascontiguousarray(raw.view(np.uint8).reshape(rows, 8 * outputs)[:, :n_unknowns])
@@ -290,24 +281,7 @@ def encode_block(
             width = (d + 1) * per_layer
             at = slice(ends[run] - runs[run], ends[run])
             payload[at] = gf_matmul(coeffs[at, :width], data[k, :width])
-    return PacketBlock(scheme, gop_ids, offsets, depth, payload, coeffs=coeffs)
-
-
-def decode_gop(
-    packets: PacketBlock,
-    layer_count: int,
-    packets_per_layer: int,
-    payload_size: int,
-) -> tuple[int, LayerGrid]:
-    """Recovers the deepest layer prefix the packets of a one-GOP block pin
-    down: (recovered_layer_count, grid), with grid cells past the recovered
-    prefix zero. With no packets the result is an all-zero grid. This is
-    the one-GOP case of decode_block.
-    """
-    if packets.gop_ids.size != 1:
-        raise ValueError(f"decode_gop decodes one GOP, got a block of {packets.gop_ids.size}")
-    depths, cells = decode_block(packets, layer_count, packets_per_layer, payload_size)
-    return int(depths[0]), LayerGrid(int(packets.gop_ids[0]), cells[0])
+    return PacketBlock(scheme, offsets, depth, payload, coeffs=coeffs)
 
 
 def decode_block(
@@ -380,7 +354,7 @@ def score_block(block: PacketBlock, layer_count: int, packets_per_layer: int) ->
         _check_cells(block, layer_count, packets_per_layer)
     if block.scheme != SCHEME_RLC:
         return _cell_cover(block, layer_count, packets_per_layer)[1]
-    n_gops = block.gop_ids.size
+    n_gops = block.offsets.size - 1
     gop = np.repeat(np.arange(n_gops), block.sizes)
     counts = np.bincount(gop * layer_count + block.depth - 1, minlength=n_gops * layer_count)
     return decodable_layers_batch(counts.reshape(n_gops, layer_count), packets_per_layer)
@@ -398,7 +372,7 @@ def covered_depth(seen: np.ndarray):
 def _cell_cover(block, layer_count, packets_per_layer):
     """The flat (GOP, depth, column) cell of each packet of a checked xor
     or repeat block, and the depth the cells that arrived cover, per GOP."""
-    shape = (block.gop_ids.size, layer_count, packets_per_layer)
+    shape = (block.offsets.size - 1, layer_count, packets_per_layer)
     gop = np.repeat(np.arange(shape[0]), block.sizes)
     key = (gop * layer_count + block.depth - 1) * packets_per_layer + block.column
     seen = np.zeros(np.prod(shape), dtype=bool)
@@ -408,7 +382,7 @@ def _cell_cover(block, layer_count, packets_per_layer):
 
 def _decode_columns(block, layer_count, packets_per_layer, payload_size):
     """Depths (G,) and cells (G, L, P, s) of a checked xor or repeat block."""
-    shape = (block.gop_ids.size, layer_count, packets_per_layer)
+    shape = (block.offsets.size - 1, layer_count, packets_per_layer)
     key, depths = _cell_cover(block, layer_count, packets_per_layer)
     # the first packet of each (GOP, depth, column) cell supplies that cell
     keys, first = np.unique(key, return_index=True)
@@ -426,7 +400,7 @@ def _decode_rlc(block, layer_count, packets_per_layer, payload_size):
     """Depths (G,) and cells (G, L, P, s) of a checked RLC block, its
     non-empty GOPs eliminated in zero-padded stacks of DECODE_STACK_BYTES
     at most, in GOP order."""
-    n_gops = block.gop_ids.size
+    n_gops = block.offsets.size - 1
     depths = np.zeros(n_gops, dtype=np.intp)
     cells = np.zeros((n_gops, layer_count, packets_per_layer, payload_size), dtype=np.uint8)
     sizes = block.sizes

@@ -1,49 +1,18 @@
-"""Layered media containers.
+"""Layered media sources.
 
-A group of pictures (GOP) is a dense byte grid of shape (layer_count,
+A group of pictures (GOP) is a dense uint8 grid of shape (layer_count,
 packets_per_layer, payload_size): row 0 is the base layer, each later row
 refines the ones before it, and a layer is only useful when every layer
-below it is available as well. A payload size of 0 gives a grid with its
+below it is available as well. A block of GOPs is a (G, layer_count,
+packets_per_layer, payload_size) stack of grids, and a GOP's number is its
+place in the caller's arrays. A payload size of 0 gives grids with their
 layers and packets but no bytes, which is all a run that never checks the
 decoded bytes needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LayerGrid:
-    """One GOP worth of source packets. Treated as immutable after creation."""
-
-    gop_id: int
-    cells: np.ndarray
-
-    def __post_init__(self):
-        cells = np.ascontiguousarray(self.cells, dtype=np.uint8).copy()
-        if cells.ndim != 3:
-            raise ValueError(f"cells must have 3 axes, got shape {cells.shape}")
-        if min(cells.shape[:2]) < 1:
-            raise ValueError(f"layer and packet axes must be positive, got shape {cells.shape}")
-        if self.gop_id < 0:
-            raise ValueError(f"gop_id must be non-negative, got {self.gop_id}")
-        cells.flags.writeable = False
-        object.__setattr__(self, "cells", cells)
-
-    @property
-    def layer_count(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def packets_per_layer(self) -> int:
-        return self.cells.shape[1]
-
-    @property
-    def payload_size(self) -> int:
-        return self.cells.shape[2]
 
 
 def make_synthetic_gop(
@@ -52,12 +21,12 @@ def make_synthetic_gop(
     packets_per_layer: int,
     payload_size: int,
     seed: int = 0,
-) -> LayerGrid:
-    """Deterministic pseudo-random grid; a pure function of its arguments.
-    A payload size of 0 gives the empty grid and draws nothing. This is the
+) -> np.ndarray:
+    """The deterministic pseudo-random (layer_count, packets_per_layer,
+    payload_size) grid of GOP gop_id; a pure function of its arguments. A
+    payload size of 0 gives the empty grid and draws nothing. This is the
     one-GOP case of make_synthetic_cells."""
-    cells = make_synthetic_cells([gop_id], layer_count, packets_per_layer, payload_size, seed)
-    return LayerGrid(gop_id, cells[0])
+    return make_synthetic_cells([gop_id], layer_count, packets_per_layer, payload_size, seed)[0]
 
 
 def make_synthetic_cells(
@@ -67,8 +36,9 @@ def make_synthetic_cells(
     payload_size: int,
     seed: int = 0,
 ) -> np.ndarray:
-    """The cells of make_synthetic_gop for each GOP id, stacked into one
-    (G, layer_count, packets_per_layer, payload_size) array."""
+    """The grid of each GOP id, stacked into one (G, layer_count,
+    packets_per_layer, payload_size) array; GOP g's grid depends only on g,
+    the shape and the seed."""
     if seed < 0 or (np.asarray(gop_ids) < 0).any():
         raise ValueError("gop_id and seed must be non-negative")
     for name, value in (("layer_count", layer_count), ("packets_per_layer", packets_per_layer)):

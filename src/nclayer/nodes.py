@@ -11,16 +11,17 @@ force at each GOP. A forwarding relay passes whatever arrives, and the
 receiver scores what reaches it with codec.score_block, so neither has a
 state or a step here. Each step takes a block of GOPs, and the packets of
 a block travel as one PacketBlock; a block of one GOP is the GOP-by-GOP
-case. An encoder draws its RLC coefficients from its own generator, which
-run() spawns from the run's seed. An RLC encoder with no decoder downstream
-sends coefficient-free packets, since the count rule reads only their
-classes, and draws nothing.
+case, and a GOP's number is its place in the caller's arrays. An RLC
+encoder draws its coefficients from its own generator, which run() spawns
+from the run's seed. An encoder with no decoder downstream gets no
+generator: it sends coefficient-free packets, since the count rule reads
+only their classes, and draws nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -49,13 +50,14 @@ def _check_estimates(estimates) -> np.ndarray:
 @dataclass
 class Encoder:
     """The sender or a re-encoding relay: it picks each GOP's replica
-    allocation from a strategy table or a threshold policy and encodes."""
+    allocation from a strategy table or a threshold policy and encodes,
+    drawing RLC coefficients from rng, or sending coefficient-free packets
+    when rng is None."""
 
     scheme: str
-    rng: np.random.Generator
+    rng: Optional[np.random.Generator]
     table: Optional[StrategyTable] = None
     policy: Optional[ThresholdPolicy] = None
-    coeff_width: Optional[int] = None
 
     def __post_init__(self):
         if (self.table is None) == (self.policy is None):
@@ -68,12 +70,11 @@ class Encoder:
         return self.policy.budget if self.table is None else self.table.budget
 
 
-def encoder_block(
-    state: Encoder, cells: np.ndarray, gop_ids: Sequence[int], estimates, depths
-) -> PacketBlock:
-    """Encodes a block of GOPs, GOP gop_ids[k] from the first depths[k]
-    layers of its cells[k], under the strategy that estimates[k], the
-    delivery estimate in force at GOP k, selects.
+def encoder_block(state: Encoder, cells: np.ndarray, estimates, depths) -> PacketBlock:
+    """Encodes a block of GOPs, GOP k from the first depths[k] layers of
+    its cells[k], under the strategy that estimates[k], the delivery
+    estimate in force at GOP k, selects; estimates and depths hold one
+    entry per GOP of cells, or it raises ValueError.
 
     A table encoder takes the bin's best strategy among those that leave
     every class deeper than depths[k] empty; at full depth that is the
@@ -82,6 +83,12 @@ def encoder_block(
     """
     estimates = _check_estimates(estimates)
     depths = np.asarray(depths)
+    n_gops = cells.shape[0]
+    if estimates.shape != (n_gops,) or depths.shape != (n_gops,):
+        raise ValueError(
+            f"need one estimate and one depth per GOP of {n_gops}, got shapes "
+            f"{estimates.shape} and {depths.shape}"
+        )
     if state.table is not None:
         table = state.table
         index = table.restricted_index[
@@ -93,4 +100,4 @@ def encoder_block(
         index = np.searchsorted(state.policy.breakpoints, estimates, side="right")
         strategies = np.asarray(state.policy.strategies, dtype=np.int64)[index]
     strategies = np.where((depths > 0)[:, None], strategies, 0)
-    return encode_block(cells, gop_ids, strategies, state.scheme, state.rng, state.coeff_width)
+    return encode_block(cells, strategies, state.scheme, state.rng)

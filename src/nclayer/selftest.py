@@ -12,9 +12,9 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import SCHEME_RLC, SCHEME_XOR, decode_block, decode_gop, encode_block, encode_gop
+from .codec import SCHEME_RLC, SCHEME_XOR, decode_block, encode_block, encode_gop
 from .gf256 import INV_TABLE, MUL_TABLE, _mul_slow
-from .media import make_synthetic_gop
+from .media import make_synthetic_cells, make_synthetic_gop
 from .simulator import ChainConfig, run
 from .spt import brute_force_decoded_layers, build_table, enumerate_strategies, expected_decoded_layers
 
@@ -108,12 +108,12 @@ def check_codec_roundtrip() -> CheckResult:
     grid = make_synthetic_gop(0, 3, 2, 16, seed=7)
     for scheme, seed in ((SCHEME_XOR, 0), (SCHEME_RLC, 1)):
         packets = encode_gop(grid, (2, 2, 2), scheme, seed=seed)
-        decoded, recovered = decode_gop(packets, 3, 2, 16)
+        (decoded,), (recovered,) = decode_block(packets, 3, 2, 16)
         if decoded != 3:
             return CheckResult(
                 "codec-roundtrip", False, f"{scheme}: decoded {decoded} of 3 layers"
             )
-        if not np.array_equal(recovered.cells, grid.cells):
+        if not np.array_equal(recovered, grid):
             return CheckResult(
                 "codec-roundtrip", False, f"{scheme}: recovered payload differs"
             )
@@ -126,7 +126,7 @@ def check_stacked_decode() -> CheckResult:
     GOP's one-GOP decode, encoded one by one from a generator with the same
     seed, and against its source bytes."""
     rng = np.random.default_rng(11)
-    grids = [make_synthetic_gop(g, 3, 4, 16, seed=11) for g in range(8)]
+    grids = make_synthetic_cells(range(8), 3, 4, 16, seed=11)
     strategy = (6, 5, 5)
     one_by_one = np.random.default_rng(12)
     alone, rows = [], []
@@ -139,10 +139,7 @@ def check_stacked_decode() -> CheckResult:
             kept = np.array([0, 0, 1, 1, 1])
         alone.append(encode_gop(grid, strategy, SCHEME_RLC, one_by_one).select(kept))
         rows.append(g * sum(strategy) + kept)
-    cells = np.stack([grid.cells for grid in grids])
-    block = encode_block(
-        cells, range(len(grids)), [strategy] * len(grids), SCHEME_RLC, np.random.default_rng(12)
-    )
+    block = encode_block(grids, [strategy] * len(grids), SCHEME_RLC, np.random.default_rng(12))
     picked = block.select(np.concatenate(rows))
     if not np.array_equal(picked.coeffs, np.concatenate([packets.coeffs for packets in alone])):
         return CheckResult(
@@ -150,12 +147,12 @@ def check_stacked_decode() -> CheckResult:
         )
     depths, recovered = decode_block(picked, 3, 4, 16)
     for g, (packets, grid) in enumerate(zip(alone, grids)):
-        alone_depth, alone_grid = decode_gop(packets, 3, 4, 16)
-        if depths[g] != alone_depth or not np.array_equal(recovered[g], alone_grid.cells):
+        (alone_depth,), (alone_grid,) = decode_block(packets, 3, 4, 16)
+        if depths[g] != alone_depth or not np.array_equal(recovered[g], alone_grid):
             return CheckResult(
                 "stacked-decode", False, f"GOP {g}: block decode differs from its one-GOP decode"
             )
-        if not np.array_equal(recovered[g, : depths[g]], grid.cells[: depths[g]]):
+        if not np.array_equal(recovered[g, : depths[g]], grid[: depths[g]]):
             return CheckResult("stacked-decode", False, f"GOP {g}: recovered bytes differ")
     if depths[2] != 0 or depths[5] != 0:
         return CheckResult(
@@ -169,8 +166,8 @@ def check_stacked_decode() -> CheckResult:
 
 def check_payload_free_twin() -> CheckResult:
     """A run without verify_payloads carries zero-width payloads, and
-    zero-width coefficients past the last decoder (here the relay's
-    re-encode); its scores must equal those of the same run carrying and
+    encoders past the last decoder (here the relay) draw no coefficients
+    and send zero-width ones; its scores must equal those of the same run carrying and
     checking real bytes and coefficients."""
     config = ChainConfig(
         link_pdrs=(0.6, 0.5),

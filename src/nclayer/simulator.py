@@ -20,7 +20,8 @@ GOP its block decode recovered a layer of), so each link of the segment
 makes one draw for the block, covering each GOP's probes and then its
 packets, GOP by GOP. The probe estimates, strategy selection, encoding,
 per-hop delays and receiver scoring then run on the block, whose packets
-travel as one PacketBlock. A re-encoding relay, and a verifying receiver,
+travel as one PacketBlock; a GOP is its row in the block's arrays, and
+run() alone knows its number. A re-encoding relay, and a verifying receiver,
 decode all of a block's GOPs in one decode_block call, which reduces their
 RLC systems in gf_rref stacks of at most codec.DECODE_STACK_BYTES, so the
 block size sets how often each step runs and the stack bound alone sets the
@@ -32,14 +33,14 @@ nodes hold no run state. Seeded results are those of a
 GOP-by-GOP loop whatever the block size: every link belongs to one
 segment and draws its probes and packets of GOP g before those of g+1;
 the sender and each re-encoding relay draw the coefficients of the rows
-they encode, in GOP order; decoding draws nothing; and each GOP's delay
-is summed in hop order.
+they encode, in GOP order, from their own generator, and one past the last
+decoder is given none and draws nothing; decoding draws nothing; and each
+GOP's delay is summed in hop order.
 """
 
 from __future__ import annotations
 
 import re
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -208,7 +209,6 @@ class RunMetrics:
     total_delay: float
     per_gop_decoded: list[int] = field(repr=False, default_factory=list)
     per_gop_delay: list[float] = field(repr=False, default_factory=list)
-    table_build_seconds: float = 0.0
     seed: int = 0
     # With verify_payloads: GOPs whose real decode fell short of the count
     # score, and GOPs whose decoded bytes differ from the source.
@@ -288,24 +288,21 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     width = config.payload_size if config.verify_payloads else 0
     # RLC coefficients are read only by a later re-encoding relay or a
     # verifying receiver (position n_relays), so encoders past the last
-    # decoder send none; the sender is position -1.
+    # decoder get no generator and send none; the sender is position -1.
+    # Every generator is spawned all the same, so none moves another's draws.
     sender_segment, relay_segments = _segments(config)
     last_decoder = n_relays if config.verify_payloads else max(relay_segments, default=-1)
-    full = config.layer_count * config.packets_per_layer
 
-    def coeff_width(position: int) -> int:
-        return full if position < last_decoder else 0
+    def encoder_rng(position: int, child) -> Optional[np.random.Generator]:
+        return np.random.default_rng(child) if position < last_decoder else None
 
-    build_seconds = 0.0
     if config.needs_table and table is None:
-        start = time.perf_counter()
         table = build_table(
             budget=config.budget,
             layer_count=config.layer_count,
             packets_per_layer=config.packets_per_layer,
             granularity=config.granularity,
         )
-        build_seconds = time.perf_counter() - start
 
     # each link is its own generator; the delivery probability in force on
     # each link, which the schedule changes, is run()'s to keep
@@ -320,12 +317,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         selector = {"table": table}
     else:
         selector = {"policy": builtin_policy(config.heuristic_set)}
-    sender = Encoder(
-        scheme=config.scheme,
-        coeff_width=coeff_width(-1),
-        rng=np.random.default_rng(sender_child),
-        **selector,
-    )
+    sender = Encoder(scheme=config.scheme, rng=encoder_rng(-1, sender_child), **selector)
 
     # stable, so changes at one GOP keep their config order
     schedule = sorted(config.pdr_schedule, key=itemgetter(0))
@@ -337,8 +329,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             Encoder(
                 scheme=config.scheme,
                 table=table,
-                coeff_width=coeff_width(position),
-                rng=np.random.default_rng(relay_children[position]),
+                rng=encoder_rng(position, relay_children[position]),
             ),
             segment,
         )
@@ -382,7 +373,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                 latest >= 0, alive[latest] / config.probe_count, held_estimates[index]
             )
             held_estimates[index] = float(estimates[-1])
-            block = encoder_block(encoder, source, gops, estimates, held)
+            block = encoder_block(encoder, source, estimates, held)
             if not np.array_equal(block.sizes, sending):
                 raise RuntimeError(
                     f"an encoder sent {block.sizes.tolist()} packets per GOP, "
@@ -432,7 +423,6 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         total_delay=sum(per_gop_delay) + build_charge,
         per_gop_decoded=per_gop_decoded,
         per_gop_delay=per_gop_delay,
-        table_build_seconds=build_seconds,
         seed=config.seed,
         prediction_gaps=prediction_gaps,
         payload_errors=payload_errors,
@@ -447,18 +437,11 @@ _MODE_PATTERNS = (
 )
 
 
-@dataclass(frozen=True)
-class ResolvedMode:
-    label: str
-    hop_count: int
-    relay_modes: tuple[str, ...]
-    selection: str
-    heuristic_set: int
-    scheme: str
-
-
-def resolve_mode(mode: str, base: ChainConfig) -> ResolvedMode:
-    """Maps a sweep mode label onto chain shape and selection scheme.
+def resolve_mode(mode: str, base: ChainConfig) -> ChainConfig:
+    """The config of a sweep mode label: base with the mode's chain shape,
+    selection and scheme, labelled with the mode. A chain of another hop
+    count than base's takes base's first link delivery on every link and
+    the default link delays.
 
     NoNC<k>    uncoded baseline (the repeat scheme) over k hops
     NC<k>      table-driven sender over k hops, relays forward (same as -E2E)
@@ -467,53 +450,43 @@ def resolve_mode(mode: str, base: ChainConfig) -> ResolvedMode:
     spt        table-driven sender on the base chain shape
     """
     text = mode.strip().lower()
-    m = _MODE_PATTERNS[0].match(text)
+    hops = base.hop_count
+    relay_modes = base.relay_modes
+    selection, heuristic_set, scheme = "spt", base.heuristic_set, base.scheme
+    m = _MODE_PATTERNS[0].match(text) or _MODE_PATTERNS[1].match(text)
     if m:
         hops = int(m.group(1))
         if hops < 1:
             raise ValueError(f"mode {mode!r} needs at least one hop")
-        return ResolvedMode(
-            mode.strip(), hops, (MODE_FORWARD,) * (hops - 1), "spt", base.heuristic_set,
-            SCHEME_REPEAT,
-        )
-    m = _MODE_PATTERNS[1].match(text)
-    if m:
-        hops = int(m.group(1))
-        if hops < 1:
-            raise ValueError(f"mode {mode!r} needs at least one hop")
-        flavour = m.group(2)
-        count_text = m.group(3)
-        if flavour == "hbh":
-            n_nc = hops - 1 if not count_text else int(count_text)
+        n_nc = 0
+        if m.re is _MODE_PATTERNS[0]:
+            scheme = SCHEME_REPEAT
+        elif m.group(2) == "hbh":
+            n_nc = hops - 1 if not m.group(3) else int(m.group(3))
             if n_nc > hops - 1:
                 raise ValueError(
                     f"mode {mode!r} asks for {n_nc} re-encoding relays, "
                     f"chain only has {hops - 1}"
                 )
-            modes = tuple(
-                MODE_NC if i < n_nc else MODE_FORWARD for i in range(hops - 1)
-            )
-        else:
-            modes = (MODE_FORWARD,) * (hops - 1)
-        return ResolvedMode(mode.strip(), hops, modes, "spt", base.heuristic_set, base.scheme)
-    m = _MODE_PATTERNS[2].match(text)
-    if m:
-        return ResolvedMode(
-            mode.strip(),
-            base.hop_count,
-            base.relay_modes,
-            "heuristic",
-            int(m.group(1)),
-            base.scheme,
+        relay_modes = tuple(MODE_NC if i < n_nc else MODE_FORWARD for i in range(hops - 1))
+    elif m := _MODE_PATTERNS[2].match(text):
+        selection, heuristic_set = "heuristic", int(m.group(1))
+    elif not _MODE_PATTERNS[3].match(text):
+        raise ValueError(
+            f"unknown sweep mode {mode!r}; expected NoNC<k>, NC<k>[-E2E|-HBH[<m>]], "
+            f"heuristic-<set>, or spt"
         )
-    if _MODE_PATTERNS[3].match(text):
-        return ResolvedMode(
-            mode.strip(), base.hop_count, base.relay_modes, "spt", base.heuristic_set,
-            base.scheme,
-        )
-    raise ValueError(
-        f"unknown sweep mode {mode!r}; expected NoNC<k>, NC<k>[-E2E|-HBH[<m>]], "
-        f"heuristic-<set>, or spt"
+    shape = {}
+    if hops != base.hop_count:
+        shape = {"link_pdrs": (base.link_pdrs[0],) * hops, "link_delays": ()}
+    return replace(
+        base,
+        relay_modes=relay_modes,
+        selection=selection,
+        heuristic_set=heuristic_set,
+        scheme=scheme,
+        label=mode.strip(),
+        **shape,
     )
 
 
@@ -543,7 +516,7 @@ def sweep(
 
     resolved = [resolve_mode(m, base) for m in modes]
     shared_table: Optional[StrategyTable] = None
-    if any(r.scheme != SCHEME_REPEAT for r in resolved):
+    if any(cfg.needs_table for cfg in resolved):
         shared_table = build_table(
             budget=base.budget,
             layer_count=base.layer_count,
@@ -553,20 +526,16 @@ def sweep(
 
     tasks = []
     for grid_index, p in enumerate(pdr_grid):
-        for mode_index, rm in enumerate(resolved):
+        for mode_index, cfg in enumerate(resolved):
             for rep in range(reps):
-                cfg = replace(
-                    base,
-                    link_pdrs=(float(p),) * rm.hop_count,
-                    relay_modes=rm.relay_modes,
-                    link_delays=(),
-                    selection=rm.selection,
-                    heuristic_set=rm.heuristic_set,
-                    scheme=rm.scheme,
-                    seed=_task_seed(base.seed, grid_index, mode_index, rep),
-                    label=rm.label,
+                tasks.append(
+                    replace(
+                        cfg,
+                        link_pdrs=(float(p),) * cfg.hop_count,
+                        link_delays=(),
+                        seed=_task_seed(base.seed, grid_index, mode_index, rep),
+                    )
                 )
-                tasks.append(cfg)
 
     def _execute(cfg):
         return metrics_row(run(cfg, table=shared_table))

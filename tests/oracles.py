@@ -3,11 +3,11 @@
 Except for reference_run, nothing here imports from the package's
 arithmetic or decode logic; each oracle recomputes its answer by a
 structurally different method so that agreement is evidence rather than
-tautology. reference_run drives the package's one-GOP codec, with the
-scalar table and policy lookups below, through the GOP-by-GOP loop, so it
-checks how run() carries GOPs, not the codec; each of its encoders hands
-its own generator to encode_gop GOP by GOP, so the block pass must draw
-the same coefficients in the same order.
+tautology. reference_run drives the package's codec one GOP at a time,
+with the scalar table and policy lookups below, through the GOP-by-GOP
+loop, so it checks how run() carries GOPs, not the codec; each of its
+encoders hands its own generator to encode_block GOP by GOP, so the block
+pass must draw the same coefficients in the same order.
 """
 
 import math
@@ -358,21 +358,21 @@ def reference_run(config, table=None):
     relay's, in hop order: probe the segment's links, select and encode,
     then send the packets across the segment link by link. A link draws once
     per GOP for the probes that reach it and once for the packets, each
-    encoder hands its own generator to encode_gop for every GOP it encodes,
+    encoder hands its own generator to encode_block for every GOP it encodes,
     and relays decode and the receiver scores GOP by GOP. The block pass of
     run() must return the same metrics and leave every link's generator, and
     the sender's and every re-encoding relay's, in the same state; for that
     check the metrics come with the link generators, in hop order, and the
     encoder generators, the sender's first and then the re-encoding relays'
-    in hop order.
+    in hop order, None for an encoder past the last decoder.
     """
     from nclayer.codec import (
         SCHEME_REPEAT,
         SCHEME_RLC,
         covered_depth,
         decodable_layers,
-        decode_gop,
-        encode_gop,
+        decode_block,
+        encode_block,
     )
     from nclayer.heuristic import builtin_policy
     from nclayer.media import make_synthetic_gop
@@ -384,9 +384,8 @@ def reference_run(config, table=None):
     children = np.random.SeedSequence(config.seed).spawn(hops + n_relays + 2)
     link_children = children[:hops]
     relay_children = children[hops : hops + n_relays]
-    sender_rng = np.random.default_rng(children[hops + n_relays])
+    sender_child = children[hops + n_relays]
     grid_seed = int(children[hops + n_relays + 1].generate_state(1)[0])
-    relay_rngs = [np.random.default_rng(child) for child in relay_children]
 
     repeat = config.scheme == SCHEME_REPEAT
     width = config.payload_size if config.verify_payloads else 0
@@ -397,8 +396,15 @@ def reference_run(config, table=None):
     encoders = [-1] + nc
     last_decoder = n_relays if config.verify_payloads else max(nc, default=-1)
 
-    def coeff_width(position):
-        return L * P if position < last_decoder else 0
+    # each encoder's generator, the sender's first; an encoder past the last
+    # decoder gets none and sends coefficient-free packets
+    encoder_rngs = {
+        position: np.random.default_rng(child) if position < last_decoder else None
+        for position, child in zip(encoders, [sender_child] + [relay_children[i] for i in nc])
+    }
+
+    def encode(cells, strategy, position):
+        return encode_block(cells[None], [strategy], config.scheme, encoder_rngs[position])
 
     if table is None and (nc or (config.selection == "spt" and not repeat)):
         table = build_table(
@@ -453,12 +459,10 @@ def reference_run(config, table=None):
                         sender_strategy = select_best(table, sender_estimate)
                     else:
                         sender_strategy = select_strategy(policy, sender_estimate)
-                current = encode_gop(
-                    grid, sender_strategy, config.scheme, sender_rng, coeff_width(-1)
-                )
+                current = encode(grid, sender_strategy, position)
                 sent_total += len(current)
             elif len(current):
-                depth, decoded = decode_gop(current, L, P, width)
+                (depth,), (decoded,) = decode_block(current, L, P, width)
                 strategy = None
                 if depth == L:
                     # a relay holding every layer picks as the sender does
@@ -469,13 +473,7 @@ def reference_run(config, table=None):
                 if strategy is None:
                     current = current.select(np.arange(0))
                 else:
-                    current = encode_gop(
-                        decoded,
-                        strategy,
-                        config.scheme,
-                        relay_rngs[position],
-                        coeff_width(position),
-                    )
+                    current = encode(decoded, strategy, position)
             for hop in segment:
                 delay += len(current) * delays[hop]
                 if len(current):
@@ -493,9 +491,9 @@ def reference_run(config, table=None):
             seen[current.depth.astype(np.intp) - 1, current.column] = True
             score = int(covered_depth(seen))
         if config.verify_payloads and len(current):
-            actual, decoded = decode_gop(current, L, P, width)
+            (actual,), (decoded,) = decode_block(current, L, P, width)
             gaps += actual < score
-            if actual and not np.array_equal(decoded.cells[:actual], grid.cells[:actual]):
+            if actual and not np.array_equal(decoded[:actual], grid[:actual]):
                 errors += 1
         per_gop_decoded.append(score)
         per_gop_delay.append(delay)
@@ -520,4 +518,4 @@ def reference_run(config, table=None):
         prediction_gaps=gaps,
         payload_errors=errors,
     )
-    return metrics, rngs, [sender_rng] + [relay_rngs[i] for i in nc]
+    return metrics, rngs, list(encoder_rngs.values())

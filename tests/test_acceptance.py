@@ -12,7 +12,7 @@ from nclayer.codec import (
     SCHEME_RLC,
     SCHEME_XOR,
     decodable_layers,
-    decode_gop,
+    decode_block,
     encode_gop,
 )
 from nclayer.heuristic import builtin_policy
@@ -115,8 +115,8 @@ def test_c05_codec_round_trip():
         if decodable_layers(counts, 8) < 4:
             continue
         full_predicted += 1
-        decoded, recovered = decode_gop(kept, 4, 8, 64)
-        if decoded == 4 and np.array_equal(recovered.cells, grid.cells):
+        (decoded,), (recovered,) = decode_block(kept, 4, 8, 64)
+        if decoded == 4 and np.array_equal(recovered, grid):
             full_recovered += 1
     assert full_predicted > 200
     rate = full_recovered / full_predicted
@@ -132,9 +132,9 @@ def test_c05_codec_round_trip():
         ):
             continue
         covered += 1
-        decoded, recovered = decode_gop(kept, 4, 8, 64)
+        (decoded,), (recovered,) = decode_block(kept, 4, 8, 64)
         assert decoded == 4
-        assert np.array_equal(recovered.cells, grid.cells)
+        assert np.array_equal(recovered, grid)
     assert covered > 200
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -18,7 +18,6 @@ from nclayer.codec import (
     decodable_layers,
     decodable_layers_batch,
     decode_block,
-    decode_gop,
     encode_block,
     encode_gop,
 )
@@ -86,7 +85,7 @@ def test_encode_counts_and_classes():
     strategy = (3, 0, 2, 1)
     packets = encode_gop(grid, strategy, SCHEME_RLC, seed=1)
     assert len(packets) == 6
-    assert packets.gop_ids.tolist() == [0] and packets.offsets.tolist() == [0, 6]
+    assert packets.offsets.tolist() == [0, 6]
     assert packets.scheme == SCHEME_RLC
     assert tuple(np.bincount(packets.depth, minlength=5)[1:]) == strategy
     # shallow classes come first
@@ -104,13 +103,13 @@ def test_xor_packets_cycle_columns():
     assert packets.column.tolist() == [0, 1, 2, 0, 1]
     assert packets.coeffs is None
     # class-1 xor packets are the raw base-layer cells
-    assert np.array_equal(packets.payload, grid.cells[0, packets.column])
+    assert np.array_equal(packets.payload, grid[0, packets.column])
 
 
 def test_xor_payload_is_column_xor():
     grid = make_synthetic_gop(1, 3, 2, 8)
     packets = encode_gop(grid, (0, 0, 2), SCHEME_XOR, seed=0)
-    want = grid.cells[0, 0] ^ grid.cells[1, 0] ^ grid.cells[2, 0]
+    want = grid[0, 0] ^ grid[1, 0] ^ grid[2, 0]
     assert np.array_equal(packets.payload[0], want)
 
 
@@ -118,18 +117,18 @@ def test_xor_round_trip_full_coverage():
     grid = make_synthetic_gop(2, 4, 2, 8)
     # two packets per class covers every (depth, column) cell
     packets = encode_gop(grid, (2, 2, 2, 2), SCHEME_XOR, seed=0)
-    decoded, recovered = decode_gop(packets, 4, 2, 8)
+    (decoded,), (recovered,) = decode_block(packets, 4, 2, 8)
     assert decoded == 4
-    assert np.array_equal(recovered.cells, grid.cells)
+    assert np.array_equal(recovered, grid)
 
 
 def test_xor_partial_prefix():
     grid = make_synthetic_gop(0, 4, 2, 8)
     packets = encode_gop(grid, (2, 2, 0, 0), SCHEME_XOR, seed=0)
-    decoded, recovered = decode_gop(packets, 4, 2, 8)
+    (decoded,), (recovered,) = decode_block(packets, 4, 2, 8)
     assert decoded == 2
-    assert np.array_equal(recovered.cells[:2], grid.cells[:2])
-    assert not recovered.cells[2:].any()
+    assert np.array_equal(recovered[:2], grid[:2])
+    assert not recovered[2:].any()
 
 
 def test_repeat_sends_runs_of_raw_cells():
@@ -139,24 +138,24 @@ def test_repeat_sends_runs_of_raw_cells():
     source = (packets.depth.astype(int) - 1) * 4 + packets.column
     assert source.tolist() == np.repeat(np.arange(12), 2).tolist()
     assert packets.coeffs is None
-    assert np.array_equal(packets.payload, grid.cells[packets.depth - 1, packets.column])
-    decoded, recovered = decode_gop(packets.select(np.arange(1, len(packets), 2)), 3, 4, 8)
+    assert np.array_equal(packets.payload, grid[packets.depth - 1, packets.column])
+    (decoded,), (recovered,) = decode_block(packets.select(np.arange(1, len(packets), 2)), 3, 4, 8)
     assert decoded == 3
-    assert np.array_equal(recovered.cells, grid.cells)
+    assert np.array_equal(recovered, grid)
     # a lost cell of layer 2 stops the prefix there, with no peeling
     lost = packets.select(~np.isin(source, [5]))
-    decoded, recovered = decode_gop(lost, 3, 4, 8)
+    (decoded,), (recovered,) = decode_block(lost, 3, 4, 8)
     assert decoded == 1
-    assert np.array_equal(recovered.cells[0], grid.cells[0])
-    assert not recovered.cells[1:].any()
+    assert np.array_equal(recovered[0], grid[0])
+    assert not recovered[1:].any()
 
 
 def test_rlc_round_trip_full_budget():
     grid = make_synthetic_gop(7, 4, 8, 64)
     packets = encode_gop(grid, (40, 8, 8, 8), SCHEME_RLC, seed=1)
-    decoded, recovered = decode_gop(packets, 4, 8, 64)
+    (decoded,), (recovered,) = decode_block(packets, 4, 8, 64)
     assert decoded == 4
-    assert np.array_equal(recovered.cells, grid.cells)
+    assert np.array_equal(recovered, grid)
 
 
 def test_rlc_decode_never_exceeds_count_prediction():
@@ -169,35 +168,27 @@ def test_rlc_decode_never_exceeds_count_prediction():
         kept = packets.select(rng.random(len(packets)) < 0.7)
         counts = np.bincount(kept.depth, minlength=4)[1:]
         predicted = decodable_layers(counts, 2)
-        decoded, recovered = decode_gop(kept, 3, 2, 8)
+        (decoded,), (recovered,) = decode_block(kept, 3, 2, 8)
         assert decoded <= predicted
         if decoded == predicted:
             hits += 1
-        assert np.array_equal(recovered.cells[:decoded], grid.cells[:decoded])
+        assert np.array_equal(recovered[:decoded], grid[:decoded])
     # random coefficients may be singular, but only rarely
     assert hits >= 0.9 * trials
 
 
 def test_decode_empty_input():
     packets = encode_gop(make_synthetic_gop(3, 3, 2, 8), (2, 2, 2), SCHEME_RLC, seed=0)
-    decoded, recovered = decode_gop(packets.select(np.zeros(len(packets), bool)), 3, 2, 8)
+    (decoded,), (recovered,) = decode_block(packets.select(np.zeros(len(packets), bool)), 3, 2, 8)
     assert decoded == 0
-    assert recovered.gop_id == 3
-    assert not recovered.cells.any()
-
-
-def test_decode_rejects_mixed_gops():
-    cells = make_synthetic_cells([0, 1], 2, 2, 4)
-    both = encode_block(cells, [0, 1], [(2, 2), (2, 2)], SCHEME_RLC, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="one GOP"):
-        decode_gop(both, 2, 2, 4)
+    assert not recovered.any()
 
 
 def test_decode_rejects_overdeep_class():
     grid = make_synthetic_gop(0, 3, 2, 4)
     packets = encode_gop(grid, (0, 0, 6), SCHEME_RLC, seed=0)
     with pytest.raises(ValueError):
-        decode_gop(packets, 2, 2, 4)
+        decode_block(packets, 2, 2, 4)
 
 
 def test_encode_rejects_bad_strategy():
@@ -212,25 +203,18 @@ def test_encode_rejects_bad_strategy():
 
 def test_coefficient_free_rlc_draws_nothing():
     # packets no decoder reads keep their classes and carry zero columns
+    # packets no decoder reads come from no generator, keep their classes
+    # and carry zero columns
     grid = make_synthetic_gop(0, 3, 2, 0)
     full = encode_gop(grid, (3, 0, 2), SCHEME_RLC, seed=5)
-    bare = encode_gop(grid, (3, 0, 2), SCHEME_RLC, 5, 0)
-    other_seed = encode_gop(grid, (3, 0, 2), SCHEME_RLC, 6, 0)
+    bare = encode_block(grid[None], [(3, 0, 2)], SCHEME_RLC, None)
     assert full.coeffs.shape == (5, 6)
     assert bare.coeffs.shape == bare.payload.shape == (5, 0)
-    assert bare.depth.tolist() == full.depth.tolist() == other_seed.depth.tolist()
-    assert np.array_equal(
-        encode_gop(grid, (3, 0, 2), SCHEME_RLC, 5, 6).coeffs, full.coeffs
-    )
+    assert bare.depth.tolist() == full.depth.tolist()
     with pytest.raises(ValueError, match="coefficients"):
-        decode_gop(bare, 3, 2, 0)
-
-
-def test_encode_rejects_bad_coefficient_width():
-    with pytest.raises(ValueError, match="coeff_width"):
-        encode_gop(make_synthetic_gop(0, 3, 2, 0), (2, 2, 2), SCHEME_RLC, 0, 3)
+        decode_block(bare, 3, 2, 0)
     with pytest.raises(ValueError, match="payload bytes"):
-        encode_gop(make_synthetic_gop(0, 3, 2, 8), (2, 2, 2), SCHEME_RLC, 0, 0)
+        encode_block(make_synthetic_cells([0], 3, 2, 8), [(2, 2, 2)], SCHEME_RLC, None)
 
 
 def test_encode_is_deterministic_per_seed():
@@ -247,12 +231,12 @@ def test_reencoded_packets_decode():
     # decode a partial prefix, re-encode it, and decode again downstream
     grid = make_synthetic_gop(0, 4, 2, 8)
     first = encode_gop(grid, (2, 2, 2, 2), SCHEME_RLC, seed=3)
-    decoded, partial = decode_gop(first, 4, 2, 8)
+    (decoded,), (partial,) = decode_block(first, 4, 2, 8)
     assert decoded == 4
     second = encode_gop(partial, (4, 2, 2, 0), SCHEME_RLC, seed=4)
-    redecoded, recovered = decode_gop(second, 4, 2, 8)
+    (redecoded,), (recovered,) = decode_block(second, 4, 2, 8)
     assert redecoded == 3
-    assert np.array_equal(recovered.cells[:3], grid.cells[:3])
+    assert np.array_equal(recovered[:3], grid[:3])
 
 
 def test_batch_indexing_selects_rows():
@@ -265,7 +249,7 @@ def test_batch_indexing_selects_rows():
     mask = np.array([True, False, False, True, True, False])
     picked = packets.select(mask)
     assert np.array_equal(picked.payload, packets.payload[mask])
-    assert picked.gop_ids.tolist() == [0] and picked.scheme == packets.scheme
+    assert picked.offsets.tolist() == [0, 3] and picked.scheme == packets.scheme
     assert len(packets.select(np.zeros(6, bool))) == 0
     # an index may repeat: the row arrives twice
     twice = packets.select(np.array([0, 0, 5]))
@@ -276,10 +260,26 @@ def test_select_refuses_a_decreasing_index_array():
     # rows [5, 0, 1] of two GOPs of 4 packets would split at offsets [0, 3,
     # 3], scoring GOP 1's packet as GOP 0's
     cells = make_synthetic_cells([0, 1], 2, 2, 4)
-    block = encode_block(cells, [0, 1], [(2, 2), (2, 2)], SCHEME_RLC, np.random.default_rng(0))
+    block = encode_block(cells, [(2, 2), (2, 2)], SCHEME_RLC, np.random.default_rng(0))
     with pytest.raises(ValueError, match="non-decreasing"):
         block.select(np.array([5, 0, 1]))
     assert block.select(np.array([0, 1, 5])).sizes.tolist() == [2, 1]
+
+
+def test_select_refuses_rows_outside_the_block():
+    # on two GOPs of 64 rows, index -1 would split at offsets [1, 1, 1], a
+    # packet of no GOP, and a 5-entry mask would pick 5 of the 128 rows
+    cells = make_synthetic_cells([0, 1], 4, 8, 0)
+    block = encode_block(cells, [(40, 8, 8, 8)] * 2, SCHEME_RLC, None)
+    for rows in (np.array([-1]), np.array([0, 128])):
+        with pytest.raises(ValueError, match="must lie in"):
+            block.select(rows)
+    for rows in (np.array([True] * 5), np.ones(129, bool), np.ones((2, 64), bool)):
+        with pytest.raises(ValueError, match="one entry per row"):
+            block.select(rows)
+    assert block.select(np.array([0, 127])).sizes.tolist() == [1, 1]
+    assert block.select(np.array([], dtype=np.intp)).sizes.tolist() == [0, 0]
+    assert block.select(np.ones(128, bool)).sizes.tolist() == [64, 64]
 
 
 def test_batch_validates_once_on_construction():
@@ -287,7 +287,7 @@ def test_batch_validates_once_on_construction():
     coeffs = np.zeros((2, 4), dtype=np.uint8)
 
     def block(scheme, depth, payload=payload, offsets=(0, 2), **rows):
-        return PacketBlock(scheme, [0], offsets, depth, payload, **rows)
+        return PacketBlock(scheme, offsets, depth, payload, **rows)
 
     with pytest.raises(ValueError, match="scheme"):
         block("fountain", [1, 1], coeffs=coeffs)
@@ -303,7 +303,7 @@ def test_batch_validates_once_on_construction():
         block(SCHEME_XOR, [1, 1])
     with pytest.raises(ValueError, match="columns"):
         block(SCHEME_XOR, [1, 1], column=[0])
-    for offsets in ((0, 1), (1, 2), (0, 1, 2)):
+    for offsets in ((0, 1), (1, 2), (0, 2, 1, 2), (), ((0, 2),)):
         with pytest.raises(ValueError, match="offsets"):
             block(SCHEME_RLC, [1, 1], offsets=offsets, coeffs=coeffs)
 
@@ -312,17 +312,17 @@ def test_decode_rejects_inconsistent_batches():
     grid = make_synthetic_gop(0, 2, 2, 4)
     rlc = encode_gop(grid, (2, 2), SCHEME_RLC, seed=0)
     with pytest.raises(ValueError, match="payload"):
-        decode_gop(rlc, 2, 2, 8)
+        decode_block(rlc, 2, 2, 8)
     with pytest.raises(ValueError, match="coefficients"):
-        decode_gop(rlc, 2, 3, 4)
+        decode_block(rlc, 2, 3, 4)
     # a class-1 packet whose coefficients reach into layer 2
     leaky = replace(rlc, coeffs=rlc.coeffs | 1)
     with pytest.raises(ValueError, match="deeper than its class"):
-        decode_gop(leaky, 2, 2, 4)
+        decode_block(leaky, 2, 2, 4)
     xor = encode_gop(grid, (2, 2), SCHEME_XOR)
     bad = replace(xor, column=xor.column + 1)
     with pytest.raises(ValueError, match="column"):
-        decode_gop(bad, 2, 2, 4)
+        decode_block(bad, 2, 2, 4)
 
 
 def test_xor_decode_uses_first_copy_of_each_cell():
@@ -332,9 +332,9 @@ def test_xor_decode_uses_first_copy_of_each_cell():
     payload = packets.payload.copy()
     payload[2:4] ^= 0xFF
     tampered = replace(packets, payload=payload)
-    decoded, recovered = decode_gop(tampered, 2, 2, 8)
+    (decoded,), (recovered,) = decode_block(tampered, 2, 2, 8)
     assert decoded == 2
-    assert np.array_equal(recovered.cells, grid.cells)
+    assert np.array_equal(recovered, grid)
 
 
 def _rows(block, k, name):
@@ -350,7 +350,7 @@ def _erased(scheme, seed):
     rng = np.random.default_rng(seed)
     strategies = rng.integers(0, 10, (9, 4))
     cells = make_synthetic_cells(range(9), 4, 4, 8, seed)
-    block = encode_block(cells, range(9), strategies, scheme, np.random.default_rng(seed))
+    block = encode_block(cells, strategies, scheme, np.random.default_rng(seed))
     kept = [np.flatnonzero(rng.random(n) < rng.uniform(0.2, 1.0)) for n in block.sizes]
     kept[3] = kept[3][:0]
     rows = np.concatenate([start + k for start, k in zip(block.offsets, kept)])
@@ -366,10 +366,9 @@ def test_block_decode_equals_one_gop_decodes(scheme):
     for k, (strategy, rows) in enumerate(zip(strategies, kept)):
         grid = make_synthetic_gop(k, 4, 4, 8, seed=1)
         alone = encode_gop(grid, strategy, scheme, one_by_one).select(rows)
-        want_depth, want = decode_gop(alone, 4, 4, 8)
+        (want_depth,), (want,) = decode_block(alone, 4, 4, 8)
         assert depths[k] == want_depth
-        assert want.gop_id == k
-        assert np.array_equal(cells[k], want.cells)
+        assert np.array_equal(cells[k], want)
     assert 0 in depths and len(set(depths.tolist())) > 1
 
 
@@ -407,10 +406,10 @@ def test_rlc_rows_take_whole_raw_outputs_of_the_generator(per_layer):
     # draw nothing, so GOPs encoded one by one draw what the block draws
     allocations = [(3, 0, 2), (0, 0, 0), (1, 1, 1), (0, 0, 5), (0, 0, 0), (7, 3, 0), (2, 0, 0)]
     grids = [make_synthetic_gop(g, 3, per_layer, 5, seed=2) for g in range(len(allocations))]
-    cells = np.stack([g.cells for g in grids])
+    cells = np.stack(grids)
     n_unknowns, outputs = 3 * per_layer, -(-3 * per_layer // 8)
     rng = np.random.default_rng(per_layer)
-    block = encode_block(cells, range(len(grids)), allocations, SCHEME_RLC, rng)
+    block = encode_block(cells, allocations, SCHEME_RLC, rng)
     drawn = np.random.default_rng(per_layer)
     raw = drawn.bit_generator.random_raw(len(block) * outputs).astype("<u8")
     row_bytes = raw.view(np.uint8).reshape(len(block), 8 * outputs)[:, :n_unknowns]
@@ -421,13 +420,12 @@ def test_rlc_rows_take_whole_raw_outputs_of_the_generator(per_layer):
     for k, (grid, strategy) in enumerate(zip(grids, allocations)):
         alone = encode_gop(grid, strategy, SCHEME_RLC, one_by_one)
         assert np.array_equal(alone.coeffs, _rows(block, k, "coeffs")), strategy
-        data = grid.cells.reshape(n_unknowns, 5)
+        data = grid.reshape(n_unknowns, 5)
         assert np.array_equal(_rows(block, k, "payload"), gf_matmul(alone.coeffs, data))
     assert one_by_one.bit_generator.state == drawn.bit_generator.state
-    # xor, repeat and coefficient-free packets draw nothing
-    drawless = ((SCHEME_XOR, 5, None), (SCHEME_REPEAT, 5, None), (SCHEME_RLC, 0, 0))
-    for scheme, size, width in drawless:
-        encode_block(cells[..., :size], range(len(grids)), allocations, scheme, rng, width)
+    # xor and repeat packets draw nothing
+    for scheme in (SCHEME_XOR, SCHEME_REPEAT):
+        encode_block(cells, allocations, scheme, rng)
         assert rng.bit_generator.state == drawn.bit_generator.state, scheme
 
 
@@ -440,7 +438,7 @@ def test_block_encodes_on_two_threads_equal_serial_ones():
         n_gops = int(rng.integers(1, 33))
         cells = make_synthetic_cells(range(n_gops), 4, 4, 8, seed=b)
         strategies = rng.integers(0, 6, (n_gops, 4))
-        jobs.append((cells, range(n_gops), strategies, SCHEME_RLC, int(rng.integers(0, 2**63))))
+        jobs.append((cells, strategies, SCHEME_RLC, int(rng.integers(0, 2**63))))
 
     def encode(job):
         *args, seed = job
@@ -469,17 +467,17 @@ def test_block_encode_equals_one_gop_encodes(scheme, size):
     # GOP's rows apart
     grids = [make_synthetic_gop(g, 3, 2, size, seed=4) for g in (5, 6, 7, 8)]
     strategies = [(3, 0, 2), (0, 0, 0), (1, 4, 1), (2, 2, 2)]
-    width = None if size or scheme != SCHEME_RLC else 0
-    cells = np.stack([g.cells for g in grids])
-    block = encode_block(cells, [5, 6, 7, 8], strategies, scheme, np.random.default_rng(11), width)
-    one_by_one = np.random.default_rng(11)
-    alone = [encode_gop(g, s, scheme, one_by_one, width) for g, s in zip(grids, strategies)]
+    # RLC packets with no payload bytes go coefficient-free, from no generator
+    bare = scheme == SCHEME_RLC and not size
+    block = encode_block(
+        np.stack(grids), strategies, scheme, None if bare else np.random.default_rng(11)
+    )
+    one_by_one = None if bare else np.random.default_rng(11)
+    alone = [encode_block(g[None], [s], scheme, one_by_one) for g, s in zip(grids, strategies)]
     mask = np.arange(len(block)) % 3 != 1
     picked = block.select(mask)
-    assert block.gop_ids.tolist() == [5, 6, 7, 8]
     assert block.offsets.tolist() == [0] + np.cumsum([len(a) for a in alone]).tolist()
     for k, packets in enumerate(alone):
-        assert packets.gop_ids.tolist() == [5 + k]
         for name in ("depth", "payload", "coeffs", "column"):
             got, want = _rows(block, k, name), getattr(packets, name)
             assert (got is None) == (want is None) and np.array_equal(got, want), name
@@ -502,7 +500,7 @@ def _random_block(rng):
     cells = make_synthetic_cells(range(G), L, P, s, seed=int(rng.integers(1000)))
     strategies = rng.integers(0, 3 * P, size=(G, L))
     strategies[rng.random(G) < 0.2] = 0
-    block = encode_block(cells, range(G), strategies, scheme, rng)
+    block = encode_block(cells, strategies, scheme, rng)
     odds = np.repeat(rng.uniform(0.2, 1.0, G), block.sizes)
     copies = (rng.random(len(block)) < odds) * (1 + (rng.random(len(block)) < 0.3))
     block = block.select(np.repeat(np.arange(len(block)), copies))
@@ -521,8 +519,8 @@ def test_block_decode_equals_the_reference_decoder():
     for _ in range(400):
         block, L, P, s = _random_block(rng)
         depths, cells = decode_block(block, L, P, s)
-        assert depths.shape == (block.gop_ids.size,)
-        assert cells.shape == (block.gop_ids.size, L, P, s)
+        assert depths.shape == (block.sizes.size,)
+        assert cells.shape == (block.sizes.size, L, P, s)
         for k, (start, end) in enumerate(zip(block.offsets[:-1], block.offsets[1:])):
             rows = slice(start, end)
             want_depth, want = decode_gop_reference(
@@ -552,7 +550,7 @@ def test_decode_stacks_split_at_the_byte_bound(size, monkeypatch):
     rng = np.random.default_rng(size + 5)
     cells = make_synthetic_cells(range(24), 4, 4, size, seed=3)
     strategies = rng.integers(0, 6, (24, 4))
-    block = encode_block(cells, range(24), strategies, SCHEME_RLC, np.random.default_rng(3))
+    block = encode_block(cells, strategies, SCHEME_RLC, np.random.default_rng(3))
     kept = rng.random(len(block)) < 0.7
     empty = [0, 7, 8, 23]
     kept[np.isin(np.repeat(np.arange(24), block.sizes), empty)] = False
@@ -587,7 +585,7 @@ def test_decode_memory_is_bounded_by_one_stack():
     def peak(n_gops):
         cells = make_synthetic_cells(range(n_gops), 4, 8, 64, seed=1)
         rng = np.random.default_rng(n_gops)
-        block = encode_block(cells, range(n_gops), [strategy] * n_gops, SCHEME_RLC, rng)
+        block = encode_block(cells, [strategy] * n_gops, SCHEME_RLC, rng)
         tracemalloc.start()
         try:
             depths, _ = decode_block(block, 4, 8, 64)

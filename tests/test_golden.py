@@ -151,6 +151,6 @@ def test_seeded_sweep_csv_is_pinned(jobs):
 def test_block_coefficients_are_pinned():
     cells = make_synthetic_cells(range(4), 4, 8, 0)
     strategies = [(40, 8, 8, 8), (0, 0, 0, 0), (3, 5, 0, 0), (1, 2, 3, 4)]
-    block = encode_block(cells, range(4), strategies, SCHEME_RLC, np.random.default_rng(2013))
+    block = encode_block(cells, strategies, SCHEME_RLC, np.random.default_rng(2013))
     assert block.coeffs.shape == (82, 32)
     assert hashlib.sha256(block.coeffs.tobytes()).hexdigest() == GOLDEN_COEFFS_SHA256

@@ -15,8 +15,8 @@ def _picks(policy, estimates):
     checked against the oracle's interval walk."""
     n, width = len(estimates), len(policy.strategies[0])
     cells = np.zeros((n, width, 1, 0), dtype=np.uint8)
-    sender = Encoder(scheme="rlc", policy=policy, coeff_width=0, rng=np.random.default_rng(0))
-    block = encoder_block(sender, cells, range(n), estimates, [width] * n)
+    sender = Encoder(scheme="rlc", policy=policy, rng=None)
+    block = encoder_block(sender, cells, estimates, [width] * n)
     picks = sent_strategies(block, width)
     assert picks == [select_strategy(policy, e) for e in estimates]
     return picks
@@ -71,7 +71,7 @@ def test_estimate_out_of_range_rejected():
     cells = np.zeros((1, 4, 8, 0), dtype=np.uint8)
     for estimate in (1.5, -0.1):
         with pytest.raises(ValueError, match="estimates"):
-            encoder_block(sender, cells, [0], [estimate], [4])
+            encoder_block(sender, cells, [estimate], [4])
     with pytest.raises(ValueError):
         select_strategy(builtin_policy(1), 1.5)
 

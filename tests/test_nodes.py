@@ -9,13 +9,12 @@ from nclayer.codec import (
     SCHEME_RLC,
     SCHEME_XOR,
     decode_block,
-    decode_gop,
     encode_block,
     encode_gop,
     score_block,
 )
 from nclayer.heuristic import ThresholdPolicy, builtin_policy
-from nclayer.media import make_synthetic_gop
+from nclayer.media import make_synthetic_cells, make_synthetic_gop
 from nclayer.nodes import Encoder, encoder_block
 from nclayer.simulator import ChainConfig, run
 from nclayer.spt import build_table, load_table, nearest_bin, save_table
@@ -34,9 +33,9 @@ def _grid():
 def _send(encoder, grids, estimates):
     """A block of the grids, sent at the given per-GOP estimates by an
     encoder holding every layer of each."""
-    cells = np.stack([grid.cells for grid in grids])
+    cells = np.stack(grids)
     depths = [cells.shape[1]] * len(grids)
-    return encoder_block(encoder, cells, [grid.gop_id for grid in grids], estimates, depths)
+    return encoder_block(encoder, cells, estimates, depths)
 
 
 def test_sender_needs_exactly_one_selector(small_table):
@@ -113,7 +112,7 @@ def test_forward_relay_is_transparent(default_table, monkeypatch):
     config = ChainConfig(link_pdrs=(1.0,) * 3, gop_count=5, verify_payloads=True)
     run(config, table=default_table)
     ((a,), (b,)) = sent, received
-    for name in ("gop_ids", "offsets", "depth", "payload", "coeffs"):
+    for name in ("offsets", "depth", "payload", "coeffs"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -140,7 +139,7 @@ def test_sender_strategy_refreshes_on_period(default_table, monkeypatch):
 def test_sender_with_policy():
     sender = Encoder(scheme=SCHEME_RLC, policy=builtin_policy(3), rng=np.random.default_rng(0))
     grid = make_synthetic_gop(0, 4, 8, 16, seed=0)
-    packets = encoder_block(sender, grid.cells[None], [0], [1.0], [4])
+    packets = encoder_block(sender, grid[None], [1.0], [4])
     assert sent_strategies(packets, 4) == [(40, 8, 8, 8)]
 
 
@@ -149,9 +148,9 @@ def test_nc_relay_reencodes_full_budget(small_table):
     packets = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
     depths, cells = decode_block(packets, 3, 2, 8)
     assert depths.tolist() == [3]
-    out = encoder_block(relay, cells, packets.gop_ids, [1.0], depths)
+    out = encoder_block(relay, cells, [1.0], depths)
     assert len(out) == 8
-    assert out.gop_ids.tolist() == [0]
+    assert out.offsets.tolist() == [0, 8]
 
 
 def test_nc_relay_never_encodes_past_decoded_depth(small_table):
@@ -160,7 +159,7 @@ def test_nc_relay_never_encodes_past_decoded_depth(small_table):
     packets = encode_gop(_grid(), (4, 0, 0), SCHEME_RLC, seed=0).select(np.arange(3))
     depths, cells = decode_block(packets, 3, 2, 8)
     assert depths.tolist() == [1]
-    out = encoder_block(relay, cells, packets.gop_ids, [1.0], depths)
+    out = encoder_block(relay, cells, [1.0], depths)
     assert len(out) == 8
     assert (out.depth == 1).all()
 
@@ -170,20 +169,31 @@ def test_nc_relay_empty_input(small_table):
     empty = encode_gop(_grid(), (0, 0, 0), SCHEME_RLC)
     depths, cells = decode_block(empty, 3, 2, 8)
     assert depths.tolist() == [0]
-    out = encoder_block(relay, cells, empty.gop_ids, [1.0], depths)
+    out = encoder_block(relay, cells, [1.0], depths)
     assert len(out) == 0 and out.sizes.tolist() == [0]
     # a GOP that lost everything sends nothing, draws no coefficients, and leaves
     # its neighbours be
-    cells = np.stack([_grid().cells] * 3)
+    cells = np.stack([_grid()] * 3)
     strategies = [(4, 2, 2), (0, 0, 0), (4, 2, 2)]
-    block = encode_block(cells, [0, 1, 2], strategies, SCHEME_RLC, np.random.default_rng(0))
+    block = encode_block(cells, strategies, SCHEME_RLC, np.random.default_rng(0))
     depths, decoded = decode_block(block, 3, 2, 8)
     seeded = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(5))
-    out = encoder_block(seeded, decoded, block.gop_ids, [1.0] * 3, depths)
+    out = encoder_block(seeded, decoded, [1.0] * 3, depths)
     assert out.sizes.tolist() == [8, 0, 8]
     both = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(5))
-    full = encoder_block(both, decoded[[0, 2]], [0, 2], [1.0] * 2, depths[[0, 2]])
+    full = encoder_block(both, decoded[[0, 2]], [1.0] * 2, depths[[0, 2]])
     assert np.array_equal(out.coeffs, full.coeffs)
+
+
+def test_encoder_block_needs_one_estimate_and_depth_per_gop(small_table):
+    # one estimate or one depth for a 2-GOP block would broadcast to both
+    relay = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0))
+    cells = np.stack([_grid()] * 2)
+    wrong = (([0.7], [3, 3]), ([0.7] * 2, [3]), (0.7, [3, 3]), ([0.7] * 3, [3] * 3))
+    for estimates, depths in wrong:
+        with pytest.raises(ValueError, match="one estimate and one depth per GOP"):
+            encoder_block(relay, cells, estimates, depths)
+    assert encoder_block(relay, cells, [0.7] * 2, [3, 3]).sizes.tolist() == [8, 8]
 
 
 def test_full_depth_relay_sends_what_the_sender_sends_under_a_tied_best_row(
@@ -205,25 +215,25 @@ def test_full_depth_relay_sends_what_the_sender_sends_under_a_tied_best_row(
     assert table.best_strategy(bin_index) == tied != default_table.best_strategy(bin_index)
     assert table.restricted_index[bin_index, 4] == table.best_index[bin_index]
     cells = np.zeros((1, 4, 8, 0), dtype=np.uint8)
-    sender = Encoder(scheme=SCHEME_RLC, table=table, coeff_width=0, rng=np.random.default_rng(0))
-    relay = Encoder(scheme=SCHEME_RLC, table=table, coeff_width=0, rng=np.random.default_rng(0))
+    sender = Encoder(scheme=SCHEME_RLC, table=table, rng=None)
+    relay = Encoder(scheme=SCHEME_RLC, table=table, rng=None)
     for encoder in (sender, relay):
-        block = encoder_block(encoder, cells, [0], [0.9], [4])
+        block = encoder_block(encoder, cells, [0.9], [4])
         assert sent_strategies(block, 4) == [tied]
 
 
 def test_decoders_reject_coefficient_free_batches():
     # a batch built for a counting receiver must fail loudly at a decoder,
     # and the count rule scores it from its classes alone
-    bare = encode_gop(make_synthetic_gop(0, 3, 2, 0), (4, 2, 2), SCHEME_RLC, 0, 0)
+    bare = encode_block(make_synthetic_cells([0], 3, 2, 0), [(4, 2, 2)], SCHEME_RLC, None)
     with pytest.raises(ValueError, match="coefficients"):
         decode_block(bare, 3, 2, 0)
     assert score_block(bare, 3, 2).tolist() == [3]
 
 
 def test_receiver_counts_and_reset():
-    cells = np.stack([_grid().cells] * 2)
-    packets = encode_block(cells, [0, 1], [(4, 2, 2)] * 2, SCHEME_RLC, np.random.default_rng(0))
+    cells = np.stack([_grid()] * 2)
+    packets = encode_block(cells, [(4, 2, 2)] * 2, SCHEME_RLC, np.random.default_rng(0))
     # the second GOP gets only the deeper classes, [0, 2, 2]; nothing of the
     # first GOP's counts may carry over into its score
     arrived = packets.select(np.r_[0:8, 12:16])
@@ -246,7 +256,7 @@ def test_receiver_verification_clean_path():
     assert score_block(packets, 3, 2).tolist() == [3]
     depths, cells = decode_block(packets, 3, 2, 8)
     assert depths.tolist() == [3]
-    assert np.array_equal(cells[0], grid.cells)
+    assert np.array_equal(cells[0], grid)
     metrics = run(ChainConfig(link_pdrs=(1.0,), gop_count=5, verify_payloads=True))
     assert (metrics.prediction_gaps, metrics.payload_errors) == (0, 0)
 
@@ -266,7 +276,7 @@ def test_real_decoding_beats_the_count_rule_on_the_pinned_case():
     packets = encode_gop(_grid(), case["strategy"], case["scheme"], seed=case["seed"])
     survivors = packets.select(np.array(case["mask"][: len(packets)]))
     (score,) = score_block(survivors, 3, 2)
-    depth, _ = decode_gop(survivors, 3, 2, 8)
+    (depth,), (_,) = decode_block(survivors, 3, 2, 8)
     assert score < depth
 
 
@@ -292,8 +302,7 @@ def test_receiver_score_against_real_decoding(scheme, strategy, seed, mask):
     packets = encode_gop(grid, strategy, scheme, seed=seed)
     survivors = packets.select(np.array(mask[: len(packets)], dtype=bool))
     (score,) = score_block(survivors, 3, 2)
-    depth, recovered = decode_gop(survivors, 3, 2, 8)
-    assert recovered.gop_id == grid.gop_id
+    (depth,), (recovered,) = decode_block(survivors, 3, 2, 8)
     if scheme == SCHEME_RLC:
         counts = np.bincount(survivors.depth, minlength=4)[1:].tolist()
         generic = all(
@@ -304,4 +313,4 @@ def test_receiver_score_against_real_decoding(scheme, strategy, seed, mask):
         assert score == depth or not generic
     else:
         assert score == depth
-    assert np.array_equal(recovered.cells[:depth], grid.cells[:depth])
+    assert np.array_equal(recovered[:depth], grid[:depth])

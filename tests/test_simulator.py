@@ -237,6 +237,30 @@ def test_sweep_validation():
         sweep(base, np.array([]), ["spt"])
 
 
+def test_sweep_resolves_every_mode_before_building_a_table(monkeypatch):
+    built = []
+    monkeypatch.setattr(simulator, "build_table", lambda **kwargs: built.append(kwargs))
+    base = ChainConfig(gop_count=5)
+    with pytest.raises(ValueError, match="unknown sweep mode"):
+        sweep(base, (0.9,), ("NC3-HBH", "warp3"))
+    with pytest.raises(ValueError, match="differs from the 64 packets"):
+        sweep(replace(base, budget=48), (0.9,), ("NC3", "heuristic-3"))
+    assert built == []
+    # uncoded and threshold modes over forwarding relays read no table
+    rows = sweep(base, (0.9,), ("heuristic-3", "NoNC2"))
+    assert built == [] and [row["mode"] for row in rows] == ["heuristic-3", "NoNC2"]
+
+
+def test_resolve_mode_gives_the_config_a_sweep_runs():
+    base = ChainConfig(link_pdrs=(0.8, 0.6), link_delays=(0.1, 0.2), seed=4)
+    same = resolve_mode("NC2-HBH", base)
+    assert same.link_pdrs == base.link_pdrs and same.link_delays == base.link_delays
+    assert (same.label, same.relay_modes, same.seed) == ("NC2-HBH", ("nc",), 4)
+    longer = resolve_mode(" NoNC3 ", base)
+    assert longer.link_pdrs == (0.8,) * 3 and longer.link_delays == ()
+    assert longer.label == "NoNC3" and longer.needs_table is False
+
+
 def test_sweep_takes_an_array_grid():
     base = ChainConfig(gop_count=4)
     rows = sweep(base, np.array([0.5, 0.7]), np.array(["NC1"]))
@@ -519,8 +543,8 @@ def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch)
     def recorded_encode(encoder, *args):
         # every encoder encodes in each block, the sender first and then
         # the re-encoding relays in hop order
-        if all(encoder.rng is not m for m in encoders):
-            encoders.append(encoder.rng)
+        if all(encoder is not m for m in encoders):
+            encoders.append(encoder)
         return encode(encoder, *args)
 
     monkeypatch.setattr(simulator, "send_block", recorded_send)
@@ -536,8 +560,8 @@ def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch)
         assert asdict(got) == asdict(want), config
         assert len(links) == len(link_rngs) == config.hop_count
         assert len(encoders) == len(encoder_rngs) == 1 + config.relay_modes.count("nc")
-        for a, b in zip(links + encoders, link_rngs + encoder_rngs):
-            assert a.bit_generator.state == b.bit_generator.state, config
+        for a, b in zip(links + [e.rng for e in encoders], link_rngs + encoder_rngs):
+            assert a is b is None or a.bit_generator.state == b.bit_generator.state, config
     assert len(seen) >= 8
 
 

@@ -30,8 +30,8 @@ def _picks(table, estimates):
     against the oracle's one-estimate lookup."""
     n, layers = len(estimates), table.layer_count
     cells = np.zeros((n, layers, table.packets_per_layer, 0), dtype=np.uint8)
-    sender = Encoder(scheme="rlc", table=table, coeff_width=0, rng=np.random.default_rng(0))
-    block = encoder_block(sender, cells, range(n), estimates, [layers] * n)
+    sender = Encoder(scheme="rlc", table=table, rng=None)
+    block = encoder_block(sender, cells, estimates, [layers] * n)
     picks = sent_strategies(block, layers)
     assert picks == [select_best(table, e) for e in estimates]
     return picks
@@ -290,9 +290,6 @@ def test_run_with_a_loaded_table_equals_run_building_its_own(
         sent.append([])
         metrics.append(asdict(run(config, table=table)))
     loaded, built = metrics
-    # only the run that builds its table spends time building it
-    assert loaded.pop("table_build_seconds") == 0.0
-    built.pop("table_build_seconds")
     assert loaded == built
     assert sent[0] == sent[1]
 
