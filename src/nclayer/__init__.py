@@ -31,7 +31,6 @@ from .spt import (
     build_table,
     enumerate_strategies,
     expected_decoded_layers,
-    load_table,
     nearest_bin,
     save_table,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "gf256_inv",
     "gf256_mul",
     "load_config",
-    "load_table",
     "make_synthetic_gop",
     "nearest_bin",
     "parse_config_text",

@@ -504,7 +504,9 @@ def sweep(
     jobs: int = 1,
 ) -> list[dict]:
     """Runs every (pdr, mode, repetition) combination and returns one row per
-    run, in task order regardless of how many workers execute them."""
+    run, in task order regardless of how many workers execute them. Each row
+    runs every link at its grid delivery with the default link delays, so a
+    base with a pdr_schedule or link_delays is refused."""
     if not len(pdr_grid):
         raise ValueError("pdr grid is empty")
     if any(not 0.0 <= p <= 1.0 for p in pdr_grid):
@@ -513,6 +515,12 @@ def sweep(
         raise ValueError("mode list is empty")
     if reps < 1 or jobs < 1:
         raise ValueError(f"reps and jobs must be positive, got {reps}, {jobs}")
+    for name, key in (("pdr_schedule", "schedule.<n>"), ("link_delays", "chain.link_delays")):
+        if getattr(base, name):
+            raise ValueError(
+                f"sweep runs each link at its grid delivery with default delays; "
+                f"base {name} ({key}) {getattr(base, name)} would not run"
+            )
 
     resolved = [resolve_mode(m, base) for m in modes]
     shared_table: Optional[StrategyTable] = None
@@ -532,7 +540,6 @@ def sweep(
                     replace(
                         cfg,
                         link_pdrs=(float(p),) * cfg.hop_count,
-                        link_delays=(),
                         seed=_task_seed(base.seed, grid_index, mode_index, rep),
                     )
                 )

@@ -3,10 +3,11 @@
 For each delivery-probability bin the table stores the expected number of
 consecutive layers a count-based receiver decodes under every admissible
 replica allocation, plus the argmax per bin. Senders and re-encoding relays
-look strategies up here instead of solving anything online. Every value
-comes from the exact dynamic program in ``kernels.expected_layers_batch``;
-``brute_force_decoded_layers`` is the small-budget reference it is checked
-against.
+look strategies up here instead of solving anything online. build_table is
+the only source of a table; save_table writes one out for readers, and
+nothing reads it back. Every value comes from the exact dynamic program in
+``kernels.expected_layers_batch``; ``brute_force_decoded_layers`` is the
+small-budget reference it is checked against.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ TABLE_STACK_BYTES = 1 << 20
 
 _BIN_EPS = 1e-9
 _BRUTE_FORCE_CAP = 20
-_HEADER_KEYS = ("B", "L", "P", "g")
-# how far a loaded value may stray outside [0, L]: a value L can be stored a
-# few ulps above L
-_VALUE_SLACK = 1e-12
 
 
 def enumerate_strategies(
@@ -156,16 +153,20 @@ def brute_force_decoded_layers(
 
 @dataclass
 class StrategyTable:
+    """Every strategy's value in every bin, from build_table; each pick is
+    derived from the values by _argmax_lex_largest, never given."""
+
     budget: int
     layer_count: int
     packets_per_layer: int
     granularity: int
     strategies: list[tuple[int, ...]]
     values: np.ndarray
-    best_index: np.ndarray
+    # best_index[b]: the sender's pick in bin b, restricted_index[b, L]
+    best_index: np.ndarray = field(init=False)
     # restricted_index[b, d]: best strategy of bin b among those that leave
-    # every class deeper than d empty, -1 where none does; at d = L, where
-    # every strategy qualifies, it is best_index, the sender's pick
+    # every class deeper than d empty, -1 where none does; at d = L every
+    # strategy qualifies
     restricted_index: np.ndarray = field(init=False, repr=False, compare=False)
     # the strategies as rows of an array, for lookups of many at once
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
@@ -175,13 +176,13 @@ class StrategyTable:
         self.restricted_index = np.full(
             (self.values.shape[1], self.layer_count + 1), -1, dtype=np.int64
         )
-        for depth in range(self.layer_count):
+        for depth in range(self.layer_count + 1):
             allowed = np.flatnonzero(~matrix[:, depth:].any(axis=1))
             if allowed.size:
                 self.restricted_index[:, depth] = allowed[
                     _argmax_lex_largest(self.values[allowed])
                 ]
-        self.restricted_index[:, self.layer_count] = self.best_index
+        self.best_index = self.restricted_index[:, self.layer_count]
 
     @property
     def pdr_bins(self) -> tuple[float, ...]:
@@ -222,7 +223,6 @@ def build_table(
         values[:, lo : lo + len(bins)] = expected_layers_batch(
             matrix, rows, packets_per_layer, steps
         )
-    best = _argmax_lex_largest(values)
     return StrategyTable(
         budget=budget,
         layer_count=layer_count,
@@ -230,7 +230,6 @@ def build_table(
         granularity=granularity,
         strategies=strategies,
         values=values,
-        best_index=best,
     )
 
 
@@ -248,8 +247,8 @@ def nearest_bin(estimate):
 
 
 def save_table(table: StrategyTable, path) -> None:
-    # values are written with repr, the shortest decimal that reads back as
-    # the same float, so a loaded table picks exactly what the saved one did
+    # the B=, L=, P=, g= header, each bin's values in enumeration order, then
+    # each bin's best row; a value's repr reads back as the same float
     lines = [
         f"B={table.budget}",
         f"L={table.layer_count}",
@@ -266,102 +265,3 @@ def save_table(table: StrategyTable, path) -> None:
         lines.append(f"best,{p:.2f},{cells},{float(table.values[i, b])!r}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_table(path) -> StrategyTable:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
-
-    def at(n, line):
-        return f"table file line {n} {line!r}"
-
-    header: dict[str, int] = {}
-    body_start = 0
-    for n, line in raw:
-        if "=" not in line or "," in line:
-            break
-        key, value = line.split("=", 1)
-        if key not in _HEADER_KEYS:
-            raise ValueError(
-                f"table file has an unknown header line {line!r}; the header holds "
-                f"B=, L=, P= and g= only: rebuild the file with nclayer spt-build"
-            )
-        if key in header:
-            raise ValueError(f"{at(n, line)}: repeats header line {key}=")
-        try:
-            header[key] = int(value)
-        except ValueError as exc:
-            raise ValueError(f"{at(n, line)}: {key}= {exc}") from None
-        body_start += 1
-    for key in _HEADER_KEYS:
-        if key not in header:
-            raise ValueError(f"table file is missing header line {key}=")
-
-    budget, layer_count, per_layer, granularity = (header[key] for key in _HEADER_KEYS)
-    if per_layer < 1:
-        raise ValueError(f"packets_per_layer must be positive, got {per_layer}")
-    strategies = enumerate_strategies(budget, layer_count, granularity)
-    index_of = {strat: i for i, strat in enumerate(strategies)}
-    rows_per_bin: dict[float, list[tuple[tuple[int, ...], float]]] = {}
-    best_rows: list[tuple[str, float, tuple[int, ...], float]] = []
-
-    for n, line in raw[body_start:]:
-        # pdr, the layer_count counts and the value, after "best" on a best row
-        parts = line.split(",")
-        is_best = parts[0] == "best"
-        if len(parts) != is_best + layer_count + 2:
-            raise ValueError(
-                f"{at(n, line)}: expected {is_best + layer_count + 2} fields, got {len(parts)}"
-            )
-        try:
-            p = float(parts[is_best])
-            strat = tuple(int(x) for x in parts[is_best + 1 : -1])
-            value = float(parts[-1])
-        except ValueError as exc:
-            raise ValueError(f"{at(n, line)}: {exc}") from None
-        # a NaN fails both comparisons
-        if not -_VALUE_SLACK <= value <= layer_count + _VALUE_SLACK:
-            raise ValueError(f"{at(n, line)}: value {value!r} lies outside [0, {layer_count}]")
-        if is_best:
-            best_rows.append((at(n, line), p, strat, value))
-        else:
-            rows_per_bin.setdefault(p, []).append((strat, value))
-
-    if sorted(rows_per_bin) != [round(b, 2) for b in PDR_BINS]:
-        raise ValueError("table file does not cover the expected pdr bins")
-    values = np.zeros((len(strategies), len(PDR_BINS)))
-    for b, p in enumerate(PDR_BINS):
-        rows = rows_per_bin[round(p, 2)]
-        # the header fixes the strategy set, so a body written for another
-        # budget, or with an edited or reordered row, cannot load
-        if [strat for strat, _ in rows] != strategies:
-            raise ValueError(
-                f"bin {p:.2f} does not list the {len(strategies)} strategies of "
-                f"B={budget}, L={layer_count}, g={granularity} in order"
-            )
-        values[:, b] = [value for _, value in rows]
-    if sorted(p for _, p, _, _ in best_rows) != [round(b, 2) for b in PDR_BINS]:
-        raise ValueError(f"table file must hold one best row per pdr bin, {len(PDR_BINS)} in all")
-    best = np.zeros(len(PDR_BINS), dtype=np.int64)
-    for where, p, strat, value in best_rows:
-        b = nearest_bin(p)
-        if strat not in index_of:
-            raise ValueError(f"best row for bin {p:.2f} names an unlisted strategy {strat}")
-        i = index_of[strat]
-        if values[i, b] < values[:, b].max():
-            raise ValueError(f"best row for bin {p:.2f} is not an argmax of that bin")
-        if value != values[i, b]:
-            raise ValueError(
-                f"{where}: value differs from the {values[i, b]!r} that bin {p:.2f} "
-                f"lists for {strat}"
-            )
-        best[b] = i
-    return StrategyTable(
-        budget=budget,
-        layer_count=layer_count,
-        packets_per_layer=per_layer,
-        granularity=granularity,
-        strategies=strategies,
-        values=values,
-        best_index=best,
-    )

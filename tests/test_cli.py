@@ -1,10 +1,33 @@
 import pytest
 
 from nclayer.cli import main
-from nclayer.spt import load_table
+from nclayer.spt import build_table
 
 
-def test_spt_build_writes_loadable_table(tmp_path, capsys):
+def _assert_file_holds(path, table):
+    """spt-build's file holds the table exactly: the four header lines, then
+    every value in bin-major, enumeration order, then each bin's best row."""
+    lines = path.read_text(encoding="ascii").splitlines()
+    header = [f"B={table.budget}", f"L={table.layer_count}",
+              f"P={table.packets_per_layer}", f"g={table.granularity}"]
+    assert lines[:4] == header
+    n_strategies, n_bins = table.values.shape
+    body, best = lines[4 : 4 + n_strategies * n_bins], lines[4 + n_strategies * n_bins :]
+    assert len(body) == n_strategies * n_bins and len(best) == n_bins
+    for row, line in enumerate(body):
+        b, s = divmod(row, n_strategies)
+        p, *counts, value = line.split(",")
+        assert (float(p), tuple(map(int, counts))) == (table.pdr_bins[b], table.strategies[s])
+        assert float(value) == table.values[s, b]
+    for b, line in enumerate(best):
+        tag, p, *counts, value = line.split(",")
+        i = int(table.best_index[b])
+        assert (tag, float(p)) == ("best", table.pdr_bins[b])
+        assert tuple(map(int, counts)) == table.strategies[i]
+        assert float(value) == table.values[i, b]
+
+
+def test_spt_build_writes_the_table_exactly(tmp_path, capsys):
     out = tmp_path / "table.txt"
     code = main([
         "spt-build", "--budget", "8", "--layers", "2", "--packets", "2",
@@ -14,8 +37,15 @@ def test_spt_build_writes_loadable_table(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "3-strategy table" in text
     assert "p=1.00" in text
-    table = load_table(out)
+    table = build_table(budget=8, layer_count=2, packets_per_layer=2, granularity=4)
     assert table.strategies == [(0, 8), (4, 4), (8, 0)]
+    _assert_file_holds(out, table)
+
+
+def test_spt_build_writes_the_standard_table_exactly(tmp_path, default_table):
+    out = tmp_path / "table.txt"
+    assert main(["spt-build", "--out", str(out)]) == 0
+    _assert_file_holds(out, default_table)
 
 
 def test_spt_build_is_byte_reproducible(tmp_path):
@@ -146,6 +176,19 @@ def test_sweep_rejects_unknown_mode(capsys):
 
 def test_sweep_rejects_bad_grid(capsys):
     assert main(["sweep", "--pdr-grid", "0.5,nope"]) == 1
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("schedule.1=0,0,0.2", "pdr_schedule (schedule.<n>)"),
+    ("chain.link_delays=0.5", "link_delays (chain.link_delays)"),
+])
+def test_sweep_refuses_a_base_its_rows_would_not_run_with(tmp_path, capsys, setting, key):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--set", "run.gops=5", "--set", setting, "--pdr-grid", "0.9",
+            "--modes", "NC3-E2E", "--out", str(out)]
+    assert main(args) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_selftest_passes(capsys):

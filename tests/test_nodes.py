@@ -17,7 +17,7 @@ from nclayer.heuristic import ThresholdPolicy, builtin_policy
 from nclayer.media import make_synthetic_cells, make_synthetic_gop
 from nclayer.nodes import Encoder, encoder_block
 from nclayer.simulator import ChainConfig, run
-from nclayer.spt import build_table, load_table, nearest_bin, save_table
+from nclayer.spt import build_table
 from oracles import max_cover, rref_reference, sent_strategies
 
 
@@ -196,30 +196,21 @@ def test_encoder_block_needs_one_estimate_and_depth_per_gop(small_table):
     assert encoder_block(relay, cells, [0.7] * 2, [3, 3]).sizes.tolist() == [8, 8]
 
 
-def test_full_depth_relay_sends_what_the_sender_sends_under_a_tied_best_row(
-    default_table, tmp_path
-):
-    # at 0.90 the standard table has exact ties for the best value; a file
-    # whose best row names another of them loads, and an encoder holding
-    # every layer is the sender, so a relay that decoded all four layers
-    # re-encodes with the file's pick, not the lexicographic tie rule's
-    path = tmp_path / "table.txt"
-    save_table(default_table, path)
-    lines = path.read_text().splitlines()
-    (row,) = [i for i, line in enumerate(lines) if line.startswith("best,0.90,")]
-    lines[row] = "best,0.90,0,0,4,60," + lines[row].rsplit(",", 1)[1]
-    path.write_text("\n".join(lines) + "\n")
-    table = load_table(path)
-    bin_index = nearest_bin(0.9)
-    tied = (0, 0, 4, 60)
-    assert table.best_strategy(bin_index) == tied != default_table.best_strategy(bin_index)
-    assert table.restricted_index[bin_index, 4] == table.best_index[bin_index]
-    cells = np.zeros((1, 4, 8, 0), dtype=np.uint8)
-    sender = Encoder(scheme=SCHEME_RLC, table=table, rng=None)
-    relay = Encoder(scheme=SCHEME_RLC, table=table, rng=None)
+def test_full_depth_relay_sends_what_the_sender_sends_under_a_tied_best_row(default_table):
+    # an encoder holding every layer is the sender, so in every bin, those
+    # of 0.85 to 1.00 with exact ties for the best value among them,
+    # a relay that decoded all four layers re-encodes with the sender's pick
+    bins = np.array(default_table.pdr_bins)
+    values = default_table.values
+    tied = bins[(values == values.max(axis=0)).sum(axis=0) > 1]
+    assert tied.tolist() == [0.85, 0.9, 0.95, 1.0]
+    cells = np.zeros((len(bins), 4, 8, 0), dtype=np.uint8)
+    picks = [default_table.best_strategy(b) for b in range(len(bins))]
+    sender = Encoder(scheme=SCHEME_RLC, table=default_table, rng=None)
+    relay = Encoder(scheme=SCHEME_RLC, table=default_table, rng=None)
     for encoder in (sender, relay):
-        block = encoder_block(encoder, cells, [0.9], [4])
-        assert sent_strategies(block, 4) == [tied]
+        block = encoder_block(encoder, cells, bins, [4] * len(bins))
+        assert sent_strategies(block, 4) == picks
 
 
 def test_decoders_reject_coefficient_free_batches():

@@ -19,6 +19,7 @@ from nclayer.simulator import (
     sweep,
     write_rows,
 )
+from nclayer.spt import build_table
 from oracles import reference_run
 
 
@@ -136,18 +137,28 @@ def test_chain_shape_validation():
 
 
 def test_run_rejects_table_built_for_other_parameters(default_table):
-    base = ChainConfig(link_pdrs=(0.9,), gop_count=2)
+    # a table handed in from outside is checked against the config field by
+    # field; the config is one the table would suit but for that field
+    params = {"budget": 8, "layer_count": 2, "packets_per_layer": 2, "granularity": 2}
+    base = ChainConfig(link_pdrs=(0.9,), gop_count=2, **params)
     for field, value in (
-        ("budget", 32),
+        ("budget", 16),
         ("layer_count", 3),
-        ("packets_per_layer", 4),
-        ("granularity", 8),
+        ("packets_per_layer", 3),
+        ("granularity", 4),
     ):
-        with pytest.raises(ValueError, match=f"{field}="):
-            run(replace(base, **{field: value}), table=default_table)
+        table = build_table(**dict(params, **{field: value}))
+        message = (
+            f"^strategy table does not match the config: "
+            f"{field}={value} \\(config has {params[field]}\\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            run(base, table=table)
     # the heuristic selector never reads the table, but a mismatch still fails
-    with pytest.raises(ValueError, match="budget"):
-        run(replace(base, budget=32, selection="heuristic"), table=default_table)
+    heuristic = ChainConfig(link_pdrs=(0.9,), gop_count=2, selection="heuristic")
+    run(heuristic, table=default_table)
+    with pytest.raises(ValueError, match=r"granularity=8 \(config has 4\)"):
+        run(heuristic, table=build_table(granularity=8))
 
 
 def test_delay_affinity_in_nc_relays(default_table):
@@ -235,6 +246,24 @@ def test_sweep_validation():
         sweep(base, (0.5,), ["spt"], reps=0)
     with pytest.raises(ValueError, match="empty"):
         sweep(base, np.array([]), ["spt"])
+
+
+@pytest.mark.parametrize("setting", [
+    {"pdr_schedule": ((0, 0, 0.2),)},
+    {"pdr_schedule": ((0, 2, 0.2),)},
+    {"link_delays": (0.5, 0.5, 0.5)},
+])
+def test_sweep_refuses_a_base_its_rows_would_not_run_with(setting, monkeypatch):
+    # every row runs each link at the grid delivery with the default delays,
+    # so a base schedule or link delays would be reported but not run; the
+    # schedule on link 2 would also leave NC2 naming a link it lacks
+    built = []
+    monkeypatch.setattr(simulator, "build_table", lambda **kwargs: built.append(kwargs))
+    base = ChainConfig(link_pdrs=(0.9,) * 3, gop_count=5, **setting)
+    (name,) = setting
+    with pytest.raises(ValueError, match=rf"base {name} \("):
+        sweep(base, (0.9,), ("NC3-E2E", "NC2"))
+    assert built == []
 
 
 def test_sweep_resolves_every_mode_before_building_a_table(monkeypatch):

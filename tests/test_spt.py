@@ -15,7 +15,6 @@ from nclayer.spt import (
     build_table,
     enumerate_strategies,
     expected_decoded_layers,
-    load_table,
     nearest_bin,
     save_table,
 )
@@ -223,9 +222,7 @@ def test_best_restricted_depth_limits(default_table):
     assert sum(two) == 64
 
 
-def test_best_restricted_lookup_matches_scan(default_table, tmp_path):
-    path = tmp_path / "table.txt"
-    save_table(default_table, path)
+def test_best_restricted_lookup_matches_scan(default_table):
     small = build_table(budget=8, layer_count=3, packets_per_layer=2, granularity=2)
     # every bin's centre and both float neighbours of each midpoint between bins
     centres = np.array(PDR_BINS)
@@ -233,7 +230,7 @@ def test_best_restricted_lookup_matches_scan(default_table, tmp_path):
     estimates = np.concatenate(
         [centres, np.nextafter(midpoints, 0.0), np.nextafter(midpoints, 1.0), [0.0]]
     )
-    for table in (default_table, load_table(path), small):
+    for table in (default_table, small):
         _picks(table, estimates.tolist())
         for b in range(len(PDR_BINS)):
             for depth in range(table.layer_count + 2):
@@ -250,30 +247,11 @@ def test_argmax_prefers_the_last_of_exact_ties():
     assert _argmax_lex_largest(values).tolist() == [2, 3]
 
 
-def test_save_load_round_trip(default_table, tmp_path):
-    path = tmp_path / "table.txt"
-    save_table(default_table, path)
-    loaded = load_table(path)
-    assert loaded.budget == default_table.budget
-    assert loaded.layer_count == default_table.layer_count
-    assert loaded.packets_per_layer == default_table.packets_per_layer
-    assert loaded.granularity == default_table.granularity
-    assert loaded.strategies == default_table.strategies
-    assert np.array_equal(loaded.values, default_table.values)
-    assert np.array_equal(loaded.best_index, default_table.best_index)
-    assert np.array_equal(loaded.restricted_index, default_table.restricted_index)
-
-
-def test_run_with_a_loaded_table_equals_run_building_its_own(
-    default_table, tmp_path, monkeypatch
-):
-    # at 0.9 the values of competing strategies agree to many decimals, so a
-    # table read back from rounded values has relays that decoded every
-    # layer re-encode with other allocations than the built table; the
-    # packet classes each encoder sends are recorded, since the metrics
-    # alone rarely move with a near-tie
-    path = tmp_path / "table.txt"
-    save_table(default_table, path)
+def test_run_given_the_default_table_equals_run_building_its_own(default_table, monkeypatch):
+    # at 0.9 the values of competing strategies agree to many decimals, and
+    # relays that decoded every layer re-encode from the table; the packet
+    # classes each encoder sends are recorded, since the metrics alone
+    # rarely move with a near-tie
     sent = []
 
     def recording(*args):
@@ -286,27 +264,12 @@ def test_run_with_a_loaded_table_equals_run_building_its_own(
         link_pdrs=(0.9, 0.9, 0.9), relay_modes=("nc", "nc"), gop_count=60, seed=3
     )
     metrics = []
-    for table in (load_table(path), None):
+    for table in (default_table, None):
         sent.append([])
         metrics.append(asdict(run(config, table=table)))
-    loaded, built = metrics
-    assert loaded == built
+    given, built = metrics
+    assert given == built
     assert sent[0] == sent[1]
-
-
-def test_load_reads_six_decimal_files(default_table, tmp_path):
-    # values rounded to six decimals still parse, and load as rounded
-    path = tmp_path / "table.txt"
-    save_table(default_table, path)
-    lines = path.read_text().splitlines()
-    for i, line in enumerate(lines):
-        if "," in line:
-            head, value = line.rsplit(",", 1)
-            lines[i] = f"{head},{float(value):.6f}"
-    path.write_text("\n".join(lines) + "\n")
-    loaded = load_table(path)
-    assert np.array_equal(loaded.values, np.round(default_table.values, 6))
-    assert np.array_equal(loaded.best_index, default_table.best_index)
 
 
 def test_save_is_reproducible(default_table, tmp_path):
@@ -314,173 +277,6 @@ def test_save_is_reproducible(default_table, tmp_path):
     save_table(default_table, a)
     save_table(default_table, b)
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_load_rejects_missing_header(default_table, tmp_path):
-    path = tmp_path / "table.txt"
-    save_table(default_table, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(line for line in lines if not line.startswith("P=")) + "\n")
-    with pytest.raises(ValueError, match="P="):
-        load_table(path)
-
-
-@pytest.mark.parametrize("per_layer", [0, -1])
-def test_load_rejects_nonpositive_packets_per_layer(default_table, tmp_path, per_layer):
-    # the header is all that says P, so a file edited to a P that
-    # build_table refuses is refused with build_table's message
-    path = tmp_path / "table.txt"
-    save_table(default_table, path)
-    text = path.read_text().replace("\nP=8\n", f"\nP={per_layer}\n", 1)
-    path.write_text(text)
-    with pytest.raises(ValueError, match=f"^packets_per_layer must be positive, got {per_layer}$"):
-        load_table(path)
-
-
-@pytest.mark.parametrize("extra", ["method=exact", "seed=0"])
-def test_load_rejects_unknown_header_line(default_table, tmp_path, extra):
-    # files written with method= and seed= lines are refused, not read as
-    # exact tables; rebuilding them is quick and byte-reproducible
-    path = tmp_path / "table.txt"
-    save_table(default_table, path)
-    path.write_text(path.read_text().replace("g=4\n", f"g=4\n{extra}\n", 1))
-    with pytest.raises(ValueError, match=f"'{extra}'.*spt-build"):
-        load_table(path)
-
-
-def test_load_rejects_inconsistent_best_row(default_table, tmp_path):
-    path = tmp_path / "table.txt"
-    save_table(default_table, path)
-    lines = path.read_text().splitlines()
-    # at p = 0.05 the all-deep vector is nowhere near the argmax
-    target = lines.index(next(l for l in lines if l.startswith("best,0.05")))
-    parts = lines[target].split(",")
-    lines[target] = ",".join(["best", parts[1], "0", "0", "0", "64", parts[-1]])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
-        load_table(path)
-
-
-def test_load_rejects_body_of_another_budget(default_table, tmp_path):
-    # a B=64 body under a B=32 header would let a budget-32 run send 64
-    # packets per GOP
-    path = tmp_path / "table.txt"
-    save_table(default_table, path)
-    path.write_text(path.read_text().replace("B=64\n", "B=32\n", 1))
-    with pytest.raises(ValueError, match="B=32"):
-        load_table(path)
-
-
-def test_load_rejects_edited_strategy_row(default_table, tmp_path):
-    # edited in every bin, so each bin still lists 969 strategies
-    path = tmp_path / "table.txt"
-    save_table(default_table, path)
-    path.write_text(path.read_text().replace(",0,0,0,64,", ",0,0,0,60,"))
-    with pytest.raises(ValueError, match="in order"):
-        load_table(path)
-
-
-def test_load_rejects_reordered_bin(tmp_path):
-    # swapping two rows of one bin would otherwise hand each strategy the
-    # other's value
-    path = tmp_path / "table.txt"
-    save_table(build_table(budget=8, layer_count=2, packets_per_layer=2, granularity=2), path)
-    lines = path.read_text().splitlines()
-    i = lines.index(next(l for l in lines if l.startswith("0.50,")))
-    lines[i], lines[i + 1] = lines[i + 1], lines[i]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="bin 0.50"):
-        load_table(path)
-
-
-def test_load_rejects_repeated_best_row(tmp_path):
-    # twenty best rows, but bin 0.55 lost its own: its argmax would default
-    # to the first strategy
-    path = tmp_path / "table.txt"
-    save_table(build_table(budget=8, layer_count=2, packets_per_layer=2, granularity=2), path)
-    lines = path.read_text().splitlines()
-    i = lines.index(next(l for l in lines if l.startswith("best,0.55,")))
-    lines[i] = next(l for l in lines if l.startswith("best,0.50,"))
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="one best row"):
-        load_table(path)
-
-
-def _edited_table(table, tmp_path, edit):
-    """The path of the table's file with edit applied to its list of lines."""
-    path = tmp_path / "table.txt"
-    save_table(table, path)
-    lines = path.read_text().splitlines()
-    edit(lines)
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def _line_of(lines, prefix):
-    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
-
-
-def test_load_rejects_a_line_without_its_value(default_table, tmp_path):
-    # the last count would otherwise be read as the value, and that
-    # strategy valued at 0
-    def drop_value(lines):
-        i = _line_of(lines, "0.50,64,0,0,0,")
-        lines[i] = "0.50,64,0,0,0"
-
-    message = r"line \d+ '0.50,64,0,0,0': expected 6 fields, got 5"
-    with pytest.raises(ValueError, match=message):
-        load_table(_edited_table(default_table, tmp_path, drop_value))
-
-
-def test_load_rejects_a_line_with_an_extra_field(default_table, tmp_path):
-    def add_field(lines):
-        i = _line_of(lines, "0.50,64,0,0,0,")
-        lines[i] = lines[i].replace("0.50,64,", "0.50,64,0,", 1)
-
-    message = r"line \d+ '0.50,64,0,0,0,0,.*expected 6 fields, got 7"
-    with pytest.raises(ValueError, match=message):
-        load_table(_edited_table(default_table, tmp_path, add_field))
-
-
-@pytest.mark.parametrize("value", ["nan", "-7.5", "4.000001"])
-def test_load_rejects_a_value_outside_zero_to_layer_count(default_table, tmp_path, value):
-    # a value is an expected decoded depth, so it lies in [0, L]; the
-    # standard table stores some a few ulps above L, and the round-trip
-    # test loads them
-    def set_value(lines):
-        i = _line_of(lines, "0.50,0,0,0,64,")
-        lines[i] = f"0.50,0,0,0,64,{value}"
-
-    message = rf"line \d+ '0.50,0,0,0,64,{value}': value .* outside \[0, 4\]"
-    with pytest.raises(ValueError, match=message):
-        load_table(_edited_table(default_table, tmp_path, set_value))
-
-
-def test_load_rejects_a_repeated_header_line(default_table, tmp_path):
-    with pytest.raises(ValueError, match=r"line 2 'B=64': repeats header line B="):
-        load_table(_edited_table(default_table, tmp_path, lambda lines: lines.insert(1, "B=64")))
-
-
-@pytest.mark.parametrize("key", ["B", "L", "P", "g"])
-def test_load_rejects_a_header_value_that_is_not_an_integer(default_table, tmp_path, key):
-    def spell_out(lines):
-        i = _line_of(lines, f"{key}=")
-        lines[i] = f"{key}=four"
-
-    message = rf"line \d+ '{key}=four': {key}= invalid literal for int\(\) .* 'four'"
-    with pytest.raises(ValueError, match=message):
-        load_table(_edited_table(default_table, tmp_path, spell_out))
-
-
-def test_load_rejects_a_best_row_whose_value_differs_from_its_bin(default_table, tmp_path):
-    def shade_best(lines):
-        i = _line_of(lines, "best,0.50,")
-        head, value = lines[i].rsplit(",", 1)
-        lines[i] = f"{head},{float(value) - 1e-3!r}"
-
-    message = r"line \d+ 'best,0.50,.*value differs from the .* bin 0.50"
-    with pytest.raises(ValueError, match=message):
-        load_table(_edited_table(default_table, tmp_path, shade_best))
 
 
 def test_nearest_bin_array_form_matches_scalar_form():
