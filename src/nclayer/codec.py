@@ -14,17 +14,15 @@ packet is one raw cell of layer i, sent as often as the allocation allows.
 
 A PacketBlock, the one packet container, holds the packets of a block of
 GOPs as one set of rows; a single GOP travels as a block of one, and a
-GOP's number is its place in the block. encode_block, decode_block and
-score_block work on a whole block as arrays, and encode_gop is the
-one-GOP case of encode_block.
+GOP's number is its place in the block. encode_block, decode_block,
+score_block and sample_block, which draws decode_block's RLC depths from
+the packets' classes alone, work on a whole block as arrays.
 
 RLC coefficients are zero-padded to layer_count * packets_per_layer columns
 and drawn from the generator the encoder is given, whole 64-bit outputs in
 row order, so a block draws exactly what its GOPs would draw one by one.
 An encoder given no generator sends coefficient-free packets, with zero
-coefficient columns: a receiver that scores by class counts needs only
-each packet's class, so an encoder with no decoder downstream draws
-nothing.
+coefficient columns, for a receiver that scores or a relay that samples.
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ SCHEMES = (SCHEME_RLC, SCHEME_XOR, SCHEME_REPEAT)
 # system, that decode_block reduces at once; a stack holds at least one
 # system. gf_rref's temporaries run to about 11 bytes per stack byte, so
 # this bounds a decoder's memory whatever the size of the block. At L=4,
-# P=8 and delivery 0.7 it is about 70 unverified relay systems (up to about
-# 56 rows x 32) or 24 verified ones (x 96).
+# P=8, delivery 0.7 and 64-byte payloads it is about 24 systems of up to
+# about 56 rows x 96.
 DECODE_STACK_BYTES = 128 * 1024
 
 
@@ -159,14 +157,7 @@ def decodable_layers(counts: Sequence[int], packets_per_layer: int) -> int:
     if any(c < 0 for c in counts):
         raise ValueError(f"reception counts must be non-negative, got {counts}")
     for i in range(len(counts), 0, -1):
-        acc = 0
-        ok = True
-        for k in range(i):
-            acc += counts[i - 1 - k]
-            if acc < (k + 1) * packets_per_layer:
-                ok = False
-                break
-        if ok:
+        if all(sum(counts[i - 1 - k : i]) >= (k + 1) * packets_per_layer for k in range(i)):
             return i
     return 0
 
@@ -327,8 +318,10 @@ def _check_rows(block, layer_count, packets_per_layer, payload_size) -> None:
 
 
 def _check_cells(block, layer_count, packets_per_layer) -> None:
-    """Every packet of a non-empty block is of a class in 1..layer_count
-    and, under xor and repeat, names a column in 0..packets_per_layer-1."""
+    """Every packet of a block is of a class in 1..layer_count and, under
+    xor and repeat, names a column in 0..packets_per_layer-1."""
+    if not len(block):
+        return
     deepest = int(block.depth.max())
     if deepest > layer_count:
         raise ValueError(f"packet class depth {deepest} exceeds layer_count {layer_count}")
@@ -350,14 +343,65 @@ def score_block(block: PacketBlock, layer_count: int, packets_per_layer: int) ->
     coefficient or payload byte is read, so coefficient-free packets score
     as any others.
     """
-    if len(block):
-        _check_cells(block, layer_count, packets_per_layer)
+    _check_cells(block, layer_count, packets_per_layer)
     if block.scheme != SCHEME_RLC:
         return _cell_cover(block, layer_count, packets_per_layer)[1]
+    return decodable_layers_batch(_class_counts(block, layer_count), packets_per_layer)
+
+
+def sample_block(block: PacketBlock, layer_count: int, packets_per_layer: int, rng) -> np.ndarray:
+    """Each GOP's depth, drawn from the law of decode_block's on RLC packets
+    of its classes with uniform coefficients, which are not read. fill[g, l]
+    is the dimension layer l adds to GOP g's span within layers 1..l; a
+    class-c packet draws e, P(e >= k) = 256^-k, and fills unit e (from 0) of
+    those missing from layers c, c-1, ..., 1 in turn, if any. e = 0 is the
+    count rule, so each run of them is one water-fill. One draw per packet,
+    in GOP, class and packet order, as its GOPs would draw one by one."""
+    if block.scheme != SCHEME_RLC:
+        raise ValueError(f"only rlc depths are sampled, got {block.scheme!r}")
+    _check_cells(block, layer_count, packets_per_layer)
+    counts = _class_counts(block, layer_count)
+    ends = np.cumsum(counts)
+    e = rng.geometric(1 - 1 / 256, counts.sum()) - 1
+    # each e >= 1: its (GOP, class) group, its place among the group's
+    # draws and its rank among the group's e >= 1
+    at = np.flatnonzero(e)
+    group = np.searchsorted(ends, at, side="right")
+    place = at - np.r_[0, ends][group]
+    rank = np.arange(at.size) - np.searchsorted(group, group)
+    gop, cls = np.divmod(group, layer_count)
+    fill = np.zeros(counts.shape, dtype=np.int64)
+    for c in np.flatnonzero(counts.any(axis=0)):
+        # layers c, c-1, ..., 1 take each GOP's e >= 1 in rank order, each
+        # after the zeros before it (used counts draws applied), then the rest
+        used = np.zeros(counts.shape[0], dtype=np.int64)
+        mine = np.flatnonzero(cls == c)
+        for j in range(int(rank[mine].max(initial=-1)) + 1):
+            now = mine[rank[mine] == j]
+            rows, step = gop[now], e[at[now]]
+            down = fill[rows, c::-1]
+            _water_fill(down, place[now] - used[rows], packets_per_layer)
+            before = np.cumsum(packets_per_layer - down, axis=1)
+            hit = step < before[:, -1]
+            down[hit, (before[hit] <= step[hit, None]).sum(axis=1)] += 1
+            fill[rows, c::-1] = down
+            used[rows] = place[now] + 1
+        _water_fill(fill[:, c::-1], counts[:, c] - used, packets_per_layer)
+    return covered_depth((fill == packets_per_layer)[:, :, None])
+
+
+def _water_fill(down, units, packets_per_layer) -> None:
+    """Adds units[k] count-rule fills to row k of down, layers listed downward."""
+    missing = packets_per_layer - down
+    down += np.minimum(np.maximum(units[:, None] - (missing.cumsum(axis=1) - missing), 0), missing)
+
+
+def _class_counts(block: PacketBlock, layer_count: int) -> np.ndarray:
+    """Packets of each class in each GOP of a block: (G, layer_count)."""
     n_gops = block.offsets.size - 1
     gop = np.repeat(np.arange(n_gops), block.sizes)
     counts = np.bincount(gop * layer_count + block.depth - 1, minlength=n_gops * layer_count)
-    return decodable_layers_batch(counts.reshape(n_gops, layer_count), packets_per_layer)
+    return counts.reshape(n_gops, layer_count)
 
 
 def covered_depth(seen: np.ndarray):

@@ -3,8 +3,8 @@
 The sender and every re-encoding relay are one kind of node, an Encoder: it
 holds a prefix of each GOP's layers, picks a replica allocation for that
 prefix from the delivery estimate in force, and encodes. The sender holds all of
-them; a re-encoding relay holds what its decode_block of the block
-recovered, which the caller makes once and also reads for the relay's
+them; a re-encoding relay holds what its decode (or sample_block) of the
+block recovered, which the caller makes once and also reads for the relay's
 packet count, and sends nothing for a GOP it recovered no layer of. An
 encoder keeps no delivery estimate: the caller hands it the estimate in
 force at each GOP. A forwarding relay passes whatever arrives, and the
@@ -12,10 +12,10 @@ receiver scores what reaches it with codec.score_block, so neither has a
 state or a step here. Each step takes a block of GOPs, and the packets of
 a block travel as one PacketBlock; a block of one GOP is the GOP-by-GOP
 case, and a GOP's number is its place in the caller's arrays. An RLC
-encoder draws its coefficients from its own generator, which run() spawns
-from the run's seed. An encoder with no decoder downstream gets no
-generator: it sends coefficient-free packets, since the count rule reads
-only their classes, and draws nothing.
+encoder of a verified run draws its coefficients from its own generator,
+which run() spawns from the run's seed. Unverified, relays sample and the
+receiver scores from classes alone, so no encoder gets a generator: each
+sends coefficient-free packets and draws nothing.
 """
 
 from __future__ import annotations

@@ -165,13 +165,13 @@ def check_stacked_decode() -> CheckResult:
 
 
 def check_payload_free_twin() -> CheckResult:
-    """A run without verify_payloads carries zero-width payloads, and
-    encoders past the last decoder (here the relay) draw no coefficients
-    and send zero-width ones; its scores must equal those of the same run carrying and
+    """A run without verify_payloads carries zero-width payloads and
+    coefficients; where no relay samples its depths (here the relay
+    forwards), its scores must equal those of the same run carrying and
     checking real bytes and coefficients."""
     config = ChainConfig(
         link_pdrs=(0.6, 0.5),
-        relay_modes=("nc",),
+        relay_modes=("forward",),
         layer_count=3,
         packets_per_layer=4,
         payload_size=16,
@@ -201,7 +201,7 @@ def check_payload_free_twin() -> CheckResult:
     return CheckResult(
         "payload-free-twin",
         True,
-        f"{config.gop_count} GOPs over a re-encoding relay, audl {bare.audl:.3f} "
+        f"{config.gop_count} GOPs over a forwarding relay, audl {bare.audl:.3f} "
         f"with and without payload bytes",
     )
 

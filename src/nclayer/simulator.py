@@ -23,19 +23,19 @@ per-hop delays and receiver scoring then run on the block, whose packets
 travel as one PacketBlock; a GOP is its row in the block's arrays, and
 run() alone knows its number. A re-encoding relay, and a verifying receiver,
 decode all of a block's GOPs in one decode_block call, which reduces their
-RLC systems in gf_rref stacks of at most codec.DECODE_STACK_BYTES, so the
-block size sets how often each step runs and the stack bound alone sets the
-decoder's memory; the relay's decode gives both its packet count per GOP and
-the cells it re-encodes. run() keeps the loop's state in its own locals:
-each link's generator, the delivery probability in force on each link,
-each encoder's latest estimate and the verifying receiver's counts; the
-nodes hold no run state. Seeded results are those of a
-GOP-by-GOP loop whatever the block size: every link belongs to one
-segment and draws its probes and packets of GOP g before those of g+1;
-the sender and each re-encoding relay draw the coefficients of the rows
-they encode, in GOP order, from their own generator, and one past the last
-decoder is given none and draws nothing; decoding draws nothing; and each
-GOP's delay is summed in hop order.
+RLC systems in gf_rref stacks of at most codec.DECODE_STACK_BYTES, but an
+unverified run's RLC relay, which holds no payload, draws its depths from
+the decoder's law with codec.sample_block instead; the relay's depths give
+both its packet count per GOP and what it re-encodes. run() keeps the
+loop's state in its own locals: each link's generator, the delivery
+probability in force on each link, each encoder's latest estimate and the
+verifying receiver's counts; the nodes hold no run state. Seeded results
+are those of a GOP-by-GOP loop whatever the block size: every link belongs
+to one segment and draws its probes and packets of GOP g before those of
+g+1; in a verified run the sender and each re-encoding relay draw the
+coefficients they encode, in GOP order, from their own generator, and in
+an unverified one only RLC relays draw, their samples, in GOP order;
+decoding draws nothing; and each GOP's delay is summed in hop order.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import send_block
-from .codec import SCHEME_REPEAT, SCHEMES, decode_block, score_block
+from .codec import SCHEME_REPEAT, SCHEME_RLC, SCHEMES, decode_block, sample_block, score_block
 from .heuristic import ThresholdPolicy, builtin_policy
 from .media import make_synthetic_cells
 from .nodes import MODE_FORWARD, MODE_NC, RELAY_MODES, Encoder, encoder_block
@@ -64,8 +64,8 @@ CSV_HEADER = "mode,hop_count,link_pdr,measured_pdr,npr,audl,delay,seed"
 # and link draws, selection, encoding, delays, scoring) is a fixed number of
 # numpy calls whatever its size, so a larger block cuts the calls per GOP,
 # and a 50-GOP forwarding run or a 100-GOP sweep run is a single block. It
-# does not bound decoder memory: decode_block splits each relay and
-# verifying decode into stacks of at most codec.DECODE_STACK_BYTES. Against
+# does not bound decoder memory: decode_block splits each RLC decode into
+# stacks of at most codec.DECODE_STACK_BYTES. Against
 # 32 (perfbench, 10-12 alternating pairs on a 2-core x86-64 VM): sweep-par
 # 0.179 -> 0.127 CPU ms per GOP, forward-chain 0.020 -> 0.013; recode-chain's
 # 20-GOP runs are one block either way. The block's own arrays grow with it:
@@ -283,18 +283,14 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     if table is not None:
         _check_table_matches(table, config)
     repeat = config.scheme == SCHEME_REPEAT
-    # Decoded depth depends only on coefficients (RLC) or on the cells that
-    # arrived (xor, repeat), so payload bytes travel only when checked.
-    width = config.payload_size if config.verify_payloads else 0
-    # RLC coefficients are read only by a later re-encoding relay or a
-    # verifying receiver (position n_relays), so encoders past the last
-    # decoder get no generator and send none; the sender is position -1.
-    # Every generator is spawned all the same, so none moves another's draws.
+    # Payload bytes travel only when checked, and only then do decoders
+    # eliminate and encoders draw coefficients; an unverified RLC relay
+    # samples its depths from its generator instead. Every generator is
+    # spawned all the same, so none moves another's draws.
+    verify = config.verify_payloads
+    width = config.payload_size if verify else 0
+    sample = config.scheme == SCHEME_RLC and not verify
     sender_segment, relay_segments = _segments(config)
-    last_decoder = n_relays if config.verify_payloads else max(relay_segments, default=-1)
-
-    def encoder_rng(position: int, child) -> Optional[np.random.Generator]:
-        return np.random.default_rng(child) if position < last_decoder else None
 
     if config.needs_table and table is None:
         table = build_table(
@@ -317,24 +313,19 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         selector = {"table": table}
     else:
         selector = {"policy": builtin_policy(config.heuristic_set)}
-    sender = Encoder(scheme=config.scheme, rng=encoder_rng(-1, sender_child), **selector)
+    sender_rng = np.random.default_rng(sender_child) if verify else None
+    sender = Encoder(scheme=config.scheme, rng=sender_rng, **selector)
 
     # stable, so changes at one GOP keep their config order
     schedule = sorted(config.pdr_schedule, key=itemgetter(0))
 
-    # each encoder with the links it probes and sends over: the sender's
-    # segment, then each re-encoding relay's, in hop order
-    segments = [(sender, sender_segment)] + [
-        (
-            Encoder(
-                scheme=config.scheme,
-                table=table,
-                rng=encoder_rng(position, relay_children[position]),
-            ),
-            segment,
-        )
-        for position, segment in relay_segments.items()
-    ]
+    # each encoder with the links it probes and sends over and its
+    # generator: the sender's segment, then each relay's, in hop order
+    segments = [(sender, sender_segment, None)]
+    for position, segment in relay_segments.items():
+        rng = np.random.default_rng(relay_children[position])
+        relay = Encoder(scheme=config.scheme, table=table, rng=rng if verify else None)
+        segments.append((relay, segment, rng))
     # each encoder's delivery estimate, held from its latest probe round
     held_estimates = [1.0] * len(segments)
     npr = prediction_gaps = payload_errors = 0
@@ -353,10 +344,14 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         latest = np.maximum.accumulate(np.where(probes > 0, np.arange(gops.size), -1))
         delays = np.zeros(gops.size)
         block = None
-        for index, (encoder, segment) in enumerate(segments):
+        for index, (encoder, segment, rng) in enumerate(segments):
             pdrs = _block_pdrs(pdr_now, segment, gops, schedule)
             if encoder is sender:
                 held = np.full(gops.size, config.layer_count)
+                source = cells
+            elif sample:
+                # cells is the zero-width grid the relay re-encodes
+                held = sample_block(block, config.layer_count, config.packets_per_layer, rng)
                 source = cells
             else:
                 held, source = decode_block(

@@ -357,14 +357,16 @@ def reference_run(config, table=None):
     Each GOP goes through the sender's segment and then each re-encoding
     relay's, in hop order: probe the segment's links, select and encode,
     then send the packets across the segment link by link. A link draws once
-    per GOP for the probes that reach it and once for the packets, each
-    encoder hands its own generator to encode_block for every GOP it encodes,
-    and relays decode and the receiver scores GOP by GOP. The block pass of
-    run() must return the same metrics and leave every link's generator, and
-    the sender's and every re-encoding relay's, in the same state; for that
-    check the metrics come with the link generators, in hop order, and the
-    encoder generators, the sender's first and then the re-encoding relays'
-    in hop order, None for an encoder past the last decoder.
+    per GOP for the probes that reach it and once for the packets. In a
+    verified run each encoder hands its own generator to encode_block for
+    every GOP it encodes and relays decode; in an unverified RLC run no
+    encoder draws and each relay samples its depth from its own generator,
+    GOP by GOP. The block pass of run() must return the same metrics and
+    leave every generator in the same state; for that check the metrics
+    come with the link generators, in hop order, and the generators the
+    nodes draw from, in hop order: the sender's and every re-encoding
+    relay's in a verified run, every re-encoding relay's in an unverified
+    RLC run, and none otherwise.
     """
     from nclayer.codec import (
         SCHEME_REPEAT,
@@ -373,6 +375,7 @@ def reference_run(config, table=None):
         decodable_layers,
         decode_block,
         encode_block,
+        sample_block,
     )
     from nclayer.heuristic import builtin_policy
     from nclayer.media import make_synthetic_gop
@@ -394,17 +397,17 @@ def reference_run(config, table=None):
     bounds = [0] + [i + 1 for i in nc] + [hops]
     segments = [range(a, b) for a, b in zip(bounds, bounds[1:])]
     encoders = [-1] + nc
-    last_decoder = n_relays if config.verify_payloads else max(nc, default=-1)
+    sample = config.scheme == SCHEME_RLC and not config.verify_payloads
 
-    # each encoder's generator, the sender's first; an encoder past the last
-    # decoder gets none and sends coefficient-free packets
-    encoder_rngs = {
-        position: np.random.default_rng(child) if position < last_decoder else None
+    # each encoder's generator, the sender's first
+    node_rngs = {
+        position: np.random.default_rng(child)
         for position, child in zip(encoders, [sender_child] + [relay_children[i] for i in nc])
     }
 
     def encode(cells, strategy, position):
-        return encode_block(cells[None], [strategy], config.scheme, encoder_rngs[position])
+        rng = node_rngs[position] if config.verify_payloads else None
+        return encode_block(cells[None], [strategy], config.scheme, rng)
 
     if table is None and (nc or (config.selection == "spt" and not repeat)):
         table = build_table(
@@ -462,7 +465,12 @@ def reference_run(config, table=None):
                 current = encode(grid, sender_strategy, position)
                 sent_total += len(current)
             elif len(current):
-                (depth,), (decoded,) = decode_block(current, L, P, width)
+                if sample:
+                    # the relay re-encodes the zero-width grid
+                    (depth,) = sample_block(current, L, P, node_rngs[position])
+                    decoded = grid
+                else:
+                    (depth,), (decoded,) = decode_block(current, L, P, width)
                 strategy = None
                 if depth == L:
                     # a relay holding every layer picks as the sender does
@@ -518,4 +526,8 @@ def reference_run(config, table=None):
         prediction_gaps=gaps,
         payload_errors=errors,
     )
-    return metrics, rngs, list(encoder_rngs.values())
+    if config.verify_payloads:
+        drawn = list(node_rngs.values())
+    else:
+        drawn = [node_rngs[i] for i in nc] if sample else []
+    return metrics, rngs, drawn

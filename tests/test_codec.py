@@ -20,6 +20,8 @@ from nclayer.codec import (
     decode_block,
     encode_block,
     encode_gop,
+    sample_block,
+    score_block,
 )
 from nclayer.kernels import gf_matmul, gf_rref
 from nclayer.media import make_synthetic_cells, make_synthetic_gop
@@ -596,3 +598,86 @@ def test_decode_memory_is_bounded_by_one_stack():
 
     assert per_stack > 1
     assert peak(4 * per_stack) <= 1.5 * peak(per_stack)
+
+
+# (packets_per_layer, per-class counts, GOPs): the count rule's zero-slack
+# allocations at P=8, among them the lossless table pick (40, 8, 8, 8), and
+# small P, where a singular system is common enough to weigh; at P=1,
+# (0, 0, 2) decodes layer 1 with odds about 1/256, which the count rule
+# (depth 0) misses by about 14 SE at 50,000 GOPs
+LAW_CASES = [
+    (8, (8, 8, 8, 8), 4000),
+    (8, (40, 8, 8, 8), 4000),
+    (8, (7, 9, 8, 8), 4000),
+    (2, (2, 2, 2), 30000),
+    (2, (1, 2, 3), 30000),
+    (2, (0, 3, 3), 30000),
+    (1, (0, 0, 2), 50000),
+    (1, (0, 1, 2), 50000),
+    (1, (2, 1, 1, 1), 50000),
+]
+
+
+@pytest.mark.parametrize("per_layer, counts, n_gops", LAW_CASES)
+def test_sampled_depths_follow_the_decoder_law(per_layer, counts, n_gops, monkeypatch):
+    # the share of GOPs at each depth, sampled from the packets' classes,
+    # within 4 SE of decode_block's on the same encoded packets
+    monkeypatch.setattr(codec, "DECODE_STACK_BYTES", 1 << 20)
+    layers = len(counts)
+    cells = np.zeros((n_gops, layers, per_layer, 0), dtype=np.uint8)
+    block = encode_block(cells, [counts] * n_gops, SCHEME_RLC, np.random.default_rng(61))
+    decoded = decode_block(block, layers, per_layer, 0)[0]
+    sampled = sample_block(block, layers, per_layer, np.random.default_rng(62))
+    want = np.bincount(decoded, minlength=layers + 1) / n_gops
+    got = np.bincount(sampled, minlength=layers + 1) / n_gops
+    se = np.sqrt((want * (1 - want) + got * (1 - got)) / n_gops)
+    assert (np.abs(got - want) <= 4 * se).all(), (want, got, se)
+
+
+def test_sampled_depths_without_singular_draws_are_the_count_rule():
+    # a draw of 0 fills the highest layer a packet can, so a generator that
+    # never draws more gives the count rule on every GOP
+    rng = np.random.default_rng(63)
+    sizes = rng.integers(0, 12, size=(400, 3))
+    block = encode_block(
+        np.zeros((400, 3, 2, 0), dtype=np.uint8), sizes, SCHEME_RLC, None
+    )
+
+    class Certain:
+        def geometric(self, p, size):
+            return np.ones(size, dtype=np.int64)
+
+    assert np.array_equal(sample_block(block, 3, 2, Certain()), score_block(block, 3, 2))
+
+
+def test_block_samples_what_its_gops_sample_one_by_one():
+    # one draw per packet in GOP, class and packet order, so a block and its
+    # GOPs one at a time, from generators of one seed, give the same depths
+    # and leave the generators in the same state
+    rng = np.random.default_rng(64)
+    sizes = rng.integers(0, 6, size=(300, 3))
+    block = encode_block(np.zeros((300, 3, 1, 0), dtype=np.uint8), sizes, SCHEME_RLC, None)
+    block = block.select(rng.random(len(block)) < 0.8)
+    whole, alone = np.random.default_rng(65), np.random.default_rng(65)
+    depths = sample_block(block, 3, 1, whole)
+    one_by_one = [
+        sample_block(
+            PacketBlock(SCHEME_RLC, [0, b - a], block.depth[a:b], block.payload[a:b],
+                        coeffs=block.coeffs[a:b]),
+            3, 1, alone,
+        )[0]
+        for a, b in zip(block.offsets, block.offsets[1:])
+    ]
+    assert depths.tolist() == one_by_one
+    assert whole.bit_generator.state == alone.bit_generator.state
+    assert (depths < score_block(block, 3, 1)).any()
+    assert (depths > score_block(block, 3, 1)).any()
+
+
+def test_sampling_takes_rlc_blocks_of_known_classes():
+    block = encode_gop(np.zeros((2, 2, 0), dtype=np.uint8), (2, 2), SCHEME_XOR)
+    with pytest.raises(ValueError, match="rlc"):
+        sample_block(block, 2, 2, np.random.default_rng(0))
+    block = encode_gop(np.zeros((3, 2, 0), dtype=np.uint8), (2, 2, 2), SCHEME_RLC, None)
+    with pytest.raises(ValueError, match="exceeds layer_count"):
+        sample_block(block, 2, 2, np.random.default_rng(0))

@@ -226,9 +226,10 @@ def test_stacked_rref_reduces_each_system_as_alone():
 
 
 def test_rref_of_stacks_captured_from_run(default_table, monkeypatch):
-    # the stacks a 3-hop re-encoding chain at 0.7 hands the kernel, with
-    # payloads (relays and the receiver decode) and without (relays only),
-    # reduced system by system as the reference does
+    # the stacks a verified 3-hop re-encoding chain at 0.7 hands the kernel
+    # (both relays and the receiver decode), reduced system by system as the
+    # reference does; unverified, the relays sample their depths and
+    # nothing is eliminated
     captured = []
 
     def capturing(aug, n_unknowns):
@@ -244,8 +245,9 @@ def test_rref_of_stacks_captured_from_run(default_table, monkeypatch):
             gop_count=20, seed=5, verify_payloads=verify,
         )
         run(config, table=default_table)
+        assert verify or not captured
     widths = [before.shape[2] for before, *_ in captured]
-    assert widths == [32, 32, 96, 96, 96], widths
+    assert widths == [96, 96, 96], widths
     for k, (before, after, owner, n_unknowns) in enumerate(captured):
         for g in range(before.shape[0]):
             want = before[g].copy()

@@ -376,16 +376,19 @@ def test_verified_forward_chain_gap_rate_is_of_order_one_over_q(default_table):
     "relay_modes, verify, decoders",
     [
         (("forward", "forward"), False, ()),
-        (("nc", "forward"), False, (0,)),
-        (("nc", "nc"), False, (0, 1)),
+        (("nc", "forward"), False, ()),
+        (("nc", "nc"), False, ()),
         (("forward", "nc"), True, (1, 2)),
+        (("nc", "nc"), True, (0, 1, 2)),
     ],
 )
 def test_coefficients_reach_every_decoder_and_no_further(
     relay_modes, verify, decoders, default_table, monkeypatch
 ):
     # decoders names the positions that read coefficients: relay i at i, the
-    # verifying receiver at 2; each encoder sends them only if one is later
+    # verifying receiver at 2; each encoder sends them only if one is later.
+    # Only a verified run decodes: an unverified relay samples its depths
+    # from its packets' classes, so no encoder of that run draws any
     config = ChainConfig(
         link_pdrs=(0.9,) * 3, relay_modes=relay_modes, gop_count=10, seed=4,
         verify_payloads=verify,
@@ -462,17 +465,58 @@ TWIN_CONFIGS = {
 
 
 @pytest.mark.parametrize("name", sorted(TWIN_CONFIGS))
-def test_unverified_run_matches_verified_twin(name, default_table):
-    # an unverified run carries zero-width payloads, and zero-width
-    # coefficients past the last re-encoding relay; decoded depth depends
-    # only on coefficients or on which cells arrived, and every encode draws
-    # from its own seed, so the scores must equal those of the byte path
+def test_unverified_run_matches_verified_twin(name, default_table, monkeypatch):
+    # an unverified run carries zero-width payloads and coefficients. Where
+    # no RLC relay decodes, depth depends only on which classes or cells
+    # arrived, so the scores equal those of the byte path as they stand. An
+    # unverified RLC relay samples its depths instead of eliminating, so it
+    # is handed, in order, the depths its verified twin's relays decoded;
+    # then nothing else may differ (test_sampled_chain_matches_verified_audl
+    # checks the sampled depths themselves)
     config = TWIN_CONFIGS[name]
-    bare = run(config, table=default_table)
+    relays = config.relay_modes.count("nc")
+    decoded = []
+    decode = simulator.decode_block
+
+    def recording(*args):
+        depths, cells = decode(*args)
+        decoded.append(depths)
+        return depths, cells
+
+    monkeypatch.setattr(simulator, "decode_block", recording)
     verified = run(replace(config, verify_payloads=True), table=default_table)
+    # each block's relays decode in hop order, then the receiver
+    replay = (depths for k, depths in enumerate(decoded) if k % (relays + 1) < relays)
+    monkeypatch.setattr(simulator, "decode_block", decode)
+    monkeypatch.setattr(simulator, "sample_block", lambda *args: next(replay))
+    bare = run(config, table=default_table)
+    if config.scheme == "rlc":
+        assert next(replay, None) is None
     for attr in ("npr", "sent_total", "per_gop_decoded", "total_delay"):
         assert getattr(bare, attr) == getattr(verified, attr), attr
     assert verified.payload_errors == 0
+
+
+@pytest.mark.parametrize("pdr", [0.5, 0.7, 0.9, 1.0])
+def test_sampled_chain_matches_verified_audl(pdr, default_table):
+    # NC3-HBH with relays that sample their depths lies within 4 SE of the
+    # same chain whose relays eliminate real coefficients. At 1.0 every
+    # relay gets the lossless pick (40, 8, 8, 8), whose classes 2-4 have
+    # no slack, so a singular 8x8 block costs real relays a layer now and
+    # then; a sampler that followed the count rule would read 4.0 there,
+    # about 6 SE above the real chain
+    config = ChainConfig(
+        link_pdrs=(pdr,) * 3, relay_modes=("nc", "nc"), payload_size=1, gop_count=2000,
+        seed=71,
+    )
+    sampled = np.array(run(config, table=default_table).per_gop_decoded)
+    verified = run(replace(config, verify_payloads=True), table=default_table)
+    decoded = np.array(verified.per_gop_decoded)
+    se = np.sqrt((sampled.var(ddof=1) + decoded.var(ddof=1)) / config.gop_count)
+    assert abs(sampled.mean() - decoded.mean()) <= 4 * se, (sampled.mean(), decoded.mean(), se)
+    assert verified.payload_errors == 0
+    if pdr == 1.0:
+        assert sampled.mean() < config.layer_count
 
 
 BLOCK_CONFIGS = {
@@ -554,14 +598,14 @@ def _random_config(rng, index):
 
 
 def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch):
-    # run() draws once per link per block and encodes, selects and scores a
-    # block at a time; the GOP-by-GOP loop in oracles.py is the reference
-    # for every metric and for where each link's generator, and each
-    # encoder's, ends. An encoder that drew other coefficients, or drew
-    # them in another order, ends elsewhere
+    # run() draws once per link per block and encodes, samples, selects and
+    # scores a block at a time; the GOP-by-GOP loop in oracles.py is the
+    # reference for every metric and for where each link's generator, and
+    # each node's, ends. An encoder that drew other coefficients, or a relay
+    # that sampled other depths, or either in another order, ends elsewhere
     rng = np.random.default_rng(2013)
-    links, encoders = [], []
-    send, encode = simulator.send_block, simulator.encoder_block
+    links, nodes = [], []
+    send, encode, sample = simulator.send_block, simulator.encoder_block, simulator.sample_block
 
     def recorded_send(rngs, *args):
         # every link sends in each block, each segment's in hop order, so
@@ -569,28 +613,40 @@ def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch)
         links.extend(r for r in rngs if all(r is not m for m in links))
         return send(rngs, *args)
 
+    def met(node_rng):
+        # each block meets the sender first and then the re-encoding relays
+        # in hop order, so the nodes' generators are met in hop order
+        if node_rng is not None and all(node_rng is not m for m in nodes):
+            nodes.append(node_rng)
+
     def recorded_encode(encoder, *args):
-        # every encoder encodes in each block, the sender first and then
-        # the re-encoding relays in hop order
-        if all(encoder is not m for m in encoders):
-            encoders.append(encoder)
+        met(encoder.rng)
         return encode(encoder, *args)
+
+    def recorded_sample(block, layer_count, packets_per_layer, node_rng):
+        met(node_rng)
+        return sample(block, layer_count, packets_per_layer, node_rng)
 
     monkeypatch.setattr(simulator, "send_block", recorded_send)
     monkeypatch.setattr(simulator, "encoder_block", recorded_encode)
+    monkeypatch.setattr(simulator, "sample_block", recorded_sample)
     seen = set()
     for index in range(30):
         config = _random_config(rng, index)
         seen.add((config.scheme, config.selection, config.verify_payloads))
         links.clear()
-        encoders.clear()
+        nodes.clear()
         got = run(config, table=default_table)
-        want, link_rngs, encoder_rngs = reference_run(config, default_table)
+        want, link_rngs, node_rngs = reference_run(config, default_table)
         assert asdict(got) == asdict(want), config
         assert len(links) == len(link_rngs) == config.hop_count
-        assert len(encoders) == len(encoder_rngs) == 1 + config.relay_modes.count("nc")
-        for a, b in zip(links + [e.rng for e in encoders], link_rngs + encoder_rngs):
-            assert a is b is None or a.bit_generator.state == b.bit_generator.state, config
+        relays = config.relay_modes.count("nc")
+        if config.verify_payloads:
+            assert len(nodes) == len(node_rngs) == 1 + relays
+        else:
+            assert len(nodes) == len(node_rngs) == (relays if config.scheme == "rlc" else 0)
+        for a, b in zip(links + nodes, link_rngs + node_rngs):
+            assert a.bit_generator.state == b.bit_generator.state, config
     assert len(seen) >= 8
 
 
