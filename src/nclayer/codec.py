@@ -351,56 +351,86 @@ def score_block(block: PacketBlock, layer_count: int, packets_per_layer: int) ->
 
 def sample_block(block: PacketBlock, layer_count: int, packets_per_layer: int, rng) -> np.ndarray:
     """Each GOP's depth, drawn from the law of decode_block's on RLC packets
-    of its classes with uniform coefficients, which are not read. fill[g, l]
-    is the dimension layer l adds to GOP g's span within layers 1..l; a
-    class-c packet draws e, P(e >= k) = 256^-k, and fills unit e (from 0) of
-    those missing from layers c, c-1, ..., 1 in turn, if any. e = 0 is the
-    count rule, so each run of them is one water-fill. One draw per packet,
-    in GOP, class and packet order, as its GOPs would draw one by one."""
+    of its classes with uniform coefficients, which are not read. A GOP's
+    fill[l] is the dimension layer l adds to its span within layers 1..l; a
+    class-c packet draws e, P(e >= k) = 256^-k, and fills unit e (from 0)
+    of those missing from layers c, c-1, ..., 1 in turn, if any. One
+    rng.geometric draw per packet, in GOP, class and packet order, as its
+    GOPs would draw one by one.
+
+    e = 0 fills layer c if it can, which is the count rule, and so does e
+    for the k-th class-c packet (from 0) whenever k + e < P: only class-c
+    packets reach layer c before class c+1's, so it still misses at least
+    P - k > e units. So every GOP is scored by the count rule, and only
+    GOPs holding a draw with k + e >= P are walked again."""
     if block.scheme != SCHEME_RLC:
         raise ValueError(f"only rlc depths are sampled, got {block.scheme!r}")
     _check_cells(block, layer_count, packets_per_layer)
     counts = _class_counts(block, layer_count)
+    draws = rng.geometric(1 - 1 / 256, counts.sum())
+    depths = decodable_layers_batch(counts, packets_per_layer)
+    # each e >= 1: its (GOP, class) group and its place k among the group's
+    # draws; those with k + e < P fill as a zero does
+    at = np.flatnonzero(draws > 1)
     ends = np.cumsum(counts)
-    e = rng.geometric(1 - 1 / 256, counts.sum()) - 1
-    # each e >= 1: its (GOP, class) group, its place among the group's
-    # draws and its rank among the group's e >= 1
-    at = np.flatnonzero(e)
     group = np.searchsorted(ends, at, side="right")
-    place = at - np.r_[0, ends][group]
-    rank = np.arange(at.size) - np.searchsorted(group, group)
-    gop, cls = np.divmod(group, layer_count)
-    fill = np.zeros(counts.shape, dtype=np.int64)
-    for c in np.flatnonzero(counts.any(axis=0)):
-        # layers c, c-1, ..., 1 take each GOP's e >= 1 in rank order, each
-        # after the zeros before it (used counts draws applied), then the rest
-        used = np.zeros(counts.shape[0], dtype=np.int64)
-        mine = np.flatnonzero(cls == c)
-        for j in range(int(rank[mine].max(initial=-1)) + 1):
-            now = mine[rank[mine] == j]
-            rows, step = gop[now], e[at[now]]
-            down = fill[rows, c::-1]
-            _water_fill(down, place[now] - used[rows], packets_per_layer)
-            before = np.cumsum(packets_per_layer - down, axis=1)
-            hit = step < before[:, -1]
-            down[hit, (before[hit] <= step[hit, None]).sum(axis=1)] += 1
-            fill[rows, c::-1] = down
-            used[rows] = place[now] + 1
-        _water_fill(fill[:, c::-1], counts[:, c] - used, packets_per_layer)
-    return covered_depth((fill == packets_per_layer)[:, :, None])
+    place = at - ends[group] + counts.ravel()[group]
+    step = draws[at] - 1
+    moves = place + step >= packets_per_layer
+    if moves.any():
+        for gop, depth in _walk(
+            counts, group[moves].tolist(), place[moves].tolist(), step[moves].tolist(),
+            packets_per_layer,
+        ):
+            depths[gop] = depth
+    return depths
 
 
-def _water_fill(down, units, packets_per_layer) -> None:
-    """Adds units[k] count-rule fills to row k of down, layers listed downward."""
-    missing = packets_per_layer - down
-    down += np.minimum(np.maximum(units[:, None] - (missing.cumsum(axis=1) - missing), 0), missing)
+def _walk(counts, group, place, step, packets_per_layer):
+    """(GOP, depth) of each GOP named in group, by pouring its packets class
+    by class: the draw e = step[i] at place[i] of group[i] (GOP * L +
+    class), in group and place order, and zeros for the rest."""
+    layer_count = counts.shape[1]
+    group = group + [-1]
+    i = 0
+    while i < len(step):
+        gop = group[i] // layer_count
+        row = counts[gop].tolist()
+        # missing[l]: the units layer l lacks; class c pours from layer c
+        # down the zeros before each of its draws, the draw, then the rest
+        missing = [packets_per_layer] * layer_count
+        for c in range(layer_count):
+            key = gop * layer_count + c
+            used = 0
+            while True:
+                last = group[i] != key
+                units = (row[c] if last else place[i]) - used
+                for l in range(c, -1, -1):
+                    if units <= missing[l]:
+                        missing[l] -= units
+                        break
+                    units -= missing[l]
+                    missing[l] = 0
+                if last:
+                    break
+                used, skip = place[i] + 1, step[i]
+                i += 1
+                for l in range(c, -1, -1):
+                    if skip < missing[l]:
+                        missing[l] -= 1
+                        break
+                    skip -= missing[l]
+        depth = 0
+        while depth < layer_count and not missing[depth]:
+            depth += 1
+        yield gop, depth
 
 
 def _class_counts(block: PacketBlock, layer_count: int) -> np.ndarray:
     """Packets of each class in each GOP of a block: (G, layer_count)."""
     n_gops = block.offsets.size - 1
-    gop = np.repeat(np.arange(n_gops), block.sizes)
-    counts = np.bincount(gop * layer_count + block.depth - 1, minlength=n_gops * layer_count)
+    first = np.repeat(np.arange(n_gops) * layer_count - 1, block.sizes)
+    counts = np.bincount(first + block.depth, minlength=n_gops * layer_count)
     return counts.reshape(n_gops, layer_count)
 
 

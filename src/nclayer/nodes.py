@@ -13,9 +13,9 @@ state or a step here. Each step takes a block of GOPs, and the packets of
 a block travel as one PacketBlock; a block of one GOP is the GOP-by-GOP
 case, and a GOP's number is its place in the caller's arrays. An RLC
 encoder of a verified run draws its coefficients from its own generator,
-which run() spawns from the run's seed. Unverified, relays sample and the
-receiver scores from classes alone, so no encoder gets a generator: each
-sends coefficient-free packets and draws nothing.
+which run() seeds from its own child of the run's seed. Unverified,
+relays sample and the receiver scores from classes alone, so no encoder
+gets a generator: each sends coefficient-free packets and draws nothing.
 """
 
 from __future__ import annotations

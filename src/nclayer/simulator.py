@@ -36,6 +36,10 @@ g+1; in a verified run the sender and each re-encoding relay draw the
 coefficients they encode, in GOP order, from their own generator, and in
 an unverified one only RLC relays draw, their samples, in GOP order;
 decoding draws nothing; and each GOP's delay is summed in hop order.
+Each generator is seeded from its own child of the run's seed, child i of
+SeedSequence(seed).spawn(n) made alone from its spawn key (i,), and only
+for the generators the run draws from: a forwarding chain's links, say,
+but no grid seed unless payload bytes travel.
 """
 
 from __future__ import annotations
@@ -273,23 +277,24 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     """
     hops = config.hop_count
     n_relays = hops - 1
-    seed_seq = np.random.SeedSequence(config.seed)
-    children = seed_seq.spawn(hops + n_relays + 2)
-    link_children = children[:hops]
-    relay_children = children[hops : hops + n_relays]
-    sender_child = children[hops + n_relays]
-    grid_seed = int(children[hops + n_relays + 1].generate_state(1)[0])
+
+    def child(index):
+        # child index of SeedSequence(seed).spawn(n), for any n > index
+        return np.random.SeedSequence(config.seed, spawn_key=(index,))
 
     if table is not None:
         _check_table_matches(table, config)
     repeat = config.scheme == SCHEME_REPEAT
     # Payload bytes travel only when checked, and only then do decoders
     # eliminate and encoders draw coefficients; an unverified RLC relay
-    # samples its depths from its generator instead. Every generator is
-    # spawned all the same, so none moves another's draws.
+    # samples its depths from its generator instead. Each generator has its
+    # own child of the run's seed, links 0..hops-1, relays hops + position,
+    # the sender and then the grid seed after them, made only when drawn
+    # from, so none moves another's draws.
     verify = config.verify_payloads
     width = config.payload_size if verify else 0
     sample = config.scheme == SCHEME_RLC and not verify
+    grid_seed = int(child(hops + n_relays + 1).generate_state(1)[0]) if width else 0
     sender_segment, relay_segments = _segments(config)
 
     if config.needs_table and table is None:
@@ -302,7 +307,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
 
     # each link is its own generator; the delivery probability in force on
     # each link, which the schedule changes, is run()'s to keep
-    link_rngs = [np.random.default_rng(child) for child in link_children]
+    link_rngs = [np.random.default_rng(child(i)) for i in range(hops)]
     pdr_now = np.array(config.link_pdrs)
     link_delays = config.link_delays or (config.transmit_delay,) * hops
     if repeat:
@@ -313,7 +318,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         selector = {"table": table}
     else:
         selector = {"policy": builtin_policy(config.heuristic_set)}
-    sender_rng = np.random.default_rng(sender_child) if verify else None
+    sender_rng = np.random.default_rng(child(hops + n_relays)) if verify else None
     sender = Encoder(scheme=config.scheme, rng=sender_rng, **selector)
 
     # stable, so changes at one GOP keep their config order
@@ -323,7 +328,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     # generator: the sender's segment, then each relay's, in hop order
     segments = [(sender, sender_segment, None)]
     for position, segment in relay_segments.items():
-        rng = np.random.default_rng(relay_children[position])
+        rng = np.random.default_rng(child(hops + position)) if verify or sample else None
         relay = Encoder(scheme=config.scheme, table=table, rng=rng if verify else None)
         segments.append((relay, segment, rng))
     # each encoder's delivery estimate, held from its latest probe round

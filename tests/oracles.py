@@ -7,7 +7,9 @@ tautology. reference_run drives the package's codec one GOP at a time,
 with the scalar table and policy lookups below, through the GOP-by-GOP
 loop, so it checks how run() carries GOPs, not the codec; each of its
 encoders hands its own generator to encode_block GOP by GOP, so the block
-pass must draw the same coefficients in the same order.
+pass must draw the same coefficients in the same order. Its relays sample
+with reference_sample_block, which steps every draw as the sampler first
+did.
 """
 
 import math
@@ -328,6 +330,52 @@ def best_restricted(table, bin_index, max_depth):
     return None if best is None else table.strategies[best]
 
 
+def reference_sample_block(block, layer_count, packets_per_layer, rng):
+    """codec.sample_block's depths by stepping every draw, as the sampler
+    first did: class by class, the GOPs' draws of e >= 1 of each rank at
+    once, each after a water-fill of the zeros before it, then the rest.
+    The same one rng.geometric call, so it leaves rng where sample_block
+    does."""
+    n_gops = block.offsets.size - 1
+    gop = np.repeat(np.arange(n_gops), np.diff(block.offsets))
+    counts = np.bincount(
+        gop * layer_count + block.depth - 1, minlength=n_gops * layer_count
+    ).reshape(n_gops, layer_count)
+    ends = np.cumsum(counts)
+    e = rng.geometric(1 - 1 / 256, counts.sum()) - 1
+    # each e >= 1: its (GOP, class) group, its place among the group's
+    # draws and its rank among the group's e >= 1
+    at = np.flatnonzero(e)
+    group = np.searchsorted(ends, at, side="right")
+    place = at - np.r_[0, ends][group]
+    rank = np.arange(at.size) - np.searchsorted(group, group)
+    gop, cls = np.divmod(group, layer_count)
+    fill = np.zeros(counts.shape, dtype=np.int64)
+    for c in np.flatnonzero(counts.any(axis=0)):
+        # layers c, c-1, ..., 1 take each GOP's e >= 1 in rank order, each
+        # after the zeros before it (used counts draws applied), then the rest
+        used = np.zeros(counts.shape[0], dtype=np.int64)
+        mine = np.flatnonzero(cls == c)
+        for j in range(int(rank[mine].max(initial=-1)) + 1):
+            now = mine[rank[mine] == j]
+            rows, step = gop[now], e[at[now]]
+            down = fill[rows, c::-1]
+            _water_fill(down, place[now] - used[rows], packets_per_layer)
+            before = np.cumsum(packets_per_layer - down, axis=1)
+            hit = step < before[:, -1]
+            down[hit, (before[hit] <= step[hit, None]).sum(axis=1)] += 1
+            fill[rows, c::-1] = down
+            used[rows] = place[now] + 1
+        _water_fill(fill[:, c::-1], counts[:, c] - used, packets_per_layer)
+    return np.cumprod(fill == packets_per_layer, axis=1).sum(axis=1)
+
+
+def _water_fill(down, units, packets_per_layer):
+    """Adds units[k] count-rule fills to row k of down, layers listed downward."""
+    missing = packets_per_layer - down
+    down += np.minimum(np.maximum(units[:, None] - (missing.cumsum(axis=1) - missing), 0), missing)
+
+
 def sent_strategies(block, layer_count):
     """The replica counts each GOP of a block went out under, read back
     from its packets' classes one GOP at a time."""
@@ -360,13 +408,14 @@ def reference_run(config, table=None):
     per GOP for the probes that reach it and once for the packets. In a
     verified run each encoder hands its own generator to encode_block for
     every GOP it encodes and relays decode; in an unverified RLC run no
-    encoder draws and each relay samples its depth from its own generator,
-    GOP by GOP. The block pass of run() must return the same metrics and
-    leave every generator in the same state; for that check the metrics
-    come with the link generators, in hop order, and the generators the
-    nodes draw from, in hop order: the sender's and every re-encoding
-    relay's in a verified run, every re-encoding relay's in an unverified
-    RLC run, and none otherwise.
+    encoder draws and each relay samples its depth from its own generator
+    with reference_sample_block, GOP by GOP. Its generators come from
+    SeedSequence.spawn, where run() makes each child alone. The block pass
+    of run() must return the same metrics and leave every generator in the
+    same state; for that check the metrics come with the link generators,
+    in hop order, and the generators the nodes draw from, in hop order: the
+    sender's and every re-encoding relay's in a verified run, every
+    re-encoding relay's in an unverified RLC run, and none otherwise.
     """
     from nclayer.codec import (
         SCHEME_REPEAT,
@@ -375,7 +424,6 @@ def reference_run(config, table=None):
         decodable_layers,
         decode_block,
         encode_block,
-        sample_block,
     )
     from nclayer.heuristic import builtin_policy
     from nclayer.media import make_synthetic_gop
@@ -467,7 +515,7 @@ def reference_run(config, table=None):
             elif len(current):
                 if sample:
                     # the relay re-encodes the zero-width grid
-                    (depth,) = sample_block(current, L, P, node_rngs[position])
+                    (depth,) = reference_sample_block(current, L, P, node_rngs[position])
                     decoded = grid
                 else:
                     (depth,), (decoded,) = decode_block(current, L, P, width)

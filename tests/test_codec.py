@@ -25,7 +25,12 @@ from nclayer.codec import (
 )
 from nclayer.kernels import gf_matmul, gf_rref
 from nclayer.media import make_synthetic_cells, make_synthetic_gop
-from oracles import count_vectors, decode_gop_reference, rank_decodable_layers
+from oracles import (
+    count_vectors,
+    decode_gop_reference,
+    rank_decodable_layers,
+    reference_sample_block,
+)
 
 
 def test_worked_example_three_classes():
@@ -672,6 +677,96 @@ def test_block_samples_what_its_gops_sample_one_by_one():
     assert whole.bit_generator.state == alone.bit_generator.state
     assert (depths < score_block(block, 3, 1)).any()
     assert (depths > score_block(block, 3, 1)).any()
+
+
+class StandIn:
+    """A Generator whose geometric draws take another p, so that draws of
+    e >= 1, and those at k + e = P, are common."""
+
+    def __init__(self, seed, p):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.p = p
+
+    def geometric(self, p, size):
+        return self.rng.geometric(self.p, size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    layers=st.integers(1, 5),
+    per_layer=st.integers(1, 9),
+    n_gops=st.integers(1, 300),
+    p=st.sampled_from([None, 0.5, 0.2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampled_depths_equal_the_stepped_sampler(layers, per_layer, n_gops, p, seed):
+    # scoring by the count rule and walking only the GOPs a draw can move
+    # gives the depths of stepping every draw, and leaves the generator
+    # where that does
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(0, 3 * per_layer + 1, size=(n_gops, layers))
+    cells = np.zeros((n_gops, layers, per_layer, 0), dtype=np.uint8)
+    block = encode_block(cells, sizes, SCHEME_RLC, None)
+    block = block.select(rng.random(len(block)) < rng.random())
+
+    def generator():
+        return np.random.default_rng(seed + 1) if p is None else StandIn(seed + 1, p)
+
+    mine, theirs = generator(), generator()
+    got = sample_block(block, layers, per_layer, mine)
+    want = reference_sample_block(block, layers, per_layer, theirs)
+    assert got.tolist() == want.tolist()
+    assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+class Fixed:
+    """A generator whose draws are given: e + 1 from geometric, packet by
+    packet in GOP, class and packet order."""
+
+    def __init__(self, counts, draw):
+        # draw(c, k) is e for the k-th packet (from 0) of class c + 1
+        self.e = [draw(c, k) for row in counts for c, n in enumerate(row) for k in range(n)]
+
+    def geometric(self, p, size):
+        assert size == len(self.e)
+        return np.array(self.e, dtype=np.int64) + 1
+
+
+def test_draws_that_cannot_move_a_depth_sample_the_count_rule():
+    # the k-th class-c packet drawing e with k + e < P fills layer c, as a
+    # zero does, so the largest such e at every place gives the count rule
+    per_layer = 4
+    counts = [(4, 4, 4), (6, 2, 5), (0, 4, 4), (4, 0, 4), (1, 7, 3), (0, 0, 0), (9, 9, 9)]
+    cells = np.zeros((len(counts), 3, per_layer, 0), dtype=np.uint8)
+    block = encode_block(cells, counts, SCHEME_RLC, None)
+    draws = Fixed(counts, lambda c, k: max(per_layer - 1 - k, 0))
+    assert sample_block(block, 3, per_layer, draws).tolist() == [3, 1, 0, 1, 2, 0, 3]
+    assert score_block(block, 3, per_layer).tolist() == [3, 1, 0, 1, 2, 0, 3]
+
+
+@pytest.mark.parametrize(
+    "per_layer, counts, at, depth",
+    [
+        # zero slack: the last class-3 packet's e = 1 skips layer 3's one
+        # missing unit and finds layers 1 and 2 full, so layer 3 stays short
+        (4, (4, 4, 4), (2, 3, 1), 2),
+        (4, (4, 4, 4), (0, 3, 1), 0),
+        # layer 2 is full, and e = 1 skips layer 1's one missing unit,
+        # which the count rule's zero fills
+        (1, (0, 2), (1, 1, 1), 0),
+        # every layer is full when the draw comes, so nothing moves
+        (4, (4, 4, 9), (2, 8, 5), 3),
+        (4, (4, 4, 9), (2, 4, 1), 3),
+    ],
+)
+def test_a_draw_at_or_past_the_layer_it_would_fill(per_layer, counts, at, depth):
+    layers = len(counts)
+    block = encode_gop(np.zeros((layers, per_layer, 0), dtype=np.uint8), counts, SCHEME_RLC, None)
+    draws = Fixed([counts], lambda c, k: at[2] if (c, k) == at[:2] else 0)
+    assert at[1] + at[2] >= per_layer
+    assert score_block(block, layers, per_layer).tolist() == [layers]
+    assert sample_block(block, layers, per_layer, draws).tolist() == [depth]
 
 
 def test_sampling_takes_rlc_blocks_of_known_classes():

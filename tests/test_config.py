@@ -191,7 +191,7 @@ def test_load_config_names_the_key_of_a_refused_value(tmp_path):
 
 
 def test_negative_seed_is_refused_under_its_key(tmp_path):
-    # numpy refuses a negative seed only once run() spawns its streams, in a
+    # numpy refuses a negative seed only once run() seeds its streams, in a
     # message that names no key
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
         ChainConfig(seed=-1)

@@ -90,6 +90,18 @@ GOLDEN_RUNS = {
     ),
 }
 
+# (config, npr, total_delay, sha256 of per_gop_decoded as little-endian
+# int64) of a lossless unverified chain of two re-encoding relays, one full
+# block and a ragged tail: a relay decodes short only where its sampled
+# rank falls short of the count rule, which the table's zero-slack pick
+# (40, 8, 8, 8) leaves no room for
+GOLDEN_SAMPLED_RUN = (
+    ChainConfig(link_pdrs=(1.0, 1.0, 1.0), relay_modes=("nc", "nc"), gop_count=300, seed=109),
+    19200,
+    36120.60000000005,
+    "90af572c1c9b3a31ba34f6672221aefe25f7e0860262125e72156efabe8282a3",
+)
+
 # sha256 of the standard B=64, L=4, P=8, g=4 table: every value in every bin
 # as float64 bytes, the per-bin argmax and the (bin, depth) restricted argmax
 # as int64 bytes; a kernel change that moves any value by one bit fails here
@@ -123,6 +135,17 @@ def test_seeded_run_outputs_are_pinned(name, default_table):
     assert metrics.sent_total == sent_total
     assert metrics.per_gop_decoded == per_gop_decoded
     assert metrics.total_delay == total_delay
+
+
+def test_sampled_relay_depths_are_pinned(default_table):
+    config, npr, total_delay, decoded_sha256 = GOLDEN_SAMPLED_RUN
+    metrics = run(config, table=default_table)
+    decoded = np.asarray(metrics.per_gop_decoded, dtype="<i8")
+    assert metrics.npr == npr
+    assert metrics.total_delay == total_delay
+    assert hashlib.sha256(decoded.tobytes()).hexdigest() == decoded_sha256
+    # a sampler that kept the count rule would pass every GOP at depth 4
+    assert decoded.min() < 4
 
 
 def test_standard_table_is_pinned(default_table):
