@@ -173,22 +173,27 @@ def expected_layers_batch(strategies, pmf_rows, per_layer, steps=None):
 
     The forward occupancy after class i depends only on a strategy's first i
     counts, and the backward vector from class i on only on its later counts,
-    so each pass advances one (rows, bins, L*P+1) array holding one row per
-    distinct count prefix (or suffix) and one plane per bin, each step
-    starting from its parent prefix's row. The value reads only state zero
-    of each pass's last step, so that step computes state zero alone, and
-    the deficit after class i is at most i * per_layer, so each forward
-    step multiplies and adds only the states that can be nonzero and each
-    backward step computes only the states the next one reads. Within a
-    step, outcome r updates the rows whose class count reaches r, each
-    weighted from its own binomial row in every bin. Every element sees the
-    floating-point operations of a strategy-at-a-time walk in one bin that
-    skips zero weights, in the same order: multiply, then accumulate in
-    ascending r, where a zero weight the walk skips, or a state the trimmed
-    step skips, adds an exact zero. A spill into state zero sums the full
-    zero-padded run of states it covers, as the walk does, since a pairwise
-    sum of another length can round differently. So the values are
-    bit-identical to that walk whatever the batch and the stack hold.
+    so each pass advances one (L*P+1, rows, bins) array holding one row per
+    distinct count prefix (or suffix) and one column per bin, each step
+    starting from its parent prefix's row, taken with ``take(parent,
+    axis=1)`` (a fancy index on the middle axis returns a transposed,
+    non-contiguous copy). With the state axis outermost each state is one
+    contiguous plane of rows x bins values, so a shifted multiply-add runs
+    over whole planes. The value reads only state zero of each pass's last
+    step, so that step computes state zero alone, and the deficit after
+    class i is at most i * per_layer, so each forward step multiplies and
+    adds only the states that can be nonzero and each backward step computes
+    only the states the next one reads. Within a step, outcome r updates the
+    rows whose class count reaches r, each weighted from its own binomial row
+    in every bin. Every element sees the floating-point operations of a
+    strategy-at-a-time walk in one bin that skips zero weights, in the same
+    order: multiply, then accumulate in ascending r, where a zero weight the
+    walk skips, or a state the trimmed step skips, adds an exact zero. A
+    spill into state zero is the walk's numpy sum of the full zero-padded
+    run of states it covers, added in numpy's order for a run of that length
+    (``_prefix_sums``), since a sum in another order or of another length
+    can round differently. So the values are bit-identical to that walk
+    whatever the batch and the stack hold.
     """
     strategies = np.asarray(strategies, dtype=np.int64)
     n_strategies, n_layers = strategies.shape
@@ -199,17 +204,20 @@ def expected_layers_batch(strategies, pmf_rows, per_layer, steps=None):
     n_bins = stack.shape[0]
     n_states = n_layers * per_layer + 1
     zero_occupancy = np.zeros((n_layers + 1, n_strategies, n_bins))
-    f = np.zeros((1, n_bins, n_states))
-    f[:, :, 0] = 1.0
+    f = np.zeros((n_states, 1, n_bins))
+    f[0] = 1.0
     for i, (parent, counts, node) in enumerate(forward, 1):
+        # states above the reachable deficit (i - 1) * per_layer are zero
+        f = f[: (i - 1) * per_layer + 1].take(parent, axis=1)
         width = n_states if i < n_layers else 1
-        f = _forward_step(f[parent], counts, weights, per_layer, width, (i - 1) * per_layer)
-        zero_occupancy[i] = f[node, :, 0]
+        f = _forward_step(f, counts, weights, per_layer, width, n_states)
+        zero_occupancy[i] = f[0, node]
     value = n_layers * zero_occupancy[n_layers]
-    bq = np.ones((1, n_bins, n_states))
+    bq = np.ones((n_states, 1, n_bins))
     for i, (parent, counts, node) in zip(range(n_layers - 1, 0, -1), backward):
-        bq = _backward_step(bq[parent], counts, weights, per_layer, (i - 1) * per_layer + 1)
-        value += i * zero_occupancy[i] * bq[node, :, 0]
+        bq = bq.take(parent, axis=1)
+        bq = _backward_step(bq, counts, weights, per_layer, (i - 1) * per_layer + 1)
+        value += i * zero_occupancy[i] * bq[0, node]
     return value if pmf_rows.ndim == 3 else value[:, 0]
 
 
@@ -262,34 +270,84 @@ def _reach(counts):
     return np.searchsorted(-counts, -np.arange(counts[0] + 1), side="right")
 
 
-def _forward_step(f, counts, weights, per_layer, width, top):
-    # f is (rows, bins, states), zero above state top, and its rows come in
-    # descending order of count. Outcome r moves state j to j + shift,
-    # shift = per_layer - r, and every state that would fall below zero
-    # spills into state zero; only states up to top are moved, and only the
-    # first ``width`` states of the result are computed
-    n_states = f.shape[2]
-    new = np.zeros(f.shape[:2] + (width,))
-    spill = np.zeros(f.shape[:2])
+def _forward_step(f, counts, weights, per_layer, width, n_states):
+    # f is (states, rows, bins), holding states 0 to len(f) - 1 of n_states,
+    # the rest zero, and its rows come in descending order of count. Outcome
+    # r moves state j to j + shift, shift = per_layer - r, and every state
+    # that would fall below zero spills into state zero; only the first
+    # ``width`` states of the result are computed
+    live = len(f)
+    new = np.zeros((width,) + f.shape[1:])
+    spill = np.zeros(f.shape[1:])
+    sums = _prefix_sums(f, n_states)
+    next(sums)
     for r, k in enumerate(_reach(counts)):
         shift = per_layer - r
         if shift >= width:
             continue
         w = weights[counts[:k], r]
         if shift >= 0:
-            m = min(width - shift, top + 1)
-            new[:k, :, shift : shift + m] += w[:, :, None] * f[:k, :, :m]
+            m = min(width - shift, live)
+            new[shift : shift + m, :k] += w * f[:m, :k]
+            if not shift:
+                sums.send(k)  # the one-state sum the spills grow from
             continue
-        spill[:k] += w * f[:k, :, : 1 - shift].sum(axis=2)
-        hi = min(width, n_states + shift, top + 1 + shift)
+        spill[:k] += w * sums.send(k)
+        hi = min(width, live + shift)
         if hi > 1:
-            new[:k, :, 1:hi] += w[:, :, None] * f[:k, :, 1 - shift : hi - shift]
-    new[:, :, 0] += spill
+            new[1:hi, :k] += w * f[1 - shift : hi - shift, :k]
+    new[0] += spill
     return new
 
 
+def _prefix_sums(a, n_max):
+    """Generator of the sums of the first n state planes of a (states, rows,
+    bins) array, for n = 1, 2, ... up to n_max and n_max after that; each
+    ``send(k)`` returns the next one over the first k rows, k never growing.
+    Planes past len(a) are zero.
+
+    Each sum adds its n values in the order numpy's ``sum`` adds a
+    contiguous run of n: under 8 in order from 0.0; up to 128 in eight
+    strided accumulators, combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the
+    n % 8 left over in order; past 128 split at n // 2 rounded down to a
+    multiple of 8, each part summed the same way. So each n costs one plane
+    add, or one accumulator update every 8, and a split one sum of its
+    second part, carried on from the last split at the same place.
+    """
+    k = yield
+    acc = np.zeros((8, k) + a.shape[2:])
+    s = np.zeros(acc.shape[1:])
+    whole = {}  # the sums at multiples of 8, the first parts of splits
+    split = rest = None
+    for n in range(1, n_max + 1):
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            if half != split:
+                split, rest, m = half, _prefix_sums(a[half:], n_max - half), 0
+                next(rest)
+            s = whole[split][:k]
+            if split < len(a):
+                while m < n - split:
+                    part = rest.send(k)
+                    m += 1
+                s = s + part
+        elif n % 8:
+            s = s[:k] + a[n - 1, :k] if n <= len(a) else s[:k]
+        else:
+            block = a[n - 8 : n, :k]
+            acc = acc[:, :k]
+            acc[: len(block)] += block
+            pairs = acc[0::2] + acc[1::2]
+            s = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+        if not n % 8:
+            whole[n] = s
+        k = yield s
+    while True:
+        k = yield s[:k]
+
+
 def _backward_step(bq, counts, weights, per_layer, width):
-    # bq is (rows, bins, states) and its rows come in descending order of
+    # bq is (states, rows, bins) and its rows come in descending order of
     # count. After outcome r, state j reads state j + shift, shift =
     # per_layer - r; a walk that lands on zero does not avoid it, so state
     # zero is never read. States above the reachable deficit bound never
@@ -297,12 +355,11 @@ def _backward_step(bq, counts, weights, per_layer, width):
     # without error. Only the first ``width`` states of the result are
     # computed, so outcomes from r = per_layer + width - 1 on reach none of
     # them.
-    n_states = bq.shape[2]
-    new = np.zeros(bq.shape[:2] + (width,))
+    n_states = bq.shape[0]
+    new = np.zeros((width,) + bq.shape[1:])
     for r, k in enumerate(_reach(counts)[: per_layer + width - 1]):
         shift = per_layer - r
         lo = max(0, 1 - shift)
         hi = min(width, n_states - max(shift, 0))
-        w = weights[counts[:k], r][:, :, None]
-        new[:k, :, lo:hi] += w * bq[:k, :, lo + shift : hi + shift]
+        new[lo:hi, :k] += weights[counts[:k], r] * bq[lo + shift : hi + shift, :k]
     return new

@@ -7,6 +7,7 @@ from nclayer.heuristic import (
     builtin_policy,
 )
 from nclayer.nodes import Encoder, encoder_block
+from nclayer.spt import expected_decoded_layers
 from oracles import select_strategy, sent_strategies
 
 
@@ -64,6 +65,16 @@ def test_boundary_estimate_takes_upper_interval():
         points = np.array(policy.breakpoints)
         edges = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
         _picks(policy, edges.tolist() + grid)
+
+
+def test_set_three_fixed_pick_values_quoted_in_readme():
+    # set 3 sends (40, 8, 8, 8) from 0.8 up; with no slack in classes 2-4 it
+    # decodes far less than the table's picks below 1.0, as README states
+    top = builtin_policy(3).strategies[-1]
+    assert top == (40, 8, 8, 8)
+    assert round(expected_decoded_layers(top, 0.90, 8), 4) == 1.6955
+    assert round(expected_decoded_layers(top, 0.95, 8), 4) == 2.3955
+    assert expected_decoded_layers(top, 1.0, 8) == 4.0
 
 
 def test_estimate_out_of_range_rejected():

@@ -324,9 +324,12 @@ def test_expected_layers_numpy_matches_reference_on_random_shapes():
 def _shared_prefix_sets():
     """Strategy sets whose rows share many count prefixes and suffixes, in
     shuffled order with repeated rows, with counts above the L*P+1 deficit
-    states, each with its per-layer count."""
+    states, each with its per-layer count. The last two have 145 and 141
+    states, so a spill sums runs past 128 states, where numpy splits its
+    sum in two."""
     rng = np.random.default_rng(11)
-    for budget, layers, gran, per_layer in ((24, 3, 2, 2), (20, 5, 4, 1)):
+    shapes = ((24, 3, 2, 2), (20, 5, 4, 1), (240, 3, 16, 48), (280, 2, 20, 70))
+    for budget, layers, gran, per_layer in shapes:
         rows = np.asarray(enumerate_strategies(budget, layers, gran), dtype=np.int64)
         rows = np.vstack([rows, rows[rng.integers(len(rows), size=len(rows) // 3)]])
         yield f"B={budget} L={layers} g={gran}", rows[rng.permutation(len(rows))], per_layer
@@ -349,6 +352,33 @@ def test_expected_layers_shared_prefixes_match_reference_in_any_order():
             perm = rng.permutation(len(strategies))
             permuted = expected_layers_batch(strategies[perm], rows, per_layer)
             assert np.array_equal(permuted, got[perm]), (name, p)
+
+
+def test_prefix_sums_add_in_numpys_order():
+    # a spill into state zero must equal the strategy-at-a-time walk's numpy
+    # sum of the first n states, a contiguous run, whose order depends on n:
+    # under 8 in order, up to 128 in eight accumulators, past that split in
+    # two. A numpy that sums in a new order fails here by name. The
+    # reference needs the contiguous copy: numpy adds along a strided axis,
+    # such as that of the np.moveaxis view, one value after another. The
+    # planes above each top are zero, and the kernel hands over only the
+    # planes up to it, with fewer rows as outcomes grow
+    rng = np.random.default_rng(14)
+    n_states, rows, bins = 300, 6, 3
+    for trial, top in enumerate((299, 3, 60, 130, 181, 257)):
+        shape = (n_states, rows, bins)
+        f = rng.random(shape) * 10.0 ** rng.uniform(-300, 0, shape)
+        f[top + 1 :] = 0.0
+        runs = np.ascontiguousarray(np.moveaxis(f, 0, -1))
+        ref = [runs[..., :n].sum(-1) for n in range(1, n_states + 1)]
+        n_max = n_states if trial < 3 else int(rng.integers(1, n_states))
+        ks = np.sort(rng.integers(1, rows + 1, n_states))[::-1] if trial % 2 else [rows] * n_states
+        for planes in (f, f[: top + 1]):
+            sums = kernels._prefix_sums(planes, n_max)
+            next(sums)
+            for n, k in enumerate(ks, 1):
+                want = ref[min(n, n_max) - 1][:k]
+                assert np.array_equal(sums.send(k), want), (trial, top, n, k)
 
 
 def _stacked_matches_per_bin(strategies, stack, per_layer):
@@ -404,7 +434,8 @@ def test_expected_layers_runs_once_per_shared_prefix_and_suffix(monkeypatch):
     def recording(name, step):
         def wrapped(f, *args):
             out = step(f, *args)
-            steps.append((name, f.shape[0], f.shape[1], out.shape[2]))
+            # each pass's state is (states, rows, bins)
+            steps.append((name, f.shape[1], f.shape[2], out.shape[0]))
             return out
 
         return wrapped
