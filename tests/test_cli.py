@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from nclayer.cli import main
@@ -213,3 +215,17 @@ def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 1
+
+
+def test_readme_sweep_is_byte_identical_to_its_committed_csv(tmp_path):
+    """The README's sweep (20 bins x NoNC2, NC2-E2E, NC2-HBH, spt at 500
+    GOPs), rerun at --jobs 1, writes tests/data/readme-sweep.csv byte for
+    byte, so any change that moves a seeded sweep figure shows here."""
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "sweep", "--pdr-grid", "bins", "--modes", "NoNC2,NC2-E2E,NC2-HBH,spt",
+        "--set", "run.gops=500", "--jobs", "1", "--out", str(out),
+    ])
+    assert code == 0
+    committed = Path(__file__).parent / "data" / "readme-sweep.csv"
+    assert out.read_bytes() == committed.read_bytes()
