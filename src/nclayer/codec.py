@@ -14,9 +14,13 @@ packet is one raw cell of layer i, sent as often as the allocation allows.
 
 A PacketBlock, the one packet container, holds the packets of a block of
 GOPs as one set of rows; a single GOP travels as a block of one, and a
-GOP's number is its place in the block. encode_block, decode_block,
-score_block and sample_block, which draws decode_block's RLC depths from
-the packets' classes alone, work on a whole block as arrays.
+GOP's number is its place in the block. A block carries its grid's shape,
+layer_count layers of packets_per_layer cells of payload.shape[1] bytes,
+and is checked against it once, on construction. encode_block sets the
+shape from its cells; decode_block(block), score_block(block) and
+sample_block(block, rng), which draws decode_block's RLC depths from the
+packets' classes alone, read it from the block and work on the whole block
+as arrays.
 
 RLC coefficients are zero-padded to layer_count * packets_per_layer columns
 and drawn from the generator the encoder is given, whole 64-bit outputs in
@@ -51,7 +55,8 @@ DECODE_STACK_BYTES = 128 * 1024
 @dataclass(eq=False)
 class PacketBlock:
     """The coded packets of a block of GOPs as parallel arrays, one row per
-    packet.
+    packet, and the grid they were coded from: layer_count layers of
+    packets_per_layer cells, each payload.shape[1] bytes.
 
     GOP k of the block owns rows offsets[k] to offsets[k + 1], so the block
     holds offsets.size - 1 GOPs; a GOP can own no rows, and a one-GOP block
@@ -60,12 +65,15 @@ class PacketBlock:
     zero-padded to layer_count * packets_per_layer columns, or with zero
     columns (and a zero-width payload) when no decoder reads them; XOR and
     repeat packets carry their grid column instead.
-    The block is checked once, on construction. Selecting rows keeps every
-    GOP and its order and skips the check, since rows of valid packets are
-    valid packets, so a block crosses a lossy link in one mask.
+    The block is checked against its grid once, on construction, so the
+    functions that decode, score or sample it take no shape. Selecting rows
+    keeps every GOP and its order and skips the check, since rows of valid
+    packets are valid packets, so a block crosses a lossy link in one mask.
     """
 
     scheme: str
+    layer_count: int
+    packets_per_layer: int
     offsets: np.ndarray
     depth: np.ndarray
     payload: np.ndarray
@@ -75,6 +83,7 @@ class PacketBlock:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        layers, per_layer = self.layer_count, self.packets_per_layer
         self.offsets = np.asarray(self.offsets, dtype=np.intp)
         self.depth = np.asarray(self.depth, dtype=np.int8)
         self.payload = np.asarray(self.payload, dtype=np.uint8)
@@ -86,18 +95,36 @@ class PacketBlock:
             )
         if n and self.depth.min() < 1:
             raise ValueError(f"class depth must be >= 1, got {self.depth.min()}")
+        if n and self.depth.max() > layers:
+            raise ValueError(f"packet class depth {self.depth.max()} exceeds layer_count {layers}")
         if self.scheme == SCHEME_RLC:
             if self.coeffs is None or self.column is not None:
                 raise ValueError("rlc packets carry coefficients and no column")
             self.coeffs = np.asarray(self.coeffs, dtype=np.uint8)
             if self.coeffs.ndim != 2 or self.coeffs.shape[0] != n:
                 raise ValueError(f"need {n} coefficient rows, got shape {self.coeffs.shape}")
+            width, size = self.coeffs.shape[1], self.payload.shape[1]
+            if width != layers * per_layer and (width or size):
+                raise ValueError(
+                    f"rlc packets need {layers * per_layer} coefficients, or none with no "
+                    f"payload bytes; got {width} coefficients and {size} payload bytes"
+                )
+            if width and (
+                self.coeffs.reshape(n, layers, per_layer).any(axis=2)
+                & (np.arange(1, layers + 1) > self.depth[:, None])
+            ).any():
+                raise ValueError("a packet carries coefficients for layers deeper than its class")
         else:
             if self.column is None or self.coeffs is not None:
                 raise ValueError(f"{self.scheme} packets carry a column and no coefficients")
             self.column = np.asarray(self.column, dtype=np.intp)
             if self.column.shape != (n,):
                 raise ValueError(f"need {n} columns, got shape {self.column.shape}")
+            if n and (self.column.min() < 0 or self.column.max() >= per_layer):
+                raise ValueError(
+                    f"packet columns must lie in 0..{per_layer - 1}, "
+                    f"got {self.column.min()}..{self.column.max()}"
+                )
         if (
             self.offsets.ndim != 1
             or not self.offsets.size
@@ -134,6 +161,8 @@ class PacketBlock:
         out = object.__new__(PacketBlock)
         out.__dict__.update(
             scheme=self.scheme,
+            layer_count=self.layer_count,
+            packets_per_layer=self.packets_per_layer,
             offsets=np.searchsorted(rows, self.offsets),
             depth=self.depth[rows],
             payload=self.payload[rows],
@@ -247,13 +276,13 @@ def encode_block(
                 cells = np.bitwise_xor.accumulate(cells, axis=1)
             gop = np.repeat(np.arange(n_gops), sizes)
             payload = cells[gop, depth - 1, column]
-        return PacketBlock(scheme, offsets, depth, payload, column=column)
+        return PacketBlock(scheme, layer_count, per_layer, offsets, depth, payload, column=column)
 
+    payload = np.empty((rows, size), dtype=np.uint8)
     if rng is None:
-        if size:
-            raise ValueError("packets without coefficients cannot carry payload bytes")
+        # the block refuses payload bytes beside coefficient-free packets
         empty = np.empty((rows, 0), dtype=np.uint8)
-        return PacketBlock(scheme, offsets, depth, empty, coeffs=empty)
+        return PacketBlock(scheme, layer_count, per_layer, offsets, depth, payload, coeffs=empty)
 
     # each row starts on a fresh output, so its bytes do not depend on the
     # rows drawn before it in the same call
@@ -263,7 +292,6 @@ def encode_block(
     coeffs = np.ascontiguousarray(raw.view(np.uint8).reshape(rows, 8 * outputs)[:, :n_unknowns])
     layers = coeffs.reshape(rows, layer_count, per_layer)
     layers *= (classes <= depth[:, None])[:, :, None]
-    payload = np.empty((rows, size), dtype=np.uint8)
     if size:
         data = cells.reshape(n_gops, n_unknowns, size)
         ends = np.cumsum(runs)
@@ -272,68 +300,30 @@ def encode_block(
             width = (d + 1) * per_layer
             at = slice(ends[run] - runs[run], ends[run])
             payload[at] = gf_matmul(coeffs[at, :width], data[k, :width])
-    return PacketBlock(scheme, offsets, depth, payload, coeffs=coeffs)
+    return PacketBlock(scheme, layer_count, per_layer, offsets, depth, payload, coeffs=coeffs)
 
 
-def decode_block(
-    block: PacketBlock,
-    layer_count: int,
-    packets_per_layer: int,
-    payload_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def decode_block(block: PacketBlock) -> tuple[np.ndarray, np.ndarray]:
     """Decodes every GOP of a block: (depths, cells), where depths[k] is the
-    number of leading layers GOP k recovered and cells[k] its
-    (layer_count, packets_per_layer, payload_size) grid, zero past that
-    depth. A GOP with no packets recovers nothing.
+    number of leading layers GOP k recovered and cells[k] its grid, of the
+    block's (layer_count, packets_per_layer, payload width), zero past that
+    depth. A GOP with no packets recovers nothing, and coefficient-free RLC
+    packets are refused.
 
-    All of the block's rows are checked before anything is decoded. The
-    RLC systems of the non-empty GOPs are reduced in zero-padded gf_rref
-    stacks of at most DECODE_STACK_BYTES each, and gf_rref reduces each
-    system of a stack exactly as on its own, so the split changes no
+    The RLC systems of the non-empty GOPs are reduced in zero-padded
+    gf_rref stacks of at most DECODE_STACK_BYTES each, and gf_rref reduces
+    each system of a stack exactly as on its own, so the split changes no
     result; xor and repeat take the first copy of each (GOP, depth, column)
     cell.
     """
-    _check_rows(block, layer_count, packets_per_layer, payload_size)
-    decode = _decode_rlc if block.scheme == SCHEME_RLC else _decode_columns
-    return decode(block, layer_count, packets_per_layer, payload_size)
-
-
-def _check_rows(block, layer_count, packets_per_layer, payload_size) -> None:
-    if not len(block):
-        return
-    _check_cells(block, layer_count, packets_per_layer)
-    if block.payload.shape[1] != payload_size:
-        raise ValueError(
-            f"payload must hold {payload_size} bytes, got {block.payload.shape[1]}"
-        )
     if block.scheme != SCHEME_RLC:
-        return
-    n_unknowns = layer_count * packets_per_layer
-    coeffs = block.coeffs
-    if coeffs.shape[1] != n_unknowns:
-        raise ValueError(f"rlc packets need {n_unknowns} coefficients, got {coeffs.shape[1]}")
-    outside = np.arange(n_unknowns) >= block.depth.astype(np.intp)[:, None] * packets_per_layer
-    if coeffs[outside].any():
-        raise ValueError("a packet carries coefficients for layers deeper than its class")
+        return _decode_columns(block)
+    if len(block) and not block.coeffs.shape[1]:
+        raise ValueError("rlc packets without coefficients cannot be decoded")
+    return _decode_rlc(block)
 
 
-def _check_cells(block, layer_count, packets_per_layer) -> None:
-    """Every packet of a block is of a class in 1..layer_count and, under
-    xor and repeat, names a column in 0..packets_per_layer-1."""
-    if not len(block):
-        return
-    deepest = int(block.depth.max())
-    if deepest > layer_count:
-        raise ValueError(f"packet class depth {deepest} exceeds layer_count {layer_count}")
-    column = block.column
-    if column is not None and (column.min() < 0 or column.max() >= packets_per_layer):
-        raise ValueError(
-            f"packet columns must lie in 0..{packets_per_layer - 1}, "
-            f"got {column.min()}..{column.max()}"
-        )
-
-
-def score_block(block: PacketBlock, layer_count: int, packets_per_layer: int) -> np.ndarray:
+def score_block(block: PacketBlock) -> np.ndarray:
     """The decoded depth each GOP of a block is scored at, from the classes
     (RLC) or the cells (xor, repeat) of the packets that arrived.
 
@@ -343,13 +333,12 @@ def score_block(block: PacketBlock, layer_count: int, packets_per_layer: int) ->
     coefficient or payload byte is read, so coefficient-free packets score
     as any others.
     """
-    _check_cells(block, layer_count, packets_per_layer)
     if block.scheme != SCHEME_RLC:
-        return _cell_cover(block, layer_count, packets_per_layer)[1]
-    return decodable_layers_batch(_class_counts(block, layer_count), packets_per_layer)
+        return _cell_cover(block)[1]
+    return decodable_layers_batch(_class_counts(block), block.packets_per_layer)
 
 
-def sample_block(block: PacketBlock, layer_count: int, packets_per_layer: int, rng) -> np.ndarray:
+def sample_block(block: PacketBlock, rng) -> np.ndarray:
     """Each GOP's depth, drawn from the law of decode_block's on RLC packets
     of its classes with uniform coefficients, which are not read. A GOP's
     fill[l] is the dimension layer l adds to its span within layers 1..l; a
@@ -365,8 +354,8 @@ def sample_block(block: PacketBlock, layer_count: int, packets_per_layer: int, r
     GOPs holding a draw with k + e >= P are walked again."""
     if block.scheme != SCHEME_RLC:
         raise ValueError(f"only rlc depths are sampled, got {block.scheme!r}")
-    _check_cells(block, layer_count, packets_per_layer)
-    counts = _class_counts(block, layer_count)
+    packets_per_layer = block.packets_per_layer
+    counts = _class_counts(block)
     draws = rng.geometric(1 - 1 / 256, counts.sum())
     depths = decodable_layers_batch(counts, packets_per_layer)
     # each e >= 1: its (GOP, class) group and its place k among the group's
@@ -426,9 +415,9 @@ def _walk(counts, group, place, step, packets_per_layer):
         yield gop, depth
 
 
-def _class_counts(block: PacketBlock, layer_count: int) -> np.ndarray:
+def _class_counts(block: PacketBlock) -> np.ndarray:
     """Packets of each class in each GOP of a block: (G, layer_count)."""
-    n_gops = block.offsets.size - 1
+    n_gops, layer_count = block.offsets.size - 1, block.layer_count
     first = np.repeat(np.arange(n_gops) * layer_count - 1, block.sizes)
     counts = np.bincount(first + block.depth, minlength=n_gops * layer_count)
     return counts.reshape(n_gops, layer_count)
@@ -443,59 +432,58 @@ def covered_depth(seen: np.ndarray):
     return np.cumprod(seen.all(axis=-1), axis=-1).sum(axis=-1)
 
 
-def _cell_cover(block, layer_count, packets_per_layer):
-    """The flat (GOP, depth, column) cell of each packet of a checked xor
-    or repeat block, and the depth the cells that arrived cover, per GOP."""
-    shape = (block.offsets.size - 1, layer_count, packets_per_layer)
+def _cell_cover(block):
+    """The flat (GOP, depth, column) cell of each packet of an xor or repeat
+    block, and the depth the cells that arrived cover, per GOP."""
+    shape = (block.offsets.size - 1, block.layer_count, block.packets_per_layer)
     gop = np.repeat(np.arange(shape[0]), block.sizes)
-    key = (gop * layer_count + block.depth - 1) * packets_per_layer + block.column
+    key = (gop * shape[1] + block.depth - 1) * shape[2] + block.column
     seen = np.zeros(np.prod(shape), dtype=bool)
     seen[key] = True
     return key, covered_depth(seen.reshape(shape))
 
 
-def _decode_columns(block, layer_count, packets_per_layer, payload_size):
-    """Depths (G,) and cells (G, L, P, s) of a checked xor or repeat block."""
-    shape = (block.offsets.size - 1, layer_count, packets_per_layer)
-    key, depths = _cell_cover(block, layer_count, packets_per_layer)
+def _decode_columns(block):
+    """Depths (G,) and cells (G, L, P, s) of an xor or repeat block."""
+    key, depths = _cell_cover(block)
+    shape = (depths.size, block.layer_count, block.packets_per_layer, block.payload.shape[1])
     # the first packet of each (GOP, depth, column) cell supplies that cell
     keys, first = np.unique(key, return_index=True)
-    sums = np.zeros((np.prod(shape), payload_size), dtype=np.uint8)
+    sums = np.zeros((np.prod(shape[:3]), shape[3]), dtype=np.uint8)
     sums[keys] = block.payload[first]
-    cells = sums.reshape(shape + (payload_size,))
+    cells = sums.reshape(shape)
     if block.scheme == SCHEME_XOR:
         # layer j of a column is the XOR of its depth j and depth j-1 sums
         cells[:, 1:] ^= cells[:, :-1].copy()
-    cells[np.arange(layer_count) >= depths[:, None]] = 0
+    cells[np.arange(shape[1]) >= depths[:, None]] = 0
     return depths, cells
 
 
-def _decode_rlc(block, layer_count, packets_per_layer, payload_size):
-    """Depths (G,) and cells (G, L, P, s) of a checked RLC block, its
-    non-empty GOPs eliminated in zero-padded stacks of DECODE_STACK_BYTES
-    at most, in GOP order."""
-    n_gops = block.offsets.size - 1
-    depths = np.zeros(n_gops, dtype=np.intp)
-    cells = np.zeros((n_gops, layer_count, packets_per_layer, payload_size), dtype=np.uint8)
+def _decode_rlc(block):
+    """Depths (G,) and cells (G, L, P, s) of an RLC block with coefficients,
+    its non-empty GOPs eliminated in zero-padded stacks of
+    DECODE_STACK_BYTES at most, in GOP order."""
+    shape = (block.offsets.size - 1, block.layer_count, block.packets_per_layer)
+    depths = np.zeros(shape[0], dtype=np.intp)
+    cells = np.zeros(shape + block.payload.shape[1:], dtype=np.uint8)
     sizes = block.sizes
     full = np.flatnonzero(sizes)
     if not full.size:
         return depths, cells
-    n_unknowns = layer_count * packets_per_layer
     n_rows = int(sizes.max())
-    per_stack = max(1, DECODE_STACK_BYTES // (n_rows * (n_unknowns + payload_size)))
+    width = block.coeffs.shape[1] + block.payload.shape[1]
+    per_stack = max(1, DECODE_STACK_BYTES // (n_rows * width))
     for start in range(0, full.size, per_stack):
         part = full[start : start + per_stack]
-        depths[part], cells[part] = _reduce_stack(
-            block, part, n_rows, layer_count, packets_per_layer, payload_size
-        )
+        depths[part], cells[part] = _reduce_stack(block, part, n_rows)
     return depths, cells
 
 
-def _reduce_stack(block, part, n_rows, layer_count, packets_per_layer, payload_size):
+def _reduce_stack(block, part, n_rows):
     """Depths and cells of the GOPs part, a run of a block's non-empty GOPs,
     from one gf_rref stack of n_rows rows per system."""
-    n_unknowns = layer_count * packets_per_layer
+    layer_count, packets_per_layer = block.layer_count, block.packets_per_layer
+    n_unknowns, payload_size = block.coeffs.shape[1], block.payload.shape[1]
     n_systems = part.size
     first, last = block.offsets[part[0]], block.offsets[part[-1] + 1]
     # the GOPs between part's are empty, so its rows are the block's rows

@@ -108,7 +108,7 @@ def check_codec_roundtrip() -> CheckResult:
     grid = make_synthetic_gop(0, 3, 2, 16, seed=7)
     for scheme, seed in ((SCHEME_XOR, 0), (SCHEME_RLC, 1)):
         packets = encode_gop(grid, (2, 2, 2), scheme, seed=seed)
-        (decoded,), (recovered,) = decode_block(packets, 3, 2, 16)
+        (decoded,), (recovered,) = decode_block(packets)
         if decoded != 3:
             return CheckResult(
                 "codec-roundtrip", False, f"{scheme}: decoded {decoded} of 3 layers"
@@ -145,9 +145,9 @@ def check_stacked_decode() -> CheckResult:
         return CheckResult(
             "stacked-decode", False, "block coefficients differ from the one-by-one draws"
         )
-    depths, recovered = decode_block(picked, 3, 4, 16)
+    depths, recovered = decode_block(picked)
     for g, (packets, grid) in enumerate(zip(alone, grids)):
-        (alone_depth,), (alone_grid,) = decode_block(packets, 3, 4, 16)
+        (alone_depth,), (alone_grid,) = decode_block(packets)
         if depths[g] != alone_depth or not np.array_equal(recovered[g], alone_grid):
             return CheckResult(
                 "stacked-decode", False, f"GOP {g}: block decode differs from its one-GOP decode"

@@ -21,7 +21,9 @@ makes one draw for the block, covering each GOP's probes and then its
 packets, GOP by GOP. The probe estimates, strategy selection, encoding,
 per-hop delays and receiver scoring then run on the block, whose packets
 travel as one PacketBlock; a GOP is its row in the block's arrays, and
-run() alone knows its number. A re-encoding relay, and a verifying receiver,
+run() alone knows its number. The block carries its grid shape and was
+checked against it when its encoder made it, so no step downstream passes
+a shape or checks the rows again. A re-encoding relay, and a verifying receiver,
 decode all of a block's GOPs in one decode_block call, which reduces their
 RLC systems in gf_rref stacks of at most codec.DECODE_STACK_BYTES, but an
 unverified run's RLC relay, which holds no payload, draws its depths from
@@ -356,12 +358,10 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                 source = cells
             elif sample:
                 # cells is the zero-width grid the relay re-encodes
-                held = sample_block(block, config.layer_count, config.packets_per_layer, rng)
+                held = sample_block(block, rng)
                 source = cells
             else:
-                held, source = decode_block(
-                    block, config.layer_count, config.packets_per_layer, width
-                )
+                held, source = decode_block(block)
             # an encoder spends its budget on every GOP it holds a layer of,
             # and sends nothing for the others
             sending = np.where(held > 0, encoder.spend, 0)
@@ -388,11 +388,9 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                         # re-encodes at the head of the next segment
                         delays += config.recode_delay
 
-        scores = score_block(block, config.layer_count, config.packets_per_layer)
+        scores = score_block(block)
         if config.verify_payloads:
-            depths, decoded = decode_block(
-                block, config.layer_count, config.packets_per_layer, width
-            )
+            depths, decoded = decode_block(block)
             prediction_gaps += int(np.count_nonzero(depths < scores))
             # a GOP decoded wrong when a cell of its recovered prefix differs
             wrong = (decoded != cells).any(axis=(2, 3)) & (

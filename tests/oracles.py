@@ -330,12 +330,13 @@ def best_restricted(table, bin_index, max_depth):
     return None if best is None else table.strategies[best]
 
 
-def reference_sample_block(block, layer_count, packets_per_layer, rng):
+def reference_sample_block(block, rng):
     """codec.sample_block's depths by stepping every draw, as the sampler
     first did: class by class, the GOPs' draws of e >= 1 of each rank at
     once, each after a water-fill of the zeros before it, then the rest.
     The same one rng.geometric call, so it leaves rng where sample_block
     does."""
+    layer_count, packets_per_layer = block.layer_count, block.packets_per_layer
     n_gops = block.offsets.size - 1
     gop = np.repeat(np.arange(n_gops), np.diff(block.offsets))
     counts = np.bincount(
@@ -515,10 +516,10 @@ def reference_run(config, table=None):
             elif len(current):
                 if sample:
                     # the relay re-encodes the zero-width grid
-                    (depth,) = reference_sample_block(current, L, P, node_rngs[position])
+                    (depth,) = reference_sample_block(current, node_rngs[position])
                     decoded = grid
                 else:
-                    (depth,), (decoded,) = decode_block(current, L, P, width)
+                    (depth,), (decoded,) = decode_block(current)
                 strategy = None
                 if depth == L:
                     # a relay holding every layer picks as the sender does
@@ -547,7 +548,7 @@ def reference_run(config, table=None):
             seen[current.depth.astype(np.intp) - 1, current.column] = True
             score = int(covered_depth(seen))
         if config.verify_payloads and len(current):
-            (actual,), (decoded,) = decode_block(current, L, P, width)
+            (actual,), (decoded,) = decode_block(current)
             gaps += actual < score
             if actual and not np.array_equal(decoded[:actual], grid[:actual]):
                 errors += 1

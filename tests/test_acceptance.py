@@ -115,7 +115,7 @@ def test_c05_codec_round_trip():
         if decodable_layers(counts, 8) < 4:
             continue
         full_predicted += 1
-        (decoded,), (recovered,) = decode_block(kept, 4, 8, 64)
+        (decoded,), (recovered,) = decode_block(kept)
         if decoded == 4 and np.array_equal(recovered, grid):
             full_recovered += 1
     assert full_predicted > 200
@@ -132,7 +132,7 @@ def test_c05_codec_round_trip():
         ):
             continue
         covered += 1
-        (decoded,), (recovered,) = decode_block(kept, 4, 8, 64)
+        (decoded,), (recovered,) = decode_block(kept)
         assert decoded == 4
         assert np.array_equal(recovered, grid)
     assert covered > 200

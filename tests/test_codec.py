@@ -124,7 +124,7 @@ def test_xor_round_trip_full_coverage():
     grid = make_synthetic_gop(2, 4, 2, 8)
     # two packets per class covers every (depth, column) cell
     packets = encode_gop(grid, (2, 2, 2, 2), SCHEME_XOR, seed=0)
-    (decoded,), (recovered,) = decode_block(packets, 4, 2, 8)
+    (decoded,), (recovered,) = decode_block(packets)
     assert decoded == 4
     assert np.array_equal(recovered, grid)
 
@@ -132,7 +132,7 @@ def test_xor_round_trip_full_coverage():
 def test_xor_partial_prefix():
     grid = make_synthetic_gop(0, 4, 2, 8)
     packets = encode_gop(grid, (2, 2, 0, 0), SCHEME_XOR, seed=0)
-    (decoded,), (recovered,) = decode_block(packets, 4, 2, 8)
+    (decoded,), (recovered,) = decode_block(packets)
     assert decoded == 2
     assert np.array_equal(recovered[:2], grid[:2])
     assert not recovered[2:].any()
@@ -146,12 +146,12 @@ def test_repeat_sends_runs_of_raw_cells():
     assert source.tolist() == np.repeat(np.arange(12), 2).tolist()
     assert packets.coeffs is None
     assert np.array_equal(packets.payload, grid[packets.depth - 1, packets.column])
-    (decoded,), (recovered,) = decode_block(packets.select(np.arange(1, len(packets), 2)), 3, 4, 8)
+    (decoded,), (recovered,) = decode_block(packets.select(np.arange(1, len(packets), 2)))
     assert decoded == 3
     assert np.array_equal(recovered, grid)
     # a lost cell of layer 2 stops the prefix there, with no peeling
     lost = packets.select(~np.isin(source, [5]))
-    (decoded,), (recovered,) = decode_block(lost, 3, 4, 8)
+    (decoded,), (recovered,) = decode_block(lost)
     assert decoded == 1
     assert np.array_equal(recovered[0], grid[0])
     assert not recovered[1:].any()
@@ -160,7 +160,7 @@ def test_repeat_sends_runs_of_raw_cells():
 def test_rlc_round_trip_full_budget():
     grid = make_synthetic_gop(7, 4, 8, 64)
     packets = encode_gop(grid, (40, 8, 8, 8), SCHEME_RLC, seed=1)
-    (decoded,), (recovered,) = decode_block(packets, 4, 8, 64)
+    (decoded,), (recovered,) = decode_block(packets)
     assert decoded == 4
     assert np.array_equal(recovered, grid)
 
@@ -175,7 +175,7 @@ def test_rlc_decode_never_exceeds_count_prediction():
         kept = packets.select(rng.random(len(packets)) < 0.7)
         counts = np.bincount(kept.depth, minlength=4)[1:]
         predicted = decodable_layers(counts, 2)
-        (decoded,), (recovered,) = decode_block(kept, 3, 2, 8)
+        (decoded,), (recovered,) = decode_block(kept)
         assert decoded <= predicted
         if decoded == predicted:
             hits += 1
@@ -186,16 +186,16 @@ def test_rlc_decode_never_exceeds_count_prediction():
 
 def test_decode_empty_input():
     packets = encode_gop(make_synthetic_gop(3, 3, 2, 8), (2, 2, 2), SCHEME_RLC, seed=0)
-    (decoded,), (recovered,) = decode_block(packets.select(np.zeros(len(packets), bool)), 3, 2, 8)
+    (decoded,), (recovered,) = decode_block(packets.select(np.zeros(len(packets), bool)))
     assert decoded == 0
     assert not recovered.any()
 
 
-def test_decode_rejects_overdeep_class():
+def test_block_rejects_overdeep_class():
     grid = make_synthetic_gop(0, 3, 2, 4)
     packets = encode_gop(grid, (0, 0, 6), SCHEME_RLC, seed=0)
-    with pytest.raises(ValueError):
-        decode_block(packets, 2, 2, 4)
+    with pytest.raises(ValueError, match="exceeds layer_count 2"):
+        replace(packets, layer_count=2)
 
 
 def test_encode_rejects_bad_strategy():
@@ -219,7 +219,7 @@ def test_coefficient_free_rlc_draws_nothing():
     assert bare.coeffs.shape == bare.payload.shape == (5, 0)
     assert bare.depth.tolist() == full.depth.tolist()
     with pytest.raises(ValueError, match="coefficients"):
-        decode_block(bare, 3, 2, 0)
+        decode_block(bare)
     with pytest.raises(ValueError, match="payload bytes"):
         encode_block(make_synthetic_cells([0], 3, 2, 8), [(2, 2, 2)], SCHEME_RLC, None)
 
@@ -238,10 +238,10 @@ def test_reencoded_packets_decode():
     # decode a partial prefix, re-encode it, and decode again downstream
     grid = make_synthetic_gop(0, 4, 2, 8)
     first = encode_gop(grid, (2, 2, 2, 2), SCHEME_RLC, seed=3)
-    (decoded,), (partial,) = decode_block(first, 4, 2, 8)
+    (decoded,), (partial,) = decode_block(first)
     assert decoded == 4
     second = encode_gop(partial, (4, 2, 2, 0), SCHEME_RLC, seed=4)
-    (redecoded,), (recovered,) = decode_block(second, 4, 2, 8)
+    (redecoded,), (recovered,) = decode_block(second)
     assert redecoded == 3
     assert np.array_equal(recovered[:3], grid[:3])
 
@@ -294,12 +294,25 @@ def test_batch_validates_once_on_construction():
     coeffs = np.zeros((2, 4), dtype=np.uint8)
 
     def block(scheme, depth, payload=payload, offsets=(0, 2), **rows):
-        return PacketBlock(scheme, offsets, depth, payload, **rows)
+        return PacketBlock(scheme, 2, 2, offsets, depth, payload, **rows)
 
     with pytest.raises(ValueError, match="scheme"):
         block("fountain", [1, 1], coeffs=coeffs)
     with pytest.raises(ValueError, match="depth"):
         block(SCHEME_RLC, [1, 0], coeffs=coeffs)
+    with pytest.raises(ValueError, match="exceeds layer_count 2"):
+        block(SCHEME_RLC, [1, 3], coeffs=coeffs)
+    # a coefficient width other than L * P, and none beside payload bytes
+    with pytest.raises(ValueError, match="need 4 coefficients"):
+        block(SCHEME_RLC, [1, 1], coeffs=coeffs[:, :2])
+    with pytest.raises(ValueError, match="need 4 coefficients"):
+        block(SCHEME_RLC, [1, 1], coeffs=coeffs[:, :0])
+    assert len(block(SCHEME_RLC, [1, 1], payload=payload[:, :0], coeffs=coeffs[:, :0])) == 2
+    with pytest.raises(ValueError, match="deeper than its class"):
+        block(SCHEME_RLC, [1, 2], coeffs=np.eye(2, 4, 2, dtype=np.uint8))
+    for column in ([0, 2], [-1, 0]):
+        with pytest.raises(ValueError, match="columns must lie in 0..1"):
+            block(SCHEME_XOR, [1, 1], column=column)
     with pytest.raises(ValueError, match="payload row"):
         block(SCHEME_RLC, [1, 1, 1], coeffs=coeffs)
     with pytest.raises(ValueError, match="coefficients"):
@@ -315,21 +328,18 @@ def test_batch_validates_once_on_construction():
             block(SCHEME_RLC, [1, 1], offsets=offsets, coeffs=coeffs)
 
 
-def test_decode_rejects_inconsistent_batches():
+def test_block_rejects_rows_inconsistent_with_its_grid():
     grid = make_synthetic_gop(0, 2, 2, 4)
     rlc = encode_gop(grid, (2, 2), SCHEME_RLC, seed=0)
-    with pytest.raises(ValueError, match="payload"):
-        decode_block(rlc, 2, 2, 8)
+    assert (rlc.layer_count, rlc.packets_per_layer) == (2, 2)
     with pytest.raises(ValueError, match="coefficients"):
-        decode_block(rlc, 2, 3, 4)
+        replace(rlc, packets_per_layer=3)
     # a class-1 packet whose coefficients reach into layer 2
-    leaky = replace(rlc, coeffs=rlc.coeffs | 1)
     with pytest.raises(ValueError, match="deeper than its class"):
-        decode_block(leaky, 2, 2, 4)
+        replace(rlc, coeffs=rlc.coeffs | 1)
     xor = encode_gop(grid, (2, 2), SCHEME_XOR)
-    bad = replace(xor, column=xor.column + 1)
     with pytest.raises(ValueError, match="column"):
-        decode_block(bad, 2, 2, 4)
+        replace(xor, column=xor.column + 1)
 
 
 def test_xor_decode_uses_first_copy_of_each_cell():
@@ -339,7 +349,7 @@ def test_xor_decode_uses_first_copy_of_each_cell():
     payload = packets.payload.copy()
     payload[2:4] ^= 0xFF
     tampered = replace(packets, payload=payload)
-    (decoded,), (recovered,) = decode_block(tampered, 2, 2, 8)
+    (decoded,), (recovered,) = decode_block(tampered)
     assert decoded == 2
     assert np.array_equal(recovered, grid)
 
@@ -367,26 +377,24 @@ def _erased(scheme, seed):
 @pytest.mark.parametrize("scheme", [SCHEME_RLC, SCHEME_XOR, SCHEME_REPEAT])
 def test_block_decode_equals_one_gop_decodes(scheme):
     block, strategies, kept = _erased(scheme, 1)
-    depths, cells = decode_block(block, 4, 4, 8)
+    depths, cells = decode_block(block)
     assert depths.shape == (9,) and cells.shape == (9, 4, 4, 8)
     one_by_one = np.random.default_rng(1)
     for k, (strategy, rows) in enumerate(zip(strategies, kept)):
         grid = make_synthetic_gop(k, 4, 4, 8, seed=1)
         alone = encode_gop(grid, strategy, scheme, one_by_one).select(rows)
-        (want_depth,), (want,) = decode_block(alone, 4, 4, 8)
+        (want_depth,), (want,) = decode_block(alone)
         assert depths[k] == want_depth
         assert np.array_equal(cells[k], want)
     assert 0 in depths and len(set(depths.tolist())) > 1
 
 
-def test_block_decode_rejects_a_bad_batch_wherever_it_sits():
+def test_block_rejects_a_bad_gop_wherever_it_sits():
     for scheme in (SCHEME_RLC, SCHEME_XOR):
         good, _, _ = _erased(scheme, 2)
-        with pytest.raises(ValueError, match="payload"):
-            decode_block(good, 4, 4, 4)
         if scheme == SCHEME_RLC:
             with pytest.raises(ValueError, match="16 coefficients"):
-                decode_block(replace(good, coeffs=good.coeffs[:, :8]), 4, 4, 8)
+                replace(good, coeffs=good.coeffs[:, :8])
         full = np.flatnonzero(good.sizes)
         for k in full[[0, full.size // 2, -1]]:
             # one GOP's rows go bad, wherever it sits in the block
@@ -401,7 +409,7 @@ def test_block_decode_rejects_a_bad_batch_wherever_it_sits():
                 bad["column"]["column"][at] = 4
             for match, rows in bad.items():
                 with pytest.raises(ValueError, match=match):
-                    decode_block(replace(good, **rows), 4, 4, 8)
+                    replace(good, **rows)
 
 
 @pytest.mark.parametrize("per_layer", [3, 5, 7, 8])
@@ -525,7 +533,7 @@ def test_block_decode_equals_the_reference_decoder():
     seen = set()
     for _ in range(400):
         block, L, P, s = _random_block(rng)
-        depths, cells = decode_block(block, L, P, s)
+        depths, cells = decode_block(block)
         assert depths.shape == (block.sizes.size,)
         assert cells.shape == (block.sizes.size, L, P, s)
         for k, (start, end) in enumerate(zip(block.offsets[:-1], block.offsets[1:])):
@@ -570,13 +578,13 @@ def test_decode_stacks_split_at_the_byte_bound(size, monkeypatch):
         return gf_rref(aug, n_unknowns)
 
     monkeypatch.setattr(codec, "gf_rref", recorded)
-    depths, cells = decode_block(block, 4, 4, size)
+    depths, cells = decode_block(block)
     assert stacks == [n_systems]
     assert depths[empty].tolist() == [0] * 4 and len(set(depths.tolist())) > 2
     for per_stack in (1, 7):
         monkeypatch.setattr(codec, "DECODE_STACK_BYTES", per_stack * n_rows * (16 + size))
         stacks.clear()
-        split_depths, split_cells = decode_block(block, 4, 4, size)
+        split_depths, split_cells = decode_block(block)
         full, rest = divmod(n_systems, per_stack)
         assert stacks == [per_stack] * full + [rest] * (rest > 0)
         assert np.array_equal(split_depths, depths)
@@ -595,7 +603,7 @@ def test_decode_memory_is_bounded_by_one_stack():
         block = encode_block(cells, [strategy] * n_gops, SCHEME_RLC, rng)
         tracemalloc.start()
         try:
-            depths, _ = decode_block(block, 4, 8, 64)
+            depths, _ = decode_block(block)
             assert (depths == 4).all()
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -631,8 +639,8 @@ def test_sampled_depths_follow_the_decoder_law(per_layer, counts, n_gops, monkey
     layers = len(counts)
     cells = np.zeros((n_gops, layers, per_layer, 0), dtype=np.uint8)
     block = encode_block(cells, [counts] * n_gops, SCHEME_RLC, np.random.default_rng(61))
-    decoded = decode_block(block, layers, per_layer, 0)[0]
-    sampled = sample_block(block, layers, per_layer, np.random.default_rng(62))
+    decoded = decode_block(block)[0]
+    sampled = sample_block(block, np.random.default_rng(62))
     want = np.bincount(decoded, minlength=layers + 1) / n_gops
     got = np.bincount(sampled, minlength=layers + 1) / n_gops
     se = np.sqrt((want * (1 - want) + got * (1 - got)) / n_gops)
@@ -652,7 +660,7 @@ def test_sampled_depths_without_singular_draws_are_the_count_rule():
         def geometric(self, p, size):
             return np.ones(size, dtype=np.int64)
 
-    assert np.array_equal(sample_block(block, 3, 2, Certain()), score_block(block, 3, 2))
+    assert np.array_equal(sample_block(block, Certain()), score_block(block))
 
 
 def test_block_samples_what_its_gops_sample_one_by_one():
@@ -664,19 +672,19 @@ def test_block_samples_what_its_gops_sample_one_by_one():
     block = encode_block(np.zeros((300, 3, 1, 0), dtype=np.uint8), sizes, SCHEME_RLC, None)
     block = block.select(rng.random(len(block)) < 0.8)
     whole, alone = np.random.default_rng(65), np.random.default_rng(65)
-    depths = sample_block(block, 3, 1, whole)
+    depths = sample_block(block, whole)
     one_by_one = [
         sample_block(
-            PacketBlock(SCHEME_RLC, [0, b - a], block.depth[a:b], block.payload[a:b],
+            PacketBlock(SCHEME_RLC, 3, 1, [0, b - a], block.depth[a:b], block.payload[a:b],
                         coeffs=block.coeffs[a:b]),
-            3, 1, alone,
+            alone,
         )[0]
         for a, b in zip(block.offsets, block.offsets[1:])
     ]
     assert depths.tolist() == one_by_one
     assert whole.bit_generator.state == alone.bit_generator.state
-    assert (depths < score_block(block, 3, 1)).any()
-    assert (depths > score_block(block, 3, 1)).any()
+    assert (depths < score_block(block)).any()
+    assert (depths > score_block(block)).any()
 
 
 class StandIn:
@@ -714,8 +722,8 @@ def test_sampled_depths_equal_the_stepped_sampler(layers, per_layer, n_gops, p, 
         return np.random.default_rng(seed + 1) if p is None else StandIn(seed + 1, p)
 
     mine, theirs = generator(), generator()
-    got = sample_block(block, layers, per_layer, mine)
-    want = reference_sample_block(block, layers, per_layer, theirs)
+    got = sample_block(block, mine)
+    want = reference_sample_block(block, theirs)
     assert got.tolist() == want.tolist()
     assert mine.bit_generator.state == theirs.bit_generator.state
 
@@ -741,8 +749,8 @@ def test_draws_that_cannot_move_a_depth_sample_the_count_rule():
     cells = np.zeros((len(counts), 3, per_layer, 0), dtype=np.uint8)
     block = encode_block(cells, counts, SCHEME_RLC, None)
     draws = Fixed(counts, lambda c, k: max(per_layer - 1 - k, 0))
-    assert sample_block(block, 3, per_layer, draws).tolist() == [3, 1, 0, 1, 2, 0, 3]
-    assert score_block(block, 3, per_layer).tolist() == [3, 1, 0, 1, 2, 0, 3]
+    assert sample_block(block, draws).tolist() == [3, 1, 0, 1, 2, 0, 3]
+    assert score_block(block).tolist() == [3, 1, 0, 1, 2, 0, 3]
 
 
 @pytest.mark.parametrize(
@@ -765,14 +773,14 @@ def test_a_draw_at_or_past_the_layer_it_would_fill(per_layer, counts, at, depth)
     block = encode_gop(np.zeros((layers, per_layer, 0), dtype=np.uint8), counts, SCHEME_RLC, None)
     draws = Fixed([counts], lambda c, k: at[2] if (c, k) == at[:2] else 0)
     assert at[1] + at[2] >= per_layer
-    assert score_block(block, layers, per_layer).tolist() == [layers]
-    assert sample_block(block, layers, per_layer, draws).tolist() == [depth]
+    assert score_block(block).tolist() == [layers]
+    assert sample_block(block, draws).tolist() == [depth]
 
 
 def test_sampling_takes_rlc_blocks_of_known_classes():
     block = encode_gop(np.zeros((2, 2, 0), dtype=np.uint8), (2, 2), SCHEME_XOR)
     with pytest.raises(ValueError, match="rlc"):
-        sample_block(block, 2, 2, np.random.default_rng(0))
+        sample_block(block, np.random.default_rng(0))
     block = encode_gop(np.zeros((3, 2, 0), dtype=np.uint8), (2, 2, 2), SCHEME_RLC, None)
     with pytest.raises(ValueError, match="exceeds layer_count"):
-        sample_block(block, 2, 2, np.random.default_rng(0))
+        replace(block, layer_count=2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -146,7 +148,7 @@ def test_sender_with_policy():
 def test_nc_relay_reencodes_full_budget(small_table):
     relay = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0))
     packets = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
-    depths, cells = decode_block(packets, 3, 2, 8)
+    depths, cells = decode_block(packets)
     assert depths.tolist() == [3]
     out = encoder_block(relay, cells, [1.0], depths)
     assert len(out) == 8
@@ -157,7 +159,7 @@ def test_nc_relay_never_encodes_past_decoded_depth(small_table):
     relay = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0))
     # only class-1 packets arrive: the relay can recover just layer 1
     packets = encode_gop(_grid(), (4, 0, 0), SCHEME_RLC, seed=0).select(np.arange(3))
-    depths, cells = decode_block(packets, 3, 2, 8)
+    depths, cells = decode_block(packets)
     assert depths.tolist() == [1]
     out = encoder_block(relay, cells, [1.0], depths)
     assert len(out) == 8
@@ -167,7 +169,7 @@ def test_nc_relay_never_encodes_past_decoded_depth(small_table):
 def test_nc_relay_empty_input(small_table):
     relay = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0))
     empty = encode_gop(_grid(), (0, 0, 0), SCHEME_RLC)
-    depths, cells = decode_block(empty, 3, 2, 8)
+    depths, cells = decode_block(empty)
     assert depths.tolist() == [0]
     out = encoder_block(relay, cells, [1.0], depths)
     assert len(out) == 0 and out.sizes.tolist() == [0]
@@ -176,7 +178,7 @@ def test_nc_relay_empty_input(small_table):
     cells = np.stack([_grid()] * 3)
     strategies = [(4, 2, 2), (0, 0, 0), (4, 2, 2)]
     block = encode_block(cells, strategies, SCHEME_RLC, np.random.default_rng(0))
-    depths, decoded = decode_block(block, 3, 2, 8)
+    depths, decoded = decode_block(block)
     seeded = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(5))
     out = encoder_block(seeded, decoded, [1.0] * 3, depths)
     assert out.sizes.tolist() == [8, 0, 8]
@@ -218,8 +220,8 @@ def test_decoders_reject_coefficient_free_batches():
     # and the count rule scores it from its classes alone
     bare = encode_block(make_synthetic_cells([0], 3, 2, 0), [(4, 2, 2)], SCHEME_RLC, None)
     with pytest.raises(ValueError, match="coefficients"):
-        decode_block(bare, 3, 2, 0)
-    assert score_block(bare, 3, 2).tolist() == [3]
+        decode_block(bare)
+    assert score_block(bare).tolist() == [3]
 
 
 def test_receiver_counts_and_reset():
@@ -229,14 +231,14 @@ def test_receiver_counts_and_reset():
     # first GOP's counts may carry over into its score
     arrived = packets.select(np.r_[0:8, 12:16])
     assert arrived.sizes.tolist() == [8, 4]
-    assert score_block(arrived, 3, 2).tolist() == [3, 0]
+    assert score_block(arrived).tolist() == [3, 0]
 
 
 def test_receiver_rejects_overdeep_packet():
     for scheme in (SCHEME_RLC, SCHEME_XOR):
         packets = encode_gop(_grid(), (0, 0, 2), scheme, seed=0)
         with pytest.raises(ValueError, match="exceeds layer_count 2"):
-            score_block(packets.select(np.arange(1)), 2, 2)
+            replace(packets.select(np.arange(1)), layer_count=2)
 
 
 def test_receiver_verification_clean_path():
@@ -244,8 +246,8 @@ def test_receiver_verification_clean_path():
     # decode matches the score and the source bytes
     grid = _grid()
     packets = encode_gop(grid, (4, 2, 2), SCHEME_RLC, seed=3)
-    assert score_block(packets, 3, 2).tolist() == [3]
-    depths, cells = decode_block(packets, 3, 2, 8)
+    assert score_block(packets).tolist() == [3]
+    depths, cells = decode_block(packets)
     assert depths.tolist() == [3]
     assert np.array_equal(cells[0], grid)
     metrics = run(ChainConfig(link_pdrs=(1.0,), gop_count=5, verify_payloads=True))
@@ -266,8 +268,8 @@ def test_real_decoding_beats_the_count_rule_on_the_pinned_case():
     case = RLC_COUNTEREXAMPLE
     packets = encode_gop(_grid(), case["strategy"], case["scheme"], seed=case["seed"])
     survivors = packets.select(np.array(case["mask"][: len(packets)]))
-    (score,) = score_block(survivors, 3, 2)
-    (depth,), (_,) = decode_block(survivors, 3, 2, 8)
+    (score,) = score_block(survivors)
+    (depth,), (_,) = decode_block(survivors)
     assert score < depth
 
 
@@ -292,8 +294,8 @@ def test_receiver_score_against_real_decoding(scheme, strategy, seed, mask):
     grid = _grid()
     packets = encode_gop(grid, strategy, scheme, seed=seed)
     survivors = packets.select(np.array(mask[: len(packets)], dtype=bool))
-    (score,) = score_block(survivors, 3, 2)
-    (depth,), (recovered,) = decode_block(survivors, 3, 2, 8)
+    (score,) = score_block(survivors)
+    (depth,), (recovered,) = decode_block(survivors)
     if scheme == SCHEME_RLC:
         counts = np.bincount(survivors.depth, minlength=4)[1:].tolist()
         generic = all(

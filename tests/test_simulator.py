@@ -623,9 +623,9 @@ def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch)
         met(encoder.rng)
         return encode(encoder, *args)
 
-    def recorded_sample(block, layer_count, packets_per_layer, node_rng):
+    def recorded_sample(block, node_rng):
         met(node_rng)
-        return sample(block, layer_count, packets_per_layer, node_rng)
+        return sample(block, node_rng)
 
     monkeypatch.setattr(simulator, "send_block", recorded_send)
     monkeypatch.setattr(simulator, "encoder_block", recorded_encode)
