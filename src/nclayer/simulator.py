@@ -159,8 +159,14 @@ class ChainConfig:
         if not all(d >= 0.0 for d in self.link_delays):
             raise ValueError(f"link_delays must be non-negative, got {self.link_delays}")
         if self.selection == "heuristic" and self.scheme != SCHEME_REPEAT:
-            # every GOP spends the budget, so a policy must spend exactly it
+            # every GOP spends the budget over layer_count classes, so a
+            # policy must spend exactly it over exactly those
             policy = builtin_policy(self.heuristic_set)
+            if len(policy.strategies[0]) != self.layer_count:
+                raise ValueError(
+                    f"layer_count {self.layer_count} differs from the "
+                    f"{len(policy.strategies[0])} classes the threshold policy allocates"
+                )
             if policy.budget != self.budget:
                 raise ValueError(
                     f"budget {self.budget} differs from the {policy.budget} packets "
@@ -429,7 +435,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
 
 _MODE_PATTERNS = (
     re.compile(r"^nonc(\d+)$"),
-    re.compile(r"^nc(\d+)(?:-(e2e|hbh)(\d*)?)?$"),
+    re.compile(r"^nc(\d+)(?:-e2e|-(hbh)(\d*))?$"),
     re.compile(r"^heuristic-(\d+)$"),
     re.compile(r"^spt$"),
 )

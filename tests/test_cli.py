@@ -176,6 +176,24 @@ def test_sweep_rejects_unknown_mode(capsys):
     assert "unknown sweep mode" in capsys.readouterr().err
 
 
+def test_sweep_refuses_a_count_after_e2e(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--pdr-grid", "0.7", "--modes", "NC3-E2E9", "--out", str(out)]) == 1
+    assert "unknown sweep mode 'NC3-E2E9'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_heuristic_set_of_another_class_count(tmp_path, capsys):
+    # every builtin threshold set allocates 4 classes; at 3 layers run()
+    # would fail on the strategy shape, naming no key
+    out = tmp_path / "rows.csv"
+    args = ["simulate", "--set", "media.layers=3", "--set", "select.method=heuristic"]
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "media.layers: layer_count 3 differs from the 4 classes" in err
+    assert not out.exists()
+
+
 def test_sweep_rejects_bad_grid(capsys):
     assert main(["sweep", "--pdr-grid", "0.5,nope"]) == 1
 
