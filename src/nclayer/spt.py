@@ -12,7 +12,6 @@ small-budget reference it is checked against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -69,9 +68,14 @@ def enumerate_strategies(
 
 @lru_cache(maxsize=None)
 def _comb_rows(max_count: int) -> np.ndarray:
-    """comb(n, r) at [n, r] as floats, zero for r > n."""
+    """comb(n, r) at [n, r] as floats, zero for r > n: exact Pascal rows in
+    Python integers, each entry rounded to float once, as float(comb(n, r))."""
     size = max_count + 1
-    rows = np.array([[float(math.comb(n, r)) for r in range(size)] for n in range(size)])
+    rows = np.zeros((size, size))
+    row = [1]
+    for n in range(size):
+        rows[n, : n + 1] = [float(c) for c in row]
+        row = [1, *[a + b for a, b in zip(row, row[1:])], 1]
     rows.flags.writeable = False
     return rows
 
