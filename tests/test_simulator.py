@@ -216,19 +216,11 @@ def test_resolve_mode_grammar():
 
 def test_resolve_mode_rejects_nonsense():
     base = ChainConfig()
-    for bad in ("NC2-HBH5", "warp3", "NC0", "NoNC0", "heuristic-x"):
+    # only -HBH takes a relay count: NC3-E2E9 would run a plain NC3-E2E
+    # chain under its own label
+    for bad in ("NC2-HBH5", "warp3", "NC0", "NoNC0", "heuristic-x", "NC3-E2E9", "NC2-E2E1"):
         with pytest.raises(ValueError):
             resolve_mode(bad, base)
-
-
-def test_resolve_mode_refuses_a_count_after_e2e():
-    # only -HBH takes a relay count; NC3-E2E9 would run, and label a row
-    # as, a plain NC3-E2E chain
-    base = ChainConfig()
-    for bad in ("NC3-E2E9", "NC3-E2E0", "NC2-E2E1"):
-        with pytest.raises(ValueError, match="unknown sweep mode"):
-            resolve_mode(bad, base)
-    assert resolve_mode("NC3-E2E", base).label == "NC3-E2E"
 
 
 def test_sweep_rows_are_ordered_and_deterministic():
