@@ -23,12 +23,13 @@ per-hop delays and receiver scoring then run on the block, whose packets
 travel as one PacketBlock; a GOP is its row in the block's arrays, and
 run() alone knows its number. The block carries its grid shape and was
 checked against it when its encoder made it, so no step downstream passes
-a shape or checks the rows again. A re-encoding relay, and a verifying receiver,
-decode all of a block's GOPs in one decode_block call, which reduces their
-RLC systems in gf_rref stacks of at most codec.DECODE_STACK_BYTES, but an
-unverified run's RLC relay, which holds no payload, draws its depths from
-the decoder's law with codec.sample_block instead; the relay's depths give
-both its packet count per GOP and what it re-encodes. run() keeps the
+a shape or checks the rows again. A re-encoding relay, and a verifying
+receiver, decode all of a block's GOPs in one decode_block call, which
+reduces their RLC systems in gf_rref stacks of at most
+codec.DECODE_STACK_BYTES, but an unverified run's RLC relay, which holds
+no payload, draws its depths from the decoder's law with
+codec.sample_block instead; the relay's depths give both its packet count
+per GOP and what it re-encodes. run() keeps the
 loop's state in its own locals: each link's generator, the delivery
 probability in force on each link, each encoder's latest estimate and the
 verifying receiver's counts; the nodes hold no run state. Seeded results
