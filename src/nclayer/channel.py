@@ -11,6 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .codec import surviving_counts
+
 
 def send_block(
     rngs: Sequence[np.random.Generator],
@@ -26,7 +28,7 @@ def send_block(
     probes before packets, in one call for the block: the same per-link
     stream as sending each GOP's probes and then its packets across the
     chain one at a time. pdrs[j, k] is link j's delivery probability during
-    GOP k.
+    GOP k; a pdrs of one value per link, pdrs[j], holds over the block.
 
     Returns the probes of each GOP that crossed every link, and per link the
     survival mask of the packets that reached it, in GOP order.
@@ -37,20 +39,16 @@ def send_block(
     packets = np.asarray(packets, dtype=np.int64)
     if (probes < 0).any() or (packets < 0).any():
         raise ValueError("probe and packet counts must be non-negative")
-    # draws alternate a GOP's probes and its packets, GOP by GOP
+    # draws alternate a GOP's probes and its packets, GOP by GOP: runs[k]
+    # is how many of GOP k's probes and then of its packets reach a link
+    runs = np.stack([probes, packets], axis=1)
     is_packet = np.tile(np.array([False, True]), probes.size)
     masks = []
     for rng, link_pdrs in zip(rngs, pdrs):
-        counts = np.stack([probes, packets], axis=1).ravel()
-        ends = np.cumsum(counts)
-        draws = int(ends[-1])
-        alive = rng.random(draws) < np.repeat(np.repeat(link_pdrs, 2), counts)
-        masks.append(alive[np.repeat(is_packet, counts)])
-        # survivors per run of draws; the trailing zero lets a run that
-        # starts at the end sum to zero, and empty runs are zeroed
-        summed = np.zeros(draws + 1, dtype=np.int64)
-        summed[:draws] = alive
-        survivors = np.add.reduceat(summed, ends - counts)
-        survivors[counts == 0] = 0
-        probes, packets = survivors[0::2], survivors[1::2]
-    return probes, masks
+        draws = int(runs.sum())
+        if np.ndim(link_pdrs):
+            link_pdrs = np.repeat(np.repeat(link_pdrs, 2), runs.ravel())
+        alive = rng.random(draws) < link_pdrs
+        masks.append(alive[np.repeat(is_packet, runs.ravel())])
+        runs = surviving_counts(runs, alive)
+    return runs[:, 0], masks

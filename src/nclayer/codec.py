@@ -18,9 +18,17 @@ GOP's number is its place in the block. A block carries its grid's shape,
 layer_count layers of packets_per_layer cells of payload.shape[1] bytes,
 and is checked against it once, on construction. encode_block sets the
 shape from its cells; decode_block(block), score_block(block) and
-sample_block(block, rng), which draws decode_block's RLC depths from the
-packets' classes alone, read it from the block and work on the whole block
+sample_block(block, rng) read it from the block and work on the whole block
 as arrays.
+
+encode_block lays a block's rows out GOP by GOP, each GOP's classes
+shallow first, so a block whose coefficients and payloads no one reads is
+fully described by its per-GOP class counts, a (G, layer_count) array.
+The functions that read only classes work on those counts:
+surviving_counts gives the counts a link's survival mask keeps, with no
+rows made, decodable_layers_batch scores them by the count rule, and
+sample_depths draws decode_block's RLC depths from them; score_block and
+sample_block are their block forms.
 
 RLC coefficients are zero-padded to layer_count * packets_per_layer columns
 and drawn from the generator the encoder is given, whole 64-bit outputs in
@@ -339,23 +347,27 @@ def score_block(block: PacketBlock) -> np.ndarray:
 
 
 def sample_block(block: PacketBlock, rng) -> np.ndarray:
+    """Each GOP's depth, drawn by sample_depths from the classes of an RLC
+    block's packets; their coefficients are not read."""
+    if block.scheme != SCHEME_RLC:
+        raise ValueError(f"only rlc depths are sampled, got {block.scheme!r}")
+    return sample_depths(_class_counts(block), block.packets_per_layer, rng)
+
+
+def sample_depths(counts: np.ndarray, packets_per_layer: int, rng) -> np.ndarray:
     """Each GOP's depth, drawn from the law of decode_block's on RLC packets
-    of its classes with uniform coefficients, which are not read. A GOP's
-    fill[l] is the dimension layer l adds to its span within layers 1..l; a
-    class-c packet draws e, P(e >= k) = 256^-k, and fills unit e (from 0)
-    of those missing from layers c, c-1, ..., 1 in turn, if any. One
-    rng.geometric draw per packet, in GOP, class and packet order, as its
-    GOPs would draw one by one.
+    with uniform coefficients, counts[k, c] of class c + 1 in GOP k. A
+    GOP's fill[l] is the dimension layer l adds to its span within layers
+    1..l; a class-c packet draws e, P(e >= k) = 256^-k, and fills unit e
+    (from 0) of those missing from layers c, c-1, ..., 1 in turn, if any.
+    One rng.geometric draw per packet, in GOP, class and packet order, as
+    its GOPs would draw one by one.
 
     e = 0 fills layer c if it can, which is the count rule, and so does e
     for the k-th class-c packet (from 0) whenever k + e < P: only class-c
     packets reach layer c before class c+1's, so it still misses at least
     P - k > e units. So every GOP is scored by the count rule, and only
     GOPs holding a draw with k + e >= P are walked again."""
-    if block.scheme != SCHEME_RLC:
-        raise ValueError(f"only rlc depths are sampled, got {block.scheme!r}")
-    packets_per_layer = block.packets_per_layer
-    counts = _class_counts(block)
     draws = rng.geometric(1 - 1 / 256, counts.sum())
     depths = decodable_layers_batch(counts, packets_per_layer)
     # each e >= 1: its (GOP, class) group and its place k among the group's
@@ -373,6 +385,24 @@ def sample_block(block: PacketBlock, rng) -> np.ndarray:
         ):
             depths[gop] = depth
     return depths
+
+
+def surviving_counts(counts: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The rows of each run that a mask keeps, where counts holds each run's
+    rows and the runs lie one after another in its row-major order, as
+    encode_block lays out a block's rows: GOP by GOP, each GOP's classes
+    shallow first. On such a block's (G, layer_count) class counts it is
+    _class_counts(block.select(mask)), with no rows made. A mask of another
+    length than the rows raises ValueError."""
+    runs = counts.ravel()
+    ends = runs.cumsum()
+    n = int(ends[-1]) if ends.size else 0
+    if mask.shape != (n,):
+        raise ValueError(f"a mask needs one entry per packet, {n}, got shape {mask.shape}")
+    # kept[i]: survivors among the first i rows, read at each run's ends
+    kept = np.zeros(n + 1, dtype=np.int64)
+    mask.cumsum(out=kept[1:])
+    return (kept[ends] - kept[ends - runs]).reshape(counts.shape)
 
 
 def _walk(counts, group, place, step, packets_per_layer):

@@ -18,19 +18,21 @@ as arrays. Each encoder's packet count per GOP is known before any draw (a
 table or policy spends one budget; a re-encoding relay spends it on every
 GOP its block decode recovered a layer of), so each link of the segment
 makes one draw for the block, covering each GOP's probes and then its
-packets, GOP by GOP. The probe estimates, strategy selection, encoding,
-per-hop delays and receiver scoring then run on the block, whose packets
-travel as one PacketBlock; a GOP is its row in the block's arrays, and
-run() alone knows its number. The block carries its grid shape and was
-checked against it when its encoder made it, so no step downstream passes
-a shape or checks the rows again. A re-encoding relay, and a verifying
-receiver, decode all of a block's GOPs in one decode_block call, which
-reduces their RLC systems in gf_rref stacks of at most
-codec.DECODE_STACK_BYTES, but an unverified run's RLC relay, which holds
-no payload, draws its depths from the decoder's law with
-codec.sample_block instead; the relay's depths give both its packet count
-per GOP and what it re-encodes. run() keeps the
-loop's state in its own locals: each link's generator, the delivery
+packets, GOP by GOP. The probe estimates, strategy picks, per-hop delays
+and receiver scoring then run on the block, whose packets travel as each
+GOP's per-class counts: nodes.pick_strategies gives the counts an encoder
+sends, and codec.surviving_counts those that cross each link; a GOP is its
+row of the counts, and run() alone knows its number. Packet rows, a
+PacketBlock that encode_block makes beside the counts and each link
+selects from, travel only where a step reads more than classes: in a
+verified run, whose relays and receiver decode coefficients and payloads
+with decode_block, and under xor and repeat, whose depth is which columns
+arrived. An unverified RLC run makes no rows: its relays draw their depths
+from the decoder's law with codec.sample_depths. Every RLC receiver scores
+the counts by the count rule. A relay's depths give both its packet count
+per GOP and what it re-encodes. A decode reduces the RLC systems of a
+block in gf_rref stacks of at most codec.DECODE_STACK_BYTES. run() keeps
+the loop's state in its own locals: each link's generator, the delivery
 probability in force on each link, each encoder's latest estimate and the
 verifying receiver's counts; the nodes hold no run state. Seeded results
 are those of a GOP-by-GOP loop whatever the block size: every link belongs
@@ -38,8 +40,8 @@ to one segment and draws its probes and packets of GOP g before those of
 g+1; in a verified run the sender and each re-encoding relay draw the
 coefficients they encode, in GOP order, from their own generator, and in
 an unverified one only RLC relays draw, their samples, in GOP order;
-decoding draws nothing; and each GOP's delay is summed in hop order.
-Each generator is seeded from its own child of the run's seed, child i of
+decoding draws nothing; and each GOP's delay is summed in hop order. Each
+generator is seeded from its own child of the run's seed, child i of
 SeedSequence(seed).spawn(n) made alone from its spawn key (i,), and only
 for the generators the run draws from: a forwarding chain's links, say,
 but no grid seed unless payload bytes travel.
@@ -56,10 +58,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import send_block
-from .codec import SCHEME_REPEAT, SCHEME_RLC, SCHEMES, decode_block, sample_block, score_block
+from .codec import (
+    SCHEME_REPEAT,
+    SCHEME_RLC,
+    SCHEMES,
+    decodable_layers_batch,
+    decode_block,
+    encode_block,
+    sample_depths,
+    score_block,
+    surviving_counts,
+)
 from .heuristic import ThresholdPolicy, builtin_policy
 from .media import make_synthetic_cells
-from .nodes import MODE_FORWARD, MODE_NC, RELAY_MODES, Encoder, encoder_block
+from .nodes import MODE_FORWARD, MODE_NC, RELAY_MODES, Encoder, pick_strategies
 from .spt import StrategyTable, build_table
 
 SELECTIONS = ("spt", "heuristic")
@@ -280,9 +292,11 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
 
     GOPs go through in blocks of GOP_BLOCK, one pass per segment: each link
     draws once per block, for every GOP's probes and then its packets, and
-    the estimates, strategies, encodes, delays and scores of the block are
-    array operations. The metrics are those of carrying the GOPs one at a
-    time, for any block size.
+    the estimates, strategies, delays and scores of the block are array
+    operations on its per-class packet counts, with packet rows encoded
+    and selected beside them only in a verified run or under xor and
+    repeat. The metrics are those of carrying the GOPs one at a time, for
+    any block size.
     """
     hops = config.hop_count
     n_relays = hops - 1
@@ -295,14 +309,16 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         _check_table_matches(table, config)
     repeat = config.scheme == SCHEME_REPEAT
     # Payload bytes travel only when checked, and only then do decoders
-    # eliminate and encoders draw coefficients; an unverified RLC relay
-    # samples its depths from its generator instead. Each generator has its
-    # own child of the run's seed, links 0..hops-1, relays hops + position,
-    # the sender and then the grid seed after them, made only when drawn
-    # from, so none moves another's draws.
+    # eliminate and encoders draw coefficients. An unverified RLC run reads
+    # nothing of a packet but its class, so it carries each GOP's class
+    # counts and makes no packet rows; its relays sample their depths from
+    # their generators. Each generator has its own child of the run's seed,
+    # links 0..hops-1, relays hops + position, the sender and then the grid
+    # seed after them, made only when drawn from, so none moves another's
+    # draws.
     verify = config.verify_payloads
     width = config.payload_size if verify else 0
-    sample = config.scheme == SCHEME_RLC and not verify
+    counted = config.scheme == SCHEME_RLC and not verify
     grid_seed = int(child(hops + n_relays + 1).generate_state(1)[0]) if width else 0
     sender_segment, relay_segments = _segments(config)
 
@@ -337,7 +353,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     # generator: the sender's segment, then each relay's, in hop order
     segments = [(sender, sender_segment, None)]
     for position, segment in relay_segments.items():
-        rng = np.random.default_rng(child(hops + position)) if verify or sample else None
+        rng = np.random.default_rng(child(hops + position)) if verify or counted else None
         relay = Encoder(scheme=config.scheme, table=table, rng=rng if verify else None)
         segments.append((relay, segment, rng))
     # each encoder's delivery estimate, held from its latest probe round
@@ -348,25 +364,31 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
 
     for first in range(0, config.gop_count, GOP_BLOCK):
         gops = np.arange(first, min(first + GOP_BLOCK, config.gop_count))
-        cells = make_synthetic_cells(
-            gops, config.layer_count, config.packets_per_layer, width, grid_seed
-        )
+        cells = None
+        if not counted:
+            cells = make_synthetic_cells(
+                gops, config.layer_count, config.packets_per_layer, width, grid_seed
+            )
         probes = np.where(gops % config.update_period == 0, config.probe_count, 0)
         if repeat:
             probes[:] = 0
         # the GOP of each GOP's latest probe round, -1 before the block's first
         latest = np.maximum.accumulate(np.where(probes > 0, np.arange(gops.size), -1))
         delays = np.zeros(gops.size)
-        block = None
+        # counts[k, c]: the packets of class c + 1 of GOP k in flight; block,
+        # the same packets as rows, where a step reads more than classes
+        counts = block = None
         for index, (encoder, segment, rng) in enumerate(segments):
-            pdrs = _block_pdrs(pdr_now, segment, gops, schedule)
+            if schedule:
+                pdrs = _block_pdrs(pdr_now, segment, gops, schedule)
+            else:
+                # each link's delivery holds over the block
+                pdrs = pdr_now[segment.start : segment.stop]
             if encoder is sender:
                 held = np.full(gops.size, config.layer_count)
                 source = cells
-            elif sample:
-                # cells is the zero-width grid the relay re-encodes
-                held = sample_block(block, rng)
-                source = cells
+            elif counted:
+                held = sample_depths(counts, config.packets_per_layer, rng)
             else:
                 held, source = decode_block(block)
             # an encoder spends its budget on every GOP it holds a layer of,
@@ -380,23 +402,32 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                 latest >= 0, alive[latest] / config.probe_count, held_estimates[index]
             )
             held_estimates[index] = float(estimates[-1])
-            block = encoder_block(encoder, source, estimates, held)
-            if not np.array_equal(block.sizes, sending):
+            counts = pick_strategies(encoder, estimates, held)
+            sizes = counts.sum(axis=1)
+            if not np.array_equal(sizes, sending):
                 raise RuntimeError(
-                    f"an encoder sent {block.sizes.tolist()} packets per GOP, "
+                    f"an encoder sent {sizes.tolist()} packets per GOP, "
                     f"its links drew for {sending.tolist()}"
                 )
+            if not counted:
+                block = encode_block(source, counts, encoder.scheme, encoder.rng)
             for hop, mask in zip(segment, masks):
-                delays += block.sizes * link_delays[hop]
-                block = block.select(mask)
+                delays += sizes * link_delays[hop]
+                counts = surviving_counts(counts, mask)
+                sizes = counts.sum(axis=1)
+                if not counted:
+                    block = block.select(mask)
                 if hop < n_relays:
                     delays += config.forward_delay
                     if config.relay_modes[hop] == MODE_NC:
                         # re-encodes at the head of the next segment
                         delays += config.recode_delay
 
-        scores = score_block(block)
-        if config.verify_payloads:
+        if config.scheme == SCHEME_RLC:
+            scores = decodable_layers_batch(counts, config.packets_per_layer)
+        else:
+            scores = score_block(block)
+        if verify:
             depths, decoded = decode_block(block)
             prediction_gaps += int(np.count_nonzero(depths < scores))
             # a GOP decoded wrong when a cell of its recovered prefix differs
@@ -404,7 +435,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                 np.arange(config.layer_count) < depths[:, None]
             )
             payload_errors += int(np.count_nonzero(wrong.any(axis=1)))
-        npr += len(block)
+        npr += int(sizes.sum())
         per_gop_decoded.extend(scores.tolist())
         per_gop_delay.extend(delays.tolist())
 

@@ -115,3 +115,25 @@ def test_block_draws_as_gops_sent_one_by_one():
             assert np.array_equal(masks[j], np.concatenate([m[j] for m in per_gop]))
         for a, b in zip(block, single):
             assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_one_delivery_per_link_is_that_delivery_in_every_gop():
+    # a link whose delivery holds over the block may pass one value, which
+    # compares each uniform with the same number as the per-GOP row does
+    rng = np.random.default_rng(8)
+    for trial in range(20):
+        hops, gops = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        seeds = [int(s) for s in rng.integers(0, 2**32, size=hops)]
+        pdrs = rng.choice([0.0, 0.3, 0.7, 1.0], size=hops)
+        probes = rng.choice([0, 5, 100], size=gops)
+        packets = rng.integers(0, 70, size=gops)
+        fixed = [np.random.default_rng(s) for s in seeds]
+        rows = [np.random.default_rng(s) for s in seeds]
+        alive, masks = send_block(fixed, probes, packets, pdrs)
+        want_alive, want_masks = send_block(
+            rows, probes, packets, np.repeat(pdrs[:, None], gops, axis=1)
+        )
+        assert np.array_equal(alive, want_alive)
+        assert all(np.array_equal(a, b) for a, b in zip(masks, want_masks))
+        for a, b in zip(fixed, rows):
+            assert a.bit_generator.state == b.bit_generator.state

@@ -22,6 +22,7 @@ from nclayer.codec import (
     encode_gop,
     sample_block,
     score_block,
+    surviving_counts,
 )
 from nclayer.kernels import gf_matmul, gf_rref
 from nclayer.media import make_synthetic_cells, make_synthetic_gop
@@ -645,6 +646,41 @@ def test_sampled_depths_follow_the_decoder_law(per_layer, counts, n_gops, monkey
     got = np.bincount(sampled, minlength=layers + 1) / n_gops
     se = np.sqrt((want * (1 - want) + got * (1 - got)) / n_gops)
     assert (np.abs(got - want) <= 4 * se).all(), (want, got, se)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    layers=st.integers(min_value=1, max_value=5),
+    per_layer=st.integers(min_value=1, max_value=9),
+    n_gops=st.integers(min_value=1, max_value=300),
+    empty=st.sampled_from([0.0, 0.3, 1.0]),
+    keep=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_surviving_counts_are_the_class_counts_of_the_selected_rows(
+    layers, per_layer, n_gops, empty, keep, seed
+):
+    # a run that carries class counts instead of rows must see, after each
+    # link, the counts a block of rows would have after select; empty
+    # GOPs, and a mask that keeps nothing, included
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 3 * per_layer, size=(n_gops, layers))
+    counts[rng.random(n_gops) < empty] = 0
+    cells = np.zeros((n_gops, layers, per_layer, 0), dtype=np.uint8)
+    block = encode_block(cells, counts, SCHEME_RLC, None)
+    mask = rng.random(len(block)) < keep
+    want = codec._class_counts(block.select(mask))
+    assert np.array_equal(surviving_counts(counts, mask), want)
+    assert np.array_equal(codec._class_counts(block), counts)
+
+
+def test_surviving_counts_need_one_mask_entry_per_packet():
+    counts = np.array([[2, 1], [0, 3]])
+    with pytest.raises(ValueError, match="one entry per packet"):
+        surviving_counts(counts, np.ones(5, dtype=bool))
+    assert surviving_counts(counts, np.array([1, 0, 1, 1, 0, 1], dtype=bool)).tolist() == [
+        [1, 1], [0, 2],
+    ]
 
 
 def test_sampled_depths_without_singular_draws_are_the_count_rule():

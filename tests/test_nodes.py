@@ -17,7 +17,7 @@ from nclayer.codec import (
 )
 from nclayer.heuristic import ThresholdPolicy, builtin_policy
 from nclayer.media import make_synthetic_cells, make_synthetic_gop
-from nclayer.nodes import Encoder, encoder_block
+from nclayer.nodes import Encoder, encoder_block, pick_strategies
 from nclayer.simulator import ChainConfig, run
 from nclayer.spt import build_table
 from oracles import max_cover, rref_reference, sent_strategies
@@ -97,20 +97,20 @@ def test_encoder_picks_each_gop_from_the_estimate_in_force(small_table):
 
 def test_forward_relay_is_transparent(default_table, monkeypatch):
     # a forwarding relay has no state and no step: over lossless links the
-    # receiver gets exactly the packets the sender encoded
+    # verifying receiver decodes exactly the packets the sender encoded
     sent, received = [], []
-    encoder_step, score_step = simulator.encoder_block, simulator.score_block
+    encode_step, decode_step = simulator.encode_block, simulator.decode_block
 
     def encoding(*args):
-        sent.append(encoder_step(*args))
+        sent.append(encode_step(*args))
         return sent[-1]
 
-    def receiving(block, *args):
+    def receiving(block):
         received.append(block)
-        return score_step(block, *args)
+        return decode_step(block)
 
-    monkeypatch.setattr(simulator, "encoder_block", encoding)
-    monkeypatch.setattr(simulator, "score_block", receiving)
+    monkeypatch.setattr(simulator, "encode_block", encoding)
+    monkeypatch.setattr(simulator, "decode_block", receiving)
     config = ChainConfig(link_pdrs=(1.0,) * 3, gop_count=5, verify_payloads=True)
     run(config, table=default_table)
     ((a,), (b,)) = sent, received
@@ -121,21 +121,21 @@ def test_forward_relay_is_transparent(default_table, monkeypatch):
 def test_sender_strategy_refreshes_on_period(default_table, monkeypatch):
     # the sender probes only on update_period GOPs and each estimate holds
     # until the next probe, so its strategy can change only on those GOPs
-    sent = []
-    encoder_step = simulator.encoder_block
+    picked = []
+    pick_step = simulator.pick_strategies
 
-    def encoding(*args):
-        sent.append(encoder_step(*args))
-        return sent[-1]
+    def picking(*args):
+        picked.append(pick_step(*args))
+        return picked[-1]
 
-    monkeypatch.setattr(simulator, "encoder_block", encoding)
+    monkeypatch.setattr(simulator, "pick_strategies", picking)
     config = ChainConfig(
         link_pdrs=(1.0,), gop_count=7, update_period=3, pdr_schedule=((1, 0, 0.05),)
     )
     run(config, table=default_table)
     lossless, lossy = default_table.best_strategy(19), default_table.best_strategy(0)
     assert lossless != lossy
-    assert sent_strategies(sent[0], 4) == [lossless] * 3 + [lossy] * 4
+    assert [tuple(s) for s in picked[0].tolist()] == [lossless] * 3 + [lossy] * 4
 
 
 def test_sender_with_policy():
@@ -196,6 +196,31 @@ def test_encoder_block_needs_one_estimate_and_depth_per_gop(small_table):
         with pytest.raises(ValueError, match="one estimate and one depth per GOP"):
             encoder_block(relay, cells, estimates, depths)
     assert encoder_block(relay, cells, [0.7] * 2, [3, 3]).sizes.tolist() == [8, 8]
+
+
+def test_policy_encoder_refuses_a_partial_depth():
+    # a policy picks by interval among allocations of every class, so a GOP
+    # holding 1..L-1 layers would be sent classes it does not hold; builtin
+    # set 3 would send (40, 8, 8, 8) at depth 2. Depth 0 sends nothing
+    sender = Encoder(scheme=SCHEME_RLC, policy=builtin_policy(3), rng=None)
+    cells = np.zeros((1, 4, 8, 0), dtype=np.uint8)
+    for depth in (1, 2, 3):
+        with pytest.raises(ValueError, match="must hold all 4 layers"):
+            encoder_block(sender, cells, [1.0], [depth])
+    assert pick_strategies(sender, [1.0, 1.0], [0, 4]).tolist() == [[0] * 4, [40, 8, 8, 8]]
+
+
+@pytest.mark.parametrize("selector", ["table", "policy"])
+def test_encoders_refuse_an_estimate_outside_the_unit_interval(selector, default_table):
+    # a delivery estimate is a probability; one outside [0, 1], or NaN,
+    # names no bin or interval and is refused, whatever the GOP's depth
+    chosen = {"table": default_table} if selector == "table" else {"policy": builtin_policy(3)}
+    encoder = Encoder(scheme=SCHEME_RLC, rng=None, **chosen)
+    cells = np.zeros((2, 4, 8, 0), dtype=np.uint8)
+    for estimate in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            encoder_block(encoder, cells, [0.5, estimate], [4, 4])
+    assert encoder_block(encoder, cells, [0.0, 1.0], [4, 4]).sizes.tolist() == [64, 64]
 
 
 def test_full_depth_relay_sends_what_the_sender_sends_under_a_tied_best_row(default_table):

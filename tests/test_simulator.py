@@ -8,6 +8,7 @@ import pytest
 
 import nclayer.codec as codec
 import nclayer.simulator as simulator
+from nclayer.codec import PacketBlock
 from nclayer.simulator import (
     CSV_HEADER,
     ChainConfig,
@@ -390,38 +391,48 @@ def test_coefficients_reach_every_decoder_and_no_further(
     # decoders names the positions that read coefficients: relay i at i, the
     # verifying receiver at 2; each encoder sends them only if one is later.
     # Only a verified run decodes: an unverified relay samples its depths
-    # from its packets' classes, so no encoder of that run draws any
+    # from the classes that reached it, so that run makes no packet rows and
+    # no encoder of it draws any coefficients
     config = ChainConfig(
         link_pdrs=(0.9,) * 3, relay_modes=relay_modes, gop_count=10, seed=4,
         verify_payloads=verify,
     )
     widths: dict[int, set] = {}
 
-    def record(position, batch):
-        if len(batch):
-            widths.setdefault(position, set()).add(batch.coeffs.shape[1])
-        return batch
-
     # run() builds the sender's Encoder first, then each re-encoding
-    # relay's in hop order; each encoder step is matched to its position
-    # through the state it steps, whatever order the loop steps them in
+    # relay's in hop order; each pick is matched to its position through
+    # the state it steps, whatever order the loop steps them in, and the
+    # rows an encode makes belong to the latest pick's encoder
     positions: dict[int, int] = {}
+    picked: list[int] = []
     encoders = [-1] + [i for i, m in enumerate(relay_modes) if m == "nc"]
-    encoder_type, encoder_step = simulator.Encoder, simulator.encoder_block
+    encoder_type = simulator.Encoder
+    pick, encode = simulator.pick_strategies, simulator.encode_block
 
     def numbered_encoder(*args, **kwargs):
         state = encoder_type(*args, **kwargs)
         positions[id(state)] = encoders[len(positions)]
         return state
 
+    def picking(state, *args):
+        picked.append(positions[id(state)])
+        return pick(state, *args)
+
+    def encoding(*args):
+        block = encode(*args)
+        if len(block):
+            widths.setdefault(picked[-1], set()).add(block.coeffs.shape[1])
+        return block
+
     monkeypatch.setattr(simulator, "Encoder", numbered_encoder)
-    monkeypatch.setattr(
-        simulator,
-        "encoder_block",
-        lambda state, *args: record(positions[id(state)], encoder_step(state, *args)),
-    )
+    monkeypatch.setattr(simulator, "pick_strategies", picking)
+    monkeypatch.setattr(simulator, "encode_block", encoding)
     metrics = run(config, table=default_table)
     assert metrics.payload_errors == 0
+    assert sorted(set(picked)) == encoders
+    if not verify:
+        assert widths == {}
+        return
     full = config.layer_count * config.packets_per_layer
     assert sorted(widths) == encoders
     for position in encoders:
@@ -468,11 +479,12 @@ TWIN_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(TWIN_CONFIGS))
 def test_unverified_run_matches_verified_twin(name, default_table, monkeypatch):
-    # an unverified run carries zero-width payloads and coefficients. Where
-    # no RLC relay decodes, depth depends only on which classes or cells
-    # arrived, so the scores equal those of the byte path as they stand. An
-    # unverified RLC relay samples its depths instead of eliminating, so it
-    # is handed, in order, the depths its verified twin's relays decoded;
+    # an unverified run carries class counts (RLC) or zero-width payloads
+    # (xor, repeat). Where no RLC relay decodes, depth depends only on which
+    # classes or cells arrived, so the scores equal those of the byte path
+    # as they stand. An unverified RLC relay samples its depths instead of
+    # eliminating, so it is handed, in order, the depths its verified
+    # twin's relays decoded;
     # then nothing else may differ (test_sampled_chain_matches_verified_audl
     # checks the sampled depths themselves)
     config = TWIN_CONFIGS[name]
@@ -490,13 +502,47 @@ def test_unverified_run_matches_verified_twin(name, default_table, monkeypatch):
     # each block's relays decode in hop order, then the receiver
     replay = (depths for k, depths in enumerate(decoded) if k % (relays + 1) < relays)
     monkeypatch.setattr(simulator, "decode_block", decode)
-    monkeypatch.setattr(simulator, "sample_block", lambda *args: next(replay))
+    monkeypatch.setattr(simulator, "sample_depths", lambda *args: next(replay))
     bare = run(config, table=default_table)
     if config.scheme == "rlc":
         assert next(replay, None) is None
     for attr in ("npr", "sent_total", "per_gop_decoded", "total_delay"):
         assert getattr(bare, attr) == getattr(verified, attr), attr
     assert verified.payload_errors == 0
+
+
+@pytest.mark.parametrize(
+    "scheme, relay_modes, verify, rows",
+    [
+        ("rlc", ("forward", "forward"), False, False),
+        ("rlc", ("nc", "forward"), False, False),
+        ("rlc", ("nc", "forward"), True, True),
+        ("xor", ("nc", "forward"), False, True),
+        ("repeat", ("forward", "forward"), False, True),
+    ],
+)
+def test_only_runs_that_read_more_than_classes_make_packet_rows(
+    scheme, relay_modes, verify, rows, default_table, monkeypatch
+):
+    # an unverified RLC run reads nothing of a packet but its class, so it
+    # carries class counts and builds no PacketBlock; a verified run
+    # decodes coefficients and payloads, and xor and repeat read columns
+    made = []
+    check = PacketBlock.__post_init__
+
+    def counted(block):
+        made.append(block.scheme)
+        check(block)
+
+    monkeypatch.setattr(PacketBlock, "__post_init__", counted)
+    config = ChainConfig(
+        link_pdrs=(0.8,) * 3, relay_modes=relay_modes, scheme=scheme, gop_count=20,
+        verify_payloads=verify, seed=6,
+    )
+    metrics = run(config, table=default_table)
+    assert metrics.npr > 0
+    assert bool(made) == rows
+    assert set(made) <= {scheme}
 
 
 @pytest.mark.parametrize("pdr", [0.5, 0.7, 0.9, 1.0])
@@ -600,14 +646,14 @@ def _random_config(rng, index):
 
 
 def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch):
-    # run() draws once per link per block and encodes, samples, selects and
-    # scores a block at a time; the GOP-by-GOP loop in oracles.py is the
-    # reference for every metric and for where each link's generator, and
-    # each node's, ends. An encoder that drew other coefficients, or a relay
+    # run() draws once per link per block and picks, encodes, samples,
+    # selects and scores a block at a time; the GOP-by-GOP loop in
+    # oracles.py is the reference for every metric and for where each link's
+    # generator, and each node's, ends. An encoder that drew other coefficients, or a relay
     # that sampled other depths, or either in another order, ends elsewhere
     rng = np.random.default_rng(2013)
     links, nodes = [], []
-    send, encode, sample = simulator.send_block, simulator.encoder_block, simulator.sample_block
+    send, pick, sample = simulator.send_block, simulator.pick_strategies, simulator.sample_depths
 
     def recorded_send(rngs, *args):
         # every link sends in each block, each segment's in hop order, so
@@ -621,17 +667,17 @@ def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch)
         if node_rng is not None and all(node_rng is not m for m in nodes):
             nodes.append(node_rng)
 
-    def recorded_encode(encoder, *args):
+    def recorded_pick(encoder, *args):
         met(encoder.rng)
-        return encode(encoder, *args)
+        return pick(encoder, *args)
 
-    def recorded_sample(block, node_rng):
+    def recorded_sample(counts, packets_per_layer, node_rng):
         met(node_rng)
-        return sample(block, node_rng)
+        return sample(counts, packets_per_layer, node_rng)
 
     monkeypatch.setattr(simulator, "send_block", recorded_send)
-    monkeypatch.setattr(simulator, "encoder_block", recorded_encode)
-    monkeypatch.setattr(simulator, "sample_block", recorded_sample)
+    monkeypatch.setattr(simulator, "pick_strategies", recorded_pick)
+    monkeypatch.setattr(simulator, "sample_depths", recorded_sample)
     seen = set()
     for index in range(30):
         config = _random_config(rng, index)

@@ -249,17 +249,18 @@ def test_argmax_prefers_the_last_of_exact_ties():
 
 def test_run_given_the_default_table_equals_run_building_its_own(default_table, monkeypatch):
     # at 0.9 the values of competing strategies agree to many decimals, and
-    # relays that decoded every layer re-encode from the table; the packet
-    # classes each encoder sends are recorded, since the metrics alone
+    # relays that decoded every layer re-encode from the table; the replica
+    # counts each encoder sends are recorded, since the metrics alone
     # rarely move with a near-tie
     sent = []
+    pick = simulator.pick_strategies
 
     def recording(*args):
-        block = encoder_block(*args)
-        sent[-1].append(block.depth.tolist())
-        return block
+        strategies = pick(*args)
+        sent[-1].append(strategies.tolist())
+        return strategies
 
-    monkeypatch.setattr(simulator, "encoder_block", recording)
+    monkeypatch.setattr(simulator, "pick_strategies", recording)
     config = ChainConfig(
         link_pdrs=(0.9, 0.9, 0.9), relay_modes=("nc", "nc"), gop_count=60, seed=3
     )
