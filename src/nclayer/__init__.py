@@ -17,7 +17,6 @@ from .config import ConfigError, apply_overrides, load_config, parse_config_text
 from .gf256 import gf256_inv, gf256_mul
 from .heuristic import ThresholdPolicy, builtin_policy
 from .media import make_synthetic_gop
-from .nodes import Encoder, encoder_block
 from .simulator import (
     ChainConfig,
     RunMetrics,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainConfig",
     "ConfigError",
-    "Encoder",
     "PDR_BINS",
     "PacketBlock",
     "RunMetrics",
@@ -56,7 +54,6 @@ __all__ = [
     "decode_block",
     "encode_block",
     "encode_gop",
-    "encoder_block",
     "enumerate_strategies",
     "expected_decoded_layers",
     "gf256_inv",

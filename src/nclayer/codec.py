@@ -17,9 +17,8 @@ GOPs as one set of rows; a single GOP travels as a block of one, and a
 GOP's number is its place in the block. A block carries its grid's shape,
 layer_count layers of packets_per_layer cells of payload.shape[1] bytes,
 and is checked against it once, on construction. encode_block sets the
-shape from its cells; decode_block(block), score_block(block) and
-sample_block(block, rng) read it from the block and work on the whole block
-as arrays.
+shape from its cells; decode_block(block) and score_block(block) read it
+from the block and work on the whole block as arrays.
 
 encode_block lays a block's rows out GOP by GOP, each GOP's classes
 shallow first, so a block whose coefficients and payloads no one reads is
@@ -27,8 +26,8 @@ fully described by its per-GOP class counts, a (G, layer_count) array.
 The functions that read only classes work on those counts:
 surviving_counts gives the counts a link's survival mask keeps, with no
 rows made, decodable_layers_batch scores them by the count rule, and
-sample_depths draws decode_block's RLC depths from them; score_block and
-sample_block are their block forms.
+sample_depths draws decode_block's RLC depths from them; score_block is
+the block form of the count rule.
 
 RLC coefficients are zero-padded to layer_count * packets_per_layer columns
 and drawn from the generator the encoder is given, whole 64-bit outputs in
@@ -344,14 +343,6 @@ def score_block(block: PacketBlock) -> np.ndarray:
     if block.scheme != SCHEME_RLC:
         return _cell_cover(block)[1]
     return decodable_layers_batch(_class_counts(block), block.packets_per_layer)
-
-
-def sample_block(block: PacketBlock, rng) -> np.ndarray:
-    """Each GOP's depth, drawn by sample_depths from the classes of an RLC
-    block's packets; their coefficients are not read."""
-    if block.scheme != SCHEME_RLC:
-        raise ValueError(f"only rlc depths are sampled, got {block.scheme!r}")
-    return sample_depths(_class_counts(block), block.packets_per_layer, rng)
 
 
 def sample_depths(counts: np.ndarray, packets_per_layer: int, rng) -> np.ndarray:

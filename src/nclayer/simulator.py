@@ -32,19 +32,20 @@ from the decoder's law with codec.sample_depths. Every RLC receiver scores
 the counts by the count rule. A relay's depths give both its packet count
 per GOP and what it re-encodes. A decode reduces the RLC systems of a
 block in gf_rref stacks of at most codec.DECODE_STACK_BYTES. run() keeps
-the loop's state in its own locals: each link's generator, the delivery
-probability in force on each link, each encoder's latest estimate and the
-verifying receiver's counts; the nodes hold no run state. Seeded results
-are those of a GOP-by-GOP loop whatever the block size: every link belongs
-to one segment and draws its probes and packets of GOP g before those of
-g+1; in a verified run the sender and each re-encoding relay draw the
-coefficients they encode, in GOP order, from their own generator, and in
-an unverified one only RLC relays draw, their samples, in GOP order;
-decoding draws nothing; and each GOP's delay is summed in hop order. Each
-generator is seeded from its own child of the run's seed, child i of
-SeedSequence(seed).spawn(n) made alone from its spawn key (i,), and only
-for the generators the run draws from: a forwarding chain's links, say,
-but no grid seed unless payload bytes travel.
+the loop's state in its own locals: each link's and each encoder's
+generator, the delivery probability in force on each link, each encoder's
+latest estimate and the verifying receiver's counts; the nodes hold no run
+state. Seeded results are those of a GOP-by-GOP loop whatever the block
+size: every link belongs to one segment and draws its probes and packets of
+GOP g before those of g+1; in a verified run the sender and each
+re-encoding relay draw the coefficients they encode, in GOP order, from
+their own generator, and in an unverified one only RLC relays draw, their
+samples, in GOP order; decoding draws nothing; and each GOP's delay is
+summed in hop order. Each generator is seeded from its own child of the
+run's seed, child i of SeedSequence(seed).spawn(n) made alone from its
+spawn key (i,), and only for the generators the run draws from: a
+forwarding chain's links, say, but no grid seed unless payload bytes
+travel.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .codec import (
 )
 from .heuristic import ThresholdPolicy, builtin_policy
 from .media import make_synthetic_cells
-from .nodes import MODE_FORWARD, MODE_NC, RELAY_MODES, Encoder, pick_strategies
+from .nodes import MODE_FORWARD, MODE_NC, RELAY_MODES, pick_strategies
 from .spt import StrategyTable, build_table
 
 SELECTIONS = ("spt", "heuristic")
@@ -338,24 +339,24 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     if repeat:
         # every source packet, budget // (layer_count * packets_per_layer) times
         copies = (config.budget // config.layer_count,) * config.layer_count
-        selector = {"policy": ThresholdPolicy((), (copies,))}
+        selector = ThresholdPolicy((), (copies,))
     elif config.selection == "spt":
-        selector = {"table": table}
+        selector = table
     else:
-        selector = {"policy": builtin_policy(config.heuristic_set)}
+        selector = builtin_policy(config.heuristic_set)
     sender_rng = np.random.default_rng(child(hops + n_relays)) if verify else None
-    sender = Encoder(scheme=config.scheme, rng=sender_rng, **selector)
 
     # stable, so changes at one GOP keep their config order
     schedule = sorted(config.pdr_schedule, key=itemgetter(0))
 
-    # each encoder with the links it probes and sends over and its
-    # generator: the sender's segment, then each relay's, in hop order
-    segments = [(sender, sender_segment, None)]
+    # each encoder's table or policy, the links it probes and sends over and
+    # its generator, which encodes in a verified run and samples depths at
+    # a relay of an unverified RLC run: the sender's segment, then each
+    # relay's, in hop order
+    segments = [(selector, sender_segment, sender_rng)]
     for position, segment in relay_segments.items():
         rng = np.random.default_rng(child(hops + position)) if verify or counted else None
-        relay = Encoder(scheme=config.scheme, table=table, rng=rng if verify else None)
-        segments.append((relay, segment, rng))
+        segments.append((table, segment, rng))
     # each encoder's delivery estimate, held from its latest probe round
     held_estimates = [1.0] * len(segments)
     npr = prediction_gaps = payload_errors = 0
@@ -378,22 +379,22 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         # counts[k, c]: the packets of class c + 1 of GOP k in flight; block,
         # the same packets as rows, where a step reads more than classes
         counts = block = None
-        for index, (encoder, segment, rng) in enumerate(segments):
+        for index, (selector, segment, rng) in enumerate(segments):
             if schedule:
                 pdrs = _block_pdrs(pdr_now, segment, gops, schedule)
             else:
                 # each link's delivery holds over the block
                 pdrs = pdr_now[segment.start : segment.stop]
-            if encoder is sender:
+            if index == 0:
                 held = np.full(gops.size, config.layer_count)
                 source = cells
             elif counted:
                 held = sample_depths(counts, config.packets_per_layer, rng)
             else:
                 held, source = decode_block(block)
-            # an encoder spends its budget on every GOP it holds a layer of,
-            # and sends nothing for the others
-            sending = np.where(held > 0, encoder.spend, 0)
+            # every encoder spends the budget on each GOP it holds a layer
+            # of, and sends nothing for the others
+            sending = np.where(held > 0, config.budget, 0)
             # one draw per link for the block: probes and packets, GOP by GOP
             alive, masks = send_block([link_rngs[i] for i in segment], probes, sending, pdrs)
             # the sender's feedback, round(share * probes) / probes, is the
@@ -402,7 +403,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                 latest >= 0, alive[latest] / config.probe_count, held_estimates[index]
             )
             held_estimates[index] = float(estimates[-1])
-            counts = pick_strategies(encoder, estimates, held)
+            counts = pick_strategies(selector, estimates, held)
             sizes = counts.sum(axis=1)
             if not np.array_equal(sizes, sending):
                 raise RuntimeError(
@@ -410,7 +411,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                     f"its links drew for {sending.tolist()}"
                 )
             if not counted:
-                block = encode_block(source, counts, encoder.scheme, encoder.rng)
+                block = encode_block(source, counts, config.scheme, rng)
             for hop, mask in zip(segment, masks):
                 delays += sizes * link_delays[hop]
                 counts = surviving_counts(counts, mask)
@@ -445,7 +446,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         multiplier = n_nc if config.table_charging == "per-node" else 1
         build_charge = config.table_build_charge * multiplier
 
-    sent_total = sender.spend * config.gop_count
+    sent_total = config.budget * config.gop_count
     audl = float(np.mean(per_gop_decoded)) if per_gop_decoded else 0.0
     default_label = "uncoded" if repeat else f"{config.selection}-{config.scheme}"
     return RunMetrics(
@@ -609,13 +610,23 @@ def write_rows(rows: Sequence[dict], path) -> None:
 
 
 def append_row(row: dict, path) -> None:
+    """Appends a row to the CSV at path, headed first if the file is new or
+    empty. A file that does not start with the header line or does not end
+    in a line break holds something else, so it is left as it is and
+    ValueError names it."""
+    header = (CSV_HEADER + "\n").encode("ascii")
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            has_content = bool(fh.read(1))
+        with open(path, "rb") as fh:
+            held = fh.read()
     except FileNotFoundError:
-        has_content = False
+        held = b""
+    if held and not (held.startswith(header) and held.endswith(b"\n")):
+        raise ValueError(
+            f"{path} is not a CSV of result rows: it must start with the line "
+            f"{CSV_HEADER!r} and end in a line break"
+        )
     with open(path, "a", encoding="ascii") as fh:
-        if not has_content:
+        if not held:
             fh.write(CSV_HEADER + "\n")
         fh.write(format_row(row) + "\n")
 

@@ -8,7 +8,7 @@ with the scalar table and policy lookups below, through the GOP-by-GOP
 loop, so it checks how run() carries GOPs, not the codec; each of its
 encoders hands its own generator to encode_block GOP by GOP, so the block
 pass must draw the same coefficients in the same order. Its relays sample
-with reference_sample_block, which steps every draw as the sampler first
+with reference_sample_depths, which steps every draw as the sampler first
 did.
 """
 
@@ -330,12 +330,12 @@ def best_restricted(table, bin_index, max_depth):
     return None if best is None else table.strategies[best]
 
 
-def reference_sample_block(block, rng):
-    """codec.sample_block's depths by stepping every draw, as the sampler
-    first did: class by class, the GOPs' draws of e >= 1 of each rank at
-    once, each after a water-fill of the zeros before it, then the rest.
-    The same one rng.geometric call, so it leaves rng where sample_block
-    does."""
+def reference_sample_depths(block, rng):
+    """codec.sample_depths's depths on the class counts of an RLC block's
+    packets, by stepping every draw, as the sampler first did: class by
+    class, the GOPs' draws of e >= 1 of each rank at once, each after a
+    water-fill of the zeros before it, then the rest. The same one
+    rng.geometric call, so it leaves rng where sample_depths does."""
     layer_count, packets_per_layer = block.layer_count, block.packets_per_layer
     n_gops = block.offsets.size - 1
     gop = np.repeat(np.arange(n_gops), np.diff(block.offsets))
@@ -410,7 +410,7 @@ def reference_run(config, table=None):
     verified run each encoder hands its own generator to encode_block for
     every GOP it encodes and relays decode; in an unverified RLC run no
     encoder draws and each relay samples its depth from its own generator
-    with reference_sample_block, GOP by GOP. Its generators come from
+    with reference_sample_depths, GOP by GOP. Its generators come from
     SeedSequence.spawn, where run() makes each child alone. The block pass
     of run() must return the same metrics and leave every generator in the
     same state; for that check the metrics come with the link generators,
@@ -516,7 +516,7 @@ def reference_run(config, table=None):
             elif len(current):
                 if sample:
                     # the relay re-encodes the zero-width grid
-                    (depth,) = reference_sample_block(current, node_rngs[position])
+                    (depth,) = reference_sample_depths(current, node_rngs[position])
                     decoded = grid
                 else:
                     (depth,), (decoded,) = decode_block(current)

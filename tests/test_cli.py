@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from nclayer.cli import main
+from nclayer.simulator import CSV_HEADER
 from nclayer.spt import build_table
 
 
@@ -103,6 +104,21 @@ def test_simulate_same_config_appends_identical_rows(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 3
     assert lines[1] == lines[2]
+
+
+@pytest.mark.parametrize(
+    "held",
+    ["time,value\n1,2", CSV_HEADER, "time,value\n"],
+    ids=["other-rows", "unterminated-header", "other-header"],
+)
+def test_simulate_refuses_to_append_to_a_file_of_other_rows(tmp_path, capsys, held):
+    # a row appended to another file, or glued onto an unterminated line,
+    # would corrupt it, so the file is left as it was
+    out = tmp_path / "rows.csv"
+    out.write_text(held)
+    assert main(["simulate", "--set", "run.gops=2", "--out", str(out)]) == 1
+    assert f"{out} is not a CSV of result rows" in capsys.readouterr().err
+    assert out.read_text() == held
 
 
 def test_simulate_link_override_drops_unnamed_relays(tmp_path, capsys):

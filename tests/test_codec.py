@@ -20,7 +20,7 @@ from nclayer.codec import (
     decode_block,
     encode_block,
     encode_gop,
-    sample_block,
+    sample_depths,
     score_block,
     surviving_counts,
 )
@@ -30,7 +30,7 @@ from oracles import (
     count_vectors,
     decode_gop_reference,
     rank_decodable_layers,
-    reference_sample_block,
+    reference_sample_depths,
 )
 
 
@@ -641,7 +641,7 @@ def test_sampled_depths_follow_the_decoder_law(per_layer, counts, n_gops, monkey
     cells = np.zeros((n_gops, layers, per_layer, 0), dtype=np.uint8)
     block = encode_block(cells, [counts] * n_gops, SCHEME_RLC, np.random.default_rng(61))
     decoded = decode_block(block)[0]
-    sampled = sample_block(block, np.random.default_rng(62))
+    sampled = sample_depths(codec._class_counts(block), per_layer, np.random.default_rng(62))
     want = np.bincount(decoded, minlength=layers + 1) / n_gops
     got = np.bincount(sampled, minlength=layers + 1) / n_gops
     se = np.sqrt((want * (1 - want) + got * (1 - got)) / n_gops)
@@ -696,7 +696,7 @@ def test_sampled_depths_without_singular_draws_are_the_count_rule():
         def geometric(self, p, size):
             return np.ones(size, dtype=np.int64)
 
-    assert np.array_equal(sample_block(block, Certain()), score_block(block))
+    assert np.array_equal(sample_depths(sizes, 2, Certain()), score_block(block))
 
 
 def test_block_samples_what_its_gops_sample_one_by_one():
@@ -708,15 +708,9 @@ def test_block_samples_what_its_gops_sample_one_by_one():
     block = encode_block(np.zeros((300, 3, 1, 0), dtype=np.uint8), sizes, SCHEME_RLC, None)
     block = block.select(rng.random(len(block)) < 0.8)
     whole, alone = np.random.default_rng(65), np.random.default_rng(65)
-    depths = sample_block(block, whole)
-    one_by_one = [
-        sample_block(
-            PacketBlock(SCHEME_RLC, 3, 1, [0, b - a], block.depth[a:b], block.payload[a:b],
-                        coeffs=block.coeffs[a:b]),
-            alone,
-        )[0]
-        for a, b in zip(block.offsets, block.offsets[1:])
-    ]
+    counts = codec._class_counts(block)
+    depths = sample_depths(counts, 1, whole)
+    one_by_one = [sample_depths(row[None], 1, alone)[0] for row in counts]
     assert depths.tolist() == one_by_one
     assert whole.bit_generator.state == alone.bit_generator.state
     assert (depths < score_block(block)).any()
@@ -758,8 +752,8 @@ def test_sampled_depths_equal_the_stepped_sampler(layers, per_layer, n_gops, p, 
         return np.random.default_rng(seed + 1) if p is None else StandIn(seed + 1, p)
 
     mine, theirs = generator(), generator()
-    got = sample_block(block, mine)
-    want = reference_sample_block(block, theirs)
+    got = sample_depths(codec._class_counts(block), per_layer, mine)
+    want = reference_sample_depths(block, theirs)
     assert got.tolist() == want.tolist()
     assert mine.bit_generator.state == theirs.bit_generator.state
 
@@ -785,7 +779,7 @@ def test_draws_that_cannot_move_a_depth_sample_the_count_rule():
     cells = np.zeros((len(counts), 3, per_layer, 0), dtype=np.uint8)
     block = encode_block(cells, counts, SCHEME_RLC, None)
     draws = Fixed(counts, lambda c, k: max(per_layer - 1 - k, 0))
-    assert sample_block(block, draws).tolist() == [3, 1, 0, 1, 2, 0, 3]
+    assert sample_depths(np.array(counts), per_layer, draws).tolist() == [3, 1, 0, 1, 2, 0, 3]
     assert score_block(block).tolist() == [3, 1, 0, 1, 2, 0, 3]
 
 
@@ -810,13 +804,4 @@ def test_a_draw_at_or_past_the_layer_it_would_fill(per_layer, counts, at, depth)
     draws = Fixed([counts], lambda c, k: at[2] if (c, k) == at[:2] else 0)
     assert at[1] + at[2] >= per_layer
     assert score_block(block).tolist() == [layers]
-    assert sample_block(block, draws).tolist() == [depth]
-
-
-def test_sampling_takes_rlc_blocks_of_known_classes():
-    block = encode_gop(np.zeros((2, 2, 0), dtype=np.uint8), (2, 2), SCHEME_XOR)
-    with pytest.raises(ValueError, match="rlc"):
-        sample_block(block, np.random.default_rng(0))
-    block = encode_gop(np.zeros((3, 2, 0), dtype=np.uint8), (2, 2, 2), SCHEME_RLC, None)
-    with pytest.raises(ValueError, match="exceeds layer_count"):
-        replace(block, layer_count=2)
+    assert sample_depths(np.array([counts]), per_layer, draws).tolist() == [depth]

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from nclayer.codec import encode_block
 from nclayer.heuristic import (
     BUILTIN_SET_IDS,
     ThresholdPolicy,
     builtin_policy,
 )
-from nclayer.nodes import Encoder, encoder_block
+from nclayer.nodes import pick_strategies
 from nclayer.spt import expected_decoded_layers
 from oracles import select_strategy, sent_strategies
 
@@ -16,8 +17,7 @@ def _picks(policy, estimates):
     checked against the oracle's interval walk."""
     n, width = len(estimates), len(policy.strategies[0])
     cells = np.zeros((n, width, 1, 0), dtype=np.uint8)
-    sender = Encoder(scheme="rlc", policy=policy, rng=None)
-    block = encoder_block(sender, cells, estimates, [width] * n)
+    block = encode_block(cells, pick_strategies(policy, estimates, [width] * n), "rlc", None)
     picks = sent_strategies(block, width)
     assert picks == [select_strategy(policy, e) for e in estimates]
     return picks
@@ -78,11 +78,9 @@ def test_set_three_fixed_pick_values_quoted_in_readme():
 
 
 def test_estimate_out_of_range_rejected():
-    sender = Encoder(scheme="rlc", policy=builtin_policy(1), rng=np.random.default_rng(0))
-    cells = np.zeros((1, 4, 8, 0), dtype=np.uint8)
     for estimate in (1.5, -0.1):
         with pytest.raises(ValueError, match="estimates"):
-            encoder_block(sender, cells, [estimate], [4])
+            pick_strategies(builtin_policy(1), [estimate], [4])
     with pytest.raises(ValueError):
         select_strategy(builtin_policy(1), 1.5)
 

@@ -17,7 +17,7 @@ from nclayer.codec import (
 )
 from nclayer.heuristic import ThresholdPolicy, builtin_policy
 from nclayer.media import make_synthetic_cells, make_synthetic_gop
-from nclayer.nodes import Encoder, encoder_block, pick_strategies
+from nclayer.nodes import pick_strategies
 from nclayer.simulator import ChainConfig, run
 from nclayer.spt import build_table
 from oracles import max_cover, rref_reference, sent_strategies
@@ -32,47 +32,42 @@ def _grid():
     return make_synthetic_gop(0, 3, 2, 8, seed=1)
 
 
-def _send(encoder, grids, estimates):
-    """A block of the grids, sent at the given per-GOP estimates by an
-    encoder holding every layer of each."""
+def _encode(selector, cells, estimates, depths, rng=None, scheme=SCHEME_RLC):
+    """A block of GOP k from the first depths[k] layers of cells[k], under
+    the strategies the selector picks at the per-GOP estimates, as run()
+    picks and then encodes for a node."""
+    return encode_block(cells, pick_strategies(selector, estimates, depths), scheme, rng)
+
+
+def _send(selector, grids, estimates, rng=None, scheme=SCHEME_RLC):
+    """A block of the grids, sent at the given per-GOP estimates by a node
+    holding every layer of each."""
     cells = np.stack(grids)
     depths = [cells.shape[1]] * len(grids)
-    return encoder_block(encoder, cells, estimates, depths)
+    return _encode(selector, cells, estimates, depths, rng, scheme)
 
 
-def test_sender_needs_exactly_one_selector(small_table):
-    with pytest.raises(ValueError, match="exactly one"):
-        Encoder(
-            scheme=SCHEME_RLC,
-            table=small_table,
-            policy=builtin_policy(1),
-            rng=np.random.default_rng(0),
-        )
-
-
-def test_nc_relay_requires_table():
-    with pytest.raises(ValueError, match="exactly one"):
-        Encoder(scheme=SCHEME_RLC, rng=np.random.default_rng(0))
+def test_nodes_pick_from_a_table_or_a_policy(small_table):
+    # a node picks from a strategy table or a threshold policy, and from
+    # nothing else, such as no selector or a dict naming one
+    for selector in (None, {"table": small_table}):
+        with pytest.raises(TypeError, match="StrategyTable or a ThresholdPolicy"):
+            pick_strategies(selector, [1.0], [3])
 
 
 def test_sender_with_fixed_strategy_never_selects():
     # the uncoded sender's fixed strategy is a policy of one interval
-    sender = Encoder(
-        scheme=SCHEME_REPEAT,
-        policy=ThresholdPolicy((), ((2, 2, 2),)),
-        rng=np.random.default_rng(0),
-    )
-    assert sender.spend == 6
+    policy = ThresholdPolicy((), ((2, 2, 2),))
+    assert policy.budget == 6
     for estimate in (0.05, 0.5, 1.0):
-        packets = _send(sender, [_grid()], [estimate])
+        packets = _send(policy, [_grid()], [estimate], np.random.default_rng(0), SCHEME_REPEAT)
         assert sent_strategies(packets, 3) == [(2, 2, 2)]
         assert packets.scheme == SCHEME_REPEAT and len(packets) == 6
 
 
 def test_sender_emits_full_budget(small_table):
-    sender = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0))
-    packets = _send(sender, [_grid()], [1.0])
-    assert len(packets) == sender.spend == 8
+    packets = _send(small_table, [_grid()], [1.0], np.random.default_rng(0))
+    assert len(packets) == small_table.budget == 8
     (strategy,) = sent_strategies(packets, 3)
     assert strategy == small_table.best_strategy(19)
 
@@ -84,13 +79,12 @@ def test_encoder_picks_each_gop_from_the_estimate_in_force(small_table):
     # coefficients as the GOPs do one at a time
     estimates = [1.0, 1.0, 1.0, 0.05]
     grid = _grid()
-    alone = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0))
-    one_by_one = [_send(alone, [grid], [e]) for e in estimates]
+    alone = np.random.default_rng(0)
+    one_by_one = [_send(small_table, [grid], [e], alone) for e in estimates]
     lossless, lossy = small_table.best_strategy(19), small_table.best_strategy(0)
     assert lossless != lossy
     assert [sent_strategies(b, 3)[0] for b in one_by_one] == [lossless] * 3 + [lossy]
-    again = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0))
-    block = _send(again, [grid] * 4, estimates)
+    block = _send(small_table, [grid] * 4, estimates, np.random.default_rng(0))
     assert sent_strategies(block, 3) == [lossless] * 3 + [lossy]
     assert np.array_equal(block.coeffs, np.concatenate([b.coeffs for b in one_by_one]))
 
@@ -139,39 +133,35 @@ def test_sender_strategy_refreshes_on_period(default_table, monkeypatch):
 
 
 def test_sender_with_policy():
-    sender = Encoder(scheme=SCHEME_RLC, policy=builtin_policy(3), rng=np.random.default_rng(0))
     grid = make_synthetic_gop(0, 4, 8, 16, seed=0)
-    packets = encoder_block(sender, grid[None], [1.0], [4])
+    packets = _send(builtin_policy(3), [grid], [1.0], np.random.default_rng(0))
     assert sent_strategies(packets, 4) == [(40, 8, 8, 8)]
 
 
 def test_nc_relay_reencodes_full_budget(small_table):
-    relay = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0))
     packets = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
     depths, cells = decode_block(packets)
     assert depths.tolist() == [3]
-    out = encoder_block(relay, cells, [1.0], depths)
+    out = _encode(small_table, cells, [1.0], depths, np.random.default_rng(0))
     assert len(out) == 8
     assert out.offsets.tolist() == [0, 8]
 
 
 def test_nc_relay_never_encodes_past_decoded_depth(small_table):
-    relay = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0))
     # only class-1 packets arrive: the relay can recover just layer 1
     packets = encode_gop(_grid(), (4, 0, 0), SCHEME_RLC, seed=0).select(np.arange(3))
     depths, cells = decode_block(packets)
     assert depths.tolist() == [1]
-    out = encoder_block(relay, cells, [1.0], depths)
+    out = _encode(small_table, cells, [1.0], depths, np.random.default_rng(0))
     assert len(out) == 8
     assert (out.depth == 1).all()
 
 
 def test_nc_relay_empty_input(small_table):
-    relay = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0))
     empty = encode_gop(_grid(), (0, 0, 0), SCHEME_RLC)
     depths, cells = decode_block(empty)
     assert depths.tolist() == [0]
-    out = encoder_block(relay, cells, [1.0], depths)
+    out = _encode(small_table, cells, [1.0], depths, np.random.default_rng(0))
     assert len(out) == 0 and out.sizes.tolist() == [0]
     # a GOP that lost everything sends nothing, draws no coefficients, and leaves
     # its neighbours be
@@ -179,53 +169,53 @@ def test_nc_relay_empty_input(small_table):
     strategies = [(4, 2, 2), (0, 0, 0), (4, 2, 2)]
     block = encode_block(cells, strategies, SCHEME_RLC, np.random.default_rng(0))
     depths, decoded = decode_block(block)
-    seeded = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(5))
-    out = encoder_block(seeded, decoded, [1.0] * 3, depths)
+    out = _encode(small_table, decoded, [1.0] * 3, depths, np.random.default_rng(5))
     assert out.sizes.tolist() == [8, 0, 8]
-    both = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(5))
-    full = encoder_block(both, decoded[[0, 2]], [1.0] * 2, depths[[0, 2]])
+    rng = np.random.default_rng(5)
+    full = _encode(small_table, decoded[[0, 2]], [1.0] * 2, depths[[0, 2]], rng)
     assert np.array_equal(out.coeffs, full.coeffs)
 
 
 def test_encoder_block_needs_one_estimate_and_depth_per_gop(small_table):
-    # one estimate or one depth for a 2-GOP block would broadcast to both
-    relay = Encoder(scheme=SCHEME_RLC, table=small_table, rng=np.random.default_rng(0))
+    # one estimate or one depth for a 2-GOP block would broadcast to both,
+    # and the pick of 3 GOPs is refused by the encode of 2
     cells = np.stack([_grid()] * 2)
-    wrong = (([0.7], [3, 3]), ([0.7] * 2, [3]), (0.7, [3, 3]), ([0.7] * 3, [3] * 3))
-    for estimates, depths in wrong:
+    rng = np.random.default_rng(0)
+    for estimates, depths in (([0.7], [3, 3]), ([0.7] * 2, [3]), (0.7, [3, 3])):
         with pytest.raises(ValueError, match="one estimate and one depth per GOP"):
-            encoder_block(relay, cells, estimates, depths)
-    assert encoder_block(relay, cells, [0.7] * 2, [3, 3]).sizes.tolist() == [8, 8]
+            _encode(small_table, cells, estimates, depths, rng)
+    with pytest.raises(ValueError, match="one strategy of 3 classes per grid"):
+        _encode(small_table, cells, [0.7] * 3, [3] * 3, rng)
+    assert _encode(small_table, cells, [0.7] * 2, [3, 3], rng).sizes.tolist() == [8, 8]
 
 
 def test_policy_encoder_refuses_a_partial_depth():
     # a policy picks by interval among allocations of every class, so a GOP
     # holding 1..L-1 layers would be sent classes it does not hold; builtin
     # set 3 would send (40, 8, 8, 8) at depth 2. Depth 0 sends nothing
-    sender = Encoder(scheme=SCHEME_RLC, policy=builtin_policy(3), rng=None)
+    policy = builtin_policy(3)
     cells = np.zeros((1, 4, 8, 0), dtype=np.uint8)
     for depth in (1, 2, 3):
         with pytest.raises(ValueError, match="must hold all 4 layers"):
-            encoder_block(sender, cells, [1.0], [depth])
-    assert pick_strategies(sender, [1.0, 1.0], [0, 4]).tolist() == [[0] * 4, [40, 8, 8, 8]]
+            _encode(policy, cells, [1.0], [depth])
+    assert pick_strategies(policy, [1.0, 1.0], [0, 4]).tolist() == [[0] * 4, [40, 8, 8, 8]]
 
 
 @pytest.mark.parametrize("selector", ["table", "policy"])
 def test_encoders_refuse_an_estimate_outside_the_unit_interval(selector, default_table):
     # a delivery estimate is a probability; one outside [0, 1], or NaN,
     # names no bin or interval and is refused, whatever the GOP's depth
-    chosen = {"table": default_table} if selector == "table" else {"policy": builtin_policy(3)}
-    encoder = Encoder(scheme=SCHEME_RLC, rng=None, **chosen)
+    chosen = default_table if selector == "table" else builtin_policy(3)
     cells = np.zeros((2, 4, 8, 0), dtype=np.uint8)
     for estimate in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            encoder_block(encoder, cells, [0.5, estimate], [4, 4])
-    assert encoder_block(encoder, cells, [0.0, 1.0], [4, 4]).sizes.tolist() == [64, 64]
+            _encode(chosen, cells, [0.5, estimate], [4, 4])
+    assert _encode(chosen, cells, [0.0, 1.0], [4, 4]).sizes.tolist() == [64, 64]
 
 
 def test_full_depth_relay_sends_what_the_sender_sends_under_a_tied_best_row(default_table):
-    # an encoder holding every layer is the sender, so in every bin, those
-    # of 0.85 to 1.00 with exact ties for the best value among them,
+    # a node holding every layer picks as the sender does, so in every bin,
+    # those of 0.85 to 1.00 with exact ties for the best value among them,
     # a relay that decoded all four layers re-encodes with the sender's pick
     bins = np.array(default_table.pdr_bins)
     values = default_table.values
@@ -233,11 +223,8 @@ def test_full_depth_relay_sends_what_the_sender_sends_under_a_tied_best_row(defa
     assert tied.tolist() == [0.85, 0.9, 0.95, 1.0]
     cells = np.zeros((len(bins), 4, 8, 0), dtype=np.uint8)
     picks = [default_table.best_strategy(b) for b in range(len(bins))]
-    sender = Encoder(scheme=SCHEME_RLC, table=default_table, rng=None)
-    relay = Encoder(scheme=SCHEME_RLC, table=default_table, rng=None)
-    for encoder in (sender, relay):
-        block = encoder_block(encoder, cells, bins, [4] * len(bins))
-        assert sent_strategies(block, 4) == picks
+    block = _encode(default_table, cells, bins, [4] * len(bins))
+    assert sent_strategies(block, 4) == picks
 
 
 def test_decoders_reject_coefficient_free_batches():

@@ -1,9 +1,18 @@
-"""README.md's Quick start must run as written."""
+"""README.md's Quick start must run as written, and every name of the
+package or the test suite it cites must exist."""
 
+import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+import nclayer
+from nclayer.config import KEY_REGISTRY
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+MODULES = {m.name for m in pkgutil.iter_modules(nclayer.__path__)}
 
 
 def test_quick_start_runs(tmp_path, monkeypatch, capsys):
@@ -14,3 +23,49 @@ def test_quick_start_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(first.group(1), str(README), "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether nclayer.<dotted> names a module of the package or an
+    attribute reached from one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), -1, -1):
+        try:
+            found = importlib.import_module(".".join(["nclayer", *parts[:split]]))
+        except ModuleNotFoundError:
+            continue
+        try:
+            for name in parts[split:]:
+                found = getattr(found, name)
+        except AttributeError:
+            return False
+        return True
+
+
+def _defines(path: Path, name: str) -> bool:
+    """Whether a test file defines a function or class name at its top
+    level."""
+    return any(
+        isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+        for node in ast.parse(path.read_text()).body
+    )
+
+
+def test_readme_names_resolve():
+    # `<module>.<name>` for a module of the package, nclayer.<name>
+    # anywhere, and tests/<file>.py::<name>; a config key such as
+    # `media.layers` names no code
+    text = README.read_text()
+    cited = {d[1:] for d in re.findall(r"\bnclayer((?:\.\w+)+)", text)}
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    for span in re.findall(r"`([^`]+)`", prose):
+        head = re.match(r"(\w+)((?:\.\w+)+)", span)
+        if head and head.group(1) in MODULES and head.group(0) not in KEY_REGISTRY:
+            cited.add(head.group(0))
+    missing = sorted(d for d in cited if not _resolves(d))
+    for file, name in re.findall(r"\btests/(\w+)\.py::(\w+)", text):
+        path = ROOT / "tests" / f"{file}.py"
+        if not (path.is_file() and _defines(path, name)):
+            missing.append(f"tests/{file}.py::{name}")
+    assert cited
+    assert not missing, f"README.md cites names that do not exist: {missing}"

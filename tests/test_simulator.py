@@ -399,24 +399,17 @@ def test_coefficients_reach_every_decoder_and_no_further(
     )
     widths: dict[int, set] = {}
 
-    # run() builds the sender's Encoder first, then each re-encoding
-    # relay's in hop order; each pick is matched to its position through
-    # the state it steps, whatever order the loop steps them in, and the
-    # rows an encode makes belong to the latest pick's encoder
-    positions: dict[int, int] = {}
+    # the run's 10 GOPs are one block, which the sender picks for first and
+    # then each re-encoding relay in hop order, so each pick is numbered
+    # with its position by call order; the rows an encode makes belong to
+    # the latest pick's encoder
     picked: list[int] = []
     encoders = [-1] + [i for i, m in enumerate(relay_modes) if m == "nc"]
-    encoder_type = simulator.Encoder
     pick, encode = simulator.pick_strategies, simulator.encode_block
 
-    def numbered_encoder(*args, **kwargs):
-        state = encoder_type(*args, **kwargs)
-        positions[id(state)] = encoders[len(positions)]
-        return state
-
-    def picking(state, *args):
-        picked.append(positions[id(state)])
-        return pick(state, *args)
+    def picking(*args):
+        picked.append(encoders[len(picked)])
+        return pick(*args)
 
     def encoding(*args):
         block = encode(*args)
@@ -424,12 +417,11 @@ def test_coefficients_reach_every_decoder_and_no_further(
             widths.setdefault(picked[-1], set()).add(block.coeffs.shape[1])
         return block
 
-    monkeypatch.setattr(simulator, "Encoder", numbered_encoder)
     monkeypatch.setattr(simulator, "pick_strategies", picking)
     monkeypatch.setattr(simulator, "encode_block", encoding)
     metrics = run(config, table=default_table)
     assert metrics.payload_errors == 0
-    assert sorted(set(picked)) == encoders
+    assert picked == encoders
     if not verify:
         assert widths == {}
         return
@@ -653,7 +645,7 @@ def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch)
     # that sampled other depths, or either in another order, ends elsewhere
     rng = np.random.default_rng(2013)
     links, nodes = [], []
-    send, pick, sample = simulator.send_block, simulator.pick_strategies, simulator.sample_depths
+    send, encode, sample = simulator.send_block, simulator.encode_block, simulator.sample_depths
 
     def recorded_send(rngs, *args):
         # every link sends in each block, each segment's in hop order, so
@@ -667,16 +659,16 @@ def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch)
         if node_rng is not None and all(node_rng is not m for m in nodes):
             nodes.append(node_rng)
 
-    def recorded_pick(encoder, *args):
-        met(encoder.rng)
-        return pick(encoder, *args)
+    def recorded_encode(cells, counts, scheme, node_rng):
+        met(node_rng)
+        return encode(cells, counts, scheme, node_rng)
 
     def recorded_sample(counts, packets_per_layer, node_rng):
         met(node_rng)
         return sample(counts, packets_per_layer, node_rng)
 
     monkeypatch.setattr(simulator, "send_block", recorded_send)
-    monkeypatch.setattr(simulator, "pick_strategies", recorded_pick)
+    monkeypatch.setattr(simulator, "encode_block", recorded_encode)
     monkeypatch.setattr(simulator, "sample_depths", recorded_sample)
     seen = set()
     for index in range(30):

@@ -19,7 +19,8 @@ from nclayer.spt import (
     save_table,
 )
 from nclayer import simulator
-from nclayer.nodes import Encoder, encoder_block
+from nclayer.codec import encode_block
+from nclayer.nodes import pick_strategies
 from nclayer.simulator import ChainConfig, run
 from oracles import best_restricted, nearest_bin_reference, select_best, sent_strategies
 
@@ -29,8 +30,7 @@ def _picks(table, estimates):
     against the oracle's one-estimate lookup."""
     n, layers = len(estimates), table.layer_count
     cells = np.zeros((n, layers, table.packets_per_layer, 0), dtype=np.uint8)
-    sender = Encoder(scheme="rlc", table=table, rng=None)
-    block = encoder_block(sender, cells, estimates, [layers] * n)
+    block = encode_block(cells, pick_strategies(table, estimates, [layers] * n), "rlc", None)
     picks = sent_strategies(block, layers)
     assert picks == [select_best(table, e) for e in estimates]
     return picks
