@@ -14,7 +14,6 @@ from .codec import (
     score_block,
 )
 from .config import ConfigError, apply_overrides, load_config, parse_config_text
-from .gf256 import gf256_inv, gf256_mul
 from .heuristic import ThresholdPolicy, builtin_policy
 from .media import make_synthetic_gop
 from .simulator import (
@@ -56,8 +55,6 @@ __all__ = [
     "encode_gop",
     "enumerate_strategies",
     "expected_decoded_layers",
-    "gf256_inv",
-    "gf256_mul",
     "load_config",
     "make_synthetic_gop",
     "nearest_bin",

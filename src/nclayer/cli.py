@@ -17,6 +17,7 @@ from .simulator import (
     append_row,
     format_row,
     metrics_row,
+    read_rows,
     run,
     sweep,
     write_rows,
@@ -68,6 +69,9 @@ def cmd_spt_build(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_base_config(args)
+    if args.out:
+        # a file the row cannot be appended to is refused before the run
+        read_rows(args.out)
     metrics = run(config)
     print(f"label: {metrics.label}")
     print(f"hops: {metrics.hop_count}")

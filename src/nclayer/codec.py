@@ -29,11 +29,10 @@ rows made, decodable_layers_batch scores them by the count rule, and
 sample_depths draws decode_block's RLC depths from them; score_block is
 the block form of the count rule.
 
-RLC coefficients are zero-padded to layer_count * packets_per_layer columns
-and drawn from the generator the encoder is given, whole 64-bit outputs in
-row order, so a block draws exactly what its GOPs would draw one by one.
-An encoder given no generator sends coefficient-free packets, with zero
-coefficient columns, for a receiver that scores or a relay that samples.
+Every RLC packet carries its coefficients, zero-padded to layer_count *
+packets_per_layer columns and drawn from the generator the encoder is
+given, whole 64-bit outputs in row order, so a block draws exactly what its
+GOPs would draw one by one.
 """
 
 from __future__ import annotations
@@ -69,9 +68,8 @@ class PacketBlock:
     holds offsets.size - 1 GOPs; a GOP can own no rows, and a one-GOP block
     is how a single GOP travels. depth[i] is packet i's class and
     payload[i] its bytes. RLC packets carry their coefficients in coeffs,
-    zero-padded to layer_count * packets_per_layer columns, or with zero
-    columns (and a zero-width payload) when no decoder reads them; XOR and
-    repeat packets carry their grid column instead.
+    zero-padded to layer_count * packets_per_layer columns; XOR and repeat
+    packets carry their grid column instead.
     The block is checked against its grid once, on construction, so the
     functions that decode, score or sample it take no shape. Selecting rows
     keeps every GOP and its order and skips the check, since rows of valid
@@ -110,13 +108,12 @@ class PacketBlock:
             self.coeffs = np.asarray(self.coeffs, dtype=np.uint8)
             if self.coeffs.ndim != 2 or self.coeffs.shape[0] != n:
                 raise ValueError(f"need {n} coefficient rows, got shape {self.coeffs.shape}")
-            width, size = self.coeffs.shape[1], self.payload.shape[1]
-            if width != layers * per_layer and (width or size):
+            if self.coeffs.shape[1] != layers * per_layer:
                 raise ValueError(
-                    f"rlc packets need {layers * per_layer} coefficients, or none with no "
-                    f"payload bytes; got {width} coefficients and {size} payload bytes"
+                    f"rlc packets need {layers * per_layer} coefficients, "
+                    f"got {self.coeffs.shape[1]}"
                 )
-            if width and (
+            if (
                 self.coeffs.reshape(n, layers, per_layer).any(axis=2)
                 & (np.arange(1, layers + 1) > self.depth[:, None])
             ).any():
@@ -248,11 +245,12 @@ def encode_block(
     Each RLC row takes ceil(layer_count * packets_per_layer / 8) raw 64-bit
     outputs of rng's bit generator, in row order, and keeps their first
     layer_count * packets_per_layer little-endian bytes, zeroed past its
-    class. With no rng, RLC packets carry no coefficients, which a decoder
-    needs, so they may carry no payload bytes either. The other schemes
-    draw nothing."""
+    class, so RLC needs an rng. The other schemes draw nothing and take
+    None."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    if scheme == SCHEME_RLC and rng is None:
+        raise ValueError("rlc packets draw their coefficients, so they need a generator")
     n_gops, layer_count, per_layer, size = cells.shape
     counts = np.asarray(strategies, dtype=np.int64)
     if counts.shape != (n_gops, layer_count):
@@ -285,12 +283,6 @@ def encode_block(
             payload = cells[gop, depth - 1, column]
         return PacketBlock(scheme, layer_count, per_layer, offsets, depth, payload, column=column)
 
-    payload = np.empty((rows, size), dtype=np.uint8)
-    if rng is None:
-        # the block refuses payload bytes beside coefficient-free packets
-        empty = np.empty((rows, 0), dtype=np.uint8)
-        return PacketBlock(scheme, layer_count, per_layer, offsets, depth, payload, coeffs=empty)
-
     # each row starts on a fresh output, so its bytes do not depend on the
     # rows drawn before it in the same call
     n_unknowns = layer_count * per_layer
@@ -299,6 +291,7 @@ def encode_block(
     coeffs = np.ascontiguousarray(raw.view(np.uint8).reshape(rows, 8 * outputs)[:, :n_unknowns])
     layers = coeffs.reshape(rows, layer_count, per_layer)
     layers *= (classes <= depth[:, None])[:, :, None]
+    payload = np.empty((rows, size), dtype=np.uint8)
     if size:
         data = cells.reshape(n_gops, n_unknowns, size)
         ends = np.cumsum(runs)
@@ -314,8 +307,7 @@ def decode_block(block: PacketBlock) -> tuple[np.ndarray, np.ndarray]:
     """Decodes every GOP of a block: (depths, cells), where depths[k] is the
     number of leading layers GOP k recovered and cells[k] its grid, of the
     block's (layer_count, packets_per_layer, payload width), zero past that
-    depth. A GOP with no packets recovers nothing, and coefficient-free RLC
-    packets are refused.
+    depth. A GOP with no packets recovers nothing.
 
     The RLC systems of the non-empty GOPs are reduced in zero-padded
     gf_rref stacks of at most DECODE_STACK_BYTES each, and gf_rref reduces
@@ -325,8 +317,6 @@ def decode_block(block: PacketBlock) -> tuple[np.ndarray, np.ndarray]:
     """
     if block.scheme != SCHEME_RLC:
         return _decode_columns(block)
-    if len(block) and not block.coeffs.shape[1]:
-        raise ValueError("rlc packets without coefficients cannot be decoded")
     return _decode_rlc(block)
 
 
@@ -337,8 +327,7 @@ def score_block(block: PacketBlock) -> np.ndarray:
     RLC is scored by the count rule on each GOP's per-class arrivals, which
     a singular random system can miss; xor and repeat by which (depth,
     column) cells arrived, which is exactly their decoded depth. No
-    coefficient or payload byte is read, so coefficient-free packets score
-    as any others.
+    coefficient or payload byte is read.
     """
     if block.scheme != SCHEME_RLC:
         return _cell_cover(block)[1]
@@ -481,9 +470,9 @@ def _decode_columns(block):
 
 
 def _decode_rlc(block):
-    """Depths (G,) and cells (G, L, P, s) of an RLC block with coefficients,
-    its non-empty GOPs eliminated in zero-padded stacks of
-    DECODE_STACK_BYTES at most, in GOP order."""
+    """Depths (G,) and cells (G, L, P, s) of an RLC block, its non-empty
+    GOPs eliminated in zero-padded stacks of DECODE_STACK_BYTES at most, in
+    GOP order."""
     shape = (block.offsets.size - 1, block.layer_count, block.packets_per_layer)
     depths = np.zeros(shape[0], dtype=np.intp)
     cells = np.zeros(shape + block.payload.shape[1:], dtype=np.uint8)

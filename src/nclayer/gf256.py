@@ -51,16 +51,3 @@ EXP_TABLE, LOG_TABLE, MUL_TABLE, INV_TABLE = _build_tables()
 MUL_TABLE.flags.writeable = False
 INV_TABLE.flags.writeable = False
 
-
-def gf256_mul(a: int, b: int) -> int:
-    if not (0 <= a <= 255 and 0 <= b <= 255):
-        raise ValueError(f"operands must be field elements in [0, 255], got {a}, {b}")
-    return int(MUL_TABLE[a, b])
-
-
-def gf256_inv(a: int) -> int:
-    if not 0 <= a <= 255:
-        raise ValueError(f"operand must be a field element in [0, 255], got {a}")
-    if a == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse in GF(2^8)")
-    return int(INV_TABLE[a])

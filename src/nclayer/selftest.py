@@ -34,7 +34,7 @@ class CheckResult:
     detail: str = ""
 
 
-def check_gf256_mul_table(mul_table: Optional[np.ndarray] = None) -> CheckResult:
+def check_mul_table(mul_table: Optional[np.ndarray] = None) -> CheckResult:
     """Every cell of the 256x256 product table against shift-and-reduce."""
     table = MUL_TABLE if mul_table is None else mul_table
     for a in range(256):
@@ -49,7 +49,7 @@ def check_gf256_mul_table(mul_table: Optional[np.ndarray] = None) -> CheckResult
     return CheckResult("gf256-mul-table", True, "65536 products verified")
 
 
-def check_gf256_inverses(mul_table: Optional[np.ndarray] = None) -> CheckResult:
+def check_inverses(mul_table: Optional[np.ndarray] = None) -> CheckResult:
     """a * inv(a) == 1 for every non-zero a, using the product table."""
     table = MUL_TABLE if mul_table is None else mul_table
     for a in range(1, 256):
@@ -214,8 +214,8 @@ def run_selftest(inject_gf_fault: bool = False) -> list[CheckResult]:
         mul_table = MUL_TABLE.copy()
         mul_table[1, 1] ^= 0xFF
     return [
-        check_gf256_mul_table(mul_table),
-        check_gf256_inverses(mul_table),
+        check_mul_table(mul_table),
+        check_inverses(mul_table),
         check_strategy_enumeration(),
         check_oracle_equivalence(),
         check_codec_roundtrip(),

@@ -242,20 +242,11 @@ class RunMetrics:
     payload_errors: int = 0
 
 
-def _segments(config: ChainConfig) -> tuple[range, dict[int, range]]:
-    """Link ranges probed by the sender and by each re-encoding relay."""
-    nc_positions = [i for i, m in enumerate(config.relay_modes) if m == MODE_NC]
-    first = nc_positions[0] + 1 if nc_positions else config.hop_count
-    sender_segment = range(0, first)
-    relay_segments: dict[int, range] = {}
-    for order, pos in enumerate(nc_positions):
-        end = (
-            nc_positions[order + 1] + 1
-            if order + 1 < len(nc_positions)
-            else config.hop_count
-        )
-        relay_segments[pos] = range(pos + 1, end)
-    return sender_segment, relay_segments
+def _segments(config: ChainConfig) -> list[range]:
+    """Link ranges probed by the sender and by each re-encoding relay, in
+    hop order: each runs from its encoder to the next one or the receiver."""
+    starts = [0] + [i + 1 for i, m in enumerate(config.relay_modes) if m == MODE_NC]
+    return [range(a, b) for a, b in zip(starts, starts[1:] + [config.hop_count])]
 
 
 def _block_pdrs(pdr_now, segment, gops, schedule) -> np.ndarray:
@@ -321,7 +312,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     width = config.payload_size if verify else 0
     counted = config.scheme == SCHEME_RLC and not verify
     grid_seed = int(child(hops + n_relays + 1).generate_state(1)[0]) if width else 0
-    sender_segment, relay_segments = _segments(config)
+    sender_segment, *relay_segments = _segments(config)
 
     if config.needs_table and table is None:
         table = build_table(
@@ -354,8 +345,9 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     # a relay of an unverified RLC run: the sender's segment, then each
     # relay's, in hop order
     segments = [(selector, sender_segment, sender_rng)]
-    for position, segment in relay_segments.items():
-        rng = np.random.default_rng(child(hops + position)) if verify or counted else None
+    for segment in relay_segments:
+        # the relay at position i starts the segment at link i + 1
+        rng = np.random.default_rng(child(hops + segment.start - 1)) if verify or counted else None
         segments.append((table, segment, rng))
     # each encoder's delivery estimate, held from its latest probe round
     held_estimates = [1.0] * len(segments)
@@ -609,22 +601,29 @@ def write_rows(rows: Sequence[dict], path) -> None:
             fh.write(format_row(row) + "\n")
 
 
-def append_row(row: dict, path) -> None:
-    """Appends a row to the CSV at path, headed first if the file is new or
-    empty. A file that does not start with the header line or does not end
-    in a line break holds something else, so it is left as it is and
-    ValueError names it."""
+def read_rows(path) -> bytes:
+    """The bytes of the result CSV at path, none if there is no file. A
+    file that does not start with the header line or does not end in a
+    line break holds something else, so ValueError names it, and a path
+    that cannot be read, a directory say, raises OSError."""
     header = (CSV_HEADER + "\n").encode("ascii")
     try:
         with open(path, "rb") as fh:
             held = fh.read()
     except FileNotFoundError:
-        held = b""
+        return b""
     if held and not (held.startswith(header) and held.endswith(b"\n")):
         raise ValueError(
             f"{path} is not a CSV of result rows: it must start with the line "
             f"{CSV_HEADER!r} and end in a line break"
         )
+    return held
+
+
+def append_row(row: dict, path) -> None:
+    """Appends a row to the CSV at path, headed first if the file is new or
+    empty; a file read_rows refuses is left as it is."""
+    held = read_rows(path)
     with open(path, "a", encoding="ascii") as fh:
         if not held:
             fh.write(CSV_HEADER + "\n")

@@ -1,15 +1,16 @@
 """Independent reference implementations used by the test suite.
 
-Except for reference_run, nothing here imports from the package's
-arithmetic or decode logic; each oracle recomputes its answer by a
-structurally different method so that agreement is evidence rather than
-tautology. reference_run drives the package's codec one GOP at a time,
-with the scalar table and policy lookups below, through the GOP-by-GOP
-loop, so it checks how run() carries GOPs, not the codec; each of its
-encoders hands its own generator to encode_block GOP by GOP, so the block
-pass must draw the same coefficients in the same order. Its relays sample
-with reference_sample_depths, which steps every draw as the sampler first
-did.
+Except for reference_run and class_block, nothing here imports from the
+package's arithmetic or decode logic; each oracle recomputes its answer by
+a structurally different method so that agreement is evidence rather than
+tautology. class_block is no oracle: it builds the RLC blocks of which
+tests read only the classes. reference_run drives the package's codec one
+GOP at a time, with the scalar table and policy lookups below, through the
+GOP-by-GOP loop, so it checks how run() carries GOPs, not the codec;
+each of its encoders hands its own generator to encode_block GOP by GOP,
+so the block pass must draw the same coefficients in the same order. Its
+relays sample with reference_sample_depths, which steps every draw as the
+sampler first did.
 """
 
 import math
@@ -377,6 +378,18 @@ def _water_fill(down, units, packets_per_layer):
     down += np.minimum(np.maximum(units[:, None] - (missing.cumsum(axis=1) - missing), 0), missing)
 
 
+def class_block(counts, packets_per_layer):
+    """The RLC block of no payload bytes whose GOP k sends counts[k][c]
+    packets of class c + 1, for a test that reads nothing but its classes.
+    Every RLC packet carries coefficients, so they come from a throwaway
+    generator, no generator a test or a run checks."""
+    from nclayer.codec import SCHEME_RLC, encode_block
+
+    counts = np.asarray(counts)
+    cells = np.zeros(counts.shape + (packets_per_layer, 0), dtype=np.uint8)
+    return encode_block(cells, counts, SCHEME_RLC, np.random.default_rng(0))
+
+
 def sent_strategies(block, layer_count):
     """The replica counts each GOP of a block went out under, read back
     from its packets' classes one GOP at a time."""
@@ -409,8 +422,9 @@ def reference_run(config, table=None):
     per GOP for the probes that reach it and once for the packets. In a
     verified run each encoder hands its own generator to encode_block for
     every GOP it encodes and relays decode; in an unverified RLC run no
-    encoder draws and each relay samples its depth from its own generator
-    with reference_sample_depths, GOP by GOP. Its generators come from
+    encoder draws from its own generator (class_block draws the packets'
+    coefficients from a throwaway one) and each relay samples its depth
+    from its own generator with reference_sample_depths, GOP by GOP. Its generators come from
     SeedSequence.spawn, where run() makes each child alone. The block pass
     of run() must return the same metrics and leave every generator in the
     same state; for that check the metrics come with the link generators,
@@ -455,6 +469,8 @@ def reference_run(config, table=None):
     }
 
     def encode(cells, strategy, position):
+        if sample:
+            return class_block([strategy], P)
         rng = node_rngs[position] if config.verify_payloads else None
         return encode_block(cells[None], [strategy], config.scheme, rng)
 

@@ -113,12 +113,21 @@ def test_simulate_same_config_appends_identical_rows(tmp_path):
 )
 def test_simulate_refuses_to_append_to_a_file_of_other_rows(tmp_path, capsys, held):
     # a row appended to another file, or glued onto an unterminated line,
-    # would corrupt it, so the file is left as it was
+    # would corrupt it, so the file is left as it was, and refused before
+    # the run prints a summary of results it could not keep
     out = tmp_path / "rows.csv"
     out.write_text(held)
     assert main(["simulate", "--set", "run.gops=2", "--out", str(out)]) == 1
-    assert f"{out} is not a CSV of result rows" in capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert f"{out} is not a CSV of result rows" in printed.err
+    assert "label:" not in printed.out
     assert out.read_text() == held
+
+
+def test_simulate_refuses_a_directory_before_the_run(tmp_path, capsys):
+    assert main(["simulate", "--set", "run.gops=2", "--out", str(tmp_path)]) == 1
+    printed = capsys.readouterr()
+    assert str(tmp_path) in printed.err and "label:" not in printed.out
 
 
 def test_simulate_link_override_drops_unnamed_relays(tmp_path, capsys):

@@ -27,6 +27,7 @@ from nclayer.codec import (
 from nclayer.kernels import gf_matmul, gf_rref
 from nclayer.media import make_synthetic_cells, make_synthetic_gop
 from oracles import (
+    class_block,
     count_vectors,
     decode_gop_reference,
     rank_decodable_layers,
@@ -209,20 +210,14 @@ def test_encode_rejects_bad_strategy():
         encode_gop(grid, (1, 1), "fountain")
 
 
-def test_coefficient_free_rlc_draws_nothing():
-    # packets no decoder reads keep their classes and carry zero columns
-    # packets no decoder reads come from no generator, keep their classes
-    # and carry zero columns
-    grid = make_synthetic_gop(0, 3, 2, 0)
-    full = encode_gop(grid, (3, 0, 2), SCHEME_RLC, seed=5)
-    bare = encode_block(grid[None], [(3, 0, 2)], SCHEME_RLC, None)
-    assert full.coeffs.shape == (5, 6)
-    assert bare.coeffs.shape == bare.payload.shape == (5, 0)
-    assert bare.depth.tolist() == full.depth.tolist()
-    with pytest.raises(ValueError, match="coefficients"):
-        decode_block(bare)
-    with pytest.raises(ValueError, match="payload bytes"):
-        encode_block(make_synthetic_cells([0], 3, 2, 8), [(2, 2, 2)], SCHEME_RLC, None)
+def test_rlc_encode_needs_a_generator():
+    # every RLC packet carries the coefficients it draws; xor and repeat
+    # draw nothing and take no generator
+    cells = make_synthetic_cells([0], 3, 2, 0)
+    with pytest.raises(ValueError, match="need a generator"):
+        encode_block(cells, [(3, 0, 2)], SCHEME_RLC, None)
+    for scheme in (SCHEME_XOR, SCHEME_REPEAT):
+        assert len(encode_block(cells, [(3, 0, 2)], scheme, None)) == 5
 
 
 def test_encode_is_deterministic_per_seed():
@@ -277,8 +272,7 @@ def test_select_refuses_a_decreasing_index_array():
 def test_select_refuses_rows_outside_the_block():
     # on two GOPs of 64 rows, index -1 would split at offsets [1, 1, 1], a
     # packet of no GOP, and a 5-entry mask would pick 5 of the 128 rows
-    cells = make_synthetic_cells([0, 1], 4, 8, 0)
-    block = encode_block(cells, [(40, 8, 8, 8)] * 2, SCHEME_RLC, None)
+    block = class_block([(40, 8, 8, 8)] * 2, 8)
     for rows in (np.array([-1]), np.array([0, 128])):
         with pytest.raises(ValueError, match="must lie in"):
             block.select(rows)
@@ -303,12 +297,12 @@ def test_batch_validates_once_on_construction():
         block(SCHEME_RLC, [1, 0], coeffs=coeffs)
     with pytest.raises(ValueError, match="exceeds layer_count 2"):
         block(SCHEME_RLC, [1, 3], coeffs=coeffs)
-    # a coefficient width other than L * P, and none beside payload bytes
-    with pytest.raises(ValueError, match="need 4 coefficients"):
-        block(SCHEME_RLC, [1, 1], coeffs=coeffs[:, :2])
-    with pytest.raises(ValueError, match="need 4 coefficients"):
-        block(SCHEME_RLC, [1, 1], coeffs=coeffs[:, :0])
-    assert len(block(SCHEME_RLC, [1, 1], payload=payload[:, :0], coeffs=coeffs[:, :0])) == 2
+    # any coefficient width but L * P, with payload bytes or none
+    for width in (0, 2, 5):
+        wide = np.zeros((2, width), dtype=np.uint8)
+        for size in (0, 4):
+            with pytest.raises(ValueError, match="need 4 coefficients"):
+                block(SCHEME_RLC, [1, 1], payload=payload[:, :size], coeffs=wide)
     with pytest.raises(ValueError, match="deeper than its class"):
         block(SCHEME_RLC, [1, 2], coeffs=np.eye(2, 4, 2, dtype=np.uint8))
     for column in ([0, 2], [-1, 0]):
@@ -483,12 +477,8 @@ def test_block_encode_equals_one_gop_encodes(scheme, size):
     # GOP's rows apart
     grids = [make_synthetic_gop(g, 3, 2, size, seed=4) for g in (5, 6, 7, 8)]
     strategies = [(3, 0, 2), (0, 0, 0), (1, 4, 1), (2, 2, 2)]
-    # RLC packets with no payload bytes go coefficient-free, from no generator
-    bare = scheme == SCHEME_RLC and not size
-    block = encode_block(
-        np.stack(grids), strategies, scheme, None if bare else np.random.default_rng(11)
-    )
-    one_by_one = None if bare else np.random.default_rng(11)
+    block = encode_block(np.stack(grids), strategies, scheme, np.random.default_rng(11))
+    one_by_one = np.random.default_rng(11)
     alone = [encode_block(g[None], [s], scheme, one_by_one) for g, s in zip(grids, strategies)]
     mask = np.arange(len(block)) % 3 != 1
     picked = block.select(mask)
@@ -666,8 +656,7 @@ def test_surviving_counts_are_the_class_counts_of_the_selected_rows(
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 3 * per_layer, size=(n_gops, layers))
     counts[rng.random(n_gops) < empty] = 0
-    cells = np.zeros((n_gops, layers, per_layer, 0), dtype=np.uint8)
-    block = encode_block(cells, counts, SCHEME_RLC, None)
+    block = class_block(counts, per_layer)
     mask = rng.random(len(block)) < keep
     want = codec._class_counts(block.select(mask))
     assert np.array_equal(surviving_counts(counts, mask), want)
@@ -688,9 +677,7 @@ def test_sampled_depths_without_singular_draws_are_the_count_rule():
     # never draws more gives the count rule on every GOP
     rng = np.random.default_rng(63)
     sizes = rng.integers(0, 12, size=(400, 3))
-    block = encode_block(
-        np.zeros((400, 3, 2, 0), dtype=np.uint8), sizes, SCHEME_RLC, None
-    )
+    block = class_block(sizes, 2)
 
     class Certain:
         def geometric(self, p, size):
@@ -705,7 +692,7 @@ def test_block_samples_what_its_gops_sample_one_by_one():
     # and leave the generators in the same state
     rng = np.random.default_rng(64)
     sizes = rng.integers(0, 6, size=(300, 3))
-    block = encode_block(np.zeros((300, 3, 1, 0), dtype=np.uint8), sizes, SCHEME_RLC, None)
+    block = class_block(sizes, 1)
     block = block.select(rng.random(len(block)) < 0.8)
     whole, alone = np.random.default_rng(65), np.random.default_rng(65)
     counts = codec._class_counts(block)
@@ -744,8 +731,7 @@ def test_sampled_depths_equal_the_stepped_sampler(layers, per_layer, n_gops, p, 
     # where that does
     rng = np.random.default_rng(seed)
     sizes = rng.integers(0, 3 * per_layer + 1, size=(n_gops, layers))
-    cells = np.zeros((n_gops, layers, per_layer, 0), dtype=np.uint8)
-    block = encode_block(cells, sizes, SCHEME_RLC, None)
+    block = class_block(sizes, per_layer)
     block = block.select(rng.random(len(block)) < rng.random())
 
     def generator():
@@ -776,8 +762,7 @@ def test_draws_that_cannot_move_a_depth_sample_the_count_rule():
     # zero does, so the largest such e at every place gives the count rule
     per_layer = 4
     counts = [(4, 4, 4), (6, 2, 5), (0, 4, 4), (4, 0, 4), (1, 7, 3), (0, 0, 0), (9, 9, 9)]
-    cells = np.zeros((len(counts), 3, per_layer, 0), dtype=np.uint8)
-    block = encode_block(cells, counts, SCHEME_RLC, None)
+    block = class_block(counts, per_layer)
     draws = Fixed(counts, lambda c, k: max(per_layer - 1 - k, 0))
     assert sample_depths(np.array(counts), per_layer, draws).tolist() == [3, 1, 0, 1, 2, 0, 3]
     assert score_block(block).tolist() == [3, 1, 0, 1, 2, 0, 3]
@@ -800,7 +785,7 @@ def test_draws_that_cannot_move_a_depth_sample_the_count_rule():
 )
 def test_a_draw_at_or_past_the_layer_it_would_fill(per_layer, counts, at, depth):
     layers = len(counts)
-    block = encode_gop(np.zeros((layers, per_layer, 0), dtype=np.uint8), counts, SCHEME_RLC, None)
+    block = class_block([counts], per_layer)
     draws = Fixed([counts], lambda c, k: at[2] if (c, k) == at[:2] else 0)
     assert at[1] + at[2] >= per_layer
     assert score_block(block).tolist() == [layers]

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from nclayer.codec import encode_block
 from nclayer.heuristic import (
     BUILTIN_SET_IDS,
     ThresholdPolicy,
@@ -9,15 +8,14 @@ from nclayer.heuristic import (
 )
 from nclayer.nodes import pick_strategies
 from nclayer.spt import expected_decoded_layers
-from oracles import select_strategy, sent_strategies
+from oracles import class_block, select_strategy, sent_strategies
 
 
 def _picks(policy, estimates):
     """The strategy a sender under the policy sends at each estimate,
     checked against the oracle's interval walk."""
     n, width = len(estimates), len(policy.strategies[0])
-    cells = np.zeros((n, width, 1, 0), dtype=np.uint8)
-    block = encode_block(cells, pick_strategies(policy, estimates, [width] * n), "rlc", None)
+    block = class_block(pick_strategies(policy, estimates, [width] * n), 1)
     picks = sent_strategies(block, width)
     assert picks == [select_strategy(policy, e) for e in estimates]
     return picks

@@ -3,15 +3,22 @@ import pytest
 
 from nclayer import codec, kernels, spt
 from nclayer.codec import encode_gop
-from nclayer.gf256 import MUL_TABLE, gf256_mul
+from nclayer.gf256 import MUL_TABLE
 from nclayer.kernels import expected_layers_batch, gf_matmul, gf_rref
 from nclayer.media import make_synthetic_gop
 from nclayer.simulator import ChainConfig, run
 from nclayer.spt import PDR_BINS, _pmf_rows, enumerate_strategies
-from oracles import expected_layers_reference, pmf_rows_reference, rref_reference
+from oracles import (
+    expected_layers_reference,
+    pmf_rows_reference,
+    reference_gf_mul,
+    reference_gf_tables,
+    rref_reference,
+)
 
 
 def _scalar_matmul(coeffs, data):
+    exp, log = reference_gf_tables()
     n, k = coeffs.shape
     s = data.shape[1]
     out = np.zeros((n, s), dtype=np.uint8)
@@ -19,7 +26,7 @@ def _scalar_matmul(coeffs, data):
         for t in range(s):
             acc = 0
             for j in range(k):
-                acc ^= gf256_mul(int(coeffs[i, j]), int(data[j, t]))
+                acc ^= reference_gf_mul(int(coeffs[i, j]), int(data[j, t]), exp, log)
             out[i, t] = acc
     return out
 

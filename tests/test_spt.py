@@ -19,18 +19,23 @@ from nclayer.spt import (
     save_table,
 )
 from nclayer import simulator
-from nclayer.codec import encode_block
 from nclayer.nodes import pick_strategies
 from nclayer.simulator import ChainConfig, run
-from oracles import best_restricted, nearest_bin_reference, select_best, sent_strategies
+from oracles import (
+    best_restricted,
+    class_block,
+    nearest_bin_reference,
+    select_best,
+    sent_strategies,
+)
 
 
 def _picks(table, estimates):
     """The strategy a table-driven sender sends at each estimate, checked
     against the oracle's one-estimate lookup."""
     n, layers = len(estimates), table.layer_count
-    cells = np.zeros((n, layers, table.packets_per_layer, 0), dtype=np.uint8)
-    block = encode_block(cells, pick_strategies(table, estimates, [layers] * n), "rlc", None)
+    picked = pick_strategies(table, estimates, [layers] * n)
+    block = class_block(picked, table.packets_per_layer)
     picks = sent_strategies(block, layers)
     assert picks == [select_best(table, e) for e in estimates]
     return picks
