@@ -89,6 +89,9 @@ def cmd_sweep(args) -> int:
     config = _load_base_config(args)
     grid = _parse_grid(args.pdr_grid)
     modes = [m for m in args.modes.split(",") if m.strip()]
+    if args.out:
+        # a path the rows cannot be written to is refused before the sweep
+        read_rows(args.out)
     rows = sweep(config, grid, modes, reps=args.reps, jobs=args.jobs)
     if args.out:
         write_rows(rows, args.out)

@@ -12,22 +12,24 @@ random GF(2^8) coefficients over all cells of the first i layers and
 decodes by Gaussian elimination. "repeat" is the uncoded baseline: a class i
 packet is one raw cell of layer i, sent as often as the allocation allows.
 
-A PacketBlock, the one packet container, holds the packets of a block of
-GOPs as one set of rows; a single GOP travels as a block of one, and a
-GOP's number is its place in the block. A block carries its grid's shape,
-layer_count layers of packets_per_layer cells of payload.shape[1] bytes,
-and is checked against it once, on construction. encode_block sets the
-shape from its cells; decode_block(block) and score_block(block) read it
-from the block and work on the whole block as arrays.
+A PacketBlock, the one packet container, is a block of GOPs' class counts
+plus their packets as rows: counts[k, c] packets of class c + 1 in GOP k,
+its rows laid out GOP by GOP, each GOP's classes shallow first, so a row's
+GOP and class follow from its place. A single GOP travels as a block of
+one, and a GOP's number is its row of the counts. A block carries its
+grid's shape, layer_count = counts.shape[1] layers of packets_per_layer
+cells of payload.shape[1] bytes, and is checked against it once, on
+construction. encode_block sets the shape from its cells;
+decode_block(block) and score_block(block) read it from the block and
+work on the whole block as arrays.
 
-encode_block lays a block's rows out GOP by GOP, each GOP's classes
-shallow first, so a block whose coefficients and payloads no one reads is
-fully described by its per-GOP class counts, a (G, layer_count) array.
-The functions that read only classes work on those counts:
-surviving_counts gives the counts a link's survival mask keeps, with no
-rows made, decodable_layers_batch scores them by the count rule, and
-sample_depths draws decode_block's RLC depths from them; score_block is
-the block form of the count rule.
+A block whose coefficients and payloads no one reads is fully described
+by its counts, so the functions that read only classes take the counts
+alone: surviving_counts gives the counts a link's survival mask keeps,
+with no rows made (a masked select takes its counts from it),
+decodable_layers_batch scores them by the count rule, and sample_depths
+draws decode_block's RLC depths from them; score_block is the block form
+of the count rule.
 
 Every RLC packet carries its coefficients, zero-padded to layer_count *
 packets_per_layer columns and drawn from the generator the encoder is
@@ -60,16 +62,17 @@ DECODE_STACK_BYTES = 128 * 1024
 
 @dataclass(eq=False)
 class PacketBlock:
-    """The coded packets of a block of GOPs as parallel arrays, one row per
-    packet, and the grid they were coded from: layer_count layers of
-    packets_per_layer cells, each payload.shape[1] bytes.
+    """The coded packets of a block of GOPs: its class counts plus its rows.
 
-    GOP k of the block owns rows offsets[k] to offsets[k + 1], so the block
-    holds offsets.size - 1 GOPs; a GOP can own no rows, and a one-GOP block
-    is how a single GOP travels. depth[i] is packet i's class and
-    payload[i] its bytes. RLC packets carry their coefficients in coeffs,
-    zero-padded to layer_count * packets_per_layer columns; XOR and repeat
-    packets carry their grid column instead.
+    counts[k, c] is how many class c + 1 packets GOP k holds, so the block
+    holds counts.shape[0] GOPs of a grid of layer_count = counts.shape[1]
+    layers of packets_per_layer cells, each payload.shape[1] bytes. The
+    rows lie one (GOP, class) run after another in counts' row-major order:
+    GOP by GOP, each GOP's classes shallow first. A GOP can own no rows,
+    and a one-GOP block is how a single GOP travels. payload[i] is packet
+    i's bytes. RLC packets carry their coefficients in coeffs, zero-padded
+    to layer_count * packets_per_layer columns; XOR and repeat packets
+    carry their grid column instead.
     The block is checked against its grid once, on construction, so the
     functions that decode, score or sample it take no shape. Selecting rows
     keeps every GOP and its order and skips the check, since rows of valid
@@ -77,10 +80,8 @@ class PacketBlock:
     """
 
     scheme: str
-    layer_count: int
     packets_per_layer: int
-    offsets: np.ndarray
-    depth: np.ndarray
+    counts: np.ndarray
     payload: np.ndarray
     coeffs: Optional[np.ndarray] = None
     column: Optional[np.ndarray] = None
@@ -88,20 +89,20 @@ class PacketBlock:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        layers, per_layer = self.layer_count, self.packets_per_layer
-        self.offsets = np.asarray(self.offsets, dtype=np.intp)
-        self.depth = np.asarray(self.depth, dtype=np.int8)
+        per_layer = self.packets_per_layer
+        self.counts = np.asarray(self.counts, dtype=np.int64)
         self.payload = np.asarray(self.payload, dtype=np.uint8)
-        n = self.depth.shape[0] if self.depth.ndim == 1 else -1
-        if n < 0 or self.payload.ndim != 2 or self.payload.shape[0] != n:
+        if self.counts.ndim != 2 or self.counts.shape[1] < 1 or (self.counts < 0).any():
             raise ValueError(
-                f"need one depth and one payload row per packet, got shapes "
-                f"{self.depth.shape} and {self.payload.shape}"
+                f"counts must be a (GOPs, layers) array of packets per class, "
+                f"none negative, got {self.counts.tolist()}"
             )
-        if n and self.depth.min() < 1:
-            raise ValueError(f"class depth must be >= 1, got {self.depth.min()}")
-        if n and self.depth.max() > layers:
-            raise ValueError(f"packet class depth {self.depth.max()} exceeds layer_count {layers}")
+        layers = self.layer_count
+        n = int(self.counts.sum())
+        if self.payload.ndim != 2 or self.payload.shape[0] != n:
+            raise ValueError(
+                f"need one payload row per packet, {n}, got shape {self.payload.shape}"
+            )
         if self.scheme == SCHEME_RLC:
             if self.coeffs is None or self.column is not None:
                 raise ValueError("rlc packets carry coefficients and no column")
@@ -113,10 +114,8 @@ class PacketBlock:
                     f"rlc packets need {layers * per_layer} coefficients, "
                     f"got {self.coeffs.shape[1]}"
                 )
-            if (
-                self.coeffs.reshape(n, layers, per_layer).any(axis=2)
-                & (np.arange(1, layers + 1) > self.depth[:, None])
-            ).any():
+            past = np.arange(layers) > (_row_runs(self.counts) % layers)[:, None]
+            if (self.coeffs.reshape(n, layers, per_layer).any(axis=2) & past).any():
                 raise ValueError("a packet carries coefficients for layers deeper than its class")
         else:
             if self.column is None or self.coeffs is not None:
@@ -129,23 +128,15 @@ class PacketBlock:
                     f"packet columns must lie in 0..{per_layer - 1}, "
                     f"got {self.column.min()}..{self.column.max()}"
                 )
-        if (
-            self.offsets.ndim != 1
-            or not self.offsets.size
-            or self.offsets[0] != 0
-            or self.offsets[-1] != n
-            or (np.diff(self.offsets) < 0).any()
-        ):
-            raise ValueError(f"offsets {self.offsets.tolist()} do not split {n} rows into GOPs")
 
     def __len__(self) -> int:
         """Packets in the block, over all of its GOPs."""
-        return self.depth.shape[0]
+        return self.payload.shape[0]
 
     @property
-    def sizes(self) -> np.ndarray:
-        """Packets of each GOP."""
-        return np.diff(self.offsets)
+    def layer_count(self) -> int:
+        """Layers of the grid, one packet class each."""
+        return self.counts.shape[1]
 
     def select(self, rows: np.ndarray) -> "PacketBlock":
         """The block of the rows a boolean mask of one entry per row or a
@@ -155,20 +146,20 @@ class PacketBlock:
         GOP or to none, so each raises ValueError."""
         n = len(self)
         if rows.dtype == bool:
-            if rows.shape != (n,):
-                raise ValueError(f"a mask needs one entry per row, {n}, got shape {rows.shape}")
+            counts = surviving_counts(self.counts, rows)
             rows = np.flatnonzero(rows)
         elif (rows[1:] < rows[:-1]).any():
             raise ValueError(f"index rows must be non-decreasing, got {rows.tolist()}")
         elif rows.size and (rows[0] < 0 or rows[-1] >= n):
             raise ValueError(f"index rows must lie in [0, {n}), got {rows[0]}..{rows[-1]}")
+        else:
+            runs = _row_runs(self.counts)[rows]
+            counts = np.bincount(runs, minlength=self.counts.size).reshape(self.counts.shape)
         out = object.__new__(PacketBlock)
         out.__dict__.update(
             scheme=self.scheme,
-            layer_count=self.layer_count,
             packets_per_layer=self.packets_per_layer,
-            offsets=np.searchsorted(rows, self.offsets),
-            depth=self.depth[rows],
+            counts=counts,
             payload=self.payload[rows],
             coeffs=None if self.coeffs is None else self.coeffs[rows],
             column=None if self.column is None else self.column[rows],
@@ -259,16 +250,13 @@ def encode_block(
         )
     if (counts < 0).any():
         raise ValueError(f"replica counts must be non-negative, got {counts.tolist()}")
-    sizes = counts.sum(axis=1)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
     runs = counts.ravel()
-    classes = np.arange(1, layer_count + 1, dtype=np.int8)
-    depth = np.repeat(np.tile(classes, n_gops), runs)
-    rows = depth.size
+    row_run = _row_runs(counts)
+    rows = row_run.size
 
     if scheme != SCHEME_RLC:
         # replica t of a class of n packets takes column t mod P under xor,
-        # whose payload XORs that column over layers 1..depth, and column
+        # whose payload XORs that column over layers 1..class, and column
         # t * P // n under repeat, so each raw cell goes out in a run of copies
         t = np.arange(rows) - np.repeat(np.cumsum(runs) - runs, runs)
         if scheme == SCHEME_XOR:
@@ -279,9 +267,8 @@ def encode_block(
         if size:
             if scheme == SCHEME_XOR:
                 cells = np.bitwise_xor.accumulate(cells, axis=1)
-            gop = np.repeat(np.arange(n_gops), sizes)
-            payload = cells[gop, depth - 1, column]
-        return PacketBlock(scheme, layer_count, per_layer, offsets, depth, payload, column=column)
+            payload = cells.reshape(n_gops * layer_count, per_layer, size)[row_run, column]
+        return PacketBlock(scheme, per_layer, counts, payload, column=column)
 
     # each row starts on a fresh output, so its bytes do not depend on the
     # rows drawn before it in the same call
@@ -290,7 +277,7 @@ def encode_block(
     raw = rng.bit_generator.random_raw(rows * outputs).astype("<u8", copy=False)
     coeffs = np.ascontiguousarray(raw.view(np.uint8).reshape(rows, 8 * outputs)[:, :n_unknowns])
     layers = coeffs.reshape(rows, layer_count, per_layer)
-    layers *= (classes <= depth[:, None])[:, :, None]
+    layers *= (np.arange(layer_count) <= (row_run % layer_count)[:, None])[:, :, None]
     payload = np.empty((rows, size), dtype=np.uint8)
     if size:
         data = cells.reshape(n_gops, n_unknowns, size)
@@ -300,7 +287,7 @@ def encode_block(
             width = (d + 1) * per_layer
             at = slice(ends[run] - runs[run], ends[run])
             payload[at] = gf_matmul(coeffs[at, :width], data[k, :width])
-    return PacketBlock(scheme, layer_count, per_layer, offsets, depth, payload, coeffs=coeffs)
+    return PacketBlock(scheme, per_layer, counts, payload, coeffs=coeffs)
 
 
 def decode_block(block: PacketBlock) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +318,7 @@ def score_block(block: PacketBlock) -> np.ndarray:
     """
     if block.scheme != SCHEME_RLC:
         return _cell_cover(block)[1]
-    return decodable_layers_batch(_class_counts(block), block.packets_per_layer)
+    return decodable_layers_batch(block.counts, block.packets_per_layer)
 
 
 def sample_depths(counts: np.ndarray, packets_per_layer: int, rng) -> np.ndarray:
@@ -371,9 +358,9 @@ def surviving_counts(counts: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The rows of each run that a mask keeps, where counts holds each run's
     rows and the runs lie one after another in its row-major order, as
     encode_block lays out a block's rows: GOP by GOP, each GOP's classes
-    shallow first. On such a block's (G, layer_count) class counts it is
-    _class_counts(block.select(mask)), with no rows made. A mask of another
-    length than the rows raises ValueError."""
+    shallow first. On such a block's class counts it is
+    block.select(mask).counts, with no rows made. A mask of another length
+    than the rows raises ValueError."""
     runs = counts.ravel()
     ends = runs.cumsum()
     n = int(ends[-1]) if ends.size else 0
@@ -383,6 +370,12 @@ def surviving_counts(counts: np.ndarray, mask: np.ndarray) -> np.ndarray:
     kept = np.zeros(n + 1, dtype=np.int64)
     mask.cumsum(out=kept[1:])
     return (kept[ends] - kept[ends - runs]).reshape(counts.shape)
+
+
+def _row_runs(counts: np.ndarray) -> np.ndarray:
+    """The (GOP, class) run each row of a block of these class counts lies
+    in: GOP * layer_count + class - 1."""
+    return np.repeat(np.arange(counts.size), counts.ravel())
 
 
 def _walk(counts, group, place, step, packets_per_layer):
@@ -425,14 +418,6 @@ def _walk(counts, group, place, step, packets_per_layer):
         yield gop, depth
 
 
-def _class_counts(block: PacketBlock) -> np.ndarray:
-    """Packets of each class in each GOP of a block: (G, layer_count)."""
-    n_gops, layer_count = block.offsets.size - 1, block.layer_count
-    first = np.repeat(np.arange(n_gops) * layer_count - 1, block.sizes)
-    counts = np.bincount(first + block.depth, minlength=n_gops * layer_count)
-    return counts.reshape(n_gops, layer_count)
-
-
 def covered_depth(seen: np.ndarray):
     """Decoded depth from a (layer_count, packets_per_layer) mask of the
     (depth, column) cells a decoder holds: the deepest run of depths 1, 2,
@@ -445,9 +430,8 @@ def covered_depth(seen: np.ndarray):
 def _cell_cover(block):
     """The flat (GOP, depth, column) cell of each packet of an xor or repeat
     block, and the depth the cells that arrived cover, per GOP."""
-    shape = (block.offsets.size - 1, block.layer_count, block.packets_per_layer)
-    gop = np.repeat(np.arange(shape[0]), block.sizes)
-    key = (gop * shape[1] + block.depth - 1) * shape[2] + block.column
+    shape = block.counts.shape + (block.packets_per_layer,)
+    key = _row_runs(block.counts) * shape[2] + block.column
     seen = np.zeros(np.prod(shape), dtype=bool)
     seen[key] = True
     return key, covered_depth(seen.reshape(shape))
@@ -473,35 +457,35 @@ def _decode_rlc(block):
     """Depths (G,) and cells (G, L, P, s) of an RLC block, its non-empty
     GOPs eliminated in zero-padded stacks of DECODE_STACK_BYTES at most, in
     GOP order."""
-    shape = (block.offsets.size - 1, block.layer_count, block.packets_per_layer)
+    shape = block.counts.shape + (block.packets_per_layer,)
     depths = np.zeros(shape[0], dtype=np.intp)
     cells = np.zeros(shape + block.payload.shape[1:], dtype=np.uint8)
-    sizes = block.sizes
+    sizes = block.counts.sum(axis=1)
     full = np.flatnonzero(sizes)
     if not full.size:
         return depths, cells
+    starts = np.cumsum(sizes) - sizes
     n_rows = int(sizes.max())
     width = block.coeffs.shape[1] + block.payload.shape[1]
     per_stack = max(1, DECODE_STACK_BYTES // (n_rows * width))
     for start in range(0, full.size, per_stack):
         part = full[start : start + per_stack]
-        depths[part], cells[part] = _reduce_stack(block, part, n_rows)
+        depths[part], cells[part] = _reduce_stack(block, starts[part], sizes[part], n_rows)
     return depths, cells
 
 
-def _reduce_stack(block, part, n_rows):
-    """Depths and cells of the GOPs part, a run of a block's non-empty GOPs,
-    from one gf_rref stack of n_rows rows per system."""
+def _reduce_stack(block, starts, sizes, n_rows):
+    """Depths and cells of a run of a block's non-empty GOPs, the j-th
+    owning sizes[j] rows from row starts[j], from one gf_rref stack of
+    n_rows rows per system."""
     layer_count, packets_per_layer = block.layer_count, block.packets_per_layer
     n_unknowns, payload_size = block.coeffs.shape[1], block.payload.shape[1]
-    n_systems = part.size
-    first, last = block.offsets[part[0]], block.offsets[part[-1] + 1]
-    # the GOPs between part's are empty, so its rows are the block's rows
-    # first to last; row i of the block, of the j-th GOP k of part, is row
-    # i - offsets[k] of system j
-    at = np.arange(first, last) + np.repeat(
-        np.arange(n_systems) * n_rows - block.offsets[part], block.sizes[part]
-    )
+    n_systems = starts.size
+    first, last = starts[0], starts[-1] + sizes[-1]
+    # the GOPs between the run's are empty, so its rows are the block's rows
+    # first to last; row i of the block, of the j-th GOP, is row i -
+    # starts[j] of system j
+    at = np.arange(first, last) + np.repeat(np.arange(n_systems) * n_rows - starts, sizes)
     aug = np.zeros((n_systems * n_rows, n_unknowns + payload_size), dtype=np.uint8)
     aug[at, :n_unknowns] = block.coeffs[first:last]
     aug[at, n_unknowns:] = block.payload[first:last]

@@ -22,34 +22,36 @@ packets, GOP by GOP. The probe estimates, strategy picks, per-hop delays
 and receiver scoring then run on the block, whose packets travel as each
 GOP's per-class counts: nodes.pick_strategies gives the counts an encoder
 sends, and codec.surviving_counts those that cross each link; a GOP is its
-row of the counts, and run() alone knows its number. Packet rows, a
-PacketBlock that encode_block makes beside the counts and each link
-selects from, travel only where a step reads more than classes: in a
-verified run, whose relays and receiver decode coefficients and payloads
-with decode_block, and under xor and repeat, whose depth is which columns
-arrived. An unverified RLC run makes no rows: its relays draw their depths
-from the decoder's law with codec.sample_depths. Every RLC receiver scores
-the counts by the count rule. A relay's depths give both its packet count
-per GOP and what it re-encodes. A decode reduces the RLC systems of a
-block in gf_rref stacks of at most codec.DECODE_STACK_BYTES. run() keeps
-the loop's state in its own locals: each link's and each encoder's
-generator, the delivery probability in force on each link, each encoder's
-latest estimate and the verifying receiver's counts; the nodes hold no run
-state. Seeded results are those of a GOP-by-GOP loop whatever the block
-size: every link belongs to one segment and draws its probes and packets of
-GOP g before those of g+1; in a verified run the sender and each
-re-encoding relay draw the coefficients they encode, in GOP order, from
-their own generator, and in an unverified one only RLC relays draw, their
-samples, in GOP order; decoding draws nothing; and each GOP's delay is
-summed in hop order. Each generator is seeded from its own child of the
-run's seed, child i of SeedSequence(seed).spawn(n) made alone from its
-spawn key (i,), and only for the generators the run draws from: a
-forwarding chain's links, say, but no grid seed unless payload bytes
-travel.
+row of the counts, and run() alone knows its number. Where a step reads
+more than classes, the packets travel as a PacketBlock, a block's class
+counts plus its rows: encode_block makes it from the pick, each link
+selects from it, and the selected block's counts are those in flight.
+That is in a verified run, whose relays and receiver decode coefficients
+and payloads with decode_block, and under xor and repeat, whose depth is
+which columns arrived. An unverified RLC run makes no rows: its relays
+draw their depths from the decoder's law with codec.sample_depths. Every
+RLC receiver scores the counts by the count rule. A relay's depths give
+both its packet count per GOP and what it re-encodes. A decode reduces the
+RLC systems of a block in gf_rref stacks of at most
+codec.DECODE_STACK_BYTES. run() keeps the loop's state in its own locals:
+each link's and each encoder's generator, the delivery probability in force
+on each link, each encoder's latest estimate and the verifying receiver's
+counts; the nodes hold no run state. Seeded results are those of a
+GOP-by-GOP loop whatever the block size: every link belongs to one segment
+and draws its probes and packets of GOP g before those of g+1; in a
+verified run the sender and each re-encoding relay draw the coefficients
+they encode, in GOP order, from their own generator, and in an unverified
+one only RLC relays draw, their samples, in GOP order; decoding draws
+nothing; and each GOP's delay is summed in hop order. Each generator is
+seeded from its own child of the run's seed, child i of
+SeedSequence(seed).spawn(n) made alone from its spawn key (i,), and only
+for the generators the run draws from: a forwarding chain's links, say, but
+no grid seed unless payload bytes travel.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
@@ -285,9 +287,9 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     GOPs go through in blocks of GOP_BLOCK, one pass per segment: each link
     draws once per block, for every GOP's probes and then its packets, and
     the estimates, strategies, delays and scores of the block are array
-    operations on its per-class packet counts, with packet rows encoded
-    and selected beside them only in a verified run or under xor and
-    repeat. The metrics are those of carrying the GOPs one at a time, for
+    operations on its per-class packet counts, which travel with their
+    packets' rows, as a PacketBlock, only in a verified run or under xor
+    and repeat. The metrics are those of carrying the GOPs one at a time, for
     any block size.
     """
     hops = config.hop_count
@@ -369,7 +371,8 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         latest = np.maximum.accumulate(np.where(probes > 0, np.arange(gops.size), -1))
         delays = np.zeros(gops.size)
         # counts[k, c]: the packets of class c + 1 of GOP k in flight; block,
-        # the same packets as rows, where a step reads more than classes
+        # those counts plus the packets' rows, where a step reads more than
+        # classes
         counts = block = None
         for index, (selector, segment, rng) in enumerate(segments):
             if schedule:
@@ -406,10 +409,12 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                 block = encode_block(source, counts, config.scheme, rng)
             for hop, mask in zip(segment, masks):
                 delays += sizes * link_delays[hop]
-                counts = surviving_counts(counts, mask)
-                sizes = counts.sum(axis=1)
-                if not counted:
+                if counted:
+                    counts = surviving_counts(counts, mask)
+                else:
                     block = block.select(mask)
+                    counts = block.counts
+                sizes = counts.sum(axis=1)
                 if hop < n_relays:
                     delays += config.forward_delay
                     if config.relay_modes[hop] == MODE_NC:
@@ -602,15 +607,18 @@ def write_rows(rows: Sequence[dict], path) -> None:
 
 
 def read_rows(path) -> bytes:
-    """The bytes of the result CSV at path, none if there is no file. A
-    file that does not start with the header line or does not end in a
+    """The bytes of the result CSV at path, none if there is no file yet.
+    A file that does not start with the header line or does not end in a
     line break holds something else, so ValueError names it, and a path
-    that cannot be read, a directory say, raises OSError."""
+    no result file can be read or made at, a directory or a file in a
+    missing directory say, raises OSError."""
     header = (CSV_HEADER + "\n").encode("ascii")
     try:
         with open(path, "rb") as fh:
             held = fh.read()
     except FileNotFoundError:
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise
         return b""
     if held and not (held.startswith(header) and held.endswith(b"\n")):
         raise ValueError(

@@ -338,11 +338,7 @@ def reference_sample_depths(block, rng):
     water-fill of the zeros before it, then the rest. The same one
     rng.geometric call, so it leaves rng where sample_depths does."""
     layer_count, packets_per_layer = block.layer_count, block.packets_per_layer
-    n_gops = block.offsets.size - 1
-    gop = np.repeat(np.arange(n_gops), np.diff(block.offsets))
-    counts = np.bincount(
-        gop * layer_count + block.depth - 1, minlength=n_gops * layer_count
-    ).reshape(n_gops, layer_count)
+    counts = block.counts
     ends = np.cumsum(counts)
     e = rng.geometric(1 - 1 / 256, counts.sum()) - 1
     # each e >= 1: its (GOP, class) group, its place among the group's
@@ -390,13 +386,23 @@ def class_block(counts, packets_per_layer):
     return encode_block(cells, counts, SCHEME_RLC, np.random.default_rng(0))
 
 
-def sent_strategies(block, layer_count):
-    """The replica counts each GOP of a block went out under, read back
-    from its packets' classes one GOP at a time."""
-    return [
-        tuple(np.bincount(block.depth[a:b], minlength=layer_count + 1)[1:].tolist())
-        for a, b in zip(block.offsets, block.offsets[1:])
-    ]
+def sent_strategies(block):
+    """The replica counts each GOP of a block went out under, its class
+    counts as tuples."""
+    return [tuple(row) for row in block.counts.tolist()]
+
+
+def row_classes(block):
+    """The class of each row of a block, read from its class counts as
+    encode_block lays the rows out: GOP by GOP, classes shallow first."""
+    n_gops, layer_count = block.counts.shape
+    return np.repeat(np.tile(np.arange(1, layer_count + 1), n_gops), block.counts.ravel())
+
+
+def gop_offsets(block):
+    """Where each GOP's rows start in a block, then its row count: GOP k
+    owns rows offsets[k] to offsets[k + 1]."""
+    return np.concatenate([[0], np.cumsum(block.counts.sum(axis=1))])
 
 
 def select_strategy(policy, pdr_estimate):
@@ -557,11 +563,10 @@ def reference_run(config, table=None):
                         delay += config.recode_delay
         npr += len(current)
         if config.scheme == SCHEME_RLC:
-            counts = np.bincount(current.depth, minlength=L + 1)[1:]
-            score = decodable_layers(counts.tolist(), P)
+            score = decodable_layers(current.counts[0].tolist(), P)
         else:
             seen = np.zeros((L, P), dtype=bool)
-            seen[current.depth.astype(np.intp) - 1, current.column] = True
+            seen[row_classes(current) - 1, current.column] = True
             score = int(covered_depth(seen))
         if config.verify_payloads and len(current):
             (actual,), (decoded,) = decode_block(current)

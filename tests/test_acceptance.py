@@ -24,7 +24,13 @@ from nclayer.spt import (
     enumerate_strategies,
     expected_decoded_layers,
 )
-from oracles import count_vectors, rank_decodable_layers, select_best, select_strategy
+from oracles import (
+    count_vectors,
+    rank_decodable_layers,
+    row_classes,
+    select_best,
+    select_strategy,
+)
 
 
 def _chain_audl(table, hops, relay_modes, p, gops, seed):
@@ -111,8 +117,7 @@ def test_c05_codec_round_trip():
     full_recovered = 0
     for _ in range(1000):
         kept = rlc_packets.select(rng.random(len(rlc_packets)) < 0.95)
-        counts = np.bincount(kept.depth, minlength=5)[1:]
-        if decodable_layers(counts, 8) < 4:
+        if decodable_layers(kept.counts[0], 8) < 4:
             continue
         full_predicted += 1
         (decoded,), (recovered,) = decode_block(kept)
@@ -126,7 +131,7 @@ def test_c05_codec_round_trip():
     covered = 0
     for _ in range(1000):
         kept = xor_packets.select(rng.random(len(xor_packets)) < 0.9)
-        cells = set(zip(kept.depth.tolist(), kept.column.tolist()))
+        cells = set(zip(row_classes(kept).tolist(), kept.column.tolist()))
         if not all(
             (d, c) in cells for d in range(1, 5) for c in range(8)
         ):

@@ -130,6 +130,16 @@ def test_simulate_refuses_a_directory_before_the_run(tmp_path, capsys):
     assert str(tmp_path) in printed.err and "label:" not in printed.out
 
 
+def test_simulate_refuses_a_file_in_a_missing_directory_before_the_run(tmp_path, capsys):
+    # the row could not be appended after the run, so the run is refused
+    # before it prints anything, and no file or directory is made
+    out = tmp_path / "nodir" / "x.csv"
+    assert main(["simulate", "--set", "run.gops=2", "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert str(out) in printed.err and printed.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_link_override_drops_unnamed_relays(tmp_path, capsys):
     path = tmp_path / "c.txt"
     path.write_text("chain.links = 0.7, 0.7, 0.7\nrun.gops = 5\n")
@@ -204,6 +214,31 @@ def test_sweep_rejects_unknown_mode(tmp_path, capsys):
         assert main(["sweep", "--pdr-grid", "0.7", "--modes", mode, "--out", str(out)]) == 1
         assert f"unknown sweep mode {mode!r}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_sweep_refuses_an_out_path_it_cannot_write_before_any_run(tmp_path, capsys, monkeypatch):
+    # a directory, or a file in a missing directory, would fail only once
+    # every task had run; the sweep is refused before its first run()
+    import nclayer.simulator as simulator
+
+    calls = []
+    step = simulator.run
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run", counted)
+    args = ["sweep", "--set", "run.gops=300", "--pdr-grid", "0.5,0.7,0.9",
+            "--modes", "NC3-HBH,NoNC3", "--jobs", "2"]
+    for out in (tmp_path, tmp_path / "nodir" / "x.csv"):
+        assert main(args + ["--out", str(out)]) == 1
+        printed = capsys.readouterr()
+        assert str(out) in printed.err and printed.out == ""
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    assert main(["sweep", "--set", "run.gops=5", "--pdr-grid", "0.7", "--modes", "NoNC1",
+                 "--out", str(tmp_path / "x.csv")]) == 0
+    assert calls == [1]
 
 
 def test_simulate_refuses_a_heuristic_set_of_another_class_count(tmp_path, capsys):

@@ -30,8 +30,10 @@ from oracles import (
     class_block,
     count_vectors,
     decode_gop_reference,
+    gop_offsets,
     rank_decodable_layers,
     reference_sample_depths,
+    row_classes,
 )
 
 
@@ -94,15 +96,14 @@ def test_encode_counts_and_classes():
     strategy = (3, 0, 2, 1)
     packets = encode_gop(grid, strategy, SCHEME_RLC, seed=1)
     assert len(packets) == 6
-    assert packets.offsets.tolist() == [0, 6]
+    assert packets.counts.tolist() == [list(strategy)]
     assert packets.scheme == SCHEME_RLC
-    assert tuple(np.bincount(packets.depth, minlength=5)[1:]) == strategy
     # shallow classes come first
-    assert packets.depth.tolist() == [1, 1, 1, 3, 3, 4]
+    assert row_classes(packets).tolist() == [1, 1, 1, 3, 3, 4]
     # a class-d packet mixes the first d layers only; the rest is zero padding
     assert packets.coeffs.shape == (6, 4 * 8)
     widths = [np.flatnonzero(row).max() + 1 for row in packets.coeffs]
-    assert all(w <= 8 * d for w, d in zip(widths, packets.depth))
+    assert all(w <= 8 * d for w, d in zip(widths, [1, 1, 1, 3, 3, 4]))
     assert packets.payload.shape == (6, 16)
 
 
@@ -144,10 +145,10 @@ def test_repeat_sends_runs_of_raw_cells():
     grid = make_synthetic_gop(5, 3, 4, 8)
     # 2 copies of each of the 12 cells: the uncoded sender's fixed allocation
     packets = encode_gop(grid, (8, 8, 8), SCHEME_REPEAT)
-    source = (packets.depth.astype(int) - 1) * 4 + packets.column
+    source = (row_classes(packets) - 1) * 4 + packets.column
     assert source.tolist() == np.repeat(np.arange(12), 2).tolist()
     assert packets.coeffs is None
-    assert np.array_equal(packets.payload, grid[packets.depth - 1, packets.column])
+    assert np.array_equal(packets.payload, grid[row_classes(packets) - 1, packets.column])
     (decoded,), (recovered,) = decode_block(packets.select(np.arange(1, len(packets), 2)))
     assert decoded == 3
     assert np.array_equal(recovered, grid)
@@ -175,8 +176,7 @@ def test_rlc_decode_never_exceeds_count_prediction():
     trials = 60
     for _ in range(trials):
         kept = packets.select(rng.random(len(packets)) < 0.7)
-        counts = np.bincount(kept.depth, minlength=4)[1:]
-        predicted = decodable_layers(counts, 2)
+        predicted = decodable_layers(kept.counts[0], 2)
         (decoded,), (recovered,) = decode_block(kept)
         assert decoded <= predicted
         if decoded == predicted:
@@ -194,10 +194,12 @@ def test_decode_empty_input():
 
 
 def test_block_rejects_overdeep_class():
+    # counts of two classes make a grid of two layers, whose RLC packets
+    # carry 2 * P coefficients; class-3 packets carry 3 * P
     grid = make_synthetic_gop(0, 3, 2, 4)
     packets = encode_gop(grid, (0, 0, 6), SCHEME_RLC, seed=0)
-    with pytest.raises(ValueError, match="exceeds layer_count 2"):
-        replace(packets, layer_count=2)
+    with pytest.raises(ValueError, match="need 4 coefficients, got 6"):
+        replace(packets, counts=[[0, 6]])
 
 
 def test_encode_rejects_bad_strategy():
@@ -246,81 +248,82 @@ def test_batch_indexing_selects_rows():
     grid = make_synthetic_gop(0, 3, 2, 8)
     packets = encode_gop(grid, (2, 2, 2), SCHEME_RLC, seed=1)
     halves = packets.select(np.arange(0, 6, 2))
-    assert len(halves) == 3 and halves.offsets.tolist() == [0, 3]
-    assert halves.depth.tolist() == [1, 2, 3]
+    assert len(halves) == 3 and halves.counts.tolist() == [[1, 1, 1]]
     assert np.array_equal(halves.coeffs, packets.coeffs[::2])
     mask = np.array([True, False, False, True, True, False])
     picked = packets.select(mask)
     assert np.array_equal(picked.payload, packets.payload[mask])
-    assert picked.offsets.tolist() == [0, 3] and picked.scheme == packets.scheme
-    assert len(packets.select(np.zeros(6, bool))) == 0
+    assert picked.counts.tolist() == [[1, 1, 1]] and picked.scheme == packets.scheme
+    assert packets.select(np.zeros(6, bool)).counts.tolist() == [[0, 0, 0]]
     # an index may repeat: the row arrives twice
     twice = packets.select(np.array([0, 0, 5]))
-    assert twice.depth.tolist() == [1, 1, 3] and twice.sizes.tolist() == [3]
+    assert len(twice) == 3 and twice.counts.tolist() == [[2, 0, 1]]
 
 
 def test_select_refuses_a_decreasing_index_array():
-    # rows [5, 0, 1] of two GOPs of 4 packets would split at offsets [0, 3,
-    # 3], scoring GOP 1's packet as GOP 0's
+    # rows [5, 0, 1] of two GOPs of 4 packets would put GOP 1's packet
+    # first, where the counts' order makes it GOP 0's
     cells = make_synthetic_cells([0, 1], 2, 2, 4)
     block = encode_block(cells, [(2, 2), (2, 2)], SCHEME_RLC, np.random.default_rng(0))
     with pytest.raises(ValueError, match="non-decreasing"):
         block.select(np.array([5, 0, 1]))
-    assert block.select(np.array([0, 1, 5])).sizes.tolist() == [2, 1]
+    assert block.select(np.array([0, 1, 5])).counts.tolist() == [[2, 0], [1, 0]]
 
 
 def test_select_refuses_rows_outside_the_block():
-    # on two GOPs of 64 rows, index -1 would split at offsets [1, 1, 1], a
-    # packet of no GOP, and a 5-entry mask would pick 5 of the 128 rows
+    # on two GOPs of 64 rows, index -1 would pick the last row, GOP 1's, as
+    # the first, and a 5-entry mask would pick 5 of the 128 rows
     block = class_block([(40, 8, 8, 8)] * 2, 8)
     for rows in (np.array([-1]), np.array([0, 128])):
         with pytest.raises(ValueError, match="must lie in"):
             block.select(rows)
     for rows in (np.array([True] * 5), np.ones(129, bool), np.ones((2, 64), bool)):
-        with pytest.raises(ValueError, match="one entry per row"):
+        with pytest.raises(ValueError, match="one entry per packet"):
             block.select(rows)
-    assert block.select(np.array([0, 127])).sizes.tolist() == [1, 1]
-    assert block.select(np.array([], dtype=np.intp)).sizes.tolist() == [0, 0]
-    assert block.select(np.ones(128, bool)).sizes.tolist() == [64, 64]
+    assert block.select(np.array([0, 127])).counts.tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    assert block.select(np.array([], dtype=np.intp)).counts.tolist() == [[0] * 4] * 2
+    assert block.select(np.ones(128, bool)).counts.tolist() == [[40, 8, 8, 8]] * 2
 
 
 def test_batch_validates_once_on_construction():
     payload = np.zeros((2, 4), dtype=np.uint8)
     coeffs = np.zeros((2, 4), dtype=np.uint8)
 
-    def block(scheme, depth, payload=payload, offsets=(0, 2), **rows):
-        return PacketBlock(scheme, 2, 2, offsets, depth, payload, **rows)
+    def block(scheme, counts, payload=payload, **rows):
+        return PacketBlock(scheme, 2, counts, payload, **rows)
 
     with pytest.raises(ValueError, match="scheme"):
-        block("fountain", [1, 1], coeffs=coeffs)
-    with pytest.raises(ValueError, match="depth"):
-        block(SCHEME_RLC, [1, 0], coeffs=coeffs)
-    with pytest.raises(ValueError, match="exceeds layer_count 2"):
-        block(SCHEME_RLC, [1, 3], coeffs=coeffs)
+        block("fountain", [[2, 0]], coeffs=coeffs)
+    # a class count per (GOP, class), none negative, over at least one class
+    for counts in ([2, 0], [[[2, 0]]], [[3, -1]], np.zeros((1, 0), int)):
+        with pytest.raises(ValueError, match="counts must be"):
+            block(SCHEME_RLC, counts, coeffs=coeffs)
+    # three classes make three layers of two cells, so six coefficients
+    with pytest.raises(ValueError, match="need 6 coefficients"):
+        block(SCHEME_RLC, [[1, 0, 1]], coeffs=coeffs)
     # any coefficient width but L * P, with payload bytes or none
     for width in (0, 2, 5):
         wide = np.zeros((2, width), dtype=np.uint8)
         for size in (0, 4):
             with pytest.raises(ValueError, match="need 4 coefficients"):
-                block(SCHEME_RLC, [1, 1], payload=payload[:, :size], coeffs=wide)
+                block(SCHEME_RLC, [[1, 1]], payload=payload[:, :size], coeffs=wide)
     with pytest.raises(ValueError, match="deeper than its class"):
-        block(SCHEME_RLC, [1, 2], coeffs=np.eye(2, 4, 2, dtype=np.uint8))
+        block(SCHEME_RLC, [[1, 1]], coeffs=np.eye(2, 4, 2, dtype=np.uint8))
     for column in ([0, 2], [-1, 0]):
         with pytest.raises(ValueError, match="columns must lie in 0..1"):
-            block(SCHEME_XOR, [1, 1], column=column)
-    with pytest.raises(ValueError, match="payload row"):
-        block(SCHEME_RLC, [1, 1, 1], coeffs=coeffs)
+            block(SCHEME_XOR, [[1, 1]], column=column)
+    for counts in ([[2, 1]], [[1, 0]], [[1, 0], [0, 0], [0, 2]]):
+        with pytest.raises(ValueError, match="payload row"):
+            block(SCHEME_RLC, counts, coeffs=coeffs)
     with pytest.raises(ValueError, match="coefficients"):
-        block(SCHEME_RLC, [1, 1], column=[0, 1])
+        block(SCHEME_RLC, [[1, 1]], column=[0, 1])
     with pytest.raises(ValueError, match="coefficient rows"):
-        block(SCHEME_RLC, [1, 1], coeffs=coeffs[:1])
+        block(SCHEME_RLC, [[1, 1]], coeffs=coeffs[:1])
     with pytest.raises(ValueError, match="column"):
-        block(SCHEME_XOR, [1, 1])
+        block(SCHEME_XOR, [[1, 1]])
     with pytest.raises(ValueError, match="columns"):
-        block(SCHEME_XOR, [1, 1], column=[0])
-    for offsets in ((0, 1), (1, 2), (0, 2, 1, 2), (), ((0, 2),)):
-        with pytest.raises(ValueError, match="offsets"):
-            block(SCHEME_RLC, [1, 1], offsets=offsets, coeffs=coeffs)
+        block(SCHEME_XOR, [[1, 1]], column=[0])
+    assert block(SCHEME_RLC, [[1, 0], [0, 0], [0, 1]], coeffs=coeffs).layer_count == 2
 
 
 def test_block_rejects_rows_inconsistent_with_its_grid():
@@ -351,8 +354,8 @@ def test_xor_decode_uses_first_copy_of_each_cell():
 
 def _rows(block, k, name):
     """GOP k's rows of one of a block's row arrays; None stays None."""
-    rows = getattr(block, name)
-    return None if rows is None else rows[block.offsets[k] : block.offsets[k + 1]]
+    rows, offsets = getattr(block, name), gop_offsets(block)
+    return None if rows is None else rows[offsets[k] : offsets[k + 1]]
 
 
 def _erased(scheme, seed):
@@ -363,9 +366,10 @@ def _erased(scheme, seed):
     strategies = rng.integers(0, 10, (9, 4))
     cells = make_synthetic_cells(range(9), 4, 4, 8, seed)
     block = encode_block(cells, strategies, scheme, np.random.default_rng(seed))
-    kept = [np.flatnonzero(rng.random(n) < rng.uniform(0.2, 1.0)) for n in block.sizes]
+    sizes = block.counts.sum(axis=1)
+    kept = [np.flatnonzero(rng.random(n) < rng.uniform(0.2, 1.0)) for n in sizes]
     kept[3] = kept[3][:0]
-    rows = np.concatenate([start + k for start, k in zip(block.offsets, kept)])
+    rows = np.concatenate([start + k for start, k in zip(gop_offsets(block), kept)])
     return block.select(rows), strategies, kept
 
 
@@ -390,12 +394,14 @@ def test_block_rejects_a_bad_gop_wherever_it_sits():
         if scheme == SCHEME_RLC:
             with pytest.raises(ValueError, match="16 coefficients"):
                 replace(good, coeffs=good.coeffs[:, :8])
-        full = np.flatnonzero(good.sizes)
+        offsets = gop_offsets(good)
+        full = np.flatnonzero(np.diff(offsets))
         for k in full[[0, full.size // 2, -1]]:
-            # one GOP's rows go bad, wherever it sits in the block
-            at = slice(good.offsets[k], good.offsets[k + 1])
-            bad = {"exceeds layer_count": dict(depth=good.depth.copy())}
-            bad["exceeds layer_count"]["depth"][at] = 5
+            # one GOP's rows go bad, or its counts name a packet it lacks,
+            # wherever it sits in the block
+            at = slice(offsets[k], offsets[k + 1])
+            bad = {"payload row": dict(counts=good.counts.copy())}
+            bad["payload row"]["counts"][k, 1] += 1
             if scheme == SCHEME_RLC:
                 bad["deeper than its class"] = dict(coeffs=good.coeffs.copy())
                 bad["deeper than its class"]["coeffs"][at] |= 1
@@ -423,7 +429,7 @@ def test_rlc_rows_take_whole_raw_outputs_of_the_generator(per_layer):
     drawn = np.random.default_rng(per_layer)
     raw = drawn.bit_generator.random_raw(len(block) * outputs).astype("<u8")
     row_bytes = raw.view(np.uint8).reshape(len(block), 8 * outputs)[:, :n_unknowns]
-    past_class = np.arange(n_unknowns) >= block.depth.astype(int)[:, None] * per_layer
+    past_class = np.arange(n_unknowns) >= row_classes(block)[:, None] * per_layer
     assert np.array_equal(block.coeffs, np.where(past_class, 0, row_bytes))
     assert rng.bit_generator.state == drawn.bit_generator.state
     one_by_one = np.random.default_rng(per_layer)
@@ -464,7 +470,7 @@ def test_block_encodes_on_two_threads_equal_serial_ones():
     finally:
         sys.setswitchinterval(interval)
     for alone, together in zip(serial, threaded):
-        assert np.array_equal(alone.offsets, together.offsets)
+        assert np.array_equal(alone.counts, together.counts)
         assert np.array_equal(alone.coeffs, together.coeffs)
         assert np.array_equal(alone.payload, together.payload)
 
@@ -482,16 +488,18 @@ def test_block_encode_equals_one_gop_encodes(scheme, size):
     alone = [encode_block(g[None], [s], scheme, one_by_one) for g, s in zip(grids, strategies)]
     mask = np.arange(len(block)) % 3 != 1
     picked = block.select(mask)
-    assert block.offsets.tolist() == [0] + np.cumsum([len(a) for a in alone]).tolist()
+    offsets = gop_offsets(block)
+    assert offsets.tolist() == [0] + np.cumsum([len(a) for a in alone]).tolist()
     for k, packets in enumerate(alone):
-        for name in ("depth", "payload", "coeffs", "column"):
+        assert np.array_equal(block.counts[k], packets.counts[0])
+        for name in ("payload", "coeffs", "column"):
             got, want = _rows(block, k, name), getattr(packets, name)
             assert (got is None) == (want is None) and np.array_equal(got, want), name
-        kept = packets.select(mask[block.offsets[k] : block.offsets[k + 1]])
-        assert np.array_equal(_rows(picked, k, "depth"), kept.depth)
+        kept = packets.select(mask[offsets[k] : offsets[k + 1]])
+        assert np.array_equal(picked.counts[k], kept.counts[0])
         assert np.array_equal(_rows(picked, k, "payload"), kept.payload)
-    assert picked.sizes.tolist() == [
-        int(np.count_nonzero(mask[a:b])) for a, b in zip(block.offsets, block.offsets[1:])
+    assert picked.counts.sum(axis=1).tolist() == [
+        int(np.count_nonzero(mask[a:b])) for a, b in zip(offsets, offsets[1:])
     ]
 
 def _random_block(rng):
@@ -507,12 +515,12 @@ def _random_block(rng):
     strategies = rng.integers(0, 3 * P, size=(G, L))
     strategies[rng.random(G) < 0.2] = 0
     block = encode_block(cells, strategies, scheme, rng)
-    odds = np.repeat(rng.uniform(0.2, 1.0, G), block.sizes)
+    odds = np.repeat(rng.uniform(0.2, 1.0, G), block.counts.sum(axis=1))
     copies = (rng.random(len(block)) < odds) * (1 + (rng.random(len(block)) < 0.3))
     block = block.select(np.repeat(np.arange(len(block)), copies))
     if block.column is not None:
-        gop = np.repeat(np.arange(G), block.sizes)
-        key = (gop * L + block.depth - 1) * P + block.column
+        gop = np.repeat(np.arange(G), block.counts.sum(axis=1))
+        key = (gop * L + row_classes(block) - 1) * P + block.column
         later = np.ones(len(block), dtype=bool)
         later[np.unique(key, return_index=True)[1]] = False
         block.payload[later] ^= 0xFF
@@ -525,20 +533,20 @@ def test_block_decode_equals_the_reference_decoder():
     for _ in range(400):
         block, L, P, s = _random_block(rng)
         depths, cells = decode_block(block)
-        assert depths.shape == (block.sizes.size,)
-        assert cells.shape == (block.sizes.size, L, P, s)
-        for k, (start, end) in enumerate(zip(block.offsets[:-1], block.offsets[1:])):
+        assert depths.shape == (len(block.counts),)
+        assert cells.shape == (len(block.counts), L, P, s)
+        offsets, classes = gop_offsets(block), row_classes(block)
+        for k, (start, end) in enumerate(zip(offsets[:-1], offsets[1:])):
             rows = slice(start, end)
             want_depth, want = decode_gop_reference(
-                block.scheme, block.depth[rows], block.payload[rows], L, P, s,
+                block.scheme, classes[rows], block.payload[rows], L, P, s,
                 coeffs=None if block.coeffs is None else block.coeffs[rows],
                 column=None if block.column is None else block.column[rows],
             )
             assert depths[k] == want_depth and np.array_equal(cells[k], want)
-            counts = np.bincount(block.depth[rows], minlength=L + 1)[1:]
             if end == start:
                 seen.add("empty")
-            elif block.scheme == SCHEME_RLC and want_depth < decodable_layers(counts, P):
+            elif block.scheme == SCHEME_RLC and want_depth < decodable_layers(block.counts[k], P):
                 seen.add("rank-deficient")
             elif 0 < want_depth < L:
                 seen.add(f"partial {block.scheme} s={min(s, 1)}")
@@ -559,9 +567,10 @@ def test_decode_stacks_split_at_the_byte_bound(size, monkeypatch):
     block = encode_block(cells, strategies, SCHEME_RLC, np.random.default_rng(3))
     kept = rng.random(len(block)) < 0.7
     empty = [0, 7, 8, 23]
-    kept[np.isin(np.repeat(np.arange(24), block.sizes), empty)] = False
+    kept[np.isin(np.repeat(np.arange(24), block.counts.sum(axis=1)), empty)] = False
     block = block.select(kept)
-    n_systems, n_rows = int(np.count_nonzero(block.sizes)), int(block.sizes.max())
+    sizes = block.counts.sum(axis=1)
+    n_systems, n_rows = int(np.count_nonzero(sizes)), int(sizes.max())
     stacks = []
 
     def recorded(aug, n_unknowns):
@@ -631,7 +640,7 @@ def test_sampled_depths_follow_the_decoder_law(per_layer, counts, n_gops, monkey
     cells = np.zeros((n_gops, layers, per_layer, 0), dtype=np.uint8)
     block = encode_block(cells, [counts] * n_gops, SCHEME_RLC, np.random.default_rng(61))
     decoded = decode_block(block)[0]
-    sampled = sample_depths(codec._class_counts(block), per_layer, np.random.default_rng(62))
+    sampled = sample_depths(block.counts, per_layer, np.random.default_rng(62))
     want = np.bincount(decoded, minlength=layers + 1) / n_gops
     got = np.bincount(sampled, minlength=layers + 1) / n_gops
     se = np.sqrt((want * (1 - want) + got * (1 - got)) / n_gops)
@@ -640,27 +649,42 @@ def test_sampled_depths_follow_the_decoder_law(per_layer, counts, n_gops, monkey
 
 @settings(max_examples=150, deadline=None)
 @given(
+    scheme=st.sampled_from(SCHEMES),
     layers=st.integers(min_value=1, max_value=5),
     per_layer=st.integers(min_value=1, max_value=9),
     n_gops=st.integers(min_value=1, max_value=300),
     empty=st.sampled_from([0.0, 0.3, 1.0]),
     keep=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    by_index=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_surviving_counts_are_the_class_counts_of_the_selected_rows(
-    layers, per_layer, n_gops, empty, keep, seed
+    scheme, layers, per_layer, n_gops, empty, keep, by_index, seed
 ):
-    # a run that carries class counts instead of rows must see, after each
-    # link, the counts a block of rows would have after select; empty
-    # GOPs, and a mask that keeps nothing, included
+    # a block's counts are the per-(GOP, class) tally of its rows after a
+    # mask or a non-decreasing index array, which may repeat a row; and a
+    # run that carries counts instead of rows must see, after each link,
+    # the counts a block of rows has after select. Empty GOPs, and a
+    # selection that keeps nothing, included
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 3 * per_layer, size=(n_gops, layers))
     counts[rng.random(n_gops) < empty] = 0
-    block = class_block(counts, per_layer)
+    cells = np.zeros((n_gops, layers, per_layer, 0), dtype=np.uint8)
+    block = encode_block(cells, counts, scheme, np.random.default_rng(seed))
+    assert np.array_equal(block.counts, counts)
+    gop = np.repeat(np.arange(n_gops), counts.sum(axis=1))
+    run = gop * layers + row_classes(block) - 1
     mask = rng.random(len(block)) < keep
-    want = codec._class_counts(block.select(mask))
-    assert np.array_equal(surviving_counts(counts, mask), want)
-    assert np.array_equal(codec._class_counts(block), counts)
+    rows = np.flatnonzero(mask)
+    if by_index:
+        rows = np.repeat(rows, rng.integers(1, 3, rows.size))
+        picked = block.select(rows)
+    else:
+        picked = block.select(mask)
+        assert np.array_equal(surviving_counts(counts, mask), picked.counts)
+    want = np.bincount(run[rows], minlength=counts.size).reshape(counts.shape)
+    assert np.array_equal(picked.counts, want)
+    assert len(picked) == rows.size
 
 
 def test_surviving_counts_need_one_mask_entry_per_packet():
@@ -695,7 +719,7 @@ def test_block_samples_what_its_gops_sample_one_by_one():
     block = class_block(sizes, 1)
     block = block.select(rng.random(len(block)) < 0.8)
     whole, alone = np.random.default_rng(65), np.random.default_rng(65)
-    counts = codec._class_counts(block)
+    counts = block.counts
     depths = sample_depths(counts, 1, whole)
     one_by_one = [sample_depths(row[None], 1, alone)[0] for row in counts]
     assert depths.tolist() == one_by_one
@@ -738,7 +762,7 @@ def test_sampled_depths_equal_the_stepped_sampler(layers, per_layer, n_gops, p, 
         return np.random.default_rng(seed + 1) if p is None else StandIn(seed + 1, p)
 
     mine, theirs = generator(), generator()
-    got = sample_depths(codec._class_counts(block), per_layer, mine)
+    got = sample_depths(block.counts, per_layer, mine)
     want = reference_sample_depths(block, theirs)
     assert got.tolist() == want.tolist()
     assert mine.bit_generator.state == theirs.bit_generator.state

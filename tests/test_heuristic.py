@@ -16,7 +16,7 @@ def _picks(policy, estimates):
     checked against the oracle's interval walk."""
     n, width = len(estimates), len(policy.strategies[0])
     block = class_block(pick_strategies(policy, estimates, [width] * n), 1)
-    picks = sent_strategies(block, width)
+    picks = sent_strategies(block)
     assert picks == [select_strategy(policy, e) for e in estimates]
     return picks
 

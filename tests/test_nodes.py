@@ -61,14 +61,14 @@ def test_sender_with_fixed_strategy_never_selects():
     assert policy.budget == 6
     for estimate in (0.05, 0.5, 1.0):
         packets = _send(policy, [_grid()], [estimate], np.random.default_rng(0), SCHEME_REPEAT)
-        assert sent_strategies(packets, 3) == [(2, 2, 2)]
+        assert sent_strategies(packets) == [(2, 2, 2)]
         assert packets.scheme == SCHEME_REPEAT and len(packets) == 6
 
 
 def test_sender_emits_full_budget(small_table):
     packets = _send(small_table, [_grid()], [1.0], np.random.default_rng(0))
     assert len(packets) == small_table.budget == 8
-    (strategy,) = sent_strategies(packets, 3)
+    (strategy,) = sent_strategies(packets)
     assert strategy == small_table.best_strategy(19)
 
 
@@ -83,9 +83,9 @@ def test_encoder_picks_each_gop_from_the_estimate_in_force(small_table):
     one_by_one = [_send(small_table, [grid], [e], alone) for e in estimates]
     lossless, lossy = small_table.best_strategy(19), small_table.best_strategy(0)
     assert lossless != lossy
-    assert [sent_strategies(b, 3)[0] for b in one_by_one] == [lossless] * 3 + [lossy]
+    assert [sent_strategies(b)[0] for b in one_by_one] == [lossless] * 3 + [lossy]
     block = _send(small_table, [grid] * 4, estimates, np.random.default_rng(0))
-    assert sent_strategies(block, 3) == [lossless] * 3 + [lossy]
+    assert sent_strategies(block) == [lossless] * 3 + [lossy]
     assert np.array_equal(block.coeffs, np.concatenate([b.coeffs for b in one_by_one]))
 
 
@@ -108,7 +108,7 @@ def test_forward_relay_is_transparent(default_table, monkeypatch):
     config = ChainConfig(link_pdrs=(1.0,) * 3, gop_count=5, verify_payloads=True)
     run(config, table=default_table)
     ((a,), (b,)) = sent, received
-    for name in ("offsets", "depth", "payload", "coeffs"):
+    for name in ("counts", "payload", "coeffs"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -135,7 +135,7 @@ def test_sender_strategy_refreshes_on_period(default_table, monkeypatch):
 def test_sender_with_policy():
     grid = make_synthetic_gop(0, 4, 8, 16, seed=0)
     packets = _send(builtin_policy(3), [grid], [1.0], np.random.default_rng(0))
-    assert sent_strategies(packets, 4) == [(40, 8, 8, 8)]
+    assert sent_strategies(packets) == [(40, 8, 8, 8)]
 
 
 def test_nc_relay_reencodes_full_budget(small_table):
@@ -144,7 +144,7 @@ def test_nc_relay_reencodes_full_budget(small_table):
     assert depths.tolist() == [3]
     out = _encode(small_table, cells, [1.0], depths, np.random.default_rng(0))
     assert len(out) == 8
-    assert out.offsets.tolist() == [0, 8]
+    assert out.counts.sum(axis=1).tolist() == [8]
 
 
 def test_nc_relay_never_encodes_past_decoded_depth(small_table):
@@ -154,7 +154,7 @@ def test_nc_relay_never_encodes_past_decoded_depth(small_table):
     assert depths.tolist() == [1]
     out = _encode(small_table, cells, [1.0], depths, np.random.default_rng(0))
     assert len(out) == 8
-    assert (out.depth == 1).all()
+    assert out.counts.tolist() == [[8, 0, 0]]
 
 
 def test_nc_relay_empty_input(small_table):
@@ -162,7 +162,7 @@ def test_nc_relay_empty_input(small_table):
     depths, cells = decode_block(empty)
     assert depths.tolist() == [0]
     out = _encode(small_table, cells, [1.0], depths, np.random.default_rng(0))
-    assert len(out) == 0 and out.sizes.tolist() == [0]
+    assert len(out) == 0 and out.counts.tolist() == [[0, 0, 0]]
     # a GOP that lost everything sends nothing, draws no coefficients, and leaves
     # its neighbours be
     cells = np.stack([_grid()] * 3)
@@ -170,7 +170,7 @@ def test_nc_relay_empty_input(small_table):
     block = encode_block(cells, strategies, SCHEME_RLC, np.random.default_rng(0))
     depths, decoded = decode_block(block)
     out = _encode(small_table, decoded, [1.0] * 3, depths, np.random.default_rng(5))
-    assert out.sizes.tolist() == [8, 0, 8]
+    assert out.counts.sum(axis=1).tolist() == [8, 0, 8]
     rng = np.random.default_rng(5)
     full = _encode(small_table, decoded[[0, 2]], [1.0] * 2, depths[[0, 2]], rng)
     assert np.array_equal(out.coeffs, full.coeffs)
@@ -186,7 +186,8 @@ def test_encoder_block_needs_one_estimate_and_depth_per_gop(small_table):
             _encode(small_table, cells, estimates, depths, rng)
     with pytest.raises(ValueError, match="one strategy of 3 classes per grid"):
         _encode(small_table, cells, [0.7] * 3, [3] * 3, rng)
-    assert _encode(small_table, cells, [0.7] * 2, [3, 3], rng).sizes.tolist() == [8, 8]
+    out = _encode(small_table, cells, [0.7] * 2, [3, 3], rng)
+    assert out.counts.sum(axis=1).tolist() == [8, 8]
 
 
 def test_policy_encoder_refuses_a_partial_depth():
@@ -211,7 +212,7 @@ def test_encoders_refuse_an_estimate_outside_the_unit_interval(selector, default
     for estimate in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             _encode(chosen, cells, [0.5, estimate], [4, 4], rng)
-    assert _encode(chosen, cells, [0.0, 1.0], [4, 4], rng).sizes.tolist() == [64, 64]
+    assert _encode(chosen, cells, [0.0, 1.0], [4, 4], rng).counts.sum(axis=1).tolist() == [64, 64]
 
 
 def test_full_depth_relay_sends_what_the_sender_sends_under_a_tied_best_row(default_table):
@@ -225,7 +226,7 @@ def test_full_depth_relay_sends_what_the_sender_sends_under_a_tied_best_row(defa
     cells = np.zeros((len(bins), 4, 8, 0), dtype=np.uint8)
     picks = [default_table.best_strategy(b) for b in range(len(bins))]
     block = _encode(default_table, cells, bins, [4] * len(bins), np.random.default_rng(0))
-    assert sent_strategies(block, 4) == picks
+    assert sent_strategies(block) == picks
 
 
 def test_receiver_counts_and_reset():
@@ -234,15 +235,21 @@ def test_receiver_counts_and_reset():
     # the second GOP gets only the deeper classes, [0, 2, 2]; nothing of the
     # first GOP's counts may carry over into its score
     arrived = packets.select(np.r_[0:8, 12:16])
-    assert arrived.sizes.tolist() == [8, 4]
+    assert arrived.counts.tolist() == [[4, 2, 2], [0, 2, 2]]
     assert score_block(arrived).tolist() == [3, 0]
 
 
 def test_receiver_rejects_overdeep_packet():
-    for scheme in (SCHEME_RLC, SCHEME_XOR):
-        packets = encode_gop(_grid(), (0, 0, 2), scheme, seed=0)
-        with pytest.raises(ValueError, match="exceeds layer_count 2"):
-            replace(packets.select(np.arange(1)), layer_count=2)
+    # a class-3 RLC packet carries three layers' coefficients, which a
+    # block of two classes refuses; under xor a block's counts must name
+    # exactly the packets it holds
+    packets = encode_gop(_grid(), (0, 0, 2), SCHEME_RLC, seed=0).select(np.arange(1))
+    with pytest.raises(ValueError, match="need 4 coefficients, got 6"):
+        replace(packets, counts=[[0, 1]])
+    packets = encode_gop(_grid(), (0, 0, 2), SCHEME_XOR, seed=0).select(np.arange(1))
+    for counts in ([[0, 0, 2]], [[0, 0, 0]]):
+        with pytest.raises(ValueError, match="payload row"):
+            replace(packets, counts=counts)
 
 
 def test_receiver_verification_clean_path():
@@ -301,7 +308,7 @@ def test_receiver_score_against_real_decoding(scheme, strategy, seed, mask):
     (score,) = score_block(survivors)
     (depth,), (recovered,) = decode_block(survivors)
     if scheme == SCHEME_RLC:
-        counts = np.bincount(survivors.depth, minlength=4)[1:].tolist()
+        counts = survivors.counts[0].tolist()
         generic = all(
             _gf_rank(survivors.coeffs[:, 2 * (shallowest - 1) :])
             == max_cover(counts, 2, shallowest)

@@ -36,7 +36,7 @@ def _picks(table, estimates):
     n, layers = len(estimates), table.layer_count
     picked = pick_strategies(table, estimates, [layers] * n)
     block = class_block(picked, table.packets_per_layer)
-    picks = sent_strategies(block, layers)
+    picks = sent_strategies(block)
     assert picks == [select_best(table, e) for e in estimates]
     return picks
 
