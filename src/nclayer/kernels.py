@@ -156,15 +156,22 @@ def _swap_columns(block, a, b):
     block[:, b] = low
 
 
-def expected_layers_batch(strategies, pmf_rows, per_layer, steps=None):
+# Most bytes of one expected-depth step's state, reachable states x rows x
+# bins float64s, that expected_layers_batch steps at once. A pass steps over
+# every bin while its steps fit; from the first step that does not, it
+# finishes one chunk of bins at a time. A step keeps a few arrays of that
+# size live, so this bounds a table build's working memory whatever the
+# table's size. At B=64, L=4, P=8, g=4 only the 969-row steps split.
+TABLE_STEP_BYTES = 1 << 20
+
+
+def expected_layers_batch(strategies, pmf_rows, per_layer):
     """Mean decodable depth for each replica allocation in each delivery bin,
     exact arithmetic.
 
     ``pmf_rows`` is one bin's square Binomial pmf rows (n, n), giving values
     of shape (strategies,), or a (bins, n, n) stack of them, giving
-    (strategies, bins). ``steps`` is ``count_steps(strategies)``, for a
-    caller that reduces the same strategies over several stacks of bins;
-    it is computed here when not given.
+    (strategies, bins).
 
     Reception of class i is a binomial count r_i; depth i is decodable exactly
     when the deficit walk G_i = max(G_{i-1} - r_i + per_layer, 0) sits at zero,
@@ -173,55 +180,121 @@ def expected_layers_batch(strategies, pmf_rows, per_layer, steps=None):
 
     The forward occupancy after class i depends only on a strategy's first i
     counts, and the backward vector from class i on only on its later counts,
-    so each pass advances one (L*P+1, rows, bins) array holding one row per
+    so each pass advances one (states, rows, bins) array holding one row per
     distinct count prefix (or suffix) and one column per bin, each step
     starting from its parent prefix's row, taken with ``take(parent,
     axis=1)`` (a fancy index on the middle axis returns a transposed,
     non-contiguous copy). With the state axis outermost each state is one
     contiguous plane of rows x bins values, so a shifted multiply-add runs
-    over whole planes. The value reads only state zero of each pass's last
-    step, so that step computes state zero alone, and the deficit after
-    class i is at most i * per_layer, so each forward step multiplies and
-    adds only the states that can be nonzero and each backward step computes
-    only the states the next one reads. Within a step, outcome r updates the
-    rows whose class count reaches r, each weighted from its own binomial row
-    in every bin. Every element sees the floating-point operations of a
-    strategy-at-a-time walk in one bin that skips zero weights, in the same
-    order: multiply, then accumulate in ascending r, where a zero weight the
-    walk skips, or a state the trimmed step skips, adds an exact zero. A
-    spill into state zero is the walk's numpy sum of the full zero-padded
-    run of states it covers, added in numpy's order for a run of that length
+    over whole planes. A pass steps over every bin at once while a step's
+    state fits ``TABLE_STEP_BYTES``; from the first step that does not, it
+    runs its remaining steps one chunk of bins at a time, depth first. Each
+    step keeps its state-zero row per prefix (or suffix) row, and the value
+    is formed from those rows a chunk of bins at a time.
+
+    The value reads only state zero of each pass's last step, so that step
+    computes state zero alone, and the deficit after class i is at most i *
+    per_layer, so each forward step holds only the states that can be
+    nonzero and each backward step computes only the states the next one
+    reads. Within a step, outcome r updates the rows whose class count
+    reaches r, each weighted from its own binomial row in every bin. Every
+    element sees the floating-point operations of a strategy-at-a-time walk
+    in one bin that skips zero weights, in the same order: multiply, then
+    accumulate in ascending r, where a zero weight the walk skips, or a
+    state the trimmed step skips, adds an exact zero. A spill into state
+    zero is the walk's numpy sum of the full zero-padded run of states it
+    covers, added in numpy's order for a run of that length
     (``_prefix_sums``), since a sum in another order or of another length
     can round differently. So the values are bit-identical to that walk
-    whatever the batch and the stack hold.
+    however the bins are stacked or chunked.
     """
     strategies = np.asarray(strategies, dtype=np.int64)
     n_strategies, n_layers = strategies.shape
-    forward, backward = count_steps(strategies) if steps is None else steps
+    forward, backward = _count_steps(strategies)
     stack = pmf_rows if pmf_rows.ndim == 3 else pmf_rows[None]
     # weights[n, r] holds the Binomial(n, p) pmf at r of every bin
     weights = np.moveaxis(stack, 0, -1)
     n_bins = stack.shape[0]
     n_states = n_layers * per_layer + 1
-    zero_occupancy = np.zeros((n_layers + 1, n_strategies, n_bins))
-    f = np.zeros((n_states, 1, n_bins))
-    f[0] = 1.0
-    for i, (parent, counts, node) in enumerate(forward, 1):
-        # states above the reachable deficit (i - 1) * per_layer are zero
-        f = f[: (i - 1) * per_layer + 1].take(parent, axis=1)
-        width = n_states if i < n_layers else 1
-        f = _forward_step(f, counts, weights, per_layer, width, n_states)
-        zero_occupancy[i] = f[0, node]
-    value = n_layers * zero_occupancy[n_layers]
-    bq = np.ones((n_states, 1, n_bins))
-    for i, (parent, counts, node) in zip(range(n_layers - 1, 0, -1), backward):
-        bq = bq.take(parent, axis=1)
-        bq = _backward_step(bq, counts, weights, per_layer, (i - 1) * per_layer + 1)
-        value += i * zero_occupancy[i] * bq[0, node]
+    # the deficit after class i is at most i * per_layer, and each pass's
+    # last step computes state zero alone
+    forward_zeros, forward_chunk = _pass(
+        np.ones((1, 1, n_bins)),
+        forward,
+        [i * per_layer + 1 for i in range(1, n_layers)] + [1],
+        lambda f, counts, w, width: _forward_step(f, counts, w, per_layer, width, n_states),
+        weights,
+    )
+    backward_zeros, backward_chunk = _pass(
+        np.ones((n_states, 1, n_bins)),
+        backward,
+        [(i - 1) * per_layer + 1 for i in range(n_layers - 1, 0, -1)],
+        lambda bq, counts, w, width: _backward_step(bq, counts, w, per_layer, width),
+        weights,
+    )
+    value = np.empty((n_strategies, n_bins))
+    chunk = min(forward_chunk, backward_chunk)
+    for lo in range(0, n_bins, chunk):
+        bins = slice(lo, lo + chunk)
+        _add_depths(value[:, bins], forward, forward_zeros(bins), backward, backward_zeros(bins))
     return value if pmf_rows.ndim == 3 else value[:, 0]
 
 
-def count_steps(strategies):
+def _add_depths(value, forward, f, backward, bq):
+    """Writes each strategy's mean depth over a slice of bins into ``value``
+    from the state-zero rows ``f`` and ``bq`` of every step of each pass,
+    adding depth L, L - 1, ..., 1 in the order of the strategy-at-a-time
+    walk."""
+    n_layers = len(forward)
+    value[...] = n_layers * f[-1][forward[-1][2]]
+    for i, zero, (_, _, node) in zip(range(n_layers - 1, 0, -1), bq, backward):
+        value += i * f[i - 1][forward[i - 1][2]] * zero[node]
+
+
+def _pass(state, steps, widths, advance, weights):
+    """Starts one pass of expected_layers_batch from a (states, 1, bins)
+    ``state``.
+
+    Each step takes its rows from their parents and ``advance``s them by
+    their class counts to ``width`` states. Steps run here over every bin
+    while their state, the larger of the states they start from and end
+    with, fits ``TABLE_STEP_BYTES``. Returns a function that gives every
+    step's state-zero row, (rows, bins), over a slice of bins, running the
+    remaining steps on those bins alone, and the most bins a slice may hold
+    for those steps to fit: every bin when no step is left, else at least
+    one.
+    """
+    n_bins = state.shape[2]
+    starts = [len(state)] + widths[:-1]
+    bin_bytes = [
+        8 * max(start, width) * len(parent)
+        for start, width, (parent, _, _) in zip(starts, widths, steps)
+    ]
+    split = next(
+        (j for j, size in enumerate(bin_bytes) if size * n_bins > TABLE_STEP_BYTES),
+        len(steps),
+    )
+
+    def run(state, first, last, bins):
+        zeros = []
+        for j in range(first, last):
+            parent, counts, _ = steps[j]
+            state = state.take(parent, axis=1)  # frees the last step's state
+            state = advance(state, counts, weights[..., bins], widths[j])
+            zeros.append(state[0].copy())
+        return state, zeros
+
+    state, zeros = run(state, 0, split, slice(None))
+
+    def zero_rows(bins):
+        return [zero[:, bins] for zero in zeros] + run(state[..., bins], split, len(steps), bins)[1]
+
+    if split == len(steps):
+        return zero_rows, n_bins
+    return zero_rows, max(1, TABLE_STEP_BYTES // max(bin_bytes[split:]))
+
+
+def _count_steps(strategies):
     """The rows of every step of both passes of expected_layers_batch.
 
     Returns the forward steps, over classes 1 to L, and the backward steps,

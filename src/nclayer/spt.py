@@ -19,16 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .codec import decodable_layers
-from .kernels import count_steps, expected_layers_batch
+from .kernels import expected_layers_batch
 
 PDR_BINS = tuple(round(0.05 * k, 2) for k in range(1, 21))
-
-# Most bytes of one step's DP state, strategies x bins x (L * P + 1) floats,
-# that build_table hands expected_layers_batch at once; a stack holds at
-# least one bin. A step keeps a few arrays of that size live, so this bounds
-# a build's memory whatever the table's size. At B=64, L=4, P=8, g=4 it is 4
-# of the 20 bins.
-TABLE_STACK_BYTES = 1 << 20
 
 _BIN_EPS = 1e-9
 _BRUTE_FORCE_CAP = 20
@@ -216,17 +209,11 @@ def build_table(
     if packets_per_layer < 1:
         raise ValueError(f"packets_per_layer must be positive, got {packets_per_layer}")
     strategies = enumerate_strategies(budget, layer_count, granularity)
-    matrix = np.asarray(strategies, dtype=np.int64)
-    values = np.zeros((len(strategies), len(PDR_BINS)))
-    steps = count_steps(matrix)
-    state_bytes = len(strategies) * (layer_count * packets_per_layer + 1) * 8
-    per_stack = max(1, TABLE_STACK_BYTES // state_bytes)
-    for lo in range(0, len(PDR_BINS), per_stack):
-        bins = PDR_BINS[lo : lo + per_stack]
-        rows = np.stack([_pmf_rows(budget, float(p)) for p in bins])
-        values[:, lo : lo + len(bins)] = expected_layers_batch(
-            matrix, rows, packets_per_layer, steps
-        )
+    # one call over every bin: the kernel runs its large steps a chunk of
+    # bins at a time, so kernels.TABLE_STEP_BYTES bounds a build's working
+    # memory whatever the table's size
+    rows = np.stack([_pmf_rows(budget, float(p)) for p in PDR_BINS])
+    values = expected_layers_batch(strategies, rows, packets_per_layer)
     return StrategyTable(
         budget=budget,
         layer_count=layer_count,

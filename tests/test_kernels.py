@@ -302,14 +302,16 @@ def test_rref_recovers_known_solution():
 
 def test_expected_layers_backends_agree_at_table_scale():
     # class counts up to the full budget stress the deficit walk's slice
-    # clamping, which only matters when a count exceeds the state space; the
-    # numpy kernel must match the per-strategy reference bit for bit in every
-    # bin, so no table argmax can move with the kernel
+    # clamping, which only matters when a count exceeds the state space. A
+    # build hands the kernel all 20 bins in one call, so that call must match
+    # the per-strategy reference bit for bit in every bin, and no table
+    # argmax can move with the kernel
     strategies = np.asarray(enumerate_strategies(64, 4, 4), dtype=np.int64)
-    for p in PDR_BINS:
-        rows = _pmf_rows(64, float(p))
+    stack = np.stack([_pmf_rows(64, float(p)) for p in PDR_BINS])
+    got = expected_layers_batch(strategies, stack, 8)
+    for b, rows in enumerate(stack):
         ref = expected_layers_reference(strategies, rows, 8)
-        assert np.array_equal(expected_layers_batch(strategies, rows, 8), ref), p
+        assert np.array_equal(got[:, b], ref), PDR_BINS[b]
 
 
 def test_expected_layers_numpy_matches_reference_on_random_shapes():
@@ -428,24 +430,51 @@ def test_expected_layers_stack_of_bins_matches_per_bin_calls():
         )
 
 
+def _recording(name, step, steps):
+    """``step`` that appends (pass, rows, bins, states out) to ``steps``."""
+
+    def wrapped(f, *args):
+        out = step(f, *args)
+        # each pass's state is (states, rows, bins)
+        steps.append((name, f.shape[1], f.shape[2], out.shape[0]))
+        return out
+
+    return wrapped
+
+
+def test_expected_layers_values_do_not_depend_on_the_step_budget(monkeypatch):
+    # at a budget of 1 byte every step runs one bin at a time, and past any
+    # table's state no step splits; either way each element sees the same
+    # operations, so the values equal those at the default budget bit for bit
+    stack = np.stack([_pmf_rows(64, float(p)) for p in PDR_BINS])
+    cases = [("standard", np.asarray(enumerate_strategies(64, 4, 4)), stack, 8)]
+    for name, strategies, per_layer in _shared_prefix_sets():
+        top = int(strategies.max())
+        stack = np.stack([_pmf_rows(top, p) for p in (0.0, 0.37, 1.0, 0.81)])
+        cases.append((name, strategies, stack, per_layer))
+    for name, strategies, stack, per_layer in cases:
+        want = expected_layers_batch(strategies, stack, per_layer)
+        for budget, bins in ((1, 1), (1 << 40, len(stack))):
+            steps = []
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "TABLE_STEP_BYTES", budget)
+                for step in ("_forward_step", "_backward_step"):
+                    patch.setattr(kernels, step, _recording(step, getattr(kernels, step), steps))
+                got = expected_layers_batch(strategies, stack, per_layer)
+            assert np.array_equal(got, want), (name, budget)
+            assert {b for _, _, b, _ in steps} == {bins}, (name, budget)
+
+
 def test_expected_layers_runs_once_per_shared_prefix_and_suffix(monkeypatch):
-    # a standard build hands the kernel its 20 bins in stacks of
-    # TABLE_STACK_BYTES of step state, one call each, and finds the count
-    # steps once for all of them: 4 forward and 3 backward. Every call's
-    # forward pass steps over the 17 distinct first counts, the 153 distinct
-    # first two and the 969 first three, and its backward pass over the 17
+    # a standard build makes one kernel call over its 20 bins and finds the
+    # count steps once: 4 forward and 3 backward. The forward pass steps over
+    # the 17 distinct first counts and the 153 distinct first two once for
+    # every bin; the 969-row steps hold more than TABLE_STEP_BYTES of state
+    # over 20 bins, so each runs once per chunk of 5 bins, depth first, with
+    # the backward pass's 969-row step. The backward pass steps over the 17
     # and 153 distinct last counts, computing only the 17 and 9 states the
     # next step reads; each pass's last step returns state zero alone
     steps, calls, extends = [], [], []
-
-    def recording(name, step):
-        def wrapped(f, *args):
-            out = step(f, *args)
-            # each pass's state is (states, rows, bins)
-            steps.append((name, f.shape[1], f.shape[2], out.shape[0]))
-            return out
-
-        return wrapped
 
     def counted(extend):
         def wrapped(*args):
@@ -454,30 +483,32 @@ def test_expected_layers_runs_once_per_shared_prefix_and_suffix(monkeypatch):
 
         return wrapped
 
-    def kernel(strategies, pmf_rows, *args):
+    def kernel(strategies, pmf_rows, per_layer):
         calls.append(pmf_rows.shape[0])
-        return expected_layers_batch(strategies, pmf_rows, *args)
+        return expected_layers_batch(strategies, pmf_rows, per_layer)
 
-    monkeypatch.setattr(kernels, "_forward_step", recording("forward", kernels._forward_step))
-    monkeypatch.setattr(kernels, "_backward_step", recording("backward", kernels._backward_step))
+    for name, step in (("forward", "_forward_step"), ("backward", "_backward_step")):
+        monkeypatch.setattr(kernels, step, _recording(name, getattr(kernels, step), steps))
     monkeypatch.setattr(kernels, "_extend", counted(kernels._extend))
     monkeypatch.setattr(spt, "expected_layers_batch", kernel)
     spt.build_table(64, 4, 8, 4)
-    per_stack = spt.TABLE_STACK_BYTES // (969 * 33 * 8)
-    assert per_stack > 1
-    full, rest = divmod(len(PDR_BINS), per_stack)
-    assert calls == [per_stack] * full + [rest] * (rest > 0)
+    assert calls == [len(PDR_BINS)]
     assert len(extends) == 7
-    expected = []
-    for bins in calls:
+    # the largest split step starts from or ends with 25 reachable states
+    chunk = kernels.TABLE_STEP_BYTES // (25 * 969 * 8)
+    assert 153 * 17 * 8 * len(PDR_BINS) <= kernels.TABLE_STEP_BYTES
+    assert chunk == 5
+    expected = [
+        ("forward", 17, 20, 9),
+        ("forward", 153, 20, 17),
+        ("backward", 17, 20, 17),
+        ("backward", 153, 20, 9),
+    ]
+    for _ in range(0, len(PDR_BINS), chunk):
         expected += [
-            ("forward", 17, bins, 33),
-            ("forward", 153, bins, 33),
-            ("forward", 969, bins, 33),
-            ("forward", 969, bins, 1),
-            ("backward", 17, bins, 17),
-            ("backward", 153, bins, 9),
-            ("backward", 969, bins, 1),
+            ("forward", 969, chunk, 25),
+            ("forward", 969, chunk, 1),
+            ("backward", 969, chunk, 1),
         ]
     assert steps == expected
 
