@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 validation/config error, 2 self-test failure.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 
@@ -50,6 +52,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def cmd_spt_build(args) -> int:
+    # a path the table cannot be written to is refused before the build
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     start = time.perf_counter()
     table = build_table(
         budget=args.budget,

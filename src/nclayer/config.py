@@ -49,7 +49,6 @@ def _parse_schedule_entry(text: str) -> tuple[int, int, float]:
 KEY_REGISTRY: dict[str, tuple[str, Callable]] = {
     "chain.links": ("link_pdrs", _parse_float_tuple),
     "chain.relays": ("relay_modes", _parse_str_tuple),
-    "chain.link_delays": ("link_delays", _parse_float_tuple),
     "media.layers": ("layer_count", int),
     "media.packets": ("packets_per_layer", int),
     "media.payload": ("payload_size", int),
@@ -67,7 +66,6 @@ KEY_REGISTRY: dict[str, tuple[str, Callable]] = {
     "delay.transmit": ("transmit_delay", float),
     "delay.forward": ("forward_delay", float),
     "delay.recode": ("recode_delay", float),
-    "delay.table_build": ("table_build_charge", float),
     "delay.table_charging": ("table_charging", str),
 }
 

@@ -8,8 +8,10 @@ in the same loop: its sender repeats every source packet to fill the
 budget, so it selects nothing, builds no table and sends no probes. Delay
 is modelled per GOP as transmission time per packet put on a link, a
 store-and-forward charge per relay, and a recode charge on top for
-re-encoding relays; building a strategy table is charged once per run or
-once per re-encoding node, depending on policy.
+re-encoding relays. A run with a re-encoding relay is also charged
+TABLE_BUILD_CHARGE for building the strategy table, once or once per
+re-encoding relay, depending on policy; a run whose relays all forward
+pays nothing for it.
 
 run() carries GOPs through the chain in blocks of GOP_BLOCK, segment by
 segment: the sender's segment for every GOP of the block, then each
@@ -94,12 +96,15 @@ CSV_HEADER = "mode,hop_count,link_pdr,measured_pdr,npr,audl,delay,seed"
 # a 1000-GOP verified re-encoding run traces a 4.8 MB peak against 2.5 MB.
 GOP_BLOCK = 256
 
+# The delay, in seconds like recode_delay, that a run with a re-encoding
+# relay is charged for building the strategy table the relay selects from.
+TABLE_BUILD_CHARGE = 60.0
+
 
 @dataclass
 class ChainConfig:
     link_pdrs: tuple[float, ...] = (1.0,)
     relay_modes: tuple[str, ...] = ()
-    link_delays: tuple[float, ...] = ()
     layer_count: int = 4
     packets_per_layer: int = 8
     payload_size: int = 64
@@ -114,7 +119,6 @@ class ChainConfig:
     transmit_delay: float = 0.001
     forward_delay: float = 0.005
     recode_delay: float = 60.0
-    table_build_charge: float = 60.0
     table_charging: str = "amortized"
     seed: int = 0
     verify_payloads: bool = False
@@ -138,13 +142,6 @@ class ChainConfig:
             )
         if any(m not in RELAY_MODES for m in self.relay_modes):
             raise ValueError(f"relay modes must be in {RELAY_MODES}, got {self.relay_modes}")
-        if self.link_delays:
-            self.link_delays = tuple(float(d) for d in self.link_delays)
-            if len(self.link_delays) != len(self.link_pdrs):
-                raise ValueError(
-                    f"{len(self.link_pdrs)} links need {len(self.link_pdrs)} delays, "
-                    f"got {len(self.link_delays)}"
-                )
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.scheme == SCHEME_REPEAT and MODE_NC in self.relay_modes:
@@ -169,11 +166,9 @@ class ChainConfig:
                 f"granularity {self.granularity} must be positive and divide "
                 f"the budget {self.budget}"
             )
-        for name in ("transmit_delay", "forward_delay", "recode_delay", "table_build_charge"):
+        for name in ("transmit_delay", "forward_delay", "recode_delay"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not all(d >= 0.0 for d in self.link_delays):
-            raise ValueError(f"link_delays must be non-negative, got {self.link_delays}")
         if self.selection == "heuristic" and self.scheme != SCHEME_REPEAT:
             # every GOP spends the budget over layer_count classes, so a
             # policy must spend exactly it over exactly those
@@ -328,7 +323,6 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     # each link, which the schedule changes, is run()'s to keep
     link_rngs = [np.random.default_rng(child(i)) for i in range(hops)]
     pdr_now = np.array(config.link_pdrs)
-    link_delays = config.link_delays or (config.transmit_delay,) * hops
     if repeat:
         # every source packet, budget // (layer_count * packets_per_layer) times
         copies = (config.budget // config.layer_count,) * config.layer_count
@@ -408,7 +402,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             if not counted:
                 block = encode_block(source, counts, config.scheme, rng)
             for hop, mask in zip(segment, masks):
-                delays += sizes * link_delays[hop]
+                delays += sizes * config.transmit_delay
                 if counted:
                     counts = surviving_counts(counts, mask)
                 else:
@@ -441,7 +435,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     build_charge = 0.0
     if n_nc:
         multiplier = n_nc if config.table_charging == "per-node" else 1
-        build_charge = config.table_build_charge * multiplier
+        build_charge = TABLE_BUILD_CHARGE * multiplier
 
     sent_total = config.budget * config.gop_count
     audl = float(np.mean(per_gop_decoded)) if per_gop_decoded else 0.0
@@ -474,8 +468,7 @@ _MODE_PATTERNS = (
 def resolve_mode(mode: str, base: ChainConfig) -> ChainConfig:
     """The config of a sweep mode label: base with the mode's chain shape,
     selection and scheme, labelled with the mode. A chain of another hop
-    count than base's takes base's first link delivery on every link and
-    the default link delays.
+    count than base's takes base's first link delivery on every link.
 
     NoNC<k>    uncoded baseline (the repeat scheme) over k hops
     NC<k>      table-driven sender over k hops, relays forward (same as -E2E)
@@ -510,17 +503,15 @@ def resolve_mode(mode: str, base: ChainConfig) -> ChainConfig:
             f"unknown sweep mode {mode!r}; expected NoNC<k>, NC<k>[-E2E|-HBH[<m>]], "
             f"heuristic-<set>, or spt"
         )
-    shape = {}
-    if hops != base.hop_count:
-        shape = {"link_pdrs": (base.link_pdrs[0],) * hops, "link_delays": ()}
+    link_pdrs = base.link_pdrs if hops == base.hop_count else (base.link_pdrs[0],) * hops
     return replace(
         base,
+        link_pdrs=link_pdrs,
         relay_modes=relay_modes,
         selection=selection,
         heuristic_set=heuristic_set,
         scheme=scheme,
         label=mode.strip(),
-        **shape,
     )
 
 
@@ -539,8 +530,8 @@ def sweep(
 ) -> list[dict]:
     """Runs every (pdr, mode, repetition) combination and returns one row per
     run, in task order regardless of how many workers execute them. Each row
-    runs every link at its grid delivery with the default link delays, so a
-    base with a pdr_schedule or link_delays is refused."""
+    runs every link at its grid delivery, so a base with a pdr_schedule is
+    refused."""
     if not len(pdr_grid):
         raise ValueError("pdr grid is empty")
     if any(not 0.0 <= p <= 1.0 for p in pdr_grid):
@@ -549,12 +540,11 @@ def sweep(
         raise ValueError("mode list is empty")
     if reps < 1 or jobs < 1:
         raise ValueError(f"reps and jobs must be positive, got {reps}, {jobs}")
-    for name, key in (("pdr_schedule", "schedule.<n>"), ("link_delays", "chain.link_delays")):
-        if getattr(base, name):
-            raise ValueError(
-                f"sweep runs each link at its grid delivery with default delays; "
-                f"base {name} ({key}) {getattr(base, name)} would not run"
-            )
+    if base.pdr_schedule:
+        raise ValueError(
+            f"sweep runs each link at its grid delivery; base pdr_schedule "
+            f"(schedule.<n>) {base.pdr_schedule} would not run"
+        )
 
     resolved = [resolve_mode(m, base) for m in modes]
     shared_table: Optional[StrategyTable] = None

@@ -190,19 +190,29 @@ def expected_layers_reference(strategies, pmf_rows, per_layer):
     those after it, so each is stepped once per count prefix or suffix and
     looked up by it after that; the steps and the sums are those of
     walking every strategy afresh.
+
+    Like the kernel it takes one bin's (n, n) pmf rows, giving values of
+    shape (strategies,), or a (bins, n, n) stack, giving (strategies, bins).
+    Each state is a C-contiguous (bins, states) array, stepped over every
+    bin at once, so a spill is still numpy's sum of a contiguous run. An
+    outcome is skipped only where its weight is zero in every bin; in any
+    other bin a zero weight adds an exact +0.0, since every term is finite
+    and non-negative, so each bin's values are those of walking it alone.
     """
+    stack = pmf_rows if pmf_rows.ndim == 3 else pmf_rows[None]
     n_strategies, n_layers = strategies.shape
+    n_bins = stack.shape[0]
     n_states = n_layers * per_layer + 1
-    start = np.zeros(n_states)
-    start[0] = 1.0
+    start = np.zeros((n_bins, n_states))
+    start[:, 0] = 1.0
     forward = {(): start}
-    backward = {(): np.ones(n_states)}
+    backward = {(): np.ones((n_bins, n_states))}
 
     def forward_state(prefix):
         if prefix not in forward:
             c = prefix[-1]
             forward[prefix] = _forward_step(
-                forward_state(prefix[:-1]), pmf_rows[c][: c + 1], per_layer
+                forward_state(prefix[:-1]), stack[:, c, : c + 1], per_layer
             )
         return forward[prefix]
 
@@ -210,59 +220,59 @@ def expected_layers_reference(strategies, pmf_rows, per_layer):
         if suffix not in backward:
             c = suffix[0]
             backward[suffix] = _backward_step(
-                backward_state(suffix[1:]), pmf_rows[c][: c + 1], per_layer
+                backward_state(suffix[1:]), stack[:, c, : c + 1], per_layer
             )
         return backward[suffix]
 
-    out = np.zeros(n_strategies)
+    out = np.zeros((n_strategies, n_bins))
     for s in range(n_strategies):
         counts = tuple(int(x) for x in strategies[s])
-        zero_occupancy = [forward_state(counts[:i])[0] for i in range(n_layers + 1)]
+        zero_occupancy = [forward_state(counts[:i])[:, 0] for i in range(n_layers + 1)]
         value = n_layers * zero_occupancy[n_layers]
         for i in range(n_layers - 1, 0, -1):
-            value += i * zero_occupancy[i] * backward_state(counts[i:])[0]
+            value += i * zero_occupancy[i] * backward_state(counts[i:])[:, 0]
         out[s] = value
-    return out
+    return out if pmf_rows.ndim == 3 else out[:, 0]
 
 
 def _forward_step(f, pmf, per_layer):
-    n_states = f.size
-    new = np.zeros(n_states)
-    spill = 0.0
-    for r in range(pmf.size):
-        pr = pmf[r]
-        if pr == 0.0:
+    n_states = f.shape[1]
+    new = np.zeros_like(f)
+    spill = np.zeros(f.shape[0])
+    for r in range(pmf.shape[1]):
+        pr = pmf[:, r, None]
+        if not pr.any():
             continue
         shift = per_layer - r
         if shift > 0:
-            new[shift:] += pr * f[: n_states - shift]
+            new[:, shift:] += pr * f[:, : n_states - shift]
         elif shift == 0:
             new += pr * f
         else:
             drop = -shift
-            spill += pr * float(f[: drop + 1].sum())
+            spill += pr[:, 0] * f[:, : drop + 1].sum(axis=1)
             if drop + 1 < n_states:
-                new[1 : n_states - drop] += pr * f[drop + 1 :]
-    new[0] += spill
+                new[:, 1 : n_states - drop] += pr * f[:, drop + 1 :]
+    new[:, 0] += spill
     return new
 
 
 def _backward_step(bq, pmf, per_layer):
-    n_states = bq.size
-    new = np.zeros(n_states)
-    for r in range(pmf.size):
-        pr = pmf[r]
-        if pr == 0.0:
+    n_states = bq.shape[1]
+    new = np.zeros_like(bq)
+    for r in range(pmf.shape[1]):
+        pr = pmf[:, r, None]
+        if not pr.any():
             continue
         shift = per_layer - r
         if shift > 0:
-            new[: n_states - shift] += pr * bq[shift:]
+            new[:, : n_states - shift] += pr * bq[:, shift:]
         elif shift == 0:
-            new[1:] += pr * bq[1:]
+            new[:, 1:] += pr * bq[:, 1:]
         else:
             drop = -shift
             if drop + 1 < n_states:
-                new[drop + 1 :] += pr * bq[1 : n_states - drop]
+                new[:, drop + 1 :] += pr * bq[:, 1 : n_states - drop]
     return new
 
 
@@ -448,7 +458,7 @@ def reference_run(config, table=None):
     )
     from nclayer.heuristic import builtin_policy
     from nclayer.media import make_synthetic_gop
-    from nclayer.simulator import RunMetrics
+    from nclayer.simulator import TABLE_BUILD_CHARGE, RunMetrics
     from nclayer.spt import build_table
 
     hops = config.hop_count
@@ -485,7 +495,6 @@ def reference_run(config, table=None):
             budget=config.budget, layer_count=L, packets_per_layer=P,
             granularity=config.granularity,
         )
-    delays = config.link_delays or (config.transmit_delay,) * hops
     rngs = [np.random.default_rng(child) for child in link_children]
     pdrs = list(config.link_pdrs)
     policy = builtin_policy(config.heuristic_set)
@@ -554,7 +563,7 @@ def reference_run(config, table=None):
                 else:
                     current = encode(decoded, strategy, position)
             for hop in segment:
-                delay += len(current) * delays[hop]
+                delay += len(current) * config.transmit_delay
                 if len(current):
                     current = current.select(draw(hop, len(current)))
                 if hop < n_relays:
@@ -579,7 +588,7 @@ def reference_run(config, table=None):
     build_charge = 0.0
     if nc:
         multiplier = len(nc) if config.table_charging == "per-node" else 1
-        build_charge = config.table_build_charge * multiplier
+        build_charge = TABLE_BUILD_CHARGE * multiplier
     default_label = "uncoded" if repeat else f"{config.selection}-{config.scheme}"
     metrics = RunMetrics(
         label=config.label or f"{default_label}-{hops}hop",

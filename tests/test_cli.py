@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from nclayer import cli
 from nclayer.cli import main
 from nclayer.simulator import CSV_HEADER
 from nclayer.spt import build_table
@@ -57,6 +58,24 @@ def test_spt_build_is_byte_reproducible(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("where, message", [
+    ("", "Is a directory"),
+    ("nodir/t.txt", "No such file or directory"),
+])
+def test_spt_build_refuses_an_out_path_it_cannot_write_before_the_build(
+    tmp_path, capsys, monkeypatch, where, message
+):
+    # a directory, or a file in a missing directory, would fail only once
+    # the table was built and printed
+    built = []
+    monkeypatch.setattr(cli, "build_table", lambda **kwargs: built.append(kwargs))
+    out = str(tmp_path / where)
+    assert main(["spt-build", "--out", out]) == 1
+    printed = capsys.readouterr()
+    assert f"{message}: {out!r}" in printed.err and printed.out == ""
+    assert built == [] and list(tmp_path.iterdir()) == []
 
 
 def test_spt_build_rejects_bad_granularity(tmp_path, capsys):
@@ -258,7 +277,6 @@ def test_sweep_rejects_bad_grid(capsys):
 
 @pytest.mark.parametrize("setting, key", [
     ("schedule.1=0,0,0.2", "pdr_schedule (schedule.<n>)"),
-    ("chain.link_delays=0.5", "link_delays (chain.link_delays)"),
 ])
 def test_sweep_refuses_a_base_its_rows_would_not_run_with(tmp_path, capsys, setting, key):
     out = tmp_path / "sweep.csv"
@@ -266,6 +284,25 @@ def test_sweep_refuses_a_base_its_rows_would_not_run_with(tmp_path, capsys, sett
             "--modes", "NC3-E2E", "--out", str(out)]
     assert main(args) == 1
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["chain.link_delays", "delay.table_build"])
+def test_deleted_run_options_are_unknown_keys(tmp_path, capsys, key):
+    # every link charges delay.transmit per packet and the table build
+    # charge is fixed, so a config that names either option is refused
+    # rather than run without it
+    path = tmp_path / "run.cfg"
+    path.write_text(f"run.gops = 2\n{key} = 0.5\n")
+    assert main(["simulate", "--config", str(path)]) == 1
+    printed = capsys.readouterr()
+    assert f"line 2: unknown key {key!r}" in printed.err and printed.out == ""
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--set", "run.gops=5", "--set", f"{key}=0.5", "--pdr-grid", "0.9",
+            "--modes", "NC3-E2E", "--out", str(out)]
+    assert main(args) == 1
+    printed = capsys.readouterr()
+    assert f"override '{key}=0.5': unknown key {key!r}" in printed.err and printed.out == ""
     assert not out.exists()
 
 

@@ -13,7 +13,6 @@ FULL_TEXT = """
 # three hops, middle relay re-encodes
 chain.links = 0.9, 0.8, 0.7
 chain.relays = forward, nc
-chain.link_delays = 0.001, 0.002, 0.003
 media.layers = 4
 media.packets = 8
 media.payload = 32
@@ -31,7 +30,6 @@ run.label = demo
 delay.transmit = 0.002
 delay.forward = 0.01
 delay.recode = 30
-delay.table_build = 45
 delay.table_charging = per-node
 schedule.1 = 5, 0, 0.5
 schedule.0 = 2, 2, 0.1
@@ -43,7 +41,6 @@ def test_full_document_parses():
     config = ChainConfig(**kwargs)
     assert config.link_pdrs == (0.9, 0.8, 0.7)
     assert config.relay_modes == ("forward", "nc")
-    assert config.link_delays == (0.001, 0.002, 0.003)
     assert config.scheme == "xor"
     assert config.selection == "heuristic"
     assert config.heuristic_set == 2
@@ -173,8 +170,6 @@ def test_load_config_names_the_key_of_a_refused_value(tmp_path):
         ("delay.forward = -3\n", "delay.forward"),
         ("delay.recode = -60\n", "delay.recode"),
         ("delay.transmit = -0.001\n", "delay.transmit"),
-        ("delay.table_build = -1\n", "delay.table_build"),
-        ("chain.links = 0.9, 0.9\nchain.link_delays = 0.001, -0.001\n", "chain.link_delays"),
         ("coding.budget = -5\n", "coding.budget"),
         # every builtin threshold set spends 64 packets per GOP
         ("coding.budget = 32\nselect.method = heuristic\n", "coding.budget"),

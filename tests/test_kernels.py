@@ -59,7 +59,9 @@ def test_matmul_empty_inner_dimension():
 
 
 def test_matmul_zero_width_payload():
-    # runs that carry no payload bytes still multiply coefficients through
+    # an unverified run makes no rows and encode_block skips the multiply
+    # when the payload is zero bytes wide, but a zero-width product is still
+    # well formed
     rng = np.random.default_rng(9)
     coeffs = rng.integers(0, 256, (5, 4), dtype=np.uint8)
     data = rng.integers(0, 256, (4, 6), dtype=np.uint8)
@@ -309,9 +311,9 @@ def test_expected_layers_backends_agree_at_table_scale():
     strategies = np.asarray(enumerate_strategies(64, 4, 4), dtype=np.int64)
     stack = np.stack([_pmf_rows(64, float(p)) for p in PDR_BINS])
     got = expected_layers_batch(strategies, stack, 8)
-    for b, rows in enumerate(stack):
-        ref = expected_layers_reference(strategies, rows, 8)
-        assert np.array_equal(got[:, b], ref), PDR_BINS[b]
+    ref = expected_layers_reference(strategies, stack, 8)
+    for b, p in enumerate(PDR_BINS):
+        assert np.array_equal(got[:, b], ref[:, b]), p
 
 
 def test_expected_layers_numpy_matches_reference_on_random_shapes():
@@ -350,17 +352,16 @@ def test_expected_layers_shared_prefixes_match_reference_in_any_order():
     # the kernel runs each pass once per distinct count prefix or suffix, so
     # sets that share most of them, in any row order and with duplicates,
     # must still match the per-strategy walk bit for bit, and permuting the
-    # rows must permute the values exactly
+    # rows must permute the values exactly, in a stack of p = 0, 1 and 0.37
     rng = np.random.default_rng(12)
     for name, strategies, per_layer in _shared_prefix_sets():
-        for p in (0.0, 1.0, 0.37):
-            rows = _pmf_rows(int(strategies.max()), p)
-            got = expected_layers_batch(strategies, rows, per_layer)
-            ref = expected_layers_reference(strategies, rows, per_layer)
-            assert np.array_equal(got, ref), (name, p)
-            perm = rng.permutation(len(strategies))
-            permuted = expected_layers_batch(strategies[perm], rows, per_layer)
-            assert np.array_equal(permuted, got[perm]), (name, p)
+        stack = np.stack([_pmf_rows(int(strategies.max()), p) for p in (0.0, 1.0, 0.37)])
+        got = expected_layers_batch(strategies, stack, per_layer)
+        ref = expected_layers_reference(strategies, stack, per_layer)
+        assert np.array_equal(got, ref), name
+        perm = rng.permutation(len(strategies))
+        permuted = expected_layers_batch(strategies[perm], stack, per_layer)
+        assert np.array_equal(permuted, got[perm]), name
 
 
 def test_prefix_sums_add_in_numpys_order():
@@ -390,30 +391,29 @@ def test_prefix_sums_add_in_numpys_order():
                 assert np.array_equal(sums.send(k), want), (trial, top, n, k)
 
 
-def _stacked_matches_per_bin(strategies, stack, per_layer):
+def _stacked_matches_per_bin(expected_layers, strategies, stack, per_layer):
     """The (strategies, bins) values of a stack of bins, checked column by
     column against one 2-D call per bin, bit for bit."""
-    got = expected_layers_batch(strategies, stack, per_layer)
+    got = expected_layers(strategies, stack, per_layer)
     assert got.shape == (len(strategies), len(stack))
     for b, rows in enumerate(stack):
-        single = expected_layers_batch(strategies, rows, per_layer)
+        single = expected_layers(strategies, rows, per_layer)
         assert single.shape == (len(strategies),)
         if not np.array_equal(got[:, b], single):
             return False
     return True
 
 
-def test_expected_layers_stack_of_bins_matches_per_bin_calls():
-    # a stack of bins steps every bin's plane with the same operations as a
-    # call on that bin alone, and skips the same unreachable states, so each
-    # column equals the 2-D call bit for bit: p = 0 and p = 1 planes, whose
-    # weights are mostly exact zeros, ride beside random ones, counts run
-    # past the L*P+1 deficit states, and L=1 has no backward pass
+def _bin_stacks():
+    """Stacks of bins, each with its strategies and per-layer count: p = 0
+    and p = 1 planes, whose weights are mostly exact zeros, ride beside
+    random ones, counts run past the L*P+1 deficit states, and L=1 has no
+    backward pass."""
     rng = np.random.default_rng(13)
     for name, strategies, per_layer in _shared_prefix_sets():
         top = int(strategies.max())
         stack = np.stack([_pmf_rows(top, p) for p in (0.0, 0.37, 1.0, 0.81)])
-        assert _stacked_matches_per_bin(strategies, stack, per_layer), name
+        yield name, strategies, stack, per_layer
     for trial in range(60):
         layers = 1 if trial % 10 == 0 else int(rng.integers(1, 6))
         per_layer = int(rng.integers(1, 5))
@@ -422,12 +422,25 @@ def test_expected_layers_stack_of_bins_matches_per_bin_calls():
         kinds = rng.integers(0, 3, int(rng.integers(1, 6)))
         ps = [(0.0, 1.0, float(rng.random()))[kind] for kind in kinds]
         stack = np.stack([_pmf_rows(int(strategies.max()), p) for p in ps])
-        assert _stacked_matches_per_bin(strategies, stack, per_layer), (
-            trial,
-            strategies.tolist(),
-            ps,
-            per_layer,
-        )
+        yield (trial, strategies.tolist(), ps, per_layer), strategies, stack, per_layer
+
+
+def test_expected_layers_stack_of_bins_matches_per_bin_calls():
+    # a stack of bins steps every bin's plane with the same operations as a
+    # call on that bin alone, and skips the same unreachable states, so each
+    # column equals the 2-D call bit for bit
+    for name, strategies, stack, per_layer in _bin_stacks():
+        assert _stacked_matches_per_bin(expected_layers_batch, strategies, stack, per_layer), name
+
+
+def test_expected_layers_reference_stack_matches_per_bin_calls():
+    # the reference skips an outcome only where its weight is zero in every
+    # bin of the stack; in the others it adds an exact +0.0, so stacking the
+    # bins the kernel is checked against changes no bin's values
+    for name, strategies, stack, per_layer in _bin_stacks():
+        assert _stacked_matches_per_bin(
+            expected_layers_reference, strategies, stack, per_layer
+        ), name
 
 
 def _recording(name, step, steps):

@@ -1,5 +1,6 @@
-"""README.md's Quick start must run as written, and every name of the
-package or the test suite it cites must exist."""
+"""README.md's Quick start must run as written, its config example must
+load, and every name of the package or the test suite it cites must
+exist."""
 
 import ast
 import importlib
@@ -8,7 +9,8 @@ import re
 from pathlib import Path
 
 import nclayer
-from nclayer.config import KEY_REGISTRY
+from nclayer.config import KEY_REGISTRY, parse_config_text
+from nclayer.simulator import ChainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -69,3 +71,12 @@ def test_readme_names_resolve():
             missing.append(f"tests/{file}.py::{name}")
     assert cited
     assert not missing, f"README.md cites names that do not exist: {missing}"
+
+
+def test_config_example_loads():
+    # every key of the README's config file must still be in the registry
+    # and its values must make a ChainConfig
+    block = re.search(r"^```ini\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert block, "README.md has no ini block"
+    config = ChainConfig(**parse_config_text(block.group(1)))
+    assert config.link_pdrs == (0.9, 0.8) and config.pdr_schedule == ((500, 1, 0.3),)

@@ -133,8 +133,6 @@ def test_chain_shape_validation():
         ChainConfig(link_pdrs=(0.9, 1.5))
     with pytest.raises(ValueError, match="selection"):
         ChainConfig(selection="oracle")
-    with pytest.raises(ValueError, match="delays"):
-        ChainConfig(link_pdrs=(1.0, 1.0), link_delays=(0.001,))
 
 
 def test_run_rejects_table_built_for_other_parameters(default_table):
@@ -254,12 +252,11 @@ def test_sweep_validation():
 @pytest.mark.parametrize("setting", [
     {"pdr_schedule": ((0, 0, 0.2),)},
     {"pdr_schedule": ((0, 2, 0.2),)},
-    {"link_delays": (0.5, 0.5, 0.5)},
 ])
 def test_sweep_refuses_a_base_its_rows_would_not_run_with(setting, monkeypatch):
-    # every row runs each link at the grid delivery with the default delays,
-    # so a base schedule or link delays would be reported but not run; the
-    # schedule on link 2 would also leave NC2 naming a link it lacks
+    # every row runs each link at the grid delivery, so a base schedule
+    # would be reported but not run; the schedule on link 2 would also
+    # leave NC2 naming a link it lacks
     built = []
     monkeypatch.setattr(simulator, "build_table", lambda **kwargs: built.append(kwargs))
     base = ChainConfig(link_pdrs=(0.9,) * 3, gop_count=5, **setting)
@@ -284,12 +281,12 @@ def test_sweep_resolves_every_mode_before_building_a_table(monkeypatch):
 
 
 def test_resolve_mode_gives_the_config_a_sweep_runs():
-    base = ChainConfig(link_pdrs=(0.8, 0.6), link_delays=(0.1, 0.2), seed=4)
+    base = ChainConfig(link_pdrs=(0.8, 0.6), transmit_delay=0.002, seed=4)
     same = resolve_mode("NC2-HBH", base)
-    assert same.link_pdrs == base.link_pdrs and same.link_delays == base.link_delays
+    assert same.link_pdrs == base.link_pdrs
     assert (same.label, same.relay_modes, same.seed) == ("NC2-HBH", ("nc",), 4)
     longer = resolve_mode(" NoNC3 ", base)
-    assert longer.link_pdrs == (0.8,) * 3 and longer.link_delays == ()
+    assert longer.link_pdrs == (0.8,) * 3 and longer.transmit_delay == 0.002
     assert longer.label == "NoNC3" and longer.needs_table is False
 
 
@@ -623,7 +620,7 @@ def _random_config(rng, index):
     return ChainConfig(
         link_pdrs=tuple(float(p) for p in rng.choice([0.5, 0.7, 0.9, 1.0], size=hops)),
         relay_modes=relay_modes,
-        link_delays=tuple(float(d) for d in rng.choice([0.001, 0.002], size=hops)),
+        transmit_delay=float(rng.choice([0.001, 0.002])),
         payload_size=16,
         scheme=scheme,
         selection=str(rng.choice(["spt", "heuristic"])),
@@ -730,9 +727,7 @@ def test_verified_run_counts_short_and_wrong_decodes(monkeypatch):
 
 
 def test_negative_delays_are_refused():
-    for name in ("transmit_delay", "forward_delay", "recode_delay", "table_build_charge"):
+    for name in ("transmit_delay", "forward_delay", "recode_delay"):
         with pytest.raises(ValueError, match=name):
             ChainConfig(**{name: -1.0})
-    with pytest.raises(ValueError, match="link_delays"):
-        ChainConfig(link_pdrs=(0.9, 0.9), link_delays=(0.001, -0.002))
     assert ChainConfig(forward_delay=0.0, recode_delay=0.0).forward_delay == 0.0
