@@ -25,8 +25,9 @@ work on the whole block as arrays.
 
 A block whose coefficients and payloads no one reads is fully described
 by its counts, so the functions that read only classes take the counts
-alone: surviving_counts gives the counts a link's survival mask keeps,
-with no rows made (a masked select takes its counts from it),
+alone: surviving_counts reads the counts that cross a link from the
+link's running survivor count, one cumulative sum of its survival mask,
+with no rows made (a masked select takes its counts from it too),
 decodable_layers_batch scores them by the count rule, and sample_depths
 draws decode_block's RLC depths from them; score_block is the block form
 of the count rule.
@@ -146,7 +147,13 @@ class PacketBlock:
         GOP or to none, so each raises ValueError."""
         n = len(self)
         if rows.dtype == bool:
-            counts = surviving_counts(self.counts, rows)
+            if rows.shape != (n,):
+                raise ValueError(
+                    f"a mask needs one entry per packet, {n}, got shape {rows.shape}"
+                )
+            kept = np.zeros(n + 1, dtype=np.int32)
+            rows.cumsum(out=kept[1:])
+            counts = surviving_counts(self.counts, kept)
             rows = np.flatnonzero(rows)
         elif (rows[1:] < rows[:-1]).any():
             raise ValueError(f"index rows must be non-decreasing, got {rows.tolist()}")
@@ -190,19 +197,16 @@ def decodable_layers_batch(count_rows: np.ndarray, packets_per_layer: int) -> np
     """Vectorized decodable depth for an array of reception-count rows.
 
     The trailing-window checks collapse to a running-maximum test on the walk
-    W_i = sum(counts[:i]) - i * packets_per_layer: depth i qualifies exactly
-    when W_i touches the running maximum of W_0..W_i with W_0 = 0.
+    W_i = sum(counts[:i]) - i * packets_per_layer with W_0 = 0: depth i
+    qualifies exactly when W_i equals the running maximum of W_0..W_i, which
+    depth 0 always does, so the deepest depth that does is the answer.
     """
-    count_rows = np.asarray(count_rows, dtype=np.int64)
-    walk = np.cumsum(count_rows - packets_per_layer, axis=1)
-    prior = np.concatenate(
-        [np.zeros((walk.shape[0], 1), dtype=np.int64), walk[:, :-1]], axis=1
-    )
-    prior_max = np.maximum(np.maximum.accumulate(prior, axis=1), 0)
-    qualifies = walk >= prior_max
-    any_depth = qualifies.any(axis=1)
-    last = count_rows.shape[1] - np.argmax(qualifies[:, ::-1], axis=1)
-    return np.where(any_depth, last, 0)
+    count_rows = np.asarray(count_rows)
+    rows, layers = count_rows.shape
+    walk = np.zeros((rows, layers + 1), dtype=np.int64)
+    (count_rows - packets_per_layer).cumsum(axis=1, out=walk[:, 1:])
+    qualifies = walk == np.maximum.accumulate(walk, axis=1)
+    return layers - qualifies[:, ::-1].argmax(axis=1)
 
 
 def encode_gop(
@@ -354,21 +358,24 @@ def sample_depths(counts: np.ndarray, packets_per_layer: int, rng) -> np.ndarray
     return depths
 
 
-def surviving_counts(counts: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The rows of each run that a mask keeps, where counts holds each run's
-    rows and the runs lie one after another in its row-major order, as
-    encode_block lays out a block's rows: GOP by GOP, each GOP's classes
-    shallow first. On such a block's class counts it is
-    block.select(mask).counts, with no rows made. A mask of another length
-    than the rows raises ValueError."""
+def surviving_counts(counts: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The rows of each run that survive, where counts holds each run's rows
+    and the runs lie one after another in its row-major order, and kept is
+    the running survivor count of those rows: kept[i] survivors among the
+    first i, kept[0] = 0. On a block's class counts, whose rows encode_block
+    lays out GOP by GOP, each GOP's classes shallow first, it is
+    block.select(mask).counts for the mask kept counts, with no rows made;
+    on a (GOPs, 1 + layers) layout of each GOP's probes and then its
+    classes, as a link draws them, it gives both at once. A kept of another
+    length than one more than the rows raises ValueError."""
     runs = counts.ravel()
     ends = runs.cumsum()
     n = int(ends[-1]) if ends.size else 0
-    if mask.shape != (n,):
-        raise ValueError(f"a mask needs one entry per packet, {n}, got shape {mask.shape}")
-    # kept[i]: survivors among the first i rows, read at each run's ends
-    kept = np.zeros(n + 1, dtype=np.int64)
-    mask.cumsum(out=kept[1:])
+    if kept.shape != (n + 1,):
+        raise ValueError(
+            f"a running count needs one entry per row and one more, {n + 1}, "
+            f"got shape {kept.shape}"
+        )
     return (kept[ends] - kept[ends - runs]).reshape(counts.shape)
 
 

@@ -23,11 +23,14 @@ makes one draw for the block, covering each GOP's probes and then its
 packets, GOP by GOP. The probe estimates, strategy picks, per-hop delays
 and receiver scoring then run on the block, whose packets travel as each
 GOP's per-class counts: nodes.pick_strategies gives the counts an encoder
-sends, and codec.surviving_counts those that cross each link; a GOP is its
-row of the counts, and run() alone knows its number. Where a step reads
-more than classes, the packets travel as a PacketBlock, a block's class
-counts plus its rows: encode_block makes it from the pick, each link
-selects from it, and the selected block's counts are those in flight.
+sends. channel.send_block returns each link's running survivor count over
+its draws, one cumulative sum per link, and codec.surviving_counts reads
+from it, on each GOP's probes and then its classes, both as they reach the
+next hop; a GOP is its row of the counts, and run() alone knows its
+number. Where a step reads more than classes, the packets travel as a
+PacketBlock, a block's class counts plus its rows: encode_block makes it
+from the pick, each link selects from it the packets its running count
+kept, and the selected block's counts are those in flight.
 That is in a verified run, whose relays and receiver decode coefficients
 and payloads with decode_block, and under xor and repeat, whose depth is
 which columns arrived. An unverified RLC run makes no rows: its relays
@@ -263,6 +266,15 @@ def _block_pdrs(pdr_now, segment, gops, schedule) -> np.ndarray:
     return pdrs
 
 
+def _packets_kept(kept, probes, packets) -> np.ndarray:
+    """The survival mask of a block's packets over one link, from the
+    link's running survivor count kept over its draws: probes[k] probes and
+    then packets[k] packets for each GOP k."""
+    alive = kept[1:] != kept[:-1]
+    is_packet = np.tile(np.array([False, True]), probes.size)
+    return alive[np.repeat(is_packet, np.stack([probes, packets], axis=1).ravel())]
+
+
 def _check_table_matches(table: StrategyTable, config: ChainConfig) -> None:
     """A table built for other media or coding parameters would pick
     allocations for the wrong budget, so refuse it rather than run."""
@@ -384,8 +396,9 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             # every encoder spends the budget on each GOP it holds a layer
             # of, and sends nothing for the others
             sending = np.where(held > 0, config.budget, 0)
-            # one draw per link for the block: probes and packets, GOP by GOP
-            alive, masks = send_block([link_rngs[i] for i in segment], probes, sending, pdrs)
+            # one draw per link for the block: probes and packets, GOP by GOP;
+            # kept[j], link j's running survivor count over its draws
+            alive, kept = send_block([link_rngs[i] for i in segment], probes, sending, pdrs)
             # the sender's feedback, round(share * probes) / probes, is the
             # surviving share itself
             estimates = np.where(
@@ -394,20 +407,25 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             held_estimates[index] = float(estimates[-1])
             counts = pick_strategies(selector, estimates, held)
             sizes = counts.sum(axis=1)
-            if not np.array_equal(sizes, sending):
+            if (sizes != sending).any():
                 raise RuntimeError(
                     f"an encoder sent {sizes.tolist()} packets per GOP, "
                     f"its links drew for {sending.tolist()}"
                 )
             if not counted:
                 block = encode_block(source, counts, config.scheme, rng)
-            for hop, mask in zip(segment, masks):
+            # reached[k]: GOP k's probes that reach the hop. A link draws for
+            # them and then for the GOP's packets, class by class, so one read
+            # of its running count gives both as they reach the next hop
+            reached = probes
+            for hop, link_kept in zip(segment, kept):
                 delays += sizes * config.transmit_delay
-                if counted:
-                    counts = surviving_counts(counts, mask)
-                else:
-                    block = block.select(mask)
-                    counts = block.counts
+                if not counted:
+                    block = block.select(_packets_kept(link_kept, reached, sizes))
+                arrived = surviving_counts(
+                    np.concatenate([reached[:, None], counts], axis=1), link_kept
+                )
+                reached, counts = arrived[:, 0], arrived[:, 1:]
                 sizes = counts.sum(axis=1)
                 if hop < n_relays:
                     delays += config.forward_delay
@@ -438,7 +456,9 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         build_charge = TABLE_BUILD_CHARGE * multiplier
 
     sent_total = config.budget * config.gop_count
-    audl = float(np.mean(per_gop_decoded)) if per_gop_decoded else 0.0
+    # the exact integer sum, divided once: the float np.mean gives, without
+    # its array round trip
+    audl = sum(per_gop_decoded) / len(per_gop_decoded) if per_gop_decoded else 0.0
     default_label = "uncoded" if repeat else f"{config.selection}-{config.scheme}"
     return RunMetrics(
         label=config.label or f"{default_label}-{hops}hop",

@@ -73,9 +73,8 @@ def _comb_rows(max_count: int) -> np.ndarray:
     return rows
 
 
-# room for every bin of a table plus a few other probabilities; bounded, as
-# each distinct p passed to expected_decoded_layers would otherwise stay
-# cached for the life of the process
+# bounded, as each distinct p passed to expected_decoded_layers would
+# otherwise stay cached for the life of the process
 @lru_cache(maxsize=32)
 def _pmf_rows(max_count: int, p: float) -> np.ndarray:
     """Row n holds the Binomial(n, p) pmf, zero-padded to a square array.
@@ -91,6 +90,18 @@ def _pmf_rows(max_count: int, p: float) -> np.ndarray:
     rows = _comb_rows(max_count) * hits * misses[np.maximum(n[:, None] - n, 0)]
     rows.flags.writeable = False
     return rows
+
+
+# one budget's stack holds what the 20 per-bin rows of a build would, and
+# repeated builds, a sweep's or a benchmark's, then copy nothing
+@lru_cache(maxsize=1)
+def _pmf_stack(max_count: int) -> np.ndarray:
+    """The (bins, n, n) read-only stack of the _pmf_rows of every PDR_BINS
+    bin, made with the uncached function so that no bin's rows are held
+    twice."""
+    stack = np.stack([_pmf_rows.__wrapped__(max_count, float(p)) for p in PDR_BINS])
+    stack.flags.writeable = False
+    return stack
 
 
 def _check_inputs(strategy, delivery_prob, packets_per_layer):
@@ -212,8 +223,7 @@ def build_table(
     # one call over every bin: the kernel runs its large steps a chunk of
     # bins at a time, so kernels.TABLE_STEP_BYTES bounds a build's working
     # memory whatever the table's size
-    rows = np.stack([_pmf_rows(budget, float(p)) for p in PDR_BINS])
-    values = expected_layers_batch(strategies, rows, packets_per_layer)
+    values = expected_layers_batch(strategies, _pmf_stack(budget), packets_per_layer)
     return StrategyTable(
         budget=budget,
         layer_count=layer_count,
@@ -233,7 +243,8 @@ def nearest_bin(estimate):
     scaled = scaled * 20.0
     k = np.floor(scaled)
     k += scaled - k > 0.5 + _BIN_EPS
-    bins = np.clip(k, 1, 20).astype(np.intp) - 1
+    # scaled <= 20 keeps k <= 20, so only the lowest bin needs a bound
+    bins = np.maximum(k, 1).astype(np.intp) - 1
     return int(bins) if bins.ndim == 0 else bins
 
 

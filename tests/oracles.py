@@ -305,6 +305,36 @@ def probe_walk_pdr(rngs, pdrs, n_probes):
     return survived / n_probes
 
 
+def mask_counts(counts, mask):
+    """The survivors of each run of rows under a survival mask, run by run:
+    counts holds each run's rows, the runs one after another in its
+    row-major order, and mask one entry per row."""
+    counts = np.asarray(counts)
+    runs = counts.ravel()
+    assert mask.shape == (int(runs.sum()),)
+    parts = np.split(mask, np.cumsum(runs)[:-1]) if runs.size else []
+    return np.array([int(part.sum()) for part in parts], dtype=np.int64).reshape(counts.shape)
+
+
+def send_block_masks(rngs, probes, packets, pdrs):
+    """A block's crossing of the links as per-link packet masks: the probes
+    of each GOP that crossed every link, and per link the survival mask of
+    the packets that reached it. Each link draws one uniform per probe and
+    packet that reached it, GOP by GOP, probes first, in one call; pdrs[j]
+    is link j's probability, one value or one per GOP. The reference for
+    channel.send_block's running counts."""
+    runs = np.stack([np.asarray(probes), np.asarray(packets)], axis=1)
+    is_packet = np.tile(np.array([False, True]), runs.shape[0])
+    masks = []
+    for rng, link_pdrs in zip(rngs, pdrs):
+        if np.ndim(link_pdrs):
+            link_pdrs = np.repeat(np.repeat(link_pdrs, 2), runs.ravel())
+        alive = rng.random(int(runs.sum())) < link_pdrs
+        masks.append(alive[np.repeat(is_packet, runs.ravel())])
+        runs = mask_counts(runs, alive)
+    return runs[:, 0], masks
+
+
 def nearest_bin_reference(estimate):
     """Delivery bin of one estimate, in scalar arithmetic: the closest of
     0.05, 0.10, ..., 1.00, exact midpoints rounding down, as a 0-based

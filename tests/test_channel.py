@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclayer.channel import send_block
-from oracles import probe_walk_pdr
+from nclayer.codec import surviving_counts
+from oracles import mask_counts, probe_walk_pdr, send_block_masks
+
+
+def _survived(kept):
+    """Which of a link's draws survived, from its running survivor count."""
+    return np.diff(kept) > 0
 
 
 def _transmit(rng, pdr, packets):
     """The packets of one GOP that cross one link."""
-    _, (mask,) = send_block([rng], [0], [len(packets)], [[pdr]])
-    return packets[mask]
+    _, (kept,) = send_block([rng], [0], [len(packets)], [[pdr]])
+    return packets[_survived(kept)]
 
 
 def _probe(rngs, pdrs, n_probes):
@@ -76,6 +84,31 @@ def test_validation_errors():
         send_block([], [10], [0], [])
 
 
+def test_send_block_refuses_inputs_that_disagree():
+    # a pdrs row per link, a per-GOP row per GOP and probabilities in [0, 1]:
+    # anything else would cross fewer links than generators, drop a link's
+    # odds or compare uniforms with no probability at all
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    probes, packets = [5, 0], [10, 4]
+    for pdrs, match in (
+        ([[0.5, 0.5]], "one delivery probability row per link"),
+        ([0.5], "one delivery probability row per link"),
+        (np.full((4, 2), 0.5), "one delivery probability row per link"),
+        (np.full((3, 2, 1), 0.5), "one delivery probability row per link"),
+        (np.full((3, 1), 0.5), "one probability per GOP"),
+        (np.full((3, 3), 0.5), "one probability per GOP"),
+        ([0.5, 1.5, 0.5], r"lie in \[0, 1\]"),
+        ([0.5, -0.5, 0.5], r"lie in \[0, 1\]"),
+        ([[0.5, 0.5], [0.5, np.nan], [0.5, 0.5]], r"lie in \[0, 1\]"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            send_block(rngs, probes, packets, pdrs)
+    # nothing was drawn before the refusals
+    assert all(r.bit_generator.state == _after(i, 0) for i, r in enumerate(rngs))
+    alive, kept = send_block(rngs, probes, packets, [0.0, 1.0, 1.0])
+    assert alive.tolist() == [0, 0] and [k.size for k in kept] == [20, 1, 1]
+
+
 def test_chain_probe_matches_probe_walk():
     rng = np.random.default_rng(2013)
     for trial in range(60):
@@ -104,15 +137,18 @@ def test_block_draws_as_gops_sent_one_by_one():
         probes = rng.choice([0, 5, 100], size=gops)
         packets = rng.integers(0, 70, size=gops)
         block = [np.random.default_rng(s) for s in seeds]
-        alive, masks = send_block(block, probes, packets, pdrs)
+        alive, kept = send_block(block, probes, packets, pdrs)
         single = [np.random.default_rng(s) for s in seeds]
         per_gop = []
         for k in range(gops):
-            one_alive, one_masks = send_block(single, [probes[k]], [packets[k]], pdrs[:, [k]])
+            one_alive, one_kept = send_block(single, [probes[k]], [packets[k]], pdrs[:, [k]])
             assert alive[k] == one_alive[0]
-            per_gop.append(one_masks)
+            per_gop.append(one_kept)
         for j in range(hops):
-            assert np.array_equal(masks[j], np.concatenate([m[j] for m in per_gop]))
+            # the block's draws on link j are the GOPs' draws one after another
+            assert kept[j][0] == 0
+            want = np.concatenate([_survived(one[j]) for one in per_gop])
+            assert np.array_equal(_survived(kept[j]), want)
         for a, b in zip(block, single):
             assert a.bit_generator.state == b.bit_generator.state
 
@@ -129,11 +165,58 @@ def test_one_delivery_per_link_is_that_delivery_in_every_gop():
         packets = rng.integers(0, 70, size=gops)
         fixed = [np.random.default_rng(s) for s in seeds]
         rows = [np.random.default_rng(s) for s in seeds]
-        alive, masks = send_block(fixed, probes, packets, pdrs)
-        want_alive, want_masks = send_block(
+        alive, kept = send_block(fixed, probes, packets, pdrs)
+        want_alive, want_kept = send_block(
             rows, probes, packets, np.repeat(pdrs[:, None], gops, axis=1)
         )
         assert np.array_equal(alive, want_alive)
-        assert all(np.array_equal(a, b) for a, b in zip(masks, want_masks))
+        assert all(np.array_equal(a, b) for a, b in zip(kept, want_kept))
         for a, b in zip(fixed, rows):
             assert a.bit_generator.state == b.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hops=st.integers(min_value=1, max_value=4),
+    gops=st.integers(min_value=1, max_value=9),
+    layers=st.integers(min_value=1, max_value=4),
+    sends=st.sampled_from(["both", "no probes", "no packets"]),
+    per_gop=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_running_counts_give_each_hop_the_counts_of_the_packet_masks(
+    hops, gops, layers, sends, per_gop, seed
+):
+    # each hop's class counts, read from the link's running count over a
+    # layout of each GOP's probes and then its classes, are the counts the
+    # link's packet mask keeps in the mask oracle; the probes that reach the
+    # last hop's far end are those the oracle's probes say, and every link
+    # ends where the oracle leaves it. Empty classes, GOPs sending nothing
+    # and links that deliver always or never included
+    rng = np.random.default_rng(seed)
+    probes = rng.choice([0, 1, 5, 100], size=gops)
+    counts = rng.choice([0, 0, 1, 3, 8, 20], size=(gops, layers))
+    if sends == "no probes":
+        probes[:] = 0
+    elif sends == "no packets":
+        counts[:] = 0
+    shape = (hops, gops) if per_gop else (hops,)
+    pdrs = np.where(
+        rng.random(shape) < 0.4, rng.choice([0.0, 1.0], size=shape), rng.random(shape)
+    )
+    seeds = [int(s) for s in rng.integers(0, 2**32, size=hops)]
+    links = [np.random.default_rng(s) for s in seeds]
+    oracle = [np.random.default_rng(s) for s in seeds]
+    alive, kept = send_block(links, probes, counts.sum(axis=1), pdrs)
+    want_alive, masks = send_block_masks(oracle, probes, counts.sum(axis=1), pdrs)
+    reached = probes
+    for link_kept, mask in zip(kept, masks):
+        assert link_kept.dtype.itemsize <= 4
+        arrived = surviving_counts(np.concatenate([reached[:, None], counts], axis=1), link_kept)
+        want = mask_counts(counts, mask)
+        assert np.array_equal(arrived[:, 1:], want), (arrived, want)
+        reached, counts = arrived[:, 0], want
+    assert np.array_equal(reached, want_alive)
+    assert np.array_equal(alive, want_alive)
+    for a, b in zip(links, oracle):
+        assert a.bit_generator.state == b.bit_generator.state

@@ -681,19 +681,26 @@ def test_surviving_counts_are_the_class_counts_of_the_selected_rows(
         picked = block.select(rows)
     else:
         picked = block.select(mask)
-        assert np.array_equal(surviving_counts(counts, mask), picked.counts)
+        kept = np.concatenate([[0], np.cumsum(mask)])
+        assert np.array_equal(surviving_counts(counts, kept), picked.counts)
     want = np.bincount(run[rows], minlength=counts.size).reshape(counts.shape)
     assert np.array_equal(picked.counts, want)
     assert len(picked) == rows.size
 
 
 def test_surviving_counts_need_one_mask_entry_per_packet():
+    # a running count holds one entry per row and one more, as does a masked
+    # select's mask one per row
     counts = np.array([[2, 1], [0, 3]])
-    with pytest.raises(ValueError, match="one entry per packet"):
-        surviving_counts(counts, np.ones(5, dtype=bool))
-    assert surviving_counts(counts, np.array([1, 0, 1, 1, 0, 1], dtype=bool)).tolist() == [
-        [1, 1], [0, 2],
-    ]
+    for kept in (np.arange(6), np.arange(8)):
+        with pytest.raises(ValueError, match="one entry per row and one more"):
+            surviving_counts(counts, kept)
+    block = class_block(counts, 2)
+    for mask in (np.ones(5, dtype=bool), np.ones(7, dtype=bool)):
+        with pytest.raises(ValueError, match="one entry per packet"):
+            block.select(mask)
+    kept = np.array([0, 1, 1, 2, 3, 3, 4])
+    assert surviving_counts(counts, kept).tolist() == [[1, 1], [0, 2]]
 
 
 def test_sampled_depths_without_singular_draws_are_the_count_rule():

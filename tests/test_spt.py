@@ -9,6 +9,7 @@ from nclayer.spt import (
     PDR_BINS,
     _argmax_lex_largest,
     _pmf_rows,
+    _pmf_stack,
     brute_force_decoded_layers,
     build_table,
     enumerate_strategies,
@@ -133,16 +134,24 @@ def test_table_build_memory_is_bounded():
 def test_pmf_cache_stays_bounded_and_keeps_a_table_of_bins():
     # one exact value per distinct delivery probability must not keep every
     # pmf array for the life of the process, yet a table build must still
-    # find all of its bins cached from the build before
+    # find all of its bins cached from the build before: one read-only
+    # stack of every bin, no larger than the per-bin rows it is made of,
+    # which each build reads without copying and no single value evicts
     bound = _pmf_rows.cache_info().maxsize
     assert len(PDR_BINS) <= bound < 1000
     for p in np.linspace(0.001, 0.999, 1000):
         expected_decoded_layers((3, 2), float(p), 1)
     assert _pmf_rows.cache_info().currsize == bound
     build_table(budget=8, layer_count=2, packets_per_layer=2, granularity=4)
-    hits = _pmf_rows.cache_info().hits
+    stack = _pmf_stack(8)
+    hits = _pmf_stack.cache_info().hits
+    expected_decoded_layers((3, 2), 0.123, 1)
     build_table(budget=8, layer_count=2, packets_per_layer=2, granularity=4)
-    assert _pmf_rows.cache_info().hits == hits + len(PDR_BINS)
+    assert _pmf_stack.cache_info().hits == hits + 1
+    assert _pmf_stack.cache_info().currsize == _pmf_stack.cache_info().maxsize == 1
+    assert stack.shape == (len(PDR_BINS), 9, 9) and not stack.flags.writeable
+    for b, p in enumerate(PDR_BINS):
+        assert np.array_equal(stack[b], _pmf_rows(8, float(p)))
 
 
 def test_bins_cover_nominal_grid():
