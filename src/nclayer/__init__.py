@@ -1,6 +1,25 @@
 """Layered-video delivery over lossy multi-hop chains, with nested
 inter-layer coding, precomputed strategy tables, and a chain simulator."""
 
+import os as _os
+import sys as _sys
+
+# numpy loads OpenBLAS, which sizes its thread pool once, at load, at one
+# worker per core. nclayer makes no BLAS call (tests/test_startup.py scans
+# for one), so unless the caller has loaded numpy or chosen a thread
+# count, numpy is loaded here with one thread asked for, and the variable
+# is removed again, so child processes and os.environ see what the caller
+# left.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(
+    name in _os.environ for name in _BLAS_THREAD_VARIABLES
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .channel import send_block
 from .codec import (
     SCHEME_REPEAT,

@@ -162,6 +162,12 @@ class PacketBlock:
         else:
             runs = _row_runs(self.counts)[rows]
             counts = np.bincount(runs, minlength=self.counts.size).reshape(self.counts.shape)
+        return self._take(rows, counts)
+
+    def _take(self, rows: np.ndarray, counts: np.ndarray) -> "PacketBlock":
+        """The block of the rows a non-decreasing index array picks, given their
+        class counts, unchecked: select's result, for a caller that already
+        holds both."""
         out = object.__new__(PacketBlock)
         out.__dict__.update(
             scheme=self.scheme,

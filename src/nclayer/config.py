@@ -80,6 +80,8 @@ def _parse_entries(
     entry's `where`."""
     kwargs: dict = {}
     schedule: list[tuple[int, tuple[int, int, float]]] = []
+    # where each schedule index was first set
+    schedule_where: dict[int, str] = {}
     for where, text in entries:
         key, equals, value = text.partition("=")
         if not equals:
@@ -99,9 +101,13 @@ def _parse_entries(
                 kwargs[field_name] = convert(value)
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
-    orders = [o for o, _ in schedule]
-    if reject_duplicates and len(set(orders)) != len(orders):
-        raise ConfigError("duplicate schedule indices")
+        if is_schedule and reject_duplicates:
+            if order in schedule_where:
+                raise ConfigError(
+                    f"{where}: duplicate schedule index {order}, "
+                    f"first set on {schedule_where[order]}"
+                )
+            schedule_where[order] = where
     return kwargs, tuple(e for _, e in sorted(schedule))
 
 

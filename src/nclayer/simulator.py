@@ -267,12 +267,14 @@ def _block_pdrs(pdr_now, segment, gops, schedule) -> np.ndarray:
 
 
 def _packets_kept(kept, probes, packets) -> np.ndarray:
-    """The survival mask of a block's packets over one link, from the
-    link's running survivor count kept over its draws: probes[k] probes and
-    then packets[k] packets for each GOP k."""
+    """The rows of a block's packets that survive one link, in order, from
+    the link's running survivor count kept over its draws: probes[k] probes
+    and then packets[k] packets for each GOP k."""
     alive = kept[1:] != kept[:-1]
-    is_packet = np.tile(np.array([False, True]), probes.size)
-    return alive[np.repeat(is_packet, np.stack([probes, packets], axis=1).ravel())]
+    if probes.any():
+        # the block's packet i, of GOP k, is draw i plus the probes of GOPs 0..k
+        alive = alive[np.arange(packets.sum()) + np.repeat(probes.cumsum(), packets)]
+    return np.flatnonzero(alive)
 
 
 def _check_table_matches(table: StrategyTable, config: ChainConfig) -> None:
@@ -420,11 +422,11 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             reached = probes
             for hop, link_kept in zip(segment, kept):
                 delays += sizes * config.transmit_delay
-                if not counted:
-                    block = block.select(_packets_kept(link_kept, reached, sizes))
                 arrived = surviving_counts(
                     np.concatenate([reached[:, None], counts], axis=1), link_kept
                 )
+                if not counted:
+                    block = block._take(_packets_kept(link_kept, reached, sizes), arrived[:, 1:])
                 reached, counts = arrived[:, 0], arrived[:, 1:]
                 sizes = counts.sum(axis=1)
                 if hop < n_relays:

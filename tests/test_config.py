@@ -83,8 +83,10 @@ def test_missing_equals_rejected():
 def test_schedule_entry_shape_checked():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("schedule.0 = 5, 0.5\n")
-    with pytest.raises(ConfigError, match="duplicate"):
-        parse_config_text("schedule.0 = 1,0,0.5\nschedule.0 = 2,0,0.5\n")
+    with pytest.raises(
+        ConfigError, match=r"^line 3: duplicate schedule index 1, first set on line 1$"
+    ):
+        parse_config_text("schedule.1 = 0,0,0.5\nschedule.2 = 1,0,0.6\nschedule.1 = 3,0,0.7")
 
 
 def test_defaults_when_empty():
