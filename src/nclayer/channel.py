@@ -31,7 +31,8 @@ def send_block(
     probes before packets, in one call for the block: the same per-link
     stream as sending each GOP's probes and then its packets across the
     chain one at a time. pdrs[j, k] is link j's delivery probability during
-    GOP k; a pdrs of one value per link, pdrs[j], holds over the block. A
+    GOP k; a pdrs of one value per link, pdrs[j], holds over the block.
+    Probe and packet counts that are not one whole number per GOP each, a
     pdrs of another number of rows than links, a per-GOP row of another
     length than the GOPs, or a probability outside [0, 1] raises ValueError.
 
@@ -41,6 +42,18 @@ def send_block(
     """
     if not rngs:
         raise ValueError("need at least one link to send across")
+    probes, packets = np.asarray(probes), np.asarray(packets)
+    if probes.ndim != 1 or probes.shape != packets.shape:
+        raise ValueError(
+            f"need one probe count and one packet count per GOP, got shapes "
+            f"{probes.shape} and {packets.shape}"
+        )
+    # an empty list reads as floats, and a block of no GOPs draws nothing
+    if probes.size and not {probes.dtype.kind, packets.dtype.kind} <= {"i", "u"}:
+        raise ValueError(
+            f"probe and packet counts must be whole numbers, got {probes.dtype} "
+            f"and {packets.dtype}"
+        )
     probes = np.asarray(probes, dtype=np.int64)
     packets = np.asarray(packets, dtype=np.int64)
     if (probes < 0).any() or (packets < 0).any():

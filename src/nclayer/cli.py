@@ -111,7 +111,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = run_selftest(inject_gf_fault=args.inject_gf_fault)
+    results = run_selftest()
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.name}: {result.detail}")
@@ -161,11 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("selftest", help="run the built-in diagnostic suite")
-    p.add_argument(
-        "--inject-gf-fault",
-        action="store_true",
-        help="corrupt a table copy to prove the gf checks can fail",
-    )
     p.set_defaults(func=cmd_selftest)
     return parser
 

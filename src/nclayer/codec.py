@@ -27,10 +27,9 @@ A block whose coefficients and payloads no one reads is fully described
 by its counts, so the functions that read only classes take the counts
 alone: surviving_counts reads the counts that cross a link from the
 link's running survivor count, one cumulative sum of its survival mask,
-with no rows made (a masked select takes its counts from it too),
-decodable_layers_batch scores them by the count rule, and sample_depths
-draws decode_block's RLC depths from them; score_block is the block form
-of the count rule.
+with no rows made, decodable_layers_batch scores them by the count rule,
+and sample_depths draws decode_block's RLC depths from them; score_block
+is the block form of the count rule.
 
 Every RLC packet carries its coefficients, zero-padded to layer_count *
 packets_per_layer columns and drawn from the generator the encoder is
@@ -151,17 +150,13 @@ class PacketBlock:
                 raise ValueError(
                     f"a mask needs one entry per packet, {n}, got shape {rows.shape}"
                 )
-            kept = np.zeros(n + 1, dtype=np.int32)
-            rows.cumsum(out=kept[1:])
-            counts = surviving_counts(self.counts, kept)
             rows = np.flatnonzero(rows)
         elif (rows[1:] < rows[:-1]).any():
             raise ValueError(f"index rows must be non-decreasing, got {rows.tolist()}")
         elif rows.size and (rows[0] < 0 or rows[-1] >= n):
             raise ValueError(f"index rows must lie in [0, {n}), got {rows[0]}..{rows[-1]}")
-        else:
-            runs = _row_runs(self.counts)[rows]
-            counts = np.bincount(runs, minlength=self.counts.size).reshape(self.counts.shape)
+        runs = _row_runs(self.counts)[rows]
+        counts = np.bincount(runs, minlength=self.counts.size).reshape(self.counts.shape)
         return self._take(rows, counts)
 
     def _take(self, rows: np.ndarray, counts: np.ndarray) -> "PacketBlock":

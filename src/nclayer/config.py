@@ -66,7 +66,6 @@ KEY_REGISTRY: dict[str, tuple[str, Callable]] = {
     "delay.transmit": ("transmit_delay", float),
     "delay.forward": ("forward_delay", float),
     "delay.recode": ("recode_delay", float),
-    "delay.table_charging": ("table_charging", str),
 }
 
 _SCHEDULE_PREFIX = "schedule."

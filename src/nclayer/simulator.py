@@ -9,9 +9,8 @@ budget, so it selects nothing, builds no table and sends no probes. Delay
 is modelled per GOP as transmission time per packet put on a link, a
 store-and-forward charge per relay, and a recode charge on top for
 re-encoding relays. A run with a re-encoding relay is also charged
-TABLE_BUILD_CHARGE for building the strategy table, once or once per
-re-encoding relay, depending on policy; a run whose relays all forward
-pays nothing for it.
+TABLE_BUILD_CHARGE, once, for building the strategy table; a run whose
+relays all forward pays nothing for it.
 
 run() carries GOPs through the chain in blocks of GOP_BLOCK, segment by
 segment: the sender's segment for every GOP of the block, then each
@@ -83,7 +82,6 @@ from .nodes import MODE_FORWARD, MODE_NC, RELAY_MODES, pick_strategies
 from .spt import StrategyTable, build_table
 
 SELECTIONS = ("spt", "heuristic")
-CHARGING_POLICIES = ("amortized", "per-node")
 
 CSV_HEADER = "mode,hop_count,link_pdr,measured_pdr,npr,audl,delay,seed"
 
@@ -122,7 +120,6 @@ class ChainConfig:
     transmit_delay: float = 0.001
     forward_delay: float = 0.005
     recode_delay: float = 60.0
-    table_charging: str = "amortized"
     seed: int = 0
     verify_payloads: bool = False
     pdr_schedule: tuple[tuple[int, int, float], ...] = ()
@@ -151,10 +148,6 @@ class ChainConfig:
             raise ValueError("repeat packets are uncoded, so no relay can re-encode them")
         if self.selection not in SELECTIONS:
             raise ValueError(f"selection must be one of {SELECTIONS}, got {self.selection!r}")
-        if self.table_charging not in CHARGING_POLICIES:
-            raise ValueError(
-                f"table_charging must be one of {CHARGING_POLICIES}, got {self.table_charging!r}"
-            )
         for name in ("layer_count", "packets_per_layer", "payload_size", "budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -451,12 +444,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         per_gop_decoded.extend(scores.tolist())
         per_gop_delay.extend(delays.tolist())
 
-    n_nc = sum(1 for m in config.relay_modes if m == MODE_NC)
-    build_charge = 0.0
-    if n_nc:
-        multiplier = n_nc if config.table_charging == "per-node" else 1
-        build_charge = TABLE_BUILD_CHARGE * multiplier
-
+    build_charge = TABLE_BUILD_CHARGE if MODE_NC in config.relay_modes else 0.0
     sent_total = config.budget * config.gop_count
     # the exact integer sum, divided once: the float np.mean gives, without
     # its array round trip

@@ -196,9 +196,6 @@ class StrategyTable:
     def pdr_bins(self) -> tuple[float, ...]:
         return PDR_BINS
 
-    def best_strategy(self, bin_index: int) -> tuple[int, ...]:
-        return self.strategies[int(self.best_index[bin_index])]
-
 
 def _argmax_lex_largest(values: np.ndarray):
     """Index of the maximum along axis 0; among exact ties the later entry wins.

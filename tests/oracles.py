@@ -615,10 +615,7 @@ def reference_run(config, table=None):
         per_gop_decoded.append(score)
         per_gop_delay.append(delay)
 
-    build_charge = 0.0
-    if nc:
-        multiplier = len(nc) if config.table_charging == "per-node" else 1
-        build_charge = TABLE_BUILD_CHARGE * multiplier
+    build_charge = TABLE_BUILD_CHARGE if nc else 0.0
     default_label = "uncoded" if repeat else f"{config.selection}-{config.scheme}"
     metrics = RunMetrics(
         label=config.label or f"{default_label}-{hops}hop",

@@ -232,7 +232,6 @@ def test_c09_delay_model_ordering(default_table):
             link_pdrs=(1.0,) * hops,
             relay_modes=modes,
             gop_count=1,
-            table_charging="per-node",
         )
         return run(config, table=default_table).total_delay
 

@@ -109,6 +109,27 @@ def test_send_block_refuses_inputs_that_disagree():
     assert alive.tolist() == [0, 0] and [k.size for k in kept] == [20, 1, 1]
 
 
+def test_send_block_refuses_counts_that_are_not_one_whole_number_per_gop():
+    # counts of two lengths, a 2-D block, a fraction or a scalar would cross
+    # the wrong number of GOPs or silently round, so each is refused before
+    # any draw; integer counts of any width, and an empty block, still pass
+    rng = np.random.default_rng(0)
+    for probes, packets, match in (
+        ([5, 0], [10], "one probe count and one packet count per GOP"),
+        ([[5]], [[10]], "one probe count and one packet count per GOP"),
+        (5, 10, "one probe count and one packet count per GOP"),
+        ([5.5], [10], "whole numbers"),
+        ([5], [True], "whole numbers"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            send_block([rng], probes, packets, [0.5])
+    assert rng.bit_generator.state == _after(0, 0)
+    alive, (kept,) = send_block([rng], np.array([5], np.uint8), np.array([10], np.int32), [1.0])
+    assert alive.tolist() == [5] and kept[-1] == 15
+    alive, (kept,) = send_block([rng], [], [], [0.5])
+    assert alive.size == 0 and kept.tolist() == [0]
+
+
 def test_chain_probe_matches_probe_walk():
     rng = np.random.default_rng(2013)
     for trial in range(60):

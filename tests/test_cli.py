@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from nclayer import cli
+from nclayer import cli, selftest
 from nclayer.cli import main
 from nclayer.simulator import CSV_HEADER
 from nclayer.spt import build_table
@@ -287,11 +287,13 @@ def test_sweep_refuses_a_base_its_rows_would_not_run_with(tmp_path, capsys, sett
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["chain.link_delays", "delay.table_build"])
+@pytest.mark.parametrize(
+    "key", ["chain.link_delays", "delay.table_build", "delay.table_charging"]
+)
 def test_deleted_run_options_are_unknown_keys(tmp_path, capsys, key):
-    # every link charges delay.transmit per packet and the table build
-    # charge is fixed, so a config that names either option is refused
-    # rather than run without it
+    # every link charges delay.transmit per packet and the table build is
+    # charged a fixed amount once per run, so a config that names any of
+    # these options is refused rather than run without it
     path = tmp_path / "run.cfg"
     path.write_text(f"run.gops = 2\n{key} = 0.5\n")
     assert main(["simulate", "--config", str(path)]) == 1
@@ -315,10 +317,21 @@ def test_selftest_passes(capsys):
     assert "PASS oracle-equivalence" in out
 
 
-def test_selftest_fault_injection_fails(capsys):
-    assert main(["selftest", "--inject-gf-fault"]) == 2
+def test_selftest_fault_injection_fails(capsys, monkeypatch):
+    # a corrupted product table must fail its named check and exit 2
+    corrupted = selftest.MUL_TABLE.copy()
+    corrupted[1, 1] ^= 0xFF
+    monkeypatch.setattr(selftest, "MUL_TABLE", corrupted)
+    assert main(["selftest"]) == 2
     out = capsys.readouterr().out
     assert "FAIL gf256-mul-table" in out
+
+
+def test_selftest_has_no_fault_injection_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["selftest", "--inject-gf-fault"])
+    assert excinfo.value.code == 1
+    assert "unrecognized arguments: --inject-gf-fault" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one():

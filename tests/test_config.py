@@ -30,7 +30,6 @@ run.label = demo
 delay.transmit = 0.002
 delay.forward = 0.01
 delay.recode = 30
-delay.table_charging = per-node
 schedule.1 = 5, 0, 0.5
 schedule.0 = 2, 2, 0.1
 """
@@ -47,7 +46,6 @@ def test_full_document_parses():
     assert config.gop_count == 10
     assert config.verify_payloads is True
     assert config.label == "demo"
-    assert config.table_charging == "per-node"
     # schedule entries come back sorted by their key suffix
     assert config.pdr_schedule == ((2, 2, 0.1), (5, 0, 0.5))
 

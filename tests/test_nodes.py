@@ -69,7 +69,7 @@ def test_sender_emits_full_budget(small_table):
     packets = _send(small_table, [_grid()], [1.0], np.random.default_rng(0))
     assert len(packets) == small_table.budget == 8
     (strategy,) = sent_strategies(packets)
-    assert strategy == small_table.best_strategy(19)
+    assert strategy == small_table.strategies[small_table.best_index[19]]
 
 
 def test_encoder_picks_each_gop_from_the_estimate_in_force(small_table):
@@ -81,7 +81,7 @@ def test_encoder_picks_each_gop_from_the_estimate_in_force(small_table):
     grid = _grid()
     alone = np.random.default_rng(0)
     one_by_one = [_send(small_table, [grid], [e], alone) for e in estimates]
-    lossless, lossy = small_table.best_strategy(19), small_table.best_strategy(0)
+    lossless, lossy = (small_table.strategies[i] for i in small_table.best_index[[19, 0]])
     assert lossless != lossy
     assert [sent_strategies(b)[0] for b in one_by_one] == [lossless] * 3 + [lossy]
     block = _send(small_table, [grid] * 4, estimates, np.random.default_rng(0))
@@ -127,7 +127,7 @@ def test_sender_strategy_refreshes_on_period(default_table, monkeypatch):
         link_pdrs=(1.0,), gop_count=7, update_period=3, pdr_schedule=((1, 0, 0.05),)
     )
     run(config, table=default_table)
-    lossless, lossy = default_table.best_strategy(19), default_table.best_strategy(0)
+    lossless, lossy = (default_table.strategies[i] for i in default_table.best_index[[19, 0]])
     assert lossless != lossy
     assert [tuple(s) for s in picked[0].tolist()] == [lossless] * 3 + [lossy] * 4
 
@@ -224,7 +224,7 @@ def test_full_depth_relay_sends_what_the_sender_sends_under_a_tied_best_row(defa
     tied = bins[(values == values.max(axis=0)).sum(axis=0) > 1]
     assert tied.tolist() == [0.85, 0.9, 0.95, 1.0]
     cells = np.zeros((len(bins), 4, 8, 0), dtype=np.uint8)
-    picks = [default_table.best_strategy(b) for b in range(len(bins))]
+    picks = [default_table.strategies[i] for i in default_table.best_index]
     block = _encode(default_table, cells, bins, [4] * len(bins), np.random.default_rng(0))
     assert sent_strategies(block) == picks
 

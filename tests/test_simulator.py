@@ -173,20 +173,16 @@ def test_delay_affinity_in_nc_relays(default_table):
 
 
 def test_table_build_charging_policies(default_table):
-    def total(charging, modes):
-        config = ChainConfig(
-            link_pdrs=(1.0,) * 3,
-            relay_modes=modes,
-            gop_count=1,
-            table_charging=charging,
-        )
-        return run(config, table=default_table).total_delay
+    # the table build is charged once per run however many relays re-encode,
+    # and not at all when none does
+    def charge(modes):
+        config = ChainConfig(link_pdrs=(1.0,) * 3, relay_modes=modes, gop_count=1)
+        metrics = run(config, table=default_table)
+        return metrics.total_delay - sum(metrics.per_gop_delay)
 
-    two_nc = ("nc", "nc")
-    assert total("per-node", two_nc) - total("amortized", two_nc) == 60.0
-    # with no re-encoding relay there is nothing to charge either way
-    fwd = ("forward", "forward")
-    assert total("per-node", fwd) == total("amortized", fwd)
+    for modes in (("nc", "forward"), ("forward", "nc"), ("nc", "nc")):
+        assert abs(charge(modes) - simulator.TABLE_BUILD_CHARGE) < 1e-9
+    assert charge(("forward", "forward")) == 0.0
 
 
 def test_resolve_mode_grammar():

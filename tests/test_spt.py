@@ -192,7 +192,7 @@ STANDARD_BEST = (
 
 
 def test_standard_table_best_strategies_are_pinned(default_table):
-    got = tuple(default_table.best_strategy(b) for b in range(len(PDR_BINS)))
+    got = tuple(default_table.strategies[i] for i in default_table.best_index)
     assert got == STANDARD_BEST
 
 
@@ -209,7 +209,7 @@ def test_best_restricted_depth_limits(default_table):
     shallow = _restricted(default_table, 10, 1)
     assert shallow == (64, 0, 0, 0)
     full = _restricted(default_table, 10, 4)
-    assert full == default_table.best_strategy(10)
+    assert full == default_table.strategies[default_table.best_index[10]]
     two = _restricted(default_table, 10, 2)
     assert two[2] == 0 and two[3] == 0
     assert sum(two) == 64
@@ -229,7 +229,8 @@ def test_best_restricted_lookup_matches_scan(default_table):
             for depth in range(table.layer_count + 2):
                 _restricted(table, b, depth)
     assert _restricted(default_table, 10, 0) is None
-    assert _restricted(default_table, 10, 9) == default_table.best_strategy(10)
+    best = default_table.strategies[default_table.best_index[10]]
+    assert _restricted(default_table, 10, 9) == best
     with pytest.raises(ValueError):
         best_restricted(default_table, 10, -1)
 
