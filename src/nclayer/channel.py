@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import surviving_counts
+from .codec import _draw, surviving_counts
 
 
 def send_block(
@@ -31,7 +31,9 @@ def send_block(
     probes before packets, in one call for the block: the same per-link
     stream as sending each GOP's probes and then its packets across the
     chain one at a time. pdrs[j, k] is link j's delivery probability during
-    GOP k; a pdrs of one value per link, pdrs[j], holds over the block.
+    GOP k; a pdrs of one value per link, pdrs[j], holds over the block. A
+    block of several runs' GOPs takes per link the runs' generators as one
+    codec._Rows, and each run's generator draws for its own GOPs.
     Probe and packet counts that are not one whole number per GOP each, a
     pdrs of another number of rows than links, a per-GOP row of another
     length than the GOPs, or a probability outside [0, 1] raises ValueError.
@@ -56,7 +58,7 @@ def send_block(
         )
     probes = np.asarray(probes, dtype=np.int64)
     packets = np.asarray(packets, dtype=np.int64)
-    if (probes < 0).any() or (packets < 0).any():
+    if probes.size and min(probes.min(), packets.min()) < 0:
         raise ValueError("probe and packet counts must be non-negative")
     pdrs = np.asarray(pdrs, dtype=float)
     if pdrs.ndim not in (1, 2) or pdrs.shape[0] != len(rngs):
@@ -72,16 +74,30 @@ def send_block(
         raise ValueError(f"delivery probabilities must lie in [0, 1], got {pdrs.tolist()}")
     # draws alternate a GOP's probes and its packets, GOP by GOP: runs[k]
     # is how many of GOP k's probes and then of its packets reach a link
-    runs = np.stack([probes, packets], axis=1)
+    runs = np.empty((probes.size, 2), dtype=np.int64)
+    runs[:, 0], runs[:, 1] = probes, packets
     draws = int(runs.sum())
     kept = []
     for rng, link_pdrs in zip(rngs, pdrs):
-        if link_pdrs.ndim:
-            link_pdrs = np.repeat(np.repeat(link_pdrs, 2), runs.ravel())
         # int32 is wide enough: 2**31 draws would take 16 GiB of uniforms
         link_kept = np.zeros(draws + 1, dtype=np.int32)
-        (rng.random(draws) < link_pdrs).cumsum(out=link_kept[1:])
+        _draw(rng, draws, runs, _survivors, link_pdrs, runs).cumsum(out=link_kept[1:])
         kept.append(link_kept)
         runs = surviving_counts(runs, link_kept)
         draws = int(link_kept[-1])
     return runs[:, 0], kept
+
+
+def _survivors(rng, n, gops, pdrs, runs) -> np.ndarray:
+    """Which of the n draws a link makes for the GOPs gops of a block
+    survive: one uniform each from rng, compared with the delivery in force
+    in its GOP, pdrs[k] for GOP k where pdrs holds one per GOP; runs[k],
+    GOP k's probes and then packets, lays the draws out."""
+    if pdrs.ndim:
+        pdrs = pdrs[gops]
+        if pdrs.size and pdrs.min() == pdrs.max():
+            # GOPs of one delivery compare with it alone
+            pdrs = pdrs[0]
+        else:
+            pdrs = np.repeat(np.repeat(pdrs, 2), runs[gops].ravel())
+    return rng.random(n) < pdrs

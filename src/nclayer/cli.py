@@ -84,6 +84,7 @@ def cmd_simulate(args) -> int:
     print(f"hops: {metrics.hop_count}")
     print(f"sent: {metrics.sent_total}")
     print(f"received: {metrics.npr}")
+    print(f"probes: {metrics.probe_packets}")
     print(f"pdr: {metrics.measured_pdr:.6f}")
     print(f"audl: {metrics.audl:.6f}")
     print(f"delay: {metrics.total_delay:.6f}")

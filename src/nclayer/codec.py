@@ -35,6 +35,14 @@ Every RLC packet carries its coefficients, zero-padded to layer_count *
 packets_per_layer columns and drawn from the generator the encoder is
 given, whole 64-bit outputs in row order, so a block draws exactly what its
 GOPs would draw one by one.
+
+A block may hold the GOPs of several runs, one after another and as many
+each: the simulator carries rows that differ only in their links'
+delivery and their seeds through one pass. Each row keeps its own
+generators, which the draw sites (encode_block, sample_depths and
+channel.send_block) are then handed as one _Rows. _draw is the one place
+that splits a draw by row, each row's generator drawing its own GOPs'
+values in GOP order, so a row's draws are those of its run alone.
 """
 
 from __future__ import annotations
@@ -58,6 +66,39 @@ SCHEMES = (SCHEME_RLC, SCHEME_XOR, SCHEME_REPEAT)
 # P=8, delivery 0.7 and 64-byte payloads it is about 24 systems of up to
 # about 56 rows x 96.
 DECODE_STACK_BYTES = 128 * 1024
+
+
+class _Rows:
+    """The sources of the rows of a block of several runs' GOPs, one per
+    row in row order: a row's generator, or its grid seed. The block's GOPs
+    are each row's in turn, the same number per row."""
+
+    __slots__ = ("sources",)
+
+    def __init__(self, sources):
+        self.sources = sources
+
+
+def _draw(source, n, per_gop, draw, *args):
+    """What draw(source, m, gops, *args) gives for the n values a block of
+    GOPs draws, per_gop[k] of them (summed over its row) for GOP k, or one
+    per GOP if per_gop is None. A plain source, a Generator or a seed, draws
+    all n for every GOP, gops being slice(None). A _Rows has each row's
+    source draw its own m values for its own GOPs, the slice gops of the
+    block, and the rows' values are concatenated in row order."""
+    if not isinstance(source, _Rows):
+        return draw(source, n, slice(None), *args)
+    rows = len(source.sources)
+    if per_gop is None:
+        span = n // rows
+        sizes = [span] * rows
+    else:
+        span = len(per_gop) // rows
+        sizes = per_gop.reshape(rows, -1).sum(axis=1).tolist()
+    return np.concatenate([
+        draw(row_source, m, slice(r * span, (r + 1) * span), *args)
+        for r, (row_source, m) in enumerate(zip(source.sources, sizes))
+    ])
 
 
 @dataclass(eq=False)
@@ -256,30 +297,38 @@ def encode_block(
     if (counts < 0).any():
         raise ValueError(f"replica counts must be non-negative, got {counts.tolist()}")
     runs = counts.ravel()
-    row_run = _row_runs(counts)
-    rows = row_run.size
 
     if scheme != SCHEME_RLC:
         # replica t of a class of n packets takes column t mod P under xor,
         # whose payload XORs that column over layers 1..class, and column
-        # t * P // n under repeat, so each raw cell goes out in a run of copies
-        t = np.arange(rows) - np.repeat(np.cumsum(runs) - runs, runs)
+        # t * P // n under repeat, so each raw cell goes out in a run of
+        # copies; worked in place, as a block's rows can run to many
+        # thousands
+        ends = np.cumsum(runs)
+        column = np.arange(ends[-1] if ends.size else 0)
+        column -= np.repeat(ends - runs, runs)
         if scheme == SCHEME_XOR:
-            column = t % per_layer
+            column %= per_layer
         else:
-            column = t * per_layer // np.repeat(runs, runs)
-        payload = np.empty((rows, 0), dtype=np.uint8)
+            column *= per_layer
+            column //= np.repeat(runs, runs)
+        payload = np.empty((column.size, 0), dtype=np.uint8)
         if size:
             if scheme == SCHEME_XOR:
                 cells = np.bitwise_xor.accumulate(cells, axis=1)
-            payload = cells.reshape(n_gops * layer_count, per_layer, size)[row_run, column]
+            payload = cells.reshape(n_gops * layer_count, per_layer, size)[
+                _row_runs(counts), column
+            ]
         return PacketBlock(scheme, per_layer, counts, payload, column=column)
+
+    row_run = _row_runs(counts)
+    rows = row_run.size
 
     # each row starts on a fresh output, so its bytes do not depend on the
     # rows drawn before it in the same call
     n_unknowns = layer_count * per_layer
     outputs = -(-n_unknowns // 8)
-    raw = rng.bit_generator.random_raw(rows * outputs).astype("<u8", copy=False)
+    raw = _draw(rng, rows, counts, _raw_outputs, outputs).astype("<u8", copy=False)
     coeffs = np.ascontiguousarray(raw.view(np.uint8).reshape(rows, 8 * outputs)[:, :n_unknowns])
     layers = coeffs.reshape(rows, layer_count, per_layer)
     layers *= (np.arange(layer_count) <= (row_run % layer_count)[:, None])[:, :, None]
@@ -293,6 +342,10 @@ def encode_block(
             at = slice(ends[run] - runs[run], ends[run])
             payload[at] = gf_matmul(coeffs[at, :width], data[k, :width])
     return PacketBlock(scheme, per_layer, counts, payload, coeffs=coeffs)
+
+
+def _raw_outputs(rng, rows, gops, outputs):
+    return rng.bit_generator.random_raw(rows * outputs)
 
 
 def decode_block(block: PacketBlock) -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +393,7 @@ def sample_depths(counts: np.ndarray, packets_per_layer: int, rng) -> np.ndarray
     packets reach layer c before class c+1's, so it still misses at least
     P - k > e units. So every GOP is scored by the count rule, and only
     GOPs holding a draw with k + e >= P are walked again."""
-    draws = rng.geometric(1 - 1 / 256, counts.sum())
+    draws = _draw(rng, counts.sum(), counts, _geometric)
     depths = decodable_layers_batch(counts, packets_per_layer)
     # each e >= 1: its (GOP, class) group and its place k among the group's
     # draws; those with k + e < P fill as a zero does
@@ -357,6 +410,10 @@ def sample_depths(counts: np.ndarray, packets_per_layer: int, rng) -> np.ndarray
         ):
             depths[gop] = depth
     return depths
+
+
+def _geometric(rng, n, gops):
+    return rng.geometric(1 - 1 / 256, n)
 
 
 def surviving_counts(counts: np.ndarray, kept: np.ndarray) -> np.ndarray:

@@ -51,6 +51,17 @@ seeded from its own child of the run's seed, child i of
 SeedSequence(seed).spawn(n) made alone from its spawn key (i,), and only
 for the generators the run draws from: a forwarding chain's links, say, but
 no grid seed unless payload bytes travel.
+
+run() is the one-row case of _run_rows, which carries rows that differ
+only in their links' delivery, seed and label through one pass: a block
+holds each row's next GOPs in turn along the same GOP axis, so every step
+above runs once per block for all rows. Only drawing is per row: each
+row's link, relay and sender generators and its grid seed draw its own
+GOPs' values, in GOP order, split by codec._draw, and each row keeps its
+own held estimates and delivery in force, so a row's metrics are its
+run()'s. sweep() hands each mode's grid points and repetitions to
+passes of as many rows as GROUP_GOPS holds, and its pool maps over these
+groups.
 """
 
 from __future__ import annotations
@@ -58,8 +69,8 @@ from __future__ import annotations
 import os
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,6 +80,8 @@ from .codec import (
     SCHEME_REPEAT,
     SCHEME_RLC,
     SCHEMES,
+    _draw,
+    _Rows,
     decodable_layers_batch,
     decode_block,
     encode_block,
@@ -85,10 +98,10 @@ SELECTIONS = ("spt", "heuristic")
 
 CSV_HEADER = "mode,hop_count,link_pdr,measured_pdr,npr,audl,delay,seed"
 
-# GOPs run() carries through the chain together: each step of a block (probe
-# and link draws, selection, encoding, delays, scoring) is a fixed number of
+# GOPs of one row a block carries at most: each step of a block (probe and
+# link draws, selection, encoding, delays, scoring) is a fixed number of
 # numpy calls whatever its size, so a larger block cuts the calls per GOP,
-# and a 50-GOP forwarding run or a 100-GOP sweep run is a single block. It
+# and a 50-GOP forwarding run or a 100-GOP sweep row is a single block. It
 # does not bound decoder memory: decode_block splits each RLC decode into
 # stacks of at most codec.DECODE_STACK_BYTES. Against
 # 32 (perfbench, 10-12 alternating pairs on a 2-core x86-64 VM): sweep-par
@@ -96,6 +109,18 @@ CSV_HEADER = "mode,hop_count,link_pdr,measured_pdr,npr,audl,delay,seed"
 # 20-GOP runs are one block either way. The block's own arrays grow with it:
 # a 1000-GOP verified re-encoding run traces a 4.8 MB peak against 2.5 MB.
 GOP_BLOCK = 256
+
+# GOPs a sweep's pass carries in one block at most, over its rows: a sweep
+# runs a mode's rows in groups of GROUP_GOPS // min(gop_count, GOP_BLOCK),
+# so each row keeps whole blocks, as many draws a generator call as run()
+# makes, and no block grows past it however many rows a sweep has. It holds
+# a sweep-par mode's six 100-GOP rows as one 600-GOP block; against one
+# 100-GOP block per row (perfbench, 10 alternating pairs on a 2-core x86-64
+# VM) sweep-par reads 0.0185 -> 0.0155 CPU ms per GOP, and a mode group's
+# traced peak 0.36 -> 1.3-1.4 MB. The README sweep (500 GOPs, so 4 rows a
+# group) traces a 3.6 MiB peak against 3.2 at --jobs 1, and 8.6-8.8 MiB
+# against 3.2 at --jobs 4, where four groups run at once.
+GROUP_GOPS = 1024
 
 # The delay, in seconds like recode_delay, that a run with a re-encoding
 # relay is charged for building the strategy table the relay selects from.
@@ -216,6 +241,12 @@ class ChainConfig:
         )
 
 
+# the fields the rows of one _run_rows pass share
+_SHARED = attrgetter(
+    *(f.name for f in fields(ChainConfig) if f.name not in ("link_pdrs", "seed", "label"))
+)
+
+
 @dataclass
 class RunMetrics:
     label: str
@@ -233,6 +264,9 @@ class RunMetrics:
     # score, and GOPs whose decoded bytes differ from the source.
     prediction_gaps: int = 0
     payload_errors: int = 0
+    # Probes put on air: each probe once per link it is sent on, over every
+    # link of the run. A repeat (uncoded) sender sends none.
+    probe_packets: int = 0
 
 
 def _segments(config: ChainConfig) -> list[range]:
@@ -244,19 +278,20 @@ def _segments(config: ChainConfig) -> list[range]:
 
 def _block_pdrs(pdr_now, segment, gops, schedule) -> np.ndarray:
     """Delivery probability of each segment link during each GOP of a block
-    of consecutive GOPs, starting from pdr_now, every link's probability
-    before the block. schedule holds (gop, link, pdr) changes in GOP order;
+    of consecutive GOPs of each row, rows one after another: row r starts
+    from pdr_now[r], its links' probabilities before the block. schedule
+    holds (gop, link, pdr) changes in GOP order, which every row shares;
     those that fall in the block apply in order, and pdr_now ends the block
     at each link's value in its last GOP."""
     first = int(gops[0])
-    pdrs = np.repeat(pdr_now[segment, None], gops.size, axis=1)
+    pdrs = np.repeat(pdr_now[:, segment, None], gops.size, axis=2)
     start = bisect_left(schedule, first, key=itemgetter(0))
     end = bisect_left(schedule, first + gops.size, key=itemgetter(0))
     for gop_index, link_index, new_pdr in schedule[start:end]:
         if link_index in segment:
-            pdrs[segment.index(link_index), gop_index - first :] = new_pdr
-    pdr_now[segment] = pdrs[:, -1]
-    return pdrs
+            pdrs[:, segment.index(link_index), gop_index - first :] = new_pdr
+    pdr_now[:, segment] = pdrs[:, :, -1]
+    return pdrs.transpose(1, 0, 2).reshape(len(segment), -1)
 
 
 def _packets_kept(kept, probes, packets) -> np.ndarray:
@@ -292,14 +327,38 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     operations on its per-class packet counts, which travel with their
     packets' rows, as a PacketBlock, only in a verified run or under xor
     and repeat. The metrics are those of carrying the GOPs one at a time, for
-    any block size.
+    any block size. This is the one-row case of _run_rows.
     """
+    return _run_rows([config], table)[0]
+
+
+def _run_rows(
+    configs: Sequence[ChainConfig], table: Optional[StrategyTable] = None
+) -> list[RunMetrics]:
+    """run() of each config, for configs that differ only in link_pdrs, seed
+    and label, in one pass: a block holds each row's next GOPs, row after
+    row, so each step runs once per block for every row. Each row draws
+    from its own generators, which the draw sites take as one codec._Rows
+    when there are several rows, so its metrics are those of its run alone.
+    A block holds at most GOP_BLOCK GOPs of each row."""
+    config = configs[0]
+    rows = len(configs)
+    if rows > 1 and any(_SHARED(c) != _SHARED(config) for c in configs[1:]):
+        raise ValueError("the rows of one pass differ only in link_pdrs, seed and label")
     hops = config.hop_count
     n_relays = hops - 1
 
-    def child(index):
-        # child index of SeedSequence(seed).spawn(n), for any n > index
-        return np.random.SeedSequence(config.seed, spawn_key=(index,))
+    def per_row(made):
+        # one source per row: itself at one row, one codec._Rows at several,
+        # which the draw sites split by row
+        return made[0] if rows == 1 else _Rows(made)
+
+    def generator(index):
+        # each row's child index of SeedSequence(seed).spawn(n), any n > index
+        return per_row([
+            np.random.default_rng(np.random.SeedSequence(c.seed, spawn_key=(index,)))
+            for c in configs
+        ])
 
     if table is not None:
         _check_table_matches(table, config)
@@ -315,7 +374,12 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     verify = config.verify_payloads
     width = config.payload_size if verify else 0
     counted = config.scheme == SCHEME_RLC and not verify
-    grid_seed = int(child(hops + n_relays + 1).generate_state(1)[0]) if width else 0
+    grid_seed = per_row([
+        int(np.random.SeedSequence(c.seed, spawn_key=(hops + n_relays + 1,)).generate_state(1)[0])
+        if width
+        else 0
+        for c in configs
+    ])
     sender_segment, *relay_segments = _segments(config)
 
     if config.needs_table and table is None:
@@ -327,9 +391,9 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         )
 
     # each link is its own generator; the delivery probability in force on
-    # each link, which the schedule changes, is run()'s to keep
-    link_rngs = [np.random.default_rng(child(i)) for i in range(hops)]
-    pdr_now = np.array(config.link_pdrs)
+    # each row's links, which the schedule changes, is the pass's to keep
+    link_rngs = [generator(i) for i in range(hops)]
+    pdr_now = np.array([c.link_pdrs for c in configs])
     if repeat:
         # every source packet, budget // (layer_count * packets_per_layer) times
         copies = (config.budget // config.layer_count,) * config.layer_count
@@ -338,7 +402,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
         selector = table
     else:
         selector = builtin_policy(config.heuristic_set)
-    sender_rng = np.random.default_rng(child(hops + n_relays)) if verify else None
+    sender_rng = generator(hops + n_relays) if verify else None
 
     # stable, so changes at one GOP keep their config order
     schedule = sorted(config.pdr_schedule, key=itemgetter(0))
@@ -350,39 +414,54 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
     segments = [(selector, sender_segment, sender_rng)]
     for segment in relay_segments:
         # the relay at position i starts the segment at link i + 1
-        rng = np.random.default_rng(child(hops + segment.start - 1)) if verify or counted else None
+        rng = generator(hops + segment.start - 1) if verify or counted else None
         segments.append((table, segment, rng))
-    # each encoder's delivery estimate, held from its latest probe round
-    held_estimates = [1.0] * len(segments)
-    npr = prediction_gaps = payload_errors = 0
-    per_gop_decoded: list[int] = []
-    per_gop_delay: list[float] = []
+    # each encoder's delivery estimate in each row, held from its latest
+    # probe round
+    held_estimates = [np.array([1.0] * rows)] * len(segments)
+    # each row's packets received, probes on air, short decodes and wrong ones
+    npr, probe_packets = [0] * rows, [0] * rows
+    prediction_gaps, payload_errors = [0] * rows, [0] * rows
+    per_gop_decoded: list[list[int]] = [[] for _ in configs]
+    per_gop_delay: list[list[float]] = [[] for _ in configs]
 
     for first in range(0, config.gop_count, GOP_BLOCK):
+        # each row's GOPs of the block; the block's arrays hold them row
+        # after row, n per row
         gops = np.arange(first, min(first + GOP_BLOCK, config.gop_count))
+        n = gops.size
         cells = None
         if not counted:
-            cells = make_synthetic_cells(
-                gops, config.layer_count, config.packets_per_layer, width, grid_seed
+            cells = _draw(
+                grid_seed, rows * n, None, _cells,
+                gops, config.layer_count, config.packets_per_layer, width,
             )
         probes = np.where(gops % config.update_period == 0, config.probe_count, 0)
         if repeat:
             probes[:] = 0
-        # the GOP of each GOP's latest probe round, -1 before the block's first
-        latest = np.maximum.accumulate(np.where(probes > 0, np.arange(gops.size), -1))
-        delays = np.zeros(gops.size)
+        # latest[k]: the block's GOP of the latest probe round by GOP k in
+        # its row; before the row's first, -1 in the last row, -2 in the
+        # one before and so on, which name the rows' held estimates placed
+        # after the block's
+        latest = np.maximum.accumulate(np.where(probes > 0, np.arange(n), -1))
+        if rows > 1:
+            latest = np.where(
+                latest >= 0, latest + n * np.arange(rows)[:, None], np.arange(-rows, 0)[:, None]
+            ).ravel()
+            probes = np.tile(probes, rows)
+        delays = np.zeros(rows * n)
         # counts[k, c]: the packets of class c + 1 of GOP k in flight; block,
         # those counts plus the packets' rows, where a step reads more than
         # classes
         counts = block = None
         for index, (selector, segment, rng) in enumerate(segments):
-            if schedule:
-                pdrs = _block_pdrs(pdr_now, segment, gops, schedule)
-            else:
+            if rows == 1 and not schedule:
                 # each link's delivery holds over the block
-                pdrs = pdr_now[segment.start : segment.stop]
+                pdrs = pdr_now[0, segment.start : segment.stop]
+            else:
+                pdrs = _block_pdrs(pdr_now, segment, gops, schedule)
             if index == 0:
-                held = np.full(gops.size, config.layer_count)
+                held = np.full(rows * n, config.layer_count)
                 source = cells
             elif counted:
                 held = sample_depths(counts, config.packets_per_layer, rng)
@@ -396,10 +475,8 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             alive, kept = send_block([link_rngs[i] for i in segment], probes, sending, pdrs)
             # the sender's feedback, round(share * probes) / probes, is the
             # surviving share itself
-            estimates = np.where(
-                latest >= 0, alive[latest] / config.probe_count, held_estimates[index]
-            )
-            held_estimates[index] = float(estimates[-1])
+            estimates = np.concatenate([alive / config.probe_count, held_estimates[index]])[latest]
+            held_estimates[index] = estimates[n - 1 :: n]
             counts = pick_strategies(selector, estimates, held)
             sizes = counts.sum(axis=1)
             if (sizes != sending).any():
@@ -409,24 +486,28 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
                 )
             if not counted:
                 block = encode_block(source, counts, config.scheme, rng)
-            # reached[k]: GOP k's probes that reach the hop. A link draws for
-            # them and then for the GOP's packets, class by class, so one read
-            # of its running count gives both as they reach the next hop
-            reached = probes
+            # runs[k]: GOP k's probes that reach the hop, then its packets
+            # of each class. A link draws for them in that order, so one read
+            # of its running count gives the runs that reach the next hop; a
+            # probe is on air on every link it reaches
+            runs = np.concatenate([probes[:, None], counts], axis=1)
+            aired = probes
             for hop, link_kept in zip(segment, kept):
+                reached = runs[:, 0]
+                if hop > segment.start:
+                    aired = aired + reached
                 delays += sizes * config.transmit_delay
-                arrived = surviving_counts(
-                    np.concatenate([reached[:, None], counts], axis=1), link_kept
-                )
+                runs = surviving_counts(runs, link_kept)
+                counts = runs[:, 1:]
                 if not counted:
-                    block = block._take(_packets_kept(link_kept, reached, sizes), arrived[:, 1:])
-                reached, counts = arrived[:, 0], arrived[:, 1:]
+                    block = block._take(_packets_kept(link_kept, reached, sizes), counts)
                 sizes = counts.sum(axis=1)
                 if hop < n_relays:
                     delays += config.forward_delay
                     if config.relay_modes[hop] == MODE_NC:
                         # re-encodes at the head of the next segment
                         delays += config.recode_delay
+            _add_rows(probe_packets, aired)
 
         if config.scheme == SCHEME_RLC:
             scores = decodable_layers_batch(counts, config.packets_per_layer)
@@ -434,37 +515,68 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
             scores = score_block(block)
         if verify:
             depths, decoded = decode_block(block)
-            prediction_gaps += int(np.count_nonzero(depths < scores))
+            _add_rows(prediction_gaps, depths < scores)
             # a GOP decoded wrong when a cell of its recovered prefix differs
             wrong = (decoded != cells).any(axis=(2, 3)) & (
                 np.arange(config.layer_count) < depths[:, None]
             )
-            payload_errors += int(np.count_nonzero(wrong.any(axis=1)))
-        npr += int(sizes.sum())
-        per_gop_decoded.extend(scores.tolist())
-        per_gop_delay.extend(delays.tolist())
+            _add_rows(payload_errors, wrong.any(axis=1))
+        _add_rows(npr, sizes)
+        _extend_rows(per_gop_decoded, scores)
+        _extend_rows(per_gop_delay, delays)
 
     build_charge = TABLE_BUILD_CHARGE if MODE_NC in config.relay_modes else 0.0
     sent_total = config.budget * config.gop_count
-    # the exact integer sum, divided once: the float np.mean gives, without
-    # its array round trip
-    audl = sum(per_gop_decoded) / len(per_gop_decoded) if per_gop_decoded else 0.0
     default_label = "uncoded" if repeat else f"{config.selection}-{config.scheme}"
-    return RunMetrics(
-        label=config.label or f"{default_label}-{hops}hop",
-        hop_count=hops,
-        link_pdrs=config.link_pdrs,
-        npr=npr,
-        sent_total=sent_total,
-        measured_pdr=npr / sent_total if sent_total else 0.0,
-        audl=audl,
-        total_delay=sum(per_gop_delay) + build_charge,
-        per_gop_decoded=per_gop_decoded,
-        per_gop_delay=per_gop_delay,
-        seed=config.seed,
-        prediction_gaps=prediction_gaps,
-        payload_errors=payload_errors,
-    )
+    return [
+        RunMetrics(
+            label=c.label or f"{default_label}-{hops}hop",
+            hop_count=hops,
+            link_pdrs=c.link_pdrs,
+            npr=received,
+            sent_total=sent_total,
+            measured_pdr=received / sent_total if sent_total else 0.0,
+            # the exact integer sum, divided once: the float np.mean gives,
+            # without its array round trip
+            audl=sum(decoded) / len(decoded) if decoded else 0.0,
+            total_delay=sum(delay) + build_charge,
+            per_gop_decoded=decoded,
+            per_gop_delay=delay,
+            seed=c.seed,
+            prediction_gaps=gaps,
+            payload_errors=errors,
+            probe_packets=aired,
+        )
+        for c, received, decoded, delay, gaps, errors, aired in zip(
+            configs, npr, per_gop_decoded, per_gop_delay, prediction_gaps, payload_errors,
+            probe_packets,
+        )
+    ]
+
+
+def _add_rows(totals: list, values: np.ndarray) -> None:
+    """Adds to each row's total its sum of values, one per GOP of a block
+    that holds each row's GOPs in turn."""
+    if len(totals) == 1:
+        totals[0] += int(values.sum())
+        return
+    for row, value in enumerate(values.reshape(len(totals), -1).sum(axis=1).tolist()):
+        totals[row] += value
+
+
+def _extend_rows(lists: list, values: np.ndarray) -> None:
+    """Extends each row's list by its values, one per GOP of a block that
+    holds each row's GOPs in turn."""
+    if len(lists) == 1:
+        lists[0].extend(values.tolist())
+        return
+    for out, part in zip(lists, values.reshape(len(lists), -1).tolist()):
+        out.extend(part)
+
+
+def _cells(grid_seed, n, gops, gop_ids, layer_count, packets_per_layer, width):
+    """The grids of one run's GOPs gop_ids, from its grid seed."""
+    return make_synthetic_cells(gop_ids, layer_count, packets_per_layer, width, grid_seed)
 
 
 _MODE_PATTERNS = (
@@ -566,29 +678,46 @@ def sweep(
             granularity=base.granularity,
         )
 
-    tasks = []
-    for grid_index, p in enumerate(pdr_grid):
-        for mode_index, cfg in enumerate(resolved):
-            for rep in range(reps):
-                tasks.append(
-                    replace(
-                        cfg,
-                        link_pdrs=(float(p),) * cfg.hop_count,
-                        seed=_task_seed(base.seed, grid_index, mode_index, rep),
-                    )
-                )
+    # each mode's grid points and repetitions differ only in their links'
+    # delivery and their seed, so they run as one pass (_run_rows), in
+    # groups whose block of each row's first GOP_BLOCK GOPs fits in
+    # GROUP_GOPS
+    size = max(1, GROUP_GOPS // min(base.gop_count, GOP_BLOCK))
+    groups = []
+    for mode_index, cfg in enumerate(resolved):
+        rows = [
+            replace(
+                cfg,
+                link_pdrs=(float(p),) * cfg.hop_count,
+                seed=_task_seed(base.seed, grid_index, mode_index, rep),
+            )
+            for grid_index, p in enumerate(pdr_grid)
+            for rep in range(reps)
+        ]
+        groups += [rows[i : i + size] for i in range(0, len(rows), size)]
 
-    def _execute(cfg):
-        return metrics_row(run(cfg, table=shared_table))
+    def _execute(group):
+        return [metrics_row(m) for m in _run_rows(group, table=shared_table)]
 
     if jobs == 1:
-        return [_execute(t) for t in tasks]
-    # imported here: the thread pool module costs every interpreter that
-    # imports nclayer 10-20 ms of CPU, and only a pooled sweep uses it
-    from concurrent.futures import ThreadPoolExecutor
+        done = [_execute(g) for g in groups]
+    else:
+        # imported here: the thread pool module costs every interpreter that
+        # imports nclayer 10-20 ms of CPU, and only a pooled sweep uses it
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_execute, tasks))
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(_execute, groups))
+    # done holds the rows mode by mode, each mode's grid point by grid point;
+    # back in task order, (pdr, mode, repetition) with pdr slowest
+    rows = [row for group in done for row in group]
+    per_mode = len(pdr_grid) * reps
+    return [
+        rows[mode_index * per_mode + grid_index * reps + rep]
+        for grid_index in range(len(pdr_grid))
+        for mode_index in range(len(resolved))
+        for rep in range(reps)
+    ]
 
 
 def format_row(row: dict) -> str:

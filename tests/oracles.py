@@ -532,11 +532,16 @@ def reference_run(config, table=None):
     def draw(link, n):
         return rngs[link].random(n) < pdrs[link]
 
+    # each probe once per link it is sent on
+    aired = 0
+
     def probe(segment):
+        nonlocal aired
         alive = config.probe_count
         for link in segment:
             if alive == 0:
                 break
+            aired += alive
             alive = int(np.count_nonzero(draw(link, alive)))
         return alive / config.probe_count
 
@@ -631,6 +636,7 @@ def reference_run(config, table=None):
         seed=config.seed,
         prediction_gaps=gaps,
         payload_errors=errors,
+        probe_packets=aired,
     )
     if config.verify_payloads:
         drawn = list(node_rngs.values())

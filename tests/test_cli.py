@@ -114,6 +114,16 @@ def test_simulate_lossless_summary(tmp_path, capsys):
     assert out.read_text().count("\n") == 2
 
 
+def test_simulate_prints_the_probes_on_air(capsys):
+    # 5 GOPs, 100 probes each over 3 lossless links; the uncoded baseline
+    # probes nothing
+    args = ["simulate", "--set", "run.gops=5", "--set", "chain.links=1.0,1.0,1.0"]
+    assert main(args) == 0
+    assert "\nprobes: 1500\n" in capsys.readouterr().out
+    assert main(args + ["--set", "coding.scheme=repeat"]) == 0
+    assert "\nprobes: 0\n" in capsys.readouterr().out
+
+
 def test_simulate_same_config_appends_identical_rows(tmp_path):
     out = tmp_path / "rows.csv"
     args = ["simulate", "--set", "run.gops=5", "--set", "chain.links=0.8",
@@ -237,17 +247,18 @@ def test_sweep_rejects_unknown_mode(tmp_path, capsys):
 
 def test_sweep_refuses_an_out_path_it_cannot_write_before_any_run(tmp_path, capsys, monkeypatch):
     # a directory, or a file in a missing directory, would fail only once
-    # every task had run; the sweep is refused before its first run()
+    # every task had run; the sweep is refused before its first pass, which
+    # runs a group of rows as run() runs one
     import nclayer.simulator as simulator
 
     calls = []
-    step = simulator.run
+    step = simulator._run_rows
 
     def counted(*args, **kwargs):
         calls.append(1)
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(simulator, "run", counted)
+    monkeypatch.setattr(simulator, "_run_rows", counted)
     args = ["sweep", "--set", "run.gops=300", "--pdr-grid", "0.5,0.7,0.9",
             "--modes", "NC3-HBH,NoNC3", "--jobs", "2"]
     for out in (tmp_path, tmp_path / "nodir" / "x.csv"):

@@ -683,6 +683,111 @@ def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch)
     assert len(seen) >= 8
 
 
+def test_grouped_rows_match_their_own_runs(default_table, monkeypatch):
+    # a sweep carries rows that differ only in their links' delivery and
+    # seed through one pass, a block holding each row's next GOPs in turn;
+    # each row must get run()'s metrics field for field, with blocks of
+    # one and of 7 GOPs splitting every row mid-run, and leave each of its
+    # link, relay and sender generators where the GOP-by-GOP reference does
+    rng = np.random.default_rng(2014)
+    links, nodes = [], []
+    send, encode, sample = simulator.send_block, simulator.encode_block, simulator.sample_depths
+
+    def sources(node_rng):
+        return node_rng.sources if isinstance(node_rng, codec._Rows) else [node_rng]
+
+    def recorded_send(rngs, *args):
+        links.extend(sources(r) for r in rngs if all(sources(r) is not m for m in links))
+        return send(rngs, *args)
+
+    def met(node_rng):
+        if node_rng is not None and all(sources(node_rng) is not m for m in nodes):
+            nodes.append(sources(node_rng))
+
+    def recorded_encode(cells, counts, scheme, node_rng):
+        met(node_rng)
+        return encode(cells, counts, scheme, node_rng)
+
+    def recorded_sample(counts, packets_per_layer, node_rng):
+        met(node_rng)
+        return sample(counts, packets_per_layer, node_rng)
+
+    monkeypatch.setattr(simulator, "send_block", recorded_send)
+    monkeypatch.setattr(simulator, "encode_block", recorded_encode)
+    monkeypatch.setattr(simulator, "sample_depths", recorded_sample)
+    seen, periods, scheduled = set(), set(), False
+    for index in range(10):
+        # short runs keep the GOP-by-GOP reference quick; blocks of 7 still
+        # split each of them, some schedule changes fall inside, and a probe
+        # round every 2 or 3 GOPs has blocks start between rounds, on the
+        # estimates each row holds
+        shape = replace(
+            _random_config(rng, index),
+            gop_count=int(rng.choice([9, 16, 23])),
+            update_period=int(rng.integers(2, 4)),
+        )
+        hops = shape.hop_count
+        rows = [
+            replace(
+                shape,
+                link_pdrs=tuple(float(p) for p in rng.choice([0.5, 0.7, 0.9, 1.0], size=hops)),
+                seed=int(rng.integers(0, 2**32)),
+                label=f"row{k}" if k % 2 else "",
+            )
+            for k in range(int(rng.integers(2, 6)))
+        ]
+        seen.add((shape.scheme, shape.verify_payloads))
+        periods.add(shape.update_period)
+        scheduled |= any(gop < shape.gop_count for gop, _, _ in shape.pdr_schedule)
+        wanted = [asdict(run(row, table=default_table)) for row in rows]
+        references = [reference_run(row, default_table) for row in rows]
+        for block in (1, 7):
+            monkeypatch.setattr(simulator, "GOP_BLOCK", block)
+            links.clear()
+            nodes.clear()
+            got = simulator._run_rows(rows, table=default_table)
+            assert [asdict(m) for m in got] == wanted, (shape, block)
+            assert len(links) == hops
+            assert len(nodes) == max(len(node_rngs) for _, _, node_rngs in references)
+            for k, (_, link_rngs, node_rngs) in enumerate(references):
+                for a, b in zip([m[k] for m in links + nodes], link_rngs + node_rngs):
+                    assert a.bit_generator.state == b.bit_generator.state, (shape, block, k)
+    assert {scheme for scheme, _ in seen} == {"rlc", "xor", "repeat"}
+    assert {verify for _, verify in seen} == {False, True}
+    assert {2, 3} <= periods and scheduled
+
+
+def test_grouped_rows_must_share_all_but_delivery_seed_and_label(default_table):
+    config = ChainConfig(link_pdrs=(0.7, 0.7), gop_count=3)
+    simulator._run_rows(
+        [config, replace(config, link_pdrs=(0.9, 0.5), seed=3, label="x")], table=default_table
+    )
+    with pytest.raises(ValueError, match="differ only in"):
+        simulator._run_rows([config, replace(config, gop_count=4)], table=default_table)
+
+
+@pytest.mark.parametrize("modes", [("forward", "forward"), ("nc", "nc"), ("nc", "forward")])
+def test_lossless_runs_put_every_probe_on_every_link(modes, default_table):
+    # each encoder probes its segment every update_period GOPs; with no
+    # loss every probe crosses every link, so each link carries probe_count
+    # per round, over every link of the chain
+    config = ChainConfig(link_pdrs=(1.0,) * 3, relay_modes=modes, gop_count=9, probe_count=20)
+    assert run(config, table=default_table).probe_packets == 20 * 9 * 3
+    sparse = replace(config, update_period=4)
+    assert run(sparse, table=default_table).probe_packets == 20 * 3 * 3
+
+
+def test_probes_on_air_count_each_link_a_probe_reaches(default_table):
+    # a lost probe is on air on the links up to the one that drops it, and
+    # the uncoded baseline sends none
+    config = ChainConfig(link_pdrs=(0.8, 0.5, 0.9), gop_count=40, seed=3)
+    metrics = run(config, table=default_table)
+    assert 40 * 100 < metrics.probe_packets < 40 * 100 * 3
+    assert metrics.probe_packets == reference_run(config, default_table)[0].probe_packets
+    uncoded = run(replace(config, scheme="repeat", link_pdrs=(0.8, 0.8, 0.8)))
+    assert uncoded.probe_packets == 0
+
+
 @pytest.mark.parametrize("budget", [32, 0, -5])
 def test_heuristic_run_spends_the_configured_budget(budget):
     # every builtin threshold set spends 64 packets per GOP, so any other
