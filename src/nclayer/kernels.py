@@ -6,6 +6,8 @@ bins, all in numpy.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .gf256 import INV_TABLE, MUL_TABLE
@@ -159,9 +161,12 @@ def _swap_columns(block, a, b):
 # Most bytes of one expected-depth step's state, reachable states x rows x
 # bins float64s, that expected_layers_batch steps at once. A pass steps over
 # every bin while its steps fit; from the first step that does not, it
-# finishes one chunk of bins at a time. A step keeps a few arrays of that
-# size live, so this bounds a table build's working memory whatever the
-# table's size. At B=64, L=4, P=8, g=4 only the 969-row steps split.
+# finishes one chunk of bins at a time. A step's taken rows, new state and
+# products are a few arrays of that size, views of the one arena a call
+# allocates, so this bounds a table build's working memory whatever the
+# table's size. At B=64, L=4, P=8, g=4 only the 969-row steps split, and
+# the arena is 2.9 MiB; fresh arrays per step in its place faulted in about
+# 3,200 pages on every build.
 TABLE_STEP_BYTES = 1 << 20
 
 
@@ -192,6 +197,18 @@ def expected_layers_batch(strategies, pmf_rows, per_layer):
     step keeps its state-zero row per prefix (or suffix) row, and the value
     is formed from those rows a chunk of bins at a time.
 
+    Every step works in contiguous views of one float64 arena, allocated
+    once per call and sized from the steps' geometry before any of them
+    runs: a step takes its parent rows to the front of the arena's working
+    part, forms its products behind them, and writes its new state at the
+    far end, over the state it took from. The state each pass's last
+    every-bin step leaves, which its chunks start from, is kept ahead of the
+    working part. Fresh arrays per step cost about 3,200 page faults on
+    every build, as the allocator maps and trims them; one block per call
+    costs a handful of faults once the allocator has seen its size. The
+    state-zero rows and the values are arrays of their own, so nothing the
+    arena holds outlives the call.
+
     The value reads only state zero of each pass's last step, so that step
     computes state zero alone, and the deficit after class i is at most i *
     per_layer, so each forward step holds only the states that can be
@@ -218,80 +235,158 @@ def expected_layers_batch(strategies, pmf_rows, per_layer):
     n_states = n_layers * per_layer + 1
     # the deficit after class i is at most i * per_layer, and each pass's
     # last step computes state zero alone
-    forward_zeros, forward_chunk = _pass(
-        np.ones((1, 1, n_bins)),
-        forward,
-        [i * per_layer + 1 for i in range(1, n_layers)] + [1],
-        lambda f, counts, w, width: _forward_step(f, counts, w, per_layer, width, n_states),
-        weights,
+    passes = (
+        _Pass(
+            np.ones((1, 1, n_bins)),
+            forward,
+            [i * per_layer + 1 for i in range(1, n_layers)] + [1],
+            lambda f, *args: _forward_step(f, *args, per_layer, n_states),
+            lambda live, width, reach: _forward_scratch(live, width, reach, per_layer),
+        ),
+        _Pass(
+            np.ones((n_states, 1, n_bins)),
+            backward,
+            [(i - 1) * per_layer + 1 for i in range(n_layers - 1, 0, -1)],
+            lambda bq, *args: _backward_step(bq, *args, per_layer),
+            _backward_scratch,
+        ),
     )
-    backward_zeros, backward_chunk = _pass(
-        np.ones((n_states, 1, n_bins)),
-        backward,
-        [(i - 1) * per_layer + 1 for i in range(n_layers - 1, 0, -1)],
-        lambda bq, counts, w, width: _backward_step(bq, counts, w, per_layer, width),
-        weights,
-    )
+    chunk = min(p.chunk for p in passes)
+    # one block for the call: the state each pass's chunks start from, then
+    # the working part, in which every step and every chunk's values are
+    # formed
+    size = sum(p.kept_size for p in passes)
+    arena = np.empty(size + max(3 * n_strategies * chunk, *(p.work(chunk) for p in passes)))
+    kept, work = arena[:size], arena[size:]
+    for p in passes:
+        p.run_every_bin(kept[: p.kept_size], work, weights)
+        kept = kept[p.kept_size :]
     value = np.empty((n_strategies, n_bins))
-    chunk = min(forward_chunk, backward_chunk)
     for lo in range(0, n_bins, chunk):
         bins = slice(lo, lo + chunk)
-        _add_depths(value[:, bins], forward, forward_zeros(bins), backward, backward_zeros(bins))
+        _add_depths(
+            value[:, bins],
+            forward,
+            passes[0].zero_rows(bins, work, weights),
+            backward,
+            passes[1].zero_rows(bins, work, weights),
+            work,
+        )
     return value if pmf_rows.ndim == 3 else value[:, 0]
 
 
-def _add_depths(value, forward, f, backward, bq):
+def _add_depths(value, forward, f, backward, bq, scratch):
     """Writes each strategy's mean depth over a slice of bins into ``value``
     from the state-zero rows ``f`` and ``bq`` of every step of each pass,
     adding depth L, L - 1, ..., 1 in the order of the strategy-at-a-time
-    walk."""
+    walk. The sum and its terms are formed in ``scratch``, contiguous, and
+    copied to ``value`` once."""
     n_layers = len(forward)
-    value[...] = n_layers * f[-1][forward[-1][2]]
+    total, term, tail = scratch[: 3 * value.size].reshape((3,) + value.shape)
+    np.multiply(n_layers, f[-1].take(forward[-1][2], axis=0, out=term, mode="clip"), out=total)
     for i, zero, (_, _, node) in zip(range(n_layers - 1, 0, -1), bq, backward):
-        value += i * f[i - 1][forward[i - 1][2]] * zero[node]
+        np.multiply(i, f[i - 1].take(forward[i - 1][2], axis=0, out=term, mode="clip"), out=term)
+        total += np.multiply(term, zero.take(node, axis=0, out=tail, mode="clip"), out=term)
+    value[...] = total
 
 
-def _pass(state, steps, widths, advance, weights):
-    """Starts one pass of expected_layers_batch from a (states, 1, bins)
-    ``state``.
+class _Pass:
+    """One pass of expected_layers_batch from a (states, 1, bins) ``start``.
 
     Each step takes its rows from their parents and ``advance``s them by
-    their class counts to ``width`` states. Steps run here over every bin
-    while their state, the larger of the states they start from and end
-    with, fits ``TABLE_STEP_BYTES``. Returns a function that gives every
-    step's state-zero row, (rows, bins), over a slice of bins, running the
-    remaining steps on those bins alone, and the most bins a slice may hold
-    for those steps to fit: every bin when no step is left, else at least
-    one.
+    their class counts to ``width`` states, in views of the arena: its taken
+    rows at the front of the working part, its scratch behind them, its new
+    state at the far end, where the state it took from lay. Steps run over
+    every bin while their state, the larger of the states they start from
+    and end with, fits ``TABLE_STEP_BYTES``; from the first that does not,
+    ``split``, they run on at most ``chunk`` bins at a time, starting from
+    the state the last every-bin step leaves, which it writes to
+    ``kept_size`` floats of the arena ahead of the working part. ``scratch(live, width,
+    reach)`` gives the scratch floats per bin a step needs.
     """
-    n_bins = state.shape[2]
-    starts = [len(state)] + widths[:-1]
-    bin_bytes = [
-        8 * max(start, width) * len(parent)
-        for start, width, (parent, _, _) in zip(starts, widths, steps)
-    ]
-    split = next(
-        (j for j, size in enumerate(bin_bytes) if size * n_bins > TABLE_STEP_BYTES),
-        len(steps),
-    )
 
-    def run(state, first, last, bins):
-        zeros = []
+    def __init__(self, start, steps, widths, advance, scratch):
+        self.state, self.steps, self.widths, self.advance = start, steps, widths, advance
+        self.reach = [_reach(counts).tolist() for _, counts, _ in steps]
+        n_bins, n_steps = start.shape[2], len(steps)
+        starts = [len(start)] + widths[:-1]
+        rows = [1] + [len(parent) for parent, _, _ in steps]
+        bin_bytes = [8 * max(s, w) * r for s, w, r in zip(starts, widths, rows[1:])]
+        self.split = split = next(
+            (j for j, size in enumerate(bin_bytes) if size * n_bins > TABLE_STEP_BYTES),
+            n_steps,
+        )
+        self.chunk, self.kept_size, kept_at = n_bins, 0, None
+        if split < n_steps:
+            self.chunk = max(1, TABLE_STEP_BYTES // max(bin_bytes[split:]))
+            if split:
+                self.kept_size, kept_at = widths[split - 1] * rows[split] * n_bins, split - 1
+        # the floats per bin of the working part each step uses: its taken
+        # rows, and after them the state it takes from, or its scratch and
+        # its new state, which split - 1 writes to the kept part instead
+        self.needs = [
+            live * r
+            + max(
+                live * parent_rows,
+                scratch(live, width, reach) + (0 if j == kept_at else width * r),
+            )
+            for j, (live, width, parent_rows, r, reach) in enumerate(
+                zip(starts, widths, rows, rows[1:], self.reach)
+            )
+        ]
+
+    def work(self, chunk):
+        """The floats of the working part every step fits in, at most
+        ``chunk`` bins a step from ``split`` on."""
+        n_bins = self.state.shape[2]
+        return max(
+            (need * (n_bins if j < self.split else chunk) for j, need in enumerate(self.needs)),
+            default=0,
+        )
+
+    def run_every_bin(self, kept, work, weights):
+        """Runs the steps before ``split``, keeping their state-zero rows and
+        the state the last of them leaves, in ``kept`` if they leave one."""
+        self.state, self.zeros = self._run(
+            self.state, 0, self.split, slice(None), work, weights, kept if kept.size else None
+        )
+
+    def zero_rows(self, bins, work, weights):
+        """Every step's state-zero row, (rows, bins), over a slice of bins,
+        running the steps from ``split`` on over those bins alone."""
+        zeros = [zero[:, bins] for zero in self.zeros]
+        if self.split < len(self.steps):
+            state = self.state[..., bins]
+            zeros += self._run(state, self.split, len(self.steps), bins, work, weights)[1]
+        return zeros
+
+    def _run(self, state, first, last, bins, work, weights, kept=None):
+        weights, zeros = weights[..., bins], []
         for j in range(first, last):
-            parent, counts, _ = steps[j]
-            state = state.take(parent, axis=1)  # frees the last step's state
-            state = advance(state, counts, weights[..., bins], widths[j])
+            if not state.flags.c_contiguous:
+                # a chunk of bins, which take would copy to an array of its own
+                copy = work[len(work) - state.size :].reshape(state.shape)
+                copy[...] = state
+                state = copy
+            parent, counts, _ = self.steps[j]
+            n_bins = state.shape[2]
+            taken = state.take(
+                parent, axis=1, out=_view(work, (len(state), len(parent), n_bins)), mode="clip"
+            )
+            shape = (self.widths[j], len(parent), n_bins)
+            if j == last - 1 and kept is not None:
+                new, end = kept.reshape(shape), len(work)
+            else:
+                end = len(work) - len(parent) * n_bins * self.widths[j]
+                new = work[end:].reshape(shape)
+            state = self.advance(taken, new, work[taken.size : end], counts, self.reach[j], weights)
             zeros.append(state[0].copy())
         return state, zeros
 
-    state, zeros = run(state, 0, split, slice(None))
 
-    def zero_rows(bins):
-        return [zero[:, bins] for zero in zeros] + run(state[..., bins], split, len(steps), bins)[1]
-
-    if split == len(steps):
-        return zero_rows, n_bins
-    return zero_rows, max(1, TABLE_STEP_BYTES // max(bin_bytes[split:]))
+def _view(flat, shape):
+    """The first floats of a 1-D ``flat`` as a contiguous array of ``shape``."""
+    return flat[: math.prod(shape)].reshape(shape)
 
 
 def _count_steps(strategies):
@@ -343,37 +438,61 @@ def _reach(counts):
     return np.searchsorted(-counts, -np.arange(counts[0] + 1), side="right")
 
 
-def _forward_step(f, counts, weights, per_layer, width, n_states):
+def _forward_scratch(live, width, reach, per_layer):
+    """The scratch floats per bin of a _forward_step from ``live`` states to
+    ``width``: a row for the spill, then the products. Up to outcome
+    per_layer a product covers at most min(width, live) states of every row.
+    From then on the spill sums' 13 planes of the rows reaching per_layer lie
+    on top, and a product covers at most min(width, live - 1) - 1 states, or
+    one plane, of the rows reaching per_layer + 1."""
+    rows = reach[0]
+    seeded = reach[per_layer] if per_layer < len(reach) else 0
+    spilled = reach[per_layer + 1] if per_layer + 1 < len(reach) else 0
+    return rows + max(
+        min(width, live) * rows,
+        max(1, min(width, live - 1) - 1) * spilled + 13 * seeded,
+    )
+
+
+def _forward_step(f, new, scratch, counts, reach, weights, per_layer, n_states):
     # f is (states, rows, bins), holding states 0 to len(f) - 1 of n_states,
     # the rest zero, and its rows come in descending order of count. Outcome
     # r moves state j to j + shift, shift = per_layer - r, and every state
-    # that would fall below zero spills into state zero; only the first
-    # ``width`` states of the result are computed
-    live = len(f)
-    new = np.zeros((width,) + f.shape[1:])
-    spill = np.zeros(f.shape[1:])
-    sums = _prefix_sums(f, n_states)
+    # that would fall below zero spills into state zero; only the states of
+    # ``new`` are computed. ``scratch`` holds the spill and the products,
+    # and on top of them the spill sums, which start at shift 0, after that
+    # outcome's product
+    live, rows, n_bins = f.shape
+    width = len(new)
+    spill = _view(scratch, (rows, n_bins))
+    products = scratch[spill.size :]
+    seeded = reach[per_layer] if per_layer < len(reach) else 0
+    new.fill(0.0)
+    spill.fill(0.0)
+    sums = _prefix_sums(f, n_states, scratch[len(scratch) - 13 * seeded * n_bins :])
     next(sums)
-    for r, k in enumerate(_reach(counts)):
+    for r, k in enumerate(reach):
         shift = per_layer - r
         if shift >= width:
             continue
         w = weights[counts[:k], r]
         if shift >= 0:
             m = min(width - shift, live)
-            new[shift : shift + m, :k] += w * f[:m, :k]
+            out = products[: m * k * n_bins].reshape(m, k, n_bins)
+            new[shift : shift + m, :k] += np.multiply(w, f[:m, :k], out)
             if not shift:
                 sums.send(k)  # the one-state sum the spills grow from
             continue
-        spill[:k] += w * sums.send(k)
+        spill[:k] += np.multiply(w, sums.send(k), products[: k * n_bins].reshape(k, n_bins))
         hi = min(width, live + shift)
         if hi > 1:
-            new[1:hi, :k] += w * f[1 - shift : hi - shift, :k]
+            out = products[: (hi - 1) * k * n_bins].reshape(hi - 1, k, n_bins)
+            new[1:hi, :k] += np.multiply(w, f[1 - shift : hi - shift, :k], out)
     new[0] += spill
     return new
 
 
-def _prefix_sums(a, n_max):
+def _prefix_sums(a, n_max, scratch=None):
     """Generator of the sums of the first n state planes of a (states, rows,
     bins) array, for n = 1, 2, ... up to n_max and n_max after that; each
     ``send(k)`` returns the next one over the first k rows, k never growing.
@@ -386,11 +505,25 @@ def _prefix_sums(a, n_max):
     multiple of 8, each part summed the same way. So each n costs one plane
     add, or one accumulator update every 8, and a split one sum of its
     second part, carried on from the last split at the same place.
+
+    The running sum, the accumulators and their pairs are 13 planes of the
+    first k rows of the first send, in ``scratch`` when given, which the
+    generator does not touch before that send. Each sum it returns is a view
+    of them, good until the next send. Past 128, each split's second part
+    sums in arrays of its own, and the sums at multiples of 8 it starts from
+    are kept as copies.
     """
     k = yield
-    acc = np.zeros((8, k) + a.shape[2:])
-    s = np.zeros(acc.shape[1:])
-    whole = {}  # the sums at multiples of 8, the first parts of splits
+    plane = (k,) + a.shape[2:]
+    size = math.prod(plane)
+    if scratch is None:
+        scratch = np.empty(13 * size)
+    # the running sum and the 8 accumulators, then room for 4 pairs
+    sums = scratch[: 9 * size].reshape((9,) + plane)
+    sums.fill(0.0)
+    s = running = sums[0]
+    acc, pairs = sums[1:], scratch[9 * size : 13 * size]
+    whole = {}  # past 128 only: the sums at multiples of 8, the first parts of splits
     split = rest = None
     for n in range(1, n_max + 1):
         if n > 128:
@@ -403,36 +536,47 @@ def _prefix_sums(a, n_max):
                 while m < n - split:
                     part = rest.send(k)
                     m += 1
-                s = s + part
+                s = np.add(s, part, running[:k])
         elif n % 8:
-            s = s[:k] + a[n - 1, :k] if n <= len(a) else s[:k]
+            s = np.add(s[:k], a[n - 1, :k], running[:k]) if n <= len(a) else s[:k]
         else:
             block = a[n - 8 : n, :k]
             acc = acc[:, :k]
             acc[: len(block)] += block
-            pairs = acc[0::2] + acc[1::2]
-            s = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
-        if not n % 8:
-            whole[n] = s
+            four = np.add(acc[0::2], acc[1::2], _view(pairs, (4,) + acc.shape[1:]))
+            np.add(four[0::2], four[1::2], four[0::2])
+            s = np.add(four[0], four[2], running[:k])
+        if n_max > 128 and not n % 8:
+            whole[n] = s.copy()
         k = yield s
     while True:
         k = yield s[:k]
 
 
-def _backward_step(bq, counts, weights, per_layer, width):
+def _backward_scratch(live, width, reach):
+    """The scratch floats per bin of a _backward_step from ``live`` states
+    to ``width``: its products."""
+    return min(width, live) * reach[0]
+
+
+def _backward_step(bq, new, scratch, counts, reach, weights, per_layer):
     # bq is (states, rows, bins) and its rows come in descending order of
     # count. After outcome r, state j reads state j + shift, shift =
     # per_layer - r; a walk that lands on zero does not avoid it, so state
     # zero is never read. States above the reachable deficit bound never
     # feed state zero, so transitions past the top of the array are dropped
-    # without error. Only the first ``width`` states of the result are
-    # computed, so outcomes from r = per_layer + width - 1 on reach none of
-    # them.
-    n_states = bq.shape[0]
-    new = np.zeros((width,) + bq.shape[1:])
-    for r, k in enumerate(_reach(counts)[: per_layer + width - 1]):
+    # without error. Only the states of ``new`` are computed, so outcomes
+    # from r = per_layer + width - 1 on reach none of them. ``scratch``
+    # holds the products
+    n_states, rows, n_bins = bq.shape
+    width = len(new)
+    new.fill(0.0)
+    for r, k in enumerate(reach[: per_layer + width - 1]):
         shift = per_layer - r
         lo = max(0, 1 - shift)
         hi = min(width, n_states - max(shift, 0))
-        new[lo:hi, :k] += weights[counts[:k], r] * bq[lo + shift : hi + shift, :k]
+        if hi > lo:
+            w = weights[counts[:k], r]
+            out = scratch[: (hi - lo) * k * n_bins].reshape(hi - lo, k, n_bins)
+            new[lo:hi, :k] += np.multiply(w, bq[lo + shift : hi + shift, :k], out)
     return new

@@ -389,6 +389,17 @@ def test_prefix_sums_add_in_numpys_order():
             for n, k in enumerate(ks, 1):
                 want = ref[min(n, n_max) - 1][:k]
                 assert np.array_equal(sums.send(k), want), (trial, top, n, k)
+    # 128 states are the longest run summed without a split; runs of 129 to
+    # 136 split at 64, so they read the first sum kept for a split
+    for n_max in (128, 136):
+        f = rng.random((n_max, rows, bins)) * 10.0 ** rng.uniform(-300, 0, (n_max, rows, bins))
+        runs = np.ascontiguousarray(np.moveaxis(f, 0, -1))
+        ks = np.sort(rng.integers(1, rows + 1, n_max + 8))[::-1]
+        sums = kernels._prefix_sums(f, n_max)
+        next(sums)
+        for n, k in enumerate(ks, 1):
+            want = runs[..., : min(n, n_max)].sum(-1)[:k]
+            assert np.array_equal(sums.send(k), want), (n_max, n, k)
 
 
 def _stacked_matches_per_bin(expected_layers, strategies, stack, per_layer):

@@ -1,6 +1,11 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from nclayer.spt import (
     nearest_bin,
     save_table,
 )
+import nclayer
 from nclayer import simulator
 from nclayer.nodes import pick_strategies
 from nclayer.simulator import ChainConfig, run
@@ -129,6 +135,56 @@ def test_table_build_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * stacked_mib * 2**20, (shape, peak)
+
+
+# three standard builds in a fresh interpreter; prints each one's minor page
+# faults
+_BUILD_FAULTS = (
+    "import resource\n"
+    "from nclayer.spt import build_table\n"
+    "faults = []\n"
+    "for _ in range(3):\n"
+    "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+    "    build_table()\n"
+    "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    "print(*faults)\n"
+)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts page faults under glibc's malloc",
+)
+def test_repeated_builds_fault_in_no_fresh_pages():
+    # the kernel works in one block per call, which glibc serves from the
+    # heap it kept once it has freed a block of that size, so later builds
+    # touch pages already resident; fresh arrays per step faulted in about
+    # 3,200 pages on every build, not only the first
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(nclayer.__file__).parent.parent), os.environ.get("PYTHONPATH")))
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _BUILD_FAULTS],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    first, _, third = (int(n) for n in done.stdout.split())
+    assert third <= first / 4, done.stdout
+
+
+def test_builds_share_nothing_through_the_arena():
+    # every kernel call carves its steps from a block of its own: a larger
+    # build, a one-strategy value and the same build again leave a table's
+    # arrays as they were, and the repeat gives them again bit for bit
+    first = build_table(64, 4, 8, 4)
+    fields = ("values", "best_index", "restricted_index")
+    kept = [getattr(first, name).tobytes() for name in fields]
+    build_table(128, 4, 8, 4)
+    expected_decoded_layers((40, 8, 8, 8), 0.7, 8)
+    again = build_table(64, 4, 8, 4)
+    for name, before in zip(fields, kept):
+        assert getattr(first, name).tobytes() == before, name
+        assert getattr(again, name).tobytes() == before, name
 
 
 def test_pmf_cache_stays_bounded_and_keeps_a_table_of_bins():
