@@ -26,7 +26,6 @@ from .codec import (
     SCHEME_RLC,
     SCHEME_XOR,
     PacketBlock,
-    decodable_layers,
     decode_block,
     encode_block,
     encode_gop,
@@ -68,7 +67,6 @@ __all__ = [
     "apply_overrides",
     "build_table",
     "builtin_policy",
-    "decodable_layers",
     "decode_block",
     "encode_block",
     "encode_gop",

@@ -216,25 +216,6 @@ class PacketBlock:
         return out
 
 
-def decodable_layers(counts: Sequence[int], packets_per_layer: int) -> int:
-    """Deepest prefix of layers covered by per-class reception counts.
-
-    counts[j] is how many class j+1 packets arrived. Depth i qualifies when
-    every trailing window of classes i-k..i holds at least (k+1) *
-    packets_per_layer packets, i.e. enough material to cancel everything the
-    deepest packets mixed in. Returns the largest qualifying i, or 0.
-    """
-    if packets_per_layer < 1:
-        raise ValueError(f"packets_per_layer must be positive, got {packets_per_layer}")
-    counts = [int(c) for c in counts]
-    if any(c < 0 for c in counts):
-        raise ValueError(f"reception counts must be non-negative, got {counts}")
-    for i in range(len(counts), 0, -1):
-        if all(sum(counts[i - 1 - k : i]) >= (k + 1) * packets_per_layer for k in range(i)):
-            return i
-    return 0
-
-
 def decodable_layers_batch(count_rows: np.ndarray, packets_per_layer: int) -> np.ndarray:
     """Vectorized decodable depth for an array of reception-count rows.
 

@@ -6,8 +6,9 @@ replica allocation, plus the argmax per bin. Senders and re-encoding relays
 look strategies up here instead of solving anything online. build_table is
 the only source of a table; save_table writes one out for readers, and
 nothing reads it back. Every value comes from the exact dynamic program in
-``kernels.expected_layers_batch``; ``brute_force_decoded_layers`` is the
-small-budget reference it is checked against.
+``kernels.expected_layers_batch``; the tests check it against full
+delivery-outcome enumeration at small budgets
+(``tests/oracles.py::brute_force_decoded_layers``).
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import decodable_layers
 from .kernels import expected_layers_batch
 
 PDR_BINS = tuple(round(0.05 * k, 2) for k in range(1, 21))
 
 _BIN_EPS = 1e-9
-_BRUTE_FORCE_CAP = 20
 
 
 def enumerate_strategies(
@@ -104,17 +103,6 @@ def _pmf_stack(max_count: int) -> np.ndarray:
     return stack
 
 
-def _check_inputs(strategy, delivery_prob, packets_per_layer):
-    counts = tuple(int(x) for x in strategy)
-    if any(x < 0 for x in counts) or not counts:
-        raise ValueError(f"strategy must be non-empty and non-negative, got {counts}")
-    if not 0.0 <= delivery_prob <= 1.0:
-        raise ValueError(f"delivery_prob must lie in [0, 1], got {delivery_prob}")
-    if packets_per_layer < 1:
-        raise ValueError(f"packets_per_layer must be positive, got {packets_per_layer}")
-    return counts
-
-
 def expected_decoded_layers(
     strategy: Sequence[int],
     delivery_prob: float,
@@ -125,38 +113,16 @@ def expected_decoded_layers(
     The dynamic program build_table runs over the per-class reception
     deficits, for one strategy.
     """
-    counts = _check_inputs(strategy, delivery_prob, packets_per_layer)
+    counts = tuple(int(x) for x in strategy)
+    if any(x < 0 for x in counts) or not counts:
+        raise ValueError(f"strategy must be non-empty and non-negative, got {counts}")
+    if not 0.0 <= delivery_prob <= 1.0:
+        raise ValueError(f"delivery_prob must lie in [0, 1], got {delivery_prob}")
+    if packets_per_layer < 1:
+        raise ValueError(f"packets_per_layer must be positive, got {packets_per_layer}")
     rows = _pmf_rows(max(counts), float(delivery_prob))
     batch = expected_layers_batch(np.asarray([counts], dtype=np.int64), rows, packets_per_layer)
     return float(batch[0])
-
-
-def brute_force_decoded_layers(
-    strategy: Sequence[int], delivery_prob: float, packets_per_layer: int
-) -> float:
-    """expected_decoded_layers by enumerating all 2**budget delivery outcomes
-    and scoring each with ``decodable_layers``; capped at small budgets."""
-    counts = _check_inputs(strategy, delivery_prob, packets_per_layer)
-    total_packets = sum(counts)
-    if total_packets > _BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"brute-force enumerates 2**{total_packets} outcomes; "
-            f"capped at budgets of {_BRUTE_FORCE_CAP} packets"
-        )
-    owner = [j for j, x in enumerate(counts) for _ in range(x)]
-    total = 0.0
-    for mask in range(1 << total_packets):
-        received = [0] * len(counts)
-        m = mask
-        k = 0
-        for b in range(total_packets):
-            if m & 1:
-                received[owner[b]] += 1
-                k += 1
-            m >>= 1
-        weight = delivery_prob**k * (1.0 - delivery_prob) ** (total_packets - k)
-        total += weight * decodable_layers(received, packets_per_layer)
-    return total
 
 
 @dataclass

@@ -5,12 +5,12 @@ package's arithmetic or decode logic; each oracle recomputes its answer by
 a structurally different method so that agreement is evidence rather than
 tautology. class_block is no oracle: it builds the RLC blocks of which
 tests read only the classes. reference_run drives the package's codec one
-GOP at a time, with the scalar table and policy lookups below, through the
-GOP-by-GOP loop, so it checks how run() carries GOPs, not the codec;
-each of its encoders hands its own generator to encode_block GOP by GOP,
-so the block pass must draw the same coefficients in the same order. Its
-relays sample with reference_sample_depths, which steps every draw as the
-sampler first did.
+GOP at a time, with the scalar count rule, table and policy lookups below,
+through the GOP-by-GOP loop, so it checks how run() carries GOPs, not the
+codec; each of its encoders hands its own generator to encode_block GOP by
+GOP, so the block pass must draw the same coefficients in the same order.
+Its relays sample with reference_sample_depths, which steps every draw as
+the sampler first did.
 """
 
 import math
@@ -172,6 +172,63 @@ def rank_decodable_layers(counts, per_layer):
         if full - max_cover(counts, per_layer, depth + 1) == depth * per_layer:
             return depth
     return 0
+
+
+def decodable_layers(counts, packets_per_layer):
+    """Deepest prefix of layers covered by per-class reception counts.
+
+    counts[j] is how many class j+1 packets arrived. Depth i qualifies when
+    every trailing window of classes i-k..i holds at least (k+1) *
+    packets_per_layer packets, i.e. enough material to cancel everything the
+    deepest packets mixed in. Returns the largest qualifying i, or 0. This
+    is the count rule one count vector at a time, window by window, the
+    reference for codec.decodable_layers_batch's running-maximum form.
+    """
+    if packets_per_layer < 1:
+        raise ValueError(f"packets_per_layer must be positive, got {packets_per_layer}")
+    counts = [int(c) for c in counts]
+    if any(c < 0 for c in counts):
+        raise ValueError(f"reception counts must be non-negative, got {counts}")
+    for i in range(len(counts), 0, -1):
+        if all(sum(counts[i - 1 - k : i]) >= (k + 1) * packets_per_layer for k in range(i)):
+            return i
+    return 0
+
+
+BRUTE_FORCE_CAP = 20
+
+
+def brute_force_decoded_layers(strategy, delivery_prob, packets_per_layer):
+    """spt.expected_decoded_layers by enumerating all 2**budget delivery
+    outcomes and scoring each with decodable_layers; capped at budgets of
+    BRUTE_FORCE_CAP packets."""
+    counts = tuple(int(x) for x in strategy)
+    if any(x < 0 for x in counts) or not counts:
+        raise ValueError(f"strategy must be non-empty and non-negative, got {counts}")
+    if not 0.0 <= delivery_prob <= 1.0:
+        raise ValueError(f"delivery_prob must lie in [0, 1], got {delivery_prob}")
+    if packets_per_layer < 1:
+        raise ValueError(f"packets_per_layer must be positive, got {packets_per_layer}")
+    total_packets = sum(counts)
+    if total_packets > BRUTE_FORCE_CAP:
+        raise ValueError(
+            f"brute-force enumerates 2**{total_packets} outcomes; "
+            f"capped at budgets of {BRUTE_FORCE_CAP} packets"
+        )
+    owner = [j for j, x in enumerate(counts) for _ in range(x)]
+    total = 0.0
+    for mask in range(1 << total_packets):
+        received = [0] * len(counts)
+        m = mask
+        k = 0
+        for b in range(total_packets):
+            if m & 1:
+                received[owner[b]] += 1
+                k += 1
+            m >>= 1
+        weight = delivery_prob**k * (1.0 - delivery_prob) ** (total_packets - k)
+        total += weight * decodable_layers(received, packets_per_layer)
+    return total
 
 
 def count_vectors(layer_count, max_entry):
@@ -482,7 +539,6 @@ def reference_run(config, table=None):
         SCHEME_REPEAT,
         SCHEME_RLC,
         covered_depth,
-        decodable_layers,
         decode_block,
         encode_block,
     )

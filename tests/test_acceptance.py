@@ -11,7 +11,7 @@ import numpy as np
 from nclayer.codec import (
     SCHEME_RLC,
     SCHEME_XOR,
-    decodable_layers,
+    decodable_layers_batch,
     decode_block,
     encode_gop,
 )
@@ -19,13 +19,14 @@ from nclayer.heuristic import builtin_policy
 from nclayer.media import make_synthetic_gop
 from nclayer.simulator import ChainConfig, format_row, run, sweep, write_rows
 from nclayer.spt import (
-    brute_force_decoded_layers,
     build_table,
     enumerate_strategies,
     expected_decoded_layers,
 )
 from oracles import (
+    brute_force_decoded_layers,
     count_vectors,
+    decodable_layers,
     rank_decodable_layers,
     row_classes,
     select_best,
@@ -47,11 +48,13 @@ def test_c01_decode_condition_fidelity():
     checked = 0
     for layers in (1, 2, 3, 4):
         for per_layer in (1, 2):
-            for counts in count_vectors(layers, 6):
-                assert decodable_layers(counts, per_layer) == rank_decodable_layers(
-                    counts, per_layer
-                ), (counts, per_layer)
-                checked += 1
+            rows = list(count_vectors(layers, 6))
+            depths = [decodable_layers(counts, per_layer) for counts in rows]
+            for counts, depth in zip(rows, depths):
+                assert depth == rank_decodable_layers(counts, per_layer), (counts, per_layer)
+            checked += len(rows)
+            # the rule the simulator runs, on the same domain
+            assert decodable_layers_batch(np.array(rows), per_layer).tolist() == depths
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"criterion 1: {checked} count vectors agree with the rank oracle "

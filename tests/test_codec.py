@@ -15,7 +15,6 @@ from nclayer.codec import (
     SCHEME_XOR,
     SCHEMES,
     PacketBlock,
-    decodable_layers,
     decodable_layers_batch,
     decode_block,
     encode_block,
@@ -29,6 +28,7 @@ from nclayer.media import make_synthetic_cells, make_synthetic_gop
 from oracles import (
     class_block,
     count_vectors,
+    decodable_layers,
     decode_gop_reference,
     gop_offsets,
     rank_decodable_layers,
@@ -37,19 +37,24 @@ from oracles import (
 )
 
 
+def _depth(counts, per_layer):
+    """The production count rule on one count vector."""
+    return int(decodable_layers_batch(np.array([counts]), per_layer)[0])
+
+
 def test_worked_example_three_classes():
     # one packet each of classes 1..3: the two trailing windows hold enough
     # packets for depth 3 even though class 3 alone only covers one unknown
-    assert decodable_layers((1, 1, 1, 0), 1) == 3
+    assert _depth((1, 1, 1, 0), 1) == 3
 
 
 def test_decodable_layers_edge_cases():
-    assert decodable_layers((0, 0, 0), 1) == 0
-    assert decodable_layers((2,), 2) == 1
-    assert decodable_layers((1,), 2) == 0
-    assert decodable_layers((2, 2, 2), 2) == 3
+    assert _depth((0, 0, 0), 1) == 0
+    assert _depth((2,), 2) == 1
+    assert _depth((1,), 2) == 0
+    assert _depth((2, 2, 2), 2) == 3
     # a surplus of shallow packets never unlocks deeper layers
-    assert decodable_layers((50, 0, 1), 2) == 1
+    assert _depth((50, 0, 1), 2) == 1
 
 
 def test_decodable_layers_matches_rank_oracle_small():

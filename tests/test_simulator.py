@@ -459,7 +459,30 @@ TWIN_CONFIGS = {
     "repeat-forward": ChainConfig(
         link_pdrs=(0.9, 0.9), relay_modes=("forward",), scheme="repeat", gop_count=30, seed=17
     ),
+    # a grid other than the standard one: 3 layers of 4 cells of 16 bytes,
+    # on a table of its own
+    "rlc-forward-small-grid": ChainConfig(
+        link_pdrs=(0.6, 0.5),
+        relay_modes=("forward",),
+        layer_count=3,
+        packets_per_layer=4,
+        payload_size=16,
+        budget=24,
+        granularity=2,
+        gop_count=40,
+        seed=3,
+    ),
 }
+
+
+def _table_for(config, default_table):
+    """default_table where the config's table shape is the standard one,
+    else a table built for it."""
+    shape = (config.budget, config.layer_count, config.packets_per_layer, config.granularity)
+    if shape == (default_table.budget, default_table.layer_count,
+                 default_table.packets_per_layer, default_table.granularity):
+        return default_table
+    return build_table(*shape)
 
 
 @pytest.mark.parametrize("name", sorted(TWIN_CONFIGS))
@@ -473,6 +496,7 @@ def test_unverified_run_matches_verified_twin(name, default_table, monkeypatch):
     # then nothing else may differ (test_sampled_chain_matches_verified_audl
     # checks the sampled depths themselves)
     config = TWIN_CONFIGS[name]
+    table = _table_for(config, default_table)
     relays = config.relay_modes.count("nc")
     decoded = []
     decode = simulator.decode_block
@@ -483,12 +507,12 @@ def test_unverified_run_matches_verified_twin(name, default_table, monkeypatch):
         return depths, cells
 
     monkeypatch.setattr(simulator, "decode_block", recording)
-    verified = run(replace(config, verify_payloads=True), table=default_table)
+    verified = run(replace(config, verify_payloads=True), table=table)
     # each block's relays decode in hop order, then the receiver
     replay = (depths for k, depths in enumerate(decoded) if k % (relays + 1) < relays)
     monkeypatch.setattr(simulator, "decode_block", decode)
     monkeypatch.setattr(simulator, "sample_depths", lambda *args: next(replay))
-    bare = run(config, table=default_table)
+    bare = run(config, table=table)
     if config.scheme == "rlc":
         assert next(replay, None) is None
     for attr in ("npr", "sent_total", "per_gop_decoded", "total_delay"):

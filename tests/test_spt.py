@@ -15,7 +15,6 @@ from nclayer.spt import (
     _argmax_lex_largest,
     _pmf_rows,
     _pmf_stack,
-    brute_force_decoded_layers,
     build_table,
     enumerate_strategies,
     expected_decoded_layers,
@@ -28,6 +27,7 @@ from nclayer.nodes import pick_strategies
 from nclayer.simulator import ChainConfig, run
 from oracles import (
     best_restricted,
+    brute_force_decoded_layers,
     class_block,
     nearest_bin_reference,
     select_best,
