@@ -159,14 +159,16 @@ def _swap_columns(block, a, b):
 
 
 # Most bytes of one expected-depth step's state, reachable states x rows x
-# bins float64s, that expected_layers_batch steps at once. A pass steps over
-# every bin while its steps fit; from the first step that does not, it
-# finishes one chunk of bins at a time. A step's taken rows, new state and
+# bins float64s, that expected_layers_batch steps at once. Every step runs
+# over every bin; a step whose state over its rows does not fit runs on
+# ranges of its rows that do, each carried with its descendant rows through
+# the rest of its pass before the next. A step's taken rows, new state and
 # products are a few arrays of that size, views of the one arena a call
 # allocates, so this bounds a table build's working memory whatever the
-# table's size. At B=64, L=4, P=8, g=4 only the 969-row steps split, and
-# the arena is 2.9 MiB; fresh arrays per step in its place faulted in about
-# 3,200 pages on every build.
+# table's size. At B=64, L=4, P=8, g=4 only the 969-row steps split, into 4
+# ranges in the forward pass and 2 in the backward, and the arena is 2.5
+# MiB; fresh arrays per step in its place faulted in about 3,200 pages on
+# every build.
 TABLE_STEP_BYTES = 1 << 20
 
 
@@ -191,23 +193,22 @@ def expected_layers_batch(strategies, pmf_rows, per_layer):
     axis=1)`` (a fancy index on the middle axis returns a transposed,
     non-contiguous copy). With the state axis outermost each state is one
     contiguous plane of rows x bins values, so a shifted multiply-add runs
-    over whole planes. A pass steps over every bin at once while a step's
-    state fits ``TABLE_STEP_BYTES``; from the first step that does not, it
-    runs its remaining steps one chunk of bins at a time, depth first. Each
-    step keeps its state-zero row per prefix (or suffix) row, and the value
-    is formed from those rows a chunk of bins at a time.
+    over whole planes. Every step runs over every bin. A step whose state
+    does not fit ``TABLE_STEP_BYTES`` runs on ranges of its rows, which come
+    in descending order of count, and each range is carried depth first,
+    with its descendant rows, through the rest of its pass; so a range's
+    outcomes stop at its own largest count. Each step keeps its state-zero
+    row per prefix (or suffix) row, and the value is formed from those rows.
 
     Every step works in contiguous views of one float64 arena, allocated
     once per call and sized from the steps' geometry before any of them
-    runs: a step takes its parent rows to the front of the arena's working
-    part, forms its products behind them, and writes its new state at the
-    far end, over the state it took from. The state each pass's last
-    every-bin step leaves, which its chunks start from, is kept ahead of the
-    working part. Fresh arrays per step cost about 3,200 page faults on
+    runs (``_Pass``). Fresh arrays per step cost about 3,200 page faults on
     every build, as the allocator maps and trims them; one block per call
     costs a handful of faults once the allocator has seen its size. The
     state-zero rows and the values are arrays of their own, so nothing the
-    arena holds outlives the call.
+    arena holds outlives the call. So is a copy of the pmf rows of the
+    counts that occur, outcome first and bins last, from which a step
+    gathers the weights of an outcome as whole runs of bins.
 
     The value reads only state zero of each pass's last step, so that step
     computes state zero alone, and the deficit after class i is at most i *
@@ -223,165 +224,155 @@ def expected_layers_batch(strategies, pmf_rows, per_layer):
     covers, added in numpy's order for a run of that length
     (``_prefix_sums``), since a sum in another order or of another length
     can round differently. So the values are bit-identical to that walk
-    however the bins are stacked or chunked.
+    however the bins are stacked or the rows split.
     """
     strategies = np.asarray(strategies, dtype=np.int64)
     n_strategies, n_layers = strategies.shape
     forward, backward = _count_steps(strategies)
     stack = pmf_rows if pmf_rows.ndim == 3 else pmf_rows[None]
-    # weights[n, r] holds the Binomial(n, p) pmf at r of every bin
-    weights = np.moveaxis(stack, 0, -1)
     n_bins = stack.shape[0]
+    # weights[r, c] holds the Binomial(n, p) pmf at r of every bin, n the
+    # c-th distinct count; a step gathers each row's run of bins from it
+    present = np.flatnonzero(np.bincount(strategies.ravel()))
+    weights = np.ascontiguousarray(stack[:, present].transpose(2, 1, 0))
     n_states = n_layers * per_layer + 1
     # the deficit after class i is at most i * per_layer, and each pass's
     # last step computes state zero alone
     passes = (
         _Pass(
-            np.ones((1, 1, n_bins)),
+            1,
             forward,
             [i * per_layer + 1 for i in range(1, n_layers)] + [1],
             lambda f, *args: _forward_step(f, *args, per_layer, n_states),
-            lambda live, width, reach: _forward_scratch(live, width, reach, per_layer),
+            lambda *args: _forward_scratch(*args, per_layer),
+            n_bins,
+            present,
         ),
         _Pass(
-            np.ones((n_states, 1, n_bins)),
+            n_states,
             backward,
             [(i - 1) * per_layer + 1 for i in range(n_layers - 1, 0, -1)],
             lambda bq, *args: _backward_step(bq, *args, per_layer),
             _backward_scratch,
+            n_bins,
+            present,
         ),
     )
-    chunk = min(p.chunk for p in passes)
-    # one block for the call: the state each pass's chunks start from, then
-    # the working part, in which every step and every chunk's values are
+    # one block for the call, in which every step and the values' terms are
     # formed
-    size = sum(p.kept_size for p in passes)
-    arena = np.empty(size + max(3 * n_strategies * chunk, *(p.work(chunk) for p in passes)))
-    kept, work = arena[:size], arena[size:]
-    for p in passes:
-        p.run_every_bin(kept[: p.kept_size], work, weights)
-        kept = kept[p.kept_size :]
-    value = np.empty((n_strategies, n_bins))
-    for lo in range(0, n_bins, chunk):
-        bins = slice(lo, lo + chunk)
-        _add_depths(
-            value[:, bins],
-            forward,
-            passes[0].zero_rows(bins, work, weights),
-            backward,
-            passes[1].zero_rows(bins, work, weights),
-            work,
-        )
+    arena = np.empty(max(2 * n_strategies * n_bins, *(p.size for p in passes)))
+    f = passes[0].run(arena, weights)
+    # depth L first, in the walk's order, which frees the forward pass's last
+    # state-zero rows before the backward pass runs
+    value = f.pop().take(forward[-1][2], axis=0, out=np.empty((n_strategies, n_bins)), mode="clip")
+    np.multiply(n_layers, value, out=value)
+    _add_depths(value, forward, f, backward, passes[1].run(arena, weights), arena)
     return value if pmf_rows.ndim == 3 else value[:, 0]
 
 
 def _add_depths(value, forward, f, backward, bq, scratch):
-    """Writes each strategy's mean depth over a slice of bins into ``value``
-    from the state-zero rows ``f`` and ``bq`` of every step of each pass,
-    adding depth L, L - 1, ..., 1 in the order of the strategy-at-a-time
-    walk. The sum and its terms are formed in ``scratch``, contiguous, and
-    copied to ``value`` once."""
+    """Adds depth L - 1, ..., 1 of each strategy in every bin to ``value``,
+    which holds depth L, from the state-zero rows ``f`` and ``bq`` of every
+    step of each pass, in the order of the strategy-at-a-time walk. The
+    terms are formed in ``scratch``."""
     n_layers = len(forward)
-    total, term, tail = scratch[: 3 * value.size].reshape((3,) + value.shape)
-    np.multiply(n_layers, f[-1].take(forward[-1][2], axis=0, out=term, mode="clip"), out=total)
+    term, tail = scratch[: 2 * value.size].reshape((2,) + value.shape)
     for i, zero, (_, _, node) in zip(range(n_layers - 1, 0, -1), bq, backward):
         np.multiply(i, f[i - 1].take(forward[i - 1][2], axis=0, out=term, mode="clip"), out=term)
-        total += np.multiply(term, zero.take(node, axis=0, out=tail, mode="clip"), out=term)
-    value[...] = total
+        value += np.multiply(term, zero.take(node, axis=0, out=tail, mode="clip"), out=term)
 
 
 class _Pass:
-    """One pass of expected_layers_batch from a (states, 1, bins) ``start``.
+    """One pass of expected_layers_batch from ``n_start`` states of ones in
+    one row, over ``n_bins`` bins.
 
     Each step takes its rows from their parents and ``advance``s them by
-    their class counts to ``width`` states, in views of the arena: its taken
-    rows at the front of the working part, its scratch behind them, its new
-    state at the far end, where the state it took from lay. Steps run over
-    every bin while their state, the larger of the states they start from
-    and end with, fits ``TABLE_STEP_BYTES``; from the first that does not,
-    ``split``, they run on at most ``chunk`` bins at a time, starting from
-    the state the last every-bin step leaves, which it writes to
-    ``kept_size`` floats of the arena ahead of the working part. ``scratch(live, width,
-    reach)`` gives the scratch floats per bin a step needs.
+    their class counts to ``width`` states. A step whose state, the larger
+    of the states it starts from and ends with, over its rows does not fit
+    ``TABLE_STEP_BYTES`` runs on as few even ranges of those rows as fit,
+    and each range runs with its descendant rows through the rest of the
+    pass before the next; descendants that do not fit split the same way.
+    ``plan`` lists every run of a step over some of its rows, in order, and
+    ``size`` is the floats of arena they need. ``scratch(live, width, reach,
+    n_bins)`` gives the scratch floats a run needs.
+
+    Each run takes its parent rows to the front of the arena, forms its
+    scratch behind them and writes its new state at the far end of its
+    working part, over the state it took from, which is dead once taken. A
+    state whose rows the next step splits stays where it was written until
+    its last range has run, and the working part of those runs ends below
+    it; so does the start.
     """
 
-    def __init__(self, start, steps, widths, advance, scratch):
-        self.state, self.steps, self.widths, self.advance = start, steps, widths, advance
-        self.reach = [_reach(counts).tolist() for _, counts, _ in steps]
-        n_bins, n_steps = start.shape[2], len(steps)
-        starts = [len(start)] + widths[:-1]
-        rows = [1] + [len(parent) for parent, _, _ in steps]
-        bin_bytes = [8 * max(s, w) * r for s, w, r in zip(starts, widths, rows[1:])]
-        self.split = split = next(
-            (j for j, size in enumerate(bin_bytes) if size * n_bins > TABLE_STEP_BYTES),
-            n_steps,
-        )
-        self.chunk, self.kept_size, kept_at = n_bins, 0, None
-        if split < n_steps:
-            self.chunk = max(1, TABLE_STEP_BYTES // max(bin_bytes[split:]))
-            if split:
-                self.kept_size, kept_at = widths[split - 1] * rows[split] * n_bins, split - 1
-        # the floats per bin of the working part each step uses: its taken
-        # rows, and after them the state it takes from, or its scratch and
-        # its new state, which split - 1 writes to the kept part instead
-        self.needs = [
-            live * r
-            + max(
-                live * parent_rows,
-                scratch(live, width, reach) + (0 if j == kept_at else width * r),
-            )
-            for j, (live, width, parent_rows, r, reach) in enumerate(
-                zip(starts, widths, rows, rows[1:], self.reach)
-            )
-        ]
+    def __init__(self, n_start, steps, widths, advance, scratch, n_bins, present):
+        self.n_start, self.steps, self.widths, self.advance = n_start, steps, widths, advance
+        self.n_bins, self.scratch, self.present = n_bins, scratch, present
+        self.live = [n_start] + widths[:-1]
+        self.plan, self.size = [], 0
+        start = n_start * n_bins
+        if steps:  # a one-class strategy has no backward steps
+            self._add(0, slice(0, len(steps[0][0])), steps[0][0], (start, 1), start)
 
-    def work(self, chunk):
-        """The floats of the working part every step fits in, at most
-        ``chunk`` bins a step from ``split`` on."""
-        n_bins = self.state.shape[2]
-        return max(
-            (need * (n_bins if j < self.split else chunk) for j, need in enumerate(self.needs)),
-            default=0,
-        )
-
-    def run_every_bin(self, kept, work, weights):
-        """Runs the steps before ``split``, keeping their state-zero rows and
-        the state the last of them leaves, in ``kept`` if they leave one."""
-        self.state, self.zeros = self._run(
-            self.state, 0, self.split, slice(None), work, weights, kept if kept.size else None
-        )
-
-    def zero_rows(self, bins, work, weights):
-        """Every step's state-zero row, (rows, bins), over a slice of bins,
-        running the steps from ``split`` on over those bins alone."""
-        zeros = [zero[:, bins] for zero in self.zeros]
-        if self.split < len(self.steps):
-            state = self.state[..., bins]
-            zeros += self._run(state, self.split, len(self.steps), bins, work, weights)[1]
-        return zeros
-
-    def _run(self, state, first, last, bins, work, weights, kept=None):
-        weights, zeros = weights[..., bins], []
-        for j in range(first, last):
-            if not state.flags.c_contiguous:
-                # a chunk of bins, which take would copy to an array of its own
-                copy = work[len(work) - state.size :].reshape(state.shape)
-                copy[...] = state
-                state = copy
-            parent, counts, _ = self.steps[j]
-            n_bins = state.shape[2]
-            taken = state.take(
-                parent, axis=1, out=_view(work, (len(state), len(parent), n_bins)), mode="clip"
-            )
-            shape = (self.widths[j], len(parent), n_bins)
-            if j == last - 1 and kept is not None:
-                new, end = kept.reshape(shape), len(work)
+    def _add(self, j, rows, parent, src, depth):
+        """Plans step j over ``rows``, a slice or an ascending index array
+        of its rows, and their descendants through the rest of the pass.
+        ``parent`` holds their rows in the state they take from, ``src``:
+        its first float, counted from the end of the arena, and its rows.
+        The last ``depth`` floats of the arena hold states still to be
+        read."""
+        _, counts, _ = self.steps[j]
+        live, width, n, n_bins = self.live[j], self.widths[j], len(parent), self.n_bins
+        # the most rows whose state fits, and as few even ranges as keep to it
+        fit = max(1, TABLE_STEP_BYTES // (8 * max(live, width) * n_bins))
+        parts = -(-n // fit)
+        if parts > 1:
+            depth = src[0]  # every range takes from it
+        for lo, hi in ((c * n // parts, (c + 1) * n // parts) for c in range(parts)):
+            if isinstance(rows, slice):
+                part = slice(rows.start + lo, rows.start + hi)
             else:
-                end = len(work) - len(parent) * n_bins * self.widths[j]
-                new = work[end:].reshape(shape)
-            state = self.advance(taken, new, work[taken.size : end], counts, self.reach[j], weights)
-            zeros.append(state[0].copy())
-        return state, zeros
+                part = rows[lo:hi]
+            part_counts = counts[part]
+            reach = _reach(part_counts).tolist()
+            taken, size = live * (hi - lo) * n_bins, width * (hi - lo) * n_bins
+            slots = np.searchsorted(self.present, part_counts)
+            self.plan.append((j, part, parent[lo:hi], slots, reach, src, depth))
+            # the state it takes from lies past the working part unless it
+            # is the run before's, at the working part's far end
+            self.size = max(
+                self.size,
+                depth + taken + max(src[0] - depth, self.scratch(live, width, reach, n_bins) + size),
+            )
+            if j + 1 < len(self.steps):
+                self._add(j + 1, *self._descendants(j, part, hi - lo), (depth + size, hi - lo), depth)
+
+    def _descendants(self, j, rows, n):
+        """The rows of step j + 1 whose parents are the ``n`` ``rows`` of
+        step j, and their parents' places in ``rows``."""
+        parent = self.steps[j + 1][0]
+        if n == len(self.steps[j][0]):
+            return slice(0, len(parent)), parent
+        place = np.full(len(self.steps[j][0]), -1)
+        place[rows] = np.arange(n)
+        at = place[parent]
+        below = np.flatnonzero(at >= 0)
+        return below, at[below]
+
+    def run(self, arena, weights):
+        """Runs the plan in ``arena``; returns every step's state-zero row,
+        (rows, bins)."""
+        n_bins, end = self.n_bins, len(arena)
+        arena[end - self.n_start * n_bins :] = 1.0
+        zeros = [np.empty((len(parent), n_bins)) for parent, _, _ in self.steps]
+        for j, rows, parent, slots, reach, (at, n_src), depth in self.plan:
+            live, width, n = self.live[j], self.widths[j], len(parent)
+            state = arena[end - at : end - at + live * n_src * n_bins].reshape(live, n_src, n_bins)
+            work = arena[: end - depth]
+            taken = state.take(parent, axis=1, out=_view(work, (live, n, n_bins)), mode="clip")
+            out = len(work) - width * n * n_bins
+            new = work[out:].reshape(width, n, n_bins)
+            zeros[j][rows] = self.advance(taken, new, work[taken.size : out], slots, reach, weights)[0]
+        return zeros
 
 
 def _view(flat, shape):
@@ -402,29 +393,27 @@ def _count_steps(strategies):
     radix = int(strategies.max()) + 1
     passes = []
     for columns in (range(n_layers), range(n_layers - 1, 0, -1)):
-        node = np.zeros(n_strategies, dtype=np.int64)
+        node, n_rows = np.zeros(n_strategies, dtype=np.int64), 1
         steps = []
         for column in columns:
-            parent, counts, node = _extend(node, strategies[:, column], radix)
+            parent, counts, node = _extend(node, strategies[:, column], n_rows, radix)
             steps.append((parent, counts, node))
+            n_rows = len(parent)
         passes.append(steps)
     return passes
 
 
-def _extend(node, counts, radix):
+def _extend(node, counts, n_rows, radix):
     """Distinct (row, count) pairs of a pass's next step.
 
-    ``node`` holds each strategy's row in the current step; the key
-    ``node * radix + count`` names its row in the next one. Returns each new
-    row's parent row and class count, and each strategy's new row, with the
-    new rows in descending order of count.
+    ``node`` holds each strategy's row among the ``n_rows`` of the current
+    step, and every count is below ``radix``; the key ``(radix - 1 - count)
+    * n_rows + node`` names its row in the next one, so the new rows come in
+    descending order of count, then ascending order of parent row. Returns
+    each new row's parent row and class count, and each strategy's new row.
     """
-    keys, node = np.unique(node * radix + counts, return_inverse=True)
-    order = np.argsort(-(keys % radix), kind="stable")
-    row_of = np.empty_like(order)
-    row_of[order] = np.arange(order.size)
-    keys = keys[order]
-    return keys // radix, keys % radix, row_of[node]
+    keys, node = np.unique((radix - 1 - counts) * n_rows + node, return_inverse=True)
+    return keys % n_rows, radix - 1 - keys // n_rows, node
 
 
 def _reach(counts):
@@ -438,56 +427,80 @@ def _reach(counts):
     return np.searchsorted(-counts, -np.arange(counts[0] + 1), side="right")
 
 
-def _forward_scratch(live, width, reach, per_layer):
-    """The scratch floats per bin of a _forward_step from ``live`` states to
-    ``width``: a row for the spill, then the products. Up to outcome
-    per_layer a product covers at most min(width, live) states of every row.
-    From then on the spill sums' 13 planes of the rows reaching per_layer lie
-    on top, and a product covers at most min(width, live - 1) - 1 states, or
-    one plane, of the rows reaching per_layer + 1."""
+def _product_planes(planes, rows, n_bins):
+    """The planes of (rows, bins) products a step's multiply-add forms at a
+    time: all ``planes`` if they fit a quarter of TABLE_STEP_BYTES, else as
+    many as do, at least one. Splitting the planes changes no element's
+    operations."""
+    return min(planes, max(1, TABLE_STEP_BYTES // (32 * rows * n_bins)))
+
+
+def _multiply_add(dst, w, src, products):
+    """Adds w * src to dst, (planes, rows, bins) arrays with w (rows, bins),
+    forming the products in the 1-D ``products`` as many planes at a time as
+    it holds."""
+    step = len(products) // w.size
+    if step >= len(src):
+        dst += np.multiply(w, src, products[: src.size].reshape(src.shape))
+        return
+    for lo in range(0, len(src), step):
+        block = src[lo : lo + step]
+        dst[lo : lo + step] += np.multiply(w, block, products[: block.size].reshape(block.shape))
+
+
+def _forward_scratch(live, width, reach, n_bins, per_layer):
+    """The scratch floats of a _forward_step from ``live`` states to
+    ``width``: a row for the spill, the spill sums' running sum and 8
+    accumulators of the rows reaching per_layer, then the products, at most
+    min(width, live) planes of every row, which the sums' 4 planes of pairs
+    share."""
     rows = reach[0]
     seeded = reach[per_layer] if per_layer < len(reach) else 0
-    spilled = reach[per_layer + 1] if per_layer + 1 < len(reach) else 0
-    return rows + max(
-        min(width, live) * rows,
-        max(1, min(width, live - 1) - 1) * spilled + 13 * seeded,
-    )
+    planes = _product_planes(min(width, live), rows, n_bins)
+    return (rows + 9 * seeded + max(4 * seeded, planes * rows)) * n_bins
 
 
-def _forward_step(f, new, scratch, counts, reach, weights, per_layer, n_states):
+def _forward_step(f, new, scratch, slots, reach, weights, per_layer, n_states):
     # f is (states, rows, bins), holding states 0 to len(f) - 1 of n_states,
     # the rest zero, and its rows come in descending order of count. Outcome
     # r moves state j to j + shift, shift = per_layer - r, and every state
     # that would fall below zero spills into state zero; only the states of
-    # ``new`` are computed. ``scratch`` holds the spill and the products,
-    # and on top of them the spill sums, which start at shift 0, after that
-    # outcome's product
+    # ``new`` are computed. weights[r].take(slots) holds outcome r's weight
+    # for each row. ``scratch`` holds the spill, the spill sums, which start
+    # at shift 0, and the products; a product is never formed during a send,
+    # so the sums' pairs lie in the products
     live, rows, n_bins = f.shape
     width = len(new)
     spill = _view(scratch, (rows, n_bins))
-    products = scratch[spill.size :]
     seeded = reach[per_layer] if per_layer < len(reach) else 0
+    products = scratch[(rows + 9 * seeded) * n_bins :]
     new.fill(0.0)
     spill.fill(0.0)
-    sums = _prefix_sums(f, n_states, scratch[len(scratch) - 13 * seeded * n_bins :])
+    sums = _prefix_sums(f, n_states, scratch[spill.size : spill.size + 13 * seeded * n_bins])
     next(sums)
+    top = 0
     for r, k in enumerate(reach):
         shift = per_layer - r
         if shift >= width:
             continue
-        w = weights[counts[:k], r]
+        if r >= top:
+            # the weights of the next outcomes, gathered at once while they
+            # fit 32 KiB: once for a one-strategy step, once per outcome
+            # for a large one
+            block = reach[r : r + max(1, 4096 // (k * n_bins))]
+            gathered = weights[r : r + len(block)].take(slots[:k], axis=1)
+            first, top = r, r + len(block)
+        w = gathered[r - first, :k]
         if shift >= 0:
             m = min(width - shift, live)
-            out = products[: m * k * n_bins].reshape(m, k, n_bins)
-            new[shift : shift + m, :k] += np.multiply(w, f[:m, :k], out)
+            _multiply_add(new[shift : shift + m, :k], w, f[:m, :k], products)
             if not shift:
                 sums.send(k)  # the one-state sum the spills grow from
             continue
-        spill[:k] += np.multiply(w, sums.send(k), products[: k * n_bins].reshape(k, n_bins))
+        spill[:k] += np.multiply(w, sums.send(k), products[: w.size].reshape(w.shape))
         hi = min(width, live + shift)
         if hi > 1:
-            out = products[: (hi - 1) * k * n_bins].reshape(hi - 1, k, n_bins)
-            new[1:hi, :k] += np.multiply(w, f[1 - shift : hi - shift, :k], out)
+            _multiply_add(new[1:hi, :k], w, f[1 - shift : hi - shift, :k], products)
     new[0] += spill
     return new
 
@@ -553,30 +566,35 @@ def _prefix_sums(a, n_max, scratch=None):
         k = yield s[:k]
 
 
-def _backward_scratch(live, width, reach):
-    """The scratch floats per bin of a _backward_step from ``live`` states
-    to ``width``: its products."""
-    return min(width, live) * reach[0]
+def _backward_scratch(live, width, reach, n_bins):
+    """The scratch floats of a _backward_step from ``live`` states to
+    ``width``: its products, at most min(width, live) planes of every row."""
+    return _product_planes(min(width, live), reach[0], n_bins) * reach[0] * n_bins
 
 
-def _backward_step(bq, new, scratch, counts, reach, weights, per_layer):
+def _backward_step(bq, new, scratch, slots, reach, weights, per_layer):
     # bq is (states, rows, bins) and its rows come in descending order of
     # count. After outcome r, state j reads state j + shift, shift =
     # per_layer - r; a walk that lands on zero does not avoid it, so state
     # zero is never read. States above the reachable deficit bound never
     # feed state zero, so transitions past the top of the array are dropped
     # without error. Only the states of ``new`` are computed, so outcomes
-    # from r = per_layer + width - 1 on reach none of them. ``scratch``
-    # holds the products
+    # from r = per_layer + width - 1 on reach none of them.
+    # weights[r].take(slots) holds outcome r's weight for each row, and
+    # ``scratch`` holds the products
     n_states, rows, n_bins = bq.shape
     width = len(new)
     new.fill(0.0)
+    top = 0
     for r, k in enumerate(reach[: per_layer + width - 1]):
         shift = per_layer - r
         lo = max(0, 1 - shift)
         hi = min(width, n_states - max(shift, 0))
         if hi > lo:
-            w = weights[counts[:k], r]
-            out = scratch[: (hi - lo) * k * n_bins].reshape(hi - lo, k, n_bins)
-            new[lo:hi, :k] += np.multiply(w, bq[lo + shift : hi + shift, :k], out)
+            if r >= top:  # as in _forward_step
+                block = reach[r : r + max(1, 4096 // (k * n_bins))]
+                gathered = weights[r : r + len(block)].take(slots[:k], axis=1)
+                first, top = r, r + len(block)
+            w = gathered[r - first, :k]
+            _multiply_add(new[lo:hi, :k], w, bq[lo + shift : hi + shift, :k], scratch)
     return new

@@ -183,9 +183,9 @@ def build_table(
     if packets_per_layer < 1:
         raise ValueError(f"packets_per_layer must be positive, got {packets_per_layer}")
     strategies = enumerate_strategies(budget, layer_count, granularity)
-    # one call over every bin: the kernel runs its large steps a chunk of
-    # bins at a time, so kernels.TABLE_STEP_BYTES bounds a build's working
-    # memory whatever the table's size
+    # one call over every bin: the kernel runs its large steps on ranges of
+    # their rows, so kernels.TABLE_STEP_BYTES bounds a build's working memory
+    # whatever the table's size
     values = expected_layers_batch(strategies, _pmf_stack(budget), packets_per_layer)
     return StrategyTable(
         budget=budget,

@@ -161,14 +161,16 @@ def test_c06_monotonicity_suite():
         values = [expected_decoded_layers(strategy, p, 8) for p in grid]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:])), strategy
 
+    # the shipped count rule, one array call per domain: its count vectors,
+    # then each of them with one more packet in class 1, 2, ...
     for layers in (1, 2, 3):
         for per_layer in (1, 2):
-            for counts in count_vectors(layers, 3):
-                base = decodable_layers(counts, per_layer)
-                for i in range(layers):
-                    bumped = list(counts)
-                    bumped[i] += 1
-                    assert decodable_layers(bumped, per_layer) >= base, (counts, i)
+            domain = np.array(list(count_vectors(layers, 3)))
+            rows = np.concatenate([domain, *(domain + bump for bump in np.eye(layers, dtype=int))])
+            base, *bumped = decodable_layers_batch(rows, per_layer).reshape(layers + 1, -1)
+            for i, depths in enumerate(bumped):
+                worse = np.flatnonzero(depths < base)
+                assert not worse.size, (domain[worse[0]].tolist(), i)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(f"criterion 6: expected depth monotone in p for 50 strategies; "

@@ -467,9 +467,10 @@ def _recording(name, step, steps):
 
 
 def test_expected_layers_values_do_not_depend_on_the_step_budget(monkeypatch):
-    # at a budget of 1 byte every step runs one bin at a time, and past any
-    # table's state no step splits; either way each element sees the same
-    # operations, so the values equal those at the default budget bit for bit
+    # at a budget of 1 byte every step runs one row at a time, and past any
+    # table's state every step runs once on all of its rows; either way each
+    # step sees every bin and each element sees the same operations, so the
+    # values equal those at the default budget bit for bit
     stack = np.stack([_pmf_rows(64, float(p)) for p in PDR_BINS])
     cases = [("standard", np.asarray(enumerate_strategies(64, 4, 4)), stack, 8)]
     for name, strategies, per_layer in _shared_prefix_sets():
@@ -478,7 +479,9 @@ def test_expected_layers_values_do_not_depend_on_the_step_budget(monkeypatch):
         cases.append((name, strategies, stack, per_layer))
     for name, strategies, stack, per_layer in cases:
         want = expected_layers_batch(strategies, stack, per_layer)
-        for budget, bins in ((1, 1), (1 << 40, len(stack))):
+        forward, backward = kernels._count_steps(strategies)
+        whole = [len(parent) for parent, _, _ in forward + backward]
+        for budget, rows in ((1, [1] * sum(whole)), (1 << 40, whole)):
             steps = []
             with monkeypatch.context() as patch:
                 patch.setattr(kernels, "TABLE_STEP_BYTES", budget)
@@ -486,18 +489,21 @@ def test_expected_layers_values_do_not_depend_on_the_step_budget(monkeypatch):
                     patch.setattr(kernels, step, _recording(step, getattr(kernels, step), steps))
                 got = expected_layers_batch(strategies, stack, per_layer)
             assert np.array_equal(got, want), (name, budget)
-            assert {b for _, _, b, _ in steps} == {bins}, (name, budget)
+            assert [n for _, n, _, _ in steps] == rows, (name, budget)
+            assert {b for _, _, b, _ in steps} == {len(stack)}, (name, budget)
 
 
 def test_expected_layers_runs_once_per_shared_prefix_and_suffix(monkeypatch):
     # a standard build makes one kernel call over its 20 bins and finds the
-    # count steps once: 4 forward and 3 backward. The forward pass steps over
-    # the 17 distinct first counts and the 153 distinct first two once for
-    # every bin; the 969-row steps hold more than TABLE_STEP_BYTES of state
-    # over 20 bins, so each runs once per chunk of 5 bins, depth first, with
-    # the backward pass's 969-row step. The backward pass steps over the 17
-    # and 153 distinct last counts, computing only the 17 and 9 states the
-    # next step reads; each pass's last step returns state zero alone
+    # count steps once: 4 forward and 3 backward. Every step runs over all 20
+    # bins. The forward pass steps over the 17 distinct first counts and the
+    # 153 distinct first two at once; a 969-row step holds more than
+    # TABLE_STEP_BYTES of state, so it runs on as few even ranges of its
+    # descending-count rows as fit, each carried with its descendant rows,
+    # one per row, through the rest of its pass before the next. The
+    # backward pass steps over the 17 and 153 distinct last counts,
+    # computing only the 17 and 9 states the next step reads, then over the
+    # 969 in ranges; each pass's last step returns state zero alone
     steps, calls, extends = [], [], []
 
     def counted(extend):
@@ -518,22 +524,20 @@ def test_expected_layers_runs_once_per_shared_prefix_and_suffix(monkeypatch):
     spt.build_table(64, 4, 8, 4)
     assert calls == [len(PDR_BINS)]
     assert len(extends) == 7
-    # the largest split step starts from or ends with 25 reachable states
-    chunk = kernels.TABLE_STEP_BYTES // (25 * 969 * 8)
-    assert 153 * 17 * 8 * len(PDR_BINS) <= kernels.TABLE_STEP_BYTES
-    assert chunk == 5
-    expected = [
-        ("forward", 17, 20, 9),
-        ("forward", 153, 20, 17),
-        ("backward", 17, 20, 17),
-        ("backward", 153, 20, 9),
-    ]
-    for _ in range(0, len(PDR_BINS), chunk):
-        expected += [
-            ("forward", 969, chunk, 25),
-            ("forward", 969, chunk, 1),
-            ("backward", 969, chunk, 1),
-        ]
+    bins, budget = len(PDR_BINS), kernels.TABLE_STEP_BYTES
+    assert 17 * 153 * 8 * bins <= budget
+    forward, backward = [242, 242, 242, 243], [484, 485]
+    # a 969-row step's state is the larger of the states it starts from and
+    # ends with: 25 in the forward pass, 9 in the backward
+    for ranges, states in ((forward, 25), (backward, 9)):
+        assert sum(ranges) == 969
+        assert len(ranges) == -(-969 // (budget // (states * 8 * bins))) > 1
+        assert max(ranges) * states * 8 * bins <= budget
+    expected = [("forward", 17, bins, 9), ("forward", 153, bins, 17)]
+    for n in forward:
+        expected += [("forward", n, bins, 25), ("forward", n, bins, 1)]
+    expected += [("backward", 17, bins, 17), ("backward", 153, bins, 9)]
+    expected += [("backward", n, bins, 1) for n in backward]
     assert steps == expected
 
 

@@ -119,8 +119,8 @@ def test_degenerate_probabilities():
 
 
 def test_table_build_memory_is_bounded():
-    # a build is one kernel call whose large steps split its bins into
-    # chunks of at most kernels.TABLE_STEP_BYTES of step state, so its traced
+    # a build is one kernel call whose large steps run on ranges of their
+    # rows of at most kernels.TABLE_STEP_BYTES of step state, so its traced
     # peak, with every bin's binomial rows already cached, stays within 1.5x
     # of that of the build that handed the kernel stacks of 1 MiB of state:
     # 2.74 MiB at the standard shape and 6.3 MiB at B=128, where one bin's
