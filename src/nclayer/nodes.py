@@ -1,14 +1,15 @@
 """Per-node behaviour along the delivery chain, a block of GOPs at a time.
 
 The sender and every re-encoding relay pick each GOP's replica allocation
-the same way, from a strategy table or a threshold policy and the delivery
-estimate in force, and spend the run's budget on every GOP they hold a
-layer of. The sender holds all of a GOP's layers; a re-encoding relay holds
-what its decode (or sampled depths) of the block recovered, which run()
-makes once and also reads for the relay's packet count, and sends nothing
-for a GOP it recovered no layer of. A node keeps no state here: run() hands
-each pick the node's selector, the estimates in force and the depths held,
-and encodes the counts picked with codec.encode_block and the node's own
+the same way, from a strategy table or a threshold policy and how many of
+the node's latest probe round survived, and spend the run's budget on
+every GOP they hold a layer of. The sender holds all of a GOP's layers; a
+re-encoding relay holds what its decode (or sampled depths) of the block
+recovered, which run() makes once and also reads for the relay's packet
+count, and sends nothing for a GOP it recovered no layer of. A node keeps
+no state here: run() hands each pick the node's selector, the surviving
+probe counts in force, the probes a round sends and the depths held, and
+encodes the counts picked with codec.encode_block and the node's own
 generator. A forwarding relay passes whatever arrives, and the receiver
 scores what reaches it in codec, so neither has a step here.
 pick_strategies gives the replica counts of a block of GOPs, one row per
@@ -18,6 +19,8 @@ caller's arrays.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,47 +37,63 @@ MODE_NC = "nc"
 RELAY_MODES = (MODE_FORWARD, MODE_NC)
 
 
-def pick_strategies(selector, estimates, depths) -> np.ndarray:
+# bounded, as each distinct probe count would otherwise stay cached for the
+# life of the process
+@lru_cache(maxsize=32)
+def _count_bins(probe_count: int) -> np.ndarray:
+    """The read-only delivery bin of each surviving count k of probe_count
+    probes, nearest_bin(k / probe_count) at [k], one byte each."""
+    bins = nearest_bin(np.arange(probe_count + 1) / probe_count).astype(np.int8)
+    bins.flags.writeable = False
+    return bins
+
+
+def pick_strategies(selector, seen, probe_count, depths) -> np.ndarray:
     """The replica counts a node sends for a block of GOPs, one row per GOP
-    and one column per class: GOP k's under the strategy that estimates[k],
-    the delivery estimate in force at GOP k, selects for the first
-    depths[k] layers the node holds. estimates and depths hold one entry
-    per GOP and estimates lie in [0, 1], or it raises ValueError.
+    and one column per class: GOP k's under the strategy that seen[k] of
+    probe_count probes, the surviving count in force at GOP k, selects for
+    the first depths[k] layers the node holds. seen and depths hold one
+    entry per GOP, probe_count is a positive whole number and seen holds
+    whole numbers in [0, probe_count], or it raises ValueError.
 
     selector is a StrategyTable or a ThresholdPolicy, or it raises
-    TypeError. A table takes the bin's best strategy among those that leave
-    every class deeper than depths[k] empty; at full depth that is the
-    bin's best. A policy picks by interval, so its node must hold every
+    TypeError. A table takes the best strategy, in the bin nearest
+    seen[k] / probe_count, among those that leave every class deeper than
+    depths[k] empty; at full depth that is the bin's best. A policy picks
+    by the interval of seen[k] / probe_count, so its node must hold every
     layer, or it raises ValueError. A GOP of depth 0 gets no packets.
     """
-    estimates = np.asarray(estimates, dtype=float)
-    depths = np.asarray(depths)
-    if estimates.ndim != 1 or depths.shape != estimates.shape:
+    whole = isinstance(probe_count, (int, np.integer)) and not isinstance(probe_count, bool)
+    if not (whole and probe_count >= 1):
+        raise ValueError(f"probe_count must be a positive whole number, got {probe_count!r}")
+    seen, depths = np.asarray(seen), np.asarray(depths)
+    if seen.ndim != 1 or depths.shape != seen.shape:
         raise ValueError(
-            f"need one estimate and one depth per GOP, got shapes "
-            f"{estimates.shape} and {depths.shape}"
+            f"need one surviving probe count and one depth per GOP, got shapes "
+            f"{seen.shape} and {depths.shape}"
+        )
+    if seen.dtype.kind not in "iu":
+        raise ValueError(f"surviving probe counts must be whole numbers, got {seen.dtype}")
+    if seen.size and not (seen.min() >= 0 and seen.max() <= probe_count):
+        raise ValueError(
+            f"surviving probe counts must lie in [0, {probe_count}], got {seen.tolist()}"
         )
     if isinstance(selector, StrategyTable):
-        # nearest_bin refuses an estimate outside [0, 1]
-        index = selector.restricted_index[
-            nearest_bin(estimates), np.minimum(depths, selector.layer_count)
+        return selector.picks[
+            _count_bins(probe_count)[seen], np.minimum(depths, selector.layer_count)
         ]
-        strategies = selector.matrix[index]
-    elif isinstance(selector, ThresholdPolicy):
-        if not ((estimates >= 0.0) & (estimates <= 1.0)).all():
-            raise ValueError(f"pdr estimates must lie in [0, 1], got {estimates.tolist()}")
-        layers = len(selector.strategies[0])
-        if ((depths > 0) & (depths < layers)).any():
-            raise ValueError(
-                f"a policy picks by interval, so its node must hold all {layers} "
-                f"layers of a GOP or none, got depths {depths.tolist()}"
-            )
-        # an estimate on a breakpoint belongs to the upper interval
-        index = np.searchsorted(selector.breakpoints, estimates, side="right")
-        strategies = np.asarray(selector.strategies, dtype=np.int64)[index]
-    else:
+    if not isinstance(selector, ThresholdPolicy):
         raise TypeError(
             f"a node picks from a StrategyTable or a ThresholdPolicy, got "
             f"{type(selector).__name__}"
         )
+    layers = len(selector.strategies[0])
+    if ((depths > 0) & (depths < layers)).any():
+        raise ValueError(
+            f"a policy picks by interval, so its node must hold all {layers} "
+            f"layers of a GOP or none, got depths {depths.tolist()}"
+        )
+    # a share on a breakpoint belongs to the upper interval
+    index = np.searchsorted(selector.breakpoints, seen / probe_count, side="right")
+    strategies = np.asarray(selector.strategies, dtype=np.int64)[index]
     return np.where((depths > 0)[:, None], strategies, 0)

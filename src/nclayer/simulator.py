@@ -19,10 +19,11 @@ as arrays. Each encoder's packet count per GOP is known before any draw (a
 table or policy spends one budget; a re-encoding relay spends it on every
 GOP its block decode recovered a layer of), so each link of the segment
 makes one draw for the block, covering each GOP's probes and then its
-packets, GOP by GOP. The probe estimates, strategy picks, per-hop delays
-and receiver scoring then run on the block, whose packets travel as each
-GOP's per-class counts: nodes.pick_strategies gives the counts an encoder
-sends. channel.send_block returns each link's running survivor count over
+packets, GOP by GOP. The strategy picks, per-hop delays and receiver
+scoring then run on the block, whose packets travel as each GOP's
+per-class counts: nodes.pick_strategies gives the counts an encoder sends
+from how many probes of its latest round survived, a whole number.
+channel.send_block returns each link's running survivor count over
 its draws, one cumulative sum per link, and codec.surviving_counts reads
 from it, on each GOP's probes and then its classes, both as they reach the
 next hop; a GOP is its row of the counts, and run() alone knows its
@@ -39,16 +40,16 @@ both its packet count per GOP and what it re-encodes. A decode reduces the
 RLC systems of a block in gf_rref stacks of at most
 codec.DECODE_STACK_BYTES. run() keeps the loop's state in its own locals:
 each link's and each encoder's generator, the delivery probability in force
-on each link, each encoder's latest estimate and the verifying receiver's
-counts; the nodes hold no run state. Seeded results are those of a
-GOP-by-GOP loop whatever the block size: every link belongs to one segment
-and draws its probes and packets of GOP g before those of g+1; in a
-verified run the sender and each re-encoding relay draw the coefficients
-they encode, in GOP order, from their own generator, and in an unverified
-one only RLC relays draw, their samples, in GOP order; decoding draws
-nothing; and each GOP's delay is summed in hop order. Each generator is
-seeded from its own child of the run's seed, child i of
-SeedSequence(seed).spawn(n) made alone from its spawn key (i,), and only
+on each link, each encoder's surviving count of its latest probe round and
+the verifying receiver's counts; the nodes hold no run state. Seeded
+results are those of a GOP-by-GOP loop whatever the block size: every link
+belongs to one segment and draws its probes and packets of GOP g before
+those of g+1; in a verified run the sender and each re-encoding relay
+draw the coefficients they encode, in GOP order, from their own generator,
+and in an unverified one only RLC relays draw, their samples, in GOP
+order; decoding draws nothing; and each GOP's delay is summed in hop
+order. Each generator is seeded from its own child of the run's seed, child
+i of SeedSequence(seed).spawn(n) made alone from its spawn key (i,), and only
 for the generators the run draws from: a forwarding chain's links, say, but
 no grid seed unless payload bytes travel.
 
@@ -58,7 +59,7 @@ holds each row's next GOPs in turn along the same GOP axis, so every step
 above runs once per block for all rows. Only drawing is per row: each
 row's link, relay and sender generators and its grid seed draw its own
 GOPs' values, in GOP order, split by codec._draw, and each row keeps its
-own held estimates and delivery in force, so a row's metrics are its
+own held probe counts and delivery in force, so a row's metrics are its
 run()'s. sweep() hands each mode's grid points and repetitions to
 passes of as many rows as GROUP_GOPS holds, and its pool maps over these
 groups.
@@ -323,7 +324,7 @@ def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetric
 
     GOPs go through in blocks of GOP_BLOCK, one pass per segment: each link
     draws once per block, for every GOP's probes and then its packets, and
-    the estimates, strategies, delays and scores of the block are array
+    the probe counts, strategies, delays and scores of the block are array
     operations on its per-class packet counts, which travel with their
     packets' rows, as a PacketBlock, only in a verified run or under xor
     and repeat. The metrics are those of carrying the GOPs one at a time, for
@@ -416,9 +417,9 @@ def _run_rows(
         # the relay at position i starts the segment at link i + 1
         rng = generator(hops + segment.start - 1) if verify or counted else None
         segments.append((table, segment, rng))
-    # each encoder's delivery estimate in each row, held from its latest
-    # probe round
-    held_estimates = [np.array([1.0] * rows)] * len(segments)
+    # each encoder's surviving probe count in each row, held from its latest
+    # probe round; before the first, every probe counts as through
+    held_seen = [np.full(rows, config.probe_count)] * len(segments)
     # each row's packets received, probes on air, short decodes and wrong ones
     npr, probe_packets = [0] * rows, [0] * rows
     prediction_gaps, payload_errors = [0] * rows, [0] * rows
@@ -441,7 +442,7 @@ def _run_rows(
             probes[:] = 0
         # latest[k]: the block's GOP of the latest probe round by GOP k in
         # its row; before the row's first, -1 in the last row, -2 in the
-        # one before and so on, which name the rows' held estimates placed
+        # one before and so on, which name the rows' held counts placed
         # after the block's
         latest = np.maximum.accumulate(np.where(probes > 0, np.arange(n), -1))
         if rows > 1:
@@ -473,11 +474,11 @@ def _run_rows(
             # one draw per link for the block: probes and packets, GOP by GOP;
             # kept[j], link j's running survivor count over its draws
             alive, kept = send_block([link_rngs[i] for i in segment], probes, sending, pdrs)
-            # the sender's feedback, round(share * probes) / probes, is the
-            # surviving share itself
-            estimates = np.concatenate([alive / config.probe_count, held_estimates[index]])[latest]
-            held_estimates[index] = estimates[n - 1 :: n]
-            counts = pick_strategies(selector, estimates, held)
+            # the sender's feedback, round(share * probes), is the surviving
+            # count itself
+            seen = np.concatenate([alive, held_seen[index]])[latest]
+            held_seen[index] = seen[n - 1 :: n]
+            counts = pick_strategies(selector, seen, config.probe_count, held)
             sizes = counts.sum(axis=1)
             if (sizes != sending).any():
                 raise RuntimeError(

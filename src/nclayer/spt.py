@@ -142,11 +142,12 @@ class StrategyTable:
     # every class deeper than d empty, -1 where none does; at d = L every
     # strategy qualifies
     restricted_index: np.ndarray = field(init=False, repr=False, compare=False)
-    # the strategies as rows of an array, for lookups of many at once
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    # picks[b, d]: the replica counts of restricted_index[b, d], all zero
+    # where it is -1 (depth 0), so a node's pick is one read of many GOPs
+    picks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.matrix = matrix = np.asarray(self.strategies, dtype=np.int64)
+        matrix = np.asarray(self.strategies, dtype=np.int64)
         self.restricted_index = np.full(
             (self.values.shape[1], self.layer_count + 1), -1, dtype=np.int64
         )
@@ -157,6 +158,9 @@ class StrategyTable:
                     _argmax_lex_largest(self.values[allowed])
                 ]
         self.best_index = self.restricted_index[:, self.layer_count]
+        self.picks = np.where(
+            (self.restricted_index >= 0)[..., None], matrix[self.restricted_index], 0
+        )
 
     @property
     def pdr_bins(self) -> tuple[float, ...]:

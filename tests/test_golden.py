@@ -88,6 +88,40 @@ GOLDEN_RUNS = {
         + [3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 0, 0, 0, 1, 3, 0, 3, 3, 0, 3, 2, 2, 2],
         9077.286999999998,
     ),
+    # 40 probes a round: every odd k/40 lies on a bin midpoint, which the
+    # bin lookup rounds down; rounding those up moves this run's outputs
+    "recode-probes-40-period-3": (
+        ChainConfig(
+            link_pdrs=(0.6, 0.6, 0.6),
+            relay_modes=("nc", "nc"),
+            gop_count=30,
+            seed=110,
+            probe_count=40,
+            update_period=3,
+        ),
+        1145,
+        1920,
+        [4, 4, 4, 3, 3, 3, 4, 4, 4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3]
+        + [4, 4, 4, 4, 4, 4],
+        3666.060000000002,
+    ),
+    # 10 probes a round: 3, 5 and 8 of 10 survive here, each exactly on a
+    # breakpoint of set 3, which takes the upper interval
+    "heuristic-3-probes-10": (
+        ChainConfig(
+            link_pdrs=(0.8, 0.8, 0.8),
+            gop_count=30,
+            seed=112,
+            probe_count=10,
+            selection="heuristic",
+            heuristic_set=3,
+        ),
+        960,
+        1920,
+        [1, 1, 3, 3, 1, 1, 3, 1, 3, 3, 3, 3, 3, 3, 2, 3, 2, 1, 2, 3, 1, 2, 3, 1, 3]
+        + [3, 1, 3, 1, 2],
+        4.894,
+    ),
 }
 
 # (config, npr, total_delay, sha256 of per_gop_decoded as little-endian

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from nclayer.heuristic import (
@@ -11,13 +10,14 @@ from nclayer.spt import expected_decoded_layers
 from oracles import class_block, select_strategy, sent_strategies
 
 
-def _picks(policy, estimates):
-    """The strategy a sender under the policy sends at each estimate,
-    checked against the oracle's interval walk."""
-    n, width = len(estimates), len(policy.strategies[0])
-    block = class_block(pick_strategies(policy, estimates, [width] * n), 1)
+def _picks(policy, seen, probe_count):
+    """The strategy a sender under the policy sends when seen[k] of
+    probe_count probes survived, checked against the oracle's interval walk
+    at seen[k] / probe_count."""
+    n, width = len(seen), len(policy.strategies[0])
+    block = class_block(pick_strategies(policy, seen, probe_count, [width] * n), 1)
     picks = sent_strategies(block)
-    assert picks == [select_strategy(policy, e) for e in estimates]
+    assert picks == [select_strategy(policy, k / probe_count) for k in seen]
     return picks
 
 
@@ -46,23 +46,22 @@ def test_unknown_set_rejected():
 
 
 def test_interval_selection_set_three():
-    assert _picks(builtin_policy(3), [0.0, 0.29, 0.4, 0.7, 1.0]) == [
+    assert _picks(builtin_policy(3), [0, 29, 40, 70, 100], 100) == [
         (64, 0, 0, 0), (64, 0, 0, 0), (48, 16, 0, 0), (24, 20, 20, 0), (40, 8, 8, 8),
     ]
 
 
 def test_boundary_estimate_takes_upper_interval():
-    assert _picks(builtin_policy(3), [0.3, 0.5, 0.8]) == [
+    assert _picks(builtin_policy(3), [3, 5, 8], 10) == [
         (48, 16, 0, 0), (24, 20, 20, 0), (40, 8, 8, 8),
     ]
-    assert _picks(builtin_policy(1), [0.5]) == [(24, 20, 20, 0)]
-    # every breakpoint of every set, its float neighbours, and a fine grid
-    grid = np.linspace(0.0, 1.0, 201).tolist()
+    assert _picks(builtin_policy(1), [5], 10) == [(24, 20, 20, 0)]
+    # every breakpoint of every set, the closest counts of 1000 probes
+    # either side of each, and a fine grid
     for set_id in BUILTIN_SET_IDS:
         policy = builtin_policy(set_id)
-        points = np.array(policy.breakpoints)
-        edges = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
-        _picks(policy, edges.tolist() + grid)
+        for probe_count in (10, 200, 1000):
+            _picks(policy, range(probe_count + 1), probe_count)
 
 
 def test_set_three_fixed_pick_values_quoted_in_readme():
@@ -76,9 +75,10 @@ def test_set_three_fixed_pick_values_quoted_in_readme():
 
 
 def test_estimate_out_of_range_rejected():
-    for estimate in (1.5, -0.1):
-        with pytest.raises(ValueError, match="estimates"):
-            pick_strategies(builtin_policy(1), [estimate], [4])
+    # a count outside [0, probe_count] is an estimate outside [0, 1]
+    for seen in (15, -1):
+        with pytest.raises(ValueError, match="probe counts"):
+            pick_strategies(builtin_policy(1), [seen], 10, [4])
     with pytest.raises(ValueError):
         select_strategy(builtin_policy(1), 1.5)
 
@@ -98,5 +98,5 @@ def test_policy_validation():
 
 def test_policy_from_lists():
     policy = ThresholdPolicy([0.4], [[6, 2], [2, 6]])
-    assert _picks(policy, [0.4]) == [(2, 6)]
+    assert _picks(policy, [4], 10) == [(2, 6)]
     assert policy.budget == 8

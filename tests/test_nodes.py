@@ -15,12 +15,18 @@ from nclayer.codec import (
     encode_gop,
     score_block,
 )
-from nclayer.heuristic import ThresholdPolicy, builtin_policy
+from nclayer.heuristic import BUILTIN_SET_IDS, ThresholdPolicy, builtin_policy
 from nclayer.media import make_synthetic_gop
 from nclayer.nodes import pick_strategies
 from nclayer.simulator import ChainConfig, run
-from nclayer.spt import build_table
-from oracles import max_cover, rref_reference, sent_strategies
+from nclayer.spt import build_table, nearest_bin
+from oracles import (
+    max_cover,
+    nearest_bin_reference,
+    rref_reference,
+    select_strategy,
+    sent_strategies,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,19 +38,23 @@ def _grid():
     return make_synthetic_gop(0, 3, 2, 8, seed=1)
 
 
-def _encode(selector, cells, estimates, depths, rng, scheme=SCHEME_RLC):
+# probes a round in these tests: k of them surviving is bin k's centre
+PROBES = 20
+
+
+def _encode(selector, cells, seen, depths, rng, scheme=SCHEME_RLC):
     """A block of GOP k from the first depths[k] layers of cells[k], under
-    the strategies the selector picks at the per-GOP estimates, as run()
-    picks and then encodes for a node."""
-    return encode_block(cells, pick_strategies(selector, estimates, depths), scheme, rng)
+    the strategies the selector picks when seen[k] of PROBES probes
+    survived, as run() picks and then encodes for a node."""
+    return encode_block(cells, pick_strategies(selector, seen, PROBES, depths), scheme, rng)
 
 
-def _send(selector, grids, estimates, rng, scheme=SCHEME_RLC):
-    """A block of the grids, sent at the given per-GOP estimates by a node
-    holding every layer of each."""
+def _send(selector, grids, seen, rng, scheme=SCHEME_RLC):
+    """A block of the grids, sent at the given per-GOP surviving probe
+    counts by a node holding every layer of each."""
     cells = np.stack(grids)
     depths = [cells.shape[1]] * len(grids)
-    return _encode(selector, cells, estimates, depths, rng, scheme)
+    return _encode(selector, cells, seen, depths, rng, scheme)
 
 
 def test_nodes_pick_from_a_table_or_a_policy(small_table):
@@ -52,39 +62,39 @@ def test_nodes_pick_from_a_table_or_a_policy(small_table):
     # nothing else, such as no selector or a dict naming one
     for selector in (None, {"table": small_table}):
         with pytest.raises(TypeError, match="StrategyTable or a ThresholdPolicy"):
-            pick_strategies(selector, [1.0], [3])
+            pick_strategies(selector, [PROBES], PROBES, [3])
 
 
 def test_sender_with_fixed_strategy_never_selects():
     # the uncoded sender's fixed strategy is a policy of one interval
     policy = ThresholdPolicy((), ((2, 2, 2),))
     assert policy.budget == 6
-    for estimate in (0.05, 0.5, 1.0):
-        packets = _send(policy, [_grid()], [estimate], np.random.default_rng(0), SCHEME_REPEAT)
+    for seen in (1, 10, 20):
+        packets = _send(policy, [_grid()], [seen], np.random.default_rng(0), SCHEME_REPEAT)
         assert sent_strategies(packets) == [(2, 2, 2)]
         assert packets.scheme == SCHEME_REPEAT and len(packets) == 6
 
 
 def test_sender_emits_full_budget(small_table):
-    packets = _send(small_table, [_grid()], [1.0], np.random.default_rng(0))
+    packets = _send(small_table, [_grid()], [PROBES], np.random.default_rng(0))
     assert len(packets) == small_table.budget == 8
     (strategy,) = sent_strategies(packets)
     assert strategy == small_table.strategies[small_table.best_index[19]]
 
 
 def test_encoder_picks_each_gop_from_the_estimate_in_force(small_table):
-    # run() probes on period GOPs and holds each estimate until the next
-    # probe, so a sender that picks every GOP from the estimate in force
+    # run() probes on period GOPs and holds each surviving count until the
+    # next probe, so a sender that picks every GOP from the count in force
     # keeps its strategy between probes; one block of GOPs picks and draws
     # coefficients as the GOPs do one at a time
-    estimates = [1.0, 1.0, 1.0, 0.05]
+    seen = [PROBES, PROBES, PROBES, 1]
     grid = _grid()
     alone = np.random.default_rng(0)
-    one_by_one = [_send(small_table, [grid], [e], alone) for e in estimates]
+    one_by_one = [_send(small_table, [grid], [k], alone) for k in seen]
     lossless, lossy = (small_table.strategies[i] for i in small_table.best_index[[19, 0]])
     assert lossless != lossy
     assert [sent_strategies(b)[0] for b in one_by_one] == [lossless] * 3 + [lossy]
-    block = _send(small_table, [grid] * 4, estimates, np.random.default_rng(0))
+    block = _send(small_table, [grid] * 4, seen, np.random.default_rng(0))
     assert sent_strategies(block) == [lossless] * 3 + [lossy]
     assert np.array_equal(block.coeffs, np.concatenate([b.coeffs for b in one_by_one]))
 
@@ -113,13 +123,15 @@ def test_forward_relay_is_transparent(default_table, monkeypatch):
 
 
 def test_sender_strategy_refreshes_on_period(default_table, monkeypatch):
-    # the sender probes only on update_period GOPs and each estimate holds
-    # until the next probe, so its strategy can change only on those GOPs
-    picked = []
+    # the sender probes only on update_period GOPs and each surviving count
+    # holds until the next probe, so its strategy can change only on those
+    # GOPs
+    picked, counts = [], []
     pick_step = simulator.pick_strategies
 
-    def picking(*args):
-        picked.append(pick_step(*args))
+    def picking(selector, seen, probe_count, depths):
+        counts.append((seen.tolist(), probe_count))
+        picked.append(pick_step(selector, seen, probe_count, depths))
         return picked[-1]
 
     monkeypatch.setattr(simulator, "pick_strategies", picking)
@@ -130,11 +142,56 @@ def test_sender_strategy_refreshes_on_period(default_table, monkeypatch):
     lossless, lossy = (default_table.strategies[i] for i in default_table.best_index[[19, 0]])
     assert lossless != lossy
     assert [tuple(s) for s in picked[0].tolist()] == [lossless] * 3 + [lossy] * 4
+    # every probe of GOP 0's round survives; the rounds of GOPs 3 and 6, at
+    # 0.05, fall in the lowest bin, and each count holds until the next
+    ((seen, probe_count),) = counts
+    assert probe_count == config.probe_count
+    assert seen[:3] == [probe_count] * 3 and seen[3:6] == [seen[3]] * 3
+    assert nearest_bin(np.array(seen[3:]) / probe_count).tolist() == [0] * 4
+
+
+def test_count_picks_match_the_scalar_oracle(default_table):
+    # every surviving count of each probe round size, at every depth up to
+    # one past the table's layers: a table reads the restricted pick of the
+    # bin nearest_bin_reference finds for k / n, nothing at depth 0, and a
+    # builtin policy at full depth picks as the oracle's interval walk does
+    layers = default_table.layer_count
+    for n in (1, 3, 7, 40, 100, 1000):
+        seen = np.repeat(np.arange(n + 1), layers + 2)
+        depths = np.tile(np.arange(layers + 2), n + 1)
+        got = pick_strategies(default_table, seen, n, depths).tolist()
+        want = []
+        for k, depth in zip(seen.tolist(), depths.tolist()):
+            i = default_table.restricted_index[nearest_bin_reference(k / n), min(depth, layers)]
+            want.append([0] * layers if depth == 0 else list(default_table.strategies[i]))
+        assert got == want, n
+        for set_id in BUILTIN_SET_IDS:
+            policy = builtin_policy(set_id)
+            got = pick_strategies(policy, range(n + 1), n, [layers] * (n + 1)).tolist()
+            assert got == [list(select_strategy(policy, k / n)) for k in range(n + 1)], (n, set_id)
+
+
+@pytest.mark.parametrize("selector", ["table", "policy"])
+def test_count_picks_refuse_what_is_not_a_count(selector, default_table):
+    chosen = default_table if selector == "table" else builtin_policy(3)
+    for seen in ([-1], [11], [5, 11]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 10\]"):
+            pick_strategies(chosen, seen, 10, [4] * len(seen))
+    for seen in ([0.5], [5.0], [True], np.array([5], dtype=np.float32)):
+        with pytest.raises(ValueError, match="whole numbers"):
+            pick_strategies(chosen, seen, 10, [4])
+    for seen, depths in (([5], [4, 4]), ([5, 5], [4]), (5, [4]), ([[5]], [[4]])):
+        with pytest.raises(ValueError, match="one surviving probe count and one depth per GOP"):
+            pick_strategies(chosen, seen, 10, depths)
+    for probe_count in (0, -10, 10.0, True, None):
+        with pytest.raises(ValueError, match="probe_count"):
+            pick_strategies(chosen, [1], probe_count, [4])
+    assert pick_strategies(chosen, np.array([10], dtype=np.uint8), np.int64(10), [4]).sum() == 64
 
 
 def test_sender_with_policy():
     grid = make_synthetic_gop(0, 4, 8, 16, seed=0)
-    packets = _send(builtin_policy(3), [grid], [1.0], np.random.default_rng(0))
+    packets = _send(builtin_policy(3), [grid], [PROBES], np.random.default_rng(0))
     assert sent_strategies(packets) == [(40, 8, 8, 8)]
 
 
@@ -142,7 +199,7 @@ def test_nc_relay_reencodes_full_budget(small_table):
     packets = encode_gop(_grid(), (4, 2, 2), SCHEME_RLC, seed=0)
     depths, cells = decode_block(packets)
     assert depths.tolist() == [3]
-    out = _encode(small_table, cells, [1.0], depths, np.random.default_rng(0))
+    out = _encode(small_table, cells, [PROBES], depths, np.random.default_rng(0))
     assert len(out) == 8
     assert out.counts.sum(axis=1).tolist() == [8]
 
@@ -152,7 +209,7 @@ def test_nc_relay_never_encodes_past_decoded_depth(small_table):
     packets = encode_gop(_grid(), (4, 0, 0), SCHEME_RLC, seed=0).select(np.arange(3))
     depths, cells = decode_block(packets)
     assert depths.tolist() == [1]
-    out = _encode(small_table, cells, [1.0], depths, np.random.default_rng(0))
+    out = _encode(small_table, cells, [PROBES], depths, np.random.default_rng(0))
     assert len(out) == 8
     assert out.counts.tolist() == [[8, 0, 0]]
 
@@ -161,7 +218,7 @@ def test_nc_relay_empty_input(small_table):
     empty = encode_gop(_grid(), (0, 0, 0), SCHEME_RLC)
     depths, cells = decode_block(empty)
     assert depths.tolist() == [0]
-    out = _encode(small_table, cells, [1.0], depths, np.random.default_rng(0))
+    out = _encode(small_table, cells, [PROBES], depths, np.random.default_rng(0))
     assert len(out) == 0 and out.counts.tolist() == [[0, 0, 0]]
     # a GOP that lost everything sends nothing, draws no coefficients, and leaves
     # its neighbours be
@@ -169,24 +226,24 @@ def test_nc_relay_empty_input(small_table):
     strategies = [(4, 2, 2), (0, 0, 0), (4, 2, 2)]
     block = encode_block(cells, strategies, SCHEME_RLC, np.random.default_rng(0))
     depths, decoded = decode_block(block)
-    out = _encode(small_table, decoded, [1.0] * 3, depths, np.random.default_rng(5))
+    out = _encode(small_table, decoded, [PROBES] * 3, depths, np.random.default_rng(5))
     assert out.counts.sum(axis=1).tolist() == [8, 0, 8]
     rng = np.random.default_rng(5)
-    full = _encode(small_table, decoded[[0, 2]], [1.0] * 2, depths[[0, 2]], rng)
+    full = _encode(small_table, decoded[[0, 2]], [PROBES] * 2, depths[[0, 2]], rng)
     assert np.array_equal(out.coeffs, full.coeffs)
 
 
 def test_encoder_block_needs_one_estimate_and_depth_per_gop(small_table):
-    # one estimate or one depth for a 2-GOP block would broadcast to both,
-    # and the pick of 3 GOPs is refused by the encode of 2
+    # one count or one depth for a 2-GOP block would broadcast to both, and
+    # the pick of 3 GOPs is refused by the encode of 2
     cells = np.stack([_grid()] * 2)
     rng = np.random.default_rng(0)
-    for estimates, depths in (([0.7], [3, 3]), ([0.7] * 2, [3]), (0.7, [3, 3])):
-        with pytest.raises(ValueError, match="one estimate and one depth per GOP"):
-            _encode(small_table, cells, estimates, depths, rng)
+    for seen, depths in (([14], [3, 3]), ([14] * 2, [3]), (14, [3, 3])):
+        with pytest.raises(ValueError, match="one surviving probe count and one depth per GOP"):
+            _encode(small_table, cells, seen, depths, rng)
     with pytest.raises(ValueError, match="one strategy of 3 classes per grid"):
-        _encode(small_table, cells, [0.7] * 3, [3] * 3, rng)
-    out = _encode(small_table, cells, [0.7] * 2, [3, 3], rng)
+        _encode(small_table, cells, [14] * 3, [3] * 3, rng)
+    out = _encode(small_table, cells, [14] * 2, [3, 3], rng)
     assert out.counts.sum(axis=1).tolist() == [8, 8]
 
 
@@ -198,34 +255,41 @@ def test_policy_encoder_refuses_a_partial_depth():
     cells = np.zeros((1, 4, 8, 0), dtype=np.uint8)
     for depth in (1, 2, 3):
         with pytest.raises(ValueError, match="must hold all 4 layers"):
-            _encode(policy, cells, [1.0], [depth], np.random.default_rng(0))
-    assert pick_strategies(policy, [1.0, 1.0], [0, 4]).tolist() == [[0] * 4, [40, 8, 8, 8]]
+            _encode(policy, cells, [PROBES], [depth], np.random.default_rng(0))
+    assert pick_strategies(policy, [PROBES] * 2, PROBES, [0, 4]).tolist() == [
+        [0] * 4, [40, 8, 8, 8]
+    ]
 
 
 @pytest.mark.parametrize("selector", ["table", "policy"])
 def test_encoders_refuse_an_estimate_outside_the_unit_interval(selector, default_table):
-    # a delivery estimate is a probability; one outside [0, 1], or NaN,
-    # names no bin or interval and is refused, whatever the GOP's depth
+    # a surviving probe count outside [0, PROBES] is an estimate outside
+    # [0, 1], and a NaN is no count: each names no bin or interval and is
+    # refused, whatever the GOP's depth
     chosen = default_table if selector == "table" else builtin_policy(3)
     cells = np.zeros((2, 4, 8, 0), dtype=np.uint8)
     rng = np.random.default_rng(0)
-    for estimate in (-0.1, 1.5, float("nan")):
-        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            _encode(chosen, cells, [0.5, estimate], [4, 4], rng)
-    assert _encode(chosen, cells, [0.0, 1.0], [4, 4], rng).counts.sum(axis=1).tolist() == [64, 64]
+    for seen in (-1, PROBES + 1):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 20\]"):
+            _encode(chosen, cells, [10, seen], [4, 4], rng)
+    with pytest.raises(ValueError, match="whole numbers"):
+        _encode(chosen, cells, [10, float("nan")], [4, 4], rng)
+    assert _encode(chosen, cells, [0, PROBES], [4, 4], rng).counts.sum(axis=1).tolist() == [64, 64]
 
 
 def test_full_depth_relay_sends_what_the_sender_sends_under_a_tied_best_row(default_table):
     # a node holding every layer picks as the sender does, so in every bin,
     # those of 0.85 to 1.00 with exact ties for the best value among them,
-    # a relay that decoded all four layers re-encodes with the sender's pick
+    # a relay that decoded all four layers re-encodes with the sender's pick;
+    # k of PROBES probes surviving is bin k's centre
     bins = np.array(default_table.pdr_bins)
     values = default_table.values
     tied = bins[(values == values.max(axis=0)).sum(axis=0) > 1]
     assert tied.tolist() == [0.85, 0.9, 0.95, 1.0]
     cells = np.zeros((len(bins), 4, 8, 0), dtype=np.uint8)
     picks = [default_table.strategies[i] for i in default_table.best_index]
-    block = _encode(default_table, cells, bins, [4] * len(bins), np.random.default_rng(0))
+    seen = np.arange(1, PROBES + 1)
+    block = _encode(default_table, cells, seen, [4] * len(bins), np.random.default_rng(0))
     assert sent_strategies(block) == picks
 
 

@@ -400,9 +400,11 @@ def test_coefficients_reach_every_decoder_and_no_further(
     encoders = [-1] + [i for i, m in enumerate(relay_modes) if m == "nc"]
     pick, encode = simulator.pick_strategies, simulator.encode_block
 
-    def picking(*args):
+    def picking(selector, seen, probe_count, depths):
+        # each encoder picks from its surviving count of the run's probes
+        assert probe_count == config.probe_count and 0 <= seen.min() <= seen.max() <= probe_count
         picked.append(encoders[len(picked)])
-        return pick(*args)
+        return pick(selector, seen, probe_count, depths)
 
     def encoding(*args):
         block = encode(*args)

@@ -35,14 +35,15 @@ from oracles import (
 )
 
 
-def _picks(table, estimates):
-    """The strategy a table-driven sender sends at each estimate, checked
-    against the oracle's one-estimate lookup."""
-    n, layers = len(estimates), table.layer_count
-    picked = pick_strategies(table, estimates, [layers] * n)
+def _picks(table, seen, probe_count):
+    """The strategy a table-driven sender sends when seen[k] of probe_count
+    probes survived, checked against the oracle's one-estimate lookup at
+    seen[k] / probe_count."""
+    n, layers = len(seen), table.layer_count
+    picked = pick_strategies(table, seen, probe_count, [layers] * n)
     block = class_block(picked, table.packets_per_layer)
     picks = sent_strategies(block)
-    assert picks == [select_best(table, e) for e in estimates]
+    assert picks == [select_best(table, k / probe_count) for k in seen]
     return picks
 
 
@@ -231,7 +232,7 @@ def test_nearest_bin_rounding():
 
 
 def test_table_best_at_extremes(default_table):
-    assert _picks(default_table, [1.0, 0.05]) == [(40, 8, 8, 8), (64, 0, 0, 0)]
+    assert _picks(default_table, [100, 5], 100) == [(40, 8, 8, 8), (64, 0, 0, 0)]
     top = int(default_table.best_index[19])
     assert default_table.values[top, 19] == 4.0
 
@@ -258,7 +259,7 @@ def test_tie_break_prefers_shallow_heavy_vector(default_table):
     values = default_table.values[:, 19]
     ties = [s for s, v in zip(default_table.strategies, values) if v == 4.0]
     assert len(ties) > 1
-    assert _picks(default_table, [1.0]) == [max(ties)]
+    assert _picks(default_table, [100], 100) == [max(ties)]
 
 
 def test_best_restricted_depth_limits(default_table):
@@ -273,14 +274,11 @@ def test_best_restricted_depth_limits(default_table):
 
 def test_best_restricted_lookup_matches_scan(default_table):
     small = build_table(budget=8, layer_count=3, packets_per_layer=2, granularity=2)
-    # every bin's centre and both float neighbours of each midpoint between bins
-    centres = np.array(PDR_BINS)
-    midpoints = (centres[:-1] + centres[1:]) / 2
-    estimates = np.concatenate(
-        [centres, np.nextafter(midpoints, 0.0), np.nextafter(midpoints, 1.0), [0.0]]
-    )
+    # every count of 20 probes, one per bin centre; of 40, every midpoint
+    # between bins; and of 1000, the closest counts either side of each
     for table in (default_table, small):
-        _picks(table, estimates.tolist())
+        for probe_count in (20, 40, 1000):
+            _picks(table, range(probe_count + 1), probe_count)
         for b in range(len(PDR_BINS)):
             for depth in range(table.layer_count + 2):
                 _restricted(table, b, depth)
@@ -301,13 +299,14 @@ def test_run_given_the_default_table_equals_run_building_its_own(default_table, 
     # at 0.9 the values of competing strategies agree to many decimals, and
     # relays that decoded every layer re-encode from the table; the replica
     # counts each encoder sends are recorded, since the metrics alone
-    # rarely move with a near-tie
+    # rarely move with a near-tie, with the surviving probe counts they
+    # were picked from
     sent = []
     pick = simulator.pick_strategies
 
-    def recording(*args):
-        strategies = pick(*args)
-        sent[-1].append(strategies.tolist())
+    def recording(selector, seen, probe_count, depths):
+        strategies = pick(selector, seen, probe_count, depths)
+        sent[-1].append((seen.tolist(), strategies.tolist()))
         return strategies
 
     monkeypatch.setattr(simulator, "pick_strategies", recording)
