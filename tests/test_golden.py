@@ -122,6 +122,34 @@ GOLDEN_RUNS = {
         + [3, 1, 3, 1, 2],
         4.894,
     ),
+    # README's config file: its schedule drops link 1 to 0.3 at GOP 500,
+    # inside the second of the 256-GOP blocks a run carries; the depths of
+    # GOPs 500-999 are the digits
+    "readme-config": (
+        ChainConfig(
+            link_pdrs=(0.9, 0.8),
+            relay_modes=("forward",),
+            gop_count=1000,
+            pdr_schedule=((500, 1, 0.3),),
+        ),
+        31671,
+        64000,
+        [4] * 500
+        + [
+            int(d)
+            for d in "11221222022222222222012221020202222221122002122100"
+            "02222201001021022201102102021200022212202120210220"
+            "00211002222121021122011022122002221011212201202210"
+            "22120222211221221122221212211021201212212200202201"
+            "22111202222022022222221222011202012202020220011200"
+            "21010210212111002012200212012012120112010010122122"
+            "22022222102222201020222202002220222202020202221022"
+            "22022001122120222212221221102020022222120202222221"
+            "12022220212222010010102200202221222122202210122222"
+            "02202222022110020211022202221022222212222002220201"
+        ],
+        126.63000000000008,
+    ),
 }
 
 # (config, npr, total_delay, sha256 of per_gop_decoded as little-endian
