@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import _draw, surviving_counts
+from .codec import _draw, _Rows, surviving_counts
 
 
 def send_block(
@@ -30,13 +30,14 @@ def send_block(
     one uniform for every probe and packet that reached it, GOP by GOP and
     probes before packets, in one call for the block: the same per-link
     stream as sending each GOP's probes and then its packets across the
-    chain one at a time. pdrs[j, k] is link j's delivery probability during
-    GOP k; a pdrs of one value per link, pdrs[j], holds over the block. A
-    block of several runs' GOPs takes per link the runs' generators as one
-    codec._Rows, and each run's generator draws for its own GOPs.
-    Probe and packet counts that are not one whole number per GOP each, a
-    pdrs of another number of rows than links, a per-GOP row of another
-    length than the GOPs, or a probability outside [0, 1] raises ValueError.
+    chain one at a time. A link's delivery holds over the block, one value
+    per row its generator draws for: pdrs[j] or pdrs[j, 0] for a plain
+    generator, and pdrs[j, r] for row r when a block of several runs' GOPs
+    takes per link the runs' generators as one codec._Rows, each drawing
+    for its own GOPs. Probe and packet counts that are not one whole number
+    per GOP each, a pdrs of another number of rows than links, a link's row
+    of another length than its generator's rows, or a probability outside
+    [0, 1] raises ValueError.
 
     Returns the probes of each GOP that crossed every link, and per link its
     running survivor count: kept[j][i], int32, is how many of link j's
@@ -65,11 +66,15 @@ def send_block(
         raise ValueError(
             f"need one delivery probability row per link, {len(rngs)}, got shape {pdrs.shape}"
         )
-    if pdrs.ndim == 2 and pdrs.shape[1] != probes.size:
-        raise ValueError(
-            f"a per-GOP delivery row needs one probability per GOP, {probes.size}, "
-            f"got {pdrs.shape[1]}"
-        )
+    if pdrs.ndim == 1:
+        pdrs = pdrs[:, None]
+    for j, rng in enumerate(rngs):
+        rows = len(rng.sources) if isinstance(rng, _Rows) else 1
+        if pdrs.shape[1] != rows:
+            raise ValueError(
+                f"link {j} needs one delivery probability per row its generator "
+                f"draws for, {rows}, got {pdrs.shape[1]}"
+            )
     if pdrs.size and not (pdrs.min() >= 0.0 and pdrs.max() <= 1.0):
         raise ValueError(f"delivery probabilities must lie in [0, 1], got {pdrs.tolist()}")
     # draws alternate a GOP's probes and its packets, GOP by GOP: runs[k]
@@ -81,23 +86,14 @@ def send_block(
     for rng, link_pdrs in zip(rngs, pdrs):
         # int32 is wide enough: 2**31 draws would take 16 GiB of uniforms
         link_kept = np.zeros(draws + 1, dtype=np.int32)
-        _draw(rng, draws, runs, _survivors, link_pdrs, runs).cumsum(out=link_kept[1:])
+        _draw(rng, draws, runs, _survivors, link_pdrs).cumsum(out=link_kept[1:])
         kept.append(link_kept)
         runs = surviving_counts(runs, link_kept)
         draws = int(link_kept[-1])
     return runs[:, 0], kept
 
 
-def _survivors(rng, n, gops, pdrs, runs) -> np.ndarray:
-    """Which of the n draws a link makes for the GOPs gops of a block
-    survive: one uniform each from rng, compared with the delivery in force
-    in its GOP, pdrs[k] for GOP k where pdrs holds one per GOP; runs[k],
-    GOP k's probes and then packets, lays the draws out."""
-    if pdrs.ndim:
-        pdrs = pdrs[gops]
-        if pdrs.size and pdrs.min() == pdrs.max():
-            # GOPs of one delivery compare with it alone
-            pdrs = pdrs[0]
-        else:
-            pdrs = np.repeat(np.repeat(pdrs, 2), runs[gops].ravel())
-    return rng.random(n) < pdrs
+def _survivors(rng, n, row, pdrs) -> np.ndarray:
+    """Which of the n draws a link makes for one row of a block survive: one
+    uniform each from rng, compared with the row's delivery, pdrs[row]."""
+    return rng.random(n) < pdrs[row]

@@ -80,23 +80,21 @@ class _Rows:
 
 
 def _draw(source, n, per_gop, draw, *args):
-    """What draw(source, m, gops, *args) gives for the n values a block of
+    """What draw(source, m, row, *args) gives for the n values a block of
     GOPs draws, per_gop[k] of them (summed over its row) for GOP k, or one
     per GOP if per_gop is None. A plain source, a Generator or a seed, draws
-    all n for every GOP, gops being slice(None). A _Rows has each row's
-    source draw its own m values for its own GOPs, the slice gops of the
-    block, and the rows' values are concatenated in row order."""
+    all n as row 0. A _Rows has each row's source draw its own m values, for
+    its own GOPs, as its row r of the block, and the rows' values are
+    concatenated in row order."""
     if not isinstance(source, _Rows):
-        return draw(source, n, slice(None), *args)
+        return draw(source, n, 0, *args)
     rows = len(source.sources)
     if per_gop is None:
-        span = n // rows
-        sizes = [span] * rows
+        sizes = [n // rows] * rows
     else:
-        span = len(per_gop) // rows
         sizes = per_gop.reshape(rows, -1).sum(axis=1).tolist()
     return np.concatenate([
-        draw(row_source, m, slice(r * span, (r + 1) * span), *args)
+        draw(row_source, m, r, *args)
         for r, (row_source, m) in enumerate(zip(source.sources, sizes))
     ])
 
@@ -325,8 +323,8 @@ def encode_block(
     return PacketBlock(scheme, per_layer, counts, payload, coeffs=coeffs)
 
 
-def _raw_outputs(rng, rows, gops, outputs):
-    return rng.bit_generator.random_raw(rows * outputs)
+def _raw_outputs(rng, n, row, outputs):
+    return rng.bit_generator.random_raw(n * outputs)
 
 
 def decode_block(block: PacketBlock) -> tuple[np.ndarray, np.ndarray]:
@@ -393,7 +391,7 @@ def sample_depths(counts: np.ndarray, packets_per_layer: int, rng) -> np.ndarray
     return depths
 
 
-def _geometric(rng, n, gops):
+def _geometric(rng, n, row):
     return rng.geometric(1 - 1 / 256, n)
 
 

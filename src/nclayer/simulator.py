@@ -19,10 +19,12 @@ as arrays. Each encoder's packet count per GOP is known before any draw (a
 table or policy spends one budget; a re-encoding relay spends it on every
 GOP its block decode recovered a layer of), so each link of the segment
 makes one draw for the block, covering each GOP's probes and then its
-packets, GOP by GOP. The strategy picks, per-hop delays and receiver
-scoring then run on the block, whose packets travel as each GOP's
-per-class counts: nodes.pick_strategies gives the counts an encoder sends
-from how many probes of its latest round survived, a whole number.
+packets, GOP by GOP, at the link's one delivery for the block: a block
+also ends before each GOP at which pdr_schedule changes a delivery, and
+that GOP's changes apply as it starts. The strategy picks, per-hop delays
+and receiver scoring then run on the block, whose packets travel as each
+GOP's per-class counts: nodes.pick_strategies gives the counts an encoder
+sends from how many probes of its latest round survived, a whole number.
 channel.send_block returns each link's running survivor count over
 its draws, one cumulative sum per link, and codec.surviving_counts reads
 from it, on each GOP's probes and then its classes, both as they reach the
@@ -69,9 +71,8 @@ from __future__ import annotations
 
 import os
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -277,24 +278,6 @@ def _segments(config: ChainConfig) -> list[range]:
     return [range(a, b) for a, b in zip(starts, starts[1:] + [config.hop_count])]
 
 
-def _block_pdrs(pdr_now, segment, gops, schedule) -> np.ndarray:
-    """Delivery probability of each segment link during each GOP of a block
-    of consecutive GOPs of each row, rows one after another: row r starts
-    from pdr_now[r], its links' probabilities before the block. schedule
-    holds (gop, link, pdr) changes in GOP order, which every row shares;
-    those that fall in the block apply in order, and pdr_now ends the block
-    at each link's value in its last GOP."""
-    first = int(gops[0])
-    pdrs = np.repeat(pdr_now[:, segment, None], gops.size, axis=2)
-    start = bisect_left(schedule, first, key=itemgetter(0))
-    end = bisect_left(schedule, first + gops.size, key=itemgetter(0))
-    for gop_index, link_index, new_pdr in schedule[start:end]:
-        if link_index in segment:
-            pdrs[:, segment.index(link_index), gop_index - first :] = new_pdr
-    pdr_now[:, segment] = pdrs[:, :, -1]
-    return pdrs.transpose(1, 0, 2).reshape(len(segment), -1)
-
-
 def _packets_kept(kept, probes, packets) -> np.ndarray:
     """The rows of a block's packets that survive one link, in order, from
     the link's running survivor count kept over its draws: probes[k] probes
@@ -341,7 +324,8 @@ def _run_rows(
     row, so each step runs once per block for every row. Each row draws
     from its own generators, which the draw sites take as one codec._Rows
     when there are several rows, so its metrics are those of its run alone.
-    A block holds at most GOP_BLOCK GOPs of each row."""
+    A block holds at most GOP_BLOCK GOPs of each row, at one delivery per
+    link and row."""
     config = configs[0]
     rows = len(configs)
     if rows > 1 and any(_SHARED(c) != _SHARED(config) for c in configs[1:]):
@@ -405,9 +389,6 @@ def _run_rows(
         selector = builtin_policy(config.heuristic_set)
     sender_rng = generator(hops + n_relays) if verify else None
 
-    # stable, so changes at one GOP keep their config order
-    schedule = sorted(config.pdr_schedule, key=itemgetter(0))
-
     # each encoder's table or policy, the links it probes and sends over and
     # its generator, which encodes in a verified run and samples depths at
     # a relay of an unverified RLC run: the sender's segment, then each
@@ -426,10 +407,20 @@ def _run_rows(
     per_gop_decoded: list[list[int]] = [[] for _ in configs]
     per_gop_delay: list[list[float]] = [[] for _ in configs]
 
-    for first in range(0, config.gop_count, GOP_BLOCK):
+    # blocks of at most GOP_BLOCK GOPs, each also ending before a GOP at
+    # which the schedule changes a delivery; that GOP's changes apply as its
+    # block starts, in config order, so the last one to a link wins
+    starts = sorted({
+        *range(0, config.gop_count, GOP_BLOCK),
+        *(g for g, _, _ in config.pdr_schedule if g < config.gop_count),
+    })
+    for first, stop in zip(starts, starts[1:] + [config.gop_count]):
+        for gop_index, link_index, new_pdr in config.pdr_schedule:
+            if gop_index == first:
+                pdr_now[:, link_index] = new_pdr
         # each row's GOPs of the block; the block's arrays hold them row
         # after row, n per row
-        gops = np.arange(first, min(first + GOP_BLOCK, config.gop_count))
+        gops = np.arange(first, stop)
         n = gops.size
         cells = None
         if not counted:
@@ -456,11 +447,8 @@ def _run_rows(
         # classes
         counts = block = None
         for index, (selector, segment, rng) in enumerate(segments):
-            if rows == 1 and not schedule:
-                # each link's delivery holds over the block
-                pdrs = pdr_now[0, segment.start : segment.stop]
-            else:
-                pdrs = _block_pdrs(pdr_now, segment, gops, schedule)
+            # (segment links, rows): each link's delivery in each row
+            pdrs = pdr_now[:, segment.start : segment.stop].T
             if index == 0:
                 held = np.full(rows * n, config.layer_count)
                 source = cells
@@ -575,7 +563,7 @@ def _extend_rows(lists: list, values: np.ndarray) -> None:
         out.extend(part)
 
 
-def _cells(grid_seed, n, gops, gop_ids, layer_count, packets_per_layer, width):
+def _cells(grid_seed, n, row, gop_ids, layer_count, packets_per_layer, width):
     """The grids of one run's GOPs gop_ids, from its grid seed."""
     return make_synthetic_cells(gop_ids, layer_count, packets_per_layer, width, grid_seed)
 

@@ -378,14 +378,12 @@ def send_block_masks(rngs, probes, packets, pdrs):
     of each GOP that crossed every link, and per link the survival mask of
     the packets that reached it. Each link draws one uniform per probe and
     packet that reached it, GOP by GOP, probes first, in one call; pdrs[j]
-    is link j's probability, one value or one per GOP. The reference for
-    channel.send_block's running counts."""
+    is link j's probability. The reference for channel.send_block's running
+    counts."""
     runs = np.stack([np.asarray(probes), np.asarray(packets)], axis=1)
     is_packet = np.tile(np.array([False, True]), runs.shape[0])
     masks = []
     for rng, link_pdrs in zip(rngs, pdrs):
-        if np.ndim(link_pdrs):
-            link_pdrs = np.repeat(np.repeat(link_pdrs, 2), runs.ravel())
         alive = rng.random(int(runs.sum())) < link_pdrs
         masks.append(alive[np.repeat(is_packet, runs.ravel())])
         runs = mask_counts(runs, alive)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclayer.channel import send_block
-from nclayer.codec import surviving_counts
+from nclayer.codec import _Rows, surviving_counts
 from oracles import mask_counts, probe_walk_pdr, send_block_masks
 
 
@@ -85,28 +85,45 @@ def test_validation_errors():
 
 
 def test_send_block_refuses_inputs_that_disagree():
-    # a pdrs row per link, a per-GOP row per GOP and probabilities in [0, 1]:
-    # anything else would cross fewer links than generators, drop a link's
-    # odds or compare uniforms with no probability at all
+    # a pdrs row per link, one probability per row a link's generator draws
+    # for and probabilities in [0, 1]: anything else would cross fewer links
+    # than generators, drop a link's odds or compare uniforms with no
+    # probability at all. A per-GOP row, (links, GOPs), of plain generators
+    # would run every GOP at GOP 0's delivery, so it is refused too
     rngs = [np.random.default_rng(i) for i in range(3)]
     probes, packets = [5, 0], [10, 4]
+    per_row = "one delivery probability per row its generator draws for"
     for pdrs, match in (
         ([[0.5, 0.5]], "one delivery probability row per link"),
         ([0.5], "one delivery probability row per link"),
         (np.full((4, 2), 0.5), "one delivery probability row per link"),
         (np.full((3, 2, 1), 0.5), "one delivery probability row per link"),
-        (np.full((3, 1), 0.5), "one probability per GOP"),
-        (np.full((3, 3), 0.5), "one probability per GOP"),
+        (np.full((3, 2), 0.5), per_row),
+        (np.full((3, 3), 0.5), per_row),
+        (np.full((3, 0), 0.5), per_row),
         ([0.5, 1.5, 0.5], r"lie in \[0, 1\]"),
         ([0.5, -0.5, 0.5], r"lie in \[0, 1\]"),
-        ([[0.5, 0.5], [0.5, np.nan], [0.5, 0.5]], r"lie in \[0, 1\]"),
+        ([0.5, np.nan, 0.5], r"lie in \[0, 1\]"),
     ):
         with pytest.raises(ValueError, match=match):
             send_block(rngs, probes, packets, pdrs)
+    # a codec._Rows of two runs' generators takes one probability per run
+    # on each link, and no other count
+    rows = [_Rows([np.random.default_rng(10 + 2 * i + k) for k in range(2)]) for i in range(3)]
+    for pdrs in ([0.5, 0.5, 0.5], np.full((3, 1), 0.5), np.full((3, 4), 0.5)):
+        with pytest.raises(ValueError, match=per_row):
+            send_block(rows, probes * 2, packets * 2, pdrs)
     # nothing was drawn before the refusals
     assert all(r.bit_generator.state == _after(i, 0) for i, r in enumerate(rngs))
+    assert all(
+        g.bit_generator.state == _after(10 + 2 * i + k, 0)
+        for i, r in enumerate(rows)
+        for k, g in enumerate(r.sources)
+    )
     alive, kept = send_block(rngs, probes, packets, [0.0, 1.0, 1.0])
     assert alive.tolist() == [0, 0] and [k.size for k in kept] == [20, 1, 1]
+    alive, kept = send_block(rngs, probes, packets, [[1.0], [1.0], [1.0]])
+    assert alive.tolist() == [5, 0] and [k.size for k in kept] == [20, 20, 20]
 
 
 def test_send_block_refuses_counts_that_are_not_one_whole_number_per_gop():
@@ -147,14 +164,15 @@ def test_chain_probe_matches_probe_walk():
 
 
 def test_block_draws_as_gops_sent_one_by_one():
-    # a block of GOPs, each sending probes and then packets under its own
-    # delivery odds, leaves every link where sending GOP by GOP leaves it
+    # a block of GOPs, each sending probes and then packets under each
+    # link's delivery odds, leaves every link where sending GOP by GOP
+    # leaves it
     rng = np.random.default_rng(7)
     for trial in range(40):
         hops = int(rng.integers(1, 4))
         gops = int(rng.integers(1, 9))
         seeds = [int(s) for s in rng.integers(0, 2**32, size=hops)]
-        pdrs = rng.choice([0.0, 0.3, 0.7, 1.0], size=(hops, gops))
+        pdrs = rng.choice([0.0, 0.3, 0.7, 1.0], size=hops)
         probes = rng.choice([0, 5, 100], size=gops)
         packets = rng.integers(0, 70, size=gops)
         block = [np.random.default_rng(s) for s in seeds]
@@ -162,7 +180,7 @@ def test_block_draws_as_gops_sent_one_by_one():
         single = [np.random.default_rng(s) for s in seeds]
         per_gop = []
         for k in range(gops):
-            one_alive, one_kept = send_block(single, [probes[k]], [packets[k]], pdrs[:, [k]])
+            one_alive, one_kept = send_block(single, [probes[k]], [packets[k]], pdrs)
             assert alive[k] == one_alive[0]
             per_gop.append(one_kept)
         for j in range(hops):
@@ -174,9 +192,9 @@ def test_block_draws_as_gops_sent_one_by_one():
             assert a.bit_generator.state == b.bit_generator.state
 
 
-def test_one_delivery_per_link_is_that_delivery_in_every_gop():
-    # a link whose delivery holds over the block may pass one value, which
-    # compares each uniform with the same number as the per-GOP row does
+def test_one_row_rows_draw_as_their_plain_generators():
+    # a codec._Rows of one run's generator, with that run's one delivery
+    # per link as its row, draws and keeps what the plain generator does
     rng = np.random.default_rng(8)
     for trial in range(20):
         hops, gops = int(rng.integers(1, 4)), int(rng.integers(1, 9))
@@ -185,15 +203,13 @@ def test_one_delivery_per_link_is_that_delivery_in_every_gop():
         probes = rng.choice([0, 5, 100], size=gops)
         packets = rng.integers(0, 70, size=gops)
         fixed = [np.random.default_rng(s) for s in seeds]
-        rows = [np.random.default_rng(s) for s in seeds]
+        rows = [_Rows([np.random.default_rng(s)]) for s in seeds]
         alive, kept = send_block(fixed, probes, packets, pdrs)
-        want_alive, want_kept = send_block(
-            rows, probes, packets, np.repeat(pdrs[:, None], gops, axis=1)
-        )
+        want_alive, want_kept = send_block(rows, probes, packets, pdrs[:, None])
         assert np.array_equal(alive, want_alive)
         assert all(np.array_equal(a, b) for a, b in zip(kept, want_kept))
         for a, b in zip(fixed, rows):
-            assert a.bit_generator.state == b.bit_generator.state
+            assert a.bit_generator.state == b.sources[0].bit_generator.state
 
 
 @settings(max_examples=200, deadline=None)
@@ -202,11 +218,10 @@ def test_one_delivery_per_link_is_that_delivery_in_every_gop():
     gops=st.integers(min_value=1, max_value=9),
     layers=st.integers(min_value=1, max_value=4),
     sends=st.sampled_from(["both", "no probes", "no packets"]),
-    per_gop=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_running_counts_give_each_hop_the_counts_of_the_packet_masks(
-    hops, gops, layers, sends, per_gop, seed
+    hops, gops, layers, sends, seed
 ):
     # each hop's class counts, read from the link's running count over a
     # layout of each GOP's probes and then its classes, are the counts the
@@ -221,9 +236,8 @@ def test_running_counts_give_each_hop_the_counts_of_the_packet_masks(
         probes[:] = 0
     elif sends == "no packets":
         counts[:] = 0
-    shape = (hops, gops) if per_gop else (hops,)
     pdrs = np.where(
-        rng.random(shape) < 0.4, rng.choice([0.0, 1.0], size=shape), rng.random(shape)
+        rng.random(hops) < 0.4, rng.choice([0.0, 1.0], size=hops), rng.random(hops)
     )
     seeds = [int(s) for s in rng.integers(0, 2**32, size=hops)]
     links = [np.random.default_rng(s) for s in seeds]

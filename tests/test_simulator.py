@@ -605,6 +605,12 @@ BLOCK_CONFIGS = {
         link_pdrs=(0.7, 0.8, 0.7), relay_modes=("nc", "nc"), gop_count=300, seed=35,
         pdr_schedule=((255, 1, 0.6), (256, 2, 0.9)),
     ),
+    # changes at GOP 0, two to one link at one GOP (the last wins), one at
+    # the default block's edge and one at gop_count, which never applies
+    "schedule-edges": ChainConfig(
+        link_pdrs=(0.8, 0.9, 0.7), relay_modes=("nc", "forward"), gop_count=300, seed=36,
+        pdr_schedule=((0, 2, 0.9), (120, 1, 0.0), (120, 1, 0.6), (256, 0, 0.5), (300, 0, 0.0)),
+    ),
 }
 
 
