@@ -25,13 +25,19 @@ from oracles import reference_run
 
 
 def test_lossless_one_hop_hits_ceiling(default_table):
-    config = ChainConfig(link_pdrs=(1.0,), gop_count=20, verify_payloads=True)
-    metrics = run(config, table=default_table)
-    assert metrics.audl == 4.0
-    assert metrics.measured_pdr == 1.0
-    assert metrics.sent_total == 20 * 64
-    assert metrics.npr == metrics.sent_total
-    assert metrics.per_gop_decoded == [4] * 20
+    verified = ChainConfig(link_pdrs=(1.0,), gop_count=20, verify_payloads=True)
+    # 300 layers of one packet each, sent once: a depth past what int8 holds
+    deep = ChainConfig(
+        link_pdrs=(1.0,), gop_count=20, scheme="repeat", layer_count=300,
+        packets_per_layer=1, budget=300,
+    )
+    for config, table in ((verified, default_table), (deep, None)):
+        metrics = run(config, table=table)
+        assert metrics.audl == float(config.layer_count)
+        assert metrics.measured_pdr == 1.0
+        assert metrics.sent_total == 20 * config.budget
+        assert metrics.npr == metrics.sent_total
+        assert metrics.per_gop_decoded == [config.layer_count] * 20
 
 
 def test_lossless_heuristic_hits_ceiling(default_table):
