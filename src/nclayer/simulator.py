@@ -259,8 +259,10 @@ class RunMetrics:
     measured_pdr: float
     audl: float
     total_delay: float
-    per_gop_decoded: list[int] = field(repr=False, default_factory=list)
-    per_gop_delay: list[float] = field(repr=False, default_factory=list)
+    # Each GOP's decoded depth, in the smallest signed integer type that
+    # holds -layer_count - 1 (int8 up to 127 layers), and its delay, float64.
+    per_gop_decoded: np.ndarray = field(repr=False)
+    per_gop_delay: np.ndarray = field(repr=False)
     seed: int = 0
     # With verify_payloads: GOPs whose real decode fell short of the count
     # score, and GOPs whose decoded bytes differ from the source.
@@ -404,8 +406,11 @@ def _run_rows(
     # each row's packets received, probes on air, short decodes and wrong ones
     npr, probe_packets = [0] * rows, [0] * rows
     prediction_gaps, payload_errors = [0] * rows, [0] * rows
-    per_gop_decoded: list[list[int]] = [[] for _ in configs]
-    per_gop_delay: list[list[float]] = [[] for _ in configs]
+    # each row's depth and delay of each GOP
+    per_gop_decoded = np.zeros(
+        (rows, config.gop_count), np.min_scalar_type(-config.layer_count - 1)
+    )
+    per_gop_delay = np.zeros((rows, config.gop_count))
 
     # blocks of at most GOP_BLOCK GOPs, each also ending before a GOP at
     # which the schedule changes a delivery; that GOP's changes apply as its
@@ -511,8 +516,8 @@ def _run_rows(
             )
             _add_rows(payload_errors, wrong.any(axis=1))
         _add_rows(npr, sizes)
-        _extend_rows(per_gop_decoded, scores)
-        _extend_rows(per_gop_delay, delays)
+        per_gop_decoded[:, first:stop] = scores.reshape(rows, n)
+        per_gop_delay[:, first:stop] = delays.reshape(rows, n)
 
     build_charge = TABLE_BUILD_CHARGE if MODE_NC in config.relay_modes else 0.0
     sent_total = config.budget * config.gop_count
@@ -524,11 +529,12 @@ def _run_rows(
             link_pdrs=c.link_pdrs,
             npr=received,
             sent_total=sent_total,
-            measured_pdr=received / sent_total if sent_total else 0.0,
-            # the exact integer sum, divided once: the float np.mean gives,
-            # without its array round trip
-            audl=sum(decoded) / len(decoded) if decoded else 0.0,
-            total_delay=sum(delay) + build_charge,
+            measured_pdr=received / sent_total,
+            # the exact integer sum, divided once: the float np.mean gives
+            audl=int(decoded.sum()) / config.gop_count,
+            # added in GOP order, whatever the Python: not pairwise, as
+            # np.sum adds, nor compensated, as sum() does from Python 3.12
+            total_delay=float(np.add.accumulate(delay)[-1]) + build_charge,
             per_gop_decoded=decoded,
             per_gop_delay=delay,
             seed=c.seed,
@@ -551,16 +557,6 @@ def _add_rows(totals: list, values: np.ndarray) -> None:
         return
     for row, value in enumerate(values.reshape(len(totals), -1).sum(axis=1).tolist()):
         totals[row] += value
-
-
-def _extend_rows(lists: list, values: np.ndarray) -> None:
-    """Extends each row's list by its values, one per GOP of a block that
-    holds each row's GOPs in turn."""
-    if len(lists) == 1:
-        lists[0].extend(values.tolist())
-        return
-    for out, part in zip(lists, values.reshape(len(lists), -1).tolist()):
-        out.extend(part)
 
 
 def _cells(grid_seed, n, row, gop_ids, layer_count, packets_per_layer, width):

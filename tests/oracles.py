@@ -4,16 +4,19 @@ Except for reference_run and class_block, nothing here imports from the
 package's arithmetic or decode logic; each oracle recomputes its answer by
 a structurally different method so that agreement is evidence rather than
 tautology. class_block is no oracle: it builds the RLC blocks of which
-tests read only the classes. reference_run drives the package's codec one
-GOP at a time, with the scalar count rule, table and policy lookups below,
-through the GOP-by-GOP loop, so it checks how run() carries GOPs, not the
-codec; each of its encoders hands its own generator to encode_block GOP by
-GOP, so the block pass must draw the same coefficients in the same order.
+tests read only the classes, and plain_metrics only restates a run's
+metrics as values that compare exactly. reference_run drives the
+package's codec one GOP at a time, with the scalar count rule, table and
+policy lookups below, through the GOP-by-GOP loop, so it checks how run()
+carries GOPs, not the codec; each of its encoders hands its own generator
+to encode_block GOP by GOP, so the block pass must draw the same
+coefficients in the same order.
 Its relays sample with reference_sample_depths, which steps every draw as
 the sampler first did.
 """
 
 import math
+from dataclasses import asdict
 from functools import lru_cache
 from itertools import product
 
@@ -514,6 +517,15 @@ def select_strategy(policy, pdr_estimate):
     return policy.strategies[index]
 
 
+def plain_metrics(metrics):
+    """Each field of a RunMetrics by name, its per-GOP arrays as lists: two
+    runs' plain metrics are equal only where every value is, bit for bit."""
+    return {
+        name: value.tolist() if isinstance(value, np.ndarray) else value
+        for name, value in asdict(metrics).items()
+    }
+
+
 def reference_run(config, table=None):
     """The chain simulation one GOP at a time, as run() first carried it.
 
@@ -608,6 +620,8 @@ def reference_run(config, table=None):
     relay_estimates = {i: 1.0 for i in nc}
     sent_total = npr = gaps = errors = 0
     per_gop_decoded, per_gop_delay = [], []
+    # the delays added GOP by GOP
+    delay_sum = 0.0
     for gop_index in range(config.gop_count):
         grid = make_synthetic_gop(gop_index, L, P, width, grid_seed)
         current = None
@@ -673,6 +687,7 @@ def reference_run(config, table=None):
                 errors += 1
         per_gop_decoded.append(score)
         per_gop_delay.append(delay)
+        delay_sum += delay
 
     build_charge = TABLE_BUILD_CHARGE if nc else 0.0
     default_label = "uncoded" if repeat else f"{config.selection}-{config.scheme}"
@@ -684,9 +699,9 @@ def reference_run(config, table=None):
         sent_total=sent_total,
         measured_pdr=npr / sent_total if sent_total else 0.0,
         audl=float(np.mean(per_gop_decoded)) if per_gop_decoded else 0.0,
-        total_delay=sum(per_gop_delay) + build_charge,
-        per_gop_decoded=per_gop_decoded,
-        per_gop_delay=per_gop_delay,
+        total_delay=delay_sum + build_charge,
+        per_gop_decoded=np.array(per_gop_decoded),
+        per_gop_delay=np.array(per_gop_delay),
         seed=config.seed,
         prediction_gaps=gaps,
         payload_errors=errors,

@@ -1,7 +1,8 @@
 import csv
 import io
 import math
-from dataclasses import asdict, replace
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from nclayer.simulator import (
     write_rows,
 )
 from nclayer.spt import build_table
-from oracles import reference_run
+from oracles import plain_metrics, reference_run
 
 
 def test_lossless_one_hop_hits_ceiling(default_table):
@@ -31,13 +32,17 @@ def test_lossless_one_hop_hits_ceiling(default_table):
         link_pdrs=(1.0,), gop_count=20, scheme="repeat", layer_count=300,
         packets_per_layer=1, budget=300,
     )
-    for config, table in ((verified, default_table), (deep, None)):
+    cases = ((verified, default_table, np.int8), (deep, None, np.int16))
+    for config, table, depth_type in cases:
         metrics = run(config, table=table)
-        assert metrics.audl == float(config.layer_count)
-        assert metrics.measured_pdr == 1.0
-        assert metrics.sent_total == 20 * config.budget
-        assert metrics.npr == metrics.sent_total
-        assert metrics.per_gop_decoded == [config.layer_count] * 20
+        assert metrics.per_gop_decoded.dtype == depth_type
+        assert metrics.per_gop_delay.dtype == np.float64
+        metrics = plain_metrics(metrics)
+        assert metrics["audl"] == float(config.layer_count)
+        assert metrics["measured_pdr"] == 1.0
+        assert metrics["sent_total"] == 20 * config.budget
+        assert metrics["npr"] == metrics["sent_total"]
+        assert metrics["per_gop_decoded"] == [config.layer_count] * 20
 
 
 def test_lossless_heuristic_hits_ceiling(default_table):
@@ -62,13 +67,13 @@ def test_forwarders_are_transparent(default_table):
 
 def test_same_seed_reproduces_everything(default_table):
     config = ChainConfig(link_pdrs=(0.7, 0.8), relay_modes=("nc",), gop_count=25, seed=5)
-    a = run(config, table=default_table)
-    b = run(config, table=default_table)
-    assert a.per_gop_decoded == b.per_gop_decoded
-    assert a.per_gop_delay == b.per_gop_delay
-    assert a.npr == b.npr
-    c = run(replace(config, seed=6), table=default_table)
-    assert (a.npr, a.per_gop_delay) != (c.npr, c.per_gop_delay)
+    a = plain_metrics(run(config, table=default_table))
+    b = plain_metrics(run(config, table=default_table))
+    assert a["per_gop_decoded"] == b["per_gop_decoded"]
+    assert a["per_gop_delay"] == b["per_gop_delay"]
+    assert a["npr"] == b["npr"]
+    c = plain_metrics(run(replace(config, seed=6), table=default_table))
+    assert (a["npr"], a["per_gop_delay"]) != (c["npr"], c["per_gop_delay"])
 
 
 def test_uncoded_baseline_matches_closed_form():
@@ -118,9 +123,9 @@ def test_pdr_schedule_kicks_in(default_table):
         gop_count=12,
         pdr_schedule=((6, 0, 0.0),),
     )
-    metrics = run(config, table=default_table)
-    assert metrics.per_gop_decoded[:6] == [4] * 6
-    assert metrics.per_gop_decoded[6:] == [0] * 6
+    decoded = plain_metrics(run(config, table=default_table))["per_gop_decoded"]
+    assert decoded[:6] == [4] * 6
+    assert decoded[6:] == [0] * 6
 
 
 def test_schedule_validation():
@@ -184,7 +189,7 @@ def test_table_build_charging_policies(default_table):
     def charge(modes):
         config = ChainConfig(link_pdrs=(1.0,) * 3, relay_modes=modes, gop_count=1)
         metrics = run(config, table=default_table)
-        return metrics.total_delay - sum(metrics.per_gop_delay)
+        return metrics.total_delay - np.add.accumulate(metrics.per_gop_delay)[-1]
 
     for modes in (("nc", "forward"), ("forward", "nc"), ("nc", "nc")):
         assert abs(charge(modes) - simulator.TABLE_BUILD_CHARGE) < 1e-9
@@ -358,7 +363,7 @@ def test_verified_runs_report_decoder_counters(default_table):
     assert xor.payload_errors == 0
     unverified = run(replace(base, scheme="xor", verify_payloads=False), table=default_table)
     assert (unverified.prediction_gaps, unverified.payload_errors) == (0, 0)
-    assert unverified.per_gop_decoded == xor.per_gop_decoded
+    assert plain_metrics(unverified)["per_gop_decoded"] == plain_metrics(xor)["per_gop_decoded"]
 
 
 def test_verified_forward_chain_gap_rate_is_of_order_one_over_q(default_table):
@@ -515,17 +520,17 @@ def test_unverified_run_matches_verified_twin(name, default_table, monkeypatch):
         return depths, cells
 
     monkeypatch.setattr(simulator, "decode_block", recording)
-    verified = run(replace(config, verify_payloads=True), table=table)
+    verified = plain_metrics(run(replace(config, verify_payloads=True), table=table))
     # each block's relays decode in hop order, then the receiver
     replay = (depths for k, depths in enumerate(decoded) if k % (relays + 1) < relays)
     monkeypatch.setattr(simulator, "decode_block", decode)
     monkeypatch.setattr(simulator, "sample_depths", lambda *args: next(replay))
-    bare = run(config, table=table)
+    bare = plain_metrics(run(config, table=table))
     if config.scheme == "rlc":
         assert next(replay, None) is None
     for attr in ("npr", "sent_total", "per_gop_decoded", "total_delay"):
-        assert getattr(bare, attr) == getattr(verified, attr), attr
-    assert verified.payload_errors == 0
+        assert bare[attr] == verified[attr], attr
+    assert verified["payload_errors"] == 0
 
 
 @pytest.mark.parametrize(
@@ -636,8 +641,23 @@ def test_block_size_leaves_every_metric_unchanged(name, block, default_table, mo
     else:
         monkeypatch.setattr(simulator, "GOP_BLOCK", block)
     blocked = run(config, table=default_table)
-    assert asdict(blocked) == asdict(default)
+    assert plain_metrics(blocked) == plain_metrics(default)
     assert len(default.per_gop_delay) == config.gop_count
+
+
+def test_long_run_results_cost_a_few_bytes_per_gop(default_table):
+    # a run keeps each GOP's depth and delay as array entries, 9 bytes a
+    # GOP at 4 layers; the bound leaves room for the run's fixed state
+    config = ChainConfig(link_pdrs=(0.9,), gop_count=50_000, seed=4)
+    run(replace(config, gop_count=10), table=default_table)
+    tracemalloc.start()
+    try:
+        metrics = run(config, table=default_table)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(metrics.per_gop_decoded) == config.gop_count
+    assert held <= 20 * config.gop_count, held
 
 
 def _random_config(rng, index):
@@ -709,7 +729,7 @@ def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch)
         nodes.clear()
         got = run(config, table=default_table)
         want, link_rngs, node_rngs = reference_run(config, default_table)
-        assert asdict(got) == asdict(want), config
+        assert plain_metrics(got) == plain_metrics(want), config
         assert len(links) == len(link_rngs) == config.hop_count
         relays = config.relay_modes.count("nc")
         if config.verify_payloads:
@@ -777,14 +797,14 @@ def test_grouped_rows_match_their_own_runs(default_table, monkeypatch):
         seen.add((shape.scheme, shape.verify_payloads))
         periods.add(shape.update_period)
         scheduled |= any(gop < shape.gop_count for gop, _, _ in shape.pdr_schedule)
-        wanted = [asdict(run(row, table=default_table)) for row in rows]
+        wanted = [plain_metrics(run(row, table=default_table)) for row in rows]
         references = [reference_run(row, default_table) for row in rows]
         for block in (1, 7):
             monkeypatch.setattr(simulator, "GOP_BLOCK", block)
             links.clear()
             nodes.clear()
             got = simulator._run_rows(rows, table=default_table)
-            assert [asdict(m) for m in got] == wanted, (shape, block)
+            assert [plain_metrics(m) for m in got] == wanted, (shape, block)
             assert len(links) == hops
             assert len(nodes) == max(len(node_rngs) for _, _, node_rngs in references)
             for k, (_, link_rngs, node_rngs) in enumerate(references):
