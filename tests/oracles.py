@@ -376,6 +376,20 @@ def mask_counts(counts, mask):
     return np.array([int(part.sum()) for part in parts], dtype=np.int64).reshape(counts.shape)
 
 
+def running_count_read(counts, kept):
+    """The survivors of each run of rows, read from a survival mask kept
+    (one entry per row and a closing one) as a link's running survivor
+    count reads them: one cumulative sum over the rows' entries, and each
+    run's count the difference of that sum at the run's end and its start.
+    counts holds each run's rows, the runs one after another in its
+    row-major order."""
+    counts = np.asarray(counts)
+    runs = counts.ravel()
+    ends = np.cumsum(runs)
+    running = np.concatenate([[0], np.cumsum(kept[:-1], dtype=np.int64)])
+    return (running[ends] - running[ends - runs]).reshape(counts.shape)
+
+
 def send_block_masks(rngs, probes, packets, pdrs):
     """A block's crossing of the links as per-link packet masks: the probes
     of each GOP that crossed every link, and per link the survival mask of

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from nclayer.channel import send_block
 from nclayer.codec import _Rows, surviving_counts
-from oracles import mask_counts, probe_walk_pdr, send_block_masks
+from oracles import mask_counts, probe_walk_pdr, running_count_read, send_block_masks
 
 
 def _survived(kept):
@@ -255,3 +255,36 @@ def test_running_counts_give_each_hop_the_counts_of_the_packet_masks(
     assert np.array_equal(alive, want_alive)
     for a, b in zip(links, oracle):
         assert a.bit_generator.state == b.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gops=st.integers(min_value=0, max_value=8),
+    layers=st.integers(min_value=1, max_value=4),
+    empty=st.sets(st.sampled_from(["first", "middle", "last"])),
+    delivery=st.sampled_from(["always", "never", "random"]),
+    rows=st.sampled_from([1, 2]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_surviving_counts_read_what_a_running_count_reads(
+    gops, layers, empty, delivery, rows, seed
+):
+    # the counts of each run of a link's draws, over a layout of each GOP's
+    # probes and then its classes, are those a running survivor count of
+    # the link's mask gives. Empty runs first, in the middle and last, a
+    # block of no GOPs whose link draws nothing, masks all True and all
+    # False, and two runs' GOPs drawn by their own generators as one
+    # codec._Rows included
+    rng = np.random.default_rng(seed)
+    counts = rng.choice([0, 1, 3, 8], size=(rows * gops, 1 + layers))
+    runs = counts.reshape(-1)
+    if runs.size:
+        for place in empty:
+            runs[{"first": 0, "middle": runs.size // 2, "last": -1}[place]] = 0
+    pdrs = {"always": [1.0] * rows, "never": [0.0] * rows, "random": rng.random(rows)}[delivery]
+    links = [np.random.default_rng(s) for s in rng.integers(0, 2**32, size=rows)]
+    link = links[0] if rows == 1 else _Rows(links)
+    alive, (kept,) = send_block([link], counts[:, 0], counts[:, 1:].sum(axis=1), [pdrs])
+    want = running_count_read(counts, kept)
+    assert np.array_equal(surviving_counts(counts, kept), want), (counts, kept)
+    assert np.array_equal(alive, want[:, 0])
