@@ -2,10 +2,9 @@
 
 A link is its own random generator; its delivery probability and delay
 belong to the caller, which passes the probabilities in force with each
-block it sends. A link's outcome for a block is its running survivor count
-over its draws, one cumulative sum of its survival mask, from which
-codec.surviving_counts reads what crosses it under any layout of the draws:
-probes against packets, or probes and then each class.
+block it sends. A link's outcome for a block is its survival mask over its
+draws, from which codec.surviving_counts reads what crosses it under any
+layout of the draws: probes against packets, or probes and then each class.
 """
 
 from __future__ import annotations
@@ -40,8 +39,10 @@ def send_block(
     [0, 1] raises ValueError.
 
     Returns the probes of each GOP that crossed every link, and per link its
-    running survivor count: kept[j][i], int32, is how many of link j's
-    first i draws survived, so kept[j] has one entry more than link j drew.
+    survival mask: kept[j][i] is whether link j's draw i survived, and a
+    closing False follows the draws, so kept[j] has one entry more than link
+    j drew and every run of them, an empty one at the end too, starts at an
+    index of it.
     """
     if not rngs:
         raise ValueError("need at least one link to send across")
@@ -84,12 +85,11 @@ def send_block(
     draws = int(runs.sum())
     kept = []
     for rng, link_pdrs in zip(rngs, pdrs):
-        # int32 is wide enough: 2**31 draws would take 16 GiB of uniforms
-        link_kept = np.zeros(draws + 1, dtype=np.int32)
-        _draw(rng, draws, runs, _survivors, link_pdrs).cumsum(out=link_kept[1:])
+        link_kept = np.zeros(draws + 1, dtype=bool)
+        link_kept[:draws] = _draw(rng, draws, runs, _survivors, link_pdrs)
         kept.append(link_kept)
         runs = surviving_counts(runs, link_kept)
-        draws = int(link_kept[-1])
+        draws = int(runs.sum())
     return runs[:, 0], kept
 
 

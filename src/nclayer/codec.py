@@ -26,10 +26,9 @@ work on the whole block as arrays.
 A block whose coefficients and payloads no one reads is fully described
 by its counts, so the functions that read only classes take the counts
 alone: surviving_counts reads the counts that cross a link from the
-link's running survivor count, one cumulative sum of its survival mask,
-with no rows made, decodable_layers_batch scores them by the count rule,
-and sample_depths draws decode_block's RLC depths from them; score_block
-is the block form of the count rule.
+link's survival mask, with no rows made, decodable_layers_batch scores
+them by the count rule, and sample_depths draws decode_block's RLC depths
+from them; score_block is the block form of the count rule.
 
 Every RLC packet carries its coefficients, zero-padded to layer_count *
 packets_per_layer columns and drawn from the generator the encoder is
@@ -398,22 +397,24 @@ def _geometric(rng, n, row):
 def surviving_counts(counts: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """The rows of each run that survive, where counts holds each run's rows
     and the runs lie one after another in its row-major order, and kept is
-    the running survivor count of those rows: kept[i] survivors among the
-    first i, kept[0] = 0. On a block's class counts, whose rows encode_block
+    a survival mask of those rows as channel.send_block returns one, closed
+    by one more entry. On a block's class counts, whose rows encode_block
     lays out GOP by GOP, each GOP's classes shallow first, it is
-    block.select(mask).counts for the mask kept counts, with no rows made;
-    on a (GOPs, 1 + layers) layout of each GOP's probes and then its
-    classes, as a link draws them, it gives both at once. A kept of another
-    length than one more than the rows raises ValueError."""
+    block.select(kept[:-1]).counts, with no rows made; on a (GOPs, 1 +
+    layers) layout of each GOP's probes and then its classes, as a link
+    draws them, it gives both at once. A kept of another length than one
+    more than the rows raises ValueError."""
     runs = counts.ravel()
-    ends = runs.cumsum()
-    n = int(ends[-1]) if ends.size else 0
+    starts = runs.cumsum() - runs
+    n = int(runs.sum())
     if kept.shape != (n + 1,):
         raise ValueError(
-            f"a running count needs one entry per row and one more, {n + 1}, "
+            f"a survival mask needs one entry per row and one more, {n + 1}, "
             f"got shape {kept.shape}"
         )
-    return (kept[ends] - kept[ends - runs]).reshape(counts.shape)
+    # one sum per run from its start, where an empty run reads the entry
+    # there instead, hence the multiply
+    return (np.add.reduceat(kept, starts) * (runs > 0)).reshape(counts.shape)
 
 
 def _row_runs(counts: np.ndarray) -> np.ndarray:

@@ -25,14 +25,14 @@ that GOP's changes apply as it starts. The strategy picks, per-hop delays
 and receiver scoring then run on the block, whose packets travel as each
 GOP's per-class counts: nodes.pick_strategies gives the counts an encoder
 sends from how many probes of its latest round survived, a whole number.
-channel.send_block returns each link's running survivor count over
-its draws, one cumulative sum per link, and codec.surviving_counts reads
-from it, on each GOP's probes and then its classes, both as they reach the
-next hop; a GOP is its row of the counts, and run() alone knows its
-number. Where a step reads more than classes, the packets travel as a
-PacketBlock, a block's class counts plus its rows: encode_block makes it
-from the pick, each link selects from it the packets its running count
-kept, and the selected block's counts are those in flight.
+channel.send_block returns each link's survival mask over its draws,
+and codec.surviving_counts reads from it, on each GOP's probes and then
+its classes, both as they reach the next hop; a GOP is its row of the
+counts, and run() alone knows its number. Where a step reads more than
+classes, the packets travel as a PacketBlock, a block's class counts plus
+its rows: encode_block makes it from the pick, each link selects from it
+the packets its mask kept, and the selected block's counts are those in
+flight.
 That is in a verified run, whose relays and receiver decode coefficients
 and payloads with decode_block, and under xor and repeat, whose depth is
 which columns arrived. An unverified RLC run makes no rows: its relays
@@ -72,7 +72,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
+from operator import attrgetter, eq
 from typing import Optional, Sequence
 
 import numpy as np
@@ -272,6 +272,17 @@ class RunMetrics:
     # link of the run. A repeat (uncoded) sender sends none.
     probe_packets: int = 0
 
+    def __eq__(self, other):
+        # field by field, each per-GOP array as a whole; still unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            same = np.array_equal if isinstance(mine, np.ndarray) else eq
+            if not same(mine, theirs):
+                return False
+        return True
+
 
 def _segments(config: ChainConfig) -> list[range]:
     """Link ranges probed by the sender and by each re-encoding relay, in
@@ -280,11 +291,10 @@ def _segments(config: ChainConfig) -> list[range]:
     return [range(a, b) for a, b in zip(starts, starts[1:] + [config.hop_count])]
 
 
-def _packets_kept(kept, probes, packets) -> np.ndarray:
+def _packets_kept(alive, probes, packets) -> np.ndarray:
     """The rows of a block's packets that survive one link, in order, from
-    the link's running survivor count kept over its draws: probes[k] probes
-    and then packets[k] packets for each GOP k."""
-    alive = kept[1:] != kept[:-1]
+    the link's survival mask alive over its draws: probes[k] probes and then
+    packets[k] packets for each GOP k."""
     if probes.any():
         # the block's packet i, of GOP k, is draw i plus the probes of GOPs 0..k
         alive = alive[np.arange(packets.sum()) + np.repeat(probes.cumsum(), packets)]
@@ -411,6 +421,9 @@ def _run_rows(
         (rows, config.gop_count), np.min_scalar_type(-config.layer_count - 1)
     )
     per_gop_delay = np.zeros((rows, config.gop_count))
+    # each row's delays added so far, in GOP order whatever the Python: not
+    # pairwise, as np.sum adds, nor compensated, as sum() does from 3.12
+    total_delay = np.zeros(rows)
 
     # blocks of at most GOP_BLOCK GOPs, each also ending before a GOP at
     # which the schedule changes a delivery; that GOP's changes apply as its
@@ -465,7 +478,7 @@ def _run_rows(
             # of, and sends nothing for the others
             sending = np.where(held > 0, config.budget, 0)
             # one draw per link for the block: probes and packets, GOP by GOP;
-            # kept[j], link j's running survivor count over its draws
+            # kept[j], link j's survival mask over its draws
             alive, kept = send_block([link_rngs[i] for i in segment], probes, sending, pdrs)
             # the sender's feedback, round(share * probes), is the surviving
             # count itself
@@ -482,7 +495,7 @@ def _run_rows(
                 block = encode_block(source, counts, config.scheme, rng)
             # runs[k]: GOP k's probes that reach the hop, then its packets
             # of each class. A link draws for them in that order, so one read
-            # of its running count gives the runs that reach the next hop; a
+            # of its mask gives the runs that reach the next hop; a
             # probe is on air on every link it reaches
             runs = np.concatenate([probes[:, None], counts], axis=1)
             aired = probes
@@ -518,6 +531,9 @@ def _run_rows(
         _add_rows(npr, sizes)
         per_gop_decoded[:, first:stop] = scores.reshape(rows, n)
         per_gop_delay[:, first:stop] = delays.reshape(rows, n)
+        total_delay = np.add.accumulate(
+            np.column_stack([total_delay, per_gop_delay[:, first:stop]]), axis=1
+        )[:, -1]
 
     build_charge = TABLE_BUILD_CHARGE if MODE_NC in config.relay_modes else 0.0
     sent_total = config.budget * config.gop_count
@@ -532,9 +548,7 @@ def _run_rows(
             measured_pdr=received / sent_total,
             # the exact integer sum, divided once: the float np.mean gives
             audl=int(decoded.sum()) / config.gop_count,
-            # added in GOP order, whatever the Python: not pairwise, as
-            # np.sum adds, nor compensated, as sum() does from Python 3.12
-            total_delay=float(np.add.accumulate(delay)[-1]) + build_charge,
+            total_delay=float(delay_sum) + build_charge,
             per_gop_decoded=decoded,
             per_gop_delay=delay,
             seed=c.seed,
@@ -542,9 +556,9 @@ def _run_rows(
             payload_errors=errors,
             probe_packets=aired,
         )
-        for c, received, decoded, delay, gaps, errors, aired in zip(
-            configs, npr, per_gop_decoded, per_gop_delay, prediction_gaps, payload_errors,
-            probe_packets,
+        for c, received, decoded, delay, delay_sum, gaps, errors, aired in zip(
+            configs, npr, per_gop_decoded, per_gop_delay, total_delay, prediction_gaps,
+            payload_errors, probe_packets,
         )
     ]
 

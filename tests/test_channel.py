@@ -9,8 +9,9 @@ from oracles import mask_counts, probe_walk_pdr, running_count_read, send_block_
 
 
 def _survived(kept):
-    """Which of a link's draws survived, from its running survivor count."""
-    return np.diff(kept) > 0
+    """Which of a link's draws survived, from its survival mask: every entry
+    but the closing one."""
+    return kept[:-1]
 
 
 def _transmit(rng, pdr, packets):
@@ -122,8 +123,10 @@ def test_send_block_refuses_inputs_that_disagree():
     )
     alive, kept = send_block(rngs, probes, packets, [0.0, 1.0, 1.0])
     assert alive.tolist() == [0, 0] and [k.size for k in kept] == [20, 1, 1]
+    assert not any(k.any() for k in kept)
     alive, kept = send_block(rngs, probes, packets, [[1.0], [1.0], [1.0]])
     assert alive.tolist() == [5, 0] and [k.size for k in kept] == [20, 20, 20]
+    assert all(k[:-1].all() and not k[-1] for k in kept)
 
 
 def test_send_block_refuses_counts_that_are_not_one_whole_number_per_gop():
@@ -142,9 +145,9 @@ def test_send_block_refuses_counts_that_are_not_one_whole_number_per_gop():
             send_block([rng], probes, packets, [0.5])
     assert rng.bit_generator.state == _after(0, 0)
     alive, (kept,) = send_block([rng], np.array([5], np.uint8), np.array([10], np.int32), [1.0])
-    assert alive.tolist() == [5] and kept[-1] == 15
+    assert alive.tolist() == [5] and kept.tolist() == [True] * 15 + [False]
     alive, (kept,) = send_block([rng], [], [], [0.5])
-    assert alive.size == 0 and kept.tolist() == [0]
+    assert alive.size == 0 and kept.tolist() == [False]
 
 
 def test_chain_probe_matches_probe_walk():
@@ -184,8 +187,9 @@ def test_block_draws_as_gops_sent_one_by_one():
             assert alive[k] == one_alive[0]
             per_gop.append(one_kept)
         for j in range(hops):
-            # the block's draws on link j are the GOPs' draws one after another
-            assert kept[j][0] == 0
+            # the block's draws on link j are the GOPs' draws one after
+            # another, and its mask closes on one False
+            assert not kept[j][-1]
             want = np.concatenate([_survived(one[j]) for one in per_gop])
             assert np.array_equal(_survived(kept[j]), want)
         for a, b in zip(block, single):
@@ -223,7 +227,7 @@ def test_one_row_rows_draw_as_their_plain_generators():
 def test_running_counts_give_each_hop_the_counts_of_the_packet_masks(
     hops, gops, layers, sends, seed
 ):
-    # each hop's class counts, read from the link's running count over a
+    # each hop's class counts, read from the link's survival mask over a
     # layout of each GOP's probes and then its classes, are the counts the
     # link's packet mask keeps in the mask oracle; the probes that reach the
     # last hop's far end are those the oracle's probes say, and every link
@@ -246,7 +250,8 @@ def test_running_counts_give_each_hop_the_counts_of_the_packet_masks(
     want_alive, masks = send_block_masks(oracle, probes, counts.sum(axis=1), pdrs)
     reached = probes
     for link_kept, mask in zip(kept, masks):
-        assert link_kept.dtype.itemsize <= 4
+        # one byte a draw, and one closing entry
+        assert link_kept.dtype == bool and not link_kept[-1]
         arrived = surviving_counts(np.concatenate([reached[:, None], counts], axis=1), link_kept)
         want = mask_counts(counts, mask)
         assert np.array_equal(arrived[:, 1:], want), (arrived, want)

@@ -688,7 +688,7 @@ def test_surviving_counts_are_the_class_counts_of_the_selected_rows(
         picked = block.select(rows)
     else:
         picked = block.select(mask)
-        kept = np.concatenate([[0], np.cumsum(mask)])
+        kept = np.append(mask, False)
         assert np.array_equal(surviving_counts(counts, kept), picked.counts)
     want = np.bincount(run[rows], minlength=counts.size).reshape(counts.shape)
     assert np.array_equal(picked.counts, want)
@@ -696,17 +696,17 @@ def test_surviving_counts_are_the_class_counts_of_the_selected_rows(
 
 
 def test_surviving_counts_need_one_mask_entry_per_packet():
-    # a running count holds one entry per row and one more, as does a masked
-    # select's mask one per row
+    # a link's survival mask holds one entry per row and one more, as does a
+    # masked select's mask one per row
     counts = np.array([[2, 1], [0, 3]])
-    for kept in (np.arange(6), np.arange(8)):
+    for kept in (np.zeros(6, dtype=bool), np.zeros(8, dtype=bool)):
         with pytest.raises(ValueError, match="one entry per row and one more"):
             surviving_counts(counts, kept)
     block = class_block(counts, 2)
     for mask in (np.ones(5, dtype=bool), np.ones(7, dtype=bool)):
         with pytest.raises(ValueError, match="one entry per packet"):
             block.select(mask)
-    kept = np.array([0, 1, 1, 2, 3, 3, 4])
+    kept = np.array([True, False, True, True, False, True, False])
     assert surviving_counts(counts, kept).tolist() == [[1, 1], [0, 2]]
 
 

@@ -76,6 +76,22 @@ def test_same_seed_reproduces_everything(default_table):
     assert (a["npr"], a["per_gop_delay"]) != (c["npr"], c["per_gop_delay"])
 
 
+def test_run_metrics_compare_by_value(default_table):
+    # equal field by field, the per-GOP arrays as wholes, for runs of one
+    # GOP and of many; another seed's run differs, another type is never
+    # equal, and a run still has no hash
+    for gops in (1, 25):
+        config = ChainConfig(link_pdrs=(0.7, 0.8), relay_modes=("nc",), gop_count=gops, seed=5)
+        a = run(config, table=default_table)
+        assert a == run(config, table=default_table)
+        assert not a != run(config, table=default_table)
+        assert a != run(replace(config, seed=6), table=default_table)
+        assert a != replace(a, per_gop_delay=a.per_gop_delay + 1.0)
+        assert (a == plain_metrics(a)) is False and (a == a.label) is False
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+
+
 def test_uncoded_baseline_matches_closed_form():
     # 2 copies of each source packet: a cell dies only if both drop, so a
     # layer survives with ((1 - 0.01))^8 and depth is the surviving prefix
@@ -647,17 +663,20 @@ def test_block_size_leaves_every_metric_unchanged(name, block, default_table, mo
 
 def test_long_run_results_cost_a_few_bytes_per_gop(default_table):
     # a run keeps each GOP's depth and delay as array entries, 9 bytes a
-    # GOP at 4 layers; the bound leaves room for the run's fixed state
-    config = ChainConfig(link_pdrs=(0.9,), gop_count=50_000, seed=4)
+    # GOP at 4 layers; the bound leaves room for the run's fixed state. On
+    # the way its peak above that stays under half a float64 a GOP: blocks
+    # work in fixed memory, and nothing makes a temporary as long as the run
+    config = ChainConfig(link_pdrs=(0.9,), gop_count=200_000, seed=4)
     run(replace(config, gop_count=10), table=default_table)
     tracemalloc.start()
     try:
         metrics = run(config, table=default_table)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(metrics.per_gop_decoded) == config.gop_count
     assert held <= 20 * config.gop_count, held
+    assert peak - held <= 4 * config.gop_count, (peak, held)
 
 
 def _random_config(rng, index):
