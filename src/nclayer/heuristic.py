@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .spt import is_whole
+
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
@@ -17,6 +19,8 @@ class ThresholdPolicy:
 
     def __post_init__(self):
         breakpoints = tuple(float(b) for b in self.breakpoints)
+        if not all(is_whole(x) for s in self.strategies for x in s):
+            raise ValueError(f"replica counts must be whole numbers, got {self.strategies}")
         strategies = tuple(tuple(int(x) for x in s) for s in self.strategies)
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "strategies", strategies)

@@ -24,12 +24,11 @@ def gf_matmul(coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
 
     Each product is one lookup in the flat product table at (c << 8) | d.
     The products are laid out k-major, so the XOR over k runs down the
-    leading axis, eight bytes at a time when n * s is a multiple of 8.
+    leading axis, eight bytes at a time when n * s is a multiple of 8; an
+    empty operand gives the (n, s) zero or empty product.
     """
     n, k = coeffs.shape
     s = data.shape[1]
-    if k == 0 or s == 0:
-        return np.zeros((n, s), dtype=np.uint8)
     index = (coeffs.T.astype(np.uint16) << 8)[:, :, None] | data[:, None, :]
     prods = _MUL_FLAT.take(index).reshape(k, n * s)
     if n * s % 8 == 0:
@@ -311,15 +310,14 @@ class _Pass:
         self.plan, self.size = [], 0
         start = n_start * n_bins
         if steps:  # a one-class strategy has no backward steps
-            self._add(0, slice(0, len(steps[0][0])), steps[0][0], (start, 1), start)
+            self._add(0, np.arange(len(steps[0][0])), steps[0][0], (start, 1), start)
 
     def _add(self, j, rows, parent, src, depth):
-        """Plans step j over ``rows``, a slice or an ascending index array
-        of its rows, and their descendants through the rest of the pass.
-        ``parent`` holds their rows in the state they take from, ``src``:
-        its first float, counted from the end of the arena, and its rows.
-        The last ``depth`` floats of the arena hold states still to be
-        read."""
+        """Plans step j over ``rows``, an ascending index array of its rows,
+        and their descendants through the rest of the pass. ``parent`` holds
+        their rows in the state they take from, ``src``: its first float,
+        counted from the end of the arena, and its rows. The last ``depth``
+        floats of the arena hold states still to be read."""
         _, counts, _ = self.steps[j]
         live, width, n, n_bins = self.live[j], self.widths[j], len(parent), self.n_bins
         # the most rows whose state fits, and as few even ranges as keep to it
@@ -328,10 +326,7 @@ class _Pass:
         if parts > 1:
             depth = src[0]  # every range takes from it
         for lo, hi in ((c * n // parts, (c + 1) * n // parts) for c in range(parts)):
-            if isinstance(rows, slice):
-                part = slice(rows.start + lo, rows.start + hi)
-            else:
-                part = rows[lo:hi]
+            part = rows[lo:hi]
             part_counts = counts[part]
             reach = _reach(part_counts).tolist()
             taken, size = live * (hi - lo) * n_bins, width * (hi - lo) * n_bins
@@ -350,8 +345,6 @@ class _Pass:
         """The rows of step j + 1 whose parents are the ``n`` ``rows`` of
         step j, and their parents' places in ``rows``."""
         parent = self.steps[j + 1][0]
-        if n == len(self.steps[j][0]):
-            return slice(0, len(parent)), parent
         place = np.full(len(self.steps[j][0]), -1)
         place[rows] = np.arange(n)
         at = place[parent]
@@ -438,11 +431,8 @@ def _product_planes(planes, rows, n_bins):
 def _multiply_add(dst, w, src, products):
     """Adds w * src to dst, (planes, rows, bins) arrays with w (rows, bins),
     forming the products in the 1-D ``products`` as many planes at a time as
-    it holds."""
+    it holds, all of them at once when they fit."""
     step = len(products) // w.size
-    if step >= len(src):
-        dst += np.multiply(w, src, products[: src.size].reshape(src.shape))
-        return
     for lo in range(0, len(src), step):
         block = src[lo : lo + step]
         dst[lo : lo + step] += np.multiply(w, block, products[: block.size].reshape(block.shape))
@@ -478,19 +468,11 @@ def _forward_step(f, new, scratch, slots, reach, weights, per_layer, n_states):
     spill.fill(0.0)
     sums = _prefix_sums(f, n_states, scratch[spill.size : spill.size + 13 * seeded * n_bins])
     next(sums)
-    top = 0
     for r, k in enumerate(reach):
         shift = per_layer - r
         if shift >= width:
             continue
-        if r >= top:
-            # the weights of the next outcomes, gathered at once while they
-            # fit 32 KiB: once for a one-strategy step, once per outcome
-            # for a large one
-            block = reach[r : r + max(1, 4096 // (k * n_bins))]
-            gathered = weights[r : r + len(block)].take(slots[:k], axis=1)
-            first, top = r, r + len(block)
-        w = gathered[r - first, :k]
+        w = weights[r].take(slots[:k], axis=0)
         if shift >= 0:
             m = min(width - shift, live)
             _multiply_add(new[shift : shift + m, :k], w, f[:m, :k], products)
@@ -582,19 +564,13 @@ def _backward_step(bq, new, scratch, slots, reach, weights, per_layer):
     # from r = per_layer + width - 1 on reach none of them.
     # weights[r].take(slots) holds outcome r's weight for each row, and
     # ``scratch`` holds the products
-    n_states, rows, n_bins = bq.shape
-    width = len(new)
+    n_states, width = len(bq), len(new)
     new.fill(0.0)
-    top = 0
     for r, k in enumerate(reach[: per_layer + width - 1]):
         shift = per_layer - r
         lo = max(0, 1 - shift)
         hi = min(width, n_states - max(shift, 0))
         if hi > lo:
-            if r >= top:  # as in _forward_step
-                block = reach[r : r + max(1, 4096 // (k * n_bins))]
-                gathered = weights[r : r + len(block)].take(slots[:k], axis=1)
-                first, top = r, r + len(block)
-            w = gathered[r - first, :k]
+            w = weights[r].take(slots[:k], axis=0)
             _multiply_add(new[lo:hi, :k], w, bq[lo + shift : hi + shift, :k], scratch)
     return new

@@ -30,7 +30,7 @@ from .codec import (
     encode_gop,  # noqa: F401
 )
 from .heuristic import ThresholdPolicy
-from .spt import StrategyTable, nearest_bin
+from .spt import StrategyTable, is_whole, nearest_bin
 
 MODE_FORWARD = "forward"
 MODE_NC = "nc"
@@ -63,8 +63,7 @@ def pick_strategies(selector, seen, probe_count, depths) -> np.ndarray:
     by the interval of seen[k] / probe_count, so its node must hold every
     layer, or it raises ValueError. A GOP of depth 0 gets no packets.
     """
-    whole = isinstance(probe_count, (int, np.integer)) and not isinstance(probe_count, bool)
-    if not (whole and probe_count >= 1):
+    if not (is_whole(probe_count) and probe_count >= 1):
         raise ValueError(f"probe_count must be a positive whole number, got {probe_count!r}")
     seen, depths = np.asarray(seen), np.asarray(depths)
     if seen.ndim != 1 or depths.shape != seen.shape:

@@ -94,7 +94,7 @@ from .codec import (
 from .heuristic import ThresholdPolicy, builtin_policy
 from .media import make_synthetic_cells
 from .nodes import MODE_FORWARD, MODE_NC, RELAY_MODES, pick_strategies
-from .spt import StrategyTable, build_table
+from .spt import StrategyTable, build_table, is_whole
 
 SELECTIONS = ("spt", "heuristic")
 
@@ -153,6 +153,12 @@ class ChainConfig:
     label: str = ""
 
     def __post_init__(self):
+        for name in (
+            "layer_count", "packets_per_layer", "payload_size", "budget", "granularity",
+            "heuristic_set", "gop_count", "probe_count", "update_period", "seed",
+        ):
+            if not is_whole(getattr(self, name)):
+                raise ValueError(f"{name} must be a whole number, got {getattr(self, name)!r}")
         self.link_pdrs = tuple(float(p) for p in self.link_pdrs)
         if not self.link_pdrs:
             raise ValueError("need at least one link")
@@ -217,6 +223,10 @@ class ChainConfig:
         # a label is the first field of a CSV row
         if any(c in self.label for c in ",\r\n"):
             raise ValueError(f"label must not hold a comma or a line break, got {self.label!r}")
+        if not all(is_whole(g) and is_whole(i) for g, i, _ in self.pdr_schedule):
+            raise ValueError(
+                f"pdr_schedule gop and link indices must be whole numbers, got {self.pdr_schedule}"
+            )
         self.pdr_schedule = tuple(
             (int(g), int(i), float(p)) for g, i, p in self.pdr_schedule
         )
@@ -659,8 +669,9 @@ def sweep(
         raise ValueError(f"pdr grid values must lie in [0, 1], got {tuple(pdr_grid)}")
     if not len(modes):
         raise ValueError("mode list is empty")
-    if reps < 1 or jobs < 1:
-        raise ValueError(f"reps and jobs must be positive, got {reps}, {jobs}")
+    for name, value in (("reps", reps), ("jobs", jobs)):
+        if not (is_whole(value) and value >= 1):
+            raise ValueError(f"{name} must be a positive whole number, got {value!r}")
     if base.pdr_schedule:
         raise ValueError(
             f"sweep runs each link at its grid delivery; base pdr_schedule "

@@ -103,6 +103,11 @@ def _pmf_stack(max_count: int) -> np.ndarray:
     return stack
 
 
+def is_whole(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def expected_decoded_layers(
     strategy: Sequence[int],
     delivery_prob: float,
@@ -113,6 +118,8 @@ def expected_decoded_layers(
     The dynamic program build_table runs over the per-class reception
     deficits, for one strategy.
     """
+    if not all(is_whole(x) for x in strategy):
+        raise ValueError(f"replica counts must be whole numbers, got {tuple(strategy)}")
     counts = tuple(int(x) for x in strategy)
     if any(x < 0 for x in counts) or not counts:
         raise ValueError(f"strategy must be non-empty and non-negative, got {counts}")

@@ -1,13 +1,17 @@
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from nclayer.config import (
     KEY_REGISTRY,
     ConfigError,
+    _chain_config,
     apply_overrides,
     load_config,
     parse_config_text,
 )
-from nclayer.simulator import ChainConfig
+from nclayer.simulator import ChainConfig, run
 
 FULL_TEXT = """
 # three hops, middle relay re-encodes
@@ -197,6 +201,52 @@ def test_negative_seed_is_refused_under_its_key(tmp_path):
     with pytest.raises(ConfigError, match="^run.seed: "):
         apply_overrides(ChainConfig(), ["run.seed=-4"])
     assert ChainConfig(seed=0).seed == 0
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(f.name, 1.5) for f in fields(ChainConfig) if f.type == "int"]
+    + [
+        ("layer_count", 4.0),
+        ("payload_size", np.float64(64)),
+        ("budget", 64.0),
+        ("gop_count", 10.5),
+        ("seed", True),
+        ("gop_count", np.bool_(True)),
+        ("probe_count", "100"),
+    ],
+)
+def test_count_that_is_not_a_whole_number_is_refused_under_its_key(name, value):
+    # int() would truncate a float count (update_period=1.5 would probe
+    # every 3rd GOP), and numpy would refuse others deep in run(), naming no
+    # field; a bool is a flag, not a count. Every int field is a count
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got "):
+        ChainConfig(**{name: value})
+    (key,) = [key for key, (field, _) in KEY_REGISTRY.items() if field == name]
+    with pytest.raises(ConfigError, match=f"^{key}: {name} must be a whole number"):
+        _chain_config({name: value})
+
+
+def test_counts_and_schedule_indices_take_numpy_integers():
+    config = ChainConfig(
+        link_pdrs=(0.6, 0.8), selection="heuristic", gop_count=np.int64(6),
+        probe_count=np.uint8(20), update_period=np.int32(2), seed=np.uint32(3),
+        pdr_schedule=((np.int64(2), np.int16(1), 0.4),),
+    )
+    assert config.pdr_schedule == ((2, 1, 0.4),)
+    assert type(config.pdr_schedule[0][0]) is int
+    plain = ChainConfig(
+        link_pdrs=(0.6, 0.8), selection="heuristic", gop_count=6, probe_count=20,
+        update_period=2, seed=3, pdr_schedule=((2, 1, 0.4),),
+    )
+    assert run(config) == run(plain)
+
+
+@pytest.mark.parametrize("entry", [(1.5, 0, 0.3), (1, 0.9, 0.3), (True, 0, 0.3), (1, "0", 0.3)])
+def test_schedule_index_that_is_not_a_whole_number_is_refused(entry):
+    # int() would read (1.5, 0.9, 0.3) as GOP 1, link 0
+    with pytest.raises(ValueError, match="^pdr_schedule gop and link indices must be whole numbers"):
+        ChainConfig(link_pdrs=(0.9, 0.9), pdr_schedule=(entry,))
 
 
 def test_label_that_would_split_a_csv_row_is_refused():

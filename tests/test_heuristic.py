@@ -94,6 +94,10 @@ def test_policy_validation():
         ThresholdPolicy((0.5,), ((8, 0), (4, 2)))
     with pytest.raises(ValueError, match="classes"):
         ThresholdPolicy((0.5,), ((8, 0), (4, 2, 2)))
+    # int() would truncate 8.9 to 8, which passes the same-budget check
+    for counts in ((8.9, 0), (8.0, 0), (True, 7)):
+        with pytest.raises(ValueError, match="^replica counts must be whole numbers"):
+            ThresholdPolicy((0.5,), (counts, (4, 4)))
 
 
 def test_policy_from_lists():

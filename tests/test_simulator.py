@@ -272,6 +272,16 @@ def test_sweep_validation():
         sweep(base, np.array([]), ["spt"])
 
 
+@pytest.mark.parametrize("name, value", [
+    ("reps", 2.0), ("reps", True), ("reps", 0), ("jobs", 2.0), ("jobs", 1.5), ("jobs", -1),
+])
+def test_sweep_refuses_reps_and_jobs_that_are_not_positive_whole_numbers(name, value):
+    # range() would refuse reps=2.0 with a TypeError, and the pool would
+    # take jobs=2.0
+    with pytest.raises(ValueError, match=f"^{name} must be a positive whole number, got "):
+        sweep(ChainConfig(gop_count=5), (0.5,), ["NoNC1"], **{name: value})
+
+
 @pytest.mark.parametrize("setting", [
     {"pdr_schedule": ((0, 0, 0.2),)},
     {"pdr_schedule": ((0, 2, 0.2),)},

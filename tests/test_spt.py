@@ -22,6 +22,7 @@ from nclayer.spt import (
 )
 import nclayer
 from nclayer import simulator
+from nclayer.kernels import expected_layers_batch
 from nclayer.nodes import pick_strategies
 from nclayer.simulator import ChainConfig, run
 from oracles import (
@@ -107,11 +108,34 @@ def test_build_table_rejects_nonpositive_packets_per_layer(per_layer):
         build_table(budget=8, layer_count=2, packets_per_layer=per_layer, granularity=4)
 
 
+def test_one_strategy_values_are_its_table_entries(default_table):
+    # a call on one strategy steps one row per pass, in one bin or in all 20,
+    # yet every element sees the operations it sees in the 969-strategy
+    # build, so the values are its table entries bit for bit
+    rng = np.random.default_rng(45)
+    for index in rng.choice(len(default_table.strategies), 12, replace=False):
+        strategy = default_table.strategies[index]
+        entries = default_table.values[index]
+        stacked = expected_layers_batch(np.asarray([strategy]), _pmf_stack(64), 8)[0]
+        assert np.array_equal(stacked, entries), strategy
+        for b, p in enumerate(PDR_BINS):
+            assert expected_decoded_layers(strategy, p, 8) == entries[b], (strategy, p)
+
+
 def test_expected_layers_monotone_in_p():
     grid = [i / 20 for i in range(21)]
     for strategy in ((40, 8, 8, 8), (24, 20, 20, 0), (64, 0, 0, 0)):
         values = [expected_decoded_layers(strategy, p, 8) for p in grid]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:])), strategy
+
+
+def test_replica_counts_must_be_whole_numbers():
+    # int() would truncate 40.5 to 40
+    for strategy in ((40.5, 8, 8, 8), (40.0, 8, 8, 8), (True, 8, 8, 8)):
+        with pytest.raises(ValueError, match="^replica counts must be whole numbers"):
+            expected_decoded_layers(strategy, 0.7, 8)
+    counts = np.array([40, 8, 8, 8], dtype=np.int32)
+    assert expected_decoded_layers(counts, 0.7, 8) == expected_decoded_layers((40, 8, 8, 8), 0.7, 8)
 
 
 def test_degenerate_probabilities():
