@@ -91,6 +91,24 @@ def test_schedule_entry_shape_checked():
         parse_config_text("schedule.1 = 0,0,0.5\nschedule.2 = 1,0,0.6\nschedule.1 = 3,0,0.7")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("true", True), ("Yes", True), ("on", True), ("1", True),
+    ("false", False), ("No", False), ("OFF", False), ("0", False),
+])
+def test_boolean_spellings(text, want):
+    assert parse_config_text(f"run.verify_payloads = {text}\n") == {"verify_payloads": want}
+
+
+def test_boolean_of_another_spelling_is_refused():
+    with pytest.raises(ConfigError, match="^line 1: .*expected a boolean, got 'maybe'"):
+        parse_config_text("run.verify_payloads = maybe\n")
+
+
+def test_empty_number_list_is_refused():
+    with pytest.raises(ConfigError, match="^line 1: .*expected at least one number"):
+        parse_config_text("chain.links = ,\n")
+
+
 def test_defaults_when_empty():
     config = ChainConfig(**parse_config_text("# nothing but comments\n"))
     assert config.link_pdrs == (1.0,)

@@ -100,6 +100,12 @@ def test_policy_validation():
             ThresholdPolicy((0.5,), (counts, (4, 4)))
 
 
+def test_policy_refuses_negative_replica_counts_that_spend_the_budget():
+    # (10, -2) spends the same 8 packets as (8, 0), so only the sign refuses it
+    with pytest.raises(ValueError, match="must be non-negative"):
+        ThresholdPolicy((0.5,), ((8, 0), (10, -2)))
+
+
 def test_policy_from_lists():
     policy = ThresholdPolicy([0.4], [[6, 2], [2, 6]])
     assert _picks(policy, [4], 10) == [(2, 6)]

@@ -162,6 +162,22 @@ def test_chain_shape_validation():
         ChainConfig(selection="oracle")
 
 
+def test_unknown_relay_mode_is_refused():
+    with pytest.raises(ValueError, match="^relay.modes must "):
+        ChainConfig(link_pdrs=(0.9, 0.9), relay_modes=("bogus",))
+
+
+@pytest.mark.parametrize("name", ["gop_count", "probe_count", "update_period"])
+def test_run_length_and_probing_counts_below_one_are_refused(name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got 0$"):
+        ChainConfig(**{name: 0})
+
+
+def test_schedule_gop_before_the_first_is_refused():
+    with pytest.raises(ValueError, match="gop.* must be non-negative, got -1$"):
+        ChainConfig(pdr_schedule=((-1, 0, 0.5),))
+
+
 def test_run_rejects_table_built_for_other_parameters(default_table):
     # a table handed in from outside is checked against the config field by
     # field; the config is one the table would suit but for that field

@@ -138,6 +138,23 @@ def test_replica_counts_must_be_whole_numbers():
     assert expected_decoded_layers(counts, 0.7, 8) == expected_decoded_layers((40, 8, 8, 8), 0.7, 8)
 
 
+@pytest.mark.parametrize("strategy", [(), (4, -1)])
+def test_expected_layers_refuses_an_empty_or_negative_strategy(strategy):
+    with pytest.raises(ValueError, match="^strategy must "):
+        expected_decoded_layers(strategy, 0.5, 2)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+def test_expected_layers_refuses_a_delivery_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=r"^delivery_prob must lie in \[0, 1\]"):
+        expected_decoded_layers((4, 2), p, 2)
+
+
+def test_expected_layers_refuses_packets_per_layer_below_one():
+    with pytest.raises(ValueError, match="^packets_per_layer must be positive, got 0$"):
+        expected_decoded_layers((4, 2), 0.5, 0)
+
+
 def test_degenerate_probabilities():
     assert expected_decoded_layers((40, 8, 8, 8), 1.0, 8) == 4.0
     assert expected_decoded_layers((40, 8, 8, 8), 0.0, 8) == 0.0
