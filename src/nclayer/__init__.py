@@ -31,7 +31,7 @@ from .codec import (
     encode_gop,
     score_block,
 )
-from .config import ConfigError, apply_overrides, load_config, parse_config_text
+from .config import ConfigError, apply_overrides, load_config
 from .heuristic import ThresholdPolicy, builtin_policy
 from .media import make_synthetic_gop
 from .simulator import (
@@ -75,7 +75,6 @@ __all__ = [
     "load_config",
     "make_synthetic_gop",
     "nearest_bin",
-    "parse_config_text",
     "resolve_mode",
     "run",
     "save_table",

@@ -73,12 +73,13 @@ _SCHEDULE_PREFIX = "schedule."
 
 def _parse_entries(
     entries: Iterable[tuple[str, str]], reject_duplicates: bool
-) -> tuple[dict, tuple[tuple[int, int, float], ...]]:
-    """ChainConfig keyword arguments from (where, "key = value") entries, plus
-    the schedule entries sorted by their key suffix. Every error names the
-    entry's `where`."""
+) -> tuple[dict, tuple[str, ...]]:
+    """ChainConfig keyword arguments from (where, "key = value") entries, with
+    the schedule entries sorted by their key suffix as pdr_schedule, plus
+    the key of each of those entries. Every error names the entry's
+    `where`."""
     kwargs: dict = {}
-    schedule: list[tuple[int, tuple[int, int, float]]] = []
+    schedule: list[tuple[int, tuple[int, int, float], str]] = []
     # where each schedule index was first set
     schedule_where: dict[int, str] = {}
     for where, text in entries:
@@ -94,7 +95,7 @@ def _parse_entries(
         try:
             if is_schedule:
                 order = int(key[len(_SCHEDULE_PREFIX) :])
-                schedule.append((order, _parse_schedule_entry(value)))
+                schedule.append((order, _parse_schedule_entry(value), key))
             else:
                 field_name, convert = KEY_REGISTRY[key]
                 kwargs[field_name] = convert(value)
@@ -107,37 +108,43 @@ def _parse_entries(
                     f"first set on {schedule_where[order]}"
                 )
             schedule_where[order] = where
-    return kwargs, tuple(e for _, e in sorted(schedule))
+    schedule.sort()
+    if schedule:
+        kwargs["pdr_schedule"] = tuple(entry for _, entry, _ in schedule)
+    return kwargs, tuple(key for _, _, key in schedule)
 
 
-def _chain_config(kwargs: dict) -> ChainConfig:
-    """The config of these arguments; a refusal that starts with a field's
-    name is reported under that field's key."""
+def _chain_config(kwargs: dict, entry_keys: tuple[str, ...] = ()) -> ChainConfig:
+    """The config of these arguments. A refusal that starts with a field's
+    name is reported under that field's key, and one that starts with
+    pdr_schedule[n] under entry_keys[n], the key that set entry n."""
     try:
         return ChainConfig(**kwargs)
     except ValueError as exc:
         message = str(exc)
         keys = [key for key, (name, _) in KEY_REGISTRY.items() if message.startswith(name + " ")]
+        keys += [k for n, k in enumerate(entry_keys) if message.startswith(f"pdr_schedule[{n}] ")]
         raise ConfigError(f"{keys[0]}: {message}" if keys else message) from exc
+
+
+def _parse_text(text: str) -> tuple[dict, tuple[str, ...]]:
+    lines = (
+        (f"line {lineno}", raw.split("#", 1)[0].strip())
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+    )
+    return _parse_entries(((w, t) for w, t in lines if t), reject_duplicates=True)
 
 
 def parse_config_text(text: str) -> dict:
     """Returns ChainConfig keyword arguments. Raises ConfigError with the
     offending line number on unknown keys or malformed values."""
-    lines = (
-        (f"line {lineno}", raw.split("#", 1)[0].strip())
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-    )
-    kwargs, schedule = _parse_entries(((w, t) for w, t in lines if t), reject_duplicates=True)
-    if schedule:
-        kwargs["pdr_schedule"] = schedule
-    return kwargs
+    return _parse_text(text)[0]
 
 
 def load_config(path) -> ChainConfig:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return _chain_config(parse_config_text(text))
+    return _chain_config(*_parse_text(text))
 
 
 def apply_overrides(config: ChainConfig, pairs: Iterable[str]) -> ChainConfig:
@@ -145,13 +152,13 @@ def apply_overrides(config: ChainConfig, pairs: Iterable[str]) -> ChainConfig:
     a repeated key takes its last value and schedule entries append. Relay
     modes that are all forwarding, the default for a config that names
     none, follow an overridden link count."""
-    kwargs, schedule = _parse_entries(
+    kwargs, keys = _parse_entries(
         ((f"override {pair!r}", pair) for pair in pairs), reject_duplicates=False
     )
-    if schedule:
-        kwargs["pdr_schedule"] = config.pdr_schedule + schedule
+    kwargs["pdr_schedule"] = config.pdr_schedule + kwargs.get("pdr_schedule", ())
     current = {f.name: getattr(config, f.name) for f in fields(ChainConfig)}
     if set(config.relay_modes) <= {MODE_FORWARD}:
         current["relay_modes"] = ()
     current.update(kwargs)
-    return _chain_config(current)
+    # the keys that set the config's own schedule entries are not kept
+    return _chain_config(current, ("schedule.<n>",) * len(config.pdr_schedule) + keys)

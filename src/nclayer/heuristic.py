@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .spt import is_whole
+from .spt import check_count, check_probability, check_sequence
 
 
 @dataclass(frozen=True)
@@ -18,29 +18,28 @@ class ThresholdPolicy:
     strategies: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        breakpoints = tuple(float(b) for b in self.breakpoints)
-        if not all(is_whole(x) for s in self.strategies for x in s):
-            raise ValueError(f"replica counts must be whole numbers, got {self.strategies}")
-        strategies = tuple(tuple(int(x) for x in s) for s in self.strategies)
+        breakpoints = check_sequence("breakpoints", self.breakpoints)
+        breakpoints = tuple(check_probability("breakpoints", b) for b in breakpoints)
+        strategies = tuple(
+            tuple(check_count("strategies", x, 0) for x in check_sequence("strategies", s))
+            for s in check_sequence("strategies", self.strategies)
+        )
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "strategies", strategies)
         if len(strategies) != len(breakpoints) + 1:
             raise ValueError(
-                f"{len(breakpoints)} breakpoints need {len(breakpoints) + 1} "
-                f"strategies, got {len(strategies)}"
+                f"strategies must number one more than the {len(breakpoints)} "
+                f"breakpoints, got {len(strategies)}"
             )
         if list(breakpoints) != sorted(set(breakpoints)):
             raise ValueError(f"breakpoints must be strictly increasing, got {breakpoints}")
         if any(not 0.0 < b < 1.0 for b in breakpoints):
             raise ValueError(f"breakpoints must lie strictly inside (0, 1), got {breakpoints}")
-        widths = {len(s) for s in strategies}
-        if len(widths) != 1:
-            raise ValueError("all strategies must cover the same number of classes")
+        if len({len(s) for s in strategies}) != 1:
+            raise ValueError("strategies must all cover the same number of classes")
         budgets = {sum(s) for s in strategies}
         if len(budgets) != 1:
-            raise ValueError(f"all strategies must spend the same budget, got sums {budgets}")
-        if any(x < 0 for s in strategies for x in s):
-            raise ValueError("replica counts must be non-negative")
+            raise ValueError(f"strategies must all spend the same budget, got sums {budgets}")
 
     @property
     def budget(self) -> int:
@@ -65,7 +64,7 @@ _BUILTIN = {
 BUILTIN_SET_IDS = tuple(sorted(_BUILTIN))
 
 
-def builtin_policy(set_id: int) -> ThresholdPolicy:
-    if set_id not in _BUILTIN:
-        raise ValueError(f"unknown policy set {set_id}, expected one of {BUILTIN_SET_IDS}")
-    return _BUILTIN[set_id]
+def builtin_policy(heuristic_set: int) -> ThresholdPolicy:
+    if heuristic_set not in _BUILTIN:
+        raise ValueError(f"heuristic_set must be one of {BUILTIN_SET_IDS}, got {heuristic_set!r}")
+    return _BUILTIN[heuristic_set]

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .spt import check_count
+
 
 def make_synthetic_gop(
     gop_id: int,
@@ -26,6 +28,7 @@ def make_synthetic_gop(
     payload_size) grid of GOP gop_id; a pure function of its arguments. A
     payload size of 0 gives the empty grid and draws nothing. This is the
     one-GOP case of make_synthetic_cells."""
+    check_count("gop_id", gop_id, 0)
     return make_synthetic_cells([gop_id], layer_count, packets_per_layer, payload_size, seed)[0]
 
 
@@ -39,13 +42,12 @@ def make_synthetic_cells(
     """The grid of each GOP id, stacked into one (G, layer_count,
     packets_per_layer, payload_size) array; GOP g's grid depends only on g,
     the shape and the seed."""
-    if seed < 0 or (np.asarray(gop_ids) < 0).any():
-        raise ValueError("gop_id and seed must be non-negative")
-    for name, value in (("layer_count", layer_count), ("packets_per_layer", packets_per_layer)):
-        if value < 1:
-            raise ValueError(f"{name} must be positive, got {value}")
-    if payload_size < 0:
-        raise ValueError(f"payload_size must be non-negative, got {payload_size}")
+    check_count("layer_count", layer_count, 1)
+    check_count("packets_per_layer", packets_per_layer, 1)
+    check_count("payload_size", payload_size, 0)
+    check_count("seed", seed, 0)
+    if (np.asarray(gop_ids) < 0).any():
+        raise ValueError("gop_ids must be non-negative")
     shape = (layer_count, packets_per_layer, payload_size)
     cells = np.empty((len(gop_ids),) + shape, dtype=np.uint8)
     if payload_size:

@@ -30,7 +30,7 @@ from .codec import (
     encode_gop,  # noqa: F401
 )
 from .heuristic import ThresholdPolicy
-from .spt import StrategyTable, is_whole, nearest_bin
+from .spt import StrategyTable, check_count, nearest_bin
 
 MODE_FORWARD = "forward"
 MODE_NC = "nc"
@@ -63,8 +63,7 @@ def pick_strategies(selector, seen, probe_count, depths) -> np.ndarray:
     by the interval of seen[k] / probe_count, so its node must hold every
     layer, or it raises ValueError. A GOP of depth 0 gets no packets.
     """
-    if not (is_whole(probe_count) and probe_count >= 1):
-        raise ValueError(f"probe_count must be a positive whole number, got {probe_count!r}")
+    check_count("probe_count", probe_count, 1)
     seen, depths = np.asarray(seen), np.asarray(depths)
     if seen.ndim != 1 or depths.shape != seen.shape:
         raise ValueError(

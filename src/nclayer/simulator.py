@@ -69,6 +69,7 @@ groups.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field, fields, replace
@@ -94,7 +95,14 @@ from .codec import (
 from .heuristic import ThresholdPolicy, builtin_policy
 from .media import make_synthetic_cells
 from .nodes import MODE_FORWARD, MODE_NC, RELAY_MODES, pick_strategies
-from .spt import StrategyTable, build_table, is_whole
+from .spt import (
+    StrategyTable,
+    build_table,
+    check_count,
+    check_probability,
+    check_sequence,
+    is_real,
+)
 
 SELECTIONS = ("spt", "heuristic")
 
@@ -103,25 +111,17 @@ CSV_HEADER = "mode,hop_count,link_pdr,measured_pdr,npr,audl,delay,seed"
 # GOPs of one row a block carries at most: each step of a block (probe and
 # link draws, selection, encoding, delays, scoring) is a fixed number of
 # numpy calls whatever its size, so a larger block cuts the calls per GOP,
-# and a 50-GOP forwarding run or a 100-GOP sweep row is a single block. It
-# does not bound decoder memory: decode_block splits each RLC decode into
-# stacks of at most codec.DECODE_STACK_BYTES. Against
-# 32 (perfbench, 10-12 alternating pairs on a 2-core x86-64 VM): sweep-par
-# 0.179 -> 0.127 CPU ms per GOP, forward-chain 0.020 -> 0.013; recode-chain's
-# 20-GOP runs are one block either way. The block's own arrays grow with it:
-# a 1000-GOP verified re-encoding run traces a 4.8 MB peak against 2.5 MB.
+# and a 50-GOP forwarding run or a 100-GOP sweep row is a single block; the
+# block's own arrays grow with it. It does not bound decoder memory:
+# decode_block splits each RLC decode into stacks of at most
+# codec.DECODE_STACK_BYTES.
 GOP_BLOCK = 256
 
 # GOPs a sweep's pass carries in one block at most, over its rows: a sweep
 # runs a mode's rows in groups of GROUP_GOPS // min(gop_count, GOP_BLOCK),
 # so each row keeps whole blocks, as many draws a generator call as run()
-# makes, and no block grows past it however many rows a sweep has. It holds
-# a sweep-par mode's six 100-GOP rows as one 600-GOP block; against one
-# 100-GOP block per row (perfbench, 10 alternating pairs on a 2-core x86-64
-# VM) sweep-par reads 0.0185 -> 0.0155 CPU ms per GOP, and a mode group's
-# traced peak 0.36 -> 1.3-1.4 MB. The README sweep (500 GOPs, so 4 rows a
-# group) traces a 3.6 MiB peak against 3.2 at --jobs 1, and 8.6-8.8 MiB
-# against 3.2 at --jobs 4, where four groups run at once.
+# makes, and no block grows past it however many rows a sweep has. Six
+# 100-GOP rows make one 600-GOP block, and 500-GOP rows go four to a pass.
 GROUP_GOPS = 1024
 
 # The delay, in seconds like recode_delay, that a run with a re-encoding
@@ -153,37 +153,33 @@ class ChainConfig:
     label: str = ""
 
     def __post_init__(self):
-        for name in (
-            "layer_count", "packets_per_layer", "payload_size", "budget", "granularity",
-            "heuristic_set", "gop_count", "probe_count", "update_period", "seed",
+        for name, least in (
+            ("layer_count", 1), ("packets_per_layer", 1), ("payload_size", 1), ("budget", 1),
+            # a run that builds no table never reads its granularity
+            ("granularity", 0), ("heuristic_set", 1), ("gop_count", 1), ("probe_count", 1),
+            ("update_period", 1), ("seed", 0),
         ):
-            if not is_whole(getattr(self, name)):
-                raise ValueError(f"{name} must be a whole number, got {getattr(self, name)!r}")
-        self.link_pdrs = tuple(float(p) for p in self.link_pdrs)
-        if not self.link_pdrs:
-            raise ValueError("need at least one link")
-        if any(not 0.0 <= p <= 1.0 for p in self.link_pdrs):
-            raise ValueError(f"link pdr values must lie in [0, 1], got {self.link_pdrs}")
-        if not self.relay_modes:
-            self.relay_modes = (MODE_FORWARD,) * (len(self.link_pdrs) - 1)
-        else:
-            self.relay_modes = tuple(self.relay_modes)
-        if len(self.relay_modes) != len(self.link_pdrs) - 1:
+            check_count(name, getattr(self, name), least)
+        self.link_pdrs = tuple(
+            check_probability("link_pdrs", p)
+            for p in check_sequence("link_pdrs", self.link_pdrs, nonempty=True)
+        )
+        links = len(self.link_pdrs)
+        modes = tuple(check_sequence("relay_modes", self.relay_modes))
+        self.relay_modes = modes or (MODE_FORWARD,) * (links - 1)
+        if len(self.relay_modes) != links - 1:
             raise ValueError(
-                f"{len(self.link_pdrs)} links need {len(self.link_pdrs) - 1} relay "
-                f"modes, got {len(self.relay_modes)}"
+                f"relay_modes must name {links - 1} modes for {links} links, "
+                f"got {len(self.relay_modes)}"
             )
         if any(m not in RELAY_MODES for m in self.relay_modes):
-            raise ValueError(f"relay modes must be in {RELAY_MODES}, got {self.relay_modes}")
+            raise ValueError(f"relay_modes must be in {RELAY_MODES}, got {self.relay_modes}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.scheme == SCHEME_REPEAT and MODE_NC in self.relay_modes:
-            raise ValueError("repeat packets are uncoded, so no relay can re-encode them")
+            raise ValueError("scheme repeat sends uncoded packets, so no relay can re-encode them")
         if self.selection not in SELECTIONS:
             raise ValueError(f"selection must be one of {SELECTIONS}, got {self.selection!r}")
-        for name in ("layer_count", "packets_per_layer", "payload_size", "budget"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         source = self.layer_count * self.packets_per_layer
         if self.scheme == SCHEME_REPEAT and self.budget % source:
             raise ValueError(
@@ -196,8 +192,9 @@ class ChainConfig:
                 f"the budget {self.budget}"
             )
         for name in ("transmit_delay", "forward_delay", "recode_delay"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (is_real(value) and 0.0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if self.selection == "heuristic" and self.scheme != SCHEME_REPEAT:
             # every GOP spends the budget over layer_count classes, so a
             # policy must spend exactly it over exactly those
@@ -212,33 +209,24 @@ class ChainConfig:
                     f"budget {self.budget} differs from the {policy.budget} packets "
                     f"per GOP the threshold policy spends"
                 )
-        if self.gop_count < 1:
-            raise ValueError(f"gop_count must be positive, got {self.gop_count}")
-        if self.probe_count < 1:
-            raise ValueError(f"probe_count must be positive, got {self.probe_count}")
-        if self.update_period < 1:
-            raise ValueError(f"update_period must be positive, got {self.update_period}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.verify_payloads, (bool, np.bool_)):
+            raise ValueError(f"verify_payloads must be a bool, got {self.verify_payloads!r}")
         # a label is the first field of a CSV row
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a str, got {self.label!r}")
         if any(c in self.label for c in ",\r\n"):
             raise ValueError(f"label must not hold a comma or a line break, got {self.label!r}")
-        if not all(is_whole(g) and is_whole(i) for g, i, _ in self.pdr_schedule):
-            raise ValueError(
-                f"pdr_schedule gop and link indices must be whole numbers, got {self.pdr_schedule}"
-            )
-        self.pdr_schedule = tuple(
-            (int(g), int(i), float(p)) for g, i, p in self.pdr_schedule
-        )
-        for gop_index, link_index, new_pdr in self.pdr_schedule:
-            if gop_index < 0:
-                raise ValueError(f"schedule gop index must be non-negative, got {gop_index}")
-            if not 0 <= link_index < len(self.link_pdrs):
-                raise ValueError(
-                    f"schedule names link {link_index}, chain has {len(self.link_pdrs)}"
-                )
-            if not 0.0 <= new_pdr <= 1.0:
-                raise ValueError(f"schedule pdr must lie in [0, 1], got {new_pdr}")
+        schedule = []
+        for n, entry in enumerate(check_sequence("pdr_schedule", self.pdr_schedule)):
+            name = f"pdr_schedule[{n}]"
+            if len(check_sequence(name, entry)) != 3:
+                raise ValueError(f"{name} must be a (gop, link, pdr) triple, got {entry!r}")
+            gop = check_count(f"{name} gop", entry[0], 0)
+            link = check_count(f"{name} link", entry[1], 0)
+            if link >= links:
+                raise ValueError(f"{name} names link {link}, chain has {links}")
+            schedule.append((gop, link, check_probability(f"{name} pdr", entry[2])))
+        self.pdr_schedule = tuple(schedule)
 
     @property
     def hop_count(self) -> int:
@@ -663,15 +651,11 @@ def sweep(
     run, in task order regardless of how many workers execute them. Each row
     runs every link at its grid delivery, so a base with a pdr_schedule is
     refused."""
-    if not len(pdr_grid):
-        raise ValueError("pdr grid is empty")
-    if any(not 0.0 <= p <= 1.0 for p in pdr_grid):
-        raise ValueError(f"pdr grid values must lie in [0, 1], got {tuple(pdr_grid)}")
-    if not len(modes):
-        raise ValueError("mode list is empty")
-    for name, value in (("reps", reps), ("jobs", jobs)):
-        if not (is_whole(value) and value >= 1):
-            raise ValueError(f"{name} must be a positive whole number, got {value!r}")
+    for p in check_sequence("pdr_grid", pdr_grid, nonempty=True):
+        check_probability("pdr_grid", p)
+    check_sequence("modes", modes, nonempty=True)
+    check_count("reps", reps, 1)
+    check_count("jobs", jobs, 1)
     if base.pdr_schedule:
         raise ValueError(
             f"sweep runs each link at its grid delivery; base pdr_schedule "

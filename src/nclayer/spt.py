@@ -35,11 +35,9 @@ def enumerate_strategies(
     lexicographic order, so the all-in-deepest-class vector comes first and
     the all-base vector last.
     """
-    if budget < 1 or layer_count < 1 or granularity < 1:
-        raise ValueError(
-            f"budget, layer_count and granularity must be positive, "
-            f"got {budget}, {layer_count}, {granularity}"
-        )
+    check_count("budget", budget, 1)
+    check_count("layer_count", layer_count, 1)
+    check_count("granularity", granularity, 1)
     if budget % granularity:
         raise ValueError(
             f"granularity {granularity} does not divide budget {budget}"
@@ -108,6 +106,38 @@ def is_whole(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is an int, a float or a numpy number; a bool is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int, or a ValueError naming ``name`` if it is not a
+    whole number (is_whole) of at least ``least``."""
+    if not is_whole(value):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < least:
+        rule = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
+
+
+def check_probability(name: str, value) -> float:
+    """``value`` as a float, or a ValueError naming ``name`` if it is not a
+    number (is_real) in [0, 1]."""
+    if not (is_real(value) and 0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
+
+
+def check_sequence(name: str, value, nonempty: bool = False):
+    """``value``, or a ValueError naming ``name`` if it is a str, has no
+    length, or is empty where it must not be."""
+    if isinstance(value, str) or not hasattr(value, "__len__") or (nonempty and not len(value)):
+        raise ValueError(f"{name} must be a {'non-empty ' * nonempty}sequence, got {value!r}")
+    return value
+
+
 def expected_decoded_layers(
     strategy: Sequence[int],
     delivery_prob: float,
@@ -118,16 +148,10 @@ def expected_decoded_layers(
     The dynamic program build_table runs over the per-class reception
     deficits, for one strategy.
     """
-    if not all(is_whole(x) for x in strategy):
-        raise ValueError(f"replica counts must be whole numbers, got {tuple(strategy)}")
-    counts = tuple(int(x) for x in strategy)
-    if any(x < 0 for x in counts) or not counts:
-        raise ValueError(f"strategy must be non-empty and non-negative, got {counts}")
-    if not 0.0 <= delivery_prob <= 1.0:
-        raise ValueError(f"delivery_prob must lie in [0, 1], got {delivery_prob}")
-    if packets_per_layer < 1:
-        raise ValueError(f"packets_per_layer must be positive, got {packets_per_layer}")
-    rows = _pmf_rows(max(counts), float(delivery_prob))
+    strategy = check_sequence("strategy", strategy, nonempty=True)
+    counts = tuple(check_count("strategy", x, 0) for x in strategy)
+    check_count("packets_per_layer", packets_per_layer, 1)
+    rows = _pmf_rows(max(counts), check_probability("delivery_prob", delivery_prob))
     batch = expected_layers_batch(np.asarray([counts], dtype=np.int64), rows, packets_per_layer)
     return float(batch[0])
 
@@ -191,8 +215,7 @@ def build_table(
     packets_per_layer: int = 8,
     granularity: int = 4,
 ) -> StrategyTable:
-    if packets_per_layer < 1:
-        raise ValueError(f"packets_per_layer must be positive, got {packets_per_layer}")
+    check_count("packets_per_layer", packets_per_layer, 1)
     strategies = enumerate_strategies(budget, layer_count, granularity)
     # one call over every bin: the kernel runs its large steps on ranges of
     # their rows, so kernels.TABLE_STEP_BYTES bounds a build's working memory

@@ -12,6 +12,7 @@ from nclayer.config import (
     parse_config_text,
 )
 from nclayer.simulator import ChainConfig, run
+from nclayer.spt import is_whole
 
 FULL_TEXT = """
 # three hops, middle relay re-encodes
@@ -263,7 +264,8 @@ def test_counts_and_schedule_indices_take_numpy_integers():
 @pytest.mark.parametrize("entry", [(1.5, 0, 0.3), (1, 0.9, 0.3), (True, 0, 0.3), (1, "0", 0.3)])
 def test_schedule_index_that_is_not_a_whole_number_is_refused(entry):
     # int() would read (1.5, 0.9, 0.3) as GOP 1, link 0
-    with pytest.raises(ValueError, match="^pdr_schedule gop and link indices must be whole numbers"):
+    index = "gop" if not is_whole(entry[0]) else "link"
+    with pytest.raises(ValueError, match=rf"^pdr_schedule\[0\] {index} must be a whole number, got "):
         ChainConfig(link_pdrs=(0.9, 0.9), pdr_schedule=(entry,))
 
 
@@ -274,3 +276,37 @@ def test_label_that_would_split_a_csv_row_is_refused():
             ChainConfig(label=label)
     with pytest.raises(ConfigError, match="^run.label: "):
         apply_overrides(ChainConfig(), ["run.label=a,b"])
+
+
+@pytest.mark.parametrize("pairs, key, rule", [
+    (["chain.links=1.5"], "chain.links", r"link_pdrs must lie in \[0, 1\], got 1.5$"),
+    (["chain.relays=bogus"], "chain.relays", "relay_modes must name 0 modes for 1 links, got 1$"),
+    (["schedule.0=5,9,0.5"], "schedule.0", r"pdr_schedule\[0\] names link 9, chain has 1$"),
+    (["schedule.4=5,0,0.5", "schedule.7=1,0,1.5"], "schedule.7", r"pdr_schedule\[1\] pdr must lie"),
+    (["schedule.2=-5,0,0.5"], "schedule.2", r"pdr_schedule\[0\] gop must be non-negative"),
+    (
+        ["chain.links=0.9,0.9", "chain.relays=nc", "coding.scheme=repeat"],
+        "coding.scheme",
+        "scheme repeat sends uncoded packets, so no relay can re-encode them$",
+    ),
+    (["delay.recode=inf"], "delay.recode", "recode_delay must be finite and non-negative, got inf$"),
+    (["select.method=heuristic", "select.heuristic_set=7"], "select.heuristic_set", "heuristic_set "),
+], ids=["links", "relays", "schedule-link", "schedule-pdr", "schedule-gop", "scheme", "delay", "set"])
+def test_every_config_refusal_starts_with_its_key(pairs, key, rule):
+    # the CLI prints these: a message without its key leaves the user to
+    # guess which setting it refuses
+    with pytest.raises(ConfigError, match=f"^{key}: {rule}"):
+        apply_overrides(ChainConfig(), pairs)
+
+
+def test_a_schedule_refusal_names_the_key_that_set_the_entry(tmp_path):
+    path = tmp_path / "run.cfg"
+    # sorted by suffix, schedule.3 is the second entry
+    path.write_text("chain.links = 0.9\nschedule.3 = 9, 2, 0.5\nschedule.1 = 2, 0, 0.4\n")
+    with pytest.raises(ConfigError, match=r"^schedule.3: pdr_schedule\[1\] names link 2, chain has 1$"):
+        load_config(path)
+    # an override that shortens the chain refuses an entry of the file,
+    # whose key the config no longer holds
+    path.write_text("chain.links = 0.9, 0.9\nschedule.3 = 9, 1, 0.5\n")
+    with pytest.raises(ConfigError, match=r"^schedule.<n>: pdr_schedule\[0\] names link 1"):
+        apply_overrides(load_config(path), ["chain.links=0.9"])

@@ -96,13 +96,13 @@ def test_policy_validation():
         ThresholdPolicy((0.5,), ((8, 0), (4, 2, 2)))
     # int() would truncate 8.9 to 8, which passes the same-budget check
     for counts in ((8.9, 0), (8.0, 0), (True, 7)):
-        with pytest.raises(ValueError, match="^replica counts must be whole numbers"):
+        with pytest.raises(ValueError, match="^strategies must be a whole number, got "):
             ThresholdPolicy((0.5,), (counts, (4, 4)))
 
 
 def test_policy_refuses_negative_replica_counts_that_spend_the_budget():
     # (10, -2) spends the same 8 packets as (8, 0), so only the sign refuses it
-    with pytest.raises(ValueError, match="must be non-negative"):
+    with pytest.raises(ValueError, match="^strategies must be non-negative, got -2$"):
         ThresholdPolicy((0.5,), ((8, 0), (10, -2)))
 
 

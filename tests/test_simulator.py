@@ -21,7 +21,7 @@ from nclayer.simulator import (
     sweep,
     write_rows,
 )
-from nclayer.spt import build_table
+from nclayer.spt import build_table, is_whole
 from oracles import plain_metrics, reference_run
 
 
@@ -154,16 +154,16 @@ def test_schedule_validation():
 def test_chain_shape_validation():
     with pytest.raises(ValueError, match="relay"):
         ChainConfig(link_pdrs=(1.0, 1.0), relay_modes=("forward", "forward"))
-    with pytest.raises(ValueError, match="at least one link"):
+    with pytest.raises(ValueError, match=r"^link_pdrs must be a non-empty sequence, got \(\)$"):
         ChainConfig(link_pdrs=())
-    with pytest.raises(ValueError, match=r"link pdr values must lie in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"^link_pdrs must lie in \[0, 1\], got 1.5$"):
         ChainConfig(link_pdrs=(0.9, 1.5))
     with pytest.raises(ValueError, match="selection"):
         ChainConfig(selection="oracle")
 
 
 def test_unknown_relay_mode_is_refused():
-    with pytest.raises(ValueError, match="^relay.modes must "):
+    with pytest.raises(ValueError, match=r"^relay_modes must be in \('forward', 'nc'\), got \('bogus',\)$"):
         ChainConfig(link_pdrs=(0.9, 0.9), relay_modes=("bogus",))
 
 
@@ -174,8 +174,32 @@ def test_run_length_and_probing_counts_below_one_are_refused(name):
 
 
 def test_schedule_gop_before_the_first_is_refused():
-    with pytest.raises(ValueError, match="gop.* must be non-negative, got -1$"):
+    with pytest.raises(ValueError, match=r"^pdr_schedule\[0\] gop must be non-negative, got -1$"):
         ChainConfig(pdr_schedule=((-1, 0, 0.5),))
+
+
+@pytest.mark.parametrize("name, value, rule", [
+    # a truthy string would run a verified run
+    ("verify_payloads", "no", " must be a bool, got 'no'"),
+    ("label", 3, " must be a str, got 3"),
+    # a string would be read character by character
+    ("link_pdrs", "0.7", " must be a non-empty sequence, got '0.7'"),
+    ("relay_modes", "nc", " must be a sequence, got 'nc'"),
+    # a flat triple is three entries, none a triple
+    ("pdr_schedule", (1, 0, 0.5), r"\[0\] must be a sequence, got 1"),
+    ("pdr_schedule", ((1, 0),), r"\[0\] must be a \(gop, link, pdr\) triple, got \(1, 0\)"),
+], ids=["verify_payloads", "label", "link_pdrs", "relay_modes", "flat-schedule", "schedule-pair"])
+def test_a_field_of_the_wrong_type_is_refused_by_name(name, value, rule):
+    with pytest.raises(ValueError, match=f"^{name}{rule}$"):
+        ChainConfig(**{"link_pdrs": (0.9, 0.9), name: value})
+
+
+@pytest.mark.parametrize("name", ["transmit_delay", "forward_delay", "recode_delay"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, "1", True])
+def test_a_delay_that_is_not_finite_and_non_negative_is_refused(name, value):
+    # an infinite recode delay made a re-encoding run report an infinite delay
+    with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative, got "):
+        ChainConfig(**{name: value})
 
 
 def test_run_rejects_table_built_for_other_parameters(default_table):
@@ -294,7 +318,8 @@ def test_sweep_validation():
 def test_sweep_refuses_reps_and_jobs_that_are_not_positive_whole_numbers(name, value):
     # range() would refuse reps=2.0 with a TypeError, and the pool would
     # take jobs=2.0
-    with pytest.raises(ValueError, match=f"^{name} must be a positive whole number, got "):
+    rule = "positive" if is_whole(value) else "a whole number"
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {value!r}$"):
         sweep(ChainConfig(gop_count=5), (0.5,), ["NoNC1"], **{name: value})
 
 

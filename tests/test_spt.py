@@ -132,7 +132,7 @@ def test_expected_layers_monotone_in_p():
 def test_replica_counts_must_be_whole_numbers():
     # int() would truncate 40.5 to 40
     for strategy in ((40.5, 8, 8, 8), (40.0, 8, 8, 8), (True, 8, 8, 8)):
-        with pytest.raises(ValueError, match="^replica counts must be whole numbers"):
+        with pytest.raises(ValueError, match="^strategy must be a whole number, got "):
             expected_decoded_layers(strategy, 0.7, 8)
     counts = np.array([40, 8, 8, 8], dtype=np.int32)
     assert expected_decoded_layers(counts, 0.7, 8) == expected_decoded_layers((40, 8, 8, 8), 0.7, 8)
@@ -140,7 +140,8 @@ def test_replica_counts_must_be_whole_numbers():
 
 @pytest.mark.parametrize("strategy", [(), (4, -1)])
 def test_expected_layers_refuses_an_empty_or_negative_strategy(strategy):
-    with pytest.raises(ValueError, match="^strategy must "):
+    rule = r"must be non-negative, got -1" if strategy else r"must be a non-empty sequence, got \(\)"
+    with pytest.raises(ValueError, match=f"^strategy {rule}$"):
         expected_decoded_layers(strategy, 0.5, 2)
 
 
