@@ -39,9 +39,10 @@ A block may hold the GOPs of several runs, one after another and as many
 each: the simulator carries rows that differ only in their links'
 delivery and their seeds through one pass. Each row keeps its own
 generators, which the draw sites (encode_block, sample_depths and
-channel.send_block) are then handed as one _Rows. _draw is the one place
-that splits a draw by row, each row's generator drawing its own GOPs'
-values in GOP order, so a row's draws are those of its run alone.
+channel.send_block) are then handed as one _Rows. _draw splits a draw by
+row, and send_block, which writes each row's draws into its links' masks,
+splits its own: each row's generator draws its own GOPs' values in GOP
+order, so a row's draws are those of its run alone.
 """
 
 from __future__ import annotations
@@ -403,18 +404,22 @@ def surviving_counts(counts: np.ndarray, kept: np.ndarray) -> np.ndarray:
     block.select(kept[:-1]).counts, with no rows made; on a (GOPs, 1 +
     layers) layout of each GOP's probes and then its classes, as a link
     draws them, it gives both at once. A kept of another length than one
-    more than the rows raises ValueError."""
+    more than the rows, or of another type than bool, raises ValueError."""
     runs = counts.ravel()
     starts = runs.cumsum() - runs
     n = int(runs.sum())
-    if kept.shape != (n + 1,):
+    if kept.shape != (n + 1,) or kept.dtype != bool:
         raise ValueError(
-            f"a survival mask needs one entry per row and one more, {n + 1}, "
-            f"got shape {kept.shape}"
+            f"a survival mask needs one entry per row and one more, {n + 1}, as "
+            f"bools, got {kept.dtype} of shape {kept.shape}"
         )
     # one sum per run from its start, where an empty run reads the entry
-    # there instead, hence the multiply
-    return (np.add.reduceat(kept, starts) * (runs > 0)).reshape(counts.shape)
+    # there instead, hence the multiply. reduceat casts the whole mask to
+    # the sum's type first, so the bytes are summed as uint32, 4 bytes a
+    # row, wherever every count fits
+    wide = np.uint32 if n < 2**32 else np.int64
+    sums = np.add.reduceat(kept.view(np.uint8), starts, dtype=wide)
+    return np.multiply(sums, runs > 0, dtype=np.int64).reshape(counts.shape)
 
 
 def _row_runs(counts: np.ndarray) -> np.ndarray:

@@ -65,6 +65,6 @@ BUILTIN_SET_IDS = tuple(sorted(_BUILTIN))
 
 
 def builtin_policy(heuristic_set: int) -> ThresholdPolicy:
-    if heuristic_set not in _BUILTIN:
+    if check_count("heuristic_set", heuristic_set, 1) not in _BUILTIN:
         raise ValueError(f"heuristic_set must be one of {BUILTIN_SET_IDS}, got {heuristic_set!r}")
     return _BUILTIN[heuristic_set]

@@ -17,22 +17,23 @@ segment: the sender's segment for every GOP of the block, then each
 re-encoding relay's in hop order. A segment's pass handles the whole block
 as arrays. Each encoder's packet count per GOP is known before any draw (a
 table or policy spends one budget; a re-encoding relay spends it on every
-GOP its block decode recovered a layer of), so each link of the segment
-makes one draw for the block, covering each GOP's probes and then its
-packets, GOP by GOP, at the link's one delivery for the block: a block
-also ends before each GOP at which pdr_schedule changes a delivery, and
-that GOP's changes apply as it starts. The strategy picks, per-hop delays
+GOP its block decode recovered a layer of), so the segment makes one
+draw for the block at its head, one uniform for each GOP's probes and
+then its packets, GOP by GOP, which decides how many of its links each
+crosses at each link's one delivery for the block (channel.send_block): a
+block also ends before each GOP at which pdr_schedule changes a delivery,
+and that GOP's changes apply as it starts. The strategy picks, per-hop delays
 and receiver scoring then run on the block, whose packets travel as each
 GOP's per-class counts: nodes.pick_strategies gives the counts an encoder
 sends from how many probes of its latest round survived, a whole number.
-channel.send_block returns each link's survival mask over its draws,
-and codec.surviving_counts reads from it, on each GOP's probes and then
-its classes, both as they reach the next hop; a GOP is its row of the
-counts, and run() alone knows its number. Where a step reads more than
-classes, the packets travel as a PacketBlock, a block's class counts plus
-its rows: encode_block makes it from the pick, each link selects from it
-the packets its mask kept, and the selected block's counts are those in
-flight.
+channel.send_block returns each link's survival mask over the head's
+draws, and codec.surviving_counts reads from it, on each GOP's probes and
+then its classes as the head sent them, both as they cross the link; a
+GOP is its row of the counts, and run() alone knows its number. Where a
+step reads more than classes, the packets travel as a PacketBlock, a
+block's class counts plus its rows: encode_block makes it from the pick,
+each link's packets are the rows of it that link's mask kept, and that
+block's counts are those in flight.
 That is in a verified run, whose relays and receiver decode coefficients
 and payloads with decode_block, and under xor and repeat, whose depth is
 which columns arrived. An unverified RLC run makes no rows: its relays
@@ -41,26 +42,27 @@ RLC receiver scores the counts by the count rule. A relay's depths give
 both its packet count per GOP and what it re-encodes. A decode reduces the
 RLC systems of a block in gf_rref stacks of at most
 codec.DECODE_STACK_BYTES. run() keeps the loop's state in its own locals:
-each link's and each encoder's generator, the delivery probability in force
-on each link, each encoder's surviving count of its latest probe round and
-the verifying receiver's counts; the nodes hold no run state. Seeded
-results are those of a GOP-by-GOP loop whatever the block size: every link
-belongs to one segment and draws its probes and packets of GOP g before
-those of g+1; in a verified run the sender and each re-encoding relay
+each segment's and each encoder's generator, the delivery probability in
+force on each link, each encoder's surviving count of its latest probe
+round and the verifying receiver's counts; the nodes hold no run state.
+Seeded results are those of a GOP-by-GOP loop whatever the block size:
+each segment draws for its probes and packets of GOP g before those of
+g+1; in a verified run the sender and each re-encoding relay
 draw the coefficients they encode, in GOP order, from their own generator,
 and in an unverified one only RLC relays draw, their samples, in GOP
 order; decoding draws nothing; and each GOP's delay is summed in hop
 order. Each generator is seeded from its own child of the run's seed, child
 i of SeedSequence(seed).spawn(n) made alone from its spawn key (i,), and only
-for the generators the run draws from: a forwarding chain's links, say, but
-no grid seed unless payload bytes travel.
+for the generators the run draws from: each segment's, which is its first
+link's child, say, but no grid seed unless payload bytes travel.
 
 run() is the one-row case of _run_rows, which carries rows that differ
 only in their links' delivery, seed and label through one pass: a block
 holds each row's next GOPs in turn along the same GOP axis, so every step
 above runs once per block for all rows. Only drawing is per row: each
-row's link, relay and sender generators and its grid seed draw its own
-GOPs' values, in GOP order, split by codec._draw, and each row keeps its
+row's segment, relay and sender generators and its grid seed draw its own
+GOPs' values, in GOP order, split by codec._draw or, for a segment, by
+send_block, and each row keeps its
 own held probe counts and delivery in force, so a row's metrics are its
 run()'s. sweep() hands each mode's grid points and repetitions to
 passes of as many rows as GROUP_GOPS holds, and its pool maps over these
@@ -108,8 +110,8 @@ SELECTIONS = ("spt", "heuristic")
 
 CSV_HEADER = "mode,hop_count,link_pdr,measured_pdr,npr,audl,delay,seed"
 
-# GOPs of one row a block carries at most: each step of a block (probe and
-# link draws, selection, encoding, delays, scoring) is a fixed number of
+# GOPs of one row a block carries at most: each step of a block (segment
+# draws, selection, encoding, delays, scoring) is a fixed number of
 # numpy calls whatever its size, so a larger block cuts the calls per GOP,
 # and a 50-GOP forwarding run or a 100-GOP sweep row is a single block; the
 # block's own arrays grow with it. It does not bound decoder memory:
@@ -290,9 +292,9 @@ def _segments(config: ChainConfig) -> list[range]:
 
 
 def _packets_kept(alive, probes, packets) -> np.ndarray:
-    """The rows of a block's packets that survive one link, in order, from
-    the link's survival mask alive over its draws: probes[k] probes and then
-    packets[k] packets for each GOP k."""
+    """The rows of a segment's encoded block that cross one of its links, in
+    order, from the link's survival mask alive over the head's draws:
+    probes[k] probes and then packets[k] packets for each GOP k."""
     if probes.any():
         # the block's packet i, of GOP k, is draw i plus the probes of GOPs 0..k
         alive = alive[np.arange(packets.sum()) + np.repeat(probes.cumsum(), packets)]
@@ -315,7 +317,7 @@ def _check_table_matches(table: StrategyTable, config: ChainConfig) -> None:
 def run(config: ChainConfig, table: Optional[StrategyTable] = None) -> RunMetrics:
     """Simulates gop_count GOPs over the configured chain.
 
-    GOPs go through in blocks of GOP_BLOCK, one pass per segment: each link
+    GOPs go through in blocks of GOP_BLOCK, one pass per segment: each segment
     draws once per block, for every GOP's probes and then its packets, and
     the probe counts, strategies, delays and scores of the block are array
     operations on its per-class packet counts, which travel with their
@@ -363,9 +365,9 @@ def _run_rows(
     # nothing of a packet but its class, so it carries each GOP's class
     # counts and makes no packet rows; its relays sample their depths from
     # their generators. Each generator has its own child of the run's seed,
-    # links 0..hops-1, relays hops + position, the sender and then the grid
-    # seed after them, made only when drawn from, so none moves another's
-    # draws.
+    # a segment its first link's, 0..hops-1, relays hops + position, the
+    # sender and then the grid seed after them, made only when drawn from,
+    # so none moves another's draws.
     verify = config.verify_payloads
     width = config.payload_size if verify else 0
     counted = config.scheme == SCHEME_RLC and not verify
@@ -385,9 +387,8 @@ def _run_rows(
             granularity=config.granularity,
         )
 
-    # each link is its own generator; the delivery probability in force on
-    # each row's links, which the schedule changes, is the pass's to keep
-    link_rngs = [generator(i) for i in range(hops)]
+    # the delivery probability in force on each row's links, which the
+    # schedule changes, is the pass's to keep
     pdr_now = np.array([c.link_pdrs for c in configs])
     if repeat:
         # every source packet, budget // (layer_count * packets_per_layer) times
@@ -399,15 +400,16 @@ def _run_rows(
         selector = builtin_policy(config.heuristic_set)
     sender_rng = generator(hops + n_relays) if verify else None
 
-    # each encoder's table or policy, the links it probes and sends over and
-    # its generator, which encodes in a verified run and samples depths at
-    # a relay of an unverified RLC run: the sender's segment, then each
+    # each encoder's table or policy, the links it probes and sends over,
+    # the generator they draw from, that of their first link, and its own
+    # generator, which encodes in a verified run and samples depths at a
+    # relay of an unverified RLC run: the sender's segment, then each
     # relay's, in hop order
-    segments = [(selector, sender_segment, sender_rng)]
+    segments = [(selector, sender_segment, generator(0), sender_rng)]
     for segment in relay_segments:
         # the relay at position i starts the segment at link i + 1
         rng = generator(hops + segment.start - 1) if verify or counted else None
-        segments.append((table, segment, rng))
+        segments.append((table, segment, generator(segment.start), rng))
     # each encoder's surviving probe count in each row, held from its latest
     # probe round; before the first, every probe counts as through
     held_seen = [np.full(rows, config.probe_count)] * len(segments)
@@ -462,7 +464,7 @@ def _run_rows(
         # those counts plus the packets' rows, where a step reads more than
         # classes
         counts = block = None
-        for index, (selector, segment, rng) in enumerate(segments):
+        for index, (selector, segment, link_rng, rng) in enumerate(segments):
             # (segment links, rows): each link's delivery in each row
             pdrs = pdr_now[:, segment.start : segment.stop].T
             if index == 0:
@@ -475,9 +477,9 @@ def _run_rows(
             # every encoder spends the budget on each GOP it holds a layer
             # of, and sends nothing for the others
             sending = np.where(held > 0, config.budget, 0)
-            # one draw per link for the block: probes and packets, GOP by GOP;
-            # kept[j], link j's survival mask over its draws
-            alive, kept = send_block([link_rngs[i] for i in segment], probes, sending, pdrs)
+            # one draw for the block at the segment's head: probes and
+            # packets, GOP by GOP; kept[j], link j's survival mask over them
+            alive, kept = send_block(link_rng, probes, sending, pdrs)
             # the sender's feedback, round(share * probes), is the surviving
             # count itself
             seen = np.concatenate([alive, held_seen[index]])[latest]
@@ -491,27 +493,27 @@ def _run_rows(
                 )
             if not counted:
                 block = encode_block(source, counts, config.scheme, rng)
-            # runs[k]: GOP k's probes that reach the hop, then its packets
-            # of each class. A link draws for them in that order, so one read
-            # of its mask gives the runs that reach the next hop; a
-            # probe is on air on every link it reaches
-            runs = np.concatenate([probes[:, None], counts], axis=1)
+            # head[k]: GOP k's probes, then its packets of each class. The
+            # head draws for them in that order, so one read of a link's
+            # mask gives the runs that cross it; a probe is on air on every
+            # link it reaches
+            runs = head = np.concatenate([probes[:, None], counts], axis=1)
             aired = probes
             for hop, link_kept in zip(segment, kept):
-                reached = runs[:, 0]
                 if hop > segment.start:
-                    aired = aired + reached
+                    aired = aired + runs[:, 0]
                 delays += sizes * config.transmit_delay
-                runs = surviving_counts(runs, link_kept)
+                runs = surviving_counts(head, link_kept)
                 counts = runs[:, 1:]
-                if not counted:
-                    block = block._take(_packets_kept(link_kept, reached, sizes), counts)
                 sizes = counts.sum(axis=1)
                 if hop < n_relays:
                     delays += config.forward_delay
                     if config.relay_modes[hop] == MODE_NC:
                         # re-encodes at the head of the next segment
                         delays += config.recode_delay
+            if not counted:
+                # the rows of the encoded block that cross the last link
+                block = block._take(_packets_kept(kept[-1], probes, sending), counts)
             _add_rows(probe_packets, aired)
 
         if config.scheme == SCHEME_RLC:
@@ -594,7 +596,11 @@ def resolve_mode(mode: str, base: ChainConfig) -> ChainConfig:
     NC<k>-HBH  every relay re-encodes; -HBH<m> limits that to the first m
     heuristic-<s>  threshold set s on the base chain shape
     spt        table-driven sender on the base chain shape
+
+    A mode that is not a str, or names none of these, raises ValueError.
     """
+    if not isinstance(mode, str):
+        raise ValueError(f"mode must be a str, got {mode!r}")
     text = mode.strip().lower()
     hops = base.hop_count
     relay_modes = base.relay_modes
@@ -650,7 +656,7 @@ def sweep(
     """Runs every (pdr, mode, repetition) combination and returns one row per
     run, in task order regardless of how many workers execute them. Each row
     runs every link at its grid delivery, so a base with a pdr_schedule is
-    refused."""
+    refused, and so is a mode resolve_mode refuses, as modes[n]."""
     for p in check_sequence("pdr_grid", pdr_grid, nonempty=True):
         check_probability("pdr_grid", p)
     check_sequence("modes", modes, nonempty=True)
@@ -662,7 +668,12 @@ def sweep(
             f"(schedule.<n>) {base.pdr_schedule} would not run"
         )
 
-    resolved = [resolve_mode(m, base) for m in modes]
+    resolved = []
+    for n, mode in enumerate(modes):
+        try:
+            resolved.append(resolve_mode(mode, base))
+        except ValueError as exc:
+            raise ValueError(f"modes[{n}]: {exc}") from None
     shared_table: Optional[StrategyTable] = None
     if any(cfg.needs_table for cfg in resolved):
         shared_table = build_table(

@@ -346,23 +346,31 @@ def pmf_rows_reference(max_count, p):
     return rows
 
 
-def probe_walk_pdr(rngs, pdrs, n_probes):
-    """End-to-end probe estimate, one probe at a time.
-
-    Each probe crosses the links in order until its first loss, drawing one
-    scalar uniform from the generator of each link it reaches, which
-    delivers it with that link's probability in pdrs. A vectorised
-    estimator must return the same fraction and leave every link's
-    generator exactly where this walk leaves it.
-    """
-    survived = 0
-    for _ in range(n_probes):
-        for rng, pdr in zip(rngs, pdrs):
-            if not rng.random() < pdr:
+def segment_walk(rng, pdrs, n):
+    """How many of a segment's links each of n probes or packets crosses,
+    one at a time: each draws one scalar uniform from the segment's
+    generator and crosses link j while that uniform is below the product
+    of the deliveries pdrs[0..j], multiplied in link order."""
+    depths = []
+    for _ in range(n):
+        u = rng.random()
+        depth, reach = 0, 1.0
+        for pdr in pdrs:
+            reach *= pdr
+            if not u < reach:
                 break
-        else:
-            survived += 1
-    return survived / n_probes
+            depth += 1
+        depths.append(depth)
+    return np.array(depths, dtype=np.int64)
+
+
+def probe_walk_pdr(rng, pdrs, n_probes):
+    """End-to-end probe estimate, one probe at a time (segment_walk): the
+    share of the probes that cross every link. A vectorised estimator must
+    return the same fraction and leave the segment's generator exactly
+    where this walk leaves it.
+    """
+    return int((segment_walk(rng, pdrs, n_probes) == len(pdrs)).sum()) / n_probes
 
 
 def mask_counts(counts, mask):
@@ -390,21 +398,19 @@ def running_count_read(counts, kept):
     return (running[ends] - running[ends - runs]).reshape(counts.shape)
 
 
-def send_block_masks(rngs, probes, packets, pdrs):
-    """A block's crossing of the links as per-link packet masks: the probes
-    of each GOP that crossed every link, and per link the survival mask of
-    the packets that reached it. Each link draws one uniform per probe and
-    packet that reached it, GOP by GOP, probes first, in one call; pdrs[j]
-    is link j's probability. The reference for channel.send_block's running
-    counts."""
-    runs = np.stack([np.asarray(probes), np.asarray(packets)], axis=1)
-    is_packet = np.tile(np.array([False, True]), runs.shape[0])
-    masks = []
-    for rng, link_pdrs in zip(rngs, pdrs):
-        alive = rng.random(int(runs.sum())) < link_pdrs
-        masks.append(alive[np.repeat(is_packet, runs.ravel())])
-        runs = mask_counts(runs, alive)
-    return runs[:, 0], masks
+def send_block_masks(rng, probes, packets, pdrs):
+    """A block's crossing of a segment's links as per-link packet masks,
+    walked one probe and packet at a time (segment_walk), GOP by GOP,
+    probes first: the probes of each GOP that crossed every link, and per
+    link j the mask of the block's packets that crossed links 0..j; pdrs[j]
+    is link j's probability. The reference for channel.send_block's
+    survival masks."""
+    alive, depths = [], []
+    for n_probes, n_packets in zip(probes, packets):
+        alive.append(int((segment_walk(rng, pdrs, n_probes) == len(pdrs)).sum()))
+        depths.extend(segment_walk(rng, pdrs, n_packets))
+    depths = np.array(depths, dtype=np.int64)
+    return np.array(alive, dtype=np.int64), [depths > j for j in range(len(pdrs))]
 
 
 def nearest_bin_reference(estimate):
@@ -545,8 +551,9 @@ def reference_run(config, table=None):
 
     Each GOP goes through the sender's segment and then each re-encoding
     relay's, in hop order: probe the segment's links, select and encode,
-    then send the packets across the segment link by link. A link draws once
-    per GOP for the probes that reach it and once for the packets. In a
+    then send the packets across the segment link by link. Each probe and
+    packet walks the segment on its own (segment_walk), with one uniform
+    from the segment's generator, its first link's child. In a
     verified run each encoder hands its own generator to encode_block for
     every GOP it encodes and relays decode; in an unverified RLC run no
     encoder draws from its own generator (class_block draws the packets'
@@ -554,8 +561,8 @@ def reference_run(config, table=None):
     from its own generator with reference_sample_depths, GOP by GOP. Its generators come from
     SeedSequence.spawn, where run() makes each child alone. The block pass
     of run() must return the same metrics and leave every generator in the
-    same state; for that check the metrics come with the link generators,
-    in hop order, and the generators the nodes draw from, in hop order: the
+    same state; for that check the metrics come with the segments'
+    generators, in hop order, and the generators the nodes draw from, in hop order: the
     sender's and every re-encoding relay's in a verified run, every
     re-encoding relay's in an unverified RLC run, and none otherwise.
     """
@@ -605,25 +612,23 @@ def reference_run(config, table=None):
             budget=config.budget, layer_count=L, packets_per_layer=P,
             granularity=config.granularity,
         )
-    rngs = [np.random.default_rng(child) for child in link_children]
+    rngs = [np.random.default_rng(link_children[segment.start]) for segment in segments]
     pdrs = list(config.link_pdrs)
     policy = builtin_policy(config.heuristic_set)
 
-    def draw(link, n):
-        return rngs[link].random(n) < pdrs[link]
+    def walk(index, n):
+        segment = segments[index]
+        return segment_walk(rngs[index], [pdrs[link] for link in segment], n)
 
     # each probe once per link it is sent on
     aired = 0
 
-    def probe(segment):
+    def probe(index):
         nonlocal aired
-        alive = config.probe_count
-        for link in segment:
-            if alive == 0:
-                break
-            aired += alive
-            alive = int(np.count_nonzero(draw(link, alive)))
-        return alive / config.probe_count
+        depths = walk(index, config.probe_count)
+        # a probe is sent on every link up to the one that drops it
+        aired += int(np.minimum(depths + 1, len(segments[index])).sum())
+        return int((depths == len(segments[index])).sum()) / config.probe_count
 
     schedule = {}
     for gop_index, link_index, new_pdr in config.pdr_schedule:
@@ -640,12 +645,12 @@ def reference_run(config, table=None):
         grid = make_synthetic_gop(gop_index, L, P, width, grid_seed)
         current = None
         delay = 0.0
-        for position, segment in zip(encoders, segments):
+        for index, (position, segment) in enumerate(zip(encoders, segments)):
             for link_index, new_pdr in schedule.get(gop_index, ()):
                 if link_index in segment:
                     pdrs[link_index] = new_pdr
             if not repeat and gop_index % config.update_period == 0:
-                estimate = probe(segment)
+                estimate = probe(index)
                 if position < 0:
                     delivered = round(estimate * config.probe_count)
                     sender_estimate = delivered / config.probe_count
@@ -679,10 +684,10 @@ def reference_run(config, table=None):
                     current = current.select(np.arange(0))
                 else:
                     current = encode(decoded, strategy, position)
-            for hop in segment:
+            sent, depths = current, walk(index, len(current))
+            for j, hop in enumerate(segment):
                 delay += len(current) * config.transmit_delay
-                if len(current):
-                    current = current.select(draw(hop, len(current)))
+                current = sent.select(depths > j)
                 if hop < n_relays:
                     delay += config.forward_delay
                     if config.relay_modes[hop] == "nc":

@@ -702,6 +702,9 @@ def test_surviving_counts_need_one_mask_entry_per_packet():
     for kept in (np.zeros(6, dtype=bool), np.zeros(8, dtype=bool)):
         with pytest.raises(ValueError, match="one entry per row and one more"):
             surviving_counts(counts, kept)
+    # the mask's bytes are summed, so a wider type would read as other rows
+    with pytest.raises(ValueError, match="as bools, got int64"):
+        surviving_counts(counts, np.ones(7, dtype=np.int64))
     block = class_block(counts, 2)
     for mask in (np.ones(5, dtype=bool), np.ones(7, dtype=bool)):
         with pytest.raises(ValueError, match="one entry per packet"):

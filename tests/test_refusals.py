@@ -1,12 +1,14 @@
 """The refusal contract of the public entry points that take counts,
-deliveries and sequences.
+deliveries and sequences, and of send_block, which takes them as arrays.
 
 A call either returns, or raises a ValueError whose message starts with the
 name of one of its parameters. A call given a value of a kind the parameter
 never takes (a float or a bool for a count, NaN or a value outside [0, 1]
 for a delivery, a string or a scalar for a sequence) never returns, and if
 that value is the only one changed from a call that runs, the refusal
-names its parameter.
+names its parameter. An array entry point sees an array's values as numpy
+reads them, so a bool among floats is the number it converts to; a bool
+array, a float count or a value out of range is still refused.
 """
 
 import inspect
@@ -25,8 +27,10 @@ from nclayer import (
     enumerate_strategies,
     expected_decoded_layers,
     make_synthetic_gop,
+    send_block,
     sweep,
 )
+from nclayer.codec import _Rows
 
 
 def count(least, most):
@@ -58,6 +62,14 @@ def sequence(item, min_size, max_size):
     wrong_type = st.sampled_from(["0", "abc", 0.5, 3, None])
     short = st.lists(valid, max_size=min_size - 1).map(tuple) if min_size else st.nothing()
     return items.map(tuple), one_bad | wrong_type | short
+
+
+def per_gop():
+    """(valid, invalid) arrays of one count for each of 2 GOPs."""
+    valid = st.lists(st.integers(0, 100), min_size=2, max_size=2)
+    return valid.map(tuple) | valid.map(lambda v: np.array(v, np.uint8)), st.sampled_from(
+        [(5.5, 0), (True, False), (-1, 0), (None, 0), ("5", "0"), 5, ((5, 0),), "50"]
+    )
 
 
 def choice(valid, invalid):
@@ -133,10 +145,34 @@ ENTRY_POINTS = {
             modes=(
                 st.lists(st.sampled_from(["NoNC1", "NC2", "NC2-HBH", "spt"]), min_size=1, max_size=2)
                 .map(tuple),
-                st.sampled_from([(), "spt", 5]),
+                st.sampled_from(
+                    [(), "spt", 5, (3,), (None,), ("bogus",), ("NC0",), ("spt", "NC2-E2E9")]
+                ),
             ),
             reps=count(1, 2),
             jobs=count(1, 2),
+        ),
+    ),
+    "send_block": (
+        send_block,
+        dict(rng=np.random.default_rng(0), probes=(5, 0), packets=(10, 4), pdrs=(0.5, 0.9)),
+        dict(
+            rng=(
+                st.integers(0, 99).map(np.random.default_rng)
+                | st.integers(0, 99).map(lambda s: _Rows([np.random.default_rng(s)])),
+                st.sampled_from(
+                    [None, 3, "rng", (np.random.default_rng(0),), np.random.SeedSequence(0)]
+                ),
+            ),
+            probes=per_gop(),
+            packets=per_gop(),
+            pdrs=(
+                sequence(probability(), 1, 4)[0],
+                st.sampled_from([
+                    (), 0.5, "0.5", (0.5, 1.5), (-0.25,), (math.nan, 0.5), (math.inf,),
+                    (None,), ("0.5",), (True, True), ((0.5, 0.5),), (((0.5,),),),
+                ]),
+            ),
         ),
     ),
     "make_synthetic_gop": (

@@ -759,20 +759,23 @@ def _random_config(rng, index):
 
 
 def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch):
-    # run() draws once per link per block and picks, encodes, samples,
+    # run() draws once per segment per block and picks, encodes, samples,
     # selects and scores a block at a time; the GOP-by-GOP loop in
-    # oracles.py is the reference for every metric and for where each link's
-    # generator, and each node's, ends. An encoder that drew other coefficients, or a relay
-    # that sampled other depths, or either in another order, ends elsewhere
+    # oracles.py, which walks each probe and packet across its segment on
+    # its own, is the reference for every metric and for where each
+    # segment's generator, and each node's, ends. An encoder that drew other
+    # coefficients, or a relay that sampled other depths, or either in
+    # another order, ends elsewhere
     rng = np.random.default_rng(2013)
     links, nodes = [], []
     send, encode, sample = simulator.send_block, simulator.encode_block, simulator.sample_depths
 
-    def recorded_send(rngs, *args):
-        # every link sends in each block, each segment's in hop order, so
-        # the generators are met in hop order
-        links.extend(r for r in rngs if all(r is not m for m in links))
-        return send(rngs, *args)
+    def recorded_send(link_rng, *args):
+        # every segment sends in each block, in hop order, so their
+        # generators are met in hop order
+        if all(link_rng is not m for m in links):
+            links.append(link_rng)
+        return send(link_rng, *args)
 
     def met(node_rng):
         # each block meets the sender first and then the re-encoding relays
@@ -800,8 +803,8 @@ def test_block_pass_matches_the_gop_by_gop_reference(default_table, monkeypatch)
         got = run(config, table=default_table)
         want, link_rngs, node_rngs = reference_run(config, default_table)
         assert plain_metrics(got) == plain_metrics(want), config
-        assert len(links) == len(link_rngs) == config.hop_count
         relays = config.relay_modes.count("nc")
+        assert len(links) == len(link_rngs) == 1 + relays
         if config.verify_payloads:
             assert len(nodes) == len(node_rngs) == 1 + relays
         else:
@@ -816,7 +819,8 @@ def test_grouped_rows_match_their_own_runs(default_table, monkeypatch):
     # seed through one pass, a block holding each row's next GOPs in turn;
     # each row must get run()'s metrics field for field, with blocks of
     # one and of 7 GOPs splitting every row mid-run, and leave each of its
-    # link, relay and sender generators where the GOP-by-GOP reference does
+    # segment, relay and sender generators where the GOP-by-GOP reference
+    # does
     rng = np.random.default_rng(2014)
     links, nodes = [], []
     send, encode, sample = simulator.send_block, simulator.encode_block, simulator.sample_depths
@@ -824,9 +828,10 @@ def test_grouped_rows_match_their_own_runs(default_table, monkeypatch):
     def sources(node_rng):
         return node_rng.sources if isinstance(node_rng, codec._Rows) else [node_rng]
 
-    def recorded_send(rngs, *args):
-        links.extend(sources(r) for r in rngs if all(sources(r) is not m for m in links))
-        return send(rngs, *args)
+    def recorded_send(link_rng, *args):
+        if all(sources(link_rng) is not m for m in links):
+            links.append(sources(link_rng))
+        return send(link_rng, *args)
 
     def met(node_rng):
         if node_rng is not None and all(sources(node_rng) is not m for m in nodes):
@@ -875,7 +880,7 @@ def test_grouped_rows_match_their_own_runs(default_table, monkeypatch):
             nodes.clear()
             got = simulator._run_rows(rows, table=default_table)
             assert [plain_metrics(m) for m in got] == wanted, (shape, block)
-            assert len(links) == hops
+            assert len(links) == 1 + shape.relay_modes.count("nc")
             assert len(nodes) == max(len(node_rngs) for _, _, node_rngs in references)
             for k, (_, link_rngs, node_rngs) in enumerate(references):
                 for a, b in zip([m[k] for m in links + nodes], link_rngs + node_rngs):
