@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codec import _Rows, surviving_counts
+from .spt import check_counts, check_probabilities
 
 
 def send_block(rng, probes, packets, pdrs) -> tuple[np.ndarray, np.ndarray]:
@@ -35,9 +36,10 @@ def send_block(rng, probes, packets, pdrs) -> tuple[np.ndarray, np.ndarray]:
     GOPs takes the runs' generators as one codec._Rows, each drawing for its
     own GOPs. Each refusal is a ValueError that starts with the parameter it
     refuses: an rng that is neither, probes or packets that are not one
-    non-negative whole number per GOP each, or not the same GOPs for every
-    row, and pdrs that hold no link, another number of values per link than
-    rng's rows, or a value outside [0, 1]. Nothing is drawn before them.
+    non-negative whole number per GOP each (spt.check_counts), or not the
+    same GOPs for every row, and pdrs that hold no link, another number of
+    values per link than rng's rows, or a value outside [0, 1]
+    (spt.check_probabilities). Nothing is drawn before them.
 
     Returns the probes of each GOP that crossed every link, and the links'
     survival masks as the rows of one bool array: kept[j][i] is whether
@@ -48,16 +50,8 @@ def send_block(rng, probes, packets, pdrs) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(rng, (np.random.Generator, _Rows)):
         raise ValueError(f"rng must be a numpy Generator or a codec._Rows of them, got {rng!r}")
     sources = rng.sources if isinstance(rng, _Rows) else [rng]
-    counts = []
-    for name, value in (("probes", probes), ("packets", packets)):
-        value = np.asarray(value)
-        # an empty list reads as floats, and a block of no GOPs draws nothing
-        if value.ndim != 1 or (value.size and value.dtype.kind not in "iu"):
-            raise ValueError(f"{name} must be one whole number per GOP, got {value!r}")
-        if value.size and value.min() < 0:
-            raise ValueError(f"{name} must be non-negative, got {value.tolist()}")
-        counts.append(value.astype(np.int64, copy=False))
-    probes, packets = counts
+    probes = check_counts("probes", probes, 1)
+    packets = check_counts("packets", packets, 1)
     if packets.shape != probes.shape:
         raise ValueError(
             f"packets must hold one count per GOP of probes, {probes.size}, got {packets.size}"
@@ -67,7 +61,7 @@ def send_block(rng, probes, packets, pdrs) -> tuple[np.ndarray, np.ndarray]:
             f"probes must hold as many GOPs for each of rng's {len(sources)} rows, "
             f"got {probes.size}"
         )
-    pdrs = np.asarray(pdrs)
+    pdrs = check_probabilities("pdrs", pdrs)
     if pdrs.ndim == 1:
         pdrs = pdrs[:, None]
     if pdrs.ndim != 2 or not pdrs.size or pdrs.shape[1] != len(sources):
@@ -75,8 +69,6 @@ def send_block(rng, probes, packets, pdrs) -> tuple[np.ndarray, np.ndarray]:
             f"pdrs must hold for each link one delivery per row rng draws for, "
             f"{len(sources)}, got shape {pdrs.shape}"
         )
-    if pdrs.dtype.kind not in "iuf" or not (pdrs.min() >= 0 and pdrs.max() <= 1):
-        raise ValueError(f"pdrs must lie in [0, 1], got {pdrs.tolist()}")
     # draws alternate a GOP's probes and its packets, GOP by GOP: runs[k] is
     # how many of GOP k's probes and then of its packets the head draws for
     runs = np.empty((probes.size, 2), dtype=np.int64)

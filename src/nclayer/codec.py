@@ -19,7 +19,8 @@ GOP and class follow from its place. A single GOP travels as a block of
 one, and a GOP's number is its row of the counts. A block carries its
 grid's shape, layer_count = counts.shape[1] layers of packets_per_layer
 cells of payload.shape[1] bytes, and is checked against it once, on
-construction. encode_block sets the shape from its cells;
+construction. encode_block sets the shape from its cells, and its checked
+inputs make a valid block, which it builds without that check;
 decode_block(block) and score_block(block) read it from the block and
 work on the whole block as arrays.
 
@@ -53,6 +54,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .kernels import gf_matmul, gf_rref
+from .spt import check_count, check_counts
 
 SCHEME_RLC = "rlc"
 SCHEME_XOR = "xor"
@@ -113,9 +115,13 @@ class PacketBlock:
     to layer_count * packets_per_layer columns; XOR and repeat packets
     carry their grid column instead.
     The block is checked against its grid once, on construction, so the
-    functions that decode, score or sample it take no shape. Selecting rows
-    keeps every GOP and its order and skips the check, since rows of valid
-    packets are valid packets, so a block crosses a lossy link in one mask.
+    functions that decode, score or sample it take no shape. Each refusal is
+    a ValueError that starts with the field it refuses, and counts and
+    column are whole numbers by spt.check_counts, so a float, bool or str
+    count is refused, not truncated. Selecting rows keeps every GOP and its
+    order and skips the check, since rows of valid packets are valid
+    packets, so a block crosses a lossy link in one mask; encode_block skips
+    it too, as its checked inputs make a valid block.
     """
 
     scheme: str
@@ -127,46 +133,36 @@ class PacketBlock:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        per_layer = self.packets_per_layer
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        per_layer = check_count("packets_per_layer", self.packets_per_layer, 1)
+        self.counts = check_counts("counts", self.counts, 2)
         self.payload = np.asarray(self.payload, dtype=np.uint8)
-        if self.counts.ndim != 2 or self.counts.shape[1] < 1 or (self.counts < 0).any():
-            raise ValueError(
-                f"counts must be a (GOPs, layers) array of packets per class, "
-                f"none negative, got {self.counts.tolist()}"
-            )
+        if self.counts.shape[1] < 1:
+            raise ValueError(f"counts must hold at least one class, got shape {self.counts.shape}")
         layers = self.layer_count
         n = int(self.counts.sum())
         if self.payload.ndim != 2 or self.payload.shape[0] != n:
-            raise ValueError(
-                f"need one payload row per packet, {n}, got shape {self.payload.shape}"
-            )
+            raise ValueError(f"payload must hold one row per packet, {n}, got {self.payload.shape}")
         if self.scheme == SCHEME_RLC:
             if self.coeffs is None or self.column is not None:
-                raise ValueError("rlc packets carry coefficients and no column")
+                raise ValueError("coeffs must hold rlc coefficients, and column be None")
             self.coeffs = np.asarray(self.coeffs, dtype=np.uint8)
             if self.coeffs.ndim != 2 or self.coeffs.shape[0] != n:
-                raise ValueError(f"need {n} coefficient rows, got shape {self.coeffs.shape}")
+                raise ValueError(f"coeffs must hold {n} rows, got {self.coeffs.shape}")
             if self.coeffs.shape[1] != layers * per_layer:
                 raise ValueError(
-                    f"rlc packets need {layers * per_layer} coefficients, "
+                    f"coeffs must hold {layers * per_layer} coefficients per packet, "
                     f"got {self.coeffs.shape[1]}"
                 )
             past = np.arange(layers) > (_row_runs(self.counts) % layers)[:, None]
             if (self.coeffs.reshape(n, layers, per_layer).any(axis=2) & past).any():
-                raise ValueError("a packet carries coefficients for layers deeper than its class")
+                raise ValueError("coeffs must hold none for a layer deeper than its packet's class")
         else:
             if self.column is None or self.coeffs is not None:
-                raise ValueError(f"{self.scheme} packets carry a column and no coefficients")
-            self.column = np.asarray(self.column, dtype=np.intp)
+                raise ValueError(f"column must hold {self.scheme} columns, and coeffs be None")
+            self.column = check_counts("column", self.column, 1, 0, per_layer - 1)
             if self.column.shape != (n,):
-                raise ValueError(f"need {n} columns, got shape {self.column.shape}")
-            if n and (self.column.min() < 0 or self.column.max() >= per_layer):
-                raise ValueError(
-                    f"packet columns must lie in 0..{per_layer - 1}, "
-                    f"got {self.column.min()}..{self.column.max()}"
-                )
+                raise ValueError(f"column must hold {n} entries, got {self.column.shape}")
 
     def __len__(self) -> int:
         """Packets in the block, over all of its GOPs."""
@@ -177,23 +173,23 @@ class PacketBlock:
         """Layers of the grid, one packet class each."""
         return self.counts.shape[1]
 
-    def select(self, rows: np.ndarray) -> "PacketBlock":
+    def select(self, rows) -> "PacketBlock":
         """The block of the rows a boolean mask of one entry per row or a
-        non-decreasing index array picks, every GOP kept; a repeated index
-        delivers its row twice. A mask of another length, an index outside
-        the block or a decreasing index array would hand rows to the wrong
-        GOP or to none, so each raises ValueError."""
+        non-decreasing array of indices in [0, len) picks, every GOP kept; a
+        repeated index delivers its row twice. A mask of another length, an
+        index that is not a whole number in the block or a decreasing index
+        array would hand rows to the wrong GOP or to none, so each raises a
+        ValueError that starts with rows."""
         n = len(self)
+        rows = np.asarray(rows)
         if rows.dtype == bool:
             if rows.shape != (n,):
-                raise ValueError(
-                    f"a mask needs one entry per packet, {n}, got shape {rows.shape}"
-                )
+                raise ValueError(f"rows must be a mask of {n} entries, got {rows.shape}")
             rows = np.flatnonzero(rows)
-        elif (rows[1:] < rows[:-1]).any():
-            raise ValueError(f"index rows must be non-decreasing, got {rows.tolist()}")
-        elif rows.size and (rows[0] < 0 or rows[-1] >= n):
-            raise ValueError(f"index rows must lie in [0, {n}), got {rows[0]}..{rows[-1]}")
+        else:
+            rows = check_counts("rows", rows, 1, 0, n - 1)
+            if (rows[1:] < rows[:-1]).any():
+                raise ValueError(f"rows must be non-decreasing, got {rows.tolist()}")
         runs = _row_runs(self.counts)[rows]
         counts = np.bincount(runs, minlength=self.counts.size).reshape(self.counts.shape)
         return self._take(rows, counts)
@@ -202,16 +198,22 @@ class PacketBlock:
         """The block of the rows a non-decreasing index array picks, given their
         class counts, unchecked: select's result, for a caller that already
         holds both."""
-        out = object.__new__(PacketBlock)
-        out.__dict__.update(
-            scheme=self.scheme,
-            packets_per_layer=self.packets_per_layer,
-            counts=counts,
-            payload=self.payload[rows],
-            coeffs=None if self.coeffs is None else self.coeffs[rows],
-            column=None if self.column is None else self.column[rows],
+        return _unchecked_block(
+            self.scheme, self.packets_per_layer, counts, self.payload[rows],
+            None if self.coeffs is None else self.coeffs[rows],
+            None if self.column is None else self.column[rows],
         )
-        return out
+
+
+def _unchecked_block(scheme, packets_per_layer, counts, payload, coeffs=None, column=None):
+    """The PacketBlock of these fields, which its caller has made valid,
+    without the checks of its construction."""
+    out = object.__new__(PacketBlock)
+    out.__dict__.update(
+        scheme=scheme, packets_per_layer=packets_per_layer, counts=counts, payload=payload,
+        coeffs=coeffs, column=column,
+    )
+    return out
 
 
 def decodable_layers_batch(count_rows: np.ndarray, packets_per_layer: int) -> np.ndarray:
@@ -254,27 +256,33 @@ def encode_block(
     rng: Optional[np.random.Generator],
 ) -> PacketBlock:
     """Encodes GOP k of a block from its source cells[k] (a (G,
-    layer_count, packets_per_layer, payload_size) stack) under the replica
-    counts strategies[k] (one row per GOP, one column per class), as
-    encode_gop encodes each GOP alone.
+    layer_count, packets_per_layer, payload_size) uint8 stack of grids of
+    at least one layer and one packet per layer) under the replica counts
+    strategies[k] (one row per GOP, one non-negative whole number per
+    class, by spt.check_counts), as encode_gop encodes each GOP alone.
 
     Each RLC row takes ceil(layer_count * packets_per_layer / 8) raw 64-bit
     outputs of rng's bit generator, in row order, and keeps their first
     layer_count * packets_per_layer little-endian bytes, zeroed past its
-    class, so RLC needs an rng. The other schemes draw nothing and take
-    None."""
+    class, so RLC needs a Generator as rng. The other schemes draw nothing
+    and take one or None. Each refusal is a ValueError that starts with the
+    parameter it refuses, and the block is built from the checked inputs
+    without PacketBlock's checks."""
     if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    if scheme == SCHEME_RLC and rng is None:
-        raise ValueError("rlc packets draw their coefficients, so they need a generator")
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    generator = isinstance(rng, (np.random.Generator, _Rows))
+    if not generator and (rng is not None or scheme == SCHEME_RLC):
+        raise ValueError(f"rng must be a numpy Generator, or None for xor and repeat, got {rng!r}")
+    cells = np.asarray(cells)
+    if cells.ndim != 4 or cells.dtype != np.uint8 or 0 in cells.shape[1:3]:
+        raise ValueError(f"cells must be a 4-D uint8 stack, got {cells.dtype} {cells.shape}")
     n_gops, layer_count, per_layer, size = cells.shape
-    counts = np.asarray(strategies, dtype=np.int64)
+    counts = check_counts("strategies", strategies, 2)
     if counts.shape != (n_gops, layer_count):
         raise ValueError(
-            f"need one strategy of {layer_count} classes per grid, got shape {counts.shape}"
+            f"strategies must hold one strategy of {layer_count} classes per grid, "
+            f"{n_gops}, got shape {counts.shape}"
         )
-    if (counts < 0).any():
-        raise ValueError(f"replica counts must be non-negative, got {counts.tolist()}")
     runs = counts.ravel()
 
     if scheme != SCHEME_RLC:
@@ -298,7 +306,7 @@ def encode_block(
             payload = cells.reshape(n_gops * layer_count, per_layer, size)[
                 _row_runs(counts), column
             ]
-        return PacketBlock(scheme, per_layer, counts, payload, column=column)
+        return _unchecked_block(scheme, per_layer, counts, payload, column=column)
 
     row_run = _row_runs(counts)
     rows = row_run.size
@@ -320,7 +328,7 @@ def encode_block(
             width = (d + 1) * per_layer
             at = slice(ends[run] - runs[run], ends[run])
             payload[at] = gf_matmul(coeffs[at, :width], data[k, :width])
-    return PacketBlock(scheme, per_layer, counts, payload, coeffs=coeffs)
+    return _unchecked_block(scheme, per_layer, counts, payload, coeffs=coeffs)
 
 
 def _raw_outputs(rng, n, row, outputs):
@@ -339,6 +347,8 @@ def decode_block(block: PacketBlock) -> tuple[np.ndarray, np.ndarray]:
     result; xor and repeat take the first copy of each (GOP, depth, column)
     cell.
     """
+    if not isinstance(block, PacketBlock):
+        raise ValueError(f"block must be a PacketBlock, got {type(block).__name__}")
     if block.scheme != SCHEME_RLC:
         return _decode_columns(block)
     return _decode_rlc(block)
@@ -353,6 +363,8 @@ def score_block(block: PacketBlock) -> np.ndarray:
     column) cells arrived, which is exactly their decoded depth. No
     coefficient or payload byte is read.
     """
+    if not isinstance(block, PacketBlock):
+        raise ValueError(f"block must be a PacketBlock, got {type(block).__name__}")
     if block.scheme != SCHEME_RLC:
         return _cell_cover(block)[1]
     return decodable_layers_batch(block.counts, block.packets_per_layer)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spt import check_count
+from .spt import check_count, check_counts
 
 
 def make_synthetic_gop(
@@ -39,15 +39,15 @@ def make_synthetic_cells(
     payload_size: int,
     seed: int = 0,
 ) -> np.ndarray:
-    """The grid of each GOP id, stacked into one (G, layer_count,
-    packets_per_layer, payload_size) array; GOP g's grid depends only on g,
-    the shape and the seed."""
+    """The grid of each GOP id, a non-negative whole number by
+    spt.check_counts, stacked into one (G, layer_count, packets_per_layer,
+    payload_size) array; GOP g's grid depends only on g, the shape and the
+    seed."""
     check_count("layer_count", layer_count, 1)
     check_count("packets_per_layer", packets_per_layer, 1)
     check_count("payload_size", payload_size, 0)
     check_count("seed", seed, 0)
-    if (np.asarray(gop_ids) < 0).any():
-        raise ValueError("gop_ids must be non-negative")
+    gop_ids = check_counts("gop_ids", gop_ids, 1)
     shape = (layer_count, packets_per_layer, payload_size)
     cells = np.empty((len(gop_ids),) + shape, dtype=np.uint8)
     if payload_size:

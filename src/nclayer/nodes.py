@@ -30,7 +30,7 @@ from .codec import (
     encode_gop,  # noqa: F401
 )
 from .heuristic import ThresholdPolicy
-from .spt import StrategyTable, check_count, nearest_bin
+from .spt import StrategyTable, check_count, check_counts, nearest_bin
 
 MODE_FORWARD = "forward"
 MODE_NC = "nc"
@@ -52,30 +52,25 @@ def pick_strategies(selector, seen, probe_count, depths) -> np.ndarray:
     """The replica counts a node sends for a block of GOPs, one row per GOP
     and one column per class: GOP k's under the strategy that seen[k] of
     probe_count probes, the surviving count in force at GOP k, selects for
-    the first depths[k] layers the node holds. seen and depths hold one
-    entry per GOP, probe_count is a positive whole number and seen holds
-    whole numbers in [0, probe_count], or it raises ValueError.
+    the first depths[k] layers the node holds. probe_count is a positive
+    whole number, seen holds one whole number in [0, probe_count] per GOP
+    and depths one non-negative whole number per GOP of seen
+    (spt.check_counts), or it raises a ValueError that starts with the
+    parameter's name.
 
     selector is a StrategyTable or a ThresholdPolicy, or it raises
     TypeError. A table takes the best strategy, in the bin nearest
     seen[k] / probe_count, among those that leave every class deeper than
-    depths[k] empty; at full depth that is the bin's best. A policy picks
-    by the interval of seen[k] / probe_count, so its node must hold every
-    layer, or it raises ValueError. A GOP of depth 0 gets no packets.
+    depths[k] empty; at full depth, or deeper, that is the bin's best. A
+    policy picks by the interval of seen[k] / probe_count, so its node must
+    hold every layer, or it raises ValueError. A GOP of depth 0 gets no
+    packets.
     """
-    check_count("probe_count", probe_count, 1)
-    seen, depths = np.asarray(seen), np.asarray(depths)
-    if seen.ndim != 1 or depths.shape != seen.shape:
-        raise ValueError(
-            f"need one surviving probe count and one depth per GOP, got shapes "
-            f"{seen.shape} and {depths.shape}"
-        )
-    if seen.dtype.kind not in "iu":
-        raise ValueError(f"surviving probe counts must be whole numbers, got {seen.dtype}")
-    if seen.size and not (seen.min() >= 0 and seen.max() <= probe_count):
-        raise ValueError(
-            f"surviving probe counts must lie in [0, {probe_count}], got {seen.tolist()}"
-        )
+    probe_count = check_count("probe_count", probe_count, 1)
+    seen = check_counts("seen", seen, 1, 0, probe_count)
+    depths = check_counts("depths", depths, 1)
+    if depths.shape != seen.shape:
+        raise ValueError(f"depths must hold one per GOP of seen, {seen.size}, got {depths.size}")
     if isinstance(selector, StrategyTable):
         return selector.picks[
             _count_bins(probe_count)[seen], np.minimum(depths, selector.layer_count)
@@ -88,8 +83,8 @@ def pick_strategies(selector, seen, probe_count, depths) -> np.ndarray:
     layers = len(selector.strategies[0])
     if ((depths > 0) & (depths < layers)).any():
         raise ValueError(
-            f"a policy picks by interval, so its node must hold all {layers} "
-            f"layers of a GOP or none, got depths {depths.tolist()}"
+            f"depths must hold all {layers} layers of a GOP or none, as a policy "
+            f"picks by interval, got {depths.tolist()}"
         )
     # a share on a breakpoint belongs to the upper interval
     index = np.searchsorted(selector.breakpoints, seen / probe_count, side="right")

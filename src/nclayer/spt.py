@@ -111,14 +111,18 @@ def is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _range_rule(least: int, most=None) -> str:
+    rule = "be " + {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
+    return rule if most is None else f"lie in [{least}, {most}]"
+
+
 def check_count(name: str, value, least: int) -> int:
     """``value`` as an int, or a ValueError naming ``name`` if it is not a
     whole number (is_whole) of at least ``least``."""
     if not is_whole(value):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if value < least:
-        rule = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
+        raise ValueError(f"{name} must {_range_rule(least)}, got {value!r}")
     return int(value)
 
 
@@ -128,6 +132,36 @@ def check_probability(name: str, value) -> float:
     if not (is_real(value) and 0.0 <= value <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return float(value)
+
+
+def _as_array(name: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value)
+    except ValueError:  # nesting of uneven lengths
+        raise ValueError(f"{name} must be an array, got {value!r}") from None
+
+
+def check_counts(name: str, value, ndim: int, least: int = 0, most=None) -> np.ndarray:
+    """``value`` as an int64 array, or a ValueError naming ``name`` if it
+    has another number of dimensions than ``ndim``, holds anything but
+    integers (a bool, a float or a str is not one; an empty list holds
+    none) or holds a value outside [least, most]."""
+    array = _as_array(name, value)
+    if array.ndim != ndim or (array.size and array.dtype.kind not in "iu"):
+        raise ValueError(f"{name} must be a {ndim}-D array of whole numbers, got {value!r}")
+    if array.size and (array.min() < least or (most is not None and array.max() > most)):
+        raise ValueError(f"{name} must {_range_rule(least, most)}, got {value!r}")
+    return array.astype(np.int64, copy=False)
+
+
+def check_probabilities(name: str, value) -> np.ndarray:
+    """``value`` as a float array, or a ValueError naming ``name`` if it
+    holds anything but numbers (a bool is not one) or a value outside [0,
+    1], NaN included."""
+    array = _as_array(name, value)
+    if array.dtype.kind not in "iuf" or (array.size and not 0 <= array.min() <= array.max() <= 1):
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return array.astype(float, copy=False)
 
 
 def check_sequence(name: str, value, nonempty: bool = False):
@@ -232,12 +266,10 @@ def build_table(
 
 
 def nearest_bin(estimate):
-    """0-based index of the bin closest to the estimate; ties round down.
-    An array of estimates gives an array of indices."""
-    scaled = np.asarray(estimate, dtype=float)
-    if not ((scaled >= 0.0) & (scaled <= 1.0)).all():
-        raise ValueError(f"pdr estimate must lie in [0, 1], got {estimate}")
-    scaled = scaled * 20.0
+    """0-based index of the bin closest to the estimate, a number in [0, 1]
+    by check_probabilities; ties round down. An array of estimates gives an
+    array of indices."""
+    scaled = check_probabilities("estimate", estimate) * 20.0
     k = np.floor(scaled)
     k += scaled - k > 0.5 + _BIN_EPS
     # scaled <= 20 keeps k <= 20, so only the lowest bin needs a bound

@@ -170,10 +170,10 @@ def test_send_block_refuses_counts_that_are_not_one_whole_number_per_gop():
     rng = np.random.default_rng(0)
     for probes, packets, match in (
         ([5, 0], [10], "^packets must hold one count per GOP of probes"),
-        ([[5]], [[10]], "^probes must be one whole number per GOP"),
-        (5, 10, "^probes must be one whole number per GOP"),
-        ([5.5], [10], "^probes must be one whole number per GOP"),
-        ([5], [True], "^packets must be one whole number per GOP"),
+        ([[5]], [[10]], "^probes must be a 1-D array of whole numbers"),
+        (5, 10, "^probes must be a 1-D array of whole numbers"),
+        ([5.5], [10], "^probes must be a 1-D array of whole numbers"),
+        ([5], [True], "^packets must be a 1-D array of whole numbers"),
         ([5], [-1], "^packets must be non-negative"),
     ):
         with pytest.raises(ValueError, match=match):

@@ -205,7 +205,7 @@ def test_block_rejects_overdeep_class():
     # carry 2 * P coefficients; class-3 packets carry 3 * P
     grid = make_synthetic_gop(0, 3, 2, 4)
     packets = encode_gop(grid, (0, 0, 6), SCHEME_RLC, seed=0)
-    with pytest.raises(ValueError, match="need 4 coefficients, got 6"):
+    with pytest.raises(ValueError, match="^coeffs must hold 4 coefficients per packet, got 6"):
         replace(packets, counts=[[0, 6]])
 
 
@@ -223,10 +223,66 @@ def test_rlc_encode_needs_a_generator():
     # every RLC packet carries the coefficients it draws; xor and repeat
     # draw nothing and take no generator
     cells = make_synthetic_cells([0], 3, 2, 0)
-    with pytest.raises(ValueError, match="need a generator"):
+    with pytest.raises(ValueError, match="^rng must be a numpy Generator, or None for xor and repeat, got None"):
         encode_block(cells, [(3, 0, 2)], SCHEME_RLC, None)
     for scheme in (SCHEME_XOR, SCHEME_REPEAT):
         assert len(encode_block(cells, [(3, 0, 2)], scheme, None)) == 5
+
+
+def test_encode_refuses_by_name_what_it_cannot_encode():
+    # a float, str or bool replica count would be truncated or read as a
+    # number; a non-generator rng, a 3-D or float grid would fail inside the
+    # encoder, naming nothing
+    cells = make_synthetic_cells([0], 4, 8, 2)
+    rng = np.random.default_rng(0)
+    for strategies, match in (
+        ([[40.7, 8, 8, 8]], "^strategies must be a 2-D array of whole numbers"),
+        ([["40", 8, 8, 8]], "^strategies must be a 2-D array of whole numbers"),
+        (np.ones((1, 4), bool), "^strategies must be a 2-D array of whole numbers"),
+        ([40, 8, 8, 8], "^strategies must be a 2-D array of whole numbers"),
+        ([[40, 8, 8, -8]], "^strategies must be non-negative"),
+        ([[40, 8, 8, 8], [40, 8]], "^strategies must be an array"),
+    ):
+        for scheme in SCHEMES:
+            with pytest.raises(ValueError, match=match):
+                encode_block(cells, strategies, scheme, rng)
+    for bad in (3, "rng", np.random.SeedSequence(0), [rng]):
+        for scheme in SCHEMES:
+            with pytest.raises(ValueError, match="^rng must be a numpy Generator"):
+                encode_block(cells, [[40, 8, 8, 8]], scheme, bad)
+    for grid in (cells[0], cells.astype(float), cells[:, :0], cells[:, :, :0], None):
+        with pytest.raises(ValueError, match="^cells must be a 4-D uint8 stack"):
+            encode_block(grid, [[40, 8, 8, 8]], SCHEME_RLC, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    assert encode_block(list(cells), [[40, 8, 8, 8]], SCHEME_RLC, rng).counts.tolist() == [
+        [40, 8, 8, 8]
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(SCHEMES),
+    gops=st.integers(0, 3),
+    layers=st.integers(1, 4),
+    per_layer=st.integers(1, 9),
+    width=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_encoded_blocks_pass_the_block_checks_unchanged(scheme, gops, layers, per_layer, width, seed):
+    # encode_block builds its block without PacketBlock's checks, from
+    # inputs it has checked; every block it returns passes them as it is
+    rng = np.random.default_rng(seed)
+    strategies = rng.integers(0, 12, (gops, layers)) * (rng.random((gops, layers)) < 0.7)
+    cells = make_synthetic_cells(range(gops), layers, per_layer, width, seed)
+    block = encode_block(cells, strategies, scheme, rng)
+    checked = PacketBlock(**vars(block))
+    assert vars(checked).keys() == vars(block).keys()
+    for name, value in vars(block).items():
+        if isinstance(value, np.ndarray):
+            got = getattr(checked, name)
+            assert got.dtype == value.dtype and np.array_equal(got, value), name
+        else:
+            assert getattr(checked, name) == value, name
 
 
 def test_encode_is_deterministic_per_seed():
@@ -272,7 +328,7 @@ def test_select_refuses_a_decreasing_index_array():
     # first, where the counts' order makes it GOP 0's
     cells = make_synthetic_cells([0, 1], 2, 2, 4)
     block = encode_block(cells, [(2, 2), (2, 2)], SCHEME_RLC, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="non-decreasing"):
+    with pytest.raises(ValueError, match="^rows must be non-decreasing"):
         block.select(np.array([5, 0, 1]))
     assert block.select(np.array([0, 1, 5])).counts.tolist() == [[2, 0], [1, 0]]
 
@@ -282,10 +338,10 @@ def test_select_refuses_rows_outside_the_block():
     # the first, and a 5-entry mask would pick 5 of the 128 rows
     block = class_block([(40, 8, 8, 8)] * 2, 8)
     for rows in (np.array([-1]), np.array([0, 128])):
-        with pytest.raises(ValueError, match="must lie in"):
+        with pytest.raises(ValueError, match=r"^rows must lie in \[0, 127\]"):
             block.select(rows)
     for rows in (np.array([True] * 5), np.ones(129, bool), np.ones((2, 64), bool)):
-        with pytest.raises(ValueError, match="one entry per packet"):
+        with pytest.raises(ValueError, match="^rows must be a mask of 128 entries"):
             block.select(rows)
     assert block.select(np.array([0, 127])).counts.tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
     assert block.select(np.array([], dtype=np.intp)).counts.tolist() == [[0] * 4] * 2
@@ -299,51 +355,100 @@ def test_batch_validates_once_on_construction():
     def block(scheme, counts, payload=payload, **rows):
         return PacketBlock(scheme, 2, counts, payload, **rows)
 
-    with pytest.raises(ValueError, match="scheme"):
+    with pytest.raises(ValueError, match="^scheme must be one of"):
         block("fountain", [[2, 0]], coeffs=coeffs)
     # a class count per (GOP, class), none negative, over at least one class
     for counts in ([2, 0], [[[2, 0]]], [[3, -1]], np.zeros((1, 0), int)):
-        with pytest.raises(ValueError, match="counts must be"):
+        with pytest.raises(ValueError, match="^counts must "):
             block(SCHEME_RLC, counts, coeffs=coeffs)
     # three classes make three layers of two cells, so six coefficients
-    with pytest.raises(ValueError, match="need 6 coefficients"):
+    with pytest.raises(ValueError, match="^coeffs must hold 6 coefficients per packet"):
         block(SCHEME_RLC, [[1, 0, 1]], coeffs=coeffs)
     # any coefficient width but L * P, with payload bytes or none
     for width in (0, 2, 5):
         wide = np.zeros((2, width), dtype=np.uint8)
         for size in (0, 4):
-            with pytest.raises(ValueError, match="need 4 coefficients"):
+            with pytest.raises(ValueError, match="^coeffs must hold 4 coefficients per packet"):
                 block(SCHEME_RLC, [[1, 1]], payload=payload[:, :size], coeffs=wide)
-    with pytest.raises(ValueError, match="deeper than its class"):
+    with pytest.raises(ValueError, match="^coeffs must hold none for a layer deeper than its packet's class"):
         block(SCHEME_RLC, [[1, 1]], coeffs=np.eye(2, 4, 2, dtype=np.uint8))
     for column in ([0, 2], [-1, 0]):
-        with pytest.raises(ValueError, match="columns must lie in 0..1"):
+        with pytest.raises(ValueError, match=r"^column must lie in \[0, 1\]"):
             block(SCHEME_XOR, [[1, 1]], column=column)
     for counts in ([[2, 1]], [[1, 0]], [[1, 0], [0, 0], [0, 2]]):
-        with pytest.raises(ValueError, match="payload row"):
+        with pytest.raises(ValueError, match="^payload must hold one row per packet"):
             block(SCHEME_RLC, counts, coeffs=coeffs)
-    with pytest.raises(ValueError, match="coefficients"):
+    with pytest.raises(ValueError, match="^coeffs must hold rlc coefficients, and column be None"):
         block(SCHEME_RLC, [[1, 1]], column=[0, 1])
-    with pytest.raises(ValueError, match="coefficient rows"):
+    with pytest.raises(ValueError, match="^coeffs must hold 2 rows, got"):
         block(SCHEME_RLC, [[1, 1]], coeffs=coeffs[:1])
-    with pytest.raises(ValueError, match="column"):
+    with pytest.raises(ValueError, match="^column must hold xor columns, and coeffs be None"):
         block(SCHEME_XOR, [[1, 1]])
-    with pytest.raises(ValueError, match="columns"):
+    with pytest.raises(ValueError, match="^column must hold 2 entries, got"):
         block(SCHEME_XOR, [[1, 1]], column=[0])
     assert block(SCHEME_RLC, [[1, 0], [0, 0], [0, 1]], coeffs=coeffs).layer_count == 2
+
+
+def test_block_refuses_fields_that_are_not_whole_numbers():
+    # a float count or column would be truncated, and a float or bool grid
+    # width read as the number it stands for
+    payload = np.zeros((2, 0), dtype=np.uint8)
+    for fields, match in (
+        (dict(counts=[[1.5, 0.5]]), "^counts must be a 2-D array of whole numbers"),
+        (dict(counts=[["1", "1"]]), "^counts must be a 2-D array of whole numbers"),
+        (dict(counts=np.ones((1, 2), bool)), "^counts must be a 2-D array of whole numbers"),
+        (dict(counts=[[1, 1], [1]]), "^counts must be an array"),
+        (dict(column=[0.5, 1]), "^column must be a 1-D array of whole numbers"),
+        (dict(column=[True, False]), "^column must be a 1-D array of whole numbers"),
+        (dict(packets_per_layer=2.5), "^packets_per_layer must be a whole number"),
+        (dict(packets_per_layer=True), "^packets_per_layer must be a whole number"),
+        (dict(packets_per_layer=0), "^packets_per_layer must be positive"),
+    ):
+        base = dict(scheme=SCHEME_XOR, packets_per_layer=2, counts=[[1, 1]], payload=payload)
+        with pytest.raises(ValueError, match=match):
+            PacketBlock(**{**base, "column": [0, 1], **fields})
+    block = PacketBlock(SCHEME_XOR, np.int64(2), np.array([[1, 1]], np.uint8), payload, column=[0, 1])
+    assert block.counts.dtype == np.int64 and block.column.tolist() == [0, 1]
+
+
+def test_decode_and_score_refuse_what_is_not_a_block():
+    # each would fail on a missing attribute, naming nothing
+    for block in (None, 3, "block", (np.zeros((1, 2), int),)):
+        for call in (decode_block, score_block):
+            with pytest.raises(ValueError, match="^block must be a PacketBlock"):
+                call(block)
+
+
+def test_select_reads_a_list_and_refuses_indices_that_are_not_whole_numbers():
+    block = class_block([(2, 1), (0, 3)], 2)
+    assert np.array_equal(block.select([0, 1, 5]).counts, block.select(np.array([0, 1, 5])).counts)
+    mask = [True, False, False, True, True, False]
+    assert np.array_equal(block.select(mask).counts, block.select(np.array(mask)).counts)
+    assert block.select([]).counts.tolist() == [[0, 0], [0, 0]]
+    for rows, match in (
+        (np.array([0.0, 1.0]), "^rows must be a 1-D array of whole numbers"),
+        ([0.5], "^rows must be a 1-D array of whole numbers"),
+        (["0"], "^rows must be a 1-D array of whole numbers"),
+        (1, "^rows must be a 1-D array of whole numbers"),
+        ([[0, 1]], "^rows must be a 1-D array of whole numbers"),
+        ([6], r"^rows must lie in \[0, 5\]"),
+        ([True] * 5, "^rows must be a mask of 6 entries"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            block.select(rows)
 
 
 def test_block_rejects_rows_inconsistent_with_its_grid():
     grid = make_synthetic_gop(0, 2, 2, 4)
     rlc = encode_gop(grid, (2, 2), SCHEME_RLC, seed=0)
     assert (rlc.layer_count, rlc.packets_per_layer) == (2, 2)
-    with pytest.raises(ValueError, match="coefficients"):
+    with pytest.raises(ValueError, match="^coeffs must hold 6 coefficients per packet, got 4"):
         replace(rlc, packets_per_layer=3)
     # a class-1 packet whose coefficients reach into layer 2
-    with pytest.raises(ValueError, match="deeper than its class"):
+    with pytest.raises(ValueError, match="^coeffs must hold none for a layer deeper"):
         replace(rlc, coeffs=rlc.coeffs | 1)
     xor = encode_gop(grid, (2, 2), SCHEME_XOR)
-    with pytest.raises(ValueError, match="column"):
+    with pytest.raises(ValueError, match=r"^column must lie in \[0, 1\]"):
         replace(xor, column=xor.column + 1)
 
 
@@ -399,7 +504,7 @@ def test_block_rejects_a_bad_gop_wherever_it_sits():
     for scheme in (SCHEME_RLC, SCHEME_XOR):
         good, _, _ = _erased(scheme, 2)
         if scheme == SCHEME_RLC:
-            with pytest.raises(ValueError, match="16 coefficients"):
+            with pytest.raises(ValueError, match="^coeffs must hold 16 coefficients per packet"):
                 replace(good, coeffs=good.coeffs[:, :8])
         offsets = gop_offsets(good)
         full = np.flatnonzero(np.diff(offsets))
@@ -407,14 +512,16 @@ def test_block_rejects_a_bad_gop_wherever_it_sits():
             # one GOP's rows go bad, or its counts name a packet it lacks,
             # wherever it sits in the block
             at = slice(offsets[k], offsets[k + 1])
-            bad = {"payload row": dict(counts=good.counts.copy())}
-            bad["payload row"]["counts"][k, 1] += 1
+            payload = "^payload must hold one row per packet"
+            bad = {payload: dict(counts=good.counts.copy())}
+            bad[payload]["counts"][k, 1] += 1
             if scheme == SCHEME_RLC:
-                bad["deeper than its class"] = dict(coeffs=good.coeffs.copy())
-                bad["deeper than its class"]["coeffs"][at] |= 1
+                deeper = "^coeffs must hold none for a layer deeper"
+                bad[deeper] = dict(coeffs=good.coeffs.copy())
+                bad[deeper]["coeffs"][at] |= 1
             else:
-                bad["column"] = dict(column=good.column.copy())
-                bad["column"]["column"][at] = 4
+                bad[r"^column must lie in \[0, 3\]"] = dict(column=good.column.copy())
+                bad[r"^column must lie in \[0, 3\]"]["column"][at] = 4
             for match, rows in bad.items():
                 with pytest.raises(ValueError, match=match):
                     replace(good, **rows)
@@ -707,7 +814,7 @@ def test_surviving_counts_need_one_mask_entry_per_packet():
         surviving_counts(counts, np.ones(7, dtype=np.int64))
     block = class_block(counts, 2)
     for mask in (np.ones(5, dtype=bool), np.ones(7, dtype=bool)):
-        with pytest.raises(ValueError, match="one entry per packet"):
+        with pytest.raises(ValueError, match="^rows must be a mask of 6 entries"):
             block.select(mask)
     kept = np.array([True, False, True, True, False, True, False])
     assert surviving_counts(counts, kept).tolist() == [[1, 1], [0, 2]]

@@ -43,3 +43,17 @@ def test_grid_rejects_negative_gop():
         make_synthetic_cells([0, -1], 1, 1, 1)
     with pytest.raises(ValueError):
         make_synthetic_gop(-1, 1, 1, 1)
+
+
+def test_grid_ids_are_whole_numbers():
+    # a float id would be truncated to the grid of another GOP
+    for gop_ids, match in (
+        ([0, 1.5], "^gop_ids must be a 1-D array of whole numbers"),
+        ([True], "^gop_ids must be a 1-D array of whole numbers"),
+        (["1"], "^gop_ids must be a 1-D array of whole numbers"),
+        (1, "^gop_ids must be a 1-D array of whole numbers"),
+        ([0, -1], "^gop_ids must be non-negative"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            make_synthetic_cells(gop_ids, 1, 1, 1)
+    assert make_synthetic_cells([], 1, 1, 1).shape == (0, 1, 1, 1)

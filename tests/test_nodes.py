@@ -179,18 +179,38 @@ def test_count_picks_match_the_scalar_oracle(default_table):
 def test_count_picks_refuse_what_is_not_a_count(selector, default_table):
     chosen = default_table if selector == "table" else builtin_policy(3)
     for seen in ([-1], [11], [5, 11]):
-        with pytest.raises(ValueError, match=r"must lie in \[0, 10\]"):
+        with pytest.raises(ValueError, match=r"^seen must lie in \[0, 10\]"):
             pick_strategies(chosen, seen, 10, [4] * len(seen))
     for seen in ([0.5], [5.0], [True], np.array([5], dtype=np.float32)):
-        with pytest.raises(ValueError, match="whole numbers"):
+        with pytest.raises(ValueError, match="^seen must be a 1-D array of whole numbers"):
             pick_strategies(chosen, seen, 10, [4])
-    for seen, depths in (([5], [4, 4]), ([5, 5], [4]), (5, [4]), ([[5]], [[4]])):
-        with pytest.raises(ValueError, match="one surviving probe count and one depth per GOP"):
+    for seen, depths, match in (
+        ([5], [4, 4], "^depths must hold one per GOP of seen, 1, got 2"),
+        ([5, 5], [4], "^depths must hold one per GOP of seen, 2, got 1"),
+        (5, [4], "^seen must be a 1-D array of whole numbers"),
+        ([[5]], [[4]], "^seen must be a 1-D array of whole numbers"),
+    ):
+        with pytest.raises(ValueError, match=match):
             pick_strategies(chosen, seen, 10, depths)
     for probe_count in (0, -10, 10.0, True, None):
-        with pytest.raises(ValueError, match="probe_count"):
+        with pytest.raises(ValueError, match="^probe_count must be"):
             pick_strategies(chosen, [1], probe_count, [4])
     assert pick_strategies(chosen, np.array([10], dtype=np.uint8), np.int64(10), [4]).sum() == 64
+
+
+def test_count_picks_refuse_depths_that_are_not_whole_numbers(default_table):
+    # depth -1 would index the full-depth pick and 2.5 no pick; a depth past
+    # the table's layers reads the full-depth pick
+    for depths, match in (
+        ([-1], "^depths must be non-negative"),
+        ([2.5], "^depths must be a 1-D array of whole numbers"),
+        (["4"], "^depths must be a 1-D array of whole numbers"),
+        ([True], "^depths must be a 1-D array of whole numbers"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            pick_strategies(default_table, [100], 100, depths)
+    full = pick_strategies(default_table, [100], 100, [4]).tolist()
+    assert pick_strategies(default_table, [100], 100, [9]).tolist() == full == [[40, 8, 8, 8]]
 
 
 def test_sender_with_policy():
@@ -242,10 +262,14 @@ def test_encoder_block_needs_one_estimate_and_depth_per_gop(small_table):
     # the pick of 3 GOPs is refused by the encode of 2
     cells = np.stack([_grid()] * 2)
     rng = np.random.default_rng(0)
-    for seen, depths in (([14], [3, 3]), ([14] * 2, [3]), (14, [3, 3])):
-        with pytest.raises(ValueError, match="one surviving probe count and one depth per GOP"):
+    for seen, depths, match in (
+        ([14], [3, 3], "^depths must hold one per GOP of seen, 1, got 2"),
+        ([14] * 2, [3], "^depths must hold one per GOP of seen, 2, got 1"),
+        (14, [3, 3], "^seen must be a 1-D array of whole numbers"),
+    ):
+        with pytest.raises(ValueError, match=match):
             _encode(small_table, cells, seen, depths, rng)
-    with pytest.raises(ValueError, match="one strategy of 3 classes per grid"):
+    with pytest.raises(ValueError, match="^strategies must hold one strategy of 3 classes per grid"):
         _encode(small_table, cells, [14] * 3, [3] * 3, rng)
     out = _encode(small_table, cells, [14] * 2, [3, 3], rng)
     assert out.counts.sum(axis=1).tolist() == [8, 8]
@@ -258,7 +282,7 @@ def test_policy_encoder_refuses_a_partial_depth():
     policy = builtin_policy(3)
     cells = np.zeros((1, 4, 8, 0), dtype=np.uint8)
     for depth in (1, 2, 3):
-        with pytest.raises(ValueError, match="must hold all 4 layers"):
+        with pytest.raises(ValueError, match="^depths must hold all 4 layers"):
             _encode(policy, cells, [PROBES], [depth], np.random.default_rng(0))
     assert pick_strategies(policy, [PROBES] * 2, PROBES, [0, 4]).tolist() == [
         [0] * 4, [40, 8, 8, 8]
@@ -274,9 +298,9 @@ def test_encoders_refuse_an_estimate_outside_the_unit_interval(selector, default
     cells = np.zeros((2, 4, 8, 0), dtype=np.uint8)
     rng = np.random.default_rng(0)
     for seen in (-1, PROBES + 1):
-        with pytest.raises(ValueError, match=r"must lie in \[0, 20\]"):
+        with pytest.raises(ValueError, match=r"^seen must lie in \[0, 20\]"):
             _encode(chosen, cells, [10, seen], [4, 4], rng)
-    with pytest.raises(ValueError, match="whole numbers"):
+    with pytest.raises(ValueError, match="^seen must be a 1-D array of whole numbers"):
         _encode(chosen, cells, [10, float("nan")], [4, 4], rng)
     assert _encode(chosen, cells, [0, PROBES], [4, 4], rng).counts.sum(axis=1).tolist() == [64, 64]
 
@@ -312,11 +336,11 @@ def test_receiver_rejects_overdeep_packet():
     # block of two classes refuses; under xor a block's counts must name
     # exactly the packets it holds
     packets = encode_gop(_grid(), (0, 0, 2), SCHEME_RLC, seed=0).select(np.arange(1))
-    with pytest.raises(ValueError, match="need 4 coefficients, got 6"):
+    with pytest.raises(ValueError, match="^coeffs must hold 4 coefficients per packet, got 6"):
         replace(packets, counts=[[0, 1]])
     packets = encode_gop(_grid(), (0, 0, 2), SCHEME_XOR, seed=0).select(np.arange(1))
     for counts in ([[0, 0, 2]], [[0, 0, 0]]):
-        with pytest.raises(ValueError, match="payload row"):
+        with pytest.raises(ValueError, match="^payload must hold one row per packet"):
             replace(packets, counts=counts)
 
 

@@ -1,5 +1,5 @@
 """The refusal contract of the public entry points that take counts,
-deliveries and sequences, and of send_block, which takes them as arrays.
+deliveries and sequences, and of those that take them as arrays.
 
 A call either returns, or raises a ValueError whose message starts with the
 name of one of its parameters. A call given a value of a kind the parameter
@@ -22,15 +22,22 @@ from hypothesis import strategies as st
 
 from nclayer import (
     ChainConfig,
+    PacketBlock,
     ThresholdPolicy,
     build_table,
+    decode_block,
+    encode_block,
     enumerate_strategies,
     expected_decoded_layers,
     make_synthetic_gop,
+    nearest_bin,
+    score_block,
     send_block,
     sweep,
 )
 from nclayer.codec import _Rows
+from nclayer.media import make_synthetic_cells
+from nclayer.nodes import pick_strategies
 
 
 def count(least, most):
@@ -72,6 +79,15 @@ def per_gop():
     )
 
 
+def rows_of(values, size, rows=None):
+    """Valid tuples of size values drawn from values, or rows of them, as
+    tuples or as a numpy array."""
+    one = st.lists(values, min_size=size, max_size=size).map(tuple)
+    if rows is not None:
+        one = st.lists(one, min_size=rows, max_size=rows).map(tuple)
+    return one | one.map(np.array)
+
+
 def choice(valid, invalid):
     return st.sampled_from(valid), st.sampled_from(invalid)
 
@@ -83,6 +99,13 @@ def _schedule_entry():
 
 
 SMALL = dict(budget=8, layer_count=2, packets_per_layer=2, granularity=2)
+
+CELLS = make_synthetic_cells([0, 1], 2, 2, 3)
+# two GOPs of a 2 x 2 grid, 3 and 3 packets, under each scheme
+BLOCKS = [
+    encode_block(CELLS, ((2, 1), (0, 3)), scheme, np.random.default_rng(0))
+    for scheme in ("rlc", "xor", "repeat")
+]
 
 ENTRY_POINTS = {
     "ChainConfig": (ChainConfig, {}, dict(
@@ -175,6 +198,98 @@ ENTRY_POINTS = {
             ),
         ),
     ),
+    "pick_strategies": (
+        pick_strategies,
+        dict(selector=build_table(**SMALL), seen=(3, 0), probe_count=4, depths=(2, 1)),
+        dict(
+            seen=(
+                rows_of(st.integers(0, 4), 2),
+                st.sampled_from([
+                    (51, 0), (-1, 0), (1.5, 0), (math.nan, 0), (True, False), ("1", "0"),
+                    (None, 0), 3, ((3, 0),), "30",
+                ]),
+            ),
+            probe_count=count(1, 50),
+            depths=(
+                rows_of(st.integers(0, 4), 2),
+                st.sampled_from([
+                    (-1, 0), (2.5, 1), (True, True), ("2", "1"), (None, 0), 2, ((2, 1),), (2, 1, 0),
+                ]),
+            ),
+        ),
+    ),
+    "encode_block": (
+        encode_block,
+        dict(cells=CELLS, strategies=((4, 4), (8, 0)), scheme="rlc", rng=np.random.default_rng(0)),
+        dict(
+            cells=(
+                st.integers(0, 4).map(lambda width: make_synthetic_cells([0, 1], 2, 2, width)),
+                st.sampled_from([
+                    CELLS[0], CELLS.astype(float), CELLS.astype(bool), CELLS[:, :0], CELLS[:, :, :0],
+                    None, "cells", 5,
+                ]),
+            ),
+            strategies=(
+                rows_of(st.integers(0, 8), 2, 2),
+                st.sampled_from([
+                    ((4.5, 4), (8, 0)), ((True, True), (False, False)), ((-1, 9), (8, 0)),
+                    (("4", "4"), ("8", "0")), ((4, None), (8, 0)), (4, 4), "44", None, ((4, 4),),
+                    ((4, 4, 0), (8, 0, 0)), ((4, 4), (8,)),
+                ]),
+            ),
+            scheme=choice(["rlc", "xor", "repeat"], ["xr", "RLC", 3, None]),
+            rng=(
+                st.integers(0, 99).map(np.random.default_rng) | st.none(),
+                st.sampled_from([3, "rng", np.random.SeedSequence(0), (np.random.default_rng(0),)]),
+            ),
+        ),
+    ),
+    "PacketBlock": (
+        PacketBlock,
+        dict(
+            scheme="xor", packets_per_layer=2, counts=((1, 1),), payload=np.zeros((2, 3), np.uint8),
+            column=(0, 1),
+        ),
+        dict(
+            scheme=choice(["xor", "repeat", "rlc"], ["xr", 3, None]),
+            packets_per_layer=count(1, 8),
+            counts=(
+                rows_of(st.integers(0, 2), 2, 1) | rows_of(st.integers(0, 1), 2, 2),
+                st.sampled_from([
+                    ((1.5, 0.5),), ((True, True),), ((-1, 3),), (("1", "1"),), ((1, None),),
+                    (1, 1), "11", None, (((1, 1),),), np.zeros((1, 0), int), ((1, 1), (1,)),
+                ]),
+            ),
+            column=(
+                rows_of(st.integers(0, 1), 2),
+                st.sampled_from([
+                    (0, 9), (-1, 0), (0.5, 1), (True, False), ("0", "1"), 0, ((0, 1),), None, (0,),
+                ]),
+            ),
+        ),
+    ),
+    "PacketBlock.select": (
+        BLOCKS[0].select,
+        dict(rows=(0, 1)),
+        dict(rows=(
+            st.lists(st.integers(0, 5), max_size=8).map(sorted).map(tuple)
+            | st.lists(st.booleans(), min_size=6, max_size=6).map(np.array),
+            st.sampled_from([
+                (6,), (-1,), (0.5,), (1, 0), ("0",), (None,), 3, ((0, 1),), (True,) * 5,
+                np.ones((2, 3), bool), None,
+            ]),
+        )),
+    ),
+    "decode_block": (decode_block, dict(block=BLOCKS[0]), dict(block=(
+        st.sampled_from(BLOCKS), st.sampled_from([None, 3, "block", (BLOCKS[0],), CELLS]),
+    ))),
+    "score_block": (score_block, dict(block=BLOCKS[0]), dict(block=(
+        st.sampled_from(BLOCKS), st.sampled_from([None, 3, "block", (BLOCKS[0],), CELLS]),
+    ))),
+    "nearest_bin": (nearest_bin, dict(estimate=0.5), dict(estimate=(
+        probability()[0] | st.lists(st.floats(0.0, 1.0), max_size=4).map(np.array),
+        probability()[1] | st.sampled_from([np.array([0.5, 1.5]), np.array([True]), ("0.5", 0.5)]),
+    ))),
     "make_synthetic_gop": (
         make_synthetic_gop,
         dict(gop_id=0, layer_count=2, packets_per_layer=2, payload_size=4),

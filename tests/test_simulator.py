@@ -616,14 +616,21 @@ def test_only_runs_that_read_more_than_classes_make_packet_rows(
     # an unverified RLC run reads nothing of a packet but its class, so it
     # carries class counts and builds no PacketBlock; a verified run
     # decodes coefficients and payloads, and xor and repeat read columns
+    # a block is built checked, by PacketBlock, or unchecked, by
+    # codec._unchecked_block, as encode_block and select build theirs
     made = []
-    check = PacketBlock.__post_init__
+    check, build = PacketBlock.__post_init__, codec._unchecked_block
 
-    def counted(block):
+    def checked(block):
         made.append(block.scheme)
         check(block)
 
-    monkeypatch.setattr(PacketBlock, "__post_init__", counted)
+    def built(scheme, *fields, **named):
+        made.append(scheme)
+        return build(scheme, *fields, **named)
+
+    monkeypatch.setattr(PacketBlock, "__post_init__", checked)
+    monkeypatch.setattr(codec, "_unchecked_block", built)
     config = ChainConfig(
         link_pdrs=(0.8,) * 3, relay_modes=relay_modes, scheme=scheme, gop_count=20,
         verify_payloads=verify, seed=6,

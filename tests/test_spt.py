@@ -273,6 +273,14 @@ def test_nearest_bin_rounding():
         nearest_bin(1.2)
 
 
+def test_nearest_bin_refuses_what_is_not_a_number():
+    # numpy would read "0.5" as 0.5 and True as 1.0, the bins 9 and 19
+    for estimate in ("0.5", True, np.array([True, False]), None, [0.5, "x"], np.nan):
+        with pytest.raises(ValueError, match=r"^estimate must lie in \[0, 1\]"):
+            nearest_bin(estimate)
+    assert nearest_bin(np.float32(0.5)) == 9 and nearest_bin(1) == 19
+
+
 def test_table_best_at_extremes(default_table):
     assert _picks(default_table, [100, 5], 100) == [(40, 8, 8, 8), (64, 0, 0, 0)]
     top = int(default_table.best_index[19])
